@@ -2,21 +2,23 @@
 //! golden hash recorded from the pre-refactor per-scheme `CcFlow`
 //! implementations. The generic `Datapath`/`CcPolicy` layer must reproduce
 //! each control law float-op for float-op, so the packet, fluid, and hybrid
-//! backends all have to produce byte-identical artifacts for the six
-//! original schemes — any drift in operation order shows up here as a hash
-//! mismatch before it can show up as a silent behaviour change.
+//! backends all have to produce byte-identical artifacts — any drift in
+//! operation order shows up here as a hash mismatch before it can show up
+//! as a silent behaviour change.
 //!
 //! Wall-clock-derived scalars (`events_per_sec`, `span_*`) and
 //! scheduler-internal diagnostics (`wheel_cascades_*`) are stripped before
 //! hashing, exactly as in `des_determinism.rs`.
 //!
 //! The two PR-8 schemes (FairQ, Throttle) have no pre-refactor
-//! implementation to pin against; they are covered by the determinism half
-//! (same scenario+seed twice ⇒ identical bytes) and by the
-//! cross-validation/conformance suites.
+//! implementation; their hashes, and every hybrid hash, were recorded at
+//! PR 14's head (commit 6fea562) so the report-builder refactor of PR 15
+//! had a byte pin on all three backends and all of `CcKind::ALL`.
 
+use fncc::core::scenario::FaultSpec;
 use fncc::core::{
-    run_scenario, Scenario, SimBackend, StopCondition, TopologySpec, TrafficSpec, Workload,
+    run_scenario, ForegroundSpec, PartitionRule, Scenario, SimBackend, StopCondition, TopologySpec,
+    TrafficSpec, Workload,
 };
 use fncc_cc::CcKind;
 
@@ -79,54 +81,143 @@ fn fluid_scenario(cc: CcKind) -> Scenario {
     sc
 }
 
-/// Golden packet-backend hashes, recorded from the pre-refactor engine
-/// (PR 7 head, commit d225292) on `packet_scenario`.
-const PACKET_GOLDEN: [(CcKind, u64); 6] = [
+/// Two overlapping incast waves on the hybrid backend: wave 1 at packet
+/// fidelity, wave 2 as fluid background — both coupling directions, the
+/// merged slowdown table and every coupler scalar land in the artifact.
+fn hybrid_scenario(cc: CcKind) -> Scenario {
+    let mut sc = Scenario::new(
+        "dp-equiv-hybrid",
+        TopologySpec::FatTree { k: 4 },
+        TrafficSpec::Incast {
+            receiver: 0,
+            fan_in: 8,
+            size: 100_000,
+            waves: 2,
+            gap_us: 30,
+        },
+        cc,
+    );
+    sc.stop = StopCondition::Drain { cap_ms: 50 };
+    sc.seeds = vec![5, 6];
+    sc.foreground = Some(ForegroundSpec {
+        rules: vec![PartitionRule::FirstFlows { n: 8 }],
+    });
+    sc
+}
+
+/// Golden packet-backend hashes on `packet_scenario`: the first six from
+/// the pre-refactor engine (PR 7 head, commit d225292), FairQ and Throttle
+/// from PR 14's head.
+const PACKET_GOLDEN: [(CcKind, u64); 8] = [
     (CcKind::Fncc, 0x6c771e4bc71b3401),
     (CcKind::Hpcc, 0x3160578e127a8458),
     (CcKind::Dcqcn, 0x80a12becc6cea02a),
     (CcKind::Rocc, 0xcc17a593a2e575ae),
     (CcKind::Timely, 0x27cc0f0095c1923a),
     (CcKind::Swift, 0x545c6a492ae31447),
+    (CcKind::FairQ, 0xb7242645b082da1b),
+    (CcKind::Throttle, 0x5b1e42d1acdd92fb),
 ];
 
-/// Golden fluid-backend hashes, recorded from the pre-refactor engine on
-/// `fluid_scenario`.
-const FLUID_GOLDEN: [(CcKind, u64); 6] = [
+/// Golden fluid-backend hashes on `fluid_scenario` (same provenance as
+/// [`PACKET_GOLDEN`]).
+const FLUID_GOLDEN: [(CcKind, u64); 8] = [
     (CcKind::Fncc, 0x191b5d6f8c472ca1),
     (CcKind::Hpcc, 0x557b9d41ebee2e8a),
     (CcKind::Dcqcn, 0x65c40edbdb9c8a63),
     (CcKind::Rocc, 0xbbaa1ca8956422e0),
     (CcKind::Timely, 0x7f5e41af3a278b47),
     (CcKind::Swift, 0xef1a15604e0456bd),
+    (CcKind::FairQ, 0x1f3135bf41abcc89),
+    (CcKind::Throttle, 0xa99337e698d68107),
 ];
+
+/// Golden hybrid-backend hashes on `hybrid_scenario`, recorded at PR 14's
+/// head.
+const HYBRID_GOLDEN: [(CcKind, u64); 8] = [
+    (CcKind::Fncc, 0xde7b1ce67cd426ab),
+    (CcKind::Hpcc, 0xefab63ea5e91f036),
+    (CcKind::Dcqcn, 0x39bbbfc03b7bd72a),
+    (CcKind::Rocc, 0xecc877985b805d9c),
+    (CcKind::Timely, 0x3bb36d28a3ef1947),
+    (CcKind::Swift, 0x845d6f88248b9c7d),
+    (CcKind::FairQ, 0x9d80dc6eea27ce9b),
+    (CcKind::Throttle, 0xe34fc674be97bc8b),
+];
+
+/// Run `scenario(cc)` on `backend` for every pinned scheme and compare the
+/// stable report bytes' hash with the golden.
+fn assert_golden(golden: &[(CcKind, u64)], scenario: fn(CcKind) -> Scenario, backend: SimBackend) {
+    assert_eq!(golden.len(), CcKind::ALL.len(), "a scheme has no byte pin");
+    let drifted: Vec<String> = golden
+        .iter()
+        .filter_map(|&(cc, want)| {
+            let got = fnv1a(stable_json(&scenario(cc), backend).as_bytes());
+            (got != want).then(|| format!("{}: got 0x{got:016x}, want 0x{want:016x}", cc.name()))
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "{backend} RunReport drifted from the golden: {drifted:#?}"
+    );
+}
 
 #[test]
 fn packet_reports_match_pre_refactor_golden() {
-    for (cc, want) in PACKET_GOLDEN {
-        let got = fnv1a(stable_json(&packet_scenario(cc), SimBackend::Packet).as_bytes());
-        assert_eq!(
-            got,
-            want,
-            "{}: packet RunReport drifted from the pre-refactor golden \
-             (got 0x{got:016x}, want 0x{want:016x})",
-            cc.name()
-        );
-    }
+    assert_golden(&PACKET_GOLDEN, packet_scenario, SimBackend::Packet);
 }
 
 #[test]
 fn fluid_reports_match_pre_refactor_golden() {
-    for (cc, want) in FLUID_GOLDEN {
-        let got = fnv1a(stable_json(&fluid_scenario(cc), SimBackend::Fluid).as_bytes());
-        assert_eq!(
-            got,
-            want,
-            "{}: fluid RunReport drifted from the pre-refactor golden \
-             (got 0x{got:016x}, want 0x{want:016x})",
-            cc.name()
-        );
-    }
+    assert_golden(&FLUID_GOLDEN, fluid_scenario, SimBackend::Fluid);
+}
+
+#[test]
+fn hybrid_reports_match_golden() {
+    assert_golden(&HYBRID_GOLDEN, hybrid_scenario, SimBackend::Hybrid);
+}
+
+/// FNCC under a ToR-uplink flap, one hash per backend: fault runs emit the
+/// gated fault/recovery scalars in the middle of each backend's scalar
+/// list, so this is the pin on their position and on `incomplete_flows`.
+const FAULTED_GOLDEN: [(SimBackend, u64); 3] = [
+    (SimBackend::Packet, 0xb2b5b784d472533e),
+    (SimBackend::Fluid, 0xa54fd6d4e6c44dfb),
+    (SimBackend::Hybrid, 0xd2580295ef95bc6a),
+];
+
+#[test]
+fn faulted_reports_match_golden() {
+    let drifted: Vec<String> = FAULTED_GOLDEN
+        .iter()
+        .filter_map(|&(backend, want)| {
+            let mut sc = match backend {
+                SimBackend::Packet => packet_scenario(CcKind::Fncc),
+                SimBackend::Fluid => fluid_scenario(CcKind::Fncc),
+                SimBackend::Hybrid => hybrid_scenario(CcKind::Fncc),
+            };
+            let (switch, port) = (0, 2);
+            sc.faults = vec![
+                FaultSpec::LinkDown {
+                    switch,
+                    port,
+                    at_us: 20,
+                },
+                FaultSpec::LinkUp {
+                    switch,
+                    port,
+                    at_us: 120,
+                },
+            ];
+            sc.validate().expect("faulted pin scenario is valid");
+            let got = fnv1a(stable_json(&sc, backend).as_bytes());
+            (got != want).then(|| format!("{backend}: got 0x{got:016x}, want 0x{want:016x}"))
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "faulted RunReport drifted from the golden: {drifted:#?}"
+    );
 }
 
 /// Every scheme — including kinds added after the refactor — must be

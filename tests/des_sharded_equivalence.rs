@@ -26,27 +26,39 @@ use fncc_cc::CcKind;
 /// design) — stripped in every comparison.
 const WALL_CLOCK: &[&str] = &["events_per_sec"];
 
-/// Sharding bookkeeping plus structurally per-shard diagnostics — absent
-/// or single-engine-shaped in legacy reports, so stripped only for the
-/// legacy-vs-sharded comparison.
-const SHARD_SHAPE: &[&str] = &[
+/// Sharding bookkeeping — the scalars a `threads ≥ 1` report adds, even
+/// when the run is one replica.
+const SHARD_BOOKKEEPING: &[&str] = &[
     "shards",
     "epochs",
     "cross_shard_frames",
     "lookahead_ns",
     "shard_fallback",
-    "peak_queue_len",
-    "pool_hit_rate",
 ];
 
-fn report_json(sc: &Scenario, threads: u32, strip_shard_shape: bool) -> String {
+/// Structurally per-shard diagnostics (plus the `wheel_cascades_l*`
+/// family): single-engine-shaped in one-replica reports, so stripped along
+/// with the bookkeeping for the one-replica-vs-pod-shards comparison.
+const PER_SHARD_DIAGNOSTICS: &[&str] = &["peak_queue_len", "pool_hit_rate"];
+
+/// What [`report_json`] removes on top of the wall-clock scalar.
+#[derive(Clone, Copy, PartialEq)]
+enum Strip {
+    Nothing,
+    Bookkeeping,
+    ShardShape,
+}
+
+fn report_json(sc: &Scenario, threads: u32, strip: Strip) -> String {
     let mut sc = sc.clone();
     sc.threads = threads;
     let mut report = run_scenario(&sc, SimBackend::Packet);
     report.scalars.retain(|(k, _)| {
-        !WALL_CLOCK.contains(&k.as_str())
-            && !(strip_shard_shape
-                && (SHARD_SHAPE.contains(&k.as_str()) || k.starts_with("wheel_cascades_")))
+        let k = k.as_str();
+        !WALL_CLOCK.contains(&k)
+            && !(strip != Strip::Nothing && SHARD_BOOKKEEPING.contains(&k))
+            && !(strip == Strip::ShardShape
+                && (PER_SHARD_DIAGNOSTICS.contains(&k) || k.starts_with("wheel_cascades_")))
     });
     report.to_json()
 }
@@ -91,11 +103,11 @@ fn poisson_scenario(cc: CcKind) -> Scenario {
 
 fn assert_equivalence(sc: &Scenario, label: &str) {
     // Legacy engine, with the shard-shape scalars it shares stripped.
-    let legacy = report_json(sc, 0, true);
+    let legacy = report_json(sc, 0, Strip::ShardShape);
     // Sharded runtime at 1, 2 and 4 workers.
     let sharded: Vec<String> = [1u32, 2, 4]
         .iter()
-        .map(|&t| report_json(sc, t, false))
+        .map(|&t| report_json(sc, t, Strip::Nothing))
         .collect();
     for (t, json) in [1, 2, 4].iter().zip(&sharded) {
         assert_eq!(
@@ -105,7 +117,7 @@ fn assert_equivalence(sc: &Scenario, label: &str) {
     }
     // Same run once more with the shard-shape scalars stripped: must equal
     // the legacy engine's bytes.
-    let neutral = report_json(sc, 1, true);
+    let neutral = report_json(sc, 1, Strip::ShardShape);
     assert_eq!(
         legacy, neutral,
         "{label}: sharded report differs from the legacy engine"
@@ -151,6 +163,39 @@ fn sharded_report_exposes_partition_scalars() {
     assert!(report.scalar("epochs").unwrap_or(0.0) > 0.0);
     assert!(report.scalar("cross_shard_frames").unwrap_or(0.0) > 0.0);
     assert_eq!(report.scalar("shard_fallback"), None);
+}
+
+/// An unpartitionable topology is one replica at every thread count:
+/// `threads: 0` and `threads: 2` on a dumbbell differ only in the
+/// bookkeeping scalars — queue high-water mark, pool hit rate and wheel
+/// cascades included, since it is the same engine doing the same work.
+#[test]
+fn dumbbell_is_one_replica_at_any_thread_count() {
+    let mut sc = Scenario::new(
+        "sharded-equiv-dumbbell",
+        TopologySpec::Dumbbell {
+            senders: 4,
+            switches: 3,
+        },
+        TrafficSpec::Incast {
+            receiver: 4,
+            fan_in: 4,
+            size: 150_000,
+            waves: 2,
+            gap_us: 50,
+        },
+        CcKind::Hpcc,
+    );
+    sc.stop = StopCondition::Drain { cap_ms: 50 };
+    sc.seeds = vec![7, 8];
+    assert_eq!(
+        report_json(&sc, 0, Strip::Bookkeeping),
+        report_json(&sc, 2, Strip::Bookkeeping),
+    );
+    let report = run_scenario(&sc, SimBackend::Packet);
+    for key in SHARD_BOOKKEEPING {
+        assert_eq!(report.scalar(key), None, "threads: 0 carries '{key}'");
+    }
 }
 
 /// Non-fat-tree topologies run sharded requests on the single-engine

@@ -11,6 +11,9 @@
 //! 3. Arming the recorder never changes the `RunReport`: both backends'
 //!    smoke scenarios produce byte-identical artifacts with tracing on and
 //!    off — the trace rides in a separate file.
+//! 4. The packet engine's trace artifact itself is byte-pinned, for the
+//!    one-replica run (`threads: 0`, ring moved out as recorded) and the
+//!    pod-sharded run (per-shard rings interleaved by `(timestamp, shard)`).
 
 use fncc::core::json::Json;
 use fncc::core::obs::{TraceEvent, TraceMeta, TraceSink};
@@ -647,4 +650,33 @@ fn packet_report_identical_with_tracing_on() {
 #[test]
 fn fluid_report_identical_with_tracing_on() {
     assert_trace_invariant("scenarios/websearch_fluid_smoke.json", SimBackend::Fluid);
+}
+
+/// FNV-1a hashes of the `fncc.trace/v1` file the packet smoke scenario
+/// writes, per `threads` value (recorded at PR 14's head, commit 6fea562).
+const PACKET_TRACE_GOLDEN: [(u32, u64); 2] = [(0, 0x2ef198fddc5d3fb7), (2, 0x8ae2dc4c5f74ae7f)];
+
+#[test]
+fn packet_trace_artifact_is_byte_pinned() {
+    let text = std::fs::read_to_string("scenarios/fattree_des_smoke.json").unwrap();
+    let mut sc = Scenario::from_json(&text).unwrap();
+    sc.probes.trace = true;
+    let dir = std::env::temp_dir().join("fncc-obs-trace-pin");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (threads, want) in PACKET_TRACE_GOLDEN {
+        sc.threads = threads;
+        let path = dir.join(format!("t{threads}.trace.jsonl"));
+        run_scenario_traced(&sc, SimBackend::Packet, Some(&path));
+        let got = std::fs::read(&path)
+            .unwrap()
+            .iter()
+            .fold(0xcbf29ce484222325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x100000001b3)
+            });
+        assert_eq!(
+            got, want,
+            "threads {threads}: trace artifact drifted (got 0x{got:016x}, want 0x{want:016x})"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
