@@ -1,8 +1,10 @@
-//! Backend dispatch: one declarative [`Scenario`], two engines, one
+//! Backend dispatch: one declarative [`Scenario`], three engines, one
 //! [`RunReport`].
 //!
 //! [`PacketBackend`] is the packet-level DES (every frame, ACK, PFC pause
-//! and INT record simulated — the paper-faithful engine). [`FluidBackend`]
+//! and INT record simulated — the paper-faithful engine): one
+//! [`ShardedSim`], which is a single replica at `threads: 0` and one
+//! replica per fat-tree pod at `threads ≥ 1`. [`FluidBackend`]
 //! computes flow throughput from `fncc-fluid`'s water-filling max-min model
 //! with per-scheme steady-state rate hooks — five to six orders of
 //! magnitude faster, validated against the packet engine by the
@@ -14,28 +16,38 @@
 //! capacity exchange at fluid-event boundaries. [`SimBackend`] is the
 //! thin CLI-facing parser that resolves to a `Box<dyn Backend>`. See
 //! `DESIGN.md` for when to use which.
+//!
+//! Everything the three `run_traced` bodies have in common — seed horizon,
+//! per-seed flow table, first-seed metrics and trace artifact, the fault,
+//! solver and event-rate scalars, the closing slowdown/`incomplete_flows`/
+//! span block — lives once in [`ReportBuilder`] and the small tallies next
+//! to it. Reports serialise scalars in insertion order, so each engine
+//! still decides *where* in its list a shared block lands.
 
-use crate::metrics::{average_slowdowns, fct_slowdowns, reaction_time, time_to_fair};
+use crate::metrics::{
+    average_slowdowns, fct_slowdowns, reaction_time, time_to_fair, SlowdownStats,
+};
 use crate::report::RunReport;
 use crate::scenario::{FaultSpec, Scenario, StopCondition, TrafficSpec};
 use crate::scenarios::{WorkloadResult, WorkloadSpec};
 use crate::sharded::{ShardStats, ShardedSim};
-use crate::sim::{make_algo, Sim, SimBuilder};
+use crate::sim::{make_algo, SimBuilder};
 use fncc_cc::{CcAlgo, CcKind, FnccConfig};
 use fncc_des::stats::TimeSeries;
 use fncc_des::time::{SimTime, TimeDelta};
-use fncc_fluid::{CalibrationSet, CapacityChange, CapacityEvent, FluidSim, Framing, RateModel};
+use fncc_fluid::{
+    CalibrationSet, CapacityChange, CapacityEvent, FluidResult, FluidSim, Framing, RateModel,
+};
 use fncc_hybrid::{HybridConfig, HybridSim};
 use fncc_net::config::FabricConfig;
-use fncc_net::ids::{FlowId, HostId, NodeRef, SwitchId};
-use fncc_net::partition::PartitionMap;
-use fncc_net::telemetry::Telemetry;
+use fncc_net::ids::{FlowId, NodeRef, SwitchId};
+use fncc_net::telemetry::{Counters, Telemetry};
 use fncc_net::topology::Topology;
-use fncc_obs::{Profiler, TraceMeta, TraceSink};
-use fncc_transport::{DcHost, RecoveryConfig};
+use fncc_obs::{Profiler, TraceMeta};
+use fncc_transport::{FlowSpec, RecoveryConfig};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::Arc;
+use std::time::Instant;
 
 /// An engine that can execute any [`Scenario`].
 pub trait Backend {
@@ -56,38 +68,214 @@ pub trait Backend {
     fn run_traced(&self, scenario: &Scenario, trace_out: Option<&Path>) -> RunReport;
 }
 
-/// Drain `sink` to `path` as a `fncc.trace/v1` JSONL artifact. Trace output
-/// is best-effort diagnostics: failures warn on stderr, never fail the run.
-fn write_trace_artifact(sink: &TraceSink, meta: &TraceMeta, path: &Path) {
-    let res = std::fs::File::create(path).and_then(|f| {
-        let mut w = std::io::BufWriter::new(f);
-        sink.write_jsonl(&mut w, meta)
-    });
-    match res {
-        Ok(()) => eprintln!(
-            "trace: {} events ({} dropped) -> {}",
-            sink.len(),
-            sink.dropped(),
-            path.display()
-        ),
-        Err(e) => eprintln!(
-            "warning: trace artifact {} not written: {e}",
-            path.display()
-        ),
+/// The report under construction plus the per-seed state every engine's
+/// `run_traced` feeds the same way.
+struct ReportBuilder<'a> {
+    sc: &'a Scenario,
+    trace_out: Option<&'a Path>,
+    report: RunReport,
+    buckets: Vec<u64>,
+    /// One slowdown table per seed, averaged by [`ReportBuilder::finish`].
+    runs: Vec<Vec<SlowdownStats>>,
+    prof: Profiler,
+}
+
+impl<'a> ReportBuilder<'a> {
+    fn new(sc: &'a Scenario, backend: &str, trace_out: Option<&'a Path>) -> Self {
+        let mut report = RunReport::new(&sc.name, backend, sc.cc.name());
+        report.seeds = sc.seeds.clone();
+        ReportBuilder {
+            sc,
+            trace_out,
+            report,
+            buckets: sc.traffic.buckets(),
+            runs: Vec::with_capacity(sc.seeds.len()),
+            prof: Profiler::disabled(),
+        }
+    }
+
+    /// Whether seed number `seed_ix` arms the flight recorder. The first
+    /// seed only: one seed's event stream answers the timeline/hotspot
+    /// questions, and the ring would otherwise just overwrite seed 0 with
+    /// seed N−1.
+    fn tracing(&self, seed_ix: usize) -> bool {
+        self.sc.probes.trace && seed_ix == 0
+    }
+
+    /// Where one seed's run stops: the fixed horizon, or the drain cap
+    /// counted from the last flow start.
+    fn horizon(&self, flows: &[FlowSpec]) -> SimTime {
+        match self.sc.stop {
+            StopCondition::Horizon { us } => SimTime::from_us(us),
+            StopCondition::Drain { cap_ms } => {
+                flows.iter().map(|f| f.start).max().unwrap_or(SimTime::ZERO)
+                    + TimeDelta::from_ms(cap_ms)
+            }
+        }
+    }
+
+    /// Record one seed's unfinished-flow count.
+    fn unfinished(&mut self, telem: &Telemetry) {
+        let n = telem.flow_records().filter(|r| r.finish.is_none()).count();
+        self.report.unfinished.push(n);
+    }
+
+    /// Record one seed's FCT-slowdown table.
+    fn slowdowns(&mut self, topo: &Topology, telem: &Telemetry, framing: Framing) {
+        self.runs.push(fct_slowdowns(
+            topo,
+            telem,
+            &self.buckets,
+            framing.mtu_payload,
+            framing.header,
+        ));
+    }
+
+    /// First-seed extras out of the (packet-side) telemetry: the metrics
+    /// registry's scalars, and the `fncc.trace/v1` artifact when the
+    /// scenario arms tracing. Trace output is best-effort diagnostics:
+    /// failures warn on stderr, never fail the run.
+    fn first_seed(&mut self, seed: u64, telem: &Telemetry) {
+        for (name, v) in telem.metrics.scalar_pairs() {
+            self.report.put_scalar(name, v);
+        }
+        if !self.sc.probes.trace {
+            return;
+        }
+        let path = self
+            .trace_out
+            .map(Path::to_path_buf)
+            .unwrap_or_else(|| PathBuf::from(self.report.trace_file_name()));
+        let meta = TraceMeta {
+            scenario: self.sc.name.clone(),
+            backend: self.report.backend.clone(),
+            seed,
+        };
+        let sink = &telem.trace;
+        let res = std::fs::File::create(&path).and_then(|f| {
+            let mut w = std::io::BufWriter::new(f);
+            sink.write_jsonl(&mut w, &meta)
+        });
+        match res {
+            Ok(()) => eprintln!(
+                "trace: {} events ({} dropped) -> {}",
+                sink.len(),
+                sink.dropped(),
+                path.display()
+            ),
+            Err(e) => eprintln!(
+                "warning: trace artifact {} not written: {e}",
+                path.display()
+            ),
+        }
+    }
+
+    /// Close the report inside a `report_build` span: seed-averaged
+    /// slowdown rows and `mean_slowdown` first, then the engine's own
+    /// scalars, then `incomplete_flows` and the profiling spans.
+    fn finish(mut self, engine_scalars: impl FnOnce(&mut RunReport)) -> RunReport {
+        let ph_report = self.prof.phase("report_build");
+        let span = self.prof.begin();
+        let report = &mut self.report;
+        if !self.runs.is_empty() {
+            report.slowdowns = average_slowdowns(&self.runs);
+            if let Some(m) = report.mean_slowdown() {
+                report.put_scalar("mean_slowdown", m);
+            }
+        }
+        engine_scalars(report);
+        // `incomplete_flows`: emitted whenever the scenario injects faults
+        // (so fault runs always carry it, even at 0) or whenever flows
+        // actually failed to finish — and skipped otherwise, keeping clean
+        // reports byte-identical.
+        let incomplete: usize = report.unfinished.iter().sum();
+        if self.sc.has_faults() || incomplete > 0 {
+            report.put_scalar("incomplete_flows", incomplete as f64);
+        }
+        self.prof.end(ph_report, span);
+        // `span_<phase>_{ns,calls}`: wall-clock readings are
+        // non-deterministic, so nothing is exported unless the profiler was
+        // actually enabled (`FNCC_PROFILE`).
+        if self.prof.is_enabled() {
+            for (name, calls, total_ns) in self.prof.spans() {
+                report.put_scalar(format!("span_{name}_ns"), total_ns as f64);
+                report.put_scalar(format!("span_{name}_calls"), calls as f64);
+            }
+        }
+        self.report
     }
 }
 
-/// Export accumulated profiling spans as `span_<phase>_{ns,calls}` scalars.
-/// Wall-clock readings are non-deterministic, so this is a no-op unless the
-/// profiler was actually enabled (`FNCC_PROFILE`) — deterministic reports
-/// stay byte-identical.
-fn export_spans(report: &mut RunReport, prof: &Profiler) {
-    if !prof.is_enabled() {
-        return;
+/// Fault-run scalars, summed across seeds. Emitted only when the scenario
+/// injects faults, so fault-free reports stay byte-identical with
+/// pre-fault-injection builds.
+#[derive(Default)]
+struct FaultTally {
+    drops: u64,
+    retx: u64,
+    rtos: u64,
+    rerouted: u64,
+}
+
+impl FaultTally {
+    fn add(&mut self, c: &Counters) {
+        self.drops += c.fault_drops;
+        self.retx += c.retx;
+        self.rtos += c.rtos;
+        self.rerouted += c.rerouted_flows;
     }
-    for (name, calls, total_ns) in prof.spans() {
-        report.put_scalar(format!("span_{name}_ns"), total_ns as f64);
-        report.put_scalar(format!("span_{name}_calls"), calls as f64);
+
+    fn put(&self, report: &mut RunReport, sc: &Scenario) {
+        if sc.has_faults() {
+            report.put_scalar("fault_drops", self.drops as f64);
+            report.put_scalar("retx_count", self.retx as f64);
+            report.put_scalar("rto_count", self.rtos as f64);
+            report.put_scalar("rerouted_flows", self.rerouted as f64);
+        }
+    }
+}
+
+/// Water-filler work accounting, summed across seeds (the warm-start
+/// effectiveness story in one glance: incremental share and the mean
+/// residual `rate_updates / reallocations`).
+#[derive(Default)]
+struct SolverTally {
+    full: u64,
+    incremental: u64,
+    rate_updates: u64,
+}
+
+impl SolverTally {
+    fn add(&mut self, r: &FluidResult) {
+        self.full += r.full_solves;
+        self.incremental += r.incremental_solves;
+        self.rate_updates += r.rate_updates;
+    }
+
+    fn put(&self, report: &mut RunReport) {
+        report.put_scalar("full_solves", self.full as f64);
+        report.put_scalar("incremental_solves", self.incremental as f64);
+        report.put_scalar("rate_updates", self.rate_updates as f64);
+    }
+}
+
+/// Engine-health scalars: every scenario run doubles as a perf probe.
+/// `events_per_sec` is wall-clock derived and therefore the one
+/// non-deterministic report field (the determinism suite strips it).
+fn put_event_rate(report: &mut RunReport, wall_start: Instant) {
+    let wall = wall_start.elapsed().as_secs_f64();
+    report.put_scalar("events_processed", report.events as f64);
+    if wall > 0.0 {
+        report.put_scalar("events_per_sec", report.events as f64 / wall);
+    }
+}
+
+/// The rate model a scenario's fluid half runs under: scenario-level
+/// calibration, then the backend's, then the paper defaults.
+fn rate_model(sc: &Scenario, backend: Option<&CalibrationSet>) -> RateModel {
+    match sc.overrides.calibration.as_ref().or(backend) {
+        Some(cal) => RateModel::from_calibration(sc.cc, cal),
+        None => RateModel::paper_default(sc.cc),
     }
 }
 
@@ -166,136 +354,11 @@ pub fn run_scenario_traced(
 // Packet backend
 // ----------------------------------------------------------------------
 
-/// The packet-level discrete-event engine.
+/// The packet-level discrete-event engine: one [`ShardedSim`] per seed,
+/// a single replica at `threads: 0` and pod shards on `threads` workers
+/// otherwise. Reports are byte-identical either way — `threads ≥ 1` only
+/// adds its `shards`/`epochs`/`cross_shard_frames`/`lookahead_ns` scalars.
 pub struct PacketBackend;
-
-/// One seed's execution engine inside [`PacketBackend`]: the legacy
-/// single-engine [`Sim`] (`scenario.threads == 0`) or the sharded
-/// barrier-synchronized [`ShardedSim`] (`threads ≥ 1`). Reports are
-/// byte-identical either way — the sharded path only adds its own
-/// `shards`/`epochs`/`cross_shard_frames`/`lookahead_ns` scalars.
-// One `Runner` exists per seed run and lives on one stack frame; boxing
-// the large `Sim` variant would buy nothing but an extra indirection.
-#[allow(clippy::large_enum_variant)]
-enum Runner {
-    Single(Sim),
-    Sharded(ShardedSim),
-}
-
-impl Runner {
-    fn run_until(&mut self, horizon: SimTime) {
-        match self {
-            Runner::Single(s) => {
-                s.run_until(horizon);
-            }
-            Runner::Sharded(s) => s.run_until(horizon),
-        }
-    }
-
-    fn run_to_completion(&mut self, chunk: TimeDelta, cap: SimTime) -> bool {
-        match self {
-            Runner::Single(s) => s.run_to_completion(chunk, cap),
-            Runner::Sharded(s) => s.run_to_completion(chunk, cap),
-        }
-    }
-
-    /// Fold engine and telemetry profilers into `prof`. Must run before
-    /// [`Runner::finish`] — harvesting moves the per-shard telemetry out.
-    fn absorb_profilers(&self, prof: &mut Profiler) {
-        match self {
-            Runner::Single(s) => {
-                prof.absorb(s.profiler());
-                prof.absorb(&s.telemetry().profiler);
-            }
-            Runner::Sharded(s) => s.absorb_profilers(prof),
-        }
-    }
-
-    /// Merge per-shard telemetry into one view (no-op on the single
-    /// engine) and return the sharded run's statistics, if any. Call once
-    /// after the run; [`Runner::telemetry`] is valid from then on.
-    fn finish(&mut self) -> Option<ShardStats> {
-        match self {
-            Runner::Single(_) => None,
-            Runner::Sharded(s) => {
-                let stats = s.stats();
-                s.harvest();
-                Some(stats)
-            }
-        }
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        match self {
-            Runner::Single(s) => s.telemetry(),
-            Runner::Sharded(s) => s.telemetry(),
-        }
-    }
-
-    fn topo(&self) -> &Topology {
-        match self {
-            Runner::Single(s) => &s.topo,
-            Runner::Sharded(s) => s.topo(),
-        }
-    }
-
-    fn cfg(&self) -> &FabricConfig {
-        match self {
-            Runner::Single(s) => &s.fabric().cfg,
-            Runner::Sharded(s) => s.cfg(),
-        }
-    }
-
-    fn events_processed(&self) -> u64 {
-        match self {
-            Runner::Single(s) => s.events_processed(),
-            Runner::Sharded(s) => s.events_processed(),
-        }
-    }
-
-    fn peak_queue_len(&self) -> usize {
-        match self {
-            Runner::Single(s) => s.peak_queue_len(),
-            Runner::Sharded(s) => s.peak_queue_len(),
-        }
-    }
-
-    fn clamped_schedules(&self) -> u64 {
-        match self {
-            Runner::Single(s) => s.clamped_schedules(),
-            Runner::Sharded(s) => s.clamped_schedules(),
-        }
-    }
-
-    /// Packet-pool statistics `(fresh allocations, recycled)`.
-    fn pool_stats(&self) -> (u64, u64) {
-        match self {
-            Runner::Single(s) => (s.fabric().pool.fresh_allocs(), s.fabric().pool.recycled()),
-            Runner::Sharded(s) => s.pool_stats(),
-        }
-    }
-
-    fn wheel_cascades(&self) -> Option<Vec<u64>> {
-        match self {
-            Runner::Single(s) => s.wheel_cascades().map(|c| c.to_vec()),
-            Runner::Sharded(s) => s.wheel_cascades(),
-        }
-    }
-
-    fn host(&self, h: HostId) -> &DcHost {
-        match self {
-            Runner::Single(s) => s.host(h),
-            Runner::Sharded(s) => s.host(h),
-        }
-    }
-
-    fn pause_frames_at(&self, sw: SwitchId, port: u8) -> u64 {
-        match self {
-            Runner::Single(s) => s.fabric().pause_frames_at(sw, port),
-            Runner::Sharded(s) => s.pause_frames_at(sw, port),
-        }
-    }
-}
 
 impl Backend for PacketBackend {
     fn name(&self) -> &'static str {
@@ -308,20 +371,12 @@ impl Backend for PacketBackend {
     /// counts summed, time series and traffic-specific scalars taken from
     /// the first seed.
     fn run_traced(&self, sc: &Scenario, trace_out: Option<&Path>) -> RunReport {
-        let mut report = RunReport::new(&sc.name, self.name(), sc.cc.name());
-        report.seeds = sc.seeds.clone();
-        let tracing = sc.probes.trace;
-        let buckets = sc.traffic.buckets();
-        let mut runs: Vec<Vec<crate::metrics::SlowdownStats>> = Vec::new();
+        let mut rb = ReportBuilder::new(sc, self.name(), trace_out);
         let mut peak_queue_len = 0usize;
         let mut clamped = 0u64;
-        let mut fault_drops = 0u64;
-        let mut retx = 0u64;
-        let mut rtos = 0u64;
-        let mut rerouted = 0u64;
+        let mut faults = FaultTally::default();
         let mut shard_stats: Option<ShardStats> = None;
-        let mut prof = Profiler::disabled();
-        let wall_start = std::time::Instant::now();
+        let wall_start = Instant::now();
 
         for (seed_ix, &seed) in sc.seeds.iter().enumerate() {
             let (topo, flows) = sc.instance(seed);
@@ -337,190 +392,115 @@ impl Backend for PacketBackend {
             } else {
                 make_algo(sc.cc, line, base_rtt)
             };
-            let is_fncc = sc.cc == CcKind::Fncc;
-            let int_refresh = sc.overrides.int_refresh();
             let cp = if sc.probes.congestion_point {
                 sc.congestion_point(&topo)
             } else {
                 None
             };
-            let horizon = match sc.stop {
-                StopCondition::Horizon { us } => SimTime::from_us(us),
-                StopCondition::Drain { cap_ms } => {
-                    flows.iter().map(|f| f.start).max().unwrap_or(SimTime::ZERO)
-                        + TimeDelta::from_ms(cap_ms)
-                }
-            };
-
+            let horizon = rb.horizon(&flows);
             let n_watched_flows = (sc.probes.flow_rates as usize).min(flows.len());
             let n_watched_cc = (sc.probes.cc_rates as usize).min(flows.len());
-            // One construction path for both runners: the sharded runtime
-            // calls this once per shard with its `(map, shard)` slot, the
-            // legacy engine once with `None`. Identical probes and fabric
-            // knobs everywhere is what keeps reports byte-identical.
-            let build_sim = |shard: Option<(Arc<PartitionMap>, u16)>| -> Sim {
-                let mut builder = SimBuilder::with_algo(topo.clone(), algo.clone())
-                    .fabric(|f| {
-                        f.seed = seed;
-                        if is_fncc {
-                            f.int_refresh = int_refresh;
-                        }
-                        sc.apply_faults(f);
-                    })
-                    // Loss recovery only when the scenario injects faults:
-                    // lossless runs stay free of retransmission-timer events,
-                    // so their event counts and goldens are byte-identical.
-                    .recovery(sc.has_faults().then(RecoveryConfig::paper_default))
-                    .flows(flows.clone());
-                if sc.probes.sample_ns > 0 {
-                    builder = builder.sample(TimeDelta::from_ns(sc.probes.sample_ns), horizon);
-                }
-                if let Some((sw, port)) = cp {
-                    builder = builder
-                        .watch_queue(sw, port, "queue")
-                        .watch_util(sw, port, "util");
-                }
-                for i in 0..n_watched_flows {
-                    builder = builder.watch_flow(FlowId(i as u32), format!("flow{i}"));
-                }
-                for (i, f) in flows.iter().take(n_watched_cc).enumerate() {
-                    builder = builder.watch_cc_rate(FlowId(i as u32), f.src, format!("cc{i}"));
-                }
-                // The flight recorder captures the first seed only: one
-                // seed's event stream answers the timeline/hotspot
-                // questions, and the ring would otherwise just overwrite
-                // seed 0 with seed N−1.
-                builder = builder.trace(tracing && seed_ix == 0);
-                if let Some((map, s)) = shard {
-                    builder = builder.shard(map, s);
-                }
-                builder.build()
-            };
 
-            let mut run = if sc.threads >= 1 {
-                Runner::Sharded(ShardedSim::new(&topo, sc.threads as usize, |m, s| {
-                    build_sim(Some((m, s)))
-                }))
-            } else {
-                Runner::Single(build_sim(None))
-            };
+            // One builder for every replica of the run: identical probes
+            // and fabric knobs everywhere is what keeps reports
+            // byte-identical across thread counts.
+            let mut builder = SimBuilder::with_algo(topo, algo)
+                .fabric(|f| {
+                    f.seed = seed;
+                    if sc.cc == CcKind::Fncc {
+                        f.int_refresh = sc.overrides.int_refresh();
+                    }
+                    sc.apply_faults(f);
+                })
+                // Loss recovery only when the scenario injects faults:
+                // lossless runs stay free of retransmission-timer events,
+                // so their event counts and goldens are byte-identical.
+                .recovery(sc.has_faults().then(RecoveryConfig::paper_default))
+                .flows(flows.iter().cloned())
+                .trace(rb.tracing(seed_ix));
+            if sc.probes.sample_ns > 0 {
+                builder = builder.sample(TimeDelta::from_ns(sc.probes.sample_ns), horizon);
+            }
+            if let Some((sw, port)) = cp {
+                builder = builder
+                    .watch_queue(sw, port, "queue")
+                    .watch_util(sw, port, "util");
+            }
+            for i in 0..n_watched_flows {
+                builder = builder.watch_flow(FlowId(i as u32), format!("flow{i}"));
+            }
+            for (i, f) in flows.iter().take(n_watched_cc).enumerate() {
+                builder = builder.watch_cc_rate(FlowId(i as u32), f.src, format!("cc{i}"));
+            }
+
+            let mut run = ShardedSim::new(builder, sc.threads as usize);
             match sc.stop {
-                StopCondition::Horizon { .. } => {
-                    run.run_until(horizon);
-                }
+                StopCondition::Horizon { .. } => run.run_until(horizon),
                 StopCondition::Drain { .. } => {
                     run.run_to_completion(TimeDelta::from_ms(1), horizon);
                 }
             }
-            run.absorb_profilers(&mut prof);
-            if let Some(st) = run.finish() {
-                let agg = shard_stats.get_or_insert_with(ShardStats::default);
-                agg.shards = st.shards;
+            // Before `harvest`, which moves the per-shard telemetry (and
+            // its profiler) out.
+            run.absorb_profilers(&mut rb.prof);
+            if sc.threads >= 1 {
+                // Epochs and frames sum across seeds; the partition shape
+                // is per-topology and therefore identical in every seed.
+                let st = run.stats();
+                let agg = shard_stats.get_or_insert(ShardStats {
+                    epochs: 0,
+                    cross_shard_frames: 0,
+                    ..st
+                });
                 agg.epochs += st.epochs;
                 agg.cross_shard_frames += st.cross_shard_frames;
-                agg.lookahead_ns = st.lookahead_ns;
-                agg.causality_violations += st.causality_violations;
-                agg.fallback = st.fallback;
             }
+            run.harvest();
 
             let telem = run.telemetry();
-            report
-                .unfinished
-                .push(telem.flow_records().filter(|r| r.finish.is_none()).count());
-            report.events += run.events_processed();
+            rb.unfinished(telem);
+            rb.report.events += run.events_processed();
             peak_queue_len = peak_queue_len.max(run.peak_queue_len());
             clamped += run.clamped_schedules();
-            fault_drops += telem.counters.fault_drops;
-            retx += telem.counters.retx;
-            rtos += telem.counters.rtos;
-            rerouted += telem.counters.rerouted_flows;
+            faults.add(&telem.counters);
             if matches!(sc.stop, StopCondition::Drain { .. }) {
-                let payload = run.cfg().mtu_payload();
-                let header = run.cfg().data_header;
-                runs.push(fct_slowdowns(run.topo(), telem, &buckets, payload, header));
+                rb.slowdowns(run.topo(), telem, Framing::from(run.cfg()));
             }
             if seed_ix == 0 {
-                extract_series(&mut report, &run, cp, n_watched_flows, n_watched_cc);
-                extract_scalars(&mut report, sc, &run, cp, &flows);
-                for (name, v) in telem.metrics.scalar_pairs() {
-                    report.put_scalar(name, v);
-                }
+                extract_series(&mut rb.report, &run, cp, n_watched_flows, n_watched_cc);
+                extract_scalars(&mut rb.report, sc, &run, cp, &flows);
+                rb.first_seed(seed, telem);
                 let (fresh, rec) = run.pool_stats();
                 if fresh + rec > 0 {
-                    report.put_scalar("pool_hit_rate", rec as f64 / (fresh + rec) as f64);
+                    let hit_rate = rec as f64 / (fresh + rec) as f64;
+                    rb.report.put_scalar("pool_hit_rate", hit_rate);
                 }
                 if let Some(cascades) = run.wheel_cascades() {
                     for (lvl, n) in cascades.iter().enumerate() {
-                        report.put_scalar(format!("wheel_cascades_l{lvl}"), *n as f64);
+                        rb.report
+                            .put_scalar(format!("wheel_cascades_l{lvl}"), *n as f64);
                     }
                 }
-                if tracing {
-                    let path = trace_out
-                        .map(Path::to_path_buf)
-                        .unwrap_or_else(|| PathBuf::from(report.trace_file_name()));
-                    let meta = TraceMeta {
-                        scenario: sc.name.clone(),
-                        backend: self.name().to_string(),
-                        seed,
-                    };
-                    write_trace_artifact(&run.telemetry().trace, &meta, &path);
+            }
+        }
+
+        rb.finish(|report| {
+            put_event_rate(report, wall_start);
+            report.put_scalar("peak_queue_len", peak_queue_len as f64);
+            report.put_scalar("clamped_schedules", clamped as f64);
+            // Sharding bookkeeping (`threads ≥ 1` only, so one-replica
+            // reports do not carry it).
+            if let Some(st) = shard_stats {
+                report.put_scalar("shards", st.shards as f64);
+                report.put_scalar("epochs", st.epochs as f64);
+                report.put_scalar("cross_shard_frames", st.cross_shard_frames as f64);
+                report.put_scalar("lookahead_ns", st.lookahead_ns as f64);
+                if let Some(code) = st.fallback {
+                    report.put_scalar("shard_fallback", code as f64);
                 }
             }
-        }
-
-        let ph_report = prof.phase("report_build");
-        let span = prof.begin();
-        if !runs.is_empty() {
-            report.slowdowns = average_slowdowns(&runs);
-            if let Some(m) = report.mean_slowdown() {
-                report.put_scalar("mean_slowdown", m);
-            }
-        }
-        // Engine-health scalars: every scenario run doubles as a perf probe.
-        // `events_per_sec` is wall-clock derived and therefore the one
-        // non-deterministic report field (the determinism suite strips it).
-        let wall = wall_start.elapsed().as_secs_f64();
-        report.put_scalar("events_processed", report.events as f64);
-        if wall > 0.0 {
-            report.put_scalar("events_per_sec", report.events as f64 / wall);
-        }
-        report.put_scalar("peak_queue_len", peak_queue_len as f64);
-        report.put_scalar("clamped_schedules", clamped as f64);
-        // Sharded-run scalars (threads ≥ 1 only, so legacy reports stay
-        // byte-identical): epochs/frames sum across seeds, the partition
-        // shape is per-topology and therefore identical in every seed.
-        if let Some(st) = shard_stats {
-            report.put_scalar("shards", st.shards as f64);
-            report.put_scalar("epochs", st.epochs as f64);
-            report.put_scalar("cross_shard_frames", st.cross_shard_frames as f64);
-            report.put_scalar("lookahead_ns", st.lookahead_ns as f64);
-            if let Some(code) = st.fallback {
-                report.put_scalar("shard_fallback", code as f64);
-            }
-        }
-        // Fault-run scalars, summed across seeds. Gated so fault-free
-        // reports stay byte-identical with pre-fault-injection builds.
-        if sc.has_faults() {
-            report.put_scalar("fault_drops", fault_drops as f64);
-            report.put_scalar("retx_count", retx as f64);
-            report.put_scalar("rto_count", rtos as f64);
-            report.put_scalar("rerouted_flows", rerouted as f64);
-        }
-        put_incomplete_flows(&mut report, sc);
-        prof.end(ph_report, span);
-        export_spans(&mut report, &prof);
-        report
-    }
-}
-
-/// Surface the summed unfinished-flow count as an `incomplete_flows`
-/// scalar. Emitted whenever the scenario injects faults (so fault runs
-/// always carry it, even at 0) or whenever flows actually failed to
-/// finish — and skipped otherwise, keeping clean reports byte-identical.
-fn put_incomplete_flows(report: &mut RunReport, sc: &Scenario) {
-    let total: usize = report.unfinished.iter().sum();
-    if sc.has_faults() || total > 0 {
-        report.put_scalar("incomplete_flows", total as f64);
+            faults.put(report, sc);
+        })
     }
 }
 
@@ -528,8 +508,8 @@ fn put_incomplete_flows(report: &mut RunReport, sc: &Scenario) {
 /// `queue_kb` (KB), `util`, `flow{i}` / `cc{i}` (Gb/s).
 fn extract_series(
     report: &mut RunReport,
-    run: &Runner,
-    cp: Option<(fncc_net::ids::SwitchId, u8)>,
+    run: &ShardedSim,
+    cp: Option<(SwitchId, u8)>,
     n_flows: usize,
     n_cc: usize,
 ) {
@@ -568,9 +548,9 @@ fn extract_series(
 fn extract_scalars(
     report: &mut RunReport,
     sc: &Scenario,
-    run: &Runner,
-    cp: Option<(fncc_net::ids::SwitchId, u8)>,
-    flows: &[fncc_transport::FlowSpec],
+    run: &ShardedSim,
+    cp: Option<(SwitchId, u8)>,
+    flows: &[FlowSpec],
 ) {
     let telem = run.telemetry();
     let horizon = sc.stop.sizing_horizon();
@@ -710,20 +690,6 @@ impl FluidBackend {
             calibration: Some(cal),
         }
     }
-
-    /// The rate model a scenario runs under: scenario-level calibration,
-    /// then backend-level, then the paper defaults.
-    fn rate_model(&self, sc: &Scenario) -> RateModel {
-        match sc
-            .overrides
-            .calibration
-            .as_ref()
-            .or(self.calibration.as_ref())
-        {
-            Some(cal) => RateModel::from_calibration(sc.cc, cal),
-            None => RateModel::paper_default(sc.cc),
-        }
-    }
 }
 
 /// Lower the scenario's fault specs to the fluid engine's capacity events.
@@ -828,91 +794,44 @@ impl Backend for FluidBackend {
     /// (a [`StopCondition::Horizon`] is ignored beyond elephant sizing) and
     /// produces no time series — slowdown rows and scalar metrics only.
     fn run_traced(&self, sc: &Scenario, trace_out: Option<&Path>) -> RunReport {
-        let mut report = RunReport::new(&sc.name, self.name(), sc.cc.name());
-        report.seeds = sc.seeds.clone();
-        let tracing = sc.probes.trace;
+        let mut rb = ReportBuilder::new(sc, self.name(), trace_out);
         // Same provenance as the packet engine's frame parameters, so the
         // two backends share one queue-delay RTT by construction.
         let framing = Framing::from(&FabricConfig::paper_default());
-        let buckets = sc.traffic.buckets();
-        let mut runs = Vec::with_capacity(sc.seeds.len());
         let mut peak_active = 0usize;
         let mut horizon = SimTime::ZERO;
-        let mut full_solves = 0u64;
-        let mut incremental_solves = 0u64;
-        let mut rate_updates = 0u64;
-        let mut prof = Profiler::disabled();
-        let fault_events = fluid_capacity_events(sc);
+        let mut solver = SolverTally::default();
         let mut rerouted = 0u64;
+        let fault_events = fluid_capacity_events(sc);
         for (seed_ix, &seed) in sc.seeds.iter().enumerate() {
             let (topo, flows) = sc.instance(seed);
-            let result = FluidSim::new(topo.clone(), self.rate_model(sc))
+            let result = FluidSim::new(topo.clone(), rate_model(sc, self.calibration.as_ref()))
                 .framing(framing)
                 .flows(flows)
                 .capacity_events(fault_events.iter().copied())
-                .trace(tracing && seed_ix == 0)
+                .trace(rb.tracing(seed_ix))
                 .run()
                 .unwrap_or_else(|e| panic!("fluid backend on '{}': {e}", sc.name));
             rerouted += result.telemetry.counters.rerouted_flows;
-            report.unfinished.push(
-                result
-                    .telemetry
-                    .flow_records()
-                    .filter(|r| r.finish.is_none())
-                    .count(),
-            );
-            runs.push(fct_slowdowns(
-                &topo,
-                &result.telemetry,
-                &buckets,
-                framing.mtu_payload,
-                framing.header,
-            ));
-            report.events += result.reallocations;
+            rb.unfinished(&result.telemetry);
+            rb.slowdowns(&topo, &result.telemetry, framing);
+            rb.report.events += result.reallocations;
             peak_active = peak_active.max(result.peak_active);
             horizon = horizon.max(result.horizon);
-            full_solves += result.full_solves;
-            incremental_solves += result.incremental_solves;
-            rate_updates += result.rate_updates;
-            prof.absorb(&result.profiler);
+            solver.add(&result);
+            rb.prof.absorb(&result.profiler);
             if seed_ix == 0 {
-                for (name, v) in result.telemetry.metrics.scalar_pairs() {
-                    report.put_scalar(name, v);
-                }
-                if tracing {
-                    let path = trace_out
-                        .map(Path::to_path_buf)
-                        .unwrap_or_else(|| PathBuf::from(report.trace_file_name()));
-                    let meta = TraceMeta {
-                        scenario: sc.name.clone(),
-                        backend: self.name().to_string(),
-                        seed,
-                    };
-                    write_trace_artifact(&result.telemetry.trace, &meta, &path);
-                }
+                rb.first_seed(seed, &result.telemetry);
             }
         }
-        let ph_report = prof.phase("report_build");
-        let span = prof.begin();
-        report.slowdowns = average_slowdowns(&runs);
-        if let Some(m) = report.mean_slowdown() {
-            report.put_scalar("mean_slowdown", m);
-        }
-        report.put_scalar("peak_active", peak_active as f64);
-        report.put_scalar("horizon_us", horizon.as_us_f64());
-        // Water-filler work accounting, summed across seeds (the warm-start
-        // effectiveness story in one glance: incremental share and the mean
-        // residual `rate_updates / reallocations`).
-        report.put_scalar("full_solves", full_solves as f64);
-        report.put_scalar("incremental_solves", incremental_solves as f64);
-        report.put_scalar("rate_updates", rate_updates as f64);
-        if sc.has_faults() {
-            report.put_scalar("rerouted_flows", rerouted as f64);
-        }
-        put_incomplete_flows(&mut report, sc);
-        prof.end(ph_report, span);
-        export_spans(&mut report, &prof);
-        report
+        rb.finish(|report| {
+            report.put_scalar("peak_active", peak_active as f64);
+            report.put_scalar("horizon_us", horizon.as_us_f64());
+            solver.put(report);
+            if sc.has_faults() {
+                report.put_scalar("rerouted_flows", rerouted as f64);
+            }
+        })
     }
 }
 
@@ -947,20 +866,6 @@ impl HybridBackend {
             calibration: Some(cal),
         }
     }
-
-    /// Same precedence as [`FluidBackend::rate_model`]: scenario-level
-    /// calibration, then backend-level, then the paper defaults.
-    fn rate_model(&self, sc: &Scenario) -> RateModel {
-        match sc
-            .overrides
-            .calibration
-            .as_ref()
-            .or(self.calibration.as_ref())
-        {
-            Some(cal) => RateModel::from_calibration(sc.cc, cal),
-            None => RateModel::paper_default(sc.cc),
-        }
-    }
 }
 
 impl Backend for HybridBackend {
@@ -981,29 +886,19 @@ impl Backend for HybridBackend {
                 sc.name
             )
         });
-        let mut report = RunReport::new(&sc.name, self.name(), sc.cc.name());
-        report.seeds = sc.seeds.clone();
-        let tracing = sc.probes.trace;
+        let mut rb = ReportBuilder::new(sc, self.name(), trace_out);
         let framing = Framing::from(&FabricConfig::paper_default());
-        let buckets = sc.traffic.buckets();
-        let mut runs = Vec::with_capacity(sc.seeds.len());
         let mut syncs = 0u64;
         let mut reservations = 0u64;
         let mut residual_pushes = 0u64;
         let mut backlog_pushes = 0u64;
         let mut single_bottleneck = 0u64;
         let mut peak_bg_active = 0usize;
-        let mut full_solves = 0u64;
-        let mut incremental_solves = 0u64;
-        let mut rate_updates = 0u64;
         let mut n_fg_flows = 0usize;
         let mut n_bg_flows = 0usize;
-        let mut fault_drops = 0u64;
-        let mut retx = 0u64;
-        let mut rtos = 0u64;
-        let mut rerouted = 0u64;
-        let mut prof = Profiler::disabled();
-        let wall_start = std::time::Instant::now();
+        let mut solver = SolverTally::default();
+        let mut faults = FaultTally::default();
+        let wall_start = Instant::now();
 
         for (seed_ix, &seed) in sc.seeds.iter().enumerate() {
             let (topo, flows) = sc.instance(seed);
@@ -1012,15 +907,9 @@ impl Backend for HybridBackend {
                 n_fg_flows = fg_flows.len();
                 n_bg_flows = bg_flows.len();
             }
-            let horizon = match sc.stop {
-                StopCondition::Horizon { us } => SimTime::from_us(us),
-                StopCondition::Drain { cap_ms } => {
-                    flows.iter().map(|f| f.start).max().unwrap_or(SimTime::ZERO)
-                        + TimeDelta::from_ms(cap_ms)
-                }
-            };
+            let horizon = rb.horizon(&flows);
             let cfg = HybridConfig {
-                trace: tracing && seed_ix == 0,
+                trace: rb.tracing(seed_ix),
                 ..HybridConfig::default()
             };
             // Faults land on both halves: the scenario's specs lower into
@@ -1033,7 +922,7 @@ impl Backend for HybridBackend {
                 sc.cc,
                 fg_flows,
                 bg_flows,
-                self.rate_model(sc),
+                rate_model(sc, self.calibration.as_ref()),
                 cfg,
                 |f| {
                     if sc.has_faults() {
@@ -1056,7 +945,7 @@ impl Backend for HybridBackend {
             let result = sim.into_result();
             // One merged record table: slowdown buckets must span both
             // halves or hybrid rows would not be comparable to pure-DES.
-            let mut merged = fncc_net::telemetry::Telemetry::new();
+            let mut merged = Telemetry::new();
             for rec in result
                 .fg
                 .flow_records()
@@ -1069,85 +958,38 @@ impl Backend for HybridBackend {
                     merged.flow_finished(rec.flow, at);
                 }
             }
-            report
-                .unfinished
-                .push(merged.flow_records().filter(|r| r.finish.is_none()).count());
-            runs.push(fct_slowdowns(
-                &topo,
-                &merged,
-                &buckets,
-                framing.mtu_payload,
-                framing.header,
-            ));
-            report.events += result.fg_events + result.bg.reallocations;
+            rb.unfinished(&merged);
+            rb.slowdowns(&topo, &merged, framing);
+            rb.report.events += result.fg_events + result.bg.reallocations;
             syncs += result.syncs;
             reservations += result.reservations;
             residual_pushes += result.residual_pushes;
             backlog_pushes += result.backlog_pushes;
             single_bottleneck += result.single_bottleneck_solves;
             peak_bg_active = peak_bg_active.max(result.peak_bg_active);
-            fault_drops += result.fg.counters.fault_drops;
-            retx += result.fg.counters.retx;
-            rtos += result.fg.counters.rtos;
-            rerouted +=
-                result.fg.counters.rerouted_flows + result.bg.telemetry.counters.rerouted_flows;
-            full_solves += result.bg.full_solves;
-            incremental_solves += result.bg.incremental_solves;
-            rate_updates += result.bg.rate_updates;
-            prof.absorb(&result.fg.profiler);
-            prof.absorb(&result.bg.profiler);
+            faults.add(&result.fg.counters);
+            faults.rerouted += result.bg.telemetry.counters.rerouted_flows;
+            solver.add(&result.bg);
+            rb.prof.absorb(&result.fg.profiler);
+            rb.prof.absorb(&result.bg.profiler);
             if seed_ix == 0 {
-                for (name, v) in result.fg.metrics.scalar_pairs() {
-                    report.put_scalar(name, v);
-                }
-                if tracing {
-                    let path = trace_out
-                        .map(Path::to_path_buf)
-                        .unwrap_or_else(|| PathBuf::from(report.trace_file_name()));
-                    let meta = TraceMeta {
-                        scenario: sc.name.clone(),
-                        backend: self.name().to_string(),
-                        seed,
-                    };
-                    write_trace_artifact(&result.fg.trace, &meta, &path);
-                }
+                rb.first_seed(seed, &result.fg);
             }
         }
 
-        let ph_report = prof.phase("report_build");
-        let span = prof.begin();
-        report.slowdowns = average_slowdowns(&runs);
-        if let Some(m) = report.mean_slowdown() {
-            report.put_scalar("mean_slowdown", m);
-        }
-        report.put_scalar("foreground_flows", n_fg_flows as f64);
-        report.put_scalar("background_flows", n_bg_flows as f64);
-        report.put_scalar("hybrid_syncs", syncs as f64);
-        report.put_scalar("hybrid_reservations", reservations as f64);
-        report.put_scalar("hybrid_residual_pushes", residual_pushes as f64);
-        report.put_scalar("hybrid_backlog_pushes", backlog_pushes as f64);
-        report.put_scalar("single_bottleneck_solves", single_bottleneck as f64);
-        report.put_scalar("peak_bg_active", peak_bg_active as f64);
-        if sc.has_faults() {
-            report.put_scalar("fault_drops", fault_drops as f64);
-            report.put_scalar("retx_count", retx as f64);
-            report.put_scalar("rto_count", rtos as f64);
-            report.put_scalar("rerouted_flows", rerouted as f64);
-        }
-        report.put_scalar("full_solves", full_solves as f64);
-        report.put_scalar("incremental_solves", incremental_solves as f64);
-        report.put_scalar("rate_updates", rate_updates as f64);
-        // Same caveat as the packet engine: `events_per_sec` is the one
-        // wall-clock-derived, non-deterministic scalar.
-        let wall = wall_start.elapsed().as_secs_f64();
-        report.put_scalar("events_processed", report.events as f64);
-        if wall > 0.0 {
-            report.put_scalar("events_per_sec", report.events as f64 / wall);
-        }
-        put_incomplete_flows(&mut report, sc);
-        prof.end(ph_report, span);
-        export_spans(&mut report, &prof);
-        report
+        rb.finish(|report| {
+            report.put_scalar("foreground_flows", n_fg_flows as f64);
+            report.put_scalar("background_flows", n_bg_flows as f64);
+            report.put_scalar("hybrid_syncs", syncs as f64);
+            report.put_scalar("hybrid_reservations", reservations as f64);
+            report.put_scalar("hybrid_residual_pushes", residual_pushes as f64);
+            report.put_scalar("hybrid_backlog_pushes", backlog_pushes as f64);
+            report.put_scalar("single_bottleneck_solves", single_bottleneck as f64);
+            report.put_scalar("peak_bg_active", peak_bg_active as f64);
+            faults.put(report, sc);
+            solver.put(report);
+            put_event_rate(report, wall_start);
+        })
     }
 }
 

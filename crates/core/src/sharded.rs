@@ -1,11 +1,21 @@
-//! Sharded parallel execution of the packet DES: conservative barrier
-//! synchronization over a pod partition of the fat-tree.
+//! The packet engine behind `PacketBackend`: one [`Sim`] replica, or one
+//! per fat-tree pod under conservative barrier synchronization.
 //!
-//! # How it stays byte-identical to the single-threaded engine
+//! # One replica
 //!
-//! The topology is partitioned by [`PartitionMap::for_topology`] into one
-//! shard per pod (cores round-robined). Each shard is a complete
-//! [`Sim`] replica — same fabric, same ids — that only schedules and
+//! `threads == 0`, and every topology [`PartitionMap::for_topology`]
+//! cannot split (its `fallback` names why), run as a single [`Sim`] that
+//! owns every node: no shard context on the fabric, no mailbox, barrier
+//! or worker thread — `run_until`/`run_to_completion` are the replica's
+//! own, and [`ShardedSim::harvest`] moves its telemetry out untouched.
+//! The partition map still supplies the event-ordering domains, which is
+//! what makes this run byte-identical to the pod-sharded one.
+//!
+//! # How pod shards stay byte-identical to one replica
+//!
+//! With `threads ≥ 1` a fat-tree is partitioned into one shard per pod
+//! (cores round-robined). Each shard is a complete [`Sim`] replica —
+//! same fabric, same ids — that only schedules and
 //! processes events for entities it owns; state of non-owned entities
 //! goes stale but is never read. A frame crossing a cut link is diverted
 //! to the engine's *outbox* carrying the exact `(time, prio, seq)` key
@@ -25,13 +35,13 @@
 //!
 //! The run loop mirrors [`Sim::run_to_completion`]'s 1 ms chunking and
 //! its stop test (evaluated on aggregated per-shard counts), so event
-//! totals and stop times match the legacy engine exactly.
+//! totals and stop times match the one-replica run exactly.
 
-use crate::sim::Sim;
+use crate::sim::{Sim, SimBuilder};
 use fncc_des::engine::Outbound;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::fabric::Ev;
-use fncc_net::ids::{HostId, SwitchId};
+use fncc_net::ids::{HostId, NodeRef, SwitchId};
 use fncc_net::partition::PartitionMap;
 use fncc_net::telemetry::Telemetry;
 use fncc_net::topology::Topology;
@@ -46,7 +56,7 @@ type Frame = Outbound<Ev<HostTimer>>;
 /// Aggregate statistics of a sharded run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStats {
-    /// Number of shards (1 = fallback / trivial partition).
+    /// Number of replicas executing (1 = `threads == 0` or fallback).
     pub shards: u16,
     /// Barrier epochs executed.
     pub epochs: u64,
@@ -63,14 +73,15 @@ pub struct ShardStats {
     pub fallback: Option<u32>,
 }
 
-/// A sharded simulation: one [`Sim`] replica per shard plus the epoch
-/// coordinator state. Build with [`ShardedSim::new`]; drive it like a
-/// [`Sim`] (`run_until` / `run_to_completion`), then call
-/// [`ShardedSim::harvest`] once to merge per-shard telemetry.
+/// The packet engine: one [`Sim`] replica, or one per shard plus the
+/// epoch coordinator state. Build with [`ShardedSim::new`]; drive it like
+/// a [`Sim`] (`run_until` / `run_to_completion`), then call
+/// [`ShardedSim::harvest`] once to collect the telemetry.
 pub struct ShardedSim {
+    /// One replica, or one per shard of `map`.
     shards: Vec<Sim>,
     map: Arc<PartitionMap>,
-    /// Worker threads actually used (≤ shard count).
+    /// Worker threads used by the epoch loop (1 ≤ threads ≤ shard count).
     threads: usize,
     /// Worker index per shard (`shard % threads` unless a test overrode it).
     assign: Vec<usize>,
@@ -88,33 +99,32 @@ pub struct ShardedSim {
 }
 
 impl ShardedSim {
-    /// Build a sharded sim over `topo` using up to `threads` workers.
-    /// `make` is called once per shard with `(map, shard)` and must
-    /// return that shard's configured [`Sim`] (the caller applies
-    /// [`crate::sim::SimBuilder::shard`] with the given arguments).
-    /// Topologies without a pod structure fall back to one shard — the
-    /// run then equals the legacy engine exactly and
-    /// [`ShardedSim::stats`] carries the fallback code.
-    pub fn new(
-        topo: &Topology,
-        threads: usize,
-        make: impl FnMut(Arc<PartitionMap>, u16) -> Sim,
-    ) -> ShardedSim {
-        let map = Arc::new(PartitionMap::for_topology(topo));
-        ShardedSim::with_map(map, threads, make)
+    /// Build the engine for `builder`'s simulation. `threads == 0` is one
+    /// replica; `threads ≥ 1` runs one shard per fat-tree pod on up to
+    /// that many workers. Topologies without a pod structure are one
+    /// replica at any thread count and [`ShardedSim::stats`] carries the
+    /// fallback code.
+    pub fn new(builder: SimBuilder, threads: usize) -> ShardedSim {
+        let map = Arc::new(PartitionMap::for_topology(&builder.topo));
+        ShardedSim::with_map(builder, map, threads)
     }
 
     /// Like [`ShardedSim::new`] but over an explicit partition (the
     /// property tests fuzz arbitrary owner maps through this).
-    pub fn with_map(
-        map: Arc<PartitionMap>,
-        threads: usize,
-        mut make: impl FnMut(Arc<PartitionMap>, u16) -> Sim,
-    ) -> ShardedSim {
-        assert!(threads >= 1, "sharded run needs at least one worker");
-        let n = map.n_shards as usize;
-        let shards: Vec<Sim> = (0..map.n_shards).map(|s| make(map.clone(), s)).collect();
-        let threads = threads.min(n);
+    pub fn with_map(builder: SimBuilder, map: Arc<PartitionMap>, threads: usize) -> ShardedSim {
+        let slots: Vec<Option<u16>> = if threads == 0 || !map.is_sharded() {
+            vec![None]
+        } else {
+            (0..map.n_shards).map(Some).collect()
+        };
+        let (&last, rest) = slots.split_last().expect("at least one replica");
+        let mut shards: Vec<Sim> = rest
+            .iter()
+            .map(|&slot| builder.clone().partition(map.clone(), slot).build())
+            .collect();
+        shards.push(builder.partition(map.clone(), last).build());
+        let n = shards.len();
+        let threads = threads.clamp(1, n);
         let assign = (0..n).map(|s| s % threads).collect();
         // At build time the only registered flow records are the
         // receiver-side ones pre-registered for cross-shard flows (sender
@@ -135,6 +145,14 @@ impl ShardedSim {
         }
     }
 
+    /// The replica that owns `n` (the only one, in a one-replica run).
+    fn owner(&self, n: NodeRef) -> &Sim {
+        match &self.shards[..] {
+            [one] => one,
+            shards => &shards[self.map.owner_of(n) as usize],
+        }
+    }
+
     /// Override the shard→worker assignment (property tests shuffle this
     /// to show results do not depend on which thread runs which shard).
     /// `assign[s]` must be `< threads` for every shard `s`.
@@ -144,11 +162,6 @@ impl ShardedSim {
         self.assign = assign;
     }
 
-    /// The partition in effect.
-    pub fn partition(&self) -> &PartitionMap {
-        &self.map
-    }
-
     /// Current simulation time (all shards park at the same instant).
     pub fn now(&self) -> SimTime {
         self.shards[0].now()
@@ -156,7 +169,7 @@ impl ShardedSim {
 
     /// Aggregate events dispatched, with replica events (periodic ticks
     /// and fault boundaries mirrored on several shards) counted once —
-    /// matches the single-engine total.
+    /// matches the one-replica total.
     pub fn events_processed(&self) -> u64 {
         let raw: u64 = self.shards.iter().map(|s| s.events_processed()).sum();
         let replicas: u64 = self
@@ -184,7 +197,7 @@ impl ShardedSim {
     /// Run statistics for report scalars.
     pub fn stats(&self) -> ShardStats {
         ShardStats {
-            shards: self.map.n_shards,
+            shards: self.shards.len() as u16,
             epochs: self.epochs,
             cross_shard_frames: self.cross_frames.load(Ordering::Relaxed),
             lookahead_ns: self.map.lookahead.as_ps() / 1_000,
@@ -228,14 +241,14 @@ impl ShardedSim {
 
     /// A host's transport state (from its owning shard, where it ran).
     pub fn host(&self, h: HostId) -> &DcHost {
-        let owner = self.map.owner_host(h) as usize;
-        &self.shards[owner].eng.model.hosts[h.ix()]
+        self.owner(NodeRef::Host(h)).host(h)
     }
 
     /// PFC pause frames sent by one switch port (owner shard's view).
     pub fn pause_frames_at(&self, sw: SwitchId, port: u8) -> u64 {
-        let owner = self.map.owner_switch(sw) as usize;
-        self.shards[owner].fabric().pause_frames_at(sw, port)
+        self.owner(NodeRef::Switch(sw))
+            .fabric()
+            .pause_frames_at(sw, port)
     }
 
     /// The fabric configuration (identical in every shard).
@@ -248,11 +261,11 @@ impl ShardedSim {
         &self.shards[0].topo
     }
 
-    /// Advance every shard to `horizon` in barrier epochs of one
-    /// lookahead each.
+    /// Advance to `horizon`: the one replica directly, pod shards in
+    /// barrier epochs of one lookahead each.
     pub fn run_until(&mut self, horizon: SimTime) {
-        if !self.map.is_sharded() {
-            self.shards[0].run_until(horizon);
+        if let [one] = &mut self.shards[..] {
+            one.run_until(horizon);
             return;
         }
         self.run_epochs(horizon);
@@ -262,11 +275,11 @@ impl ShardedSim {
     /// every distinct flow that has started finished, or `cap` is
     /// reached. The stop test aggregates per-shard counts, discounting
     /// the receiver-side records pre-registered for cross-shard flows, so
-    /// it fires at exactly the chunk boundary the single-engine run stops
+    /// it fires at exactly the chunk boundary the one-replica run stops
     /// at.
     pub fn run_to_completion(&mut self, chunk: TimeDelta, cap: SimTime) -> bool {
-        if !self.map.is_sharded() {
-            return self.shards[0].run_to_completion(chunk, cap);
+        if let [one] = &mut self.shards[..] {
+            return one.run_to_completion(chunk, cap);
         }
         let mut t = self.now();
         loop {
@@ -300,7 +313,7 @@ impl ShardedSim {
     /// belongs to the next epoch), (3) flushes outboxes into the
     /// receivers' mailboxes, and (4) waits at the barrier. A final
     /// inclusive pass processes the boundary instant `horizon` itself,
-    /// mirroring the single engine's `run_until(horizon)` semantics.
+    /// mirroring the one replica's `run_until(horizon)` semantics.
     fn run_epochs(&mut self, horizon: SimTime) {
         let t0 = self.now();
         let la = self.map.lookahead;
@@ -384,27 +397,32 @@ impl ShardedSim {
         self.epochs += span.div_ceil(la_ps) + 1;
     }
 
-    /// Merge per-shard telemetry into one network-wide view (call once,
-    /// after the run). Counters sum, histograms absorb exactly, watch
-    /// lists concatenate in shard order, flow records merge per id with
-    /// the receiver's finished record winning, and per-shard trace sinks
-    /// interleave deterministically by `(timestamp, shard)`.
+    /// Collect the run's telemetry into one network-wide view (call
+    /// once, after the run). The one replica's is moved out as recorded.
+    /// Per-shard telemetry merges: counters sum, histograms absorb
+    /// exactly, watch lists concatenate in shard order, flow records merge
+    /// per id with the receiver's finished record winning, and per-shard
+    /// trace sinks interleave deterministically by `(timestamp, shard)`.
     pub fn harvest(&mut self) -> &Telemetry {
-        if self.merged.is_none() {
-            let sinks: Vec<&TraceSink> = self.shards.iter().map(|s| &s.telemetry().trace).collect();
-            let trace = TraceSink::merged(&sinks);
+        self.merged.get_or_insert_with(|| {
+            let trace = (self.shards.len() > 1).then(|| {
+                let sinks: Vec<&TraceSink> =
+                    self.shards.iter().map(|s| &s.telemetry().trace).collect();
+                TraceSink::merged(&sinks)
+            });
             let mut iter = self
                 .shards
                 .iter_mut()
                 .map(|s| std::mem::take(&mut s.eng.model.telemetry));
-            let mut merged = iter.next().expect("at least one shard");
+            let mut merged = iter.next().expect("at least one replica");
             for t in iter {
                 merged.merge_shard(t);
             }
-            merged.trace = trace;
-            self.merged = Some(merged);
-        }
-        self.merged.as_ref().unwrap()
+            if let Some(trace) = trace {
+                merged.trace = trace;
+            }
+            merged
+        })
     }
 
     /// The merged telemetry (panics before [`ShardedSim::harvest`]).
@@ -418,7 +436,6 @@ impl ShardedSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::SimBuilder;
     use fncc_cc::CcKind;
     use fncc_net::ids::FlowId;
     use fncc_net::units::Bandwidth;
@@ -443,23 +460,19 @@ mod tests {
         out
     }
 
-    fn build(shard: Option<(Arc<PartitionMap>, u16)>) -> Sim {
-        let mut b = SimBuilder::new(ft4(), CcKind::Fncc).flows(flows());
-        if let Some((m, s)) = shard {
-            b = b.shard(m, s);
-        }
-        b.build()
+    fn builder() -> SimBuilder {
+        SimBuilder::new(ft4(), CcKind::Fncc).flows(flows())
     }
 
     #[test]
     fn sharded_run_matches_single_engine() {
-        let mut legacy = build(None);
+        let mut legacy = builder().build();
         let done = legacy.run_to_completion(TimeDelta::from_ms(1), SimTime::from_ms(50));
         assert!(done);
 
         for threads in [1usize, 2, 4] {
-            let mut sharded = ShardedSim::new(&ft4(), threads, |m, s| build(Some((m, s))));
-            assert_eq!(sharded.partition().n_shards, 4);
+            let mut sharded = ShardedSim::new(builder(), threads);
+            assert_eq!(sharded.stats().shards, 4);
             let done = sharded.run_to_completion(TimeDelta::from_ms(1), SimTime::from_ms(50));
             assert!(done, "threads={threads}");
             assert_eq!(
@@ -484,23 +497,40 @@ mod tests {
         }
     }
 
+    /// `threads: 0` on a partitionable fat-tree is one replica that never
+    /// touches the sharding machinery, yet keeps the pod ordering domains
+    /// and owner lookups that index past shard 0 on the map.
+    #[test]
+    fn zero_threads_is_one_replica_without_shard_machinery() {
+        let mut sim = ShardedSim::new(builder(), 0);
+        assert_eq!(sim.shards.len(), 1);
+        assert!(sim.shards[0].fabric().shard.is_none());
+        assert!(sim.shards[0].fabric().domains.is_some());
+        assert!(sim.run_to_completion(TimeDelta::from_ms(1), SimTime::from_ms(50)));
+        let stats = sim.stats();
+        assert_eq!(stats.shards, 1);
+        assert_eq!(stats.epochs, 0);
+        assert_eq!(stats.cross_shard_frames, 0);
+        assert_eq!(stats.fallback, None);
+        assert!(sim.inboxes.iter().all(|m| m.lock().unwrap().is_empty()));
+        // Host 12 lives in pod 3 of the map; the one replica still owns it.
+        assert!(sim.host(HostId(12)).lhcs_triggers(FlowId(2)).is_some());
+        assert_eq!(sim.pause_frames_at(SwitchId(7), 0), 0);
+        assert!(sim.harvest().all_flows_finished());
+    }
+
     #[test]
     fn non_fat_tree_falls_back_to_single_shard() {
         let topo = Topology::dumbbell(2, 3, Bandwidth::gbps(100), TimeDelta::from_ns(1500));
-        let mk = |m: Arc<PartitionMap>, s: u16| {
-            SimBuilder::new(topo.clone(), CcKind::Fncc)
-                .flows(vec![FlowSpec {
-                    id: FlowId(0),
-                    src: HostId(0),
-                    dst: HostId(2),
-                    size: 100_000,
-                    start: SimTime::ZERO,
-                }])
-                .shard(m, s)
-                .build()
-        };
-        let mut sharded = ShardedSim::new(&topo, 4, mk);
-        assert_eq!(sharded.partition().n_shards, 1);
+        let builder = SimBuilder::new(topo, CcKind::Fncc).flows(vec![FlowSpec {
+            id: FlowId(0),
+            src: HostId(0),
+            dst: HostId(2),
+            size: 100_000,
+            start: SimTime::ZERO,
+        }]);
+        let mut sharded = ShardedSim::new(builder, 4);
+        assert!(sharded.shards[0].fabric().shard.is_none());
         let done = sharded.run_to_completion(TimeDelta::from_ms(1), SimTime::from_ms(20));
         assert!(done);
         let stats = sharded.stats();

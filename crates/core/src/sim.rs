@@ -19,8 +19,9 @@ use std::sync::Arc;
 pub use fncc_transport::{apply_cc_features, make_algo};
 
 /// Builder for a complete simulation.
+#[derive(Clone)]
 pub struct SimBuilder {
-    topo: Topology,
+    pub(crate) topo: Topology,
     cc: CcAlgo,
     fabric: FabricConfig,
     flows: Vec<FlowSpec>,
@@ -32,33 +33,17 @@ pub struct SimBuilder {
     watch_cc_rates: Vec<(FlowId, HostId, String)>,
     trace: bool,
     recovery: Option<RecoveryConfig>,
-    shard: Option<(Arc<PartitionMap>, u16)>,
+    partition: Option<(Arc<PartitionMap>, Option<u16>)>,
 }
 
 impl SimBuilder {
     /// A builder over `topo` running `kind` with paper-default parameters.
     /// The base RTT for window-based schemes is computed from the topology.
     pub fn new(topo: Topology, kind: CcKind) -> Self {
-        let mut fabric = FabricConfig::paper_default();
-        let line = topo.host_ports[0].bw;
-        let base_rtt = topo.base_rtt(fabric.mtu, fabric.ack_base);
-        apply_cc_features(&mut fabric, kind, line);
-        let cc = make_algo(kind, line, base_rtt);
-        SimBuilder {
-            topo,
-            cc,
-            fabric,
-            flows: Vec::new(),
-            ack_every: 1,
-            sampling: None,
-            watch_queues: Vec::new(),
-            watch_utils: Vec::new(),
-            watch_flows: Vec::new(),
-            watch_cc_rates: Vec::new(),
-            trace: false,
-            recovery: None,
-            shard: None,
-        }
+        let frames = FabricConfig::paper_default();
+        let base_rtt = topo.base_rtt(frames.mtu, frames.ack_base);
+        let cc = make_algo(kind, topo.host_ports[0].bw, base_rtt);
+        SimBuilder::with_algo(topo, cc)
     }
 
     /// Same, but with an explicit (possibly non-default) CC configuration.
@@ -79,7 +64,7 @@ impl SimBuilder {
             watch_cc_rates: Vec::new(),
             trace: false,
             recovery: None,
-            shard: None,
+            partition: None,
         }
     }
 
@@ -147,16 +132,17 @@ impl SimBuilder {
         self
     }
 
-    /// Build this sim as shard `my` of a sharded run (see
-    /// `crate::sharded::ShardedSim`). The shard is a full fabric replica —
-    /// every switch and host is allocated so ids stay global — but only
-    /// events for entities `map` assigns to `my` are scheduled or
+    /// Build this sim as one replica of a `crate::sharded::ShardedSim` run
+    /// over `map`. With `shard: None` it is the run's only replica: it owns
+    /// every node and takes nothing from `map` but the event-ordering
+    /// domains. With `Some(my)` it is pod shard `my` — still a full fabric
+    /// replica, every switch and host allocated so ids stay global, but
+    /// only events for entities `map` assigns to `my` are scheduled or
     /// processed here: flows, flow-start timers, watches and fault events
-    /// are filtered by ownership, every schedule is tagged with its owning
-    /// shard's ordering domain, and frames leaving the shard go to the
+    /// are filtered by ownership, and frames leaving the shard go to the
     /// engine outbox instead of the local queue.
-    pub fn shard(mut self, map: Arc<PartitionMap>, my: u16) -> Self {
-        self.shard = Some((map, my));
+    pub(crate) fn partition(mut self, map: Arc<PartitionMap>, shard: Option<u16>) -> Self {
+        self.partition = Some((map, shard));
         self
     }
 
@@ -169,23 +155,22 @@ impl SimBuilder {
             .map(|_| DcHost::new(tcfg.clone()))
             .collect();
         let mut fabric = Fabric::new(&self.topo, self.fabric, hosts);
-        let shard = self.shard;
+        // Event-ordering domains: tag every schedule with the owning shard
+        // of the node performing it, on every partitionable topology — in
+        // one-replica runs too, so ties at identical `(time, prio)` break
+        // the same way at any thread count and reports stay byte-identical.
+        // Unpartitionable topologies keep domain 0 everywhere (plain
+        // schedule order). A `ShardedSim` hands its map in; a bare builder
+        // derives the pod partition here.
+        let (map, my) = match self.partition {
+            Some((map, my)) => (map, my),
+            None => (Arc::new(PartitionMap::for_topology(&self.topo)), None),
+        };
+        fabric.domains = map.is_sharded().then(|| map.clone());
+        let shard = my.map(|my| (map, my));
         if let Some((map, my)) = &shard {
             fabric.shard = Some(ShardCtx::new(map.clone(), *my));
         }
-        // Event-ordering domains: tag every schedule with the owning shard
-        // of the node performing it, on every partitionable topology — in
-        // single-engine runs too, so ties at identical `(time, prio)` break
-        // the same way at any thread count and reports stay byte-identical.
-        // Unpartitionable topologies keep domain 0 everywhere (plain
-        // schedule order, exactly the pre-sharding behaviour).
-        fabric.domains = match &shard {
-            Some((map, _)) => map.is_sharded().then(|| map.clone()),
-            None => {
-                let map = PartitionMap::for_topology(&self.topo);
-                map.is_sharded().then(|| Arc::new(map))
-            }
-        };
         let owns_host = |h: HostId| shard.as_ref().is_none_or(|(m, my)| m.owner_host(h) == *my);
         let owns_switch = |s: SwitchId| {
             shard

@@ -363,20 +363,12 @@ proptest! {
                 start: SimTime::from_us(i as u64),
             })
             .collect();
-        let build = |shard: Option<(Arc<PartitionMap>, u16)>| {
-            let mut b = SimBuilder::new(topo.clone(), fncc::cc::CcKind::Fncc)
-                .flows(flows.clone());
-            if let Some((m, s)) = shard {
-                b = b.shard(m, s);
-            }
-            b.build()
-        };
+        let builder = SimBuilder::new(topo.clone(), fncc::cc::CcKind::Fncc).flows(flows.clone());
 
-        let mut legacy = build(None);
+        let mut legacy = builder.clone().build();
         prop_assert!(legacy.run_to_completion(TimeDelta::from_ms(1), SimTime::from_ms(50)));
 
-        let mut sharded =
-            ShardedSim::with_map(map, threads, |m, s| build(Some((m, s))));
+        let mut sharded = ShardedSim::with_map(builder, map, threads);
         prop_assert!(sharded.run_to_completion(TimeDelta::from_ms(1), SimTime::from_ms(50)));
         let stats = sharded.stats();
         prop_assert_eq!(stats.causality_violations, 0, "frame below the epoch horizon");
@@ -418,13 +410,9 @@ proptest! {
             })
             .collect();
         let run = |threads: usize, assign: Option<Vec<usize>>| {
-            let flows = flows.clone();
-            let mut sim = ShardedSim::new(&topo, threads, |m, s| {
-                SimBuilder::new(topo.clone(), fncc::cc::CcKind::Fncc)
-                    .flows(flows.clone())
-                    .shard(m, s)
-                    .build()
-            });
+            let builder =
+                SimBuilder::new(topo.clone(), fncc::cc::CcKind::Fncc).flows(flows.clone());
+            let mut sim = ShardedSim::new(builder, threads);
             if let Some(a) = assign {
                 sim.set_worker_assignment(a);
             }
