@@ -1,6 +1,7 @@
 //! DES scale sweep: packet-backend events/sec across topology size and
-//! flow count, plus a wheel-vs-heap scheduler comparison on a queue shape
-//! that separates them (many far-future events pending).
+//! flow count. (The wheel-vs-heap scheduler churn comparison is the repo
+//! benchmark's `des.wheel_churn_ns` vs `des.heap_churn_ns`,
+//! `perfbench/src/micro.rs`.)
 //!
 //! `fncc-repro bench-des` is the recording harness (it writes
 //! `BENCH_des.json`); this criterion bench is for interactive A/B work on
@@ -11,8 +12,6 @@ use fncc_cc::CcKind;
 use fncc_core::{
     run_scenario, Scenario, SimBackend, StopCondition, TopologySpec, TrafficSpec, Workload,
 };
-use fncc_des::engine::{Engine, Model, QueueKind, Scheduler};
-use fncc_des::{SimTime, TimeDelta};
 
 fn point(k: u32, flows: u32) -> Scenario {
     let mut sc = Scenario::new(
@@ -45,47 +44,5 @@ fn bench_des_scale(c: &mut Criterion) {
     g.finish();
 }
 
-/// Self-rescheduling chains over a backlog of far-future events: the shape
-/// where the heap pays O(log n) against a large array and the wheel does
-/// not. This isolates the scheduler from the network model.
-struct Churn {
-    remaining: u64,
-}
-
-impl Model for Churn {
-    type Event = u32;
-    fn handle(&mut self, _now: SimTime, ev: u32, s: &mut Scheduler<u32>) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            s.after(TimeDelta::from_ns(10), ev);
-        }
-    }
-}
-
-fn bench_scheduler_kinds(c: &mut Criterion) {
-    let mut g = c.benchmark_group("des_scale_sched");
-    const N: u64 = 100_000;
-    const BACKLOG: u64 = 100_000;
-    g.throughput(Throughput::Elements(N));
-    for (name, kind) in [("wheel", QueueKind::Wheel), ("heap", QueueKind::Heap)] {
-        g.bench_function(format!("churn_100k_backlog_100k_{name}"), |b| {
-            b.iter(|| {
-                let mut eng = Engine::with_queue(Churn { remaining: N }, kind);
-                // A standing backlog of far-future events (pending flow
-                // starts, timeouts…) that the churn never reaches.
-                for i in 0..BACKLOG {
-                    eng.schedule(SimTime::from_ms(10 + i), 0);
-                }
-                for i in 0..16 {
-                    eng.schedule(SimTime::from_ns(i), i as u32);
-                }
-                eng.run_until(SimTime::from_ms(9));
-                eng.events_processed()
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_des_scale, bench_scheduler_kinds);
+criterion_group!(benches, bench_des_scale);
 criterion_main!(benches);

@@ -4,11 +4,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fncc_cc::CcKind;
-use fncc_des::time::TimeDelta;
-use fncc_fluid::{scenarios, Demand, FluidSim, LinkMap, RateModel, WaterFiller};
+use fncc_des::time::{SimTime, TimeDelta};
+use fncc_fluid::{Demand, FluidSim, LinkMap, RateModel, WaterFiller};
 use fncc_net::ids::{FlowId, HostId};
 use fncc_net::topology::Topology;
 use fncc_net::units::Bandwidth;
+use fncc_workloads::patterns::{incast_storm, permutation_waves};
+use fncc_workloads::{poisson_flows, web_search, PoissonConfig};
 
 fn fat_tree() -> Topology {
     Topology::fat_tree(8, Bandwidth::gbps(100), TimeDelta::from_ns(1500))
@@ -132,8 +134,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N_PERM));
     g.bench_function("permutation_10k_flows", |b| {
         b.iter(|| {
-            let flows =
-                scenarios::permutation_waves(topo.n_hosts, 100_000, 79, TimeDelta::from_us(50), 1);
+            let flows = permutation_waves(topo.n_hosts, 100_000, 79, TimeDelta::from_us(50), 1);
             let r = FluidSim::new(topo.clone(), RateModel::paper_default(CcKind::Fncc))
                 .flows(flows)
                 .run()
@@ -147,7 +148,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N_STORM));
     g.bench_function("incast_storm_10k_flows", |b| {
         b.iter(|| {
-            let flows = scenarios::incast_storm(
+            let flows = incast_storm(
                 topo.n_hosts,
                 HostId(0),
                 100,
@@ -168,13 +169,17 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N_POISSON));
     g.bench_function("websearch_poisson_5k_flows", |b| {
         b.iter(|| {
-            let flows = scenarios::poisson_trace(
-                topo.n_hosts,
-                Bandwidth::gbps(100),
-                0.5,
-                N_POISSON as u32,
-                scenarios::Trace::WebSearch,
-                1,
+            let flows = poisson_flows(
+                &PoissonConfig {
+                    n_hosts: topo.n_hosts,
+                    line: Bandwidth::gbps(100),
+                    load: 0.5,
+                    n_flows: N_POISSON as u32,
+                    first_id: 0,
+                    start: SimTime::ZERO,
+                    seed: 1,
+                },
+                &web_search(),
             );
             let r = FluidSim::new(topo.clone(), RateModel::paper_default(CcKind::Fncc))
                 .flows(flows)

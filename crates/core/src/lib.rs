@@ -16,7 +16,7 @@
 //! * [`analysis`] — closed-form models: the Fig. 12 notification-latency
 //!   model and the Fig. 1a switch buffer/capacity trend data.
 //! * [`sweep`] — a small parallel runner for parameter sweeps and
-//!   multi-seed repetitions (crossbeam-scoped worker pool).
+//!   multi-seed repetitions (scoped worker pool).
 //! * [`scenario`] — the declarative [`scenario::Scenario`]: topology +
 //!   traffic + CC + probes + stop condition as a pure value, with a JSON
 //!   file format (`fncc-repro run <file.json>`).

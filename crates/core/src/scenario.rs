@@ -14,12 +14,13 @@ use fncc_cc::CcKind;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::config::FabricConfig;
 use fncc_net::ids::{HostId, NodeRef, SwitchId};
+use fncc_net::packet::MAX_HOPS;
 use fncc_net::topology::Topology;
 use fncc_net::units::Bandwidth;
 use fncc_transport::FlowSpec;
 use fncc_workloads::arrivals::{poisson_flows, PoissonConfig};
 use fncc_workloads::distributions::{FB_HADOOP_BUCKETS, WEB_SEARCH_BUCKETS};
-use fncc_workloads::patterns::staggered_fairness;
+use fncc_workloads::patterns::{incast_storm, staggered_fairness};
 
 /// Which §5.5 trace to draw flow sizes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,6 +150,20 @@ impl TopologySpec {
                 hosts_per_leaf,
                 ..
             } => leaves * hosts_per_leaf,
+        }
+    }
+
+    /// Switches on the longest host-to-host path — the number of INT
+    /// records a frame collects there.
+    pub fn max_switch_hops(&self) -> u32 {
+        match self {
+            TopologySpec::Dumbbell { switches, .. } => *switches,
+            TopologySpec::Line { switches, attach } => {
+                switches.saturating_sub(attach.iter().copied().min().unwrap_or(0))
+            }
+            TopologySpec::Star { .. } => 1,
+            TopologySpec::FatTree { .. } => 5,
+            TopologySpec::LeafSpine { .. } => 3,
         }
     }
 
@@ -287,7 +302,7 @@ impl TrafficSpec {
                 size,
                 waves,
                 gap_us,
-            } => fncc_fluid::scenarios::incast_storm(
+            } => incast_storm(
                 topo.n_hosts,
                 HostId(*receiver),
                 *fan_in,
@@ -675,12 +690,12 @@ pub struct Scenario {
     pub stop: StopCondition,
     /// Seeds; multi-seed runs average slowdown rows across seeds.
     pub seeds: Vec<u64>,
-    /// Worker threads for the packet backend's sharded runtime. `0` (the
-    /// default) runs the legacy single-engine path; `n ≥ 1` partitions a
-    /// fat-tree by pod into per-shard engines driven by `min(n, shards)`
-    /// OS threads (conservative barrier synchronization — reports are
-    /// byte-identical at every thread count). Non-fat-tree topologies fall
-    /// back to one shard. Other backends ignore it.
+    /// Worker threads for the packet engine. `0` (the default) runs one
+    /// replica on the calling thread; `n ≥ 1` partitions a fat-tree by pod
+    /// into per-shard replicas driven by `min(n, shards)` OS threads
+    /// (conservative barrier synchronization — reports are byte-identical
+    /// at every thread count). Non-fat-tree topologies are one replica at
+    /// any value. Other backends ignore it.
     pub threads: u32,
 }
 
@@ -1528,6 +1543,15 @@ impl Scenario {
     /// half or a fault that never fires. Scenarios without a `foreground`
     /// block skip the partition checks.
     pub fn validate(&self) -> Result<(), String> {
+        let hops = self.topology.max_switch_hops();
+        if hops as usize > MAX_HOPS {
+            return Err(format!(
+                "{} topology has a {hops}-switch path, but a frame carries at most \
+                 {MAX_HOPS} INT records: the senders would never see the last hops' \
+                 telemetry — shorten the chain",
+                self.topology.name()
+            ));
+        }
         self.validate_faults()?;
         let Some(fg) = &self.foreground else {
             return Ok(());
@@ -1635,7 +1659,7 @@ mod tests {
 
     #[test]
     fn threads_knob_roundtrips_and_stays_off_schema_when_zero() {
-        // threads = 0 (legacy path) must not appear in the document, so
+        // threads = 0 (one replica) must not appear in the document, so
         // pre-sharding scenario files and their hashes are untouched.
         assert!(!sample().to_json().contains("threads"));
         let sharded = Scenario {
@@ -2089,6 +2113,72 @@ mod tests {
         // All mice foreground; the elephants stay background.
         assert!(fg.iter().all(|f| f.size < 1_000_000));
         assert!(bg.iter().all(|f| f.size >= 1_000_000));
+    }
+
+    #[test]
+    fn validate_rejects_paths_longer_than_the_int_stack() {
+        let long = |topology| Scenario {
+            topology,
+            cc: CcKind::Hpcc,
+            ..sample()
+        };
+        let dumbbell = |switches| TopologySpec::Dumbbell {
+            senders: 2,
+            switches,
+        };
+        assert!(long(dumbbell(MAX_HOPS as u32)).validate().is_ok());
+        let err = long(dumbbell(10)).validate().unwrap_err();
+        assert!(err.contains("10-switch") && err.contains("INT"), "{err}");
+        // A line is as deep as its farthest sender.
+        let line = |attach| TopologySpec::Line {
+            switches: 10,
+            attach,
+        };
+        assert!(long(line(vec![2, 9])).validate().is_ok());
+        assert!(long(line(vec![1, 9])).validate().is_err());
+        // from_json runs the same validation.
+        let json = long(dumbbell(10)).to_json();
+        assert!(Scenario::from_json(&json).unwrap_err().contains("INT"));
+    }
+
+    #[test]
+    fn max_switch_hops_matches_the_built_topology() {
+        for spec in [
+            TopologySpec::Dumbbell {
+                senders: 3,
+                switches: 4,
+            },
+            TopologySpec::Line {
+                switches: 5,
+                attach: vec![1, 3, 4],
+            },
+            TopologySpec::Star { hosts: 4 },
+            TopologySpec::FatTree { k: 4 },
+            TopologySpec::LeafSpine {
+                leaves: 3,
+                spines: 2,
+                hosts_per_leaf: 2,
+            },
+        ] {
+            let topo = spec.build(LinkSpec::default());
+            let hosts = || (0..topo.n_hosts).map(HostId);
+            let longest = hosts()
+                .flat_map(|src| hosts().map(move |dst| (src, dst)))
+                .filter(|(src, dst)| src != dst)
+                .map(|(src, dst)| {
+                    topo.trace_path(src, dst, fncc_net::ids::FlowId(0))
+                        .iter()
+                        .filter(|(n, _)| matches!(n, NodeRef::Switch(_)))
+                        .count()
+                })
+                .max();
+            assert_eq!(
+                longest,
+                Some(spec.max_switch_hops() as usize),
+                "{}",
+                spec.name()
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! sweeps (simulations are single-threaded; repetitions are embarrassingly
 //! parallel).
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Run every job, using up to `threads` worker threads, and return results
 /// in job order. Panics in jobs propagate.
@@ -31,29 +31,33 @@ where
     // out of its slot, run it, and park the result in the matching slot.
     // The per-slot mutexes are never contended (each index is claimed by
     // exactly one worker) — they exist to make the hand-off safe, not to
-    // serialize anything.
+    // serialize anything, and never poisoned (no job runs under a lock).
     let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    crossbeam::thread::scope(|s| {
+    const UNPOISONED: &str = "slot lock is never held across a job";
+    // The scope joins every worker and re-raises a worker's panic.
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let ix = next.fetch_add(1, Ordering::Relaxed);
                 if ix >= n {
                     break;
                 }
-                let job = jobs[ix].lock().take().expect("job claimed twice");
-                let out = job();
-                *slots[ix].lock() = Some(out);
+                let job = jobs[ix].lock().expect(UNPOISONED).take();
+                let out = job.expect("job claimed twice")();
+                *slots[ix].lock().expect(UNPOISONED) = Some(out);
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     slots
         .into_iter()
-        .map(|slot| slot.into_inner().expect("job missing result"))
+        .map(|slot| {
+            let out = slot.into_inner().expect(UNPOISONED);
+            out.expect("job missing result")
+        })
         .collect()
 }
 
@@ -103,6 +107,15 @@ mod tests {
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, (i as u64).wrapping_mul(2654435761));
         }
+    }
+
+    #[test]
+    #[should_panic]
+    fn worker_panic_propagates() {
+        let jobs: Vec<_> = (0..8u32)
+            .map(|i| move || assert_ne!(i, 5, "job 5 fails"))
+            .collect();
+        run_parallel(jobs, 4);
     }
 
     #[test]

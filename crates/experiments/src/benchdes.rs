@@ -34,7 +34,7 @@ struct Point {
     name: String,
     scheduler: &'static str,
     flows: u32,
-    /// Sharded-runtime worker count (0 = legacy single-engine path).
+    /// Packet-engine worker count (0 = one replica, no sharding).
     threads: u32,
     events: u64,
     wall_s: f64,
@@ -129,7 +129,7 @@ pub fn bench_des(opts: &RunOpts) {
 
     // Core-scaling series (`--threads N`): the headline point re-run on
     // the sharded runtime at 1, 2, 4, … workers up to N. The threads=1
-    // sharded run doubles as the overhead baseline against the legacy
+    // sharded run doubles as the overhead baseline against the one-replica
     // measurement of the same point (identical reports, so events match).
     if let Some(max_t) = opts.sim_threads {
         let base = points.last().expect("bench-des has at least one point");

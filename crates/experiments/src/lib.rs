@@ -64,8 +64,8 @@ pub struct RunOpts {
     /// Explicit `--threads` value, when given. `run` forwards it to the
     /// packet backend's sharded DES runtime (`Scenario::threads`), and
     /// `bench-des` adds a core-scaling series at this worker count.
-    /// `None` (no flag) keeps every scenario on the legacy single-engine
-    /// path.
+    /// `None` (no flag) keeps every scenario on one replica
+    /// (`threads: 0`).
     pub sim_threads: Option<u32>,
     /// Override the number of seeds for Figs. 14/15.
     pub seeds: Option<u32>,

@@ -22,15 +22,15 @@
 //! ## Quickstart
 //!
 //! ```
-//! use fncc_fluid::{FluidSim, RateModel, scenarios};
+//! use fncc_fluid::{FluidSim, RateModel};
+//! use fncc_workloads::patterns::permutation_waves;
 //! use fncc_net::topology::Topology;
 //! use fncc_net::units::Bandwidth;
 //! use fncc_des::time::TimeDelta;
 //! use fncc_cc::CcKind;
 //!
 //! let topo = Topology::fat_tree(4, Bandwidth::gbps(100), TimeDelta::from_ns(1500));
-//! let flows = scenarios::permutation_waves(topo.n_hosts, 1_000_000, 10,
-//!                                          TimeDelta::from_us(100), 1);
+//! let flows = permutation_waves(topo.n_hosts, 1_000_000, 10, TimeDelta::from_us(100), 1);
 //! let result = FluidSim::new(topo.clone(), RateModel::paper_default(CcKind::Fncc))
 //!     .flows(flows)
 //!     .run()
@@ -43,7 +43,6 @@ pub mod coupler;
 pub mod link;
 pub mod maxmin;
 pub mod model;
-pub mod scenarios;
 pub mod sim;
 
 pub use coupler::BackgroundFluid;
@@ -52,5 +51,4 @@ pub use maxmin::{
     find_non_pareto_flow, water_fill, worst_oversubscription, Demand, Rebalance, WaterFiller,
 };
 pub use model::{Calibration, CalibrationSet, DurationEta, RateModel};
-pub use scenarios::Trace;
 pub use sim::{CapacityChange, CapacityEvent, FluidError, FluidResult, FluidSim, Framing};

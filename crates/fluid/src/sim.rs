@@ -1046,13 +1046,17 @@ mod tests {
     #[test]
     fn poisson_churn_uses_the_incremental_path() {
         let topo = Topology::fat_tree(4, BW, PROP);
-        let flows = crate::scenarios::poisson_trace(
-            topo.n_hosts,
-            BW,
-            0.5,
-            400,
-            crate::scenarios::Trace::WebSearch,
-            7,
+        let flows = fncc_workloads::poisson_flows(
+            &fncc_workloads::PoissonConfig {
+                n_hosts: topo.n_hosts,
+                line: BW,
+                load: 0.5,
+                n_flows: 400,
+                first_id: 0,
+                start: SimTime::ZERO,
+                seed: 7,
+            },
+            &fncc_workloads::web_search(),
         );
         let r = FluidSim::new(topo.clone(), RateModel::paper_default(CcKind::Fncc))
             .flows(flows)

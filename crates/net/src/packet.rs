@@ -65,16 +65,18 @@ impl IntStack {
         self.len == 0
     }
 
-    /// Append a record. Silently drops records beyond [`MAX_HOPS`] (paths
-    /// that deep do not occur in the supported topologies; a debug assert
-    /// guards regressions).
+    /// Append a record; returns whether it was stored. A full stack
+    /// ([`MAX_HOPS`] records) drops `r` — `Scenario::validate` rejects
+    /// topologies with paths that deep, so only hand-built fabrics can
+    /// get here.
     #[inline]
-    pub fn push(&mut self, r: IntRecord) {
-        debug_assert!((self.len as usize) < MAX_HOPS, "INT stack overflow");
-        if (self.len as usize) < MAX_HOPS {
+    pub fn push(&mut self, r: IntRecord) -> bool {
+        let stored = (self.len as usize) < MAX_HOPS;
+        if stored {
             self.records[self.len as usize] = r;
             self.len += 1;
         }
+        stored
     }
 
     /// Records in insertion order.
@@ -273,11 +275,13 @@ impl Packet {
         })
     }
 
-    /// Append an INT record, growing the wire size accordingly.
+    /// Append an INT record, growing the wire size by the record — unless
+    /// the stack was full and dropped it.
     #[inline]
     pub fn push_int(&mut self, r: IntRecord) {
-        self.int.push(r);
-        self.size += INT_RECORD_BYTES;
+        if self.int.push(r) {
+            self.size += INT_RECORD_BYTES;
+        }
     }
 }
 
@@ -336,7 +340,6 @@ mod tests {
         assert_eq!(s.as_slice().len(), 0);
     }
 
-    #[cfg(not(debug_assertions))]
     #[test]
     fn int_stack_saturates_at_capacity() {
         let mut s = IntStack::new();
@@ -361,6 +364,12 @@ mod tests {
         p.push_int(rec(0, 0));
         assert_eq!(p.size, before + INT_RECORD_BYTES);
         assert_eq!(p.int.len(), 1);
+        // Records a full stack drops add no wire bytes either.
+        for _ in 0..MAX_HOPS + 2 {
+            p.push_int(rec(0, 0));
+        }
+        assert_eq!(p.int.len(), MAX_HOPS);
+        assert_eq!(p.size, before + p.int.wire_bytes());
     }
 
     #[test]

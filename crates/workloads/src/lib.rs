@@ -9,8 +9,9 @@
 //!   note), plus the flow-size buckets used on the Fig. 14/15 x-axes;
 //! * [`arrivals`] — Poisson flow arrivals at a target average link load
 //!   (the paper runs 50%);
-//! * [`patterns`] — deterministic scenarios: incast, permutation, and the
-//!   staggered join/leave pattern of Fig. 13e.
+//! * [`patterns`] — deterministic scenarios: incast waves and storms,
+//!   permutation waves, uniform random pairs, and the staggered join/leave
+//!   pattern of Fig. 13e.
 
 pub mod arrivals;
 pub mod cdf;

@@ -1,5 +1,10 @@
-//! Deterministic traffic patterns: incast, permutation, and the staggered
-//! join/leave pattern of Fig. 13e.
+//! Deterministic traffic patterns: incast (one wave or a storm of them),
+//! permutation (one wave or several), uniform random pairs, and the
+//! staggered join/leave pattern of Fig. 13e.
+//!
+//! All of them produce plain [`FlowSpec`] sets, so the same generator feeds
+//! the packet backend at small scale and the fluid backend at 10k–1M flows
+//! — which is exactly what the cross-validation suite relies on.
 
 use fncc_des::rng::DetRng;
 use fncc_des::time::{SimTime, TimeDelta};
@@ -19,6 +24,36 @@ pub fn incast(n: u32, receiver: HostId, size: u64, start: SimTime) -> Vec<FlowSp
             start,
         })
         .collect()
+}
+
+/// Incast storm: `fan_in` senders (cycling over hosts ≠ receiver) each fire
+/// `size` bytes at `receiver`, a new storm wave every `gap`, `waves` times.
+/// Total flows = `waves · fan_in`.
+pub fn incast_storm(
+    n_hosts: u32,
+    receiver: HostId,
+    fan_in: u32,
+    size: u64,
+    waves: u32,
+    gap: TimeDelta,
+) -> Vec<FlowSpec> {
+    assert!(n_hosts >= 2 && receiver.0 < n_hosts);
+    let mut flows = Vec::with_capacity((waves * fan_in) as usize);
+    let senders: Vec<u32> = (0..n_hosts).filter(|&h| h != receiver.0).collect();
+    for w in 0..waves {
+        let start = SimTime::ZERO + gap * w as u64;
+        for i in 0..fan_in {
+            let src = senders[(i as usize + w as usize) % senders.len()];
+            flows.push(FlowSpec {
+                id: FlowId(w * fan_in + i),
+                src: HostId(src),
+                dst: receiver,
+                size,
+                start,
+            });
+        }
+    }
+    flows
 }
 
 /// A random permutation workload: every host sends `size` bytes to a
@@ -41,6 +76,59 @@ pub fn permutation(n_hosts: u32, size: u64, start: SimTime, seed: u64) -> Vec<Fl
             dst: HostId(dst[i as usize]),
             size,
             start,
+        })
+        .collect()
+}
+
+/// Repeated random-permutation waves: every host sends `size` bytes to a
+/// distinct peer, a fresh derangement every `gap`, `waves` times over.
+/// Total flows = `waves · n_hosts`.
+pub fn permutation_waves(
+    n_hosts: u32,
+    size: u64,
+    waves: u32,
+    gap: TimeDelta,
+    seed: u64,
+) -> Vec<FlowSpec> {
+    let mut flows = Vec::with_capacity((waves * n_hosts) as usize);
+    for w in 0..waves {
+        let start = SimTime::ZERO + gap * w as u64;
+        let wave = permutation(n_hosts, size, start, seed.wrapping_add(w as u64));
+        flows.extend(wave.into_iter().map(|mut f| {
+            f.id = FlowId(w * n_hosts + f.id.0);
+            f
+        }));
+    }
+    flows
+}
+
+/// Uniform random pairs with exponential arrivals — a quick generator for
+/// stress runs that sidesteps CDF sampling cost entirely.
+pub fn uniform_pairs(
+    n_hosts: u32,
+    n_flows: u32,
+    size: u64,
+    mean_gap: TimeDelta,
+    seed: u64,
+) -> Vec<FlowSpec> {
+    assert!(n_hosts >= 2);
+    let mut rng = DetRng::new(seed, 0xF1D);
+    let mut t = SimTime::ZERO;
+    (0..n_flows)
+        .map(|k| {
+            t += TimeDelta::from_secs_f64(rng.exp(mean_gap.as_secs_f64()));
+            let src = rng.below(n_hosts as u64) as u32;
+            let mut dst = rng.below(n_hosts as u64 - 1) as u32;
+            if dst >= src {
+                dst += 1;
+            }
+            FlowSpec {
+                id: FlowId(k),
+                src: HostId(src),
+                dst: HostId(dst),
+                size,
+                start: t,
+            }
         })
         .collect()
 }
@@ -112,6 +200,44 @@ mod tests {
                 assert!(!dst_seen[f.dst.ix()], "duplicate receiver, seed {seed}");
                 dst_seen[f.dst.ix()] = true;
             }
+        }
+    }
+
+    #[test]
+    fn permutation_waves_count_and_ids() {
+        let flows = permutation_waves(16, 1000, 5, TimeDelta::from_us(10), 1);
+        assert_eq!(flows.len(), 80);
+        let mut ids: Vec<u32> = flows.iter().map(|f| f.id.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..80).collect::<Vec<_>>());
+        for f in &flows {
+            assert_ne!(f.src, f.dst);
+        }
+    }
+
+    #[test]
+    fn incast_storm_targets_receiver() {
+        let flows = incast_storm(16, HostId(3), 10, 5000, 4, TimeDelta::from_us(50));
+        assert_eq!(flows.len(), 40);
+        for f in &flows {
+            assert_eq!(f.dst, HostId(3));
+            assert_ne!(f.src, HostId(3));
+        }
+        // Waves are spaced by the gap.
+        assert_eq!(flows[0].start, SimTime::ZERO);
+        assert_eq!(flows[39].start, SimTime::ZERO + TimeDelta::from_us(150));
+    }
+
+    #[test]
+    fn uniform_pairs_are_valid_and_ordered() {
+        let flows = uniform_pairs(32, 500, 10_000, TimeDelta::from_us(1), 3);
+        assert_eq!(flows.len(), 500);
+        for w in flows.windows(2) {
+            assert!(w[0].start <= w[1].start);
+        }
+        for f in &flows {
+            assert_ne!(f.src, f.dst);
+            assert!(f.src.0 < 32 && f.dst.0 < 32);
         }
     }
 

@@ -7,12 +7,14 @@
 //! ```
 
 use fncc::cc::CcKind;
-use fncc::des::TimeDelta;
+use fncc::des::{SimTime, TimeDelta};
 use fncc::net::ids::HostId;
 use fncc::net::topology::Topology;
 use fncc::net::units::Bandwidth;
 use fncc::transport::FlowSpec;
-use fncc_fluid::{scenarios, FluidSim, Framing, RateModel};
+use fncc::workloads::patterns::{incast_storm, permutation_waves};
+use fncc::workloads::{poisson_flows, web_search, PoissonConfig};
+use fncc_fluid::{FluidSim, Framing, RateModel};
 use std::time::Instant;
 
 fn run(name: &str, topo: &Topology, flows: Vec<FlowSpec>) {
@@ -53,14 +55,14 @@ fn main() {
     run(
         "permutation x782 waves",
         &topo,
-        scenarios::permutation_waves(topo.n_hosts, 100_000, 782, TimeDelta::from_us(50), 1),
+        permutation_waves(topo.n_hosts, 100_000, 782, TimeDelta::from_us(50), 1),
     );
 
     // 2. Incast storms: 100 senders slam one host, 1000 waves (100k flows).
     run(
         "incast storm 100-to-1",
         &topo,
-        scenarios::incast_storm(
+        incast_storm(
             topo.n_hosts,
             HostId(0),
             100,
@@ -76,13 +78,17 @@ fn main() {
     run(
         "web-search poisson 50%",
         &topo,
-        scenarios::poisson_trace(
-            topo.n_hosts,
-            line,
-            0.5,
-            100_000,
-            scenarios::Trace::WebSearch,
-            1,
+        poisson_flows(
+            &PoissonConfig {
+                n_hosts: topo.n_hosts,
+                line,
+                load: 0.5,
+                n_flows: 100_000,
+                first_id: 0,
+                start: SimTime::ZERO,
+                seed: 1,
+            },
+            &web_search(),
         ),
     );
 

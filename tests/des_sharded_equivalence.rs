@@ -1,6 +1,6 @@
 //! Sharded-DES equivalence: the conservative-synchronization runtime
 //! (`Scenario::threads >= 1`) must produce the same `RunReport` as the
-//! legacy single-engine path, for every scheme, at every thread count.
+//! one-replica run (`threads: 0`), for every scheme, at every thread count.
 //!
 //! Two strengths of "the same":
 //!
@@ -8,7 +8,7 @@
 //!   wall-clock scalar (`events_per_sec`): the number of shards is fixed
 //!   by the topology and threads only choose which worker runs which
 //!   shard, so 1, 2 and 4 workers execute the identical event schedule.
-//! * **Against the legacy engine** the comparison additionally strips the
+//! * **Against the one-replica run** the comparison additionally strips the
 //!   sharding bookkeeping scalars (`shards`, `epochs`,
 //!   `cross_shard_frames`, `lookahead_ns`, `shard_fallback`) and the
 //!   *structurally* per-shard diagnostics — `peak_queue_len` (one queue
@@ -55,10 +55,11 @@ fn report_json(sc: &Scenario, threads: u32, strip: Strip) -> String {
     let mut report = run_scenario(&sc, SimBackend::Packet);
     report.scalars.retain(|(k, _)| {
         let k = k.as_str();
-        !WALL_CLOCK.contains(&k)
-            && !(strip != Strip::Nothing && SHARD_BOOKKEEPING.contains(&k))
-            && !(strip == Strip::ShardShape
-                && (PER_SHARD_DIAGNOSTICS.contains(&k) || k.starts_with("wheel_cascades_")))
+        let stripped = WALL_CLOCK.contains(&k)
+            || (strip != Strip::Nothing && SHARD_BOOKKEEPING.contains(&k))
+            || (strip == Strip::ShardShape
+                && (PER_SHARD_DIAGNOSTICS.contains(&k) || k.starts_with("wheel_cascades_")));
+        !stripped
     });
     report.to_json()
 }
@@ -102,7 +103,7 @@ fn poisson_scenario(cc: CcKind) -> Scenario {
 }
 
 fn assert_equivalence(sc: &Scenario, label: &str) {
-    // Legacy engine, with the shard-shape scalars it shares stripped.
+    // One replica, with the shard-shape scalars it shares stripped.
     let legacy = report_json(sc, 0, Strip::ShardShape);
     // Sharded runtime at 1, 2 and 4 workers.
     let sharded: Vec<String> = [1u32, 2, 4]
