@@ -1005,11 +1005,6 @@ pub fn fattree_workload_on(spec: &WorkloadSpec, backend: SimBackend) -> Workload
     WorkloadResult::from_report(spec, &report)
 }
 
-/// The fluid twin of [`crate::scenarios::fattree_workload`].
-pub fn fattree_workload_fluid(spec: &WorkloadSpec) -> WorkloadResult {
-    fattree_workload_on(spec, SimBackend::Fluid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -112,17 +112,18 @@ impl ShardedSim {
     /// Like [`ShardedSim::new`] but over an explicit partition (the
     /// property tests fuzz arbitrary owner maps through this).
     pub fn with_map(builder: SimBuilder, map: Arc<PartitionMap>, threads: usize) -> ShardedSim {
-        let slots: Vec<Option<u16>> = if threads == 0 || !map.is_sharded() {
-            vec![None]
+        let n = if threads == 0 || !map.is_sharded() {
+            1
         } else {
-            (0..map.n_shards).map(Some).collect()
+            map.n_shards
         };
-        let (&last, rest) = slots.split_last().expect("at least one replica");
-        let mut shards: Vec<Sim> = rest
-            .iter()
-            .map(|&slot| builder.clone().partition(map.clone(), slot).build())
+        // The only replica owns everything (`None`); otherwise replica `s`
+        // is pod shard `s`. The last one takes the builder itself.
+        let slot = |s: u16| (n > 1).then_some(s);
+        let mut shards: Vec<Sim> = (0..n - 1)
+            .map(|s| builder.clone().partition(map.clone(), slot(s)).build())
             .collect();
-        shards.push(builder.partition(map.clone(), last).build());
+        shards.push(builder.partition(map.clone(), slot(n - 1)).build());
         let n = shards.len();
         let threads = threads.clamp(1, n);
         let assign = (0..n).map(|s| s % threads).collect();
@@ -274,13 +275,10 @@ impl ShardedSim {
     /// Mirror of [`Sim::run_to_completion`]: run in `chunk` steps until
     /// every distinct flow that has started finished, or `cap` is
     /// reached. The stop test aggregates per-shard counts, discounting
-    /// the receiver-side records pre-registered for cross-shard flows, so
-    /// it fires at exactly the chunk boundary the one-replica run stops
-    /// at.
+    /// the receiver-side records pre-registered for cross-shard flows
+    /// (none in a one-replica run), so it fires at exactly the chunk
+    /// boundary at every thread count.
     pub fn run_to_completion(&mut self, chunk: TimeDelta, cap: SimTime) -> bool {
-        if let [one] = &mut self.shards[..] {
-            return one.run_to_completion(chunk, cap);
-        }
         let mut t = self.now();
         loop {
             let started: usize = self
@@ -301,7 +299,7 @@ impl ShardedSim {
                 return finished == started;
             }
             t = (t + chunk).min(cap);
-            self.run_epochs(t);
+            self.run_until(t);
         }
     }
 
