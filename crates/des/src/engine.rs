@@ -267,11 +267,13 @@ pub struct Engine<M: Model> {
     event_budget: u64,
     clamped_schedules: u64,
     peak_queue_len: usize,
-    /// Self-profiling spans over the hot loop (scheduler pop, dispatch).
+    /// Self-profiling spans over the hot loop (scheduler pop, dispatch,
+    /// scheduler push — together the whole of [`Engine::step`]).
     /// Off unless `FNCC_PROFILE` is set; see [`fncc_obs::Profiler`].
     profiler: Profiler,
     ph_pop: PhaseId,
     ph_dispatch: PhaseId,
+    ph_push: PhaseId,
     /// Heartbeat line for long runs; `Some` iff `FNCC_PROGRESS` is set.
     progress: Option<Progress>,
     /// Events scheduled via [`Scheduler::remote`], awaiting epoch exchange.
@@ -293,6 +295,7 @@ impl<M: Model> Engine<M> {
         let mut profiler = Profiler::from_env();
         let ph_pop = profiler.phase("sched_pop");
         let ph_dispatch = profiler.phase("dispatch");
+        let ph_push = profiler.phase("sched_push");
         let progress = match std::env::var("FNCC_PROGRESS") {
             Ok(v) if !v.is_empty() && v != "0" => Some(Progress {
                 started: Instant::now(),
@@ -318,6 +321,7 @@ impl<M: Model> Engine<M> {
             profiler,
             ph_pop,
             ph_dispatch,
+            ph_push,
             progress,
             outbox: Vec::new(),
             model,
@@ -420,6 +424,7 @@ impl<M: Model> Engine<M> {
         self.model.handle(entry.time, entry.ev, &mut self.sched);
         self.profiler.end(self.ph_dispatch, t1);
         self.events_processed += 1;
+        let t2 = self.profiler.begin();
         for (t, dst, domain, ev) in self.sched.pending.drain(..) {
             let seq = ((domain as u64) << SEQ_SHARD_SHIFT) | self.seq;
             self.seq += 1;
@@ -435,6 +440,7 @@ impl<M: Model> Engine<M> {
                 });
             }
         }
+        self.profiler.end(self.ph_push, t2);
         self.clamped_schedules += self.sched.clamped;
         self.sched.clamped = 0;
         self.peak_queue_len = self.peak_queue_len.max(self.queue.len());
@@ -691,6 +697,37 @@ mod tests {
             eng.model.seen
         };
         assert_eq!(run(QueueKind::Wheel), run(QueueKind::Heap));
+    }
+
+    /// Cross-shard injection and horizon-parked schedules after the peek in
+    /// `run_until` moved the wheel's cursor on to the next local event:
+    /// behind the cursor, tied with it under foreign `(prio, seq)` pairs
+    /// that sort before and after the local ones, and ahead of it.
+    #[test]
+    fn inject_around_a_peeked_cursor_matches_the_heap() {
+        let run = |kind: QueueKind| {
+            let mut eng = Engine::with_queue(recorder(), kind);
+            eng.set_domain(1);
+            eng.schedule(SimTime::from_us(1), 1);
+            eng.schedule(SimTime::from_us(40), 2);
+            eng.schedule(SimTime::from_us(40), 3);
+            assert_eq!(
+                eng.run_until(SimTime::from_us(10)),
+                RunOutcome::HorizonReached
+            );
+            let foreign = |domain: u64, n: u64| (domain << SEQ_SHARD_SHIFT) | n;
+            eng.inject(SimTime::from_us(12), SimTime::from_us(9), foreign(2, 0), 10);
+            eng.inject(SimTime::from_us(40), SimTime::ZERO, foreign(0, 7), 11);
+            eng.inject(SimTime::from_us(40), SimTime::ZERO, foreign(2, 1), 12);
+            eng.inject(SimTime::from_us(40), SimTime::from_us(9), foreign(0, 8), 13);
+            eng.inject(SimTime::from_us(41), SimTime::from_us(9), foreign(0, 9), 14);
+            eng.schedule(SimTime::from_us(11), 15);
+            eng.run_until_idle();
+            eng.model.seen.iter().map(|&(_, e)| e).collect::<Vec<u32>>()
+        };
+        let want = vec![1, 15, 10, 11, 2, 3, 12, 13, 14];
+        assert_eq!(run(QueueKind::Wheel), want);
+        assert_eq!(run(QueueKind::Heap), want);
     }
 
     #[test]

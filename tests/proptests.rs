@@ -150,38 +150,73 @@ proptest! {
 
     /// Timing-wheel vs binary-heap dispatch equivalence: over random
     /// schedules spanning every wheel level and the overflow heap — with
-    /// dynamically scheduled follow-ups — both event queues dispatch the
-    /// identical (time, tag) sequence. This pins the wheel's tie-break
-    /// semantics to the reference oracle.
+    /// dynamically scheduled follow-ups, pushes into the slot being
+    /// drained, and a run parked at horizons where cross-shard events are
+    /// injected and local ones scheduled around the wheel's peeked cursor —
+    /// both event queues dispatch the identical (time, tag) sequence. This
+    /// pins the wheel's `(time, prio, seq)` order to the reference oracle.
     #[test]
     fn timing_wheel_matches_heap_dispatch_order(
-        // Times up to ~100 s in ps: far past the wheel's 35 s top window,
-        // so the overflow heap participates too.
+        // Times up to ~100 s in ps: eleven of the wheel's 8.8 s top
+        // windows, so events overflow and migrate across several of them.
         times in proptest::collection::vec(0u64..100_000_000_000_000, 1..250),
         chain_delays in proptest::collection::vec(1u64..10_000_000_000, 0..8),
+        // Follow-ups inside one level-0 slot (2^13 ps) of the event that
+        // schedules them.
+        sub_slot in proptest::collection::vec(0u64..8_192, 0..8),
+        // Parks: (horizon step, delay of the injected event past the parked
+        // clock, how far back its source shard scheduled it), all in ps.
+        parks in proptest::collection::vec(
+            (1u64..20_000_000_000_000, 0u64..3_000_000, 0u64..5_000_000),
+            0..6,
+        ),
     ) {
         struct Chainer {
             seen: Vec<(u64, u32)>,
             delays: Vec<u64>,
+            sub_slot: Vec<u64>,
         }
         impl Model for Chainer {
             type Event = u32;
             fn handle(&mut self, now: SimTime, ev: u32, s: &mut Scheduler<u32>) {
                 self.seen.push((now.as_ps(), ev));
                 // Tag-derived follow-ups keep both runs' schedules identical.
-                if (ev as usize) < self.delays.len() {
-                    s.after(TimeDelta::from_ps(self.delays[ev as usize]), ev + 1000);
+                if let Some(&d) = self.delays.get(ev as usize) {
+                    s.after(TimeDelta::from_ps(d), ev + 1000);
                     s.immediate(ev + 2000);
+                }
+                if let Some(&d) = self.sub_slot.get(ev as usize) {
+                    s.after(TimeDelta::from_ps(d), ev + 3000);
                 }
             }
         }
         let run = |kind: fncc::des::engine::QueueKind| {
             let mut eng = Engine::with_queue(
-                Chainer { seen: Vec::new(), delays: chain_delays.clone() },
+                Chainer {
+                    seen: Vec::new(),
+                    delays: chain_delays.clone(),
+                    sub_slot: sub_slot.clone(),
+                },
                 kind,
             );
+            // Local schedules sit in domain 1, so that injected sequences
+            // from domains 0 and 2 sort on either side of them.
+            eng.set_domain(1);
             for (i, &t) in times.iter().enumerate() {
                 eng.schedule(SimTime::from_ps(t), i as u32);
+            }
+            let mut horizon = 0u64;
+            for (n, &(step, delay, back)) in parks.iter().enumerate() {
+                horizon += step;
+                eng.run_until(SimTime::from_ps(horizon));
+                // The peek that ended `run_until` moved the wheel's cursor
+                // to the next local event: `now + delay` lies behind it when
+                // that event is further out, ahead of it otherwise.
+                let now = eng.now();
+                let prio = SimTime::from_ps(now.as_ps().saturating_sub(back));
+                let seq = ((n as u64 % 2 * 2) << fncc::des::engine::SEQ_SHARD_SHIFT) | n as u64;
+                eng.inject(now + TimeDelta::from_ps(delay), prio, seq, 5000 + n as u32);
+                eng.schedule(now + TimeDelta::from_ps(delay / 2), 6000 + n as u32);
             }
             eng.run_until_idle();
             eng.model.seen
