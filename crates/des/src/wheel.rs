@@ -244,10 +244,10 @@ impl<E> TimingWheel<E> {
         self.slots.occupied[l][ix >> 6] |= 1u64 << (ix & 63);
     }
 
-    /// Re-place a node after the cursor moved (cascade, overflow
-    /// migration): onto the run, unsorted, if the cursor's slot reached it
-    /// — `refill` sorts the run once per step — and into a finer slot
-    /// otherwise.
+    /// Re-place a node after the cursor moved (slot reached, cascade,
+    /// overflow migration): onto the run, unsorted, if the cursor's slot
+    /// reached it — `refill` sorts the run once per step — and into a
+    /// finer slot otherwise.
     #[inline]
     fn refile(&mut self, key: Key) {
         if key.slot() <= self.cur_slot {
@@ -257,24 +257,22 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    /// Unlink a whole slot, returning the head of its list.
-    #[inline]
-    fn take_slot(&mut self, l: usize, ix: usize) -> u32 {
+    /// Unlink the slot the cursor just moved to (the start of) and
+    /// re-place every node of its list relative to the new cursor.
+    fn unload(&mut self, l: usize, ix: usize) {
         self.slots.occupied[l][ix >> 6] &= !(1u64 << (ix & 63));
-        std::mem::replace(&mut self.slots.heads[l][ix], NIL)
-    }
-
-    /// The key of a queued node and the node after it in its slot list.
-    #[inline]
-    fn key_of(&self, node: u32) -> (Key, u32) {
-        let n = &self.nodes[node as usize];
-        let key = Key {
-            time: n.time,
-            prio: n.prio,
-            seq: n.seq,
-            node,
-        };
-        (key, n.next)
+        let mut node = std::mem::replace(&mut self.slots.heads[l][ix], NIL);
+        while node != NIL {
+            let n = &self.nodes[node as usize];
+            let key = Key {
+                time: n.time,
+                prio: n.prio,
+                seq: n.seq,
+                node,
+            };
+            node = n.next;
+            self.refile(key);
+        }
     }
 
     /// Smallest occupied slot index of level `l` strictly greater than
@@ -335,14 +333,10 @@ impl<E> TimingWheel<E> {
         while self.run.is_empty() && self.len > 0 {
             let c0 = (self.cur_slot & SLOT_MASK) as usize;
             if let Some(i) = self.next_occupied_after(0, c0) {
-                // Next occupied level-0 slot within the cursor's group.
+                // Next occupied level-0 slot within the cursor's group:
+                // all of it goes onto the run.
                 self.cur_slot = (self.cur_slot & !SLOT_MASK) | i as u64;
-                let mut node = self.take_slot(0, i);
-                while node != NIL {
-                    let (key, next) = self.key_of(node);
-                    self.run.push(key);
-                    node = next;
-                }
+                self.unload(0, i);
             } else if !self.cascade() {
                 // Wheel empty: jump to the overflow's earliest event.
                 let Reverse(key) = self.overflow.pop().expect("len > 0 outside the wheel");
@@ -370,12 +364,7 @@ impl<E> TimingWheel<E> {
             // exact slot-start quantum).
             let group = self.cur_slot >> (shift + SLOT_BITS) << (shift + SLOT_BITS);
             self.cur_slot = group | ((j as u64) << shift);
-            let mut node = self.take_slot(l, j);
-            while node != NIL {
-                let (key, next) = self.key_of(node);
-                self.refile(key);
-                node = next;
-            }
+            self.unload(l, j);
             self.cascades[l] += 1;
             self.migrate_overflow();
             return true;
@@ -596,7 +585,7 @@ mod tests {
     #[test]
     fn random_interleaving_matches_the_heap_oracle() {
         use crate::rng::DetRng;
-        const DELTAS: [u64; 8] = [
+        const DELTAS: [u64; 7] = [
             1,               // same quantum
             1 << SLOT_SHIFT, // sub-slot
             1_700_000,       // one hop
@@ -604,7 +593,6 @@ mod tests {
             1 << 34,         // level 2
             1 << 44,         // overflow
             3 << 44,         // two windows on
-            1,
         ];
         for seed in 0..20 {
             let mut rng = DetRng::new(seed, 16);
