@@ -33,6 +33,7 @@ use crate::scenarios::{WorkloadResult, WorkloadSpec};
 use crate::sharded::{ShardStats, ShardedSim};
 use crate::sim::{make_algo, SimBuilder};
 use fncc_cc::{CcAlgo, CcKind, FnccConfig};
+use fncc_des::engine::QueueKind;
 use fncc_des::stats::TimeSeries;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_fluid::{
@@ -310,7 +311,7 @@ impl SimBackend {
     /// Resolve to the engine implementation.
     pub fn resolve(self) -> Box<dyn Backend> {
         match self {
-            SimBackend::Packet => Box::new(PacketBackend),
+            SimBackend::Packet => Box::new(PacketBackend::default()),
             SimBackend::Fluid => Box::new(FluidBackend::default()),
             SimBackend::Hybrid => Box::new(HybridBackend::default()),
         }
@@ -358,7 +359,14 @@ pub fn run_scenario_traced(
 /// a single replica at `threads: 0` and pod shards on `threads` workers
 /// otherwise. Reports are byte-identical either way — `threads ≥ 1` only
 /// adds its `shards`/`epochs`/`cross_shard_frames`/`lookahead_ns` scalars.
-pub struct PacketBackend;
+#[derive(Default)]
+pub struct PacketBackend {
+    /// Event queue of every engine the backend builds. The default, and the
+    /// only kind a CLI flag, the environment or a scenario file can reach,
+    /// is the timing wheel; `tests/des_determinism.rs` passes the heap
+    /// oracle to hold the two to identical reports.
+    pub queue: QueueKind,
+}
 
 impl Backend for PacketBackend {
     fn name(&self) -> &'static str {
@@ -417,7 +425,8 @@ impl Backend for PacketBackend {
                 // so their event counts and goldens are byte-identical.
                 .recovery(sc.has_faults().then(RecoveryConfig::paper_default))
                 .flows(flows.iter().cloned())
-                .trace(rb.tracing(seed_ix));
+                .trace(rb.tracing(seed_ix))
+                .queue(self.queue);
             if sc.probes.sample_ns > 0 {
                 builder = builder.sample(TimeDelta::from_ns(sc.probes.sample_ns), horizon);
             }

@@ -2,7 +2,7 @@
 //!
 //! Every backend returns one of these from [`crate::backend::Backend::run`]:
 //! named time series, named scalar metrics, and per-bucket FCT-slowdown
-//! rows. `fncc-repro`, the criterion benches and the scorecard all consume
+//! rows. `fncc-repro`, the repo benchmark and the scorecard all consume
 //! this one format; [`RunReport::to_json`] writes the versioned JSON
 //! artifact (schema `fncc.run_report/v1`, pinned by the snapshot test in
 //! `tests/scenario_api.rs`).

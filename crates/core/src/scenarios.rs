@@ -4,7 +4,7 @@
 //! evaluation section, executes it through the unified
 //! [`crate::backend::Backend`] path (packet DES by default), and reshapes
 //! the [`RunReport`] into the rich result type the figure code plots. The
-//! `fncc-experiments` binary and the criterion benches are thin wrappers
+//! `fncc-experiments` binary's figure and scorecard code are thin wrappers
 //! over these — or over [`crate::backend::run_scenario`] directly.
 
 use crate::backend::{Backend, PacketBackend};
@@ -219,7 +219,7 @@ impl ElephantResult {
 /// Figs. 1b–d, 3 and 9. Runs through the unified `Scenario` → packet
 /// backend path.
 pub fn elephant_dumbbell(spec: &MicrobenchSpec) -> ElephantResult {
-    let report = PacketBackend.run(&spec.scenario());
+    let report = PacketBackend::default().run(&spec.scenario());
     ElephantResult::from_report(spec, &report)
 }
 
@@ -283,7 +283,7 @@ pub struct HopCongestionResult {
 /// Flow 0 runs from switch 0; flow 1 joins at `spec.join_at_us` attached at
 /// the congestion switch.
 pub fn hop_congestion(loc: HopLocation, spec: &MicrobenchSpec) -> HopCongestionResult {
-    let report = PacketBackend.run(&spec.scenario_at(loc));
+    let report = PacketBackend::default().run(&spec.scenario_at(loc));
     HopCongestionResult {
         cc: spec.cc,
         location: loc,
@@ -345,7 +345,7 @@ pub fn staircase_scenario(cc: CcKind, n: u32, interval: TimeDelta, seed: u64) ->
 /// leave in join order (Fig. 13e; the paper uses 100 ms intervals — pass a
 /// compressed interval for cheap runs; the dynamics are interval-invariant).
 pub fn fairness_staircase(cc: CcKind, n: u32, interval: TimeDelta, seed: u64) -> FairnessResult {
-    let report = PacketBackend.run(&staircase_scenario(cc, n, interval, seed));
+    let report = PacketBackend::default().run(&staircase_scenario(cc, n, interval, seed));
     let jain_per_period: Vec<f64> = (0..)
         .map(|p| report.scalar(&format!("jain_p{p}")))
         .take_while(Option::is_some)
@@ -462,7 +462,7 @@ impl WorkloadResult {
 /// §5.5: Poisson arrivals from the chosen trace on a k-ary fat-tree with
 /// symmetric ECMP; reports FCT-slowdown statistics per flow-size bucket.
 pub fn fattree_workload(spec: &WorkloadSpec) -> WorkloadResult {
-    let report = PacketBackend.run(&spec.scenario());
+    let report = PacketBackend::default().run(&spec.scenario());
     WorkloadResult::from_report(spec, &report)
 }
 

@@ -124,6 +124,10 @@ impl ShardedSim {
             .map(|s| builder.clone().partition(map.clone(), slot(s)).build())
             .collect();
         shards.push(builder.partition(map.clone(), slot(n - 1)).build());
+        // Shard 0 alone speaks for the run on the `--progress` line.
+        for s in &mut shards[1..] {
+            s.eng.mute_progress();
+        }
         let n = shards.len();
         let threads = threads.clamp(1, n);
         let assign = (0..n).map(|s| s % threads).collect();

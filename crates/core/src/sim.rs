@@ -1,7 +1,7 @@
 //! The simulation builder: topology + CC scheme + flows → runnable [`Sim`].
 
 use fncc_cc::{CcAlgo, CcKind};
-use fncc_des::engine::{Engine, RunOutcome};
+use fncc_des::engine::{Engine, QueueKind, RunOutcome};
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::config::FabricConfig;
 use fncc_net::fabric::{Ev, Fabric, ShardCtx};
@@ -34,6 +34,7 @@ pub struct SimBuilder {
     trace: bool,
     recovery: Option<RecoveryConfig>,
     partition: Option<(Arc<PartitionMap>, Option<u16>)>,
+    queue: QueueKind,
 }
 
 impl SimBuilder {
@@ -65,6 +66,7 @@ impl SimBuilder {
             trace: false,
             recovery: None,
             partition: None,
+            queue: QueueKind::Wheel,
         }
     }
 
@@ -129,6 +131,13 @@ impl SimBuilder {
     /// retransmission-timer events (and their goldens byte-identical).
     pub fn recovery(mut self, rec: Option<RecoveryConfig>) -> Self {
         self.recovery = rec;
+        self
+    }
+
+    /// The event queue every replica's engine runs on: the timing wheel
+    /// unless an equivalence test asks for [`QueueKind::Heap`], the oracle.
+    pub fn queue(mut self, kind: QueueKind) -> Self {
+        self.queue = kind;
         self
     }
 
@@ -239,7 +248,7 @@ impl SimBuilder {
             }
         }
 
-        let mut eng = Engine::new(fabric);
+        let mut eng = Engine::with_queue(fabric, self.queue);
         // Startup events carry their per-item ordering domain, exactly as
         // the dispatch loop will tag their follow-ups — a shard replica
         // schedules its (filtered) subset in the same relative order as the

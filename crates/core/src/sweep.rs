@@ -12,7 +12,7 @@ use std::sync::Mutex;
 /// written through its own slot, so workers never contend on a shared
 /// results container (the previous design serialized every hand-off
 /// through one `Mutex<Vec<Option<T>>>` — measurably slower with thousands
-/// of sub-millisecond jobs, see `benches/sweep.rs`).
+/// of sub-millisecond jobs).
 pub fn run_parallel<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
 where
     T: Send,

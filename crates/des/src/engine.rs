@@ -7,11 +7,11 @@
 //! engine drains those into the queue after each dispatch.
 //!
 //! Two event-queue implementations share identical `(time, prio, seq)`
-//! dispatch semantics (see [`QueueKind`]): the default hierarchical timing wheel
-//! (O(1) amortized push/pop — see [`crate::wheel`]) and the classic
-//! `BinaryHeap`, kept as the reference oracle for equivalence tests and
-//! benchmarks. Select with [`Engine::with_queue`] or the `FNCC_DES_SCHED`
-//! environment variable (`wheel`/`heap`).
+//! dispatch semantics (see [`QueueKind`]): the hierarchical timing wheel
+//! every [`Engine::new`] runs on (O(1) amortized push/pop — see
+//! [`crate::wheel`]) and the classic `BinaryHeap`, kept as the reference
+//! oracle for equivalence tests and benchmarks, which ask for it through
+//! [`Engine::with_queue`].
 
 use crate::time::{SimTime, TimeDelta};
 use crate::wheel::{Entry, TimingWheel};
@@ -139,17 +139,6 @@ pub enum QueueKind {
     Heap,
 }
 
-impl QueueKind {
-    /// Resolve from the `FNCC_DES_SCHED` environment variable
-    /// (`heap` selects the oracle; anything else, or unset, the wheel).
-    pub fn from_env() -> QueueKind {
-        match std::env::var("FNCC_DES_SCHED") {
-            Ok(v) if v.eq_ignore_ascii_case("heap") => QueueKind::Heap,
-            _ => QueueKind::Wheel,
-        }
-    }
-}
-
 enum EventQueue<E> {
     Wheel(TimingWheel<E>),
     Heap(BinaryHeap<Entry<E>>),
@@ -274,7 +263,8 @@ pub struct Engine<M: Model> {
     ph_pop: PhaseId,
     ph_dispatch: PhaseId,
     ph_push: PhaseId,
-    /// Heartbeat line for long runs; `Some` iff `FNCC_PROGRESS` is set.
+    /// Heartbeat line for long runs; `Some` iff `FNCC_PROGRESS` was set at
+    /// construction and [`Engine::mute_progress`] has not been called.
     progress: Option<Progress>,
     /// Events scheduled via [`Scheduler::remote`], awaiting epoch exchange.
     outbox: Vec<Outbound<M::Event>>,
@@ -284,10 +274,9 @@ pub struct Engine<M: Model> {
 }
 
 impl<M: Model> Engine<M> {
-    /// Create an engine at t = 0 around `model`, using the queue kind from
-    /// the environment ([`QueueKind::from_env`]; default: timing wheel).
+    /// Create an engine at t = 0 around `model` on the timing wheel.
     pub fn new(model: M) -> Self {
-        Self::with_queue(model, QueueKind::from_env())
+        Self::with_queue(model, QueueKind::Wheel)
     }
 
     /// Create an engine with an explicit event-queue implementation.
@@ -334,6 +323,12 @@ impl<M: Model> Engine<M> {
     /// [`Scheduler`] handle they are passed.
     pub fn set_domain(&mut self, d: u16) {
         self.sched.domain = d;
+    }
+
+    /// Switch the `FNCC_PROGRESS` heartbeat off for this engine. A sharded
+    /// run keeps it on one replica only, so its lines do not interleave.
+    pub fn mute_progress(&mut self) {
+        self.progress = None;
     }
 
     /// The outbox of cross-shard events emitted since it was last drained.
@@ -466,7 +461,7 @@ impl<M: Model> Engine<M> {
             }
             self.step();
             if self.progress.is_some() && self.events_processed.is_multiple_of(PROGRESS_EVERY) {
-                self.heartbeat(horizon);
+                self.heartbeat();
             }
         };
         if let Some(p) = &mut self.progress {
@@ -485,9 +480,10 @@ impl<M: Model> Engine<M> {
     }
 
     /// Emit the `FNCC_PROGRESS` heartbeat (at most once per second): events
-    /// processed, wall event rate, simulated time, and — when the horizon is
-    /// finite — the ETA extrapolated from sim-time progress so far.
-    fn heartbeat(&mut self, horizon: SimTime) {
+    /// processed, wall event rate and simulated time. No ETA: the horizon a
+    /// `run_until` call sees is the caller's next chunk, epoch or sync, never
+    /// the run's stop condition.
+    fn heartbeat(&mut self) {
         let Some(p) = &mut self.progress else {
             return;
         };
@@ -499,15 +495,9 @@ impl<M: Model> Engine<M> {
         let wall = p.started.elapsed().as_secs_f64();
         let rate = self.events_processed as f64 / wall.max(1e-9);
         let sim_us = self.time.as_ps() as f64 / 1e6;
-        let eta = if horizon < SimTime::MAX && self.time.as_ps() > 0 {
-            let frac = self.time.as_ps() as f64 / horizon.as_ps() as f64;
-            format!("{:.0}s", wall * (1.0 - frac).max(0.0) / frac.max(1e-9))
-        } else {
-            "?".to_string()
-        };
         eprint!(
-            "\r[fncc] {:>12} events  {:>10.0} ev/s  sim {:>10.1} us  eta {:<8}",
-            self.events_processed, rate, sim_us, eta
+            "\r[fncc] {:>12} events  {:>10.0} ev/s  sim {:>10.1} us",
+            self.events_processed, rate, sim_us
         );
     }
 
@@ -678,9 +668,13 @@ mod tests {
     }
 
     /// Every ordering test above, replayed against the heap oracle: the two
-    /// queue kinds must dispatch identically.
+    /// queue kinds must dispatch identically. `Engine::new` takes no queue
+    /// kind from anywhere: it is the wheel.
     #[test]
     fn heap_oracle_matches_wheel_on_mixed_schedule() {
+        assert!(Engine::new(recorder()).wheel_cascades().is_some());
+        let oracle = Engine::with_queue(recorder(), QueueKind::Heap);
+        assert!(oracle.wheel_cascades().is_none());
         let run = |kind: QueueKind| {
             let mut eng = Engine::with_queue(recorder(), kind);
             eng.model.chain = vec![

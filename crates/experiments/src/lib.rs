@@ -7,7 +7,6 @@
 //! dispatches to them; see `DESIGN.md` for the experiment index.
 
 pub mod ablation;
-pub mod benchdes;
 pub mod calibrate;
 pub mod figs;
 pub mod inspect;
@@ -21,11 +20,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A counting wrapper around the system allocator: one relaxed increment
-/// per allocation, so `bench-des` can report allocation counts. The
-/// overhead is unmeasurable next to the allocation itself. Registered as
-/// `#[global_allocator]` by the `fncc-repro` binary only — library
-/// consumers (e.g. the criterion benches) keep the plain system
-/// allocator, and `alloc_count` simply stays at 0 there.
+/// per allocation, so the repo benchmark (`perfbench/`) can report
+/// `net.allocs_per_kevent`. The overhead is unmeasurable next to the
+/// allocation itself. Registered as `#[global_allocator]` by the
+/// `fncc-repro` and `fncc-bench` binaries only — library consumers keep
+/// the plain system allocator, and `alloc_count` simply stays at 0 there.
 pub struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -62,8 +61,7 @@ pub struct RunOpts {
     /// Worker threads for multi-run experiments.
     pub threads: usize,
     /// Explicit `--threads` value, when given. `run` forwards it to the
-    /// packet backend's sharded DES runtime (`Scenario::threads`), and
-    /// `bench-des` adds a core-scaling series at this worker count.
+    /// packet backend's sharded DES runtime (`Scenario::threads`).
     /// `None` (no flag) keeps every scenario on one replica
     /// (`threads: 0`).
     pub sim_threads: Option<u32>,

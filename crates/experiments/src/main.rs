@@ -9,11 +9,10 @@
 //! fncc-repro inspect ARTIFACT… [--flow N] [--top K]
 //!
 //! experiments: fig1a fig1 fig2 fig3 paths fig9 fig12 fig13 fig13e fig14
-//!              fig15 ablate storm load-sweep extra-cc bench-des
-//!              bench-hybrid calibrate check all
+//!              fig15 ablate storm load-sweep extra-cc calibrate check all
 //!              (default: all; `all` runs each paper experiment once —
 //!              `storm` is already part of `ablate`, and the maintenance
-//!              verbs `bench-des`/`calibrate` only run when named)
+//!              verb `calibrate` only runs when named)
 //!
 //! `--backend fluid` swaps the packet DES for the flow-level fast path in
 //! the workload experiments (fig14, fig15, load-sweep) and in `run` —
@@ -33,13 +32,14 @@
 //! ```
 
 use fncc_experiments::{
-    ablation, benchdes, calibrate, figs, inspect, scorecard, workload_figs, RunOpts, Scale,
+    ablation, calibrate, figs, inspect, scorecard, workload_figs, RunOpts, Scale,
 };
 use std::path::PathBuf;
 use std::time::Instant;
 
-// Count allocations binary-wide so `bench-des` can report them; library
-// consumers of fncc-experiments are not affected.
+// The allocator the repo benchmark (`perfbench/`) installs to read
+// `net.allocs_per_kevent`, so what it times is built the way this binary
+// ships; library consumers of fncc-experiments are not affected.
 #[global_allocator]
 static GLOBAL: fncc_experiments::CountingAlloc = fncc_experiments::CountingAlloc;
 
@@ -55,8 +55,7 @@ fn usage() -> ! {
          [--trace] [--threads N] [--progress]\n\
          \x20      fncc-repro inspect ARTIFACT... [--flow N] [--top K]\n\
          experiments: fig1a fig1 fig2 fig3 paths fig9 fig12 fig13 fig13e \
-         fig14 fig15 ablate storm load-sweep extra-cc bench-des bench-hybrid \
-         calibrate check all\n\
+         fig14 fig15 ablate storm load-sweep extra-cc calibrate check all\n\
          schemes (scenario `cc` field, case-insensitive): {}",
         schemes.join(" ")
     );
@@ -75,8 +74,7 @@ fn main() {
             "--full" => opts.scale = Scale::Full,
             "--threads" => {
                 // One flag, two consumers: job-pool width for multi-run
-                // experiments, and the sharded-DES worker count for `run`
-                // and the `bench-des` scaling series.
+                // experiments, and the sharded-DES worker count for `run`.
                 let n: usize = args
                     .next()
                     .and_then(|s| s.parse().ok())
@@ -235,8 +233,6 @@ fn run_one(exp: &str, opts: &RunOpts) {
             ablation::pause_storm(opts);
         }
         "storm" => ablation::pause_storm(opts),
-        "bench-des" => benchdes::bench_des(opts),
-        "bench-hybrid" => benchdes::bench_hybrid(opts),
         "calibrate" => {
             calibrate::calibrate(opts);
         }

@@ -7,14 +7,12 @@
 //! report field.
 
 use fncc::core::scenario::FaultSpec;
-use fncc::core::{run_scenario, Scenario, SimBackend, StopCondition, TopologySpec, TrafficSpec};
+use fncc::core::{
+    run_scenario, Backend, PacketBackend, Scenario, SimBackend, StopCondition, TopologySpec,
+    TrafficSpec,
+};
+use fncc::des::engine::QueueKind;
 use fncc_cc::CcKind;
-use std::sync::Mutex;
-
-/// Both tests in this binary read (and one mutates) the process-wide
-/// `FNCC_DES_SCHED` variable; concurrent setenv/getenv is undefined
-/// behavior on glibc, so every test takes this lock for its full body.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn scenario() -> Scenario {
     let mut sc = Scenario::new(
@@ -34,7 +32,7 @@ fn scenario() -> Scenario {
     sc
 }
 
-/// Serialize a report with the wall-clock scalar removed.
+/// Serialize the wheel's report with the wall-clock scalar removed.
 fn stable_json(sc: &Scenario) -> String {
     let mut report = run_scenario(sc, SimBackend::Packet);
     report.scalars.retain(|(k, _)| k != "events_per_sec");
@@ -45,8 +43,8 @@ fn stable_json(sc: &Scenario) -> String {
 /// exists only when the timing wheel is the event queue, so the
 /// cross-scheduler invariant pins the *measurements*, not the scheduler's
 /// own introspection counters.
-fn scheduler_neutral_json(sc: &Scenario) -> String {
-    let mut report = run_scenario(sc, SimBackend::Packet);
+fn scheduler_neutral_json(sc: &Scenario, queue: QueueKind) -> String {
+    let mut report = PacketBackend { queue }.run(sc);
     report
         .scalars
         .retain(|(k, _)| k != "events_per_sec" && !k.starts_with("wheel_cascades_"));
@@ -55,17 +53,13 @@ fn scheduler_neutral_json(sc: &Scenario) -> String {
 
 #[test]
 fn identical_runs_and_schedulers_yield_identical_reports() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let sc = scenario();
-    std::env::remove_var("FNCC_DES_SCHED");
     let wheel_a = stable_json(&sc);
     let wheel_b = stable_json(&sc);
     assert_eq!(wheel_a, wheel_b, "same scenario+seed, same scheduler");
 
-    let wheel_neutral = scheduler_neutral_json(&sc);
-    std::env::set_var("FNCC_DES_SCHED", "heap");
-    let heap = scheduler_neutral_json(&sc);
-    std::env::remove_var("FNCC_DES_SCHED");
+    let wheel_neutral = scheduler_neutral_json(&sc, QueueKind::Wheel);
+    let heap = scheduler_neutral_json(&sc, QueueKind::Heap);
     assert_eq!(wheel_neutral, heap, "wheel vs heap reference scheduler");
 }
 
@@ -99,9 +93,7 @@ fn faulted_scenario() -> Scenario {
 
 #[test]
 fn fault_injection_is_deterministic_across_runs_and_schedulers() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let sc = faulted_scenario();
-    std::env::remove_var("FNCC_DES_SCHED");
     let wheel_a = stable_json(&sc);
     let wheel_b = stable_json(&sc);
     assert_eq!(wheel_a, wheel_b, "faulted scenario+seed, same scheduler");
@@ -110,32 +102,26 @@ fn fault_injection_is_deterministic_across_runs_and_schedulers() {
         "fault scalars missing from the report"
     );
 
-    let wheel_neutral = scheduler_neutral_json(&sc);
-    std::env::set_var("FNCC_DES_SCHED", "heap");
-    let heap = scheduler_neutral_json(&sc);
-    std::env::remove_var("FNCC_DES_SCHED");
+    let wheel_neutral = scheduler_neutral_json(&sc, QueueKind::Wheel);
+    let heap = scheduler_neutral_json(&sc, QueueKind::Heap);
     assert_eq!(wheel_neutral, heap, "faulted run: wheel vs heap scheduler");
 }
 
 /// The scheduler oracle in sharded mode: with `threads >= 1` every shard
-/// replica picks up `FNCC_DES_SCHED` independently, so this pins the
+/// replica is built on the backend's queue kind, so this pins the
 /// per-shard wheels to the per-shard heap references — and the sharded
 /// runtime to itself across runs — on both the lossless and the faulted
 /// probe.
 #[test]
 fn sharded_runs_are_deterministic_across_runs_and_schedulers() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for mut sc in [scenario(), faulted_scenario()] {
         sc.threads = 2;
-        std::env::remove_var("FNCC_DES_SCHED");
         let wheel_a = stable_json(&sc);
         let wheel_b = stable_json(&sc);
         assert_eq!(wheel_a, wheel_b, "{}: sharded run-to-run", sc.name);
 
-        let wheel_neutral = scheduler_neutral_json(&sc);
-        std::env::set_var("FNCC_DES_SCHED", "heap");
-        let heap = scheduler_neutral_json(&sc);
-        std::env::remove_var("FNCC_DES_SCHED");
+        let wheel_neutral = scheduler_neutral_json(&sc, QueueKind::Wheel);
+        let heap = scheduler_neutral_json(&sc, QueueKind::Heap);
         assert_eq!(
             wheel_neutral, heap,
             "{}: sharded wheel vs heap scheduler",
@@ -146,7 +132,6 @@ fn sharded_runs_are_deterministic_across_runs_and_schedulers() {
 
 #[test]
 fn engine_health_scalars_are_reported() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut sc = scenario();
     sc.seeds = vec![7];
     let report = run_scenario(&sc, SimBackend::Packet);
