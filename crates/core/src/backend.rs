@@ -714,79 +714,44 @@ impl FluidBackend {
 /// link for its duration (`1e-6` of capacity — not zero, so the fluid
 /// zero-rate guard still catches genuinely broken scenarios).
 fn fluid_capacity_events(sc: &Scenario) -> Vec<CapacityEvent> {
-    let ev = |at_us: u64, switch: u32, port: u8, change: CapacityChange| CapacityEvent {
-        at: SimTime::from_us(at_us),
-        switch: SwitchId(switch),
-        port,
-        change,
-    };
     let mut out = Vec::new();
     for f in &sc.faults {
+        let (switch, port) = f.location();
+        let mut ev = |at_us: u64, change: CapacityChange| {
+            out.push(CapacityEvent {
+                at: SimTime::from_us(at_us),
+                switch: SwitchId(switch),
+                port,
+                change,
+            })
+        };
         match *f {
-            FaultSpec::LinkDown {
-                switch,
-                port,
-                at_us,
-            } => {
-                out.push(ev(at_us, switch, port, CapacityChange::Down));
-            }
-            FaultSpec::LinkUp {
-                switch,
-                port,
-                at_us,
-            } => {
-                out.push(ev(at_us, switch, port, CapacityChange::Up));
-            }
+            FaultSpec::LinkDown { at_us, .. } => ev(at_us, CapacityChange::Down),
+            FaultSpec::LinkUp { at_us, .. } => ev(at_us, CapacityChange::Up),
             FaultSpec::LinkDegrade {
-                switch,
-                port,
                 from_us,
                 to_us,
                 rate_factor,
                 ..
             } => {
-                out.push(ev(
-                    from_us,
-                    switch,
-                    port,
-                    CapacityChange::Scale(rate_factor),
-                ));
-                out.push(ev(
-                    to_us,
-                    switch,
-                    port,
-                    CapacityChange::Scale(1.0 / rate_factor),
-                ));
+                ev(from_us, CapacityChange::Scale(rate_factor));
+                ev(to_us, CapacityChange::Scale(1.0 / rate_factor));
             }
             FaultSpec::RandomLoss {
-                switch,
-                port,
                 from_us,
                 to_us,
                 probability,
+                ..
             } => {
                 let p = probability.min(0.999_999);
-                out.push(ev(from_us, switch, port, CapacityChange::Scale(1.0 - p)));
-                out.push(ev(
-                    to_us,
-                    switch,
-                    port,
-                    CapacityChange::Scale(1.0 / (1.0 - p)),
-                ));
+                ev(from_us, CapacityChange::Scale(1.0 - p));
+                ev(to_us, CapacityChange::Scale(1.0 / (1.0 - p)));
             }
             FaultSpec::StuckPort {
-                switch,
-                port,
-                at_us,
-                duration_us,
+                at_us, duration_us, ..
             } => {
-                out.push(ev(at_us, switch, port, CapacityChange::Scale(1e-6)));
-                out.push(ev(
-                    at_us + duration_us,
-                    switch,
-                    port,
-                    CapacityChange::Scale(1e6),
-                ));
+                ev(at_us, CapacityChange::Scale(1e-6));
+                ev(at_us + duration_us, CapacityChange::Scale(1e6));
             }
         }
     }

@@ -1106,6 +1106,21 @@ impl Scenario {
             })
         };
 
+        // Optional fields: absent takes the default (0 / false unless
+        // given); present but mistyped or out of range is an error.
+        let opt_u64 = |o: &Json, key: &str, default: u64| -> Result<u64, String> {
+            o.get(key).map_or(Ok(default), |_| u64_field(o, key))
+        };
+        let opt_u32 = |o: &Json, key: &str| -> Result<u32, String> {
+            o.get(key).map_or(Ok(0), |_| u32_field(o, key))
+        };
+        let opt_bool = |o: &Json, key: &str| -> Result<bool, String> {
+            o.get(key).map_or(Ok(false), |x| {
+                x.as_bool()
+                    .ok_or_else(|| format!("non-boolean field '{key}'"))
+            })
+        };
+
         let name = str_field(&v, "name")?;
 
         let t = v.get("topology").ok_or("missing 'topology'")?;
@@ -1190,14 +1205,12 @@ impl Scenario {
         let overrides = match v.get("overrides") {
             None => CcOverrides::default(),
             Some(o) => CcOverrides {
-                disable_lhcs: o
-                    .get("disable_lhcs")
-                    .and_then(|x| x.as_bool())
-                    .unwrap_or(false),
-                int_refresh_us: o
-                    .get("int_refresh_us")
-                    .and_then(|x| x.as_u64())
-                    .unwrap_or(CcOverrides::default().int_refresh_us),
+                disable_lhcs: opt_bool(o, "disable_lhcs")?,
+                int_refresh_us: opt_u64(
+                    o,
+                    "int_refresh_us",
+                    CcOverrides::default().int_refresh_us,
+                )?,
                 calibration: match o.get("calibration") {
                     None => None,
                     Some(c) => Some(crate::calibration::set_from_json(c)?),
@@ -1208,14 +1221,11 @@ impl Scenario {
         let probes = match v.get("probes") {
             None => ProbeSpec::default(),
             Some(p) => ProbeSpec {
-                sample_ns: p.get("sample_ns").and_then(|x| x.as_u64()).unwrap_or(0),
-                congestion_point: p
-                    .get("congestion_point")
-                    .and_then(|x| x.as_bool())
-                    .unwrap_or(false),
-                flow_rates: p.get("flow_rates").and_then(|x| x.as_u64()).unwrap_or(0) as u32,
-                cc_rates: p.get("cc_rates").and_then(|x| x.as_u64()).unwrap_or(0) as u32,
-                trace: p.get("trace").and_then(|x| x.as_bool()).unwrap_or(false),
+                sample_ns: opt_u64(p, "sample_ns", 0)?,
+                congestion_point: opt_bool(p, "congestion_point")?,
+                flow_rates: opt_u32(p, "flow_rates")?,
+                cc_rates: opt_u32(p, "cc_rates")?,
+                trace: opt_bool(p, "trace")?,
             },
         };
 
@@ -1350,7 +1360,7 @@ impl Scenario {
             }
         };
 
-        let threads = v.get("threads").and_then(|x| x.as_u64()).unwrap_or(0) as u32;
+        let threads = opt_u32(&v, "threads")?;
 
         let sc = Scenario {
             name,
@@ -2045,6 +2055,30 @@ mod tests {
                 "traffic":{"kind":"elephants","join_at_us":1},"cc":"quic"}"#
         )
         .is_err());
+        // An optional field that is present but mistyped or out of range
+        // is an error, not a silent default (absent still defaults).
+        let with = |extra: &str| {
+            Scenario::from_json(&format!(
+                r#"{{"name":"x","topology":{{"kind":"star","hosts":4}},
+                    "traffic":{{"kind":"elephants","join_at_us":1}},"cc":"fncc"{extra}}}"#
+            ))
+        };
+        assert_eq!(with("").unwrap().threads, 0);
+        assert_eq!(with(r#","threads":2"#).unwrap().threads, 2);
+        for bad in [
+            r#","threads":2.5"#,
+            r#","threads":-1"#,
+            r#","threads":"two""#,
+            r#","threads":4294967297"#,
+            r#","probes":{"flow_rates":4294967297}"#,
+            r#","probes":{"cc_rates":-3}"#,
+            r#","probes":{"sample_ns":0.5}"#,
+            r#","probes":{"trace":"yes"}"#,
+            r#","overrides":{"int_refresh_us":1.5}"#,
+            r#","overrides":{"disable_lhcs":1}"#,
+        ] {
+            assert!(with(bad).is_err(), "accepted {bad}");
+        }
     }
 
     fn hybrid_sample() -> Scenario {

@@ -19,6 +19,13 @@
 //! shared scenarios by the cross-validation suite in the workspace's
 //! `tests/` directory.
 //!
+//! One event loop serves every caller: [`BackgroundFluid`] steps the
+//! model an event instant at a time (the hybrid co-simulation interleaves
+//! it with a packet DES and feeds foreground load back through
+//! [`BackgroundFluid::reserve`]), and [`FluidSim`] is the builder that
+//! runs the same engine to completion. See the [`sim`] module docs for
+//! when the loop re-solves.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -39,16 +46,16 @@
 //! println!("mean slowdown: {:.2}", result.mean_slowdown(&topo, Default::default()));
 //! ```
 
-pub mod coupler;
 pub mod link;
 pub mod maxmin;
 pub mod model;
 pub mod sim;
 
-pub use coupler::BackgroundFluid;
 pub use link::LinkMap;
 pub use maxmin::{
     find_non_pareto_flow, water_fill, worst_oversubscription, Demand, Rebalance, WaterFiller,
 };
 pub use model::{Calibration, CalibrationSet, DurationEta, RateModel};
-pub use sim::{CapacityChange, CapacityEvent, FluidError, FluidResult, FluidSim, Framing};
+pub use sim::{
+    BackgroundFluid, CapacityChange, CapacityEvent, FluidError, FluidResult, FluidSim, Framing,
+};

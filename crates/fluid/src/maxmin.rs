@@ -16,7 +16,7 @@
 //! operations instead of the naive `O(rounds · links)` rescans.
 //!
 //! [`WaterFiller`] owns scratch buffers so the per-event hot path in
-//! [`crate::sim::FluidSim`] allocates nothing; the free function
+//! [`crate::sim::BackgroundFluid`] allocates nothing; the free function
 //! [`water_fill`] is the convenient one-shot wrapper used by tests.
 //!
 //! # Incremental mode
@@ -755,12 +755,6 @@ impl WaterFiller {
     #[inline]
     pub fn n_active(&self) -> usize {
         self.n_alive
-    }
-
-    /// Alive flows currently crossing link `l` (incremental mode).
-    #[inline]
-    pub fn link_flow_count(&self, l: u32) -> u32 {
-        self.link_list[l as usize].len() as u32
     }
 
     /// Slots of the alive flows currently crossing link `l` (incremental

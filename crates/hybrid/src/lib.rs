@@ -37,7 +37,7 @@
 //!   re-solve — the incast fast path.
 //!
 //! Newborn flows on both halves phase their fair-share entitlement in
-//! over [`HybridConfig::ramp_rtts`]: a flow that just started holds its
+//! over `RAMP_RTTS` base-RTTs: a flow that just started holds its
 //! initial window, not its converged max-min share, and the coupling
 //! must not hand it one. The same ramp (from a floor of zero) governs
 //! how fast a newborn's standing-queue contribution builds.
@@ -61,32 +61,43 @@ use fncc_transport::{
     apply_cc_features, make_algo, DcHost, FlowSpec, HostTimer, RecoveryConfig, TransportConfig,
 };
 
+/// Maximum interval between fluid↔packet synchronizations. Fluid
+/// events (arrivals/finishes) always force a boundary; this cap
+/// bounds how stale a reservation or residual can get between them.
+const MAX_SYNC: TimeDelta = TimeDelta::from_us(100);
+
+/// Relative hysteresis on foreground-throughput reservations: a
+/// link's reservation is only re-pushed when the measured load moved
+/// by more than this fraction of the link's raw bandwidth (and its
+/// shadow backlog when it moved by this fraction of the full depth).
+/// Damps solver churn from packet-scale rate jitter.
+const HYSTERESIS: f64 = 0.02;
+
+/// Cumulative-ACK granularity for the foreground transport (§3.2.3's
+/// `m`).
+const ACK_EVERY: u32 = 1;
+
+/// Fair-share ramp length in base-RTTs. A packet flow does not claim
+/// its converged max-min share at birth — it climbs through window
+/// growth and an already-built standing queue. Both halves' flows
+/// therefore phase their *entitlement weight* in linearly over this
+/// many RTTs when the coupling splits a shared link.
+const RAMP_RTTS: f64 = 4.0;
+
+/// Entitlement weight a flow holds at birth (fraction of its mature
+/// weight); the linear ramp runs from this floor up to 1.
+const RAMP_FLOOR: f64 = 0.25;
+
+/// Subtracted from the scheme's `queue_rtts` before sizing the shadow
+/// queue (clamped at zero). Useful with `residual_cap`: the shallow
+/// part of a standing queue is already implied by the drain-rate
+/// cap, so only the excess depth needs shadowing.
+const SHADOW_OFFSET_RTTS: f64 = 0.0;
+
 /// Knobs for the coupling loop. The defaults match the paper-default
 /// packet fabric; scenarios normally only toggle `trace`.
 #[derive(Debug, Clone, Copy)]
 pub struct HybridConfig {
-    /// Maximum interval between fluid↔packet synchronizations. Fluid
-    /// events (arrivals/finishes) always force a boundary; this cap
-    /// bounds how stale a reservation or residual can get between them.
-    pub max_sync: TimeDelta,
-    /// Relative hysteresis on foreground-throughput reservations: a
-    /// link's reservation is only re-pushed when the measured load moved
-    /// by more than this fraction of the link's raw bandwidth. Damps
-    /// solver churn from packet-scale rate jitter.
-    pub hysteresis: f64,
-    /// Cumulative-ACK granularity for the foreground transport (§3.2.3's
-    /// `m`).
-    pub ack_every: u32,
-    /// Fair-share ramp length in base-RTTs. A packet flow does not claim
-    /// its converged max-min share at birth — it climbs through window
-    /// growth and an already-built standing queue. Both halves' flows
-    /// therefore phase their *entitlement weight* in linearly over this
-    /// many RTTs when the coupling splits a shared link; `0` disables the
-    /// ramp (instant fair share).
-    pub ramp_rtts: f64,
-    /// Entitlement weight a flow holds at birth (fraction of its mature
-    /// weight); the linear ramp runs from this floor up to 1.
-    pub ramp_floor: f64,
     /// Scale on the background's *shadow queue*: the standing queue the
     /// background would hold on a contended link
     /// (`queue_rtts · base_rtt · capacity`, from the calibrated
@@ -98,11 +109,6 @@ pub struct HybridConfig {
     /// marks, RoCC rate advertisements and inflated RTT. `0` disables
     /// the shadow queue.
     pub shadow_queue: f64,
-    /// Subtracted from the scheme's `queue_rtts` before sizing the shadow
-    /// queue (clamped at zero). Useful with `residual_cap`: the shallow
-    /// part of a standing queue is already implied by the drain-rate
-    /// cap, so only the excess depth needs shadowing.
-    pub shadow_offset_rtts: f64,
     /// Push residual-capacity caps onto DES ports (the hard bandwidth
     /// side of the fluid→packet coupling). Off by default: with the
     /// shadow queue active, a hard cap double-counts the background's
@@ -120,13 +126,7 @@ pub struct HybridConfig {
 impl Default for HybridConfig {
     fn default() -> Self {
         HybridConfig {
-            max_sync: TimeDelta::from_us(100),
-            hysteresis: 0.02,
-            ack_every: 1,
-            ramp_rtts: 4.0,
-            ramp_floor: 0.25,
             shadow_queue: 1.0,
-            shadow_offset_rtts: 0.0,
             residual_cap: false,
             trace: false,
         }
@@ -203,7 +203,7 @@ pub struct HybridSim {
     /// Scratch: per-`fg_links` age-ramped foreground entitlement weight,
     /// rebuilt at every boundary.
     fg_w: Vec<f64>,
-    /// Entitlement ramp length in seconds (`ramp_rtts · base_rtt`).
+    /// Entitlement ramp length in seconds (`RAMP_RTTS · base_rtt`).
     ramp: f64,
     /// The background's full-contention standing-queue delay in seconds
     /// (`queue_rtts · base_rtt · shadow_queue`, from the calibrated rate
@@ -278,14 +278,14 @@ impl HybridSim {
         let cc = make_algo(kind, line, base_rtt);
         let framing = Framing::from(&fabric_cfg);
 
-        let queue_debt = (model.queue_rtts - cfg.shadow_offset_rtts).max(0.0)
+        let queue_debt = (model.queue_rtts - SHADOW_OFFSET_RTTS).max(0.0)
             * base_rtt.as_secs_f64()
             * cfg.shadow_queue
             * newcomer_queue_scale(kind);
         let mut bg = BackgroundFluid::new(topo.clone(), model, framing, background, cfg.trace)?;
         bg.capacity_events(bg_faults);
 
-        let mut tcfg = TransportConfig::new(cc).with_ack_every(cfg.ack_every);
+        let mut tcfg = TransportConfig::new(cc).with_ack_every(ACK_EVERY);
         tcfg.recovery = recovery;
         let hosts: Vec<DcHost> = (0..topo.n_hosts)
             .map(|_| DcHost::new(tcfg.clone()))
@@ -352,7 +352,7 @@ impl HybridSim {
         }
 
         let fg_w = vec![0.0; fg_links.len()];
-        let ramp = cfg.ramp_rtts * base_rtt.as_secs_f64();
+        let ramp = RAMP_RTTS * base_rtt.as_secs_f64();
         Ok(HybridSim {
             eng,
             bg,
@@ -427,7 +427,7 @@ impl HybridSim {
 
     /// Co-advance both halves to `horizon`. Synchronization boundaries
     /// fall on every fluid event (background arrival or finish) and on
-    /// every foreground flow start, capped at [`HybridConfig::max_sync`];
+    /// every foreground flow start, capped at `MAX_SYNC`;
     /// the final boundary lands exactly on `horizon`. Errors out only if
     /// the fluid half starves (zero-rate background flow), leaving the
     /// clock at the last good boundary.
@@ -439,7 +439,7 @@ impl HybridSim {
         }
         let mut cursor = self.last_sync;
         while cursor < horizon {
-            let mut t_next = (cursor + self.cfg.max_sync).min(horizon);
+            let mut t_next = (cursor + MAX_SYNC).min(horizon);
             if let Some(fe) = self.bg.next_event() {
                 let fe = SimTime::ZERO + TimeDelta::from_secs_f64(fe);
                 if fe > cursor && fe < t_next {
@@ -496,8 +496,8 @@ impl HybridSim {
     ///    measured foreground throughput since the last boundary, capped
     ///    at the foreground's max-min entitlement
     ///    `raw · w_fg / (w_fg + w_bg)` where both weights are the
-    ///    age-ramped flow counts ([`HybridConfig::ramp_rtts`]): a flow's
-    ///    claim phases in from `ramp_floor` to 1 over the ramp, so
+    ///    age-ramped flow counts (`RAMP_RTTS`): a flow's
+    ///    claim phases in from `RAMP_FLOOR` to 1 over the ramp, so
     ///    newcomers on either side displace incumbents gradually — the
     ///    way window growth and standing queues make them in the packet
     ///    fabric — instead of snapping to the converged fair share
@@ -549,11 +549,7 @@ impl HybridSim {
         }
         for &s in &self.fg_active {
             let age = (t - self.fg_specs[s as usize].start).as_secs_f64();
-            let w = if self.ramp > 0.0 {
-                (self.cfg.ramp_floor + age / self.ramp).min(1.0)
-            } else {
-                1.0
-            };
+            let w = (RAMP_FLOOR + age / self.ramp).min(1.0);
             for &i in &self.fg_flow_links[s as usize] {
                 self.fg_w[i as usize] += w;
             }
@@ -577,7 +573,7 @@ impl HybridSim {
             }
             let w_bg = self
                 .bg
-                .ramped_weight_on(fl.link, now_s, self.ramp, self.cfg.ramp_floor);
+                .ramped_weight_on(fl.link, now_s, self.ramp, RAMP_FLOOR);
             let w_fg = self.fg_w[i];
             let target = if fl.n_fg == 0 {
                 0.0
@@ -620,7 +616,7 @@ impl HybridSim {
                 };
                 let full = self.queue_debt * fl.raw_bps / 8.0;
                 let backlog = (full * bg_frac) as u64;
-                if (backlog as f64 - fl.last_backlog as f64).abs() > self.cfg.hysteresis * full {
+                if (backlog as f64 - fl.last_backlog as f64).abs() > HYSTERESIS * full {
                     self.eng.model.set_port_backlog(fl.node, fl.port, backlog);
                     self.fg_links[i].last_backlog = backlog;
                     n_back += 1;
@@ -637,7 +633,7 @@ impl HybridSim {
                     }
                 }
             }
-            if (target - fl.last_reserved).abs() > self.cfg.hysteresis * fl.raw_bps {
+            if (target - fl.last_reserved).abs() > HYSTERESIS * fl.raw_bps {
                 self.bg.reserve(fl.link, target);
                 self.fg_links[i].last_reserved = target;
                 n_res += 1;
@@ -983,7 +979,6 @@ mod tests {
                 trace: true,
                 residual_cap: true,
                 shadow_queue: 0.0,
-                ..HybridConfig::default()
             },
         )
         .unwrap();
