@@ -1888,8 +1888,20 @@ mod tests {
             seed
         };
         let (mut n_inc, mut n_full, mut n_sb) = (0u64, 0u64, 0u64);
-        for trial in 0..12 {
-            let nl = 8 + (next() % 24) as usize;
+        let (mut n_fleet_inc, mut n_fleet_full) = (0u64, 0u64);
+        for trial in 0..16 {
+            // The last four trials have the hybrid driver's shape: a link
+            // set wide enough that a dozen dirty links stay under the
+            // full-solve threshold, a standing population (thin in the
+            // last trial, so the same batches trip the threshold there),
+            // and events that re-set several capacities together with
+            // adds/removes.
+            let fleet = trial >= 12;
+            let nl = if fleet {
+                160 + (next() % 64) as usize
+            } else {
+                8 + (next() % 24) as usize
+            };
             // A mix of equal capacities (tie-heavy, like uniform fabrics)
             // and random ones (many distinct bottleneck levels).
             let mut caps: Vec<f64> = (0..nl)
@@ -1905,7 +1917,15 @@ mod tests {
             wf.begin_incremental(&caps);
             let mut alive: Vec<(u32, Vec<u32>)> = Vec::new();
             for event in 0..120 {
-                if next() % 8 == 0 {
+                let reservations = fleet && event > 0 && next() % 2 == 0;
+                if reservations {
+                    for _ in 0..2 + next() % 11 {
+                        let l = (next() % nl as u64) as usize;
+                        caps[l] = (1 + next() % 100) as f64;
+                        wf.set_capacity(l as u32, caps[l]);
+                    }
+                }
+                if !fleet && next() % 8 == 0 {
                     // Capacity perturbation (a reservation push): a lone
                     // single-link delta, the fast path's natural shape.
                     let l = (next() % nl as u64) as usize;
@@ -1913,7 +1933,15 @@ mod tests {
                     wf.set_capacity(l as u32, caps[l]);
                 } else {
                     // Batched events now and then; removals at ~40%.
-                    let batch = 1 + (next() % 3) as usize;
+                    let batch = if fleet && event == 0 {
+                        if trial == 15 {
+                            12
+                        } else {
+                            200
+                        }
+                    } else {
+                        1 + (next() % 3) as usize
+                    };
                     for _ in 0..batch {
                         if !alive.is_empty() && next() % 5 < 2 {
                             let ix = (next() % alive.len() as u64) as usize;
@@ -1930,7 +1958,11 @@ mod tests {
                         }
                     }
                 }
-                wf.rebalance();
+                let kind = wf.rebalance();
+                if reservations {
+                    n_fleet_inc += (kind == Rebalance::Incremental) as u64;
+                    n_fleet_full += (kind == Rebalance::Full) as u64;
+                }
                 assert_matches_oracle(&wf, &caps, &alive, &format!("trial {trial} ev {event}"));
             }
             let (f, i) = wf.solve_stats();
@@ -1942,6 +1974,12 @@ mod tests {
         assert!(n_inc > 100, "incremental path barely exercised: {n_inc}");
         assert!(n_full > 10, "full fallback never exercised: {n_full}");
         assert!(n_sb > 0, "single-bottleneck path never exercised: {n_sb}");
+        // Multi-link capacity batches must reach the warm start, not only
+        // the full fallback.
+        assert!(
+            n_fleet_inc > 100 && n_fleet_full > 0,
+            "capacity batches: {n_fleet_inc} warm starts, {n_fleet_full} full solves"
+        );
     }
 
     #[test]
