@@ -119,12 +119,14 @@ impl LinkMap {
         flow: FlowId,
         out: &mut Vec<u32>,
     ) {
+        self.ids_into(&topo.trace_path(src, dst, flow), out);
+    }
+
+    /// The link ids of an already-traced path (`Topology::trace_path`'s
+    /// `(node, egress port)` hops) into `out` (cleared first).
+    pub fn ids_into(&self, hops: &[(NodeRef, u8)], out: &mut Vec<u32>) {
         out.clear();
-        out.extend(
-            topo.trace_path(src, dst, flow)
-                .into_iter()
-                .map(|(n, p)| self.id_of(n, p)),
-        );
+        out.extend(hops.iter().map(|&(n, p)| self.id_of(n, p)));
     }
 }
 

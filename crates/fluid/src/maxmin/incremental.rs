@@ -1,7 +1,7 @@
 //! Incremental mode: the persisted solution and its warm-started
 //! re-solve (see the parent module's docs).
 
-use super::{WaterFiller, TIE_REL};
+use super::{LinkScratch, LinkState, SlotSolve, WaterFiller, TIE_REL};
 
 /// How a [`WaterFiller::rebalance`] call resolved the pending deltas.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,6 +19,19 @@ pub enum Rebalance {
     SingleBottleneck,
 }
 
+/// Hops per slot in the flat path tables until a longer path arrives
+/// (a fat-tree route is at most six links).
+const MIN_HOP_STRIDE: usize = 8;
+
+/// `1/u` from the reciprocal table (division fallback above its range).
+#[inline]
+fn recip(inv: &[f64], u: u32) -> f64 {
+    match inv.get(u as usize) {
+        Some(&r) => r,
+        None => 1.0 / u as f64,
+    }
+}
+
 impl WaterFiller {
     /// Enter (or reset) incremental mode over fixed link `capacity`.
     /// Clears any previously persisted solution and slot state.
@@ -27,21 +40,17 @@ impl WaterFiller {
         self.inc_capacity.clear();
         self.inc_capacity.extend_from_slice(capacity);
         self.inc_ready = false;
-        self.slot_path.clear();
-        self.slot_pos.clear();
-        self.slot_rate.clear();
-        self.slot_alive.clear();
-        self.slot_gen.clear();
-        self.slot_pending.clear();
+        self.hop_link.clear();
+        self.hop_pos.clear();
+        self.hop_stride = self.hop_stride.max(MIN_HOP_STRIDE);
+        self.slots.clear();
         self.free_slots.clear();
         self.n_alive = 0;
         self.total_entries = 0;
         self.link_list.clear();
         self.link_list.resize(self.n_links, Vec::new());
-        self.link_remaining.clear();
-        self.link_remaining.resize(self.n_links, 0.0);
-        self.link_level.clear();
-        self.link_level.resize(self.n_links, f64::INFINITY);
+        self.link_state.clear();
+        self.link_state.resize(self.n_links, LinkState::default());
         self.inc_active.clear();
         self.inc_active_pos.clear();
         self.inc_active_pos.resize(self.n_links, u32::MAX);
@@ -52,18 +61,11 @@ impl WaterFiller {
         self.activated.clear();
         self.deltas_open = false;
         self.changed.clear();
-        self.res_rem.resize(self.n_links, 0.0);
-        self.res_users.resize(self.n_links, 0);
-        self.link_mark.clear();
-        self.link_mark.resize(self.n_links, 0);
+        for k in &mut self.link {
+            k.mark = 0;
+        }
         self.bfs_mark.clear();
         self.bfs_mark.resize(self.n_links, 0);
-        self.old_level.clear();
-        self.old_level.resize(self.n_links, f64::INFINITY);
-        self.old_mark.clear();
-        self.old_mark.resize(self.n_links, 0);
-        self.res_state.clear();
-        self.res_member.clear();
         self.res_epoch = 0;
         self.rebalance_id = 0;
         self.n_full_solves = 0;
@@ -79,15 +81,6 @@ impl WaterFiller {
                     }
                 })
                 .collect();
-        }
-    }
-
-    /// `1/u` from the table (division fallback above its range).
-    #[inline]
-    fn recip(&self, u: u32) -> f64 {
-        match self.inv.get(u as usize) {
-            Some(&r) => r,
-            None => 1.0 / u as f64,
         }
     }
 
@@ -121,7 +114,7 @@ impl WaterFiller {
             // Keep the converged-residual invariant `remaining = capacity
             // − Σ rates`; a deep cut can drive it negative until the
             // rebalance squeezes the flows back under the new capacity.
-            self.link_remaining[li] += cap - old;
+            self.link_state[li].remaining += cap - old;
             self.mark_dirty(l);
         }
     }
@@ -136,46 +129,43 @@ impl WaterFiller {
         );
         assert!(path.len() <= u8::MAX as usize + 1, "path too long");
         self.open_deltas();
+        if path.len() > self.hop_stride {
+            self.widen_hops(path.len());
+        }
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
-                let s = self.slot_path.len() as u32;
-                self.slot_path.push(Vec::new());
-                self.slot_pos.push(Vec::new());
-                self.slot_rate.push(0.0);
-                self.slot_alive.push(false);
-                self.slot_gen.push(0);
-                self.slot_pending.push(false);
-                self.res_state.push(0);
-                self.res_member.push(0);
+                let s = self.slots.len() as u32;
+                self.slots.push(SlotSolve::default());
+                self.hop_link.resize(self.slots.len() * self.hop_stride, 0);
+                self.hop_pos.resize(self.slots.len() * self.hop_stride, 0);
                 s
             }
         };
         let si = slot as usize;
-        let mut path_v = std::mem::take(&mut self.slot_path[si]);
-        let mut pos_v = std::mem::take(&mut self.slot_pos[si]);
-        path_v.clear();
-        pos_v.clear();
+        let base = si * self.hop_stride;
         for (hop, &l) in path.iter().enumerate() {
             let li = l as usize;
             if self.link_list[li].is_empty() {
                 // Link (re)activates: no converged history applies to it.
-                self.link_remaining[li] = self.inc_capacity[li];
-                self.link_level[li] = f64::INFINITY;
+                self.link_state[li].remaining = self.inc_capacity[li];
+                self.link_state[li].level = f64::INFINITY;
                 self.inc_active_pos[li] = self.inc_active.len() as u32;
                 self.inc_active.push(l);
                 self.activated.push(l);
             }
-            pos_v.push(self.link_list[li].len() as u32);
+            self.hop_pos[base + hop] = self.link_list[li].len() as u32;
             self.link_list[li].push((slot, hop as u8));
-            path_v.push(l);
+            self.hop_link[base + hop] = l;
             self.mark_dirty(l);
         }
-        self.slot_path[si] = path_v;
-        self.slot_pos[si] = pos_v;
-        self.slot_rate[si] = 0.0;
-        self.slot_alive[si] = true;
-        self.slot_pending[si] = true;
+        self.slots[si] = SlotSolve {
+            rate: 0.0,
+            alive: true,
+            pending: true,
+            hops: path.len() as u16,
+            ..self.slots[si]
+        };
         self.pending_adds.push(slot);
         self.n_alive += 1;
         self.total_entries += path.len();
@@ -186,20 +176,20 @@ impl WaterFiller {
     /// links; the next [`Self::rebalance`] redistributes it.
     pub fn remove_flow(&mut self, slot: u32) {
         let si = slot as usize;
-        assert!(self.slot_alive[si], "remove_flow on a dead slot");
+        assert!(self.slots[si].alive, "remove_flow on a dead slot");
         self.open_deltas();
-        let path_v = std::mem::take(&mut self.slot_path[si]);
-        let pos_v = std::mem::take(&mut self.slot_pos[si]);
-        let rate = self.slot_rate[si];
-        for (&l, &pos) in path_v.iter().zip(&pos_v) {
+        let SlotSolve { rate, hops, .. } = self.slots[si];
+        let base = si * self.hop_stride;
+        for hop in base..base + hops as usize {
+            let (l, pos) = (self.hop_link[hop], self.hop_pos[hop]);
             let li = l as usize;
             let list = &mut self.link_list[li];
             list.swap_remove(pos as usize);
             if (pos as usize) < list.len() {
                 let (moved_slot, moved_hop) = list[pos as usize];
-                self.slot_pos[moved_slot as usize][moved_hop as usize] = pos;
+                self.hop_pos[moved_slot as usize * self.hop_stride + moved_hop as usize] = pos;
             }
-            self.link_remaining[li] += rate;
+            self.link_state[li].remaining += rate;
             if list.is_empty() {
                 // Deactivate: swap-remove from the active-link set.
                 let p = self.inc_active_pos[li] as usize;
@@ -211,26 +201,15 @@ impl WaterFiller {
             }
             self.mark_dirty(l);
         }
-        self.total_entries -= path_v.len();
-        // Return the (cleared) buffers to the slot for reuse.
-        self.slot_path[si] = {
-            let mut v = path_v;
-            v.clear();
-            v
-        };
-        self.slot_pos[si] = {
-            let mut v = pos_v;
-            v.clear();
-            v
-        };
-        if self.slot_pending[si] {
-            self.slot_pending[si] = false;
+        self.total_entries -= hops as usize;
+        if self.slots[si].pending {
             let p = self.pending_adds.iter().position(|&s| s == slot).unwrap();
             self.pending_adds.swap_remove(p);
         }
-        self.slot_alive[si] = false;
-        self.slot_gen[si] = self.slot_gen[si].wrapping_add(1);
-        self.slot_rate[si] = 0.0;
+        self.slots[si] = SlotSolve {
+            member: self.slots[si].member,
+            ..SlotSolve::default()
+        };
         self.free_slots.push(slot);
         self.n_alive -= 1;
     }
@@ -238,13 +217,28 @@ impl WaterFiller {
     /// Converged rate of the flow in `slot` (bits/s).
     #[inline]
     pub fn rate(&self, slot: u32) -> f64 {
-        self.slot_rate[slot as usize]
+        self.slots[slot as usize].rate
     }
 
     /// The path registered for `slot`.
     #[inline]
     pub fn path(&self, slot: u32) -> &[u32] {
-        &self.slot_path[slot as usize]
+        let base = slot as usize * self.hop_stride;
+        &self.hop_link[base..base + self.slots[slot as usize].hops as usize]
+    }
+
+    /// Re-lay the per-slot hop tables at a wider stride: a path longer
+    /// than any seen so far arrived.
+    fn widen_hops(&mut self, longest: usize) {
+        let (old, new) = (self.hop_stride, longest.next_power_of_two());
+        for table in [&mut self.hop_link, &mut self.hop_pos] {
+            let mut wide = vec![0; table.len() / old * new];
+            for (from, to) in table.chunks_exact(old).zip(wide.chunks_exact_mut(new)) {
+                to[..old].copy_from_slice(from);
+            }
+            *table = wide;
+        }
+        self.hop_stride = new;
     }
 
     /// Slots whose rate was written by the last [`Self::rebalance`].
@@ -263,7 +257,7 @@ impl WaterFiller {
     /// (bits/s); near zero means the link is a saturated bottleneck.
     #[inline]
     pub fn link_residual(&self, l: u32) -> f64 {
-        self.link_remaining[l as usize]
+        self.link_state[l as usize].remaining
     }
 
     /// Alive flow count in incremental mode.
@@ -342,10 +336,10 @@ impl WaterFiller {
             rates.clear();
             let mut pending_users = 0u32;
             for &(s, _) in &self.link_list[l] {
-                if self.slot_pending[s as usize] {
+                if self.slots[s as usize].pending {
                     pending_users += 1; // freezes only in the residual
                 } else {
-                    rates.push(self.slot_rate[s as usize]);
+                    rates.push(self.slots[s as usize].rate);
                 }
             }
             rates.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN rate"));
@@ -366,7 +360,7 @@ impl WaterFiller {
             }
             // If the link used to bind flows, its old freeze round is
             // invalid the moment its membership changes.
-            theta_l = theta_l.min(self.link_level[l]);
+            theta_l = theta_l.min(self.link_state[l].level);
             self.dirty_theta[di] = theta_l;
             theta = theta.min(theta_l);
         }
@@ -375,115 +369,135 @@ impl WaterFiller {
     }
 
     /// Solve the residual subproblem over the slots currently collected in
-    /// `self.changed` (whose `res_state` equals the current epoch). Link
-    /// headroom is seeded from the persisted solution plus the residual
-    /// flows' refunded converged rates, so prefix flows alone define the
-    /// starting state; the solve then runs the same progressive filling as
-    /// the one-shot oracle, over dense per-event CSR scratch. Updates
-    /// rates, link residuals and binding levels in place.
+    /// `self.changed`. Link headroom is seeded from the persisted solution
+    /// plus the residual flows' refunded converged rates, so prefix flows
+    /// alone define the starting state; the solve then runs the same
+    /// progressive filling as the one-shot oracle, over dense per-event
+    /// CSR scratch. Updates rates, link residuals and binding levels in
+    /// place.
     fn solve_residual(&mut self) {
-        let m = self.changed.len();
-        let epoch = self.res_epoch;
-        self.res_links.clear();
-        self.res_path.clear();
-        self.res_off.clear();
-        self.res_off.push(0);
-        for ci in 0..m {
-            let s = self.changed[ci] as usize;
-            for hi in 0..self.slot_path[s].len() {
-                let l = self.slot_path[s][hi];
+        let (epoch, rid, stride) = (self.res_epoch, self.rebalance_id, self.hop_stride);
+        // Borrow every array once: the loops below index plain slices
+        // instead of re-deriving each `Vec` through `self` per access.
+        let Self {
+            changed,
+            hop_link,
+            slots,
+            link,
+            link_state,
+            res_links,
+            res_path,
+            res_off,
+            link_flows,
+            frozen,
+            heap,
+            inv,
+            ..
+        } = self;
+        let (changed, slots, link) = (
+            changed.as_slice(),
+            slots.as_mut_slice(),
+            link.as_mut_slice(),
+        );
+        let (link_state, inv) = (link_state.as_mut_slice(), inv.as_slice());
+        let m = changed.len();
+        res_links.clear();
+        res_path.clear();
+        res_off.clear();
+        res_off.push(0);
+        for &s in changed {
+            let SlotSolve { rate, hops, .. } = slots[s as usize];
+            let path = &hop_link[s as usize * stride..][..hops as usize];
+            for &l in path {
                 let li = l as usize;
-                if self.link_mark[li] != epoch {
-                    self.link_mark[li] = epoch;
-                    self.res_rem[li] = self.link_remaining[li];
-                    self.res_users[li] = 0;
-                    self.res_links.push(l);
-                    if self.old_mark[li] != self.rebalance_id {
+                let k = &mut link[li];
+                if k.mark != epoch {
+                    k.mark = epoch;
+                    let p = &mut link_state[li];
+                    k.rem = p.remaining;
+                    k.users = 0;
+                    res_links.push(l);
+                    if p.old_mark != rid {
                         // First touch this rebalance: snapshot the binding
                         // level the verification pass compares against.
-                        self.old_mark[li] = self.rebalance_id;
-                        self.old_level[li] = self.link_level[li];
+                        p.old_mark = rid;
+                        p.old_level = p.level;
                     }
                 }
                 // Refund the residual flow's converged share (0 for adds):
                 // prefix flows alone define the starting headroom.
-                self.res_rem[li] += self.slot_rate[s];
-                self.res_users[li] += 1;
-                self.res_path.push(l);
+                k.rem += rate;
+                k.users += 1;
             }
-            self.res_off.push(self.res_path.len() as u32);
+            res_path.extend_from_slice(path);
+            res_off.push(res_path.len() as u32);
         }
+        let (res_links, res_path, res_off) = (
+            res_links.as_slice(),
+            res_path.as_slice(),
+            res_off.as_slice(),
+        );
 
-        // Residual CSR over the shared scratch arrays (`count`/`cursor`/
+        // Residual CSR over the shared scratch (`count`/`cursor`/
         // `link_flows` are rebuilt from scratch by every solve, one-shot
         // or incremental, so sharing them is safe).
-        let total = self.res_path.len();
-        self.link_flows.clear();
-        self.link_flows.resize(total, 0);
+        link_flows.clear();
+        link_flows.resize(res_path.len(), 0);
+        let link_flows = link_flows.as_mut_slice();
         let mut at = 0u32;
-        for li in 0..self.res_links.len() {
-            let l = self.res_links[li] as usize;
-            let n = self.res_users[l];
-            self.count[l] = n;
-            self.cursor[l] = at;
-            at += n;
+        for &l in res_links {
+            let k = &mut link[l as usize];
+            k.count = k.users;
+            k.cursor = at;
+            at += k.users;
         }
         for ci in 0..m {
-            let (b, e) = (self.res_off[ci] as usize, self.res_off[ci + 1] as usize);
-            for pi in b..e {
-                let l = self.res_path[pi] as usize;
-                let c = self.cursor[l];
-                self.link_flows[c as usize] = ci as u32;
-                self.cursor[l] = c + 1;
+            for &l in &res_path[res_off[ci] as usize..res_off[ci + 1] as usize] {
+                let k = &mut link[l as usize];
+                link_flows[k.cursor as usize] = ci as u32;
+                k.cursor += 1;
             }
         }
-        // cursor[l] now points one past link l's residual slice.
+        // Each cursor now points one past its link's residual slice.
 
-        self.frozen.clear();
-        self.frozen.resize(m, false);
-        self.heap.clear();
-        for li in 0..self.res_links.len() {
-            let l = self.res_links[li];
-            let u = self.res_users[l as usize];
-            self.link_level[l as usize] = f64::INFINITY;
-            if u > 0 {
-                let key = self.res_rem[l as usize].max(0.0) * self.recip(u);
-                self.heap.push((key, l));
+        frozen.clear();
+        frozen.resize(m, false);
+        let frozen = frozen.as_mut_slice();
+        heap.clear();
+        for &l in res_links {
+            let k = &link[l as usize];
+            link_state[l as usize].level = f64::INFINITY;
+            if k.users > 0 {
+                heap.push_unordered(k.rem.max(0.0) * recip(inv, k.users), l);
             }
         }
-        self.heapify();
+        heap.heapify();
 
         let mut unfrozen = m;
 
-        macro_rules! fill {
-            ($l:expr) => {{
-                let l = $l as usize;
-                let u = self.res_users[l];
-                if u == 0 {
-                    f64::INFINITY
-                } else {
-                    self.res_rem[l].max(0.0) * self.recip(u)
-                }
-            }};
-        }
+        // Current saturation level (`∞` once all the link's flows froze).
+        let fill = |k: &LinkScratch| {
+            if k.users == 0 {
+                f64::INFINITY
+            } else {
+                k.rem.max(0.0) * recip(inv, k.users)
+            }
+        };
 
         macro_rules! freeze_link {
             ($l:expr, $level:expr) => {{
                 let l = $l as usize;
-                self.link_level[l] = $level;
-                let end = self.cursor[l];
-                let begin = end - self.count[l];
-                for ix in begin..end {
-                    let f = self.link_flows[ix as usize] as usize;
-                    if !self.frozen[f] {
-                        self.frozen[f] = true;
-                        self.slot_rate[self.changed[f] as usize] = $level;
+                link_state[l].level = $level;
+                let (begin, end) = (link[l].cursor - link[l].count, link[l].cursor);
+                for &f in &link_flows[begin as usize..end as usize] {
+                    let f = f as usize;
+                    if !frozen[f] {
+                        frozen[f] = true;
+                        slots[changed[f] as usize].rate = $level;
                         unfrozen -= 1;
-                        let (b, e) = (self.res_off[f] as usize, self.res_off[f + 1] as usize);
-                        for pi in b..e {
-                            let l2 = self.res_path[pi] as usize;
-                            self.res_rem[l2] -= $level;
-                            self.res_users[l2] -= 1;
+                        for &l2 in &res_path[res_off[f] as usize..res_off[f + 1] as usize] {
+                            link[l2 as usize].rem -= $level;
+                            link[l2 as usize].users -= 1;
                         }
                     }
                 }
@@ -492,36 +506,36 @@ impl WaterFiller {
 
         while unfrozen > 0 {
             let mut min_link: Option<(f64, u32)> = None;
-            while let Some((key, l)) = self.heap_pop() {
-                let fresh = fill!(l);
+            while let Some((key, l)) = heap.pop() {
+                let fresh = fill(&link[l as usize]);
                 if fresh.is_infinite() {
                     continue;
                 }
                 if fresh <= key * (1.0 + TIE_REL)
-                    || self.heap.first().is_none_or(|&(next, _)| fresh <= next)
+                    || heap.first().is_none_or(|&(next, _)| fresh <= next)
                 {
                     min_link = Some((fresh, l));
                     break;
                 }
-                self.heap_push(fresh, l);
+                heap.push(fresh, l);
             }
             match min_link {
                 Some((level, l)) => {
                     let tie = level * (1.0 + TIE_REL) + 1e-30;
                     freeze_link!(l, level);
-                    while let Some(&(key, l2)) = self.heap.first() {
+                    while let Some(&(key, l2)) = heap.first() {
                         if key > tie {
                             break;
                         }
-                        self.heap_pop();
-                        let fresh = fill!(l2);
+                        heap.pop();
+                        let fresh = fill(&link[l2 as usize]);
                         if fresh.is_infinite() {
                             continue;
                         }
                         if fresh <= tie {
                             freeze_link!(l2, level);
                         } else {
-                            self.heap_push(fresh, l2);
+                            heap.push(fresh, l2);
                         }
                     }
                 }
@@ -529,9 +543,9 @@ impl WaterFiller {
                     // Only link-less (empty-path) flows remain; match the
                     // one-shot oracle's uncapped fallback.
                     for f in 0..m {
-                        if !self.frozen[f] {
-                            self.frozen[f] = true;
-                            self.slot_rate[self.changed[f] as usize] = f64::MAX;
+                        if !frozen[f] {
+                            frozen[f] = true;
+                            slots[changed[f] as usize].rate = f64::MAX;
                             unfrozen -= 1;
                         }
                     }
@@ -540,9 +554,8 @@ impl WaterFiller {
         }
 
         // Persist the converged link state for the next warm start.
-        for li in 0..self.res_links.len() {
-            let l = self.res_links[li] as usize;
-            self.link_remaining[l] = self.res_rem[l];
+        for &l in res_links {
+            link_state[l as usize].remaining = link[l as usize].rem;
         }
     }
 
@@ -558,8 +571,8 @@ impl WaterFiller {
         let rid = self.rebalance_id;
         for li in 0..self.res_links.len() {
             let l = self.res_links[li] as usize;
-            let new_l = self.link_level[l];
-            let old_l = self.old_level[l];
+            let new_l = self.link_state[l].level;
+            let old_l = self.link_state[l].old_level;
             if new_l.is_infinite() && old_l.is_infinite() {
                 continue;
             }
@@ -567,10 +580,10 @@ impl WaterFiller {
             for ix in 0..self.link_list[l].len() {
                 let (s, _) = self.link_list[l][ix];
                 let si = s as usize;
-                if self.res_member[si] == rid {
+                if self.slots[si].member == rid {
                     continue; // re-solved already
                 }
-                let r = self.slot_rate[si];
+                let r = self.slots[si].rate;
                 let squeeze = r > new_l * (1.0 + TIE_REL);
                 let raise = rose && r >= old_l * (1.0 - TIE_REL);
                 if squeeze || raise {
@@ -586,11 +599,12 @@ impl WaterFiller {
     /// still seeded as constraints by the solve).
     fn recruit(&mut self, s: u32) {
         let si = s as usize;
-        self.res_member[si] = self.rebalance_id;
+        self.slots[si].member = self.rebalance_id;
         self.changed.push(s);
-        for hi in 0..self.slot_path[si].len() {
-            let l = self.slot_path[si][hi];
-            let lvl = self.link_level[l as usize];
+        let base = si * self.hop_stride;
+        for hi in base..base + self.slots[si].hops as usize {
+            let l = self.hop_link[hi];
+            let lvl = self.link_state[l as usize].level;
             if lvl.is_finite() && self.bfs_mark[l as usize] != self.rebalance_id {
                 self.bfs_mark[l as usize] = self.rebalance_id;
                 self.bfs_queue.push((l, lvl));
@@ -609,7 +623,7 @@ impl WaterFiller {
     /// any condition fails, falling back to the general solve.
     fn try_single_bottleneck(&mut self, l: u32) -> bool {
         let li = l as usize;
-        let level = self.link_level[li];
+        let level = self.link_state[li].level;
         if self.link_list[li].is_empty() || !level.is_finite() {
             return false;
         }
@@ -620,7 +634,7 @@ impl WaterFiller {
         let mut frozen_sum = 0.0f64;
         let mut max_frozen = 0.0f64;
         for &(s, _) in &self.link_list[li] {
-            let r = self.slot_rate[s as usize];
+            let r = self.slots[s as usize].rate;
             if r >= at {
                 k += 1;
             } else {
@@ -636,7 +650,7 @@ impl WaterFiller {
             return false; // the freeze order would change
         }
         // Pass 2: validate the at-level members' side links and accumulate
-        // the per-link rate delta (`res_rem`/`link_mark` double as the
+        // the per-link rate delta (the scratch's `rem`/`mark` double as the
         // event-scoped accumulator; any fallback path re-derives them).
         self.res_epoch += 1;
         let epoch = self.res_epoch;
@@ -644,31 +658,32 @@ impl WaterFiller {
         for ix in 0..self.link_list[li].len() {
             let (s, _) = self.link_list[li][ix];
             let si = s as usize;
-            let r = self.slot_rate[si];
+            let r = self.slots[si].rate;
             if r < at {
                 continue;
             }
-            for hi in 0..self.slot_path[si].len() {
-                let l2 = self.slot_path[si][hi];
+            let base = si * self.hop_stride;
+            for hi in base..base + self.slots[si].hops as usize {
+                let l2 = self.hop_link[hi];
                 if l2 == l {
                     continue;
                 }
                 let l2i = l2 as usize;
-                if self.link_level[l2i].is_finite() {
+                if self.link_state[l2i].level.is_finite() {
                     return false; // a second binding link: cascade risk
                 }
-                if self.link_mark[l2i] != epoch {
-                    self.link_mark[l2i] = epoch;
-                    self.res_rem[l2i] = 0.0;
+                if self.link[l2i].mark != epoch {
+                    self.link[l2i].mark = epoch;
+                    self.link[l2i].rem = 0.0;
                     self.res_links.push(l2);
                 }
-                self.res_rem[l2i] += new_level - r;
+                self.link[l2i].rem += new_level - r;
             }
         }
         if new_level > level {
             for i in 0..self.res_links.len() {
                 let l2i = self.res_links[i] as usize;
-                if self.res_rem[l2i] * (1.0 + TIE_REL) >= self.link_remaining[l2i] {
+                if self.link[l2i].rem * (1.0 + TIE_REL) >= self.link_state[l2i].remaining {
                     return false; // a side link would newly saturate
                 }
             }
@@ -678,22 +693,23 @@ impl WaterFiller {
         for ix in 0..self.link_list[li].len() {
             let (s, _) = self.link_list[li][ix];
             let si = s as usize;
-            let r = self.slot_rate[si];
+            let r = self.slots[si].rate;
             if r < at {
                 continue;
             }
             let delta = new_level - r;
-            self.slot_rate[si] = new_level;
+            self.slots[si].rate = new_level;
             self.changed.push(s);
-            for hi in 0..self.slot_path[si].len() {
-                let l2 = self.slot_path[si][hi];
+            let base = si * self.hop_stride;
+            for hi in base..base + self.slots[si].hops as usize {
+                let l2 = self.hop_link[hi];
                 if l2 != l {
-                    self.link_remaining[l2 as usize] -= delta;
+                    self.link_state[l2 as usize].remaining -= delta;
                 }
             }
         }
-        self.link_level[li] = new_level;
-        self.link_remaining[li] =
+        self.link_state[li].level = new_level;
+        self.link_state[li].remaining =
             (self.inc_capacity[li] - frozen_sum - new_level * k as f64).max(0.0);
         self.res_links.push(l);
         true
@@ -761,7 +777,7 @@ impl WaterFiller {
             }
             for pi in 0..self.pending_adds.len() {
                 let s = self.pending_adds[pi];
-                self.res_member[s as usize] = rid;
+                self.slots[s as usize].member = rid;
                 self.changed.push(s);
             }
             let mut qi = 0;
@@ -777,19 +793,15 @@ impl WaterFiller {
                     for ix in 0..self.link_list[li].len() {
                         let (s, _) = self.link_list[li][ix];
                         let si = s as usize;
-                        if self.res_member[si] != rid
-                            && !self.slot_pending[si]
-                            && self.slot_rate[si] >= cut
+                        if self.slots[si].member != rid
+                            && !self.slots[si].pending
+                            && self.slots[si].rate >= cut
                         {
                             self.recruit(s);
                         }
                     }
                 }
                 self.res_epoch += 1;
-                let epoch = self.res_epoch;
-                for ci in 0..self.changed.len() {
-                    self.res_state[self.changed[ci] as usize] = epoch;
-                }
                 self.solve_residual();
                 rounds += 1;
                 if self.verify_residual() {
@@ -803,7 +815,7 @@ impl WaterFiller {
                 // the BFS from their links.
                 let viol = std::mem::take(&mut self.violations);
                 for &s in &viol {
-                    if self.res_member[s as usize] != rid {
+                    if self.slots[s as usize].member != rid {
                         self.recruit(s);
                     }
                 }
@@ -813,12 +825,10 @@ impl WaterFiller {
 
         let kind = if full {
             self.res_epoch += 1;
-            let epoch = self.res_epoch;
             self.changed.clear();
-            for s in 0..self.slot_alive.len() {
-                if self.slot_alive[s] {
-                    self.res_state[s] = epoch;
-                    self.res_member[s] = rid;
+            for (s, st) in self.slots.iter_mut().enumerate() {
+                if st.alive {
+                    st.member = rid;
                     self.changed.push(s as u32);
                 }
             }
@@ -839,14 +849,14 @@ impl WaterFiller {
         let epoch = self.res_epoch;
         for di in 0..self.dirty.len() {
             let l = self.dirty[di];
-            if self.link_mark[l as usize] != epoch {
-                self.link_mark[l as usize] = epoch;
+            if self.link[l as usize].mark != epoch {
+                self.link[l as usize].mark = epoch;
                 self.res_links.push(l);
             }
         }
 
         for &s in &self.pending_adds {
-            self.slot_pending[s as usize] = false;
+            self.slots[s as usize].pending = false;
         }
         self.pending_adds.clear();
         for &l in &self.dirty {

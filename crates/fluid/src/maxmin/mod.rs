@@ -49,6 +49,7 @@
 mod heap;
 mod incremental;
 
+use heap::LazyHeap;
 pub use incremental::Rebalance;
 
 /// One flow's demand: an optional rate cap and the directed links it
@@ -68,24 +69,87 @@ pub struct Demand<'a> {
 /// uniform incast) freeze in a handful of rounds.
 const TIE_REL: f64 = 1e-9;
 
+/// Per-link solve scratch, rebuilt by every solve (one-shot or residual;
+/// the two never overlap, so they share it). One struct per link keeps
+/// what the freeze loop reads and writes together on one cache line.
+#[derive(Clone, Copy, Default)]
+struct LinkScratch {
+    /// Headroom not yet claimed by frozen flows.
+    rem: f64,
+    /// `mark == res_epoch` ⇔ the link joined the current residual solve.
+    mark: u64,
+    /// Count of *unfrozen* flows.
+    users: u32,
+    /// Total flow count this solve (snapshot of `users` at build).
+    count: u32,
+    /// CSR fill cursor; after building, one past the link's slice in
+    /// `link_flows` (slice start = cursor − count).
+    cursor: u32,
+}
+
+impl LinkScratch {
+    /// Current saturation level (`∞` once all the link's flows froze).
+    #[inline]
+    fn fill(&self) -> f64 {
+        if self.users == 0 {
+            f64::INFINITY
+        } else {
+            self.rem.max(0.0) / self.users as f64
+        }
+    }
+}
+
+/// The converged solution's per-link state, persisted between rebalances.
+#[derive(Clone, Copy)]
+struct LinkState {
+    /// Converged residual capacity: `capacity − Σ rates` of its flows.
+    remaining: f64,
+    /// Level at which the link last froze flows (`∞` if it never bound).
+    level: f64,
+    /// Pre-solve snapshot of `level`, for verification; taken when
+    /// `old_mark` first meets the current `rebalance_id`.
+    old_level: f64,
+    old_mark: u64,
+}
+
+impl Default for LinkState {
+    fn default() -> Self {
+        LinkState {
+            remaining: 0.0,
+            level: f64::INFINITY,
+            old_level: f64::INFINITY,
+            old_mark: 0,
+        }
+    }
+}
+
+/// Per-slot solver state; the recruit and verify passes read `rate`,
+/// `member` and `pending` of every member of a link, so they sit together.
+#[derive(Clone, Copy, Default)]
+struct SlotSolve {
+    /// Converged rate (0 until first rebalanced).
+    rate: f64,
+    /// `member == rebalance_id` ⇔ the slot joined this rebalance's
+    /// residual (stable across its expansion rounds).
+    member: u64,
+    /// Links on the slot's path (0 while the slot is free).
+    hops: u16,
+    alive: bool,
+    /// Added since the last rebalance (no converged rate yet).
+    pending: bool,
+}
+
 /// Reusable progressive-filling allocator over a fixed link universe.
+#[derive(Default)]
 pub struct WaterFiller {
     n_links: usize,
-    /// Per-link headroom not yet claimed by frozen flows.
-    remaining: Vec<f64>,
-    /// Per-link count of *unfrozen* flows.
-    users: Vec<u32>,
-    /// Per-link total flow count this run (snapshot of `users` at build).
-    count: Vec<u32>,
-    /// Per-link CSR fill cursor; after building, `cursor[l]` is one past
-    /// link `l`'s slice in `link_flows` (slice start = cursor − count).
-    cursor: Vec<u32>,
+    link: Vec<LinkScratch>,
     /// Flow indices grouped by link (CSR payload).
     link_flows: Vec<u32>,
-    /// Links used by at least one flow this run.
+    /// Links used by at least one flow in the last one-shot run.
     active_links: Vec<u32>,
     /// Lazy min-heap of `(saturation level, link)`.
-    heap: Vec<(f64, u32)>,
+    heap: LazyHeap,
     frozen: Vec<bool>,
     by_cap: Vec<u32>,
 
@@ -98,28 +162,21 @@ pub struct WaterFiller {
     inc_capacity: Vec<f64>,
     /// True once a converged solution exists to warm-start from.
     inc_ready: bool,
-    /// Per-slot path (empty and pooled for reuse when the slot is free).
-    slot_path: Vec<Vec<u32>>,
-    /// Per-slot back-pointers: this flow's index inside each path link's
-    /// `link_list`, enabling O(1) removal.
-    slot_pos: Vec<Vec<u32>>,
-    /// Per-slot converged rate (0 until first rebalanced).
-    slot_rate: Vec<f64>,
-    slot_alive: Vec<bool>,
-    /// Bumped when a slot is freed; invalidates its `order` entries.
-    slot_gen: Vec<u32>,
-    /// Added since the last rebalance (no converged rate yet).
-    slot_pending: Vec<bool>,
+    /// Per-slot paths, flat: slot `s` owns `hop_stride` entries from
+    /// `s · hop_stride`, the first `slots[s].hops` of them live.
+    hop_link: Vec<u32>,
+    /// Per-hop back-pointers, laid out like `hop_link`: this flow's index
+    /// inside that link's `link_list`, enabling O(1) removal.
+    hop_pos: Vec<u32>,
+    hop_stride: usize,
+    slots: Vec<SlotSolve>,
     free_slots: Vec<u32>,
     n_alive: usize,
     /// Σ path lengths over alive slots (the full-solve work estimate).
     total_entries: usize,
     /// Per-link flows crossing it, as `(slot, hop index into its path)`.
     link_list: Vec<Vec<(u32, u8)>>,
-    /// Converged residual capacity: `capacity − Σ rates` of its flows.
-    link_remaining: Vec<f64>,
-    /// Level at which the link last froze flows (`∞` if it never bound).
-    link_level: Vec<f64>,
+    link_state: Vec<LinkState>,
     /// Links with at least one flow.
     inc_active: Vec<u32>,
     inc_active_pos: Vec<u32>,
@@ -137,23 +194,12 @@ pub struct WaterFiller {
     // on dense per-event structures — a residual CSR over `link_flows`
     // (shared with the one-shot path) plus flat path copies — so the hot
     // loop touches compact arrays, not the persistent per-link Vecs.
-    res_rem: Vec<f64>,
-    res_users: Vec<u32>,
     res_links: Vec<u32>,
     res_path: Vec<u32>,
     res_off: Vec<u32>,
-    link_mark: Vec<u64>,
-    /// `res_state[slot] == res_epoch` ⇔ slot joined the current residual.
-    res_state: Vec<u64>,
     res_epoch: u64,
-    /// `res_member[slot] == rebalance_id` ⇔ slot joined this rebalance's
-    /// residual (stable across expansion rounds, unlike `res_state`).
-    res_member: Vec<u64>,
     /// Per-dirty-link divergence level, aligned with `dirty`.
     dirty_theta: Vec<f64>,
-    /// Pre-solve binding level snapshot per link, for verification.
-    old_level: Vec<f64>,
-    old_mark: Vec<u64>,
     /// Monotone id of the current rebalance call.
     rebalance_id: u64,
     violations: Vec<u32>,
@@ -161,8 +207,8 @@ pub struct WaterFiller {
     /// BFS frontier: `(link, recruit threshold)`.
     bfs_queue: Vec<(u32, f64)>,
     rate_scratch: Vec<f64>,
-    /// Reciprocal table: `inv[u] = 1/u`, so `fill` multiplies instead of
-    /// dividing in the innermost loop.
+    /// Reciprocal table: `inv[u] = 1/u`, so the residual solve multiplies
+    /// instead of dividing in the innermost loop.
     inv: Vec<f64>,
     n_full_solves: u64,
     n_incremental_solves: u64,
@@ -174,84 +220,8 @@ impl WaterFiller {
     pub fn new(n_links: usize) -> Self {
         WaterFiller {
             n_links,
-            remaining: vec![0.0; n_links],
-            users: vec![0; n_links],
-            count: vec![0; n_links],
-            cursor: vec![0; n_links],
-            link_flows: Vec::new(),
-            active_links: Vec::new(),
-            heap: Vec::new(),
-            frozen: Vec::new(),
-            by_cap: Vec::new(),
-            inc_capacity: Vec::new(),
-            inc_ready: false,
-            slot_path: Vec::new(),
-            slot_pos: Vec::new(),
-            slot_rate: Vec::new(),
-            slot_alive: Vec::new(),
-            slot_gen: Vec::new(),
-            slot_pending: Vec::new(),
-            free_slots: Vec::new(),
-            n_alive: 0,
-            total_entries: 0,
-            link_list: Vec::new(),
-            link_remaining: Vec::new(),
-            link_level: Vec::new(),
-            inc_active: Vec::new(),
-            inc_active_pos: Vec::new(),
-            dirty: Vec::new(),
-            dirty_flag: Vec::new(),
-            pending_adds: Vec::new(),
-            activated: Vec::new(),
-            deltas_open: false,
-            changed: Vec::new(),
-            res_rem: Vec::new(),
-            res_users: Vec::new(),
-            res_links: Vec::new(),
-            res_path: Vec::new(),
-            res_off: Vec::new(),
-            link_mark: Vec::new(),
-            res_state: Vec::new(),
-            res_epoch: 0,
-            res_member: Vec::new(),
-            dirty_theta: Vec::new(),
-            old_level: Vec::new(),
-            old_mark: Vec::new(),
-            rebalance_id: 0,
-            violations: Vec::new(),
-            bfs_mark: Vec::new(),
-            bfs_queue: Vec::new(),
-            rate_scratch: Vec::new(),
-            inv: Vec::new(),
-            n_full_solves: 0,
-            n_incremental_solves: 0,
-            n_single_bottleneck_solves: 0,
-        }
-    }
-
-    /// Links that carried at least one flow in the last `allocate` call.
-    #[inline]
-    pub fn last_active_links(&self) -> &[u32] {
-        &self.active_links
-    }
-
-    /// Capacity left unallocated on link `l` after the last `allocate`
-    /// call (bits/s). Only meaningful for links in
-    /// [`Self::last_active_links`]; a residual near zero means the link is
-    /// saturated — it was a bottleneck in the max-min solution.
-    #[inline]
-    pub fn residual(&self, l: u32) -> f64 {
-        self.remaining[l as usize]
-    }
-
-    /// Current saturation level of link `l` (`∞` once all its flows froze).
-    #[inline]
-    fn fill(&self, l: u32) -> f64 {
-        let u = self.users[l as usize];
-        if u == 0 {
-            f64::INFINITY
-        } else {
-            self.remaining[l as usize].max(0.0) / u as f64
+            link: vec![LinkScratch::default(); n_links],
+            ..Default::default()
         }
     }
 
@@ -269,17 +239,18 @@ impl WaterFiller {
 
         // Reset only the links the previous run touched.
         for &l in &self.active_links {
-            self.users[l as usize] = 0;
+            self.link[l as usize].users = 0;
         }
         self.active_links.clear();
         let mut total = 0u32;
         for f in flows {
             for &l in f.path {
-                if self.users[l as usize] == 0 {
+                let k = &mut self.link[l as usize];
+                if k.users == 0 {
                     self.active_links.push(l);
-                    self.remaining[l as usize] = capacity[l as usize];
+                    k.rem = capacity[l as usize];
                 }
-                self.users[l as usize] += 1;
+                k.users += 1;
                 total += 1;
             }
         }
@@ -289,19 +260,19 @@ impl WaterFiller {
         self.link_flows.resize(total as usize, 0);
         let mut at = 0u32;
         for &l in &self.active_links {
-            let n = self.users[l as usize];
-            self.count[l as usize] = n;
-            self.cursor[l as usize] = at;
-            at += n;
+            let k = &mut self.link[l as usize];
+            k.count = k.users;
+            k.cursor = at;
+            at += k.users;
         }
         for (i, f) in flows.iter().enumerate() {
             for &l in f.path {
-                let c = self.cursor[l as usize];
-                self.link_flows[c as usize] = i as u32;
-                self.cursor[l as usize] = c + 1;
+                let k = &mut self.link[l as usize];
+                self.link_flows[k.cursor as usize] = i as u32;
+                k.cursor += 1;
             }
         }
-        // cursor[l] now points one past link l's slice.
+        // Each cursor now points one past its link's slice.
 
         self.frozen.clear();
         self.frozen.resize(nf, false);
@@ -324,10 +295,8 @@ impl WaterFiller {
         // Seed the lazy heap with every active link's saturation level.
         self.heap.clear();
         self.heap.reserve(self.active_links.len());
-        for li in 0..self.active_links.len() {
-            let l = self.active_links[li];
-            let key = self.fill(l);
-            self.heap_push(key, l);
+        for &l in &self.active_links {
+            self.heap.push(self.link[l as usize].fill(), l);
         }
 
         macro_rules! freeze {
@@ -338,8 +307,8 @@ impl WaterFiller {
                     rates[i] = $at;
                     unfrozen -= 1;
                     for &l in flows[i].path {
-                        self.remaining[l as usize] -= $at;
-                        self.users[l as usize] -= 1;
+                        self.link[l as usize].rem -= $at;
+                        self.link[l as usize].users -= 1;
                     }
                 }
             }};
@@ -348,9 +317,8 @@ impl WaterFiller {
         // Freeze every flow of link `l` at `level`.
         macro_rules! freeze_link {
             ($l:expr, $level:expr) => {{
-                let l = $l as usize;
-                let end = self.cursor[l];
-                let begin = end - self.count[l];
+                let k = self.link[$l as usize];
+                let (begin, end) = (k.cursor - k.count, k.cursor);
                 for ix in begin..end {
                     let i = self.link_flows[ix as usize];
                     freeze!(i, $level);
@@ -363,8 +331,8 @@ impl WaterFiller {
             // keys are lower bounds (levels only rise), so a popped entry
             // whose fresh value still beats the next key is the minimum.
             let mut min_link: Option<(f64, u32)> = None;
-            while let Some((key, l)) = self.heap_pop() {
-                let fresh = self.fill(l);
+            while let Some((key, l)) = self.heap.pop() {
+                let fresh = self.link[l as usize].fill();
                 if fresh.is_infinite() {
                     continue; // all its flows froze through other links
                 }
@@ -374,7 +342,7 @@ impl WaterFiller {
                     min_link = Some((fresh, l));
                     break;
                 }
-                self.heap_push(fresh, l);
+                self.heap.push(fresh, l);
             }
 
             while cap_ix < ncap && self.frozen[self.by_cap[cap_ix] as usize] {
@@ -396,22 +364,22 @@ impl WaterFiller {
                         if key > tie {
                             break;
                         }
-                        self.heap_pop();
-                        let fresh = self.fill(l2);
+                        self.heap.pop();
+                        let fresh = self.link[l2 as usize].fill();
                         if fresh.is_infinite() {
                             continue;
                         }
                         if fresh <= tie {
                             freeze_link!(l2, link_limit);
                         } else {
-                            self.heap_push(fresh, l2);
+                            self.heap.push(fresh, l2);
                         }
                     }
                 }
                 Some((link_limit, l)) => {
                     // A cap binds first: put the link back, freeze every
                     // flow capped at or below this level.
-                    self.heap_push(link_limit, l);
+                    self.heap.push(link_limit, l);
                     while cap_ix < ncap {
                         let i = self.by_cap[cap_ix];
                         if self.frozen[i as usize] {

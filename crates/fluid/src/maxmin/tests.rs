@@ -437,6 +437,35 @@ fn incremental_batches_and_slot_reuse_match_oracle() {
 }
 
 #[test]
+fn path_longer_than_the_hop_stride_widens_the_tables() {
+    // Six short flows fill the tables at the initial stride, then a
+    // 20-link path arrives mid-session: every earlier slot's path and
+    // back-pointers must survive the re-layout (removal uses them).
+    let caps: Vec<f64> = (0..24).map(|l| 10.0 + l as f64).collect();
+    let mut wf = WaterFiller::new(caps.len());
+    wf.begin_incremental(&caps);
+    let mut alive: Vec<(u32, Vec<u32>)> = Vec::new();
+    for i in 0..6u32 {
+        let p = vec![i, i + 1, 23];
+        alive.push((wf.add_flow(&p), p));
+    }
+    wf.rebalance();
+    let long: Vec<u32> = (2..22).collect();
+    alive.push((wf.add_flow(&long), long));
+    wf.rebalance();
+    assert_matches_oracle(&wf, &caps, &alive, "long path");
+    for (s, p) in &alive {
+        assert_eq!(wf.path(*s), p.as_slice());
+    }
+    while alive.len() > 1 {
+        let (s, _) = alive.remove(0);
+        wf.remove_flow(s);
+        wf.rebalance();
+        assert_matches_oracle(&wf, &caps, &alive, "drain");
+    }
+}
+
+#[test]
 fn incremental_empty_path_flow_gets_uncapped_rate() {
     // Degenerate but defensive, matching the oracle's uncapped
     // fallback: an empty-path flow dirties no links yet must still be

@@ -224,6 +224,26 @@ impl SlotState {
         }
         self.last_sync = t;
     }
+
+    fn projection(&self) -> Projection {
+        Projection {
+            finish: self.last_sync + self.remaining_bits.max(0.0) / self.rate,
+            slack: 0.5 / self.rate,
+        }
+    }
+}
+
+/// A slot's projected completion, cached so the per-step boundary scan and
+/// the retire test read two numbers instead of re-dividing per flow.
+/// [`BackgroundFluid::place`] and [`BackgroundFluid::resolve`] are the
+/// only writers of an active slot's `(last_sync, remaining_bits, rate)`,
+/// and each re-evaluates [`SlotState::projection`] as it writes.
+#[derive(Clone, Copy, Default)]
+struct Projection {
+    /// Instant the flow drains its last bit at the current rate, seconds.
+    finish: f64,
+    /// Retire tolerance: the time half a bit takes at the current rate.
+    slack: f64,
 }
 
 /// Trace timestamps: the fluid clock runs in f64 seconds.
@@ -407,10 +427,14 @@ pub struct BackgroundFluid {
     specs: Vec<FlowSpec>,
     next_arrival: usize,
     filler: WaterFiller,
-    /// Drain state per allocator slot, plus the list of live slots.
+    /// Drain state and cached projection per allocator slot, plus the
+    /// list of live slots.
     slots: Vec<SlotState>,
+    proj: Vec<Projection>,
     active: Vec<u32>,
-    /// Scratch: an arrival's pristine path, and its route around dead links.
+    /// Scratch: an arrival's traced hops, its pristine path as link ids,
+    /// and its route around dead links.
+    hop_buf: Vec<(NodeRef, u8)>,
     path_buf: Vec<u32>,
     route_buf: Vec<u32>,
     /// Fluid clock, seconds.
@@ -553,7 +577,9 @@ impl BackgroundFluid {
             next_arrival: 0,
             filler,
             slots: Vec::new(),
+            proj: Vec::new(),
             active: Vec::new(),
+            hop_buf: Vec::new(),
             path_buf: Vec::new(),
             route_buf: Vec::new(),
             t: 0.0,
@@ -633,11 +659,19 @@ impl BackgroundFluid {
             .fevents
             .get(self.next_fault)
             .map_or(f64::INFINITY, |e| e.at.as_secs_f64());
-        let mut t_fin = f64::INFINITY;
-        for &slot in &self.active {
-            let st = &self.slots[slot as usize];
-            t_fin = t_fin.min(st.last_sync + st.remaining_bits.max(0.0) / st.rate);
+        // Four independent minima: one running `min` is a chain of
+        // dependent compares, a few hundred long at fleet scale.
+        let mut lanes = [f64::INFINITY; 4];
+        let mut quads = self.active.chunks_exact(4);
+        for quad in &mut quads {
+            for (lane, &slot) in lanes.iter_mut().zip(quad) {
+                *lane = lane.min(self.proj[slot as usize].finish);
+            }
         }
+        for &slot in quads.remainder() {
+            lanes[0] = lanes[0].min(self.proj[slot as usize].finish);
+        }
+        let t_fin = lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]));
         (t_arr.min(t_flt).min(t_fin), t_fin)
     }
 
@@ -799,7 +833,9 @@ impl BackgroundFluid {
         let slot = slot as usize;
         if slot >= self.slots.len() {
             self.slots.resize(slot + 1, SlotState::default());
+            self.proj.resize(slot + 1, Projection::default());
         }
+        self.proj[slot] = st.projection();
         self.slots[slot] = st;
     }
 
@@ -872,6 +908,20 @@ impl BackgroundFluid {
         }
         let li = l as usize;
         (self.eff_capacity[li] - self.filler.link_residual(l)).max(0.0)
+    }
+
+    /// Test hook: every live slot's cached projection equals the
+    /// from-scratch expressions, bit for bit.
+    #[doc(hidden)]
+    pub fn projections_are_exact(&self) -> bool {
+        self.active.iter().all(|&slot| {
+            let (have, want) = (
+                self.proj[slot as usize],
+                self.slots[slot as usize].projection(),
+            );
+            (have.finish.to_bits(), have.slack.to_bits())
+                == (want.finish.to_bits(), want.slack.to_bits())
+        })
     }
 
     /// Drain the set of links whose background allocation changed since
@@ -965,17 +1015,17 @@ impl BackgroundFluid {
             if start > self.t + 1e-15 {
                 break;
             }
-            self.links
-                .path_links_into(&self.topo, s.src, s.dst, s.id, &mut self.path_buf);
+            // One walk of the route serves the link ids and the FCT floor.
+            self.topo
+                .trace_path_into(s.src, s.dst, s.id, &mut self.hop_buf);
+            self.links.ids_into(&self.hop_buf, &mut self.path_buf);
             let wire_bits = self.framing.wire_bytes(s.size) as f64 * 8.0;
             // Pipeline floor: ideal FCT minus pure streaming time at the
             // path bottleneck (what the fluid drain models).
             let ideal = self
                 .topo
-                .ideal_fct(
-                    s.src,
-                    s.dst,
-                    s.id,
+                .ideal_fct_on(
+                    &self.hop_buf,
                     s.size,
                     self.framing.mtu_payload,
                     self.framing.header,
@@ -1062,6 +1112,7 @@ impl BackgroundFluid {
             let st = &mut self.slots[slot as usize];
             st.sync_to(self.t);
             st.rate = self.filler.rate(slot);
+            self.proj[slot as usize] = st.projection();
             if st.rate <= 0.0 {
                 let spec = &self.specs[st.spec_ix as usize];
                 let choke = self
@@ -1118,11 +1169,11 @@ impl BackgroundFluid {
         while i > 0 {
             i -= 1;
             let slot = self.active[i];
-            let st = &self.slots[slot as usize];
-            let fin = st.last_sync + st.remaining_bits.max(0.0) / st.rate;
-            if fin > t + 0.5 / st.rate {
+            let due = self.proj[slot as usize];
+            if due.finish > t + due.slack {
                 continue;
             }
+            let st = &self.slots[slot as usize];
             let spec = &self.specs[st.spec_ix as usize];
             let mut drain = (t - st.t_start).max(0.0);
             // Contention: how far the flow's lifetime-average rate fell

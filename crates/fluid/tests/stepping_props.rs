@@ -4,7 +4,9 @@
 //! `next_event`-by-`next_event` stepping (a settle at every event) must
 //! give every flow the same finish time to the picosecond the records are
 //! kept in, and agree on which flows were rerouted or never finished —
-//! on Poisson and incast traffic, with and without link faults.
+//! on Poisson and incast traffic, with and without link faults. After every
+//! step each live flow's cached completion projection must also equal the
+//! from-scratch expression bit for bit.
 
 use fncc_cc::CcKind;
 use fncc_des::time::{SimTime, TimeDelta};
@@ -131,12 +133,14 @@ proptest! {
             }
             t += chunk as f64 * 1e-9;
             chunked.advance_to(t).unwrap();
+            prop_assert!(chunked.projections_are_exact(), "stale projection at {t} s");
         }
         assert_same(&reference, &chunked.into_result(), "ragged chunks");
 
         let mut stepped = engine();
         while let Some(t) = stepped.next_event() {
             stepped.advance_to(t).unwrap();
+            prop_assert!(stepped.projections_are_exact(), "stale projection at {t} s");
         }
         assert_same(&reference, &stepped.into_result(), "event stepping");
     }

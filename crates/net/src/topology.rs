@@ -114,9 +114,24 @@ impl Topology {
     /// at the source host and ending when the destination host is reached.
     /// The destination host itself is not included.
     pub fn trace_path(&self, src: HostId, dst: HostId, flow: FlowId) -> Vec<(NodeRef, u8)> {
+        let mut path = Vec::new();
+        self.trace_path_into(src, dst, flow, &mut path);
+        path
+    }
+
+    /// [`Self::trace_path`] into a caller-owned buffer (cleared first), so
+    /// a per-flow hot path walks the route once and allocates nothing.
+    pub fn trace_path_into(
+        &self,
+        src: HostId,
+        dst: HostId,
+        flow: FlowId,
+        path: &mut Vec<(NodeRef, u8)>,
+    ) {
         assert_ne!(src, dst, "flow to self");
         let h = flow_hash(src, dst, flow);
-        let mut path = vec![(NodeRef::Host(src), 0u8)];
+        path.clear();
+        path.push((NodeRef::Host(src), 0u8));
         let mut cur = self.host_ports[src.ix()].peer;
         let mut hops = 0;
         loop {
@@ -125,7 +140,7 @@ impl Topology {
             match cur {
                 NodeRef::Host(hh) => {
                     assert_eq!(hh, dst, "path reached wrong host");
-                    return path;
+                    return;
                 }
                 NodeRef::Switch(s) => {
                     let sw = &self.switches[s.ix()];
@@ -210,8 +225,12 @@ impl Topology {
 
     /// Minimum link bandwidth along a flow's request path (its line rate).
     pub fn path_bandwidth(&self, src: HostId, dst: HostId, flow: FlowId) -> Bandwidth {
-        self.trace_path(src, dst, flow)
-            .iter()
+        self.bandwidth_on(&self.trace_path(src, dst, flow))
+    }
+
+    /// Minimum link bandwidth along an already-traced path.
+    fn bandwidth_on(&self, path: &[(NodeRef, u8)]) -> Bandwidth {
+        path.iter()
             .map(|&(n, p)| self.port_spec(n, p).bw)
             .min()
             .expect("empty path")
@@ -234,14 +253,26 @@ impl Topology {
         mtu_payload: u32,
         header: u32,
     ) -> TimeDelta {
-        let path = self.trace_path(src, dst, flow);
+        self.ideal_fct_on(&self.trace_path(src, dst, flow), size, mtu_payload, header)
+    }
+
+    /// [`Self::ideal_fct`] over an already-traced request path
+    /// ([`Self::trace_path`]'s hops), for callers that need the path for
+    /// something else as well.
+    pub fn ideal_fct_on(
+        &self,
+        path: &[(NodeRef, u8)],
+        size: u64,
+        mtu_payload: u32,
+        header: u32,
+    ) -> TimeDelta {
         let npkts = size.div_ceil(mtu_payload as u64).max(1);
         let wire_total = size + npkts * header as u64;
         let first_frame = (size.min(mtu_payload as u64) + header as u64).max(header as u64);
-        let bottleneck = self.path_bandwidth(src, dst, flow);
+        let bottleneck = self.bandwidth_on(path);
         // First frame pipelines hop by hop…
         let mut t = TimeDelta::ZERO;
-        for (n, p) in &path {
+        for (n, p) in path {
             let spec = self.port_spec(*n, *p);
             t += spec.bw.tx_time(first_frame) + spec.prop;
         }
