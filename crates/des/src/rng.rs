@@ -5,9 +5,6 @@
 //! adding a new consumer of randomness never perturbs the draws seen by
 //! existing ones — runs stay reproducible as the codebase grows.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
-
 /// SplitMix64 — the standard seed-expansion / integer-mixing function.
 ///
 /// Used both to derive per-stream seeds and as a cheap stateless hash for
@@ -20,38 +17,52 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A deterministic per-component RNG stream.
+/// A deterministic per-component RNG stream: xoshiro256++ (tiny state,
+/// excellent statistical quality, very fast), seeded through
+/// [`splitmix64`].
 #[derive(Clone, Debug)]
 pub struct DetRng {
-    inner: SmallRng,
+    s: [u64; 4],
 }
 
 impl DetRng {
     /// Derive stream `stream` from `master_seed`. Different `(seed, stream)`
     /// pairs yield statistically independent sequences.
     pub fn new(master_seed: u64, stream: u64) -> Self {
-        let s = splitmix64(master_seed ^ splitmix64(stream.wrapping_add(0xA5A5_5A5A)));
-        DetRng {
-            inner: SmallRng::seed_from_u64(s),
+        let mut z = splitmix64(master_seed ^ splitmix64(stream.wrapping_add(0xA5A5_5A5A)));
+        let mut s = [0u64; 4];
+        for word in &mut s {
+            // `splitmix64` adds the golden-ratio increment before mixing,
+            // so stepping `z` by it walks the generator's own sequence.
+            *word = splitmix64(z);
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
         }
+        // All-zero state is the one forbidden fixpoint.
+        if s == [0; 4] {
+            s[0] = 0x9E37_79B9_7F4A_7C15;
+        }
+        DetRng { s }
     }
 
-    /// Uniform in `[0, 1)`.
+    /// Uniform in `[0, 1)`: 53 uniform mantissa bits.
     #[inline]
     pub fn f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[0, n)`. Panics if `n == 0`.
     #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
-        self.inner.gen_range(0..n)
+        assert!(n > 0, "empty range");
+        // Lemire-style widening multiply; bias is < 2^-64 per draw and
+        // irrelevant for simulation workloads.
+        ((self.u64() as u128 * n as u128) >> 64) as u64
     }
 
     /// Uniform usize in `[0, n)`. Panics if `n == 0`.
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {
-        self.inner.gen_range(0..n)
+        self.below(n as u64) as usize
     }
 
     /// Exponentially distributed sample with the given mean (inter-arrival
@@ -72,7 +83,18 @@ impl DetRng {
     /// Raw 64 random bits.
     #[inline]
     pub fn u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let [s0, s1, s2, s3] = self.s;
+        let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+        let t = s1 << 17;
+        let mut s = [s0, s1, s2, s3];
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        self.s = s;
+        result
     }
 
     /// Fisher–Yates shuffle.
@@ -81,21 +103,6 @@ impl DetRng {
             let j = self.index(i + 1);
             xs.swap(i, j);
         }
-    }
-}
-
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
     }
 }
 
