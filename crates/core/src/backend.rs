@@ -28,7 +28,7 @@ use crate::metrics::{
     average_slowdowns, fct_slowdowns, reaction_time, time_to_fair, SlowdownStats,
 };
 use crate::report::RunReport;
-use crate::scenario::{FaultSpec, Scenario, StopCondition, TrafficSpec};
+use crate::scenario::{Scenario, StopCondition, TrafficSpec};
 use crate::scenarios::{WorkloadResult, WorkloadSpec};
 use crate::sharded::{ShardStats, ShardedSim};
 use crate::sim::{make_algo, SimBuilder};
@@ -36,9 +36,7 @@ use fncc_cc::{CcAlgo, CcKind, FnccConfig};
 use fncc_des::engine::QueueKind;
 use fncc_des::stats::TimeSeries;
 use fncc_des::time::{SimTime, TimeDelta};
-use fncc_fluid::{
-    CalibrationSet, CapacityChange, CapacityEvent, FluidResult, FluidSim, Framing, RateModel,
-};
+use fncc_fluid::{CalibrationSet, FluidResult, FluidSim, Framing, RateModel};
 use fncc_hybrid::{HybridConfig, HybridSim};
 use fncc_net::config::FabricConfig;
 use fncc_net::ids::{FlowId, NodeRef, SwitchId};
@@ -418,7 +416,7 @@ impl Backend for PacketBackend {
                     if sc.cc == CcKind::Fncc {
                         f.int_refresh = sc.overrides.int_refresh();
                     }
-                    sc.apply_faults(f);
+                    f.faults = sc.faults.clone();
                 })
                 // Loss recovery only when the scenario injects faults:
                 // lossless runs stay free of retransmission-timer events,
@@ -701,63 +699,6 @@ impl FluidBackend {
     }
 }
 
-/// Lower the scenario's fault specs to the fluid engine's capacity events.
-///
-/// Link down/up map directly (the fluid engine reroutes or stalls crossing
-/// flows, mirroring the packet fabric). A degrade window becomes a
-/// reciprocal `Scale` pair — `rate_factor` at the start, its inverse at the
-/// end — so overlapping windows compose multiplicatively; `delay_factor`
-/// has no fluid analogue (the fluid model carries no per-hop latency
-/// inflation) and is ignored. Random loss is modeled as its goodput
-/// haircut: a loss probability `p` costs the go-back-N sender roughly a
-/// `1 − p` throughput factor over the window. A stuck port is a near-dead
-/// link for its duration (`1e-6` of capacity — not zero, so the fluid
-/// zero-rate guard still catches genuinely broken scenarios).
-fn fluid_capacity_events(sc: &Scenario) -> Vec<CapacityEvent> {
-    let mut out = Vec::new();
-    for f in &sc.faults {
-        let (switch, port) = f.location();
-        let mut ev = |at_us: u64, change: CapacityChange| {
-            out.push(CapacityEvent {
-                at: SimTime::from_us(at_us),
-                switch: SwitchId(switch),
-                port,
-                change,
-            })
-        };
-        match *f {
-            FaultSpec::LinkDown { at_us, .. } => ev(at_us, CapacityChange::Down),
-            FaultSpec::LinkUp { at_us, .. } => ev(at_us, CapacityChange::Up),
-            FaultSpec::LinkDegrade {
-                from_us,
-                to_us,
-                rate_factor,
-                ..
-            } => {
-                ev(from_us, CapacityChange::Scale(rate_factor));
-                ev(to_us, CapacityChange::Scale(1.0 / rate_factor));
-            }
-            FaultSpec::RandomLoss {
-                from_us,
-                to_us,
-                probability,
-                ..
-            } => {
-                let p = probability.min(0.999_999);
-                ev(from_us, CapacityChange::Scale(1.0 - p));
-                ev(to_us, CapacityChange::Scale(1.0 / (1.0 - p)));
-            }
-            FaultSpec::StuckPort {
-                at_us, duration_us, ..
-            } => {
-                ev(at_us, CapacityChange::Scale(1e-6));
-                ev(at_us + duration_us, CapacityChange::Scale(1e6));
-            }
-        }
-    }
-    out
-}
-
 impl Backend for FluidBackend {
     fn name(&self) -> &'static str {
         "fluid"
@@ -776,13 +717,12 @@ impl Backend for FluidBackend {
         let mut horizon = SimTime::ZERO;
         let mut solver = SolverTally::default();
         let mut rerouted = 0u64;
-        let fault_events = fluid_capacity_events(sc);
         for (seed_ix, &seed) in sc.seeds.iter().enumerate() {
             let (topo, flows) = sc.instance(seed);
             let result = FluidSim::new(topo.clone(), rate_model(sc, self.calibration.as_ref()))
                 .framing(framing)
                 .flows(flows)
-                .capacity_events(fault_events.iter().copied())
+                .faults(&sc.faults)
                 .trace(rb.tracing(seed_ix))
                 .run()
                 .unwrap_or_else(|e| panic!("fluid backend on '{}': {e}", sc.name));
@@ -886,26 +826,14 @@ impl Backend for HybridBackend {
                 trace: rb.tracing(seed_ix),
                 ..HybridConfig::default()
             };
-            // Faults land on both halves: the scenario's specs lower into
-            // the foreground fabric config (go-back-N recovery armed on
-            // the packet transport) and into fluid capacity events for the
-            // background. Fault-free scenarios take the exact unfaulted
-            // constructor path, keeping their reports byte-identical.
-            let mut sim = HybridSim::new_faulted(
+            let mut sim = HybridSim::new(
                 topo.clone(),
-                sc.cc,
                 fg_flows,
                 bg_flows,
                 rate_model(sc, self.calibration.as_ref()),
                 cfg,
-                |f| {
-                    if sc.has_faults() {
-                        f.seed = seed;
-                        sc.apply_faults(f);
-                    }
-                },
-                sc.has_faults().then(RecoveryConfig::paper_default),
-                fluid_capacity_events(sc),
+                &sc.faults,
+                seed,
             )
             .unwrap_or_else(|e| panic!("hybrid backend on '{}': {e}", sc.name));
             let outcome = match sc.stop {

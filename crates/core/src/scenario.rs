@@ -12,7 +12,7 @@
 use crate::json::{num_u64, obj, Json};
 use fncc_cc::CcKind;
 use fncc_des::time::{SimTime, TimeDelta};
-use fncc_net::config::FabricConfig;
+pub use fncc_net::fault::FaultSpec;
 use fncc_net::ids::{HostId, NodeRef, SwitchId};
 use fncc_net::packet::MAX_HOPS;
 use fncc_net::topology::Topology;
@@ -376,103 +376,6 @@ impl TrafficSpec {
     }
 }
 
-/// One declarative fault, scheduled against the scenario's topology and
-/// validated at parse time ([`Scenario::validate`]). Faults lower onto the
-/// fabric configuration via [`Scenario::apply_faults`]; times are scenario
-/// time in microseconds.
-#[derive(Clone, Debug, PartialEq)]
-pub enum FaultSpec {
-    /// The inter-switch link behind `switch`'s egress `port` dies at
-    /// `at_us`: queued and in-flight frames are destroyed, both directions
-    /// are marked dead, and ECMP routing recompiles around it.
-    LinkDown {
-        /// Switch owning the egress port.
-        switch: u32,
-        /// Egress port index.
-        port: u8,
-        /// Failure time in µs.
-        at_us: u64,
-    },
-    /// A previously-downed link is restored at `at_us` and rejoins routing.
-    LinkUp {
-        /// Switch owning the egress port.
-        switch: u32,
-        /// Egress port index.
-        port: u8,
-        /// Restoration time in µs.
-        at_us: u64,
-    },
-    /// Over `[from_us, to_us)` the egress drain rate is multiplied by
-    /// `rate_factor` and the propagation delay by `delay_factor` (a
-    /// flapping optic or FEC-degraded link).
-    LinkDegrade {
-        /// Switch owning the egress port.
-        switch: u32,
-        /// Egress port index.
-        port: u8,
-        /// Degradation start in µs.
-        from_us: u64,
-        /// Degradation end in µs (original parameters restored).
-        to_us: u64,
-        /// Drain-rate multiplier, (0, 1].
-        rate_factor: f64,
-        /// Propagation-delay multiplier, ≥ 1.
-        delay_factor: f64,
-    },
-    /// Over `[from_us, to_us)` each non-control frame leaving `port` is
-    /// dropped with `probability`, drawn from the fabric-seeded per-switch
-    /// RNG (same seed ⇒ same drops).
-    RandomLoss {
-        /// Switch owning the egress port.
-        switch: u32,
-        /// Egress port index.
-        port: u8,
-        /// Loss-window start in µs.
-        from_us: u64,
-        /// Loss-window end in µs.
-        to_us: u64,
-        /// Per-frame drop probability, (0, 1].
-        probability: f64,
-    },
-    /// The egress `port` is force-paused (stuck PFC pause, §2.3's pause
-    /// storm hazard) from `at_us` for `duration_us`. Frames survive; only
-    /// the scheduler freezes.
-    StuckPort {
-        /// Switch owning the egress port.
-        switch: u32,
-        /// Egress port index.
-        port: u8,
-        /// Injection time in µs.
-        at_us: u64,
-        /// Pause duration in µs.
-        duration_us: u64,
-    },
-}
-
-impl FaultSpec {
-    /// The faulted `(switch, port)` location.
-    pub fn location(&self) -> (u32, u8) {
-        match *self {
-            FaultSpec::LinkDown { switch, port, .. }
-            | FaultSpec::LinkUp { switch, port, .. }
-            | FaultSpec::LinkDegrade { switch, port, .. }
-            | FaultSpec::RandomLoss { switch, port, .. }
-            | FaultSpec::StuckPort { switch, port, .. } => (switch, port),
-        }
-    }
-
-    /// JSON kind tag.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            FaultSpec::LinkDown { .. } => "link_down",
-            FaultSpec::LinkUp { .. } => "link_up",
-            FaultSpec::LinkDegrade { .. } => "link_degrade",
-            FaultSpec::RandomLoss { .. } => "random_loss",
-            FaultSpec::StuckPort { .. } => "stuck_port",
-        }
-    }
-}
-
 /// Per-scheme parameter overrides.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CcOverrides {
@@ -714,90 +617,6 @@ impl Scenario {
     /// whether to enable transport loss recovery and fault bookkeeping.
     pub fn has_faults(&self) -> bool {
         !self.faults.is_empty()
-    }
-
-    /// Lower the scenario's fault list onto a fabric configuration:
-    /// link-level faults into [`FabricConfig::link_faults`], stuck-port
-    /// pauses into [`FabricConfig::faults`]. The one lowering path shared
-    /// by every backend and the ablation harness.
-    pub fn apply_faults(&self, cfg: &mut FabricConfig) {
-        Self::lower_faults(&self.faults, cfg);
-    }
-
-    /// [`Scenario::apply_faults`] for a standalone fault list — harnesses
-    /// without a full scenario (the ablation sweeps) lower through this
-    /// same single site.
-    pub fn lower_faults(faults: &[FaultSpec], cfg: &mut FabricConfig) {
-        use fncc_net::config::{FaultSpec as PortFault, LinkFault, LinkFaultSpec};
-        for f in faults {
-            match *f {
-                FaultSpec::LinkDown {
-                    switch,
-                    port,
-                    at_us,
-                } => cfg.link_faults.push(LinkFaultSpec {
-                    switch: SwitchId(switch),
-                    port,
-                    fault: LinkFault::Down {
-                        at: SimTime::from_us(at_us),
-                    },
-                }),
-                FaultSpec::LinkUp {
-                    switch,
-                    port,
-                    at_us,
-                } => cfg.link_faults.push(LinkFaultSpec {
-                    switch: SwitchId(switch),
-                    port,
-                    fault: LinkFault::Up {
-                        at: SimTime::from_us(at_us),
-                    },
-                }),
-                FaultSpec::LinkDegrade {
-                    switch,
-                    port,
-                    from_us,
-                    to_us,
-                    rate_factor,
-                    delay_factor,
-                } => cfg.link_faults.push(LinkFaultSpec {
-                    switch: SwitchId(switch),
-                    port,
-                    fault: LinkFault::Degrade {
-                        from: SimTime::from_us(from_us),
-                        to: SimTime::from_us(to_us),
-                        rate_factor,
-                        delay_factor,
-                    },
-                }),
-                FaultSpec::RandomLoss {
-                    switch,
-                    port,
-                    from_us,
-                    to_us,
-                    probability,
-                } => cfg.link_faults.push(LinkFaultSpec {
-                    switch: SwitchId(switch),
-                    port,
-                    fault: LinkFault::RandomLoss {
-                        from: SimTime::from_us(from_us),
-                        to: SimTime::from_us(to_us),
-                        prob: probability,
-                    },
-                }),
-                FaultSpec::StuckPort {
-                    switch,
-                    port,
-                    at_us,
-                    duration_us,
-                } => cfg.faults.push(PortFault {
-                    node: NodeRef::Switch(SwitchId(switch)),
-                    port,
-                    at: SimTime::from_us(at_us),
-                    duration: TimeDelta::from_us(duration_us),
-                }),
-            }
-        }
     }
 
     /// The exact `(topology, flow set)` this scenario produces for `seed` —
@@ -1380,159 +1199,7 @@ impl Scenario {
         Ok(sc)
     }
 
-    /// Validate the fault list against the topology: ports must exist,
-    /// down/up must target inter-switch links and alternate in time,
-    /// interval faults need well-formed windows and parameters, and
-    /// same-kind intervals on one port must not overlap (the fabric keeps
-    /// one saved baseline per degraded port).
-    fn validate_faults(&self) -> Result<(), String> {
-        if self.faults.is_empty() {
-            return Ok(());
-        }
-        let topo = self.topology.build(self.link);
-        let n_sw = topo.switches.len() as u32;
-        use std::collections::BTreeMap;
-        // (t_us, is_down) per port; interval windows per port per kind.
-        type Windows = BTreeMap<(u32, u8, &'static str), Vec<(u64, u64)>>;
-        let mut updown: BTreeMap<(u32, u8), Vec<(u64, bool)>> = BTreeMap::new();
-        let mut windows: Windows = BTreeMap::new();
-        for f in &self.faults {
-            let (sw, port) = f.location();
-            if sw >= n_sw {
-                return Err(format!(
-                    "fault {} names switch {sw} but the topology has only {n_sw} switches",
-                    f.kind_name()
-                ));
-            }
-            let ports = &topo.switches[sw as usize].ports;
-            if port as usize >= ports.len() {
-                return Err(format!(
-                    "fault {} names port {port} of switch {sw}, which has only {} ports",
-                    f.kind_name(),
-                    ports.len()
-                ));
-            }
-            match f {
-                FaultSpec::LinkDown { at_us, .. } | FaultSpec::LinkUp { at_us, .. } => {
-                    if !matches!(ports[port as usize].peer, NodeRef::Switch(_)) {
-                        return Err(format!(
-                            "{} on switch {sw} port {port}: that port faces a host — \
-                             link down/up applies to inter-switch links only",
-                            f.kind_name()
-                        ));
-                    }
-                    updown
-                        .entry((sw, port))
-                        .or_default()
-                        .push((*at_us, matches!(f, FaultSpec::LinkDown { .. })));
-                }
-                FaultSpec::LinkDegrade {
-                    from_us,
-                    to_us,
-                    rate_factor,
-                    delay_factor,
-                    ..
-                } => {
-                    if *to_us <= *from_us {
-                        return Err(format!(
-                            "link_degrade on switch {sw} port {port}: window \
-                             [{from_us}, {to_us}) µs is empty"
-                        ));
-                    }
-                    if !(*rate_factor > 0.0 && *rate_factor <= 1.0) {
-                        return Err(format!(
-                            "link_degrade on switch {sw} port {port}: rate_factor \
-                             {rate_factor} outside (0, 1]"
-                        ));
-                    }
-                    if *delay_factor < 1.0 || !delay_factor.is_finite() {
-                        return Err(format!(
-                            "link_degrade on switch {sw} port {port}: delay_factor \
-                             {delay_factor} below 1"
-                        ));
-                    }
-                    windows
-                        .entry((sw, port, "link_degrade"))
-                        .or_default()
-                        .push((*from_us, *to_us));
-                }
-                FaultSpec::RandomLoss {
-                    from_us,
-                    to_us,
-                    probability,
-                    ..
-                } => {
-                    if *to_us <= *from_us {
-                        return Err(format!(
-                            "random_loss on switch {sw} port {port}: window \
-                             [{from_us}, {to_us}) µs is empty"
-                        ));
-                    }
-                    if !(*probability > 0.0 && *probability <= 1.0) {
-                        return Err(format!(
-                            "random_loss on switch {sw} port {port}: probability \
-                             {probability} outside (0, 1]"
-                        ));
-                    }
-                    windows
-                        .entry((sw, port, "random_loss"))
-                        .or_default()
-                        .push((*from_us, *to_us));
-                }
-                FaultSpec::StuckPort { duration_us, .. } => {
-                    if *duration_us == 0 {
-                        return Err(format!(
-                            "stuck_port on switch {sw} port {port}: zero duration"
-                        ));
-                    }
-                }
-            }
-        }
-        for ((sw, port), mut evs) in updown {
-            evs.sort_unstable();
-            for pair in evs.windows(2) {
-                if pair[0].0 == pair[1].0 {
-                    return Err(format!(
-                        "switch {sw} port {port}: two link down/up transitions at \
-                         the same time {} µs",
-                        pair[0].0
-                    ));
-                }
-            }
-            // Must alternate down, up, down, … starting with a down.
-            for (i, (t, is_down)) in evs.iter().enumerate() {
-                let expect_down = i % 2 == 0;
-                if *is_down != expect_down {
-                    return Err(if expect_down {
-                        format!(
-                            "switch {sw} port {port}: link_up at {t} µs without a \
-                             preceding link_down"
-                        )
-                    } else {
-                        format!(
-                            "switch {sw} port {port}: link_down at {t} µs while the \
-                             link is already down (missing link_up in between)"
-                        )
-                    });
-                }
-            }
-        }
-        for ((sw, port, kind), mut ws) in windows {
-            ws.sort_unstable();
-            for pair in ws.windows(2) {
-                if pair[1].0 < pair[0].1 {
-                    return Err(format!(
-                        "switch {sw} port {port}: overlapping {kind} windows \
-                         [{}, {}) and [{}, {}) µs",
-                        pair[0].0, pair[0].1, pair[1].0, pair[1].1
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Validate the fault list (see [`Scenario::validate_faults`]) and the
+    /// Validate the fault list (see [`fncc_net::fault::validate`]) and the
     /// foreground partition against the scenario's actual flow population
     /// (first seed). Called by [`Scenario::from_json`] so a bad document
     /// fails loudly at parse time instead of silently running an empty DES
@@ -1556,7 +1223,9 @@ impl Scenario {
                 self.topology.name()
             ));
         }
-        self.validate_faults()?;
+        if self.has_faults() {
+            fncc_net::fault::validate(&self.faults, &self.topology.build(self.link))?;
+        }
         let Some(fg) = &self.foreground else {
             return Ok(());
         };
@@ -1674,188 +1343,126 @@ mod tests {
         assert_eq!(Scenario::from_json(&sharded.to_json()).unwrap(), sharded);
     }
 
+    /// One table, both engines: every kind survives JSON parse → emit →
+    /// parse, the fabric schedules exactly the listed `(µs, start|end)`
+    /// boundaries for it, and the fluid holds the listed capacity factor on
+    /// the faulted link at each probed instant.
     #[test]
     fn faults_roundtrip_and_lower_to_fabric_config() {
-        let mut sc = sample();
+        use fncc_fluid::{BackgroundFluid, Framing, RateModel};
+        use fncc_net::fabric::Ev;
         // Fat-tree k=4: ToR 0 ports 0-1 face hosts, 2-3 are uplinks.
-        sc.faults = vec![
-            FaultSpec::LinkDown {
-                switch: 0,
-                port: 2,
-                at_us: 50,
-            },
-            FaultSpec::LinkUp {
-                switch: 0,
-                port: 2,
-                at_us: 400,
-            },
-            FaultSpec::LinkDegrade {
-                switch: 1,
-                port: 3,
-                from_us: 10,
-                to_us: 90,
-                rate_factor: 0.25,
-                delay_factor: 4.0,
-            },
-            FaultSpec::RandomLoss {
-                switch: 2,
-                port: 2,
-                from_us: 0,
-                to_us: 200,
-                probability: 0.01,
-            },
-            FaultSpec::StuckPort {
-                switch: 0,
-                port: 0,
-                at_us: 20,
-                duration_us: 30,
-            },
-        ];
-        sc.validate().unwrap();
-        let parsed = Scenario::from_json(&sc.to_json()).unwrap();
-        assert_eq!(parsed, sc);
-        assert!(sc.has_faults());
-
-        let mut cfg = FabricConfig::paper_default();
-        sc.apply_faults(&mut cfg);
-        assert_eq!(cfg.link_faults.len(), 4);
-        assert_eq!(cfg.faults.len(), 1);
-        use fncc_net::config::LinkFault;
-        assert!(
-            matches!(cfg.link_faults[0].fault, LinkFault::Down { at } if at == SimTime::from_us(50))
-        );
-        assert_eq!(cfg.link_faults[2].switch, SwitchId(1));
-        assert_eq!(cfg.link_faults[2].port, 3);
-        assert!(
-            matches!(cfg.link_faults[3].fault, LinkFault::RandomLoss { prob, .. } if prob == 0.01)
-        );
-        assert_eq!(cfg.faults[0].node, NodeRef::Switch(SwitchId(0)));
-        assert_eq!(cfg.faults[0].duration, TimeDelta::from_us(30));
-    }
-
-    #[test]
-    fn fault_validation_rejects_malformed_specs() {
-        let reject = |faults: Vec<FaultSpec>, needle: &str| {
-            let sc = Scenario { faults, ..sample() };
-            let err = sc.validate().unwrap_err();
-            assert!(err.contains(needle), "error {err:?} lacks {needle:?}");
-        };
-        reject(
-            vec![FaultSpec::LinkDown {
-                switch: 99,
-                port: 0,
-                at_us: 0,
-            }],
-            "switch 99",
-        );
-        reject(
-            vec![FaultSpec::LinkUp {
-                switch: 0,
-                port: 200,
-                at_us: 0,
-            }],
-            "port 200",
-        );
-        // Port 0 of a ToR faces a host: down/up must be inter-switch.
-        reject(
-            vec![
+        type Row = (FaultSpec, &'static [(u64, bool)], &'static [(u64, f64)]);
+        let table: [Row; 5] = [
+            (
                 FaultSpec::LinkDown {
                     switch: 0,
-                    port: 0,
-                    at_us: 0,
+                    port: 2,
+                    at_us: 50,
                 },
+                &[(50, true)],
+                &[(49, 1.0), (50, 1.0), (400, 1.0)],
+            ),
+            (
                 FaultSpec::LinkUp {
                     switch: 0,
-                    port: 0,
-                    at_us: 10,
-                },
-            ],
-            "faces a host",
-        );
-        reject(
-            vec![FaultSpec::LinkUp {
-                switch: 0,
-                port: 2,
-                at_us: 10,
-            }],
-            "without a preceding link_down",
-        );
-        reject(
-            vec![
-                FaultSpec::LinkDown {
-                    switch: 0,
                     port: 2,
-                    at_us: 10,
+                    at_us: 400,
                 },
-                FaultSpec::LinkDown {
-                    switch: 0,
-                    port: 2,
-                    at_us: 20,
+                &[(400, true)],
+                &[(399, 1.0), (400, 1.0)],
+            ),
+            (
+                FaultSpec::LinkDegrade {
+                    switch: 1,
+                    port: 3,
+                    from_us: 10,
+                    to_us: 90,
+                    rate_factor: 0.95,
+                    delay_factor: 4.0,
                 },
-            ],
-            "already down",
-        );
-        reject(
-            vec![FaultSpec::RandomLoss {
-                switch: 0,
-                port: 2,
-                from_us: 0,
-                to_us: 100,
-                probability: 1.5,
-            }],
-            "probability",
-        );
-        reject(
-            vec![FaultSpec::LinkDegrade {
-                switch: 0,
-                port: 2,
-                from_us: 100,
-                to_us: 100,
-                rate_factor: 0.5,
-                delay_factor: 1.0,
-            }],
-            "empty",
-        );
-        reject(
-            vec![FaultSpec::LinkDegrade {
-                switch: 0,
-                port: 2,
-                from_us: 0,
-                to_us: 100,
-                rate_factor: 0.0,
-                delay_factor: 1.0,
-            }],
-            "rate_factor",
-        );
-        reject(
-            vec![
+                &[(10, true), (90, false)],
+                &[(9, 1.0), (10, 0.95), (89, 0.95), (90, 1.0)],
+            ),
+            (
                 FaultSpec::RandomLoss {
-                    switch: 0,
+                    switch: 2,
                     port: 2,
                     from_us: 0,
-                    to_us: 100,
-                    probability: 0.1,
+                    to_us: 200,
+                    probability: 0.005,
                 },
-                FaultSpec::RandomLoss {
+                &[(0, true), (200, false)],
+                &[(0, 1.0 - 0.005), (199, 1.0 - 0.005), (200, 1.0)],
+            ),
+            (
+                FaultSpec::StuckPort {
                     switch: 0,
-                    port: 2,
-                    from_us: 50,
-                    to_us: 150,
-                    probability: 0.1,
+                    port: 0,
+                    at_us: 20,
+                    duration_us: 30,
                 },
-            ],
-            "overlapping",
-        );
-        reject(
-            vec![FaultSpec::StuckPort {
-                switch: 0,
-                port: 0,
-                at_us: 0,
-                duration_us: 0,
-            }],
-            "zero duration",
-        );
-        // from_json surfaces the same validation.
+                &[(20, true), (50, false)],
+                &[(19, 1.0), (20, 1e-6), (49, 1e-6), (50, 1.0)],
+            ),
+        ];
+        let mut sc = sample();
+        sc.faults = table.iter().map(|row| row.0).collect();
+        sc.validate().unwrap();
+        assert!(sc.has_faults());
+        let text = sc.to_json();
+        let parsed = Scenario::from_json(&text).unwrap();
+        assert_eq!(parsed, sc);
+        assert_eq!(parsed.to_json(), text);
+
+        let topo = sc.topology.build(sc.link);
+        let sim = crate::sim::SimBuilder::new(topo.clone(), sc.cc)
+            .fabric(|f| f.faults = sc.faults.clone())
+            .build();
+        let scheduled: Vec<(usize, u64, bool)> = sim
+            .fabric()
+            .startup_events()
+            .into_iter()
+            .filter_map(|(t, ev)| match ev {
+                Ev::FaultStart { ix } => Some((ix, t.as_ps() / 1_000_000, true)),
+                Ev::FaultEnd { ix } => Some((ix, t.as_ps() / 1_000_000, false)),
+                _ => None,
+            })
+            .collect();
+        let want: Vec<(usize, u64, bool)> = table
+            .iter()
+            .enumerate()
+            .flat_map(|(ix, row)| row.1.iter().map(move |&(t, start)| (ix, t, start)))
+            .collect();
+        assert_eq!(scheduled, want);
+
+        let model = RateModel::paper_default(sc.cc);
+        let mut probes: Vec<(u64, u32, f64)> = Vec::new();
+        let mut fluid =
+            BackgroundFluid::new(topo, model, Framing::default(), Vec::new(), false).unwrap();
+        fluid.faults(&sc.faults);
+        for (f, _, timeline) in &table {
+            let (sw, port) = f.location();
+            let link = fluid.link_map().id_of(NodeRef::Switch(SwitchId(sw)), port);
+            probes.extend(timeline.iter().map(|&(t, factor)| (t, link, factor)));
+        }
+        probes.sort_by_key(|p| p.0);
+        for (t_us, link, factor) in probes {
+            fluid
+                .advance_to(SimTime::from_us(t_us).as_secs_f64())
+                .unwrap();
+            assert_eq!(
+                fluid.fault_factor(link).to_bits(),
+                factor.to_bits(),
+                "link {link} at {t_us} µs"
+            );
+        }
+    }
+
+    /// `from_json` surfaces [`fncc_net::fault::validate`]'s verdict (its
+    /// rejection cases are tested beside it).
+    #[test]
+    fn fault_validation_rejects_malformed_specs() {
         let mut sc = sample();
         sc.faults = vec![FaultSpec::LinkDown {
             switch: 0,

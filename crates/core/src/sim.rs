@@ -283,9 +283,8 @@ impl SimBuilder {
 
 /// Whether a startup event belongs on this shard. Periodic ticks run as
 /// replicas on every shard (keeping per-switch timers in phase without
-/// cross-shard traffic); port faults fire only on the owner of the faulted
-/// node; link-fault boundaries fire on the owner of either endpoint (each
-/// side tears down / restores its own direction).
+/// cross-shard traffic); fault boundaries fire on the owner of either
+/// endpoint of the faulted link (each side handles its own direction).
 fn owned_startup_event(
     shard: &Option<(Arc<PartitionMap>, u16)>,
     fabric: &Fabric<DcHost>,
@@ -293,11 +292,10 @@ fn owned_startup_event(
 ) -> bool {
     let Some((map, my)) = shard else { return true };
     match ev {
-        Ev::FaultPause { ix } => map.owner_of(fabric.cfg.faults[*ix].node) == *my,
-        Ev::LinkFaultStart { ix } | Ev::LinkFaultEnd { ix } => {
-            let spec = &fabric.cfg.link_faults[*ix];
-            let peer = fabric.switches[spec.switch.ix()].ports[spec.port as usize].peer;
-            map.owner_switch(spec.switch) == *my || map.owner_of(peer) == *my
+        Ev::FaultStart { ix } | Ev::FaultEnd { ix } => {
+            let (sw, port) = fabric.cfg.faults[*ix].location();
+            let peer = fabric.switches[sw as usize].ports[port as usize].peer;
+            map.owner_switch(SwitchId(sw)) == *my || map.owner_of(peer) == *my
         }
         _ => true,
     }
@@ -411,6 +409,22 @@ mod tests {
 
     fn dumbbell() -> Topology {
         Topology::dumbbell(2, 3, Bandwidth::gbps(100), TimeDelta::from_ns(1500))
+    }
+
+    /// A hand-built fabric is held to the validator a scenario file is: an
+    /// out-of-range port fails with its message, not an index panic.
+    #[test]
+    #[should_panic(expected = "names port 9 of switch 0, which has only 3 ports")]
+    fn hand_built_fault_list_is_validated() {
+        let stuck = fncc_net::fault::FaultSpec::StuckPort {
+            switch: 0,
+            port: 9,
+            at_us: 0,
+            duration_us: 1,
+        };
+        SimBuilder::new(dumbbell(), CcKind::Fncc)
+            .fabric(|f| f.faults.push(stuck))
+            .build();
     }
 
     fn two_flows() -> Vec<FlowSpec> {

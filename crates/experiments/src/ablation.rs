@@ -192,7 +192,7 @@ pub fn ack_coalescing_sweep(opts: &RunOpts) {
 /// storm hazard). The watchdog records episode lengths; the fabric must
 /// recover losslessly once the fault clears.
 pub fn pause_storm(opts: &RunOpts) {
-    use fncc_core::scenario::{FaultSpec, Scenario};
+    use fncc_core::scenario::FaultSpec;
 
     let mut t = Table::new([
         "fault_us",
@@ -217,8 +217,6 @@ pub fn pause_storm(opts: &RunOpts) {
                     start: SimTime::ZERO,
                 })
                 .collect();
-            // The stuck-port fault goes through the scenario-level spec and
-            // the same lowering every backend uses — no bespoke wiring.
             let faults: Vec<FaultSpec> = if fault_us > 0 {
                 vec![FaultSpec::StuckPort {
                     switch: 1,
@@ -230,7 +228,7 @@ pub fn pause_storm(opts: &RunOpts) {
                 Vec::new()
             };
             let mut sim = SimBuilder::new(topo, cc)
-                .fabric(|f| Scenario::lower_faults(&faults, f))
+                .fabric(|f| f.faults = faults)
                 .flows(flows)
                 .build();
             let done = sim.run_to_completion(TimeDelta::from_us(100), SimTime::from_ms(20));

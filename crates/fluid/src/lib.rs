@@ -56,6 +56,4 @@ pub use maxmin::{
     find_non_pareto_flow, water_fill, worst_oversubscription, Demand, Rebalance, WaterFiller,
 };
 pub use model::{Calibration, CalibrationSet, DurationEta, RateModel};
-pub use sim::{
-    BackgroundFluid, CapacityChange, CapacityEvent, FluidError, FluidResult, FluidSim, Framing,
-};
+pub use sim::{BackgroundFluid, FluidError, FluidResult, FluidSim, Framing};

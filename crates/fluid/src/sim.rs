@@ -56,6 +56,7 @@ use crate::maxmin::{Rebalance, WaterFiller};
 use crate::model::RateModel;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::config::FabricConfig;
+use fncc_net::fault::FaultSpec;
 use fncc_net::ids::{NodeRef, SwitchId};
 use fncc_net::routing::{egress_avoiding, flow_hash};
 use fncc_net::telemetry::{FlowRecord, Telemetry};
@@ -63,37 +64,21 @@ use fncc_net::topology::Topology;
 use fncc_obs::{HistId, PhaseId, Profiler, TraceEvent, TraceSink};
 use fncc_transport::FlowSpec;
 
-/// A scheduled change to one switch egress link — the fluid lowering of a
-/// scenario fault. `Down`/`Up` fail and restore the physical link (both
-/// directions; crossing flows reroute over the surviving ECMP paths exactly
-/// as the packet engine's recompiled tables would steer them); `Scale`
-/// multiplies the named egress direction's capacity (a degraded link, or
-/// random loss modeled as its goodput haircut).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CapacityEvent {
-    /// When the change takes effect.
-    pub at: SimTime,
-    /// Switch owning the egress.
-    pub switch: SwitchId,
-    /// Egress port index.
-    pub port: u8,
-    /// What happens.
-    pub change: CapacityChange,
+/// One scheduled boundary of a fault: `faults[ix]` takes effect
+/// (`opening`) or its window closes at `at`.
+#[derive(Clone, Copy)]
+struct Boundary {
+    at: SimTime,
+    ix: u32,
+    opening: bool,
 }
 
-/// The kind of capacity change a [`CapacityEvent`] applies.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum CapacityChange {
-    /// Link fails: both directions die, crossing flows reroute (or stall
-    /// until [`CapacityChange::Up`] when the failure severs their
-    /// destination).
-    Down,
-    /// Link restored: routing reverts to the pristine tables, rerouted
-    /// flows move back.
-    Up,
-    /// Multiply the egress capacity by this factor (a fault window's end is
-    /// lowered as the reciprocal, so overlapping faults compose).
-    Scale(f64),
+/// A capacity window currently open on a link.
+struct OpenWindow {
+    link: u32,
+    /// Index of the fault that opened it.
+    ix: u32,
+    factor: f64,
 }
 
 /// Fabric framing parameters the fluid model needs. The default derives
@@ -350,7 +335,7 @@ pub struct FluidSim {
     model: RateModel,
     framing: Framing,
     flows: Vec<FlowSpec>,
-    faults: Vec<CapacityEvent>,
+    faults: Vec<FaultSpec>,
     trace: bool,
 }
 
@@ -367,9 +352,10 @@ impl FluidSim {
         }
     }
 
-    /// Schedule link-fault capacity events (the engine sorts them by time).
-    pub fn capacity_events(mut self, events: impl IntoIterator<Item = CapacityEvent>) -> Self {
-        self.faults.extend(events);
+    /// Inject faults (see [`BackgroundFluid::faults`] for the fluid model of
+    /// each kind).
+    pub fn faults(mut self, faults: &[FaultSpec]) -> Self {
+        self.faults.extend_from_slice(faults);
         self
     }
 
@@ -408,7 +394,7 @@ impl FluidSim {
             "resolve_set_size",
             "fluid_solve",
         )?;
-        engine.capacity_events(self.faults);
+        engine.faults(&self.faults);
         engine.run_to_end()?;
         Ok(engine.into_result())
     }
@@ -455,13 +441,17 @@ pub struct BackgroundFluid {
     /// idle re-enters through the allocator's activation hook with a clean
     /// history, which also covers whole-network idle gaps.
     sat_since: Vec<f64>,
-    /// Scheduled capacity events (scenario faults), sorted by time.
-    fevents: Vec<CapacityEvent>,
+    /// Injected faults, and their start/end boundaries sorted by time.
+    faults: Vec<FaultSpec>,
+    fevents: Vec<Boundary>,
     next_fault: usize,
-    /// Per-link capacity factor from `Scale` fault events (composes
-    /// multiplicatively with foreground reservations).
+    /// Capacity windows currently open (degradation, loss, stuck port).
+    open: Vec<OpenWindow>,
+    /// Per-link capacity factor: the product over the link's open windows,
+    /// so exactly 1.0 once they have all closed (composes multiplicatively
+    /// with foreground reservations).
     factor: Vec<f64>,
-    /// Per-switch-port dead flags from `Down`/`Up` fault events.
+    /// Per-switch-port dead flags from link down/up faults.
     dead: Vec<Vec<bool>>,
     n_dead: usize,
     /// Flows parked because the dead set severs their destination.
@@ -590,8 +580,10 @@ impl BackgroundFluid {
             capacity_base,
             reservation: vec![0.0; n],
             sat_since: vec![f64::NAN; n],
+            faults: Vec::new(),
             fevents: Vec::new(),
             next_fault: 0,
+            open: Vec::new(),
             factor: vec![1.0; n],
             dead,
             n_dead: 0,
@@ -610,13 +602,40 @@ impl BackgroundFluid {
         })
     }
 
-    /// Schedule link-fault capacity events (sorted internally by time):
-    /// `Down`/`Up` fail and restore the physical link with rerouting,
-    /// `Scale` multiplies one egress direction's capacity and composes
-    /// with foreground reservations.
-    pub fn capacity_events(&mut self, events: impl IntoIterator<Item = CapacityEvent>) {
-        self.fevents.extend(events);
-        self.fevents.sort_by_key(|e| e.at);
+    /// Inject faults, before the first step. Link down/up fail and restore
+    /// the physical link — both directions; crossing flows reroute over
+    /// the surviving ECMP paths exactly as the packet engine's recompiled
+    /// tables would steer them, or stall until the link returns when the
+    /// failure severs their destination. The window kinds scale the named
+    /// egress direction's capacity while open, overlapping windows
+    /// composing multiplicatively: a degraded link by its `rate_factor`
+    /// (`delay_factor` has no fluid analogue — the model carries no
+    /// per-hop latency inflation), random loss by its goodput haircut (a
+    /// loss probability `p` costs the go-back-N sender roughly a `1 − p`
+    /// throughput factor), and a stuck port is a near-dead link (`1e-6` of
+    /// capacity — not zero, so the zero-rate guard still catches genuinely
+    /// broken scenarios).
+    pub fn faults(&mut self, faults: &[FaultSpec]) {
+        for f in faults {
+            let ix = self.faults.len() as u32;
+            self.faults.push(*f);
+            let (start, end) = f.span_us();
+            let at = SimTime::from_us(start);
+            self.fevents.push(Boundary {
+                at,
+                ix,
+                opening: true,
+            });
+            if let Some(end) = end {
+                let at = SimTime::from_us(end);
+                self.fevents.push(Boundary {
+                    at,
+                    ix,
+                    opening: false,
+                });
+            }
+        }
+        self.fevents.sort_by_key(|b| b.at);
     }
 
     /// Current fluid clock, seconds.
@@ -708,7 +727,7 @@ impl BackgroundFluid {
         if t_fin <= t_next {
             self.retire_due();
         }
-        self.apply_faults_due();
+        self.apply_due_faults();
         self.admit_due();
         Ok(true)
     }
@@ -762,7 +781,7 @@ impl BackgroundFluid {
     /// fault-scaled base minus the η-scaled foreground reservation,
     /// floored at a sliver of the (scaled) unreserved capacity — and well
     /// above zero, so the zero-rate guard stays meaningful: a degraded
-    /// link is slow, not dead (`Down` models dead).
+    /// link is slow, not dead (link down models dead).
     fn update_eff(&mut self, l: u32) {
         let li = l as usize;
         let base = self.capacity_base[li] * self.factor[li];
@@ -776,33 +795,42 @@ impl BackgroundFluid {
         }
     }
 
-    /// Apply every fault event at or before the current clock: `Scale`
-    /// adjusts the link's capacity factor; `Down`/`Up` flip the dead flags
-    /// on both directions of the physical link — it dies whole, exactly as
-    /// in the packet fabric — and re-walk every flow's route once.
-    fn apply_faults_due(&mut self) {
+    /// Apply every fault boundary at or before the current clock: a window
+    /// opening or closing re-derives its link's capacity factor from the
+    /// windows still open there; link down/up flip the dead flags on both
+    /// directions of the physical link — it dies whole, exactly as in the
+    /// packet fabric — and re-walk every flow's route once.
+    fn apply_due_faults(&mut self) {
         let mut links_flipped = false;
-        while let Some(&ev) = self.fevents.get(self.next_fault) {
-            if ev.at.as_secs_f64() > self.t + 1e-15 {
+        while let Some(&b) = self.fevents.get(self.next_fault) {
+            if b.at.as_secs_f64() > self.t + 1e-15 {
                 break;
             }
             self.next_fault += 1;
-            let down = match ev.change {
-                CapacityChange::Scale(f) => {
-                    let l = self.links.id_of(NodeRef::Switch(ev.switch), ev.port);
-                    self.factor[l as usize] *= f;
-                    self.update_eff(l);
+            let (sw, port) = self.faults[b.ix as usize].location();
+            let switch = SwitchId(sw);
+            let down = match self.faults[b.ix as usize] {
+                FaultSpec::LinkDown { .. } => true,
+                FaultSpec::LinkUp { .. } => false,
+                FaultSpec::LinkDegrade { rate_factor, .. } => {
+                    self.window_boundary(b, switch, port, rate_factor);
                     continue;
                 }
-                CapacityChange::Down => true,
-                CapacityChange::Up => false,
+                FaultSpec::RandomLoss { probability, .. } => {
+                    self.window_boundary(b, switch, port, 1.0 - probability.min(0.999_999));
+                    continue;
+                }
+                FaultSpec::StuckPort { .. } => {
+                    self.window_boundary(b, switch, port, 1e-6);
+                    continue;
+                }
             };
-            let near = &self.topo.switches[ev.switch.ix()].ports[ev.port as usize];
+            let near = &self.topo.switches[switch.ix()].ports[port as usize];
             let far = match near.peer {
                 NodeRef::Switch(s2) => Some((s2.ix(), near.peer_port as usize)),
                 NodeRef::Host(_) => None,
             };
-            for (s, p) in std::iter::once((ev.switch.ix(), ev.port as usize)).chain(far) {
+            for (s, p) in std::iter::once((switch.ix(), port as usize)).chain(far) {
                 if self.dead[s][p] != down {
                     self.dead[s][p] = down;
                     self.n_dead = if down {
@@ -813,7 +841,7 @@ impl BackgroundFluid {
                 }
             }
             if self.telemetry.trace.enabled() {
-                let (t_ps, sw, port) = (to_ps(self.t), ev.switch.0, ev.port);
+                let t_ps = to_ps(self.t);
                 self.telemetry.trace.record(if down {
                     TraceEvent::LinkDown { t_ps, sw, port }
                 } else {
@@ -826,6 +854,30 @@ impl BackgroundFluid {
             self.repath_flows();
             self.needs_resolve = true;
         }
+    }
+
+    /// Open or close fault `b.ix`'s capacity window on the egress link at
+    /// `(switch, port)` and set the link's factor to the product over the
+    /// windows still open there — the empty product, exactly 1.0, once the
+    /// last one closes.
+    fn window_boundary(&mut self, b: Boundary, switch: SwitchId, port: u8, factor: f64) {
+        let link = self.links.id_of(NodeRef::Switch(switch), port);
+        if b.opening {
+            self.open.push(OpenWindow {
+                link,
+                ix: b.ix,
+                factor,
+            });
+        } else {
+            self.open.retain(|w| w.ix != b.ix);
+        }
+        self.factor[link as usize] = self
+            .open
+            .iter()
+            .filter(|w| w.link == link)
+            .map(|w| w.factor)
+            .product();
+        self.update_eff(link);
     }
 
     /// Put `st` in allocator slot `slot`, growing the slot table to fit.
@@ -908,6 +960,14 @@ impl BackgroundFluid {
         }
         let li = l as usize;
         (self.eff_capacity[li] - self.filler.link_residual(l)).max(0.0)
+    }
+
+    /// The capacity factor faults currently impose on link `l`: the product
+    /// over its open degradation, loss and stuck-port windows, 1.0 with
+    /// none open.
+    #[inline]
+    pub fn fault_factor(&self, l: u32) -> f64 {
+        self.factor[l as usize]
     }
 
     /// Test hook: every live slot's cached projection equals the
@@ -1440,13 +1500,23 @@ mod tests {
         assert!(shown.contains("stalled"), "{shown}");
     }
 
-    fn ev(at_us: u64, sw: u32, port: u8, change: CapacityChange) -> CapacityEvent {
-        CapacityEvent {
-            at: SimTime::from_us(at_us),
-            switch: SwitchId(sw),
+    /// The dumbbell bottleneck / fat-tree ToR uplink (switch 0, port 2)
+    /// down over `[down_us, up_us)`; `up_us == 0` leaves it down.
+    fn flap(down_us: u64, up_us: u64) -> Vec<FaultSpec> {
+        let (switch, port) = (0, 2);
+        let mut faults = vec![FaultSpec::LinkDown {
+            switch,
             port,
-            change,
+            at_us: down_us,
+        }];
+        if up_us > 0 {
+            faults.push(FaultSpec::LinkUp {
+                switch,
+                port,
+                at_us: up_us,
+            });
         }
+        faults
     }
 
     /// A ToR uplink dies mid-transfer on a fat-tree: flows crossing it move
@@ -1459,10 +1529,7 @@ mod tests {
         let flows: Vec<FlowSpec> = (0..2).map(|i| flow(i, i, 14 + i, size, 0)).collect();
         let r = FluidSim::new(topo, RateModel::ideal())
             .flows(flows)
-            .capacity_events([
-                ev(100, 0, 2, CapacityChange::Down),
-                ev(400, 0, 2, CapacityChange::Up),
-            ])
+            .faults(&flap(100, 400))
             .run()
             .unwrap();
         assert!(r.telemetry.all_flows_finished());
@@ -1473,26 +1540,29 @@ mod tests {
         );
     }
 
-    /// A degraded bottleneck (Scale window) lengthens the FCT of a flow
-    /// crossing it, and restoring the factor at the window end returns the
-    /// link to full speed.
+    /// A degraded bottleneck lengthens the FCT of a flow crossing it, and
+    /// the window's end returns the link to full speed.
     #[test]
     fn degrade_window_slows_completion() {
-        let run = |events: Vec<CapacityEvent>| {
+        let run = |faults: &[FaultSpec]| {
             let topo = Topology::dumbbell(2, 3, BW, PROP);
             let r = FluidSim::new(topo, RateModel::ideal())
                 .flows([flow(0, 0, 2, 10_000_000, 0)])
-                .capacity_events(events)
+                .faults(faults)
                 .run()
                 .unwrap();
             let rec = r.telemetry.flow_record(FlowId(0)).unwrap().clone();
             rec.fct().unwrap().as_secs_f64()
         };
-        let clean = run(vec![]);
-        let degraded = run(vec![
-            ev(100, 0, 2, CapacityChange::Scale(0.25)),
-            ev(400, 0, 2, CapacityChange::Scale(4.0)),
-        ]);
+        let clean = run(&[]);
+        let degraded = run(&[FaultSpec::LinkDegrade {
+            switch: 0,
+            port: 2,
+            from_us: 100,
+            to_us: 400,
+            rate_factor: 0.25,
+            delay_factor: 1.0,
+        }]);
         // 300 µs at quarter speed costs ~225 µs of extra drain.
         assert!(
             degraded > clean + 150e-6,
@@ -1500,20 +1570,78 @@ mod tests {
         );
     }
 
+    /// Regression: a closed window restores the nominal capacity exactly.
+    /// The factor used to be multiplied by `f` and later by `1.0 / f`, and
+    /// `0.95 * (1.0 / 0.95)` is one ulp under 1, so the link ran short for
+    /// the rest of the run. Now the presented capacity is bit-equal to the
+    /// base once the window closed, and a flow starting afterwards finishes
+    /// exactly when the fault-free run finishes it.
+    #[test]
+    fn closed_fault_window_restores_exact_capacity() {
+        let engine = |faults: &[FaultSpec]| {
+            let topo = Topology::dumbbell(2, 3, BW, PROP);
+            let late = vec![flow(0, 0, 2, 10_000_000, 500)];
+            let mut bg =
+                BackgroundFluid::new(topo, RateModel::ideal(), Framing::default(), late, false)
+                    .unwrap();
+            bg.faults(faults);
+            bg
+        };
+        let finish = |mut bg: BackgroundFluid| {
+            bg.run_to_end().unwrap();
+            let r = bg.into_result();
+            r.telemetry.flow_record(FlowId(0)).unwrap().finish.unwrap()
+        };
+        let clean = finish(engine(&[]));
+        let (switch, port, from_us, to_us) = (0, 2, 100, 400);
+        for fault in [
+            FaultSpec::LinkDegrade {
+                switch,
+                port,
+                from_us,
+                to_us,
+                rate_factor: 0.95,
+                delay_factor: 1.0,
+            },
+            FaultSpec::RandomLoss {
+                switch,
+                port,
+                from_us,
+                to_us,
+                probability: 0.005,
+            },
+        ] {
+            let mut bg = engine(&[fault]);
+            let l = bg.links.id_of(NodeRef::Switch(SwitchId(switch)), port) as usize;
+            bg.advance_to(250e-6).unwrap();
+            assert!(
+                bg.eff_capacity[l] < bg.capacity_base[l],
+                "{fault:?} never opened"
+            );
+            bg.advance_to(450e-6).unwrap();
+            assert_eq!(
+                bg.eff_capacity[l].to_bits(),
+                bg.capacity_base[l].to_bits(),
+                "{fault:?}"
+            );
+            assert_eq!(finish(bg), clean, "{fault:?}");
+        }
+    }
+
     /// On a dumbbell the bottleneck has no ECMP alternative: a link-down
     /// strands the flow (remaining bits frozen) until the link-up revives
     /// it, and the outage shows up in the FCT.
     #[test]
     fn severed_flow_stalls_until_link_up() {
-        let run = |events: Vec<CapacityEvent>| {
+        let run = |faults: &[FaultSpec]| {
             let topo = Topology::dumbbell(2, 3, BW, PROP);
             FluidSim::new(topo, RateModel::ideal())
                 .flows([flow(0, 0, 2, 10_000_000, 0)])
-                .capacity_events(events)
+                .faults(faults)
                 .run()
                 .unwrap()
         };
-        let clean = run(vec![]);
+        let clean = run(&[]);
         let fct_clean = clean
             .telemetry
             .flow_record(FlowId(0))
@@ -1521,10 +1649,7 @@ mod tests {
             .fct()
             .unwrap()
             .as_secs_f64();
-        let flapped = run(vec![
-            ev(100, 0, 2, CapacityChange::Down),
-            ev(500, 0, 2, CapacityChange::Up),
-        ]);
+        let flapped = run(&flap(100, 500));
         assert!(flapped.telemetry.all_flows_finished());
         let fct = flapped
             .telemetry
@@ -1549,7 +1674,7 @@ mod tests {
         let topo = Topology::dumbbell(2, 3, BW, PROP);
         let r = FluidSim::new(topo, RateModel::ideal())
             .flows([flow(0, 0, 2, 10_000_000, 0)])
-            .capacity_events([ev(100, 0, 2, CapacityChange::Down)])
+            .faults(&flap(100, 0))
             .run()
             .unwrap();
         assert!(!r.telemetry.all_flows_finished());
@@ -1563,10 +1688,7 @@ mod tests {
         let topo = Topology::dumbbell(2, 3, BW, PROP);
         let r = FluidSim::new(topo, RateModel::ideal())
             .flows([flow(0, 0, 2, 1_000_000, 200)])
-            .capacity_events([
-                ev(100, 0, 2, CapacityChange::Down),
-                ev(600, 0, 2, CapacityChange::Up),
-            ])
+            .faults(&flap(100, 600))
             .run()
             .unwrap();
         assert!(r.telemetry.all_flows_finished());

@@ -4,16 +4,15 @@
 //! `next_event`-by-`next_event` stepping (a settle at every event) must
 //! give every flow the same finish time to the picosecond the records are
 //! kept in, and agree on which flows were rerouted or never finished —
-//! on Poisson and incast traffic, with and without link faults. After every
-//! step each live flow's cached completion projection must also equal the
-//! from-scratch expression bit for bit.
+//! on Poisson and incast traffic, with and without faults of all five
+//! kinds. After every step each live flow's cached completion projection
+//! must also equal the from-scratch expression bit for bit.
 
 use fncc_cc::CcKind;
 use fncc_des::time::{SimTime, TimeDelta};
-use fncc_fluid::{
-    BackgroundFluid, CapacityChange, CapacityEvent, FluidResult, FluidSim, Framing, RateModel,
-};
-use fncc_net::ids::{FlowId, HostId, SwitchId};
+use fncc_fluid::{BackgroundFluid, FluidResult, FluidSim, Framing, RateModel};
+use fncc_net::fault::FaultSpec;
+use fncc_net::ids::{FlowId, HostId};
 use fncc_net::topology::Topology;
 use fncc_net::units::Bandwidth;
 use fncc_transport::FlowSpec;
@@ -56,7 +55,7 @@ proptest! {
         n_flows in 2u32..40,
         seed in 0u64..1_000_000,
         faults_raw in proptest::collection::vec(
-            (0u32..3, 0u32..64, 0u32..8, 0u64..400, 0.1f64..0.9),
+            (0u32..6, 0u32..64, 0u32..8, 0u64..400, 0.1f64..0.9),
             0..4,
         ),
         chunks_ns in proptest::collection::vec(200u64..60_000, 1..12),
@@ -83,28 +82,45 @@ proptest! {
             };
             poisson_flows(&cfg, &web_search())
         };
-        // kind 0: a flap (Down, Up later); 1: a permanent Down; 2: a
-        // degrade window (Scale, then its reciprocal).
+        // kind 0: a flap (down, up later); 1: a permanent down; 2–4: a
+        // degrade, loss or stuck-port window; 5: a degrade and a loss
+        // window that overlap on one port.
         let mut faults = Vec::new();
         for &(kind, sw, port, at_us, factor) in &faults_raw {
-            let sw = sw as usize % topo.switches.len();
-            let port = (port as usize % topo.switches[sw].ports.len()) as u8;
-            let ev = |at_us: u64, change| CapacityEvent {
-                at: SimTime::from_us(at_us),
-                switch: SwitchId(sw as u32),
+            let switch = sw % topo.switches.len() as u32;
+            let port = (port as usize % topo.switches[switch as usize].ports.len()) as u8;
+            let degrade = |from_us: u64| FaultSpec::LinkDegrade {
+                switch,
                 port,
-                change,
+                from_us,
+                to_us: from_us + 150,
+                rate_factor: factor,
+                delay_factor: 1.0,
+            };
+            let loss = |from_us: u64| FaultSpec::RandomLoss {
+                switch,
+                port,
+                from_us,
+                to_us: from_us + 150,
+                probability: 1.0 - factor,
             };
             match kind {
-                0 => faults.extend([
-                    ev(at_us, CapacityChange::Down),
-                    ev(at_us + 150, CapacityChange::Up),
-                ]),
-                1 => faults.push(ev(at_us, CapacityChange::Down)),
-                _ => faults.extend([
-                    ev(at_us, CapacityChange::Scale(factor)),
-                    ev(at_us + 150, CapacityChange::Scale(1.0 / factor)),
-                ]),
+                0 | 1 => {
+                    faults.push(FaultSpec::LinkDown { switch, port, at_us });
+                    if kind == 0 {
+                        let at_us = at_us + 150;
+                        faults.push(FaultSpec::LinkUp { switch, port, at_us });
+                    }
+                }
+                2 => faults.push(degrade(at_us)),
+                3 => faults.push(loss(at_us)),
+                4 => faults.push(FaultSpec::StuckPort {
+                    switch,
+                    port,
+                    at_us,
+                    duration_us: 150,
+                }),
+                _ => faults.extend([degrade(at_us), loss(at_us + 60)]),
             }
         }
         let model = RateModel::paper_default(CcKind::Fncc);
@@ -112,13 +128,13 @@ proptest! {
             let mut bg =
                 BackgroundFluid::new(topo.clone(), model, Framing::default(), flows.clone(), false)
                     .unwrap();
-            bg.capacity_events(faults.iter().copied());
+            bg.faults(&faults);
             bg
         };
 
         let reference = FluidSim::new(topo.clone(), model)
             .flows(flows.clone())
-            .capacity_events(faults.iter().copied())
+            .faults(&faults)
             .run()
             .unwrap();
 

@@ -49,9 +49,10 @@
 use fncc_cc::CcKind;
 use fncc_des::engine::Engine;
 use fncc_des::time::{SimTime, TimeDelta};
-use fncc_fluid::{BackgroundFluid, CapacityEvent, FluidError, FluidResult, Framing, RateModel};
+use fncc_fluid::{BackgroundFluid, FluidError, FluidResult, Framing, RateModel};
 use fncc_net::config::FabricConfig;
 use fncc_net::fabric::{Ev, Fabric};
+use fncc_net::fault::FaultSpec;
 use fncc_net::ids::{HostId, NodeRef};
 use fncc_net::telemetry::Telemetry;
 use fncc_net::topology::Topology;
@@ -229,52 +230,32 @@ pub struct HybridSim {
 impl HybridSim {
     /// Build a hybrid simulation: `foreground` flows go to the packet
     /// DES, `background` flows to the fluid model (rates under `model`,
-    /// which should be calibrated for `kind`). Fails like the fluid
-    /// backend on zero-capacity links.
+    /// calibrated for the scheme `model.kind` both halves run). `faults`
+    /// land on both halves — the foreground fabric schedules them and the
+    /// background derives its capacity boundaries from the same list — and
+    /// a non-empty list arms go-back-N loss recovery on the foreground
+    /// transport. `seed` drives the foreground fabric's stochastic
+    /// components (ECN marking, random loss). Fails like the fluid backend
+    /// on zero-capacity links.
     pub fn new(
         topo: Topology,
-        kind: CcKind,
         foreground: Vec<FlowSpec>,
         background: Vec<FlowSpec>,
         model: RateModel,
         cfg: HybridConfig,
+        faults: &[FaultSpec],
+        seed: u64,
     ) -> Result<Self, FluidError> {
-        Self::new_faulted(
-            topo,
-            kind,
-            foreground,
-            background,
-            model,
-            cfg,
-            |_| {},
-            None,
-            Vec::new(),
-        )
-    }
-
-    /// [`Self::new`] with scenario faults applied to both halves:
-    /// `mutate_fabric` injects link faults into the foreground DES config
-    /// (the caller lowers its scenario-level fault specs there), `recovery`
-    /// arms go-back-N loss recovery on the foreground transport, and
-    /// `bg_faults` are the same faults lowered to fluid capacity events
-    /// for the background half.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_faulted(
-        topo: Topology,
-        kind: CcKind,
-        foreground: Vec<FlowSpec>,
-        background: Vec<FlowSpec>,
-        model: RateModel,
-        cfg: HybridConfig,
-        mutate_fabric: impl FnOnce(&mut FabricConfig),
-        recovery: Option<RecoveryConfig>,
-        bg_faults: Vec<CapacityEvent>,
-    ) -> Result<Self, FluidError> {
+        let kind = model.kind;
         let mut fabric_cfg = FabricConfig::paper_default();
         let line = topo.host_ports[0].bw;
         let base_rtt = topo.base_rtt(fabric_cfg.mtu, fabric_cfg.ack_base);
         apply_cc_features(&mut fabric_cfg, kind, line);
-        mutate_fabric(&mut fabric_cfg);
+        // Fault-free runs keep the default fabric seed.
+        if !faults.is_empty() {
+            fabric_cfg.seed = seed;
+        }
+        fabric_cfg.faults = faults.to_vec();
         let cc = make_algo(kind, line, base_rtt);
         let framing = Framing::from(&fabric_cfg);
 
@@ -283,10 +264,10 @@ impl HybridSim {
             * cfg.shadow_queue
             * newcomer_queue_scale(kind);
         let mut bg = BackgroundFluid::new(topo.clone(), model, framing, background, cfg.trace)?;
-        bg.capacity_events(bg_faults);
+        bg.faults(faults);
 
         let mut tcfg = TransportConfig::new(cc).with_ack_every(ACK_EVERY);
-        tcfg.recovery = recovery;
+        tcfg.recovery = (!faults.is_empty()).then(RecoveryConfig::paper_default);
         let hosts: Vec<DcHost> = (0..topo.n_hosts)
             .map(|_| DcHost::new(tcfg.clone()))
             .collect();
@@ -851,11 +832,12 @@ mod tests {
         let want = fcts(&pure_des(dumbbell(3), CcKind::Fncc, &fg, horizon));
         let mut h = HybridSim::new(
             dumbbell(3),
-            CcKind::Fncc,
             fg,
             Vec::new(),
             RateModel::paper_default(CcKind::Fncc),
             HybridConfig::default(),
+            &[],
+            1,
         )
         .unwrap();
         h.run_until(horizon).unwrap();
@@ -884,11 +866,12 @@ mod tests {
 
         let mut alone = HybridSim::new(
             dumbbell(3),
-            CcKind::Fncc,
             fg.clone(),
             Vec::new(),
             RateModel::paper_default(CcKind::Fncc),
             cfg,
+            &[],
+            1,
         )
         .unwrap();
         alone.run_until(horizon).unwrap();
@@ -896,11 +879,12 @@ mod tests {
 
         let mut h = HybridSim::new(
             dumbbell(3),
-            CcKind::Fncc,
             fg,
             bg,
             RateModel::paper_default(CcKind::Fncc),
             cfg,
+            &[],
+            1,
         )
         .unwrap();
         h.run_until(horizon).unwrap();
@@ -935,7 +919,6 @@ mod tests {
         let bg = vec![flow(100, 1, 2, 12_500_000, 0)];
         let mut h = HybridSim::new(
             dumbbell(3),
-            CcKind::Fncc,
             fg,
             bg,
             RateModel::paper_default(CcKind::Fncc),
@@ -943,6 +926,8 @@ mod tests {
                 trace: true,
                 ..HybridConfig::default()
             },
+            &[],
+            1,
         )
         .unwrap();
         h.run_until(SimTime::from_ms(2)).unwrap();
@@ -971,7 +956,6 @@ mod tests {
         let bg = vec![flow(100, 1, 2, 12_500_000, 0)];
         let mut h = HybridSim::new(
             dumbbell(3),
-            CcKind::Fncc,
             fg,
             bg,
             RateModel::paper_default(CcKind::Fncc),
@@ -980,6 +964,8 @@ mod tests {
                 residual_cap: true,
                 shadow_queue: 0.0,
             },
+            &[],
+            1,
         )
         .unwrap();
         h.run_until(SimTime::from_ms(2)).unwrap();
@@ -999,11 +985,12 @@ mod tests {
             let bg = vec![flow(10, 2, 3, 50_000_000, 0), flow(11, 3, 0, 25_000_000, 3)];
             let mut h = HybridSim::new(
                 dumbbell(4),
-                CcKind::Hpcc,
                 fg,
                 bg,
                 RateModel::paper_default(CcKind::Hpcc),
                 HybridConfig::default(),
+                &[],
+                1,
             )
             .unwrap();
             h.run_until(SimTime::from_ms(6)).unwrap();
@@ -1020,11 +1007,12 @@ mod tests {
         let bg = vec![flow(1, 1, 2, 1_000_000, 0)];
         let mut h = HybridSim::new(
             dumbbell(3),
-            CcKind::Swift,
             fg,
             bg,
             RateModel::paper_default(CcKind::Swift),
             HybridConfig::default(),
+            &[],
+            1,
         )
         .unwrap();
         let done = h

@@ -1,9 +1,9 @@
 //! Fabric-wide configuration: frame sizes, PFC, ECN, INT insertion mode,
-//! the RoCC switch controller, and fault injection.
+//! the RoCC switch controller, and the injected fault list.
 
-use crate::ids::NodeRef;
+use crate::fault::FaultSpec;
 use crate::units::{Bandwidth, ByteSize};
-use fncc_des::time::{SimTime, TimeDelta};
+use fncc_des::time::TimeDelta;
 
 /// Where switches insert INT records (the core difference between HPCC and
 /// FNCC, Fig. 4).
@@ -130,96 +130,6 @@ impl RoccSwitchConfig {
     }
 }
 
-/// An injected link fault: the data class of `node`'s egress `port` is
-/// force-paused at `at` for `duration` — a "stuck PFC pause" (§2.3's pause
-/// storms / deadlock hazard). Downstream pressure then propagates PFC
-/// upstream; the watchdog counters in [`crate::telemetry::Telemetry`]
-/// record the episode lengths.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultSpec {
-    /// Node whose egress port is stuck.
-    pub node: NodeRef,
-    /// Port index at that node.
-    pub port: u8,
-    /// Injection time.
-    pub at: SimTime,
-    /// How long the port stays force-paused.
-    pub duration: TimeDelta,
-}
-
-/// What a [`LinkFaultSpec`] does to its switch egress link.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LinkFault {
-    /// The link dies at `at`: queued and in-flight frames are destroyed,
-    /// both directions are marked dead, and routing recompiles around it.
-    Down {
-        /// Failure time.
-        at: SimTime,
-    },
-    /// A previously-downed link is restored at `at` and rejoins routing.
-    Up {
-        /// Restoration time.
-        at: SimTime,
-    },
-    /// Over `[from, to)` the egress drain rate is scaled by `rate_factor`
-    /// and the propagation delay by `delay_factor` (a flapping optic or a
-    /// FEC-degraded long-haul link).
-    Degrade {
-        /// Degradation start.
-        from: SimTime,
-        /// Degradation end (original parameters restored).
-        to: SimTime,
-        /// Multiplier on the drain rate, (0, 1]. The port clamps the
-        /// effective rate at `bw/100`, so factors below 0.01 saturate.
-        rate_factor: f64,
-        /// Multiplier on the propagation delay, >= 1.
-        delay_factor: f64,
-    },
-    /// Over `[from, to)` every data-class frame routed into the egress
-    /// port is dropped with probability `prob`, drawn from a per-switch
-    /// RNG derived from the fabric seed (deterministic per seed).
-    RandomLoss {
-        /// Loss-window start.
-        from: SimTime,
-        /// Loss-window end.
-        to: SimTime,
-        /// Per-frame drop probability, (0, 1].
-        prob: f64,
-    },
-}
-
-/// One injected link-level fault on a switch egress port. Unlike the
-/// stuck-pause [`FaultSpec`] (which only freezes the scheduler), link
-/// faults destroy frames and interact with routing — see
-/// [`crate::switch::Switch`] for the teardown/recompute semantics.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkFaultSpec {
-    /// Switch owning the faulted egress port.
-    pub switch: crate::ids::SwitchId,
-    /// Egress port index at that switch.
-    pub port: u8,
-    /// What happens to the link.
-    pub fault: LinkFault,
-}
-
-impl LinkFaultSpec {
-    /// When the fault's first transition fires.
-    pub fn start(&self) -> SimTime {
-        match self.fault {
-            LinkFault::Down { at } | LinkFault::Up { at } => at,
-            LinkFault::Degrade { from, .. } | LinkFault::RandomLoss { from, .. } => from,
-        }
-    }
-
-    /// When the fault's second transition fires, for interval faults.
-    pub fn end(&self) -> Option<SimTime> {
-        match self.fault {
-            LinkFault::Down { .. } | LinkFault::Up { .. } => None,
-            LinkFault::Degrade { to, .. } | LinkFault::RandomLoss { to, .. } => Some(to),
-        }
-    }
-}
-
 /// All switch/link level configuration for one simulation.
 #[derive(Clone, Debug)]
 pub struct FabricConfig {
@@ -245,10 +155,9 @@ pub struct FabricConfig {
     pub int_refresh: Option<TimeDelta>,
     /// RoCC PI controller, if the RoCC scheme is active.
     pub rocc: Option<RoccSwitchConfig>,
-    /// Injected faults (stuck-pause episodes).
+    /// Injected faults, checked against the topology by [`crate::fault::validate`]
+    /// when the fabric is built.
     pub faults: Vec<FaultSpec>,
-    /// Injected link faults (down/up, degradation, random loss).
-    pub link_faults: Vec<LinkFaultSpec>,
     /// Master seed for all stochastic fabric components (ECN marking).
     pub seed: u64,
 }
@@ -269,7 +178,6 @@ impl FabricConfig {
             int_refresh: None,
             rocc: None,
             faults: Vec::new(),
-            link_faults: Vec::new(),
             seed: 1,
         }
     }

@@ -6,6 +6,7 @@
 //! propagation — and all event plumbing.
 
 use crate::config::FabricConfig;
+use crate::fault::FaultSpec;
 use crate::ids::{FlowId, HostId, NodeRef, SwitchId};
 use crate::packet::{Packet, PacketKind};
 use crate::partition::PartitionMap;
@@ -95,26 +96,16 @@ pub enum Ev<T> {
     RoccTick,
     /// Telemetry sampling tick.
     Sample,
-    /// Fault injection: force-pause `cfg.faults[ix]`'s port.
-    FaultPause {
+    /// `cfg.faults[ix]` takes effect: the link dies or comes up, the
+    /// degradation or loss window opens, the port sticks.
+    FaultStart {
         /// Index into `cfg.faults`.
         ix: usize,
     },
-    /// Fault injection: release `cfg.faults[ix]`'s port.
-    FaultRelease {
+    /// `cfg.faults[ix]`'s window closes (degradation, loss, stuck port;
+    /// link down/up have no end event).
+    FaultEnd {
         /// Index into `cfg.faults`.
-        ix: usize,
-    },
-    /// Link fault: `cfg.link_faults[ix]` begins (link dies / comes up /
-    /// degradation or loss window opens).
-    LinkFaultStart {
-        /// Index into `cfg.link_faults`.
-        ix: usize,
-    },
-    /// Link fault: `cfg.link_faults[ix]`'s interval ends (degradation or
-    /// loss window closes; down/up faults have no end event).
-    LinkFaultEnd {
-        /// Index into `cfg.link_faults`.
         ix: usize,
     },
 }
@@ -240,8 +231,8 @@ pub struct Fabric<H: HostLogic> {
     pub pool: PacketPool,
     /// Scratch buffer for switch outputs (reused across events).
     scratch: Vec<SwitchOutput>,
-    /// Pre-degradation propagation delay per `cfg.link_faults` entry,
-    /// captured when a `Degrade` window opens and restored when it closes.
+    /// Pre-degradation propagation delay per `cfg.faults` entry, captured
+    /// when a `LinkDegrade` window opens and restored when it closes.
     degrade_base_prop: Vec<TimeDelta>,
     /// Sharded-run context; `None` for the ordinary single-engine run.
     pub shard: Option<ShardCtx>,
@@ -257,9 +248,14 @@ pub struct Fabric<H: HostLogic> {
 }
 
 impl<H: HostLogic> Fabric<H> {
-    /// Build a fabric over `topo` with one [`HostLogic`] per host.
+    /// Build a fabric over `topo` with one [`HostLogic`] per host. Panics
+    /// with [`crate::fault::validate`]'s message when `cfg.faults` does not
+    /// fit `topo`.
     pub fn new(topo: &Topology, cfg: FabricConfig, hosts: Vec<H>) -> Self {
         assert_eq!(hosts.len(), topo.n_hosts as usize, "one HostLogic per host");
+        if let Err(e) = crate::fault::validate(&cfg.faults, topo) {
+            panic!("invalid fault list: {e}");
+        }
         let switches = topo
             .switches
             .iter()
@@ -267,7 +263,7 @@ impl<H: HostLogic> Fabric<H> {
             .map(|(i, spec)| Switch::new(SwitchId(i as u32), spec, &cfg))
             .collect();
         let host_ports = topo.host_ports.iter().map(Port::from_spec).collect();
-        let degrade_base_prop = vec![TimeDelta::ZERO; cfg.link_faults.len()];
+        let degrade_base_prop = vec![TimeDelta::ZERO; cfg.faults.len()];
         Fabric {
             cfg,
             switches,
@@ -301,11 +297,8 @@ impl<H: HostLogic> Fabric<H> {
             Ev::Arrive { node, .. } | Ev::TxDone { node, .. } => m.owner_of(*node),
             Ev::HostTimer { host, .. } => m.owner_host(*host),
             Ev::IntRefresh | Ev::RoccTick | Ev::Sample => TICK_DOMAIN,
-            Ev::FaultPause { ix } | Ev::FaultRelease { ix } => {
-                m.owner_of(self.cfg.faults[*ix].node)
-            }
-            Ev::LinkFaultStart { ix } | Ev::LinkFaultEnd { ix } => {
-                m.owner_switch(self.cfg.link_faults[*ix].switch)
+            Ev::FaultStart { ix } | Ev::FaultEnd { ix } => {
+                m.owner_switch(SwitchId(self.cfg.faults[*ix].location().0))
             }
         }
     }
@@ -335,8 +328,9 @@ impl<H: HostLogic> Fabric<H> {
         }
     }
 
-    /// Initial periodic events the caller must schedule on the engine before
-    /// running (INT refresh, RoCC ticks, sampling).
+    /// Initial events the caller must schedule on the engine before running:
+    /// the periodic ticks (INT refresh, RoCC, sampling) and every fault's
+    /// start and end.
     pub fn startup_events(&self) -> Vec<(SimTime, Ev<H::Timer>)> {
         let mut evs = Vec::new();
         if self.cfg.int_refresh.is_some() {
@@ -349,12 +343,10 @@ impl<H: HostLogic> Fabric<H> {
             evs.push((SimTime::ZERO, Ev::Sample));
         }
         for (ix, f) in self.cfg.faults.iter().enumerate() {
-            evs.push((f.at, Ev::FaultPause { ix }));
-        }
-        for (ix, f) in self.cfg.link_faults.iter().enumerate() {
-            evs.push((f.start(), Ev::LinkFaultStart { ix }));
-            if let Some(end) = f.end() {
-                evs.push((end, Ev::LinkFaultEnd { ix }));
+            let (start, end) = f.span_us();
+            evs.push((SimTime::from_us(start), Ev::FaultStart { ix }));
+            if let Some(end) = end {
+                evs.push((SimTime::from_us(end), Ev::FaultEnd { ix }));
             }
         }
         evs
@@ -369,29 +361,6 @@ impl<H: HostLogic> Fabric<H> {
         if let Some(sc) = &mut self.shard {
             if sc.my != 0 {
                 sc.replica_events += 1;
-            }
-        }
-    }
-
-    /// A link-fault boundary event fires on every shard owning one of the
-    /// faulted link's endpoints; the owner of the named switch counts it as
-    /// real, the peer's owner counts a replica.
-    fn note_link_fault_replica(&mut self, ix: usize) {
-        let primary = NodeRef::Switch(self.cfg.link_faults[ix].switch);
-        if let Some(sc) = &mut self.shard {
-            if sc.map.owner_of(primary) != sc.my {
-                sc.replica_events += 1;
-            }
-        }
-    }
-
-    fn fault_port(&mut self, ix: usize) -> &mut Port {
-        let f = self.cfg.faults[ix];
-        match f.node {
-            NodeRef::Switch(s) => &mut self.switches[s.ix()].ports[f.port as usize],
-            NodeRef::Host(h) => {
-                debug_assert_eq!(f.port, 0);
-                &mut self.host_ports[h.ix()]
             }
         }
     }
@@ -575,34 +544,41 @@ impl<H: HostLogic> Fabric<H> {
         self.scratch = self.flush_switch_outputs(sw.ix(), now, sched, outputs);
     }
 
-    /// Apply one boundary of `cfg.link_faults[ix]`. `Down`/`Up` fail or
-    /// restore *both* directions of the link (the peer must be a switch —
-    /// the scenario layer validates this); `Degrade` and `RandomLoss`
-    /// affect only the named egress direction (inject two specs to fault
-    /// both directions).
-    fn link_fault_transition(
+    /// Apply one boundary of `cfg.faults[ix]`. `LinkDown`/`LinkUp` fail or
+    /// restore *both* directions of the link (the validator guarantees the
+    /// peer is a switch); the window kinds affect only the named egress
+    /// direction (inject two specs to fault both directions).
+    ///
+    /// In a sharded run the boundary fires on every shard owning one of
+    /// the link's endpoints: each shard touches only its own side, and the
+    /// owner of the named switch counts the event as real, the peer's
+    /// owner as a replica.
+    fn fault_transition(
         &mut self,
         ix: usize,
         now: SimTime,
         opening: bool,
         sched: &mut Scheduler<Ev<H::Timer>>,
     ) {
-        use crate::config::LinkFault;
-        let spec = self.cfg.link_faults[ix];
-        let s = spec.switch;
+        let spec = self.cfg.faults[ix];
+        let (sw, port) = spec.location();
+        let s = SwitchId(sw);
         let (peer, peer_port) = {
-            let p = &self.switches[s.ix()].ports[spec.port as usize];
+            let p = &self.switches[s.ix()].ports[port as usize];
             (p.peer, p.peer_port)
         };
-        // In a sharded run the boundary event fires on every shard owning
-        // one of the link's endpoints; each shard only touches its own side.
         let owns = |n: NodeRef| self.shard.as_ref().is_none_or(|sc| sc.owns(n));
         let owns_primary = owns(NodeRef::Switch(s));
         let owns_peer = owns(peer);
-        match spec.fault {
-            LinkFault::Down { .. } => {
+        if !owns_primary {
+            if let Some(sc) = &mut self.shard {
+                sc.replica_events += 1;
+            }
+        }
+        match spec {
+            FaultSpec::LinkDown { .. } => {
                 if owns_primary {
-                    self.switch_link_down(s, spec.port, now, sched);
+                    self.switch_link_down(s, port, now, sched);
                 }
                 if let NodeRef::Switch(s2) = peer {
                     if owns_peer {
@@ -616,9 +592,9 @@ impl<H: HostLogic> Fabric<H> {
                     }
                 }
             }
-            LinkFault::Up { .. } => {
+            FaultSpec::LinkUp { .. } => {
                 if owns_primary {
-                    self.switches[s.ix()].link_up(now, spec.port, &mut self.telemetry);
+                    self.switches[s.ix()].link_up(now, port, &mut self.telemetry);
                 }
                 if let NodeRef::Switch(s2) = peer {
                     if owns_peer {
@@ -626,7 +602,7 @@ impl<H: HostLogic> Fabric<H> {
                     }
                 }
             }
-            LinkFault::Degrade {
+            FaultSpec::LinkDegrade {
                 rate_factor,
                 delay_factor,
                 ..
@@ -634,7 +610,9 @@ impl<H: HostLogic> Fabric<H> {
                 if !owns_primary {
                     return;
                 }
-                let p = &mut self.switches[s.ix()].ports[spec.port as usize];
+                // The port clamps the effective rate at `bw/100`, so rate
+                // factors below 0.01 saturate.
+                let p = &mut self.switches[s.ix()].ports[port as usize];
                 if opening {
                     self.degrade_base_prop[ix] = p.prop;
                     let scaled = Bandwidth::bps((p.bw.as_bps() as f64 * rate_factor) as u64);
@@ -646,11 +624,37 @@ impl<H: HostLogic> Fabric<H> {
                     p.prop = self.degrade_base_prop[ix];
                 }
             }
-            LinkFault::RandomLoss { prob, .. } => {
+            FaultSpec::RandomLoss { probability, .. } => {
                 if !owns_primary {
                     return;
                 }
-                self.switches[s.ix()].set_loss(spec.port, if opening { prob } else { 0.0 });
+                self.switches[s.ix()].set_loss(port, if opening { probability } else { 0.0 });
+            }
+            // A stuck PFC pause (§2.3's pause-storm hazard): frames
+            // survive, only the scheduler freezes. Downstream pressure
+            // then propagates PFC upstream; the watchdog counters in
+            // [`Telemetry`] record the episode lengths.
+            FaultSpec::StuckPort { .. } => {
+                if !owns_primary {
+                    return;
+                }
+                let p = &mut self.switches[s.ix()].ports[port as usize];
+                p.paused = opening;
+                if opening {
+                    if p.paused_since.is_none() {
+                        p.paused_since = Some(now);
+                    }
+                    return;
+                }
+                if let Some(t0) = p.paused_since.take() {
+                    self.telemetry.note_pause_episode(now.since(t0));
+                }
+                let mut outputs = std::mem::take(&mut self.scratch);
+                {
+                    let Fabric { switches, cfg, .. } = self;
+                    switches[s.ix()].maybe_start_tx(port, now, cfg, &mut outputs);
+                }
+                self.scratch = self.flush_switch_outputs(s.ix(), now, sched, outputs);
             }
         }
     }
@@ -763,47 +767,8 @@ impl<H: HostLogic> Model for Fabric<H> {
                     sched.after(every, Ev::Sample);
                 }
             }
-            Ev::FaultPause { ix } => {
-                let duration = self.cfg.faults[ix].duration;
-                let p = self.fault_port(ix);
-                p.paused = true;
-                if p.paused_since.is_none() {
-                    p.paused_since = Some(now);
-                }
-                sched.after(duration, Ev::FaultRelease { ix });
-            }
-            Ev::FaultRelease { ix } => {
-                let node = self.cfg.faults[ix].node;
-                let port_ix = self.cfg.faults[ix].port;
-                let p = self.fault_port(ix);
-                p.paused = false;
-                let episode = p.paused_since.take();
-                if let Some(t0) = episode {
-                    self.telemetry.note_pause_episode(now.since(t0));
-                }
-                match node {
-                    NodeRef::Switch(s) => {
-                        let mut outputs = std::mem::take(&mut self.scratch);
-                        {
-                            let Fabric { switches, cfg, .. } = self;
-                            switches[s.ix()].maybe_start_tx(port_ix, now, cfg, &mut outputs);
-                        }
-                        self.scratch = self.flush_switch_outputs(s.ix(), now, sched, outputs);
-                    }
-                    NodeRef::Host(h) => {
-                        let p = &mut self.host_ports[h.ix()];
-                        start_port_tx(NodeRef::Host(h), p, now, &self.cfg, sched);
-                    }
-                }
-            }
-            Ev::LinkFaultStart { ix } => {
-                self.note_link_fault_replica(ix);
-                self.link_fault_transition(ix, now, true, sched)
-            }
-            Ev::LinkFaultEnd { ix } => {
-                self.note_link_fault_replica(ix);
-                self.link_fault_transition(ix, now, false, sched)
-            }
+            Ev::FaultStart { ix } => self.fault_transition(ix, now, true, sched),
+            Ev::FaultEnd { ix } => self.fault_transition(ix, now, false, sched),
         }
     }
 }
@@ -1056,14 +1021,13 @@ mod tests {
 
     #[test]
     fn injected_stuck_pause_stalls_and_recovers() {
-        use crate::config::FaultSpec;
         let mut cfg = FabricConfig::paper_default();
         // Stick sw1's egress toward sw2 (port 1) for 50 us starting at 5 us.
-        cfg.faults.push(FaultSpec {
-            node: NodeRef::Switch(SwitchId(1)),
+        cfg.faults.push(FaultSpec::StuckPort {
+            switch: 1,
             port: 1,
-            at: SimTime::from_us(5),
-            duration: TimeDelta::from_us(50),
+            at_us: 5,
+            duration_us: 50,
         });
         let mut eng = dumbbell_fabric(cfg, 200);
         eng.run_until_idle();

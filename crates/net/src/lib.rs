@@ -16,10 +16,12 @@
 //! * [`topology`] — builders for the paper's topologies: dumbbell (Fig. 10),
 //!   hop-location lines (Fig. 11), and the k=8 three-level fat-tree of §5.5;
 //! * [`fabric`] — the event-driven network model gluing switches and hosts
-//!   (host behaviour is supplied by `fncc-transport` through [`fabric::HostLogic`]).
+//!   (host behaviour is supplied by `fncc-transport` through [`fabric::HostLogic`]);
+//! * [`fault`] — the one fault type every engine reads, and its validator.
 
 pub mod config;
 pub mod fabric;
+pub mod fault;
 pub mod ids;
 pub mod packet;
 pub mod partition;
@@ -32,8 +34,9 @@ pub mod topology;
 pub mod units;
 pub mod wire;
 
-pub use config::{EcnConfig, FabricConfig, FaultSpec, IntInsertion, PfcConfig, RoccSwitchConfig};
+pub use config::{EcnConfig, FabricConfig, IntInsertion, PfcConfig, RoccSwitchConfig};
 pub use fabric::{Ev, Fabric, HostCtx, HostLogic, ShardCtx};
+pub use fault::FaultSpec;
 pub use ids::{FlowId, HostId, NodeRef, SwitchId};
 pub use packet::{IntRecord, IntStack, Packet, PacketKind, MAX_HOPS};
 pub use partition::{FallbackReason, PartitionMap};

@@ -515,9 +515,10 @@ mod tests {
     use fncc_cc::{CcAlgo, DcqcnConfig, FnccConfig, HpccConfig, RoccConfig};
     use fncc_des::engine::Engine;
     use fncc_des::time::SimTime;
-    use fncc_net::config::{FabricConfig, IntInsertion, LinkFault, LinkFaultSpec};
+    use fncc_net::config::{FabricConfig, IntInsertion};
     use fncc_net::fabric::{Ev, Fabric};
-    use fncc_net::ids::{HostId, SwitchId};
+    use fncc_net::fault::FaultSpec;
+    use fncc_net::ids::HostId;
     use fncc_net::topology::Topology;
     use fncc_net::units::Bandwidth;
 
@@ -808,14 +809,12 @@ mod tests {
             2,
             with_recovery(hpcc()),
             |cfg| {
-                cfg.link_faults.push(LinkFaultSpec {
-                    switch: SwitchId(0),
+                cfg.faults.push(FaultSpec::RandomLoss {
+                    switch: 0,
                     port: 2,
-                    fault: LinkFault::RandomLoss {
-                        from: SimTime::ZERO,
-                        to: SimTime::from_ms(20),
-                        prob: 0.02,
-                    },
+                    from_us: 0,
+                    to_us: 20_000,
+                    probability: 0.02,
                 });
             },
             vec![flow(0, 0, 2, 500_000, 0)],
@@ -836,20 +835,19 @@ mod tests {
             2,
             with_recovery(hpcc()),
             |cfg| {
-                cfg.link_faults.push(LinkFaultSpec {
-                    switch: SwitchId(0),
-                    port: 2,
-                    fault: LinkFault::Down {
-                        at: SimTime::from_us(20),
+                let (switch, port) = (0, 2);
+                cfg.faults.extend([
+                    FaultSpec::LinkDown {
+                        switch,
+                        port,
+                        at_us: 20,
                     },
-                });
-                cfg.link_faults.push(LinkFaultSpec {
-                    switch: SwitchId(0),
-                    port: 2,
-                    fault: LinkFault::Up {
-                        at: SimTime::from_us(300),
+                    FaultSpec::LinkUp {
+                        switch,
+                        port,
+                        at_us: 300,
                     },
-                });
+                ]);
             },
             vec![flow(0, 0, 2, 500_000, 0)],
         );
@@ -876,10 +874,10 @@ mod tests {
             2,
             with_recovery(hpcc()),
             |cfg| {
-                cfg.link_faults.push(LinkFaultSpec {
-                    switch: SwitchId(0),
+                cfg.faults.push(FaultSpec::LinkDown {
+                    switch: 0,
                     port: 2,
-                    fault: LinkFault::Down { at: SimTime::ZERO },
+                    at_us: 0,
                 });
             },
             vec![flow(0, 0, 2, 500_000, 0)],

@@ -122,11 +122,12 @@ fn hybrid_fg_fct(sc: &Scenario, fg_ids: &[FlowId]) -> f64 {
     let horizon = drain_horizon(&flows);
     let mut sim = HybridSim::new(
         topo,
-        sc.cc,
         fg,
         bg,
         RateModel::paper_default(sc.cc),
         HybridConfig::default(),
+        &[],
+        1,
     )
     .expect("hybrid build");
     let done = sim

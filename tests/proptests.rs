@@ -251,15 +251,15 @@ proptest! {
     #[test]
     fn go_back_n_survives_seeded_loss_with_monotone_backoff(
         seed in 0u64..10_000,
-        prob in 0.0f64..0.08,
+        prob in 0.0001f64..0.08,
         size in 50_000u64..400_000,
         flap in (0u64..2).prop_map(|b| b == 1),
     ) {
         use fncc::cc::{CcAlgo, HpccConfig};
         use fncc::core::obs::{TraceEvent, TraceSink};
-        use fncc::net::config::{FabricConfig, LinkFault, LinkFaultSpec};
+        use fncc::net::config::FabricConfig;
         use fncc::net::fabric::{Ev, Fabric};
-        use fncc::net::ids::SwitchId;
+        use fncc::net::fault::FaultSpec;
         use fncc::transport::{
             apply_cc_features, DcHost, FlowSpec, HostTimer, RecoveryConfig, TransportConfig,
         };
@@ -271,26 +271,17 @@ proptest! {
         let mut cfg = FabricConfig::paper_default();
         apply_cc_features(&mut cfg, tcfg.algo.kind(), bw);
         cfg.seed = seed;
-        cfg.link_faults.push(LinkFaultSpec {
-            switch: SwitchId(0),
-            port: 2,
-            fault: LinkFault::RandomLoss {
-                from: SimTime::ZERO,
-                to: SimTime::from_ms(50),
-                prob,
-            },
+        let (switch, port) = (0, 2);
+        cfg.faults.push(FaultSpec::RandomLoss {
+            switch,
+            port,
+            from_us: 0,
+            to_us: 50_000,
+            probability: prob,
         });
         if flap {
-            cfg.link_faults.push(LinkFaultSpec {
-                switch: SwitchId(0),
-                port: 2,
-                fault: LinkFault::Down { at: SimTime::from_us(20) },
-            });
-            cfg.link_faults.push(LinkFaultSpec {
-                switch: SwitchId(0),
-                port: 2,
-                fault: LinkFault::Up { at: SimTime::from_us(200) },
-            });
+            cfg.faults.push(FaultSpec::LinkDown { switch, port, at_us: 20 });
+            cfg.faults.push(FaultSpec::LinkUp { switch, port, at_us: 200 });
         }
         let hosts: Vec<DcHost> = (0..topo.n_hosts).map(|_| DcHost::new(tcfg.clone())).collect();
         let mut fabric = Fabric::new(&topo, cfg, hosts);
