@@ -37,7 +37,7 @@ use fncc_des::engine::QueueKind;
 use fncc_des::stats::TimeSeries;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_fluid::{CalibrationSet, FluidResult, FluidSim, Framing, RateModel};
-use fncc_hybrid::{HybridConfig, HybridSim};
+use fncc_hybrid::HybridSim;
 use fncc_net::config::FabricConfig;
 use fncc_net::ids::{FlowId, NodeRef, SwitchId};
 use fncc_net::telemetry::{Counters, Telemetry};
@@ -761,9 +761,8 @@ impl Backend for FluidBackend {
 /// the incremental water-filling fluid model. The two halves exchange
 /// state at every fluid event boundary: the background's standing queue
 /// lands on the DES ports as a shadow backlog that foreground congestion
-/// control senses through its native signals (optionally as hard
-/// residual drain-rate caps instead), and measured foreground throughput
-/// feeds back as per-link demand reservations. Calibration resolution
+/// control senses through its native signals, and measured foreground
+/// throughput feeds back as per-link demand reservations. Calibration resolution
 /// matches [`FluidBackend`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HybridBackend {
@@ -804,7 +803,6 @@ impl Backend for HybridBackend {
         let framing = Framing::from(&FabricConfig::paper_default());
         let mut syncs = 0u64;
         let mut reservations = 0u64;
-        let mut residual_pushes = 0u64;
         let mut backlog_pushes = 0u64;
         let mut single_bottleneck = 0u64;
         let mut peak_bg_active = 0usize;
@@ -822,18 +820,14 @@ impl Backend for HybridBackend {
                 n_bg_flows = bg_flows.len();
             }
             let horizon = rb.horizon(&flows);
-            let cfg = HybridConfig {
-                trace: rb.tracing(seed_ix),
-                ..HybridConfig::default()
-            };
             let mut sim = HybridSim::new(
                 topo.clone(),
                 fg_flows,
                 bg_flows,
                 rate_model(sc, self.calibration.as_ref()),
-                cfg,
                 &sc.faults,
                 seed,
+                rb.tracing(seed_ix),
             )
             .unwrap_or_else(|e| panic!("hybrid backend on '{}': {e}", sc.name));
             let outcome = match sc.stop {
@@ -865,7 +859,6 @@ impl Backend for HybridBackend {
             rb.report.events += result.fg_events + result.bg.reallocations;
             syncs += result.syncs;
             reservations += result.reservations;
-            residual_pushes += result.residual_pushes;
             backlog_pushes += result.backlog_pushes;
             single_bottleneck += result.single_bottleneck_solves;
             peak_bg_active = peak_bg_active.max(result.peak_bg_active);
@@ -884,7 +877,6 @@ impl Backend for HybridBackend {
             report.put_scalar("background_flows", n_bg_flows as f64);
             report.put_scalar("hybrid_syncs", syncs as f64);
             report.put_scalar("hybrid_reservations", reservations as f64);
-            report.put_scalar("hybrid_residual_pushes", residual_pushes as f64);
             report.put_scalar("hybrid_backlog_pushes", backlog_pushes as f64);
             report.put_scalar("single_bottleneck_solves", single_bottleneck as f64);
             report.put_scalar("peak_bg_active", peak_bg_active as f64);

@@ -9,7 +9,7 @@
 //!   egress queues (`--top K`), PFC pause bursts with their
 //!   back-propagation chains, and — on hybrid-backend traces — the
 //!   fluid↔packet coupling summary (sync cadence, reservation and
-//!   residual-capacity pushes per link).
+//!   shadow-backlog pushes per link).
 
 use fncc_core::json::Json;
 use std::collections::BTreeMap;
@@ -385,7 +385,7 @@ fn fault_timeline(events: &[Ev]) {
 }
 
 /// Summarize the hybrid backend's coupling stream: synchronization
-/// cadence and the per-link reservation / residual-capacity pushes.
+/// cadence and the per-link reservation / shadow-backlog pushes.
 /// Prints nothing on non-hybrid traces.
 fn hybrid_coupling(events: &[Ev]) {
     let syncs: Vec<&Ev> = events.iter().filter(|e| e.kind == "hybrid_sync").collect();
@@ -409,8 +409,6 @@ fn hybrid_coupling(events: &[Ev]) {
     struct Link {
         reserves: u64,
         last_load_bps: f64,
-        residuals: u64,
-        min_residual_bps: f64,
         backlogs: u64,
         max_backlog_bytes: u64,
     }
@@ -420,8 +418,6 @@ fn hybrid_coupling(events: &[Ev]) {
         let link = links.entry(l).or_insert(Link {
             reserves: 0,
             last_load_bps: 0.0,
-            residuals: 0,
-            min_residual_bps: f64::INFINITY,
             backlogs: 0,
             max_backlog_bytes: 0,
         });
@@ -429,17 +425,6 @@ fn hybrid_coupling(events: &[Ev]) {
             "hybrid_reserve" => {
                 link.reserves += 1;
                 link.last_load_bps = e.json.get("load_bps").and_then(Json::as_f64).unwrap_or(0.0);
-            }
-            "hybrid_residual" => {
-                link.residuals += 1;
-                let r = e
-                    .json
-                    .get("residual_bps")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                if r < link.min_residual_bps {
-                    link.min_residual_bps = r;
-                }
             }
             "hybrid_backlog" => {
                 link.backlogs += 1;
@@ -450,22 +435,14 @@ fn hybrid_coupling(events: &[Ev]) {
         }
     }
     for (l, link) in &links {
-        if link.reserves == 0 && link.residuals == 0 && link.backlogs == 0 {
+        if link.reserves == 0 && link.backlogs == 0 {
             continue;
         }
-        let min_res = if link.min_residual_bps.is_finite() {
-            format!("{:.2}G", link.min_residual_bps / 1e9)
-        } else {
-            "-".into()
-        };
         println!(
             "  link {l}: {} reservations (last fg load {:.2}G), \
-             {} residual pushes (min {}), \
              {} backlog pushes (max {} B)",
             link.reserves,
             link.last_load_bps / 1e9,
-            link.residuals,
-            min_res,
             link.backlogs,
             link.max_backlog_bytes,
         );
@@ -530,21 +507,11 @@ mod tests {
              \"load_bps\":2.5e10}\n",
         );
         s.push_str(
-            "{\"ev\":\"hybrid_residual\",\"t_ps\":3000,\"link\":7,\
-             \"residual_bps\":7.5e10}\n",
-        );
-        s.push_str(
             "{\"ev\":\"hybrid_backlog\",\"t_ps\":3000,\"link\":7,\
              \"backlog_bytes\":93810}\n",
         );
-        s.push_str(
-            "{\"ev\":\"hybrid_sync\",\"t_ps\":3000,\"reservations\":1,\
-             \"residuals\":1}\n",
-        );
-        s.push_str(
-            "{\"ev\":\"hybrid_sync\",\"t_ps\":8000,\"reservations\":0,\
-             \"residuals\":0}\n",
-        );
+        s.push_str("{\"ev\":\"hybrid_sync\",\"t_ps\":3000,\"reservations\":1}\n");
+        s.push_str("{\"ev\":\"hybrid_sync\",\"t_ps\":8000,\"reservations\":0}\n");
         s
     }
 

@@ -21,8 +21,7 @@
 //!   reservation touching a single contended link takes the closed-form
 //!   single-bottleneck fast path;
 //! * [`BackgroundFluid::background_load`] reports the aggregate background
-//!   rate on a link, from which the driver derives the *residual* capacity
-//!   it pushes onto the DES ports.
+//!   rate on a link.
 //!
 //! [`FluidSim`] is the run-to-completion facade: a builder that constructs
 //! the same engine and steps it until no event is left.
@@ -403,7 +402,7 @@ impl FluidSim {
 /// The fluid engine, one event instant at a time. [`FluidSim::run`] steps
 /// it until nothing is left; the hybrid driver constructs it with every
 /// background flow up front and alternates [`Self::advance_to`] with DES
-/// chunks, exchanging reservations and residuals at event boundaries.
+/// chunks, exchanging reservations and backlogs at event boundaries.
 pub struct BackgroundFluid {
     topo: Topology,
     links: LinkMap,
@@ -456,9 +455,6 @@ pub struct BackgroundFluid {
     n_dead: usize,
     /// Flows parked because the dead set severs their destination.
     stalled: Vec<SlotState>,
-    /// Links whose allocation changed since the last [`Self::take_touched`].
-    touched: Vec<u32>,
-    touched_flag: Vec<bool>,
     /// The active set or a capacity changed since the last rebalance.
     needs_resolve: bool,
     telemetry: Telemetry,
@@ -588,8 +584,6 @@ impl BackgroundFluid {
             dead,
             n_dead: 0,
             stalled: Vec::new(),
-            touched: Vec::new(),
-            touched_flag: vec![false; n],
             needs_resolve: false,
             telemetry,
             profiler,
@@ -952,8 +946,7 @@ impl BackgroundFluid {
     }
 
     /// Aggregate background rate currently allocated across link `l`,
-    /// bits/s (0 for idle links). The driver's residual push to the DES is
-    /// `raw − background_load`.
+    /// bits/s (0 for idle links).
     pub fn background_load(&self, l: u32) -> f64 {
         if !self.filler.is_active(l) {
             return 0.0;
@@ -982,16 +975,6 @@ impl BackgroundFluid {
             (have.finish.to_bits(), have.slack.to_bits())
                 == (want.finish.to_bits(), want.slack.to_bits())
         })
-    }
-
-    /// Drain the set of links whose background allocation changed since
-    /// the last call into `out` (cleared first).
-    pub fn take_touched(&mut self, out: &mut Vec<u32>) {
-        out.clear();
-        for &l in &self.touched {
-            self.touched_flag[l as usize] = false;
-        }
-        out.append(&mut self.touched);
     }
 
     /// Closed-form single-bottleneck re-solves taken so far (the incast
@@ -1141,7 +1124,7 @@ impl BackgroundFluid {
 
     /// Warm-started re-solve for the changed active set; only flows whose
     /// rate moved get their drain state materialized. Also updates
-    /// saturation + touched-link tracking.
+    /// saturation tracking.
     fn resolve(&mut self) -> Result<(), FluidError> {
         self.needs_resolve = false;
         if self.telemetry.trace.enabled() {
@@ -1199,10 +1182,6 @@ impl BackgroundFluid {
         // only touched links can change saturation state.
         for &l in self.filler.activated_links() {
             self.sat_since[l as usize] = f64::NAN;
-            if !self.touched_flag[l as usize] {
-                self.touched_flag[l as usize] = true;
-                self.touched.push(l);
-            }
         }
         for &l in self.filler.touched_links() {
             let li = l as usize;
@@ -1211,10 +1190,6 @@ impl BackgroundFluid {
                 self.sat_since[li] = f64::NAN;
             } else if self.sat_since[li].is_nan() {
                 self.sat_since[li] = self.t;
-            }
-            if !self.touched_flag[li] {
-                self.touched_flag[li] = true;
-                self.touched.push(l);
             }
         }
         Ok(())
@@ -1826,15 +1801,6 @@ mod tests {
             bg.single_bottleneck_solves() >= 1,
             "reservation rode the fast path"
         );
-
-        let mut touched = Vec::new();
-        bg.take_touched(&mut touched);
-        assert!(
-            touched.contains(&uplink),
-            "reserved link reported as touched"
-        );
-        bg.take_touched(&mut touched);
-        assert!(touched.is_empty(), "take_touched drains");
 
         // Release: the elephant speeds back up and eventually finishes.
         bg.reserve(uplink, 0.0);

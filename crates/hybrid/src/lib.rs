@@ -25,10 +25,7 @@
 //!   congestion control then senses the fluid half through its native
 //!   signals (INT `qLen`, ECN marks, RoCC rate advertisements, inflated
 //!   RTT) and frames queue behind it in FIFO order, exactly as behind a
-//!   packet competitor. An alternative hard mode
-//!   ([`HybridConfig::residual_cap`]) instead caps the port's drain rate
-//!   at the **residual** capacity the background leaves
-//!   ([`fncc_net::fabric::Fabric::set_port_drain`]);
+//!   packet competitor;
 //! * packet → fluid: measured foreground throughput per link (from port
 //!   byte counters, with hysteresis) is fed back as a **demand
 //!   reservation** ([`BackgroundFluid::reserve`]), shrinking the
@@ -53,10 +50,9 @@ use fncc_fluid::{BackgroundFluid, FluidError, FluidResult, Framing, RateModel};
 use fncc_net::config::FabricConfig;
 use fncc_net::fabric::{Ev, Fabric};
 use fncc_net::fault::FaultSpec;
-use fncc_net::ids::{HostId, NodeRef};
+use fncc_net::ids::NodeRef;
 use fncc_net::telemetry::Telemetry;
 use fncc_net::topology::Topology;
-use fncc_net::units::Bandwidth;
 use fncc_obs::{CounterId, TraceEvent, TraceSink};
 use fncc_transport::{
     apply_cc_features, make_algo, DcHost, FlowSpec, HostTimer, RecoveryConfig, TransportConfig,
@@ -89,51 +85,6 @@ const RAMP_RTTS: f64 = 4.0;
 /// weight); the linear ramp runs from this floor up to 1.
 const RAMP_FLOOR: f64 = 0.25;
 
-/// Subtracted from the scheme's `queue_rtts` before sizing the shadow
-/// queue (clamped at zero). Useful with `residual_cap`: the shallow
-/// part of a standing queue is already implied by the drain-rate
-/// cap, so only the excess depth needs shadowing.
-const SHADOW_OFFSET_RTTS: f64 = 0.0;
-
-/// Knobs for the coupling loop. The defaults match the paper-default
-/// packet fabric; scenarios normally only toggle `trace`.
-#[derive(Debug, Clone, Copy)]
-pub struct HybridConfig {
-    /// Scale on the background's *shadow queue*: the standing queue the
-    /// background would hold on a contended link
-    /// (`queue_rtts · base_rtt · capacity`, from the calibrated
-    /// [`RateModel`]), weighted by the background's ramped share of the
-    /// link, is pushed onto the DES port as a phantom backlog
-    /// ([`fncc_net::fabric::Fabric::set_port_backlog`]). Foreground
-    /// congestion control then reacts to the fluid half's queue exactly
-    /// as it would to a packet competitor's: through INT `qLen`, ECN
-    /// marks, RoCC rate advertisements and inflated RTT. `0` disables
-    /// the shadow queue.
-    pub shadow_queue: f64,
-    /// Push residual-capacity caps onto DES ports (the hard bandwidth
-    /// side of the fluid→packet coupling). Off by default: with the
-    /// shadow queue active, a hard cap double-counts the background's
-    /// pressure — the foreground is throttled once by the inflated
-    /// congestion signals and again by the shrunken port. The cap is the
-    /// right tool when the shadow queue is disabled (`shadow_queue: 0`)
-    /// or when the foreground must never exceed its fluid share even
-    /// transiently (strict bandwidth-conservation studies).
-    pub residual_cap: bool,
-    /// Arm the flight-recorder trace on both halves (hybrid coupling
-    /// events land in the foreground sink).
-    pub trace: bool,
-}
-
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            shadow_queue: 1.0,
-            residual_cap: false,
-            trace: false,
-        }
-    }
-}
-
 /// Outcome of a completed hybrid run: the packet half's telemetry, the
 /// fluid half's result, and the coupling statistics.
 pub struct HybridResult {
@@ -147,8 +98,6 @@ pub struct HybridResult {
     pub syncs: u64,
     /// Foreground-demand reservations pushed into the water-filler.
     pub reservations: u64,
-    /// Residual-capacity pushes onto DES ports.
-    pub residual_pushes: u64,
     /// Shadow-queue backlog pushes onto DES ports.
     pub backlog_pushes: u64,
     /// Closed-form single-bottleneck re-solves (incast fast path).
@@ -188,15 +137,12 @@ struct FgLink {
 pub struct HybridSim {
     eng: Engine<Fabric<DcHost>>,
     bg: BackgroundFluid,
-    cfg: HybridConfig,
     /// The network description, kept for analysis (ideal FCT, paths).
     pub topo: Topology,
     /// The CC scheme both halves are calibrated to.
     pub kind: CcKind,
     /// Coupling state for every link a foreground flow traverses.
     fg_links: Vec<FgLink>,
-    /// Dense link id → index into `fg_links` (`u32::MAX` = not foreground).
-    fg_index: Vec<u32>,
     /// Foreground flow specs (for lifecycle tracking at boundaries).
     fg_specs: Vec<FlowSpec>,
     /// Per-spec list of `fg_links` indices on that flow's data path.
@@ -207,23 +153,20 @@ pub struct HybridSim {
     /// Entitlement ramp length in seconds (`RAMP_RTTS · base_rtt`).
     ramp: f64,
     /// The background's full-contention standing-queue delay in seconds
-    /// (`queue_rtts · base_rtt · shadow_queue`, from the calibrated rate
-    /// model).
+    /// (`queue_rtts · base_rtt`, from the calibrated rate model, scaled
+    /// per scheme by [`newcomer_queue_scale`]).
     queue_debt: f64,
     /// Spec indices sorted by start time; `next_fg_admit` walks it.
     fg_order: Vec<u32>,
     next_fg_admit: usize,
     /// Spec indices of foreground flows admitted but not yet finished.
     fg_active: Vec<u32>,
-    touched_buf: Vec<u32>,
     last_sync: SimTime,
     syncs: u64,
     reservations: u64,
-    residual_pushes: u64,
     backlog_pushes: u64,
     c_syncs: CounterId,
     c_reservations: CounterId,
-    c_residuals: CounterId,
     c_backlogs: CounterId,
 }
 
@@ -235,16 +178,18 @@ impl HybridSim {
     /// background derives its capacity boundaries from the same list — and
     /// a non-empty list arms go-back-N loss recovery on the foreground
     /// transport. `seed` drives the foreground fabric's stochastic
-    /// components (ECN marking, random loss). Fails like the fluid backend
-    /// on zero-capacity links.
+    /// components (ECN marking, random loss); `trace` arms the
+    /// flight-recorder on both halves (hybrid coupling events land in the
+    /// foreground sink). Fails like the fluid backend on zero-capacity
+    /// links.
     pub fn new(
         topo: Topology,
         foreground: Vec<FlowSpec>,
         background: Vec<FlowSpec>,
         model: RateModel,
-        cfg: HybridConfig,
         faults: &[FaultSpec],
         seed: u64,
+        trace: bool,
     ) -> Result<Self, FluidError> {
         let kind = model.kind;
         let mut fabric_cfg = FabricConfig::paper_default();
@@ -259,11 +204,8 @@ impl HybridSim {
         let cc = make_algo(kind, line, base_rtt);
         let framing = Framing::from(&fabric_cfg);
 
-        let queue_debt = (model.queue_rtts - SHADOW_OFFSET_RTTS).max(0.0)
-            * base_rtt.as_secs_f64()
-            * cfg.shadow_queue
-            * newcomer_queue_scale(kind);
-        let mut bg = BackgroundFluid::new(topo.clone(), model, framing, background, cfg.trace)?;
+        let queue_debt = model.queue_rtts * base_rtt.as_secs_f64() * newcomer_queue_scale(kind);
+        let mut bg = BackgroundFluid::new(topo.clone(), model, framing, background, trace)?;
         bg.faults(faults);
 
         let mut tcfg = TransportConfig::new(cc).with_ack_every(ACK_EVERY);
@@ -272,17 +214,16 @@ impl HybridSim {
             .map(|_| DcHost::new(tcfg.clone()))
             .collect();
         let mut fabric = Fabric::new(&topo, fabric_cfg, hosts);
-        if cfg.trace {
+        if trace {
             fabric.telemetry.trace = TraceSink::with_capacity(TraceSink::DEFAULT_CAPACITY);
         }
         let c_syncs = fabric.telemetry.metrics.counter("hybrid_syncs");
         let c_reservations = fabric.telemetry.metrics.counter("hybrid_reservations");
-        let c_residuals = fabric.telemetry.metrics.counter("hybrid_residual_pushes");
         let c_backlogs = fabric.telemetry.metrics.counter("hybrid_backlog_pushes");
 
         // The foreground link set: every directed link some foreground
         // flow's data path crosses. Only these links exchange
-        // reservations and residuals — background-only links never touch
+        // reservations and backlogs — background-only links never touch
         // the DES, and foreground-only links never dirty the solver.
         let links = bg.link_map();
         let mut fg_index = vec![u32::MAX; links.len()];
@@ -337,11 +278,9 @@ impl HybridSim {
         Ok(HybridSim {
             eng,
             bg,
-            cfg,
             topo,
             kind,
             fg_links,
-            fg_index,
             fg_specs: foreground,
             fg_flow_links,
             fg_w,
@@ -350,15 +289,12 @@ impl HybridSim {
             fg_order,
             next_fg_admit: 0,
             fg_active: Vec::new(),
-            touched_buf: Vec::new(),
             last_sync: SimTime::ZERO,
             syncs: 0,
             reservations: 0,
-            residual_pushes: 0,
             backlog_pushes: 0,
             c_syncs,
             c_reservations,
-            c_residuals,
             c_backlogs,
         })
     }
@@ -415,7 +351,7 @@ impl HybridSim {
     pub fn run_until(&mut self, horizon: SimTime) -> Result<(), FluidError> {
         if self.syncs == 0 {
             // Initial boundary: admit time-zero arrivals on both halves
-            // and seed reservations/residuals before any packet moves.
+            // and seed reservations/backlogs before any packet moves.
             self.sync_at(self.last_sync)?;
         }
         let mut cursor = self.last_sync;
@@ -483,9 +419,9 @@ impl HybridSim {
     ///    way window growth and standing queues make them in the packet
     ///    fabric — instead of snapping to the converged fair share
     ///    (freshly admitted foreground flows have no measurement yet and
-    ///    reserve their full — ramped — entitlement);
-    /// 3. re-solve and push the residual capacity of every touched
-    ///    foreground link onto its DES port.
+    ///    reserve their full — ramped — entitlement), and the background's
+    ///    shadow backlog onto the link's DES port;
+    /// 3. re-solve under the new reservations.
     fn sync_at(&mut self, t: SimTime) -> Result<(), FluidError> {
         let t_ps = t.as_ps();
         self.bg.advance_to(t.as_secs_f64())?;
@@ -566,13 +502,10 @@ impl HybridSim {
                 };
                 if fl.fresh {
                     cap
-                } else if self.cfg.residual_cap {
-                    measured.min(cap)
                 } else {
-                    // Signals-only coupling: the foreground takes what its
-                    // CC earns against the shadow queue; reserve exactly
-                    // that so the fluid half yields the same bandwidth a
-                    // packet background would.
+                    // The foreground takes what its CC earns against the
+                    // shadow queue; reserve exactly that so the fluid half
+                    // yields the same bandwidth a packet background would.
                     measured
                 }
             };
@@ -634,46 +567,12 @@ impl HybridSim {
         // Re-solve under the new reservations (no time passes).
         self.bg.advance_to(t.as_secs_f64())?;
 
-        self.bg.take_touched(&mut self.touched_buf);
-        let mut n_resid = 0u32;
-        for k in 0..self.touched_buf.len() {
-            let l = self.touched_buf[k];
-            let i = self.fg_index[l as usize];
-            if i == u32::MAX {
-                continue;
-            }
-            if !self.cfg.residual_cap {
-                continue;
-            }
-            let fl = self.fg_links[i as usize];
-            let residual = (fl.raw_bps - self.bg.background_load(l)).max(0.0);
-            self.eng.model.set_port_drain(
-                fl.node,
-                fl.port,
-                Bandwidth::bps((residual.round() as u64).max(1)),
-            );
-            n_resid += 1;
-            if self.eng.model.telemetry.trace.enabled() {
-                self.eng
-                    .model
-                    .telemetry
-                    .trace
-                    .record(TraceEvent::HybridResidual {
-                        t_ps,
-                        link: l,
-                        residual_bps: residual,
-                    });
-            }
-        }
-
         self.syncs += 1;
         self.reservations += n_res as u64;
-        self.residual_pushes += n_resid as u64;
         self.backlog_pushes += n_back as u64;
         let m = &mut self.eng.model.telemetry.metrics;
         m.inc(self.c_syncs, 1);
         m.inc(self.c_reservations, n_res as u64);
-        m.inc(self.c_residuals, n_resid as u64);
         m.inc(self.c_backlogs, n_back as u64);
         if self.eng.model.telemetry.trace.enabled() {
             self.eng
@@ -683,7 +582,6 @@ impl HybridSim {
                 .record(TraceEvent::HybridSync {
                     t_ps,
                     reservations: n_res,
-                    residuals: n_resid,
                 });
         }
         self.last_sync = t;
@@ -703,7 +601,6 @@ impl HybridSim {
             bg,
             syncs: self.syncs,
             reservations: self.reservations,
-            residual_pushes: self.residual_pushes,
             backlog_pushes: self.backlog_pushes,
             single_bottleneck_solves,
             fg_events,
@@ -749,23 +646,11 @@ fn newcomer_queue_scale(kind: CcKind) -> f64 {
     }
 }
 
-/// Partition helper used by scenario front-ends: `true` if `flow` should
-/// run at packet fidelity given a foreground size threshold and an
-/// explicit victim-host set. Kept here so every caller (backend,
-/// benches, tests) classifies identically.
-pub fn is_foreground(flow: &FlowSpec, size_below: Option<u64>, to_hosts: &[HostId]) -> bool {
-    if let Some(cut) = size_below {
-        if flow.size < cut {
-            return true;
-        }
-    }
-    to_hosts.contains(&flow.dst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fncc_net::ids::FlowId;
+    use fncc_net::ids::{FlowId, HostId};
+    use fncc_net::units::Bandwidth;
 
     const BW: Bandwidth = Bandwidth::gbps(100);
     const PROP: TimeDelta = TimeDelta::from_ns(1500);
@@ -824,7 +709,7 @@ mod tests {
     }
 
     /// With an empty background, the hybrid engine IS the packet DES:
-    /// no residual ever lands on a port, so FCTs match exactly.
+    /// no backlog ever lands on a port, so FCTs match exactly.
     #[test]
     fn empty_background_matches_pure_des() {
         let fg = vec![flow(0, 0, 2, 500_000, 0), flow(1, 1, 2, 500_000, 10)];
@@ -835,81 +720,17 @@ mod tests {
             fg,
             Vec::new(),
             RateModel::paper_default(CcKind::Fncc),
-            HybridConfig::default(),
             &[],
             1,
+            false,
         )
         .unwrap();
         h.run_until(horizon).unwrap();
         assert!(h.foreground_done());
         let r = h.into_result();
         assert_eq!(fcts(&r.fg), want);
-        assert_eq!(r.residual_pushes, 0, "no background → no residual pushes");
         assert_eq!(r.backlog_pushes, 0, "no background → no shadow queue");
         assert!(r.syncs > 0);
-    }
-
-    /// A background elephant sharing a *saturating* foreground flow's
-    /// path squeezes it under the hard residual-capacity mode (the mode
-    /// built for foregrounds that contend for throughput rather than
-    /// latency): the fg FCT stretches vs. an empty-background run and
-    /// the reverse coupling reserves fg demand.
-    #[test]
-    fn background_elephant_squeezes_foreground() {
-        let fg = vec![flow(0, 0, 2, 2_000_000, 0)];
-        let bg = vec![flow(1_000, 1, 2, 12_500_000, 0)]; // 100 Mbit elephant, same bottleneck
-        let horizon = SimTime::from_ms(10);
-        let cfg = HybridConfig {
-            residual_cap: true,
-            ..HybridConfig::default()
-        };
-
-        let mut alone = HybridSim::new(
-            dumbbell(3),
-            fg.clone(),
-            Vec::new(),
-            RateModel::paper_default(CcKind::Fncc),
-            cfg,
-            &[],
-            1,
-        )
-        .unwrap();
-        alone.run_until(horizon).unwrap();
-        let fct_alone = fcts(&alone.into_result().fg)[0].1.unwrap();
-
-        let mut h = HybridSim::new(
-            dumbbell(3),
-            fg,
-            bg,
-            RateModel::paper_default(CcKind::Fncc),
-            cfg,
-            &[],
-            1,
-        )
-        .unwrap();
-        h.run_until(horizon).unwrap();
-        let r = h.into_result();
-        let fct_shared = fcts(&r.fg)[0].1.unwrap();
-        assert!(r.residual_pushes > 0, "elephant must cap the shared port");
-        assert!(r.reservations > 0, "fg demand must reach the water-filler");
-        // Fair sharing with one competitor roughly halves the fg drain
-        // rate; require a clearly-fair stretch but not a starved one.
-        let lo = SimTime::ZERO + TimeDelta::from_secs_f64(fct_alone.as_secs_f64() * 1.3);
-        let hi = SimTime::ZERO + TimeDelta::from_secs_f64(fct_alone.as_secs_f64() * 3.0);
-        let shared_t = SimTime::ZERO + TimeDelta::from_secs_f64(fct_shared.as_secs_f64());
-        assert!(
-            shared_t > lo && shared_t < hi,
-            "fg FCT should roughly double behind one fair-sharing elephant \
-             ({fct_alone:?} alone vs {fct_shared:?} shared)"
-        );
-        // And the elephant itself must have been slowed by the fg demand:
-        // alone it drains 100 Mbit in ~1 ms; squeezed it takes longer.
-        let bg_rec = r.bg.telemetry.flow_records().next().unwrap();
-        let bg_fct = bg_rec.fct().expect("elephant finishes inside horizon");
-        assert!(
-            bg_fct > TimeDelta::from_us(1100),
-            "fg demand must slow the elephant (got {bg_fct:?})"
-        );
     }
 
     /// The coupling emits trace events and metrics when armed.
@@ -922,12 +743,9 @@ mod tests {
             fg,
             bg,
             RateModel::paper_default(CcKind::Fncc),
-            HybridConfig {
-                trace: true,
-                ..HybridConfig::default()
-            },
             &[],
             1,
+            true,
         )
         .unwrap();
         h.run_until(SimTime::from_ms(2)).unwrap();
@@ -944,36 +762,7 @@ mod tests {
         let get = |name: &str| m.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap();
         assert_eq!(get("hybrid_syncs"), r.syncs);
         assert_eq!(get("hybrid_reservations"), r.reservations);
-        assert_eq!(get("hybrid_residual_pushes"), r.residual_pushes);
         assert_eq!(get("hybrid_backlog_pushes"), r.backlog_pushes);
-    }
-
-    /// The hard residual-capacity mode still works when selected: with
-    /// the shadow queue off, the fluid load lands as drain-rate caps.
-    #[test]
-    fn residual_cap_mode_pushes_port_caps() {
-        let fg = vec![flow(0, 0, 2, 200_000, 0)];
-        let bg = vec![flow(100, 1, 2, 12_500_000, 0)];
-        let mut h = HybridSim::new(
-            dumbbell(3),
-            fg,
-            bg,
-            RateModel::paper_default(CcKind::Fncc),
-            HybridConfig {
-                trace: true,
-                residual_cap: true,
-                shadow_queue: 0.0,
-            },
-            &[],
-            1,
-        )
-        .unwrap();
-        h.run_until(SimTime::from_ms(2)).unwrap();
-        let r = h.into_result();
-        assert!(r.residual_pushes > 0, "elephant must cap the shared port");
-        assert_eq!(r.backlog_pushes, 0, "shadow queue disabled");
-        let kinds: Vec<&str> = r.fg.trace.events().map(|e| e.kind()).collect();
-        assert!(kinds.contains(&"hybrid_residual"));
     }
 
     /// Two identical runs produce byte-identical foreground FCTs and
@@ -988,9 +777,9 @@ mod tests {
                 fg,
                 bg,
                 RateModel::paper_default(CcKind::Hpcc),
-                HybridConfig::default(),
                 &[],
                 1,
+                false,
             )
             .unwrap();
             h.run_until(SimTime::from_ms(6)).unwrap();
@@ -1010,9 +799,9 @@ mod tests {
             fg,
             bg,
             RateModel::paper_default(CcKind::Swift),
-            HybridConfig::default(),
             &[],
             1,
+            false,
         )
         .unwrap();
         let done = h
@@ -1020,14 +809,5 @@ mod tests {
             .unwrap();
         assert!(done);
         assert_eq!(h.remaining_background(), 0);
-    }
-
-    #[test]
-    fn is_foreground_classifies_by_size_and_victim() {
-        let f = flow(0, 0, 2, 10_000, 0);
-        assert!(is_foreground(&f, Some(100_000), &[]));
-        assert!(!is_foreground(&f, Some(10_000), &[]), "cut is exclusive");
-        assert!(is_foreground(&f, None, &[HostId(2)]));
-        assert!(!is_foreground(&f, None, &[HostId(1)]));
     }
 }

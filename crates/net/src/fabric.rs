@@ -380,20 +380,6 @@ impl<H: HostLogic> Fabric<H> {
         }
     }
 
-    /// Cap the effective drain rate of the egress port at `(node, port)`:
-    /// the hybrid backend's residual-capacity push (raw link bandwidth
-    /// minus the fluid background load on that link). Applies from the
-    /// next serialized frame; see [`Port::set_drain_bw`] for clamping.
-    pub fn set_port_drain(&mut self, node: NodeRef, port: u8, rate: Bandwidth) {
-        match node {
-            NodeRef::Switch(s) => self.switches[s.ix()].ports[port as usize].set_drain_bw(rate),
-            NodeRef::Host(h) => {
-                debug_assert_eq!(port, 0, "hosts have a single egress port");
-                self.host_ports[h.ix()].set_drain_bw(rate);
-            }
-        }
-    }
-
     /// Convenience: run `f` with a [`HostCtx`] for `host`.
     fn with_host_ctx(
         &mut self,

@@ -197,8 +197,6 @@ pub enum TraceEvent {
         t_ps: u64,
         /// Foreground-demand reservations pushed into the fluid half.
         reservations: u32,
-        /// Residual-capacity pushes onto DES ports.
-        residuals: u32,
     },
     /// Hybrid coupling: measured foreground throughput on a link was fed
     /// into the fluid water-filler as a demand reservation.
@@ -209,16 +207,6 @@ pub enum TraceEvent {
         link: u32,
         /// Reserved foreground load, bits per second.
         load_bps: f64,
-    },
-    /// Hybrid coupling: the fluid background load on a link was pushed
-    /// onto the DES port as a residual drain-rate cap.
-    HybridResidual {
-        /// Simulation time, picoseconds.
-        t_ps: u64,
-        /// Dense directed-link id (fluid link index).
-        link: u32,
-        /// Residual capacity left for packet traffic, bits per second.
-        residual_bps: f64,
     },
     /// Hybrid coupling: the fluid background's standing queue on a link
     /// was pushed onto the DES port as a phantom (shadow) backlog.
@@ -304,7 +292,6 @@ impl TraceEvent {
             TraceEvent::FluidFlowRemove { .. } => "fluid_flow_remove",
             TraceEvent::HybridSync { .. } => "hybrid_sync",
             TraceEvent::HybridReserve { .. } => "hybrid_reserve",
-            TraceEvent::HybridResidual { .. } => "hybrid_residual",
             TraceEvent::HybridBacklog { .. } => "hybrid_backlog",
             TraceEvent::LinkDown { .. } => "link_down",
             TraceEvent::LinkUp { .. } => "link_up",
@@ -334,7 +321,6 @@ impl TraceEvent {
             | TraceEvent::FluidFlowRemove { t_ps, .. }
             | TraceEvent::HybridSync { t_ps, .. }
             | TraceEvent::HybridReserve { t_ps, .. }
-            | TraceEvent::HybridResidual { t_ps, .. }
             | TraceEvent::HybridBacklog { t_ps, .. }
             | TraceEvent::LinkDown { t_ps, .. }
             | TraceEvent::LinkUp { t_ps, .. }
@@ -367,7 +353,6 @@ impl TraceEvent {
             | TraceEvent::SolveEnd { .. }
             | TraceEvent::HybridSync { .. }
             | TraceEvent::HybridReserve { .. }
-            | TraceEvent::HybridResidual { .. }
             | TraceEvent::HybridBacklog { .. }
             | TraceEvent::LinkDown { .. }
             | TraceEvent::LinkUp { .. } => None,
@@ -489,23 +474,11 @@ impl TraceEvent {
             TraceEvent::SolveEnd { full, changed, .. } => {
                 let _ = write!(out, ",\"full\":{full},\"changed\":{changed}");
             }
-            TraceEvent::HybridSync {
-                reservations,
-                residuals,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"reservations\":{reservations},\"residuals\":{residuals}"
-                );
+            TraceEvent::HybridSync { reservations, .. } => {
+                let _ = write!(out, ",\"reservations\":{reservations}");
             }
             TraceEvent::HybridReserve { link, load_bps, .. } => {
                 let _ = write!(out, ",\"link\":{link},\"load_bps\":{load_bps}");
-            }
-            TraceEvent::HybridResidual {
-                link, residual_bps, ..
-            } => {
-                let _ = write!(out, ",\"link\":{link},\"residual_bps\":{residual_bps}");
             }
             TraceEvent::HybridBacklog {
                 link,

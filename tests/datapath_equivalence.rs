@@ -11,9 +11,11 @@
 //! hashing, exactly as in `des_determinism.rs`.
 //!
 //! The two PR-8 schemes (FairQ, Throttle) have no pre-refactor
-//! implementation; their hashes, and every hybrid hash, were recorded at
-//! PR 14's head (commit 6fea562) so the report-builder refactor of PR 15
-//! had a byte pin on all three backends and all of `CcKind::ALL`.
+//! implementation; their hashes were recorded at PR 14's head (commit
+//! 6fea562) so the report-builder refactor of PR 15 had a byte pin on all
+//! of `CcKind::ALL`. The hybrid hashes were re-recorded in PR 22 when the
+//! `hybrid_residual_pushes` scalar — zero in every cell — left the report;
+//! the canonical JSON of each cell differs from PR 14's by that one line.
 
 use fncc::core::scenario::FaultSpec;
 use fncc::core::{
@@ -132,17 +134,17 @@ const FLUID_GOLDEN: [(CcKind, u64); 8] = [
     (CcKind::Throttle, 0xa99337e698d68107),
 ];
 
-/// Golden hybrid-backend hashes on `hybrid_scenario`, recorded at PR 14's
-/// head.
+/// Golden hybrid-backend hashes on `hybrid_scenario` (PR 22; see the
+/// module docs).
 const HYBRID_GOLDEN: [(CcKind, u64); 8] = [
-    (CcKind::Fncc, 0xde7b1ce67cd426ab),
-    (CcKind::Hpcc, 0xefab63ea5e91f036),
-    (CcKind::Dcqcn, 0x39bbbfc03b7bd72a),
-    (CcKind::Rocc, 0xecc877985b805d9c),
-    (CcKind::Timely, 0x3bb36d28a3ef1947),
-    (CcKind::Swift, 0x845d6f88248b9c7d),
-    (CcKind::FairQ, 0x9d80dc6eea27ce9b),
-    (CcKind::Throttle, 0xe34fc674be97bc8b),
+    (CcKind::Fncc, 0x7b3f57e1161f4180),
+    (CcKind::Hpcc, 0x6c8af87f5bfdb82d),
+    (CcKind::Dcqcn, 0xa98d117d9c78537f),
+    (CcKind::Rocc, 0x3246254a4decfb57),
+    (CcKind::Timely, 0x4938c91226714e0c),
+    (CcKind::Swift, 0xb9e8f9b5eee9159a),
+    (CcKind::FairQ, 0x77c99c0176f93d96),
+    (CcKind::Throttle, 0xfbc9aa55d6d4df30),
 ];
 
 /// Run `scenario(cc)` on `backend` for every pinned scheme and compare the
@@ -183,7 +185,7 @@ fn hybrid_reports_match_golden() {
 const FAULTED_GOLDEN: [(SimBackend, u64); 3] = [
     (SimBackend::Packet, 0xb2b5b784d472533e),
     (SimBackend::Fluid, 0xa54fd6d4e6c44dfb),
-    (SimBackend::Hybrid, 0xd2580295ef95bc6a),
+    (SimBackend::Hybrid, 0x77fc81d5770ab50f),
 ];
 
 #[test]

@@ -21,7 +21,7 @@ use fncc::core::{
     make_algo, run_scenario, ForegroundSpec, PartitionRule, Scenario, SimBackend, SimBuilder,
     StopCondition, TopologySpec, TrafficSpec,
 };
-use fncc::hybrid::{HybridConfig, HybridSim};
+use fncc::hybrid::HybridSim;
 use fncc_cc::CcKind;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_fluid::RateModel;
@@ -120,16 +120,8 @@ fn hybrid_fg_fct(sc: &Scenario, fg_ids: &[FlowId]) -> f64 {
     let spec = sc.foreground.as_ref().expect("cell declares a partition");
     let (fg, bg) = spec.partition(&flows);
     let horizon = drain_horizon(&flows);
-    let mut sim = HybridSim::new(
-        topo,
-        fg,
-        bg,
-        RateModel::paper_default(sc.cc),
-        HybridConfig::default(),
-        &[],
-        1,
-    )
-    .expect("hybrid build");
+    let mut sim = HybridSim::new(topo, fg, bg, RateModel::paper_default(sc.cc), &[], 1, false)
+        .expect("hybrid build");
     let done = sim
         .run_to_completion(TimeDelta::from_ms(1), horizon)
         .expect("hybrid run");

@@ -119,17 +119,11 @@ fn one_of_each() -> Vec<TraceEvent> {
         TraceEvent::HybridSync {
             t_ps: 55,
             reservations: 56,
-            residuals: 57,
         },
         TraceEvent::HybridReserve {
             t_ps: 58,
             link: 59,
             load_bps: 60.5,
-        },
-        TraceEvent::HybridResidual {
-            t_ps: 61,
-            link: 62,
-            residual_bps: 63.5,
         },
         TraceEvent::HybridBacklog {
             t_ps: 64,
@@ -174,7 +168,7 @@ fn trace_v1_schema_snapshot() {
     }
     let text = drain(&sink);
     let expected = "\
-{\"schema\":\"fncc.trace/v1\",\"scenario\":\"snap\",\"backend\":\"packet\",\"seed\":7,\"events\":24,\"dropped\":0}
+{\"schema\":\"fncc.trace/v1\",\"scenario\":\"snap\",\"backend\":\"packet\",\"seed\":7,\"events\":23,\"dropped\":0}
 {\"ev\":\"enqueue\",\"t_ps\":1,\"sw\":2,\"port\":3,\"flow\":4,\"size\":5,\"queue_bytes\":6}
 {\"ev\":\"dequeue\",\"t_ps\":7,\"sw\":8,\"port\":9,\"flow\":10,\"size\":11,\"queue_bytes\":12}
 {\"ev\":\"ecn_mark\",\"t_ps\":13,\"sw\":14,\"port\":15,\"flow\":16,\"queue_bytes\":17}
@@ -190,9 +184,8 @@ fn trace_v1_schema_snapshot() {
 {\"ev\":\"solve_end\",\"t_ps\":49,\"full\":true,\"changed\":50}
 {\"ev\":\"fluid_flow_add\",\"t_ps\":51,\"flow\":52}
 {\"ev\":\"fluid_flow_remove\",\"t_ps\":53,\"flow\":54}
-{\"ev\":\"hybrid_sync\",\"t_ps\":55,\"reservations\":56,\"residuals\":57}
+{\"ev\":\"hybrid_sync\",\"t_ps\":55,\"reservations\":56}
 {\"ev\":\"hybrid_reserve\",\"t_ps\":58,\"link\":59,\"load_bps\":60.5}
-{\"ev\":\"hybrid_residual\",\"t_ps\":61,\"link\":62,\"residual_bps\":63.5}
 {\"ev\":\"hybrid_backlog\",\"t_ps\":64,\"link\":65,\"backlog_bytes\":66}
 {\"ev\":\"link_down\",\"t_ps\":67,\"sw\":68,\"port\":69}
 {\"ev\":\"link_up\",\"t_ps\":70,\"sw\":71,\"port\":72}
@@ -242,7 +235,7 @@ impl Strategy for EventStrategy {
         let u32r = |rng: &mut proptest::TestRng| rng.next_u64() as u32;
         let u8r = |rng: &mut proptest::TestRng| rng.next_u64() as u8;
         let boolr = |rng: &mut proptest::TestRng| rng.next_u64() & 1 == 1;
-        match rng.below(24) {
+        match rng.below(23) {
             0 => TraceEvent::Enqueue {
                 t_ps,
                 sw: u32r(rng),
@@ -340,41 +333,35 @@ impl Strategy for EventStrategy {
             15 => TraceEvent::HybridSync {
                 t_ps,
                 reservations: u32r(rng),
-                residuals: u32r(rng),
             },
             16 => TraceEvent::HybridReserve {
                 t_ps,
                 link: u32r(rng),
                 load_bps: rng.unit_f64() * 1e12,
             },
-            17 => TraceEvent::HybridResidual {
-                t_ps,
-                link: u32r(rng),
-                residual_bps: rng.unit_f64() * 1e12,
-            },
-            18 => TraceEvent::HybridBacklog {
+            17 => TraceEvent::HybridBacklog {
                 t_ps,
                 link: u32r(rng),
                 backlog_bytes: rng.next_u64() >> 11,
             },
-            19 => TraceEvent::LinkDown {
+            18 => TraceEvent::LinkDown {
                 t_ps,
                 sw: u32r(rng),
                 port: u8r(rng),
             },
-            20 => TraceEvent::LinkUp {
+            19 => TraceEvent::LinkUp {
                 t_ps,
                 sw: u32r(rng),
                 port: u8r(rng),
             },
-            21 => TraceEvent::FaultDrop {
+            20 => TraceEvent::FaultDrop {
                 t_ps,
                 sw: u32r(rng),
                 port: u8r(rng),
                 flow: u32r(rng),
                 size: u32r(rng),
             },
-            22 => TraceEvent::Retransmit {
+            21 => TraceEvent::Retransmit {
                 t_ps,
                 flow: u32r(rng),
                 seq: rng.next_u64() >> 11,
@@ -513,23 +500,12 @@ fn assert_matches(line: &Json, ev: &TraceEvent) {
             assert_eq!(b("full"), full);
             assert_eq!(u("changed"), changed as f64);
         }
-        TraceEvent::HybridSync {
-            reservations,
-            residuals,
-            ..
-        } => {
+        TraceEvent::HybridSync { reservations, .. } => {
             assert_eq!(u("reservations"), reservations as f64);
-            assert_eq!(u("residuals"), residuals as f64);
         }
         TraceEvent::HybridReserve { link, load_bps, .. } => {
             assert_eq!(u("link"), link as f64);
             assert_eq!(u("load_bps"), load_bps);
-        }
-        TraceEvent::HybridResidual {
-            link, residual_bps, ..
-        } => {
-            assert_eq!(u("link"), link as f64);
-            assert_eq!(u("residual_bps"), residual_bps);
         }
         TraceEvent::HybridBacklog {
             link,
