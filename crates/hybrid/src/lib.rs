@@ -196,10 +196,7 @@ impl HybridSim {
         let line = topo.host_ports[0].bw;
         let base_rtt = topo.base_rtt(fabric_cfg.mtu, fabric_cfg.ack_base);
         apply_cc_features(&mut fabric_cfg, kind, line);
-        // Fault-free runs keep the default fabric seed.
-        if !faults.is_empty() {
-            fabric_cfg.seed = seed;
-        }
+        fabric_cfg.seed = seed;
         fabric_cfg.faults = faults.to_vec();
         let cc = make_algo(kind, line, base_rtt);
         let framing = Framing::from(&fabric_cfg);
@@ -787,6 +784,25 @@ mod tests {
             (fcts(&r.fg), r.syncs, r.reservations, r.backlog_pushes)
         };
         assert_eq!(run(), run());
+    }
+
+    /// The foreground fabric takes the caller's seed with or without
+    /// faults. It used to keep the default seed in fault-free runs, so the
+    /// ECN-marking streams of DCQCN and Throttle did not vary across a
+    /// scenario's `seeds`.
+    #[test]
+    fn foreground_fabric_is_seeded_without_faults() {
+        let h = HybridSim::new(
+            dumbbell(3),
+            vec![flow(0, 0, 2, 100_000, 0)],
+            Vec::new(),
+            RateModel::paper_default(CcKind::Dcqcn),
+            &[],
+            9,
+            false,
+        )
+        .unwrap();
+        assert_eq!(h.fabric().cfg.seed, 9);
     }
 
     /// run_to_completion drains both halves.
