@@ -614,20 +614,13 @@ impl BackgroundFluid {
             let ix = self.faults.len() as u32;
             self.faults.push(*f);
             let (start, end) = f.span_us();
-            let at = SimTime::from_us(start);
-            self.fevents.push(Boundary {
-                at,
+            let boundary = |us, opening| Boundary {
+                at: SimTime::from_us(us),
                 ix,
-                opening: true,
-            });
-            if let Some(end) = end {
-                let at = SimTime::from_us(end);
-                self.fevents.push(Boundary {
-                    at,
-                    ix,
-                    opening: false,
-                });
-            }
+                opening,
+            };
+            self.fevents.push(boundary(start, true));
+            self.fevents.extend(end.map(|us| boundary(us, false)));
         }
         self.fevents.sort_by_key(|b| b.at);
     }
