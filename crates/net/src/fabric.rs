@@ -40,7 +40,7 @@ pub struct ShardCtx {
     pub my: u16,
     /// Events processed here that are exact replicas of events another
     /// shard also processes (periodic ticks mirrored on every shard are
-    /// counted by shard 0; link-fault boundaries are counted by the owner
+    /// counted by shard 0; fault boundaries are counted by the owner
     /// of the faulted switch). Subtracted when aggregating
     /// `events_processed` across shards so the total matches the
     /// single-engine run.
