@@ -3,8 +3,8 @@
 //!
 //! The engine is generic over the [`Model`] so the hot dispatch path is fully
 //! monomorphised — no boxing, no dynamic dispatch. Models schedule follow-up
-//! events through the [`Scheduler`] handle passed to every callback; the
-//! engine drains those into the queue after each dispatch.
+//! events through the [`Scheduler`] handle passed to every callback, which
+//! owns the queue and files each one on the spot.
 //!
 //! Two event-queue implementations share identical `(time, prio, seq)`
 //! dispatch semantics (see [`QueueKind`]): the hierarchical timing wheel
@@ -35,10 +35,23 @@ pub trait Model {
 pub const LOCAL_SHARD: u16 = u16::MAX;
 
 /// Handle through which a model schedules future events during a callback.
+///
+/// It owns the event queue, the sequence counter and the cross-shard
+/// outbox, so a schedule is written once, straight into its queue node.
+/// Filing mid-handler cannot reorder anything: nothing pops until the
+/// handler returns, and the queue orders by `(time, prio, seq)` alone.
 pub struct Scheduler<E> {
+    /// The clock: the time of the event being handled (or, between
+    /// [`Engine::run_until`] calls, the horizon the engine parked at).
     now: SimTime,
-    /// `(fire time, destination shard, ordering domain, event)`.
-    pending: Vec<(SimTime, u16, u16, E)>,
+    queue: EventQueue<E>,
+    /// Schedules filed so far, local and remote: the low bits of the next
+    /// sequence number.
+    seq: u64,
+    /// `seq` when the current callback began (see [`Scheduler::pending_len`]).
+    seq_mark: u64,
+    /// Events scheduled via [`Scheduler::remote`], awaiting epoch exchange.
+    outbox: Vec<Outbound<E>>,
     /// Ordering domain stamped onto every schedule until changed (see
     /// [`Scheduler::set_domain`]). 0 unless a model opts into domain
     /// tagging.
@@ -76,6 +89,25 @@ impl<E> Scheduler<E> {
         self.domain
     }
 
+    /// The one place a schedule gets its sequence number and is filed:
+    /// into the local queue, or the outbox when `dst` names another shard.
+    #[inline(always)]
+    fn file(&mut self, time: SimTime, dst: u16, ev: E) {
+        let seq = ((self.domain as u64) << SEQ_SHARD_SHIFT) | self.seq;
+        self.seq += 1;
+        if dst == LOCAL_SHARD {
+            self.queue.push(time, self.now, seq, ev);
+        } else {
+            self.outbox.push(Outbound {
+                dst,
+                time,
+                prio: self.now,
+                seq,
+                ev,
+            });
+        }
+    }
+
     /// Schedule `ev` at absolute time `t`. Scheduling in the past is a logic
     /// error: it panics in debug builds; in release it is clamped to `now`
     /// and counted (see [`Engine::clamped_schedules`]), so silent model bugs
@@ -90,22 +122,20 @@ impl<E> Scheduler<E> {
         if t < self.now {
             self.clamped += 1;
         }
-        self.pending
-            .push((t.max(self.now), LOCAL_SHARD, self.domain, ev));
+        self.file(t.max(self.now), LOCAL_SHARD, ev);
     }
 
     /// Schedule `ev` after a delay of `d` from now.
     #[inline]
     pub fn after(&mut self, d: TimeDelta, ev: E) {
-        self.pending
-            .push((self.now + d, LOCAL_SHARD, self.domain, ev));
+        self.file(self.now + d, LOCAL_SHARD, ev);
     }
 
     /// Schedule `ev` immediately (same timestamp, FIFO after the current
     /// event's earlier insertions).
     #[inline]
     pub fn immediate(&mut self, ev: E) {
-        self.pending.push((self.now, LOCAL_SHARD, self.domain, ev));
+        self.file(self.now, LOCAL_SHARD, ev);
     }
 
     /// Schedule `ev` after `d` *in another shard's engine*. The event is
@@ -117,13 +147,13 @@ impl<E> Scheduler<E> {
     #[inline]
     pub fn remote(&mut self, d: TimeDelta, dst: u16, ev: E) {
         debug_assert_ne!(dst, LOCAL_SHARD);
-        self.pending.push((self.now + d, dst, self.domain, ev));
+        self.file(self.now + d, dst, ev);
     }
 
-    /// Number of events queued by the current callback so far.
+    /// Number of events scheduled by the current callback so far.
     #[inline]
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        (self.seq - self.seq_mark) as usize
     }
 }
 
@@ -152,16 +182,21 @@ impl<E> EventQueue<E> {
         }
     }
 
-    #[inline]
+    /// The wheel files inline; the heap (the tests' oracle) pushes out of
+    /// line, for the reason [`Engine::step`] pops it out of line.
+    #[inline(always)]
     fn push(&mut self, time: SimTime, prio: SimTime, seq: u64, ev: E) {
         match self {
             EventQueue::Wheel(w) => w.push(time, prio, seq, ev),
-            EventQueue::Heap(h) => h.push(Entry {
-                time,
-                prio,
-                seq,
-                ev,
-            }),
+            EventQueue::Heap(h) => heap_push(
+                h,
+                Entry {
+                    time,
+                    prio,
+                    seq,
+                    ev,
+                },
+            ),
         }
     }
 
@@ -189,6 +224,12 @@ impl<E> EventQueue<E> {
             EventQueue::Heap(_) => None,
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn heap_push<E>(h: &mut BinaryHeap<Entry<E>>, e: Entry<E>) {
+    h.push(e);
 }
 
 /// Why a [`Engine::run_until`] call returned.
@@ -240,26 +281,21 @@ pub struct Outbound<E> {
 
 /// The discrete-event engine driving a [`Model`].
 pub struct Engine<M: Model> {
-    queue: EventQueue<M::Event>,
+    /// Clock, queue, sequence counter and outbox (see [`Scheduler`]).
     sched: Scheduler<M::Event>,
-    time: SimTime,
-    seq: u64,
     events_processed: u64,
     event_budget: u64,
-    clamped_schedules: u64,
     peak_queue_len: usize,
-    /// Self-profiling spans over the hot loop (scheduler pop, dispatch,
-    /// scheduler push — together the whole of [`Engine::step`]).
-    /// Off unless `FNCC_PROFILE` is set; see [`fncc_obs::Profiler`].
+    /// Self-profiling spans over the hot loop: scheduler pop, then dispatch
+    /// (the model's handler, which files its schedules as it makes them) —
+    /// together the whole of [`Engine::step`]. Off unless `FNCC_PROFILE`
+    /// is set; see [`fncc_obs::Profiler`].
     profiler: Profiler,
     ph_pop: PhaseId,
     ph_dispatch: PhaseId,
-    ph_push: PhaseId,
     /// Heartbeat line for long runs; `Some` iff `FNCC_PROGRESS` was set at
     /// construction and [`Engine::mute_progress`] has not been called.
     progress: Option<Progress>,
-    /// Events scheduled via [`Scheduler::remote`], awaiting epoch exchange.
-    outbox: Vec<Outbound<M::Event>>,
     /// The model being simulated; public so callers can inspect/mutate state
     /// between phases (e.g. inject flows, read metrics).
     pub model: M,
@@ -276,7 +312,6 @@ impl<M: Model> Engine<M> {
         let mut profiler = Profiler::from_env();
         let ph_pop = profiler.phase("sched_pop");
         let ph_dispatch = profiler.phase("dispatch");
-        let ph_push = profiler.phase("sched_push");
         let progress = match std::env::var("FNCC_PROGRESS") {
             Ok(v) if !v.is_empty() && v != "0" => Some(Progress {
                 started: Instant::now(),
@@ -286,25 +321,22 @@ impl<M: Model> Engine<M> {
             _ => None,
         };
         Engine {
-            queue: EventQueue::new(kind),
             sched: Scheduler {
                 now: SimTime::ZERO,
-                pending: Vec::with_capacity(16),
+                queue: EventQueue::new(kind),
+                seq: 0,
+                seq_mark: 0,
+                outbox: Vec::new(),
                 domain: 0,
                 clamped: 0,
             },
-            time: SimTime::ZERO,
-            seq: 0,
             events_processed: 0,
             event_budget: u64::MAX,
-            clamped_schedules: 0,
             peak_queue_len: 0,
             profiler,
             ph_pop,
             ph_dispatch,
-            ph_push,
             progress,
-            outbox: Vec::new(),
             model,
         }
     }
@@ -326,7 +358,7 @@ impl<M: Model> Engine<M> {
     /// The outbox of cross-shard events emitted since it was last drained.
     /// The sharded coordinator empties it at every epoch barrier.
     pub fn outbox_mut(&mut self) -> &mut Vec<Outbound<M::Event>> {
-        &mut self.outbox
+        &mut self.sched.outbox
     }
 
     /// Inject a cross-shard event with the `(prio, seq)` its source shard
@@ -334,12 +366,12 @@ impl<M: Model> Engine<M> {
     /// would have. `time` must not lie in this engine's past.
     pub fn inject(&mut self, time: SimTime, prio: SimTime, seq: u64, ev: M::Event) {
         debug_assert!(
-            time >= self.time,
+            time >= self.sched.now,
             "cross-shard event in the past: {time} < {}",
-            self.time
+            self.sched.now
         );
-        self.queue.push(time, prio, seq, ev);
-        self.peak_queue_len = self.peak_queue_len.max(self.queue.len());
+        self.sched.queue.push(time, prio, seq, ev);
+        self.peak_queue_len = self.peak_queue_len.max(self.sched.queue.len());
     }
 
     /// Cap the total number of events processed (safety backstop for tests).
@@ -350,7 +382,7 @@ impl<M: Model> Engine<M> {
     /// Current simulation time (time of the most recently dispatched event).
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.time
+        self.sched.now
     }
 
     /// Total events dispatched so far.
@@ -362,7 +394,7 @@ impl<M: Model> Engine<M> {
     /// Number of events waiting in the queue.
     #[inline]
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.sched.queue.len()
     }
 
     /// High-water mark of the event queue length.
@@ -375,25 +407,14 @@ impl<M: Model> Engine<M> {
     /// model; a nonzero count flags a latent timing bug).
     #[inline]
     pub fn clamped_schedules(&self) -> u64 {
-        self.clamped_schedules
+        self.sched.clamped
     }
 
-    /// Schedule an event from outside a model callback (setup phase).
-    /// Scheduling in the past panics in debug builds and is clamped to the
-    /// current time (and counted) in release, mirroring [`Scheduler::at`].
+    /// Schedule an event from outside a model callback (setup phase): a
+    /// [`Scheduler::at`], past-time rule included.
     pub fn schedule(&mut self, t: SimTime, ev: M::Event) {
-        debug_assert!(
-            t >= self.time,
-            "scheduling into the past: {t} < {}",
-            self.time
-        );
-        if t < self.time {
-            self.clamped_schedules += 1;
-        }
-        let seq = ((self.sched.domain as u64) << SEQ_SHARD_SHIFT) | self.seq;
-        self.seq += 1;
-        self.queue.push(t.max(self.time), self.time, seq, ev);
-        self.peak_queue_len = self.peak_queue_len.max(self.queue.len());
+        self.sched.at(t, ev);
+        self.peak_queue_len = self.peak_queue_len.max(self.sched.queue.len());
     }
 
     /// Dispatch the single earliest event. Returns `false` if the queue is
@@ -406,7 +427,7 @@ impl<M: Model> Engine<M> {
         // wheel arm then copies the payload there in a 16 + 4 byte pair
         // that the field loads right after it straddle, a store-forwarding
         // stall on every event (6-8 % of a packet run).
-        let popped = match &mut self.queue {
+        let popped = match &mut self.sched.queue {
             EventQueue::Wheel(w) => w.pop(),
             EventQueue::Heap(_) => return self.step_heap(t0),
         };
@@ -421,7 +442,7 @@ impl<M: Model> Engine<M> {
     #[cold]
     #[inline(never)]
     fn step_heap(&mut self, t0: Option<Instant>) -> bool {
-        let EventQueue::Heap(h) = &mut self.queue else {
+        let EventQueue::Heap(h) = &mut self.sched.queue else {
             unreachable!("step_heap on a wheel engine");
         };
         let Some(entry) = h.pop() else {
@@ -431,38 +452,19 @@ impl<M: Model> Engine<M> {
         true
     }
 
-    /// Everything of a step after the pop: advance the clock, run the
-    /// model's handler, file what it scheduled.
+    /// Everything of a step after the pop: advance the clock and run the
+    /// model's handler, which files what it schedules.
     #[inline(always)]
     fn dispatch(&mut self, entry: Entry<M::Event>, t0: Option<Instant>) {
         self.profiler.end(self.ph_pop, t0);
-        debug_assert!(entry.time >= self.time, "event queue went backwards");
-        self.time = entry.time;
+        debug_assert!(entry.time >= self.sched.now, "event queue went backwards");
         self.sched.now = entry.time;
+        self.sched.seq_mark = self.sched.seq;
         let t1 = self.profiler.begin();
         self.model.handle(entry.time, entry.ev, &mut self.sched);
         self.profiler.end(self.ph_dispatch, t1);
         self.events_processed += 1;
-        let t2 = self.profiler.begin();
-        for (t, dst, domain, ev) in self.sched.pending.drain(..) {
-            let seq = ((domain as u64) << SEQ_SHARD_SHIFT) | self.seq;
-            self.seq += 1;
-            if dst == LOCAL_SHARD {
-                self.queue.push(t, self.time, seq, ev);
-            } else {
-                self.outbox.push(Outbound {
-                    dst,
-                    time: t,
-                    prio: self.time,
-                    seq,
-                    ev,
-                });
-            }
-        }
-        self.profiler.end(self.ph_push, t2);
-        self.clamped_schedules += self.sched.clamped;
-        self.sched.clamped = 0;
-        self.peak_queue_len = self.peak_queue_len.max(self.queue.len());
+        self.peak_queue_len = self.peak_queue_len.max(self.sched.queue.len());
     }
 
     /// Run until simulation time strictly exceeds `horizon`, the queue
@@ -470,11 +472,11 @@ impl<M: Model> Engine<M> {
     /// processed.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         let outcome = loop {
-            match self.queue.peek_time() {
+            match self.sched.queue.peek_time() {
                 None => break RunOutcome::Idle,
                 Some(t) if t > horizon => {
                     // Leave future events queued; clock parks at the horizon.
-                    self.time = self.time.max(horizon);
+                    self.sched.now = self.sched.now.max(horizon);
                     break RunOutcome::HorizonReached;
                 }
                 Some(_) => {}
@@ -517,7 +519,7 @@ impl<M: Model> Engine<M> {
         p.printed = true;
         let wall = p.started.elapsed().as_secs_f64();
         let rate = self.events_processed as f64 / wall.max(1e-9);
-        let sim_us = self.time.as_ps() as f64 / 1e6;
+        let sim_us = self.sched.now.as_ps() as f64 / 1e6;
         eprint!(
             "\r[fncc] {:>12} events  {:>10.0} ev/s  sim {:>10.1} us",
             self.events_processed, rate, sim_us
@@ -533,7 +535,7 @@ impl<M: Model> Engine<M> {
     /// Per-level cascade counts of the timing wheel (`None` on the heap
     /// oracle): index = source level, value = slots broken into finer ones.
     pub fn wheel_cascades(&self) -> Option<&[u64]> {
-        self.queue.cascade_counts()
+        self.sched.queue.cascade_counts()
     }
 }
 
@@ -745,6 +747,87 @@ mod tests {
         let want = vec![1, 15, 10, 11, 2, 3, 12, 13, 14];
         assert_eq!(run(QueueKind::Wheel), want);
         assert_eq!(run(QueueKind::Heap), want);
+    }
+
+    /// Schedules are filed while the handler runs, not after it: whatever a
+    /// handler files — into the slot being drained, `immediate`, tied at one
+    /// `(time, prio)` from two domains, to another shard, behind a cursor
+    /// that a horizon peek parked ahead of the clock — dispatches in the
+    /// heap's order, and `pending_len` counts the running callback's only.
+    #[test]
+    fn mid_handler_schedules_match_the_heap() {
+        struct Script {
+            seen: Vec<u32>,
+            pending: Vec<usize>,
+        }
+        impl Model for Script {
+            type Event = u32;
+            fn handle(&mut self, _now: SimTime, ev: u32, s: &mut Scheduler<u32>) {
+                self.seen.push(ev);
+                match ev {
+                    1 => {
+                        // The slot being drained: ahead of event 2, tied
+                        // with it (a later prio loses), and at `now`.
+                        s.after(TimeDelta::from_ps(300), 10);
+                        s.immediate(11);
+                        s.after(TimeDelta::from_ps(500), 12);
+                        // One (time, prio), two domains: the lower domain
+                        // first, whichever was scheduled first.
+                        s.set_domain(2);
+                        s.after(TimeDelta::from_ns(50), 13);
+                        s.set_domain(1);
+                        s.after(TimeDelta::from_ns(50), 14);
+                        s.remote(TimeDelta::from_ns(50), 3, 15);
+                        s.after(TimeDelta::from_ns(50), 16);
+                    }
+                    20 => {
+                        s.after(TimeDelta::from_us(1), 21);
+                        s.at(SimTime::from_us(40), 22);
+                    }
+                    _ => {}
+                }
+                self.pending.push(s.pending_len());
+            }
+        }
+        let run = |kind: QueueKind| {
+            let mut eng = Engine::with_queue(
+                Script {
+                    seen: vec![],
+                    pending: vec![],
+                },
+                kind,
+            );
+            // Aligned to a level-0 slot of any width up to 2^20 ps.
+            let t0 = SimTime::from_ps(1 << 20);
+            eng.set_domain(1);
+            eng.schedule(t0, 1);
+            eng.schedule(t0 + TimeDelta::from_ps(500), 2);
+            eng.schedule(t0 + TimeDelta::from_ns(50), 3);
+            eng.schedule(SimTime::from_us(40), 30);
+            assert_eq!(
+                eng.run_until(SimTime::from_us(10)),
+                RunOutcome::HorizonReached
+            );
+            // The peek left the cursor at 40 µs; event 20 and its follow-up
+            // at 12 µs both land behind it.
+            eng.schedule(SimTime::from_us(11), 20);
+            assert_eq!(eng.run_until_idle(), RunOutcome::Idle);
+            assert_eq!(eng.queue_len(), 0);
+            let outbox: Vec<_> = eng
+                .outbox_mut()
+                .drain(..)
+                .map(|o| (o.dst, o.time, o.prio, o.seq, o.ev))
+                .collect();
+            // The remote schedule took sequence number 9 of domain 1 —
+            // between 14's and 16's — and never entered the local queue.
+            let t = t0 + TimeDelta::from_ns(50);
+            assert_eq!(outbox, vec![(3, t, t0, (1 << SEQ_SHARD_SHIFT) | 9, 15)]);
+            (eng.model.seen, eng.model.pending)
+        };
+        let (seen, pending) = run(QueueKind::Wheel);
+        assert_eq!(seen, vec![1, 11, 10, 2, 12, 3, 14, 16, 13, 20, 21, 30, 22]);
+        assert_eq!(pending, vec![7, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]);
+        assert_eq!((seen, pending), run(QueueKind::Heap));
     }
 
     #[test]
