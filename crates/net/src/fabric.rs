@@ -12,7 +12,7 @@ use crate::packet::{Packet, PacketKind};
 use crate::partition::PartitionMap;
 use crate::pool::PacketPool;
 use crate::port::Port;
-use crate::switch::{Switch, SwitchOutput};
+use crate::switch::{Switch, SwitchOutput, SwitchSink};
 use crate::telemetry::Telemetry;
 use crate::topology::Topology;
 use crate::units::Bandwidth;
@@ -176,13 +176,7 @@ impl<'a, T> HostCtx<'a, T> {
     pub fn send(&mut self, pkt: Box<Packet>) {
         debug_assert!(!pkt.kind.is_control(), "hosts do not send PFC frames");
         self.port.enqueue(pkt);
-        start_port_tx(
-            NodeRef::Host(self.host),
-            self.port,
-            self.now,
-            self.cfg,
-            self.sched,
-        );
+        start_port_tx(NodeRef::Host(self.host), self.port, self.cfg, self.sched);
     }
 
     /// Fire `timer` after `d`.
@@ -229,8 +223,6 @@ pub struct Fabric<H: HostLogic> {
     pub telemetry: Telemetry,
     /// Shared packet free-list (recycles every consumed frame).
     pub pool: PacketPool,
-    /// Scratch buffer for switch outputs (reused across events).
-    scratch: Vec<SwitchOutput>,
     /// Pre-degradation propagation delay per `cfg.faults` entry, captured
     /// when a `LinkDegrade` window opens and restored when it closes.
     degrade_base_prop: Vec<TimeDelta>,
@@ -271,7 +263,6 @@ impl<H: HostLogic> Fabric<H> {
             hosts,
             telemetry: Telemetry::new(),
             pool: PacketPool::new(),
-            scratch: Vec::with_capacity(8),
             degrade_base_prop,
             shard: None,
             domains: None,
@@ -300,31 +291,6 @@ impl<H: HostLogic> Fabric<H> {
             Ev::FaultStart { ix } | Ev::FaultEnd { ix } => {
                 m.owner_switch(SwitchId(self.cfg.faults[*ix].location().0))
             }
-        }
-    }
-
-    /// Schedule a frame arrival `prop` in the future at `(peer, peer_port)`,
-    /// routing it through the engine outbox when `peer` lives in another
-    /// shard. All cross-shard traffic funnels through here: both switch
-    /// egress (`Deliver`) and host-NIC egress arrive this way, and every
-    /// other event class (timers, TxDone, periodic ticks) is local to its
-    /// owning shard by construction.
-    fn emit_arrive(
-        shard: &Option<ShardCtx>,
-        sched: &mut Scheduler<Ev<H::Timer>>,
-        prop: TimeDelta,
-        peer: NodeRef,
-        peer_port: u8,
-        pkt: Box<Packet>,
-    ) {
-        let ev = Ev::Arrive {
-            node: peer,
-            port: peer_port,
-            pkt,
-        };
-        match shard {
-            Some(sc) if !sc.owns(peer) => sched.remote(prop, sc.map.owner_of(peer), ev),
-            _ => sched.after(prop, ev),
         }
     }
 
@@ -444,7 +410,7 @@ impl<H: HostLogic> Fabric<H> {
                 }
                 self.pool.put(pkt);
                 let p = &mut self.host_ports[host.ix()];
-                start_port_tx(NodeRef::Host(host), p, now, &self.cfg, sched);
+                start_port_tx(NodeRef::Host(host), p, &self.cfg, sched);
             }
             kind => {
                 match kind {
@@ -456,38 +422,6 @@ impl<H: HostLogic> Fabric<H> {
                 self.with_host_ctx(host, now, sched, |h, ctx| h.on_packet(ctx, pkt));
             }
         }
-    }
-
-    fn flush_switch_outputs(
-        &mut self,
-        sw_ix: usize,
-        _now: SimTime,
-        sched: &mut Scheduler<Ev<H::Timer>>,
-        mut outputs: Vec<SwitchOutput>,
-    ) -> Vec<SwitchOutput> {
-        for out in outputs.drain(..) {
-            match out {
-                SwitchOutput::StartTx { port, tx_after } => {
-                    sched.after(
-                        tx_after,
-                        Ev::TxDone {
-                            node: NodeRef::Switch(SwitchId(sw_ix as u32)),
-                            port,
-                        },
-                    );
-                }
-                SwitchOutput::Deliver {
-                    peer,
-                    peer_port,
-                    prop,
-                    pkt,
-                    ..
-                } => {
-                    Self::emit_arrive(&self.shard, sched, prop, peer, peer_port, pkt);
-                }
-            }
-        }
-        outputs
     }
 
     fn do_sample(&mut self, now: SimTime) {
@@ -507,8 +441,8 @@ impl<H: HostLogic> Fabric<H> {
         self.switches[sw.ix()].ports[port as usize].pause_tx
     }
 
-    /// Tear down one direction of a link at `sw`'s egress `port` and flush
-    /// the resulting switch outputs (PFC resumes freed by the purge).
+    /// Tear down one direction of a link at `sw`'s egress `port`; the PFC
+    /// resumes freed by the purge go straight into `sched`.
     fn switch_link_down(
         &mut self,
         sw: SwitchId,
@@ -516,18 +450,19 @@ impl<H: HostLogic> Fabric<H> {
         now: SimTime,
         sched: &mut Scheduler<Ev<H::Timer>>,
     ) {
-        let mut outputs = std::mem::take(&mut self.scratch);
-        {
-            let Fabric {
-                switches,
-                cfg,
-                telemetry,
-                pool,
-                ..
-            } = self;
-            switches[sw.ix()].link_down(now, port, cfg, telemetry, pool, &mut outputs);
-        }
-        self.scratch = self.flush_switch_outputs(sw.ix(), now, sched, outputs);
+        let mut out = SwitchEmit {
+            sw,
+            shard: &self.shard,
+            sched,
+        };
+        self.switches[sw.ix()].link_down(
+            now,
+            port,
+            &self.cfg,
+            &mut self.telemetry,
+            &mut self.pool,
+            &mut out,
+        );
     }
 
     /// Apply one boundary of `cfg.faults[ix]`. `LinkDown`/`LinkUp` fail or
@@ -635,23 +570,75 @@ impl<H: HostLogic> Fabric<H> {
                 if let Some(t0) = p.paused_since.take() {
                     self.telemetry.note_pause_episode(now.since(t0));
                 }
-                let mut outputs = std::mem::take(&mut self.scratch);
-                {
-                    let Fabric { switches, cfg, .. } = self;
-                    switches[s.ix()].maybe_start_tx(port, now, cfg, &mut outputs);
-                }
-                self.scratch = self.flush_switch_outputs(s.ix(), now, sched, outputs);
+                let mut out = SwitchEmit {
+                    sw: s,
+                    shard: &self.shard,
+                    sched,
+                };
+                self.switches[s.ix()].maybe_start_tx(port, now, &self.cfg, &mut out);
             }
         }
     }
 }
 
-/// If `port` is idle and has an eligible frame, begin serializing it
-/// (host-NIC variant: no INT/stamping logic).
+/// Schedule a frame arrival `prop` in the future at `(peer, peer_port)`,
+/// routing it through the engine outbox when `peer` lives in another
+/// shard. All cross-shard traffic funnels through here: both switch
+/// egress (`Deliver`) and host-NIC egress arrive this way, and every
+/// other event class (timers, TxDone, periodic ticks) is local to its
+/// owning shard by construction.
+#[inline]
+fn emit_arrive<T>(
+    shard: &Option<ShardCtx>,
+    sched: &mut Scheduler<Ev<T>>,
+    prop: TimeDelta,
+    peer: NodeRef,
+    peer_port: u8,
+    pkt: Box<Packet>,
+) {
+    let ev = Ev::Arrive {
+        node: peer,
+        port: peer_port,
+        pkt,
+    };
+    match shard {
+        Some(sc) if !sc.owns(peer) => sched.remote(prop, sc.map.owner_of(peer), ev),
+        _ => sched.after(prop, ev),
+    }
+}
+
+/// The fabric's [`SwitchSink`]: switch `sw`'s actions become events in the
+/// scheduler as the switch emits them.
+struct SwitchEmit<'a, T> {
+    sw: SwitchId,
+    shard: &'a Option<ShardCtx>,
+    sched: &'a mut Scheduler<Ev<T>>,
+}
+
+impl<T> SwitchSink for SwitchEmit<'_, T> {
+    #[inline(always)]
+    fn emit(&mut self, out: SwitchOutput) {
+        match out {
+            SwitchOutput::StartTx { port, tx_after } => {
+                let node = NodeRef::Switch(self.sw);
+                self.sched.after(tx_after, Ev::TxDone { node, port });
+            }
+            SwitchOutput::Deliver {
+                peer,
+                peer_port,
+                prop,
+                pkt,
+                ..
+            } => emit_arrive(self.shard, self.sched, prop, peer, peer_port, pkt),
+        }
+    }
+}
+
+/// If the host NIC `port` is idle and has an eligible frame, begin
+/// serializing it (no INT/stamping logic; a host's one port is index 0).
 fn start_port_tx<T>(
     node: NodeRef,
     port: &mut Port,
-    _now: SimTime,
     cfg: &FabricConfig,
     sched: &mut Scheduler<Ev<T>>,
 ) {
@@ -660,8 +647,6 @@ fn start_port_tx<T>(
     }
     let Some(pkt) = port.dequeue() else { return };
     let t = port.tx_time(pkt.size as u64 + cfg.wire_overhead as u64);
-    // The fabric only uses start_port_tx for hosts; find the port index: a
-    // host has exactly one port, index 0.
     port.in_flight = Some(pkt);
     sched.after(t, Ev::TxDone { node, port: 0 });
 }
@@ -674,54 +659,47 @@ impl<H: HostLogic> Model for Fabric<H> {
         match ev {
             Ev::Arrive { node, port, pkt } => match node {
                 NodeRef::Switch(s) => {
-                    let mut outputs = std::mem::take(&mut self.scratch);
-                    {
-                        // Split borrows: switch, cfg and telemetry are
-                        // disjoint fields.
-                        let Fabric {
-                            switches,
-                            cfg,
-                            telemetry,
-                            pool,
-                            ..
-                        } = self;
-                        switches[s.ix()].on_arrive(
-                            now,
-                            port,
-                            pkt,
-                            cfg,
-                            telemetry,
-                            pool,
-                            &mut outputs,
-                        );
-                    }
-                    self.scratch = self.flush_switch_outputs(s.ix(), now, sched, outputs);
+                    let mut out = SwitchEmit {
+                        sw: s,
+                        shard: &self.shard,
+                        sched,
+                    };
+                    self.switches[s.ix()].on_arrive(
+                        now,
+                        port,
+                        pkt,
+                        &self.cfg,
+                        &mut self.telemetry,
+                        &mut self.pool,
+                        &mut out,
+                    );
                 }
                 NodeRef::Host(h) => self.host_arrive(h, pkt, now, sched),
             },
             Ev::TxDone { node, port } => match node {
                 NodeRef::Switch(s) => {
-                    let mut outputs = std::mem::take(&mut self.scratch);
-                    {
-                        let Fabric {
-                            switches,
-                            cfg,
-                            telemetry,
-                            pool,
-                            ..
-                        } = self;
-                        switches[s.ix()].on_tx_done(now, port, cfg, telemetry, pool, &mut outputs);
-                    }
-                    self.scratch = self.flush_switch_outputs(s.ix(), now, sched, outputs);
+                    let mut out = SwitchEmit {
+                        sw: s,
+                        shard: &self.shard,
+                        sched,
+                    };
+                    self.switches[s.ix()].on_tx_done(
+                        now,
+                        port,
+                        &self.cfg,
+                        &mut self.telemetry,
+                        &mut self.pool,
+                        &mut out,
+                    );
                 }
                 NodeRef::Host(h) => {
                     let p = &mut self.host_ports[h.ix()];
                     let pkt = p.in_flight.take().expect("host TxDone with no frame");
                     p.tx_bytes += pkt.size as u64;
                     let (peer, peer_port, prop) = (p.peer, p.peer_port, p.wire_delay(now));
-                    Self::emit_arrive(&self.shard, sched, prop, peer, peer_port, pkt);
+                    emit_arrive(&self.shard, sched, prop, peer, peer_port, pkt);
                     let p = &mut self.host_ports[h.ix()];
-                    start_port_tx(NodeRef::Host(h), p, now, &self.cfg, sched);
+                    start_port_tx(NodeRef::Host(h), p, &self.cfg, sched);
                 }
             },
             Ev::HostTimer { host, timer } => {

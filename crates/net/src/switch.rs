@@ -15,9 +15,9 @@ use fncc_des::rng::DetRng;
 use fncc_des::time::SimTime;
 use fncc_obs::TraceEvent;
 
-/// Actions a switch asks the fabric to perform after handling an event
+/// Actions a switch asks the fabric to perform while handling an event
 /// (the fabric owns event scheduling; the switch stays scheduler-agnostic
-/// and therefore easy to unit-test).
+/// and therefore easy to unit-test). It hands each one to a [`SwitchSink`].
 #[derive(Debug)]
 pub enum SwitchOutput {
     /// Start serializing on `port`; `TxDone` is due after `tx_after` (the
@@ -43,6 +43,21 @@ pub enum SwitchOutput {
         /// The frame.
         pkt: Box<Packet>,
     },
+}
+
+/// Where a switch's [`SwitchOutput`]s go, one at a time and in order. The
+/// fabric's sink turns each into a scheduled event on the spot; a
+/// `Vec<SwitchOutput>` collects them, for tests and standalone drivers.
+pub trait SwitchSink {
+    /// Take the switch's next action.
+    fn emit(&mut self, out: SwitchOutput);
+}
+
+impl SwitchSink for Vec<SwitchOutput> {
+    #[inline]
+    fn emit(&mut self, out: SwitchOutput) {
+        self.push(out);
+    }
 }
 
 /// A live switch.
@@ -128,7 +143,7 @@ impl Switch {
         cfg: &FabricConfig,
         telem: &mut Telemetry,
         pool: &mut PacketPool,
-        out: &mut Vec<SwitchOutput>,
+        out: &mut impl SwitchSink,
     ) {
         let pi = port as usize;
         if self.dead[pi] {
@@ -265,7 +280,7 @@ impl Switch {
         cfg: &FabricConfig,
         telem: &mut Telemetry,
         pool: &mut PacketPool,
-        out: &mut Vec<SwitchOutput>,
+        out: &mut impl SwitchSink,
     ) {
         match pkt.kind {
             PacketKind::PfcPause => {
@@ -461,7 +476,7 @@ impl Switch {
         cfg: &FabricConfig,
         telem: &mut Telemetry,
         pool: &mut PacketPool,
-        out: &mut Vec<SwitchOutput>,
+        out: &mut impl SwitchSink,
     ) {
         if self.ports[ip].upstream_paused
             && self.ports[ip].ingress_bytes + cfg.pfc.resume_offset <= cfg.pfc.threshold
@@ -494,7 +509,7 @@ impl Switch {
         cfg: &FabricConfig,
         telem: &mut Telemetry,
         pool: &mut PacketPool,
-        out: &mut Vec<SwitchOutput>,
+        out: &mut impl SwitchSink,
     ) {
         let pkt = self.ports[port as usize]
             .in_flight
@@ -545,7 +560,7 @@ impl Switch {
         }
 
         let p = &mut self.ports[port as usize];
-        out.push(SwitchOutput::Deliver {
+        out.emit(SwitchOutput::Deliver {
             port,
             peer: p.peer,
             peer_port: p.peer_port,
@@ -563,7 +578,7 @@ impl Switch {
         port: u8,
         now: SimTime,
         cfg: &FabricConfig,
-        out: &mut Vec<SwitchOutput>,
+        out: &mut impl SwitchSink,
     ) {
         if !self.ports[port as usize].idle() {
             return;
@@ -575,7 +590,7 @@ impl Switch {
         let p = &mut self.ports[port as usize];
         let tx_after = p.tx_time(pkt.size as u64 + cfg.wire_overhead as u64);
         p.in_flight = Some(pkt);
-        out.push(SwitchOutput::StartTx { port, tx_after });
+        out.emit(SwitchOutput::StartTx { port, tx_after });
     }
 
     /// The output engine: INT insertion per the configured mode, RoCC rate
