@@ -276,21 +276,33 @@ impl<H: HostLogic> Fabric<H> {
         self.domains.as_ref().map_or(0, |m| m.owner_of(n))
     }
 
+    /// The ordering domain of the periodic ticks: [`TICK_DOMAIN`], or 0
+    /// when tagging is off.
+    #[inline]
+    fn tick_domain(&self) -> u16 {
+        self.domains.as_ref().map_or(0, |_| TICK_DOMAIN)
+    }
+
+    /// The ordering domain of `cfg.faults[ix]`'s boundaries: the owner of
+    /// the switch the fault names.
+    fn fault_domain(&self, ix: usize) -> u16 {
+        self.node_domain(NodeRef::Switch(SwitchId(self.cfg.faults[ix].location().0)))
+    }
+
     /// The ordering domain an event's handler schedules in: the shard
     /// owning the node that processes it, [`TICK_DOMAIN`] for the global
     /// periodic ticks, and the faulted node's (respectively primary
     /// switch's) owner for fault events. A pure function of the event, so
     /// the tag is identical no matter which engine — single or shard
     /// replica — handles it; 0 for everything when tagging is off.
+    /// [`Model::handle`] sets the same domain arm by arm; this is for
+    /// events scheduled from outside a handler.
     pub fn event_domain(&self, ev: &Ev<H::Timer>) -> u16 {
-        let Some(m) = &self.domains else { return 0 };
         match ev {
-            Ev::Arrive { node, .. } | Ev::TxDone { node, .. } => m.owner_of(*node),
-            Ev::HostTimer { host, .. } => m.owner_host(*host),
-            Ev::IntRefresh | Ev::RoccTick | Ev::Sample => TICK_DOMAIN,
-            Ev::FaultStart { ix } | Ev::FaultEnd { ix } => {
-                m.owner_switch(SwitchId(self.cfg.faults[*ix].location().0))
-            }
+            Ev::Arrive { node, .. } | Ev::TxDone { node, .. } => self.node_domain(*node),
+            Ev::HostTimer { host, .. } => self.node_domain(NodeRef::Host(*host)),
+            Ev::IntRefresh | Ev::RoccTick | Ev::Sample => self.tick_domain(),
+            Ev::FaultStart { ix } | Ev::FaultEnd { ix } => self.fault_domain(*ix),
         }
     }
 
@@ -481,6 +493,7 @@ impl<H: HostLogic> Fabric<H> {
         opening: bool,
         sched: &mut Scheduler<Ev<H::Timer>>,
     ) {
+        sched.set_domain(self.fault_domain(ix));
         let spec = self.cfg.faults[ix];
         let (sw, port) = spec.location();
         let s = SwitchId(sw);
@@ -655,57 +668,66 @@ impl<H: HostLogic> Model for Fabric<H> {
     type Event = Ev<H::Timer>;
 
     fn handle(&mut self, now: SimTime, ev: Self::Event, sched: &mut Scheduler<Self::Event>) {
-        sched.set_domain(self.event_domain(&ev));
+        // Each arm sets the ordering domain [`Fabric::event_domain`] gives
+        // its event, so an event's kind is branched on once.
         match ev {
-            Ev::Arrive { node, port, pkt } => match node {
-                NodeRef::Switch(s) => {
-                    let mut out = SwitchEmit {
-                        sw: s,
-                        shard: &self.shard,
-                        sched,
-                    };
-                    self.switches[s.ix()].on_arrive(
-                        now,
-                        port,
-                        pkt,
-                        &self.cfg,
-                        &mut self.telemetry,
-                        &mut self.pool,
-                        &mut out,
-                    );
+            Ev::Arrive { node, port, pkt } => {
+                sched.set_domain(self.node_domain(node));
+                match node {
+                    NodeRef::Switch(s) => {
+                        let mut out = SwitchEmit {
+                            sw: s,
+                            shard: &self.shard,
+                            sched,
+                        };
+                        self.switches[s.ix()].on_arrive(
+                            now,
+                            port,
+                            pkt,
+                            &self.cfg,
+                            &mut self.telemetry,
+                            &mut self.pool,
+                            &mut out,
+                        );
+                    }
+                    NodeRef::Host(h) => self.host_arrive(h, pkt, now, sched),
                 }
-                NodeRef::Host(h) => self.host_arrive(h, pkt, now, sched),
-            },
-            Ev::TxDone { node, port } => match node {
-                NodeRef::Switch(s) => {
-                    let mut out = SwitchEmit {
-                        sw: s,
-                        shard: &self.shard,
-                        sched,
-                    };
-                    self.switches[s.ix()].on_tx_done(
-                        now,
-                        port,
-                        &self.cfg,
-                        &mut self.telemetry,
-                        &mut self.pool,
-                        &mut out,
-                    );
+            }
+            Ev::TxDone { node, port } => {
+                sched.set_domain(self.node_domain(node));
+                match node {
+                    NodeRef::Switch(s) => {
+                        let mut out = SwitchEmit {
+                            sw: s,
+                            shard: &self.shard,
+                            sched,
+                        };
+                        self.switches[s.ix()].on_tx_done(
+                            now,
+                            port,
+                            &self.cfg,
+                            &mut self.telemetry,
+                            &mut self.pool,
+                            &mut out,
+                        );
+                    }
+                    NodeRef::Host(h) => {
+                        let p = &mut self.host_ports[h.ix()];
+                        let pkt = p.in_flight.take().expect("host TxDone with no frame");
+                        p.tx_bytes += pkt.size as u64;
+                        let (peer, peer_port, prop) = (p.peer, p.peer_port, p.wire_delay(now));
+                        emit_arrive(&self.shard, sched, prop, peer, peer_port, pkt);
+                        let p = &mut self.host_ports[h.ix()];
+                        start_port_tx(NodeRef::Host(h), p, &self.cfg, sched);
+                    }
                 }
-                NodeRef::Host(h) => {
-                    let p = &mut self.host_ports[h.ix()];
-                    let pkt = p.in_flight.take().expect("host TxDone with no frame");
-                    p.tx_bytes += pkt.size as u64;
-                    let (peer, peer_port, prop) = (p.peer, p.peer_port, p.wire_delay(now));
-                    emit_arrive(&self.shard, sched, prop, peer, peer_port, pkt);
-                    let p = &mut self.host_ports[h.ix()];
-                    start_port_tx(NodeRef::Host(h), p, &self.cfg, sched);
-                }
-            },
+            }
             Ev::HostTimer { host, timer } => {
+                sched.set_domain(self.node_domain(NodeRef::Host(host)));
                 self.with_host_ctx(host, now, sched, |h, ctx| h.on_timer(ctx, timer));
             }
             Ev::IntRefresh => {
+                sched.set_domain(self.tick_domain());
                 self.note_tick_replica();
                 for sw in &mut self.switches {
                     sw.refresh_int_table(now);
@@ -715,6 +737,7 @@ impl<H: HostLogic> Model for Fabric<H> {
                 }
             }
             Ev::RoccTick => {
+                sched.set_domain(self.tick_domain());
                 self.note_tick_replica();
                 for sw in &mut self.switches {
                     sw.rocc_step(&self.cfg);
@@ -724,6 +747,7 @@ impl<H: HostLogic> Model for Fabric<H> {
                 }
             }
             Ev::Sample => {
+                sched.set_domain(self.tick_domain());
                 self.note_tick_replica();
                 self.do_sample(now);
                 let every = self.telemetry.sample_interval;
