@@ -188,7 +188,39 @@ impl<E> TimingWheel<E> {
     /// (the engine clamps); times at or before the cursor's slot are legal
     /// (the slot being drained, or the cursor advanced ahead of dispatch
     /// during a peek) and insert into the sorted run.
+    ///
+    /// Inlined into the scheduling call, so the event is written once, from
+    /// the caller's registers into its arena cell. The common case — a
+    /// recycled cell, a level-0 slot ahead of the cursor — is all of the
+    /// inlined body; everything else is one call to [`Self::push_slow`].
+    #[inline(always)]
     pub fn push(&mut self, time: SimTime, prio: SimTime, seq: u64, ev: E) {
+        let s = time.as_ps() >> SLOT_SHIFT;
+        let node = self.free;
+        // Level 0 holds the event iff its slot and the cursor's differ only
+        // in the low SLOT_BITS bits (the no-wrap rule of `file`).
+        if node == NIL || s <= self.cur_slot || (s ^ self.cur_slot) > SLOT_MASK {
+            return self.push_slow(time, prio, seq, ev);
+        }
+        self.len += 1;
+        let ix = (s & SLOT_MASK) as usize;
+        let n = &mut self.nodes[node as usize];
+        self.free = n.next;
+        n.time = time;
+        n.prio = prio;
+        n.seq = seq;
+        n.next = self.slots.heads[0][ix];
+        // A free cell holds `None`: forgetting it skips the drop check a
+        // plain assignment would run on every push.
+        std::mem::forget(n.ev.replace(ev));
+        self.slots.heads[0][ix] = node;
+        self.slots.occupied[0][ix >> 6] |= 1u64 << (ix & 63);
+    }
+
+    /// [`Self::push`] off the common case: the arena grows, the event
+    /// belongs on the run, in a coarser level or in the overflow heap.
+    #[inline(never)]
+    fn push_slow(&mut self, time: SimTime, prio: SimTime, seq: u64, ev: E) {
         self.len += 1;
         let cell = Node {
             time,
@@ -396,6 +428,15 @@ mod tests {
             out.push((e.time.as_ps(), e.ev));
         }
         out
+    }
+
+    /// An event-size regression should fail here, not in a benchmark: the
+    /// fabric's event is 24 bytes with a spare tag value for `Option`.
+    #[test]
+    fn node_and_key_layout() {
+        type Ev24 = (u64, u64, std::num::NonZeroU64);
+        assert_eq!(std::mem::size_of::<Node<Ev24>>(), 56);
+        assert_eq!(std::mem::size_of::<Key>(), 32);
     }
 
     #[test]

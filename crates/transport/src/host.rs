@@ -525,6 +525,16 @@ mod tests {
     const BW: Bandwidth = Bandwidth::gbps(100);
     const PROP: TimeDelta = TimeDelta::from_ns(1500);
 
+    /// The packet engine's event, as the timing wheel stores it: 24 bytes,
+    /// and `Option` of it no more (a 56-byte wheel node; see
+    /// `fncc_des::wheel`). A wider timer payload or event variant should
+    /// fail here, not in a benchmark.
+    #[test]
+    fn fabric_event_stays_24_bytes() {
+        assert_eq!(std::mem::size_of::<Ev<HostTimer>>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Ev<HostTimer>>>(), 24);
+    }
+
     /// Build a dumbbell engine with the given transport config and flows.
     fn build_t(
         n_senders: u32,
