@@ -29,11 +29,6 @@ pub trait Model {
     fn handle(&mut self, now: SimTime, ev: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// Destination tag meaning "this engine's own queue" (the only destination
-/// outside the sharded runtime). Anything else names a shard whose mailbox
-/// the event is bound for — see [`Scheduler::remote`].
-pub const LOCAL_SHARD: u16 = u16::MAX;
-
 /// Handle through which a model schedules future events during a callback.
 ///
 /// It owns the event queue, the sequence counter and the cross-shard
@@ -89,23 +84,19 @@ impl<E> Scheduler<E> {
         self.domain
     }
 
-    /// The one place a schedule gets its sequence number and is filed:
-    /// into the local queue, or the outbox when `dst` names another shard.
+    /// The one place a schedule gets its sequence number.
     #[inline(always)]
-    fn file(&mut self, time: SimTime, dst: u16, ev: E) {
+    fn next_seq(&mut self) -> u64 {
         let seq = ((self.domain as u64) << SEQ_SHARD_SHIFT) | self.seq;
         self.seq += 1;
-        if dst == LOCAL_SHARD {
-            self.queue.push(time, self.now, seq, ev);
-        } else {
-            self.outbox.push(Outbound {
-                dst,
-                time,
-                prio: self.now,
-                seq,
-                ev,
-            });
-        }
+        seq
+    }
+
+    /// File `ev` into the local queue at `time`.
+    #[inline(always)]
+    fn file(&mut self, time: SimTime, ev: E) {
+        let seq = self.next_seq();
+        self.queue.push(time, self.now, seq, ev);
     }
 
     /// Schedule `ev` at absolute time `t`. Scheduling in the past is a logic
@@ -122,32 +113,37 @@ impl<E> Scheduler<E> {
         if t < self.now {
             self.clamped += 1;
         }
-        self.file(t.max(self.now), LOCAL_SHARD, ev);
+        self.file(t.max(self.now), ev);
     }
 
     /// Schedule `ev` after a delay of `d` from now.
     #[inline]
     pub fn after(&mut self, d: TimeDelta, ev: E) {
-        self.file(self.now + d, LOCAL_SHARD, ev);
+        self.file(self.now + d, ev);
     }
 
     /// Schedule `ev` immediately (same timestamp, FIFO after the current
     /// event's earlier insertions).
     #[inline]
     pub fn immediate(&mut self, ev: E) {
-        self.file(self.now, LOCAL_SHARD, ev);
+        self.file(self.now, ev);
     }
 
     /// Schedule `ev` after `d` *in another shard's engine*. The event is
     /// routed to the engine's [outbox](Engine::outbox_mut) instead of the
     /// local queue, consuming a sequence number exactly as a local schedule
     /// would — so the `(prio, seq)` it carries is the position the sending
-    /// shard's domain order assigns it. Only the sharded fabric calls this;
-    /// `dst` must not be [`LOCAL_SHARD`].
+    /// shard's domain order assigns it. Only the sharded fabric calls this.
     #[inline]
     pub fn remote(&mut self, d: TimeDelta, dst: u16, ev: E) {
-        debug_assert_ne!(dst, LOCAL_SHARD);
-        self.file(self.now + d, dst, ev);
+        let seq = self.next_seq();
+        self.outbox.push(Outbound {
+            dst,
+            time: self.now + d,
+            prio: self.now,
+            seq,
+            ev,
+        });
     }
 
     /// Number of events scheduled by the current callback so far.

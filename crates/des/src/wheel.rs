@@ -190,62 +190,61 @@ impl<E> TimingWheel<E> {
     /// during a peek) and insert into the sorted run.
     ///
     /// Inlined into the scheduling call, so the event is written once, from
-    /// the caller's registers into its arena cell. The common case — a
-    /// recycled cell, a level-0 slot ahead of the cursor — is all of the
-    /// inlined body; everything else is one call to [`Self::push_slow`].
+    /// the caller's registers into its arena cell, and the common placement
+    /// — a level-0 slot ahead of the cursor — is linked here. Arena growth
+    /// and every other placement are calls that never see the event.
     #[inline(always)]
     pub fn push(&mut self, time: SimTime, prio: SimTime, seq: u64, ev: E) {
-        let s = time.as_ps() >> SLOT_SHIFT;
-        let node = self.free;
-        // Level 0 holds the event iff its slot and the cursor's differ only
-        // in the low SLOT_BITS bits (the no-wrap rule of `file`).
-        if node == NIL || s <= self.cur_slot || (s ^ self.cur_slot) > SLOT_MASK {
-            return self.push_slow(time, prio, seq, ev);
-        }
         self.len += 1;
-        let ix = (s & SLOT_MASK) as usize;
+        if self.free == NIL {
+            self.grow();
+        }
+        let node = self.free;
         let n = &mut self.nodes[node as usize];
         self.free = n.next;
         n.time = time;
         n.prio = prio;
         n.seq = seq;
-        n.next = self.slots.heads[0][ix];
         // A free cell holds `None`: forgetting it skips the drop check a
         // plain assignment would run on every push.
         std::mem::forget(n.ev.replace(ev));
-        self.slots.heads[0][ix] = node;
-        self.slots.occupied[0][ix >> 6] |= 1u64 << (ix & 63);
+        // Level 0 holds the event iff its slot and the cursor's differ only
+        // in the low SLOT_BITS bits (the no-wrap rule of `file`).
+        let s = time.as_ps() >> SLOT_SHIFT;
+        if s > self.cur_slot && (s ^ self.cur_slot) <= SLOT_MASK {
+            let ix = (s & SLOT_MASK) as usize;
+            n.next = self.slots.heads[0][ix];
+            self.slots.heads[0][ix] = node;
+            self.slots.occupied[0][ix >> 6] |= 1u64 << (ix & 63);
+        } else {
+            self.place(Key {
+                time,
+                prio,
+                seq,
+                node,
+            });
+        }
     }
 
-    /// [`Self::push`] off the common case: the arena grows, the event
-    /// belongs on the run, in a coarser level or in the overflow heap.
-    #[inline(never)]
-    fn push_slow(&mut self, time: SimTime, prio: SimTime, seq: u64, ev: E) {
-        self.len += 1;
-        let cell = Node {
-            time,
-            prio,
-            seq,
+    /// Add one free cell to an exhausted arena.
+    #[cold]
+    fn grow(&mut self) {
+        let ix = self.nodes.len();
+        assert!(ix < NIL as usize, "event backlog exceeds u32 node indices");
+        self.nodes.push(Node {
+            time: SimTime::ZERO,
+            prio: SimTime::ZERO,
+            seq: 0,
             next: NIL,
-            ev: Some(ev),
-        };
-        let node = if self.free != NIL {
-            let ix = self.free;
-            self.free = self.nodes[ix as usize].next;
-            self.nodes[ix as usize] = cell;
-            ix
-        } else {
-            let ix = self.nodes.len();
-            assert!(ix < NIL as usize, "event backlog exceeds u32 node indices");
-            self.nodes.push(cell);
-            ix as u32
-        };
-        let key = Key {
-            time,
-            prio,
-            seq,
-            node,
-        };
+            ev: None,
+        });
+        self.free = ix as u32;
+    }
+
+    /// Place a pushed node anywhere but a level-0 slot ahead of the cursor:
+    /// on the run, in order, or in a coarser level or the overflow heap.
+    #[inline(never)]
+    fn place(&mut self, key: Key) {
         if key.slot() <= self.cur_slot {
             let queued = &self.run[self.head..];
             let at = self.head + queued.partition_point(|k| *k < key);

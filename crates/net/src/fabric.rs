@@ -641,7 +641,6 @@ impl<T> SwitchSink for SwitchEmit<'_, T> {
                 peer_port,
                 prop,
                 pkt,
-                ..
             } => emit_arrive(self.shard, self.sched, prop, peer, peer_port, pkt),
         }
     }

@@ -32,8 +32,6 @@ pub enum SwitchOutput {
     /// Deliver `pkt` to `peer` after `prop` (the egress port's propagation
     /// delay, copied here for the same reason).
     Deliver {
-        /// Egress port the frame left through.
-        port: u8,
         /// Receiving node.
         peer: NodeRef,
         /// Receiving port index.
@@ -561,7 +559,6 @@ impl Switch {
 
         let p = &mut self.ports[port as usize];
         out.emit(SwitchOutput::Deliver {
-            port,
             peer: p.peer,
             peer_port: p.peer_port,
             prop: p.wire_delay(now),
@@ -628,14 +625,6 @@ impl Switch {
         } else {
             self.live_int(port, now)
         }
-    }
-
-    /// Serialization time of the frame currently in flight on `port`.
-    pub fn tx_time_of_in_flight(&mut self, port: u8, cfg: &FabricConfig) -> fncc_des::TimeDelta {
-        let p = &mut self.ports[port as usize];
-        let bytes = p.in_flight.as_ref().expect("no frame in flight").size as u64
-            + cfg.wire_overhead as u64;
-        p.tx_time(bytes)
     }
 }
 

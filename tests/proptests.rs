@@ -148,6 +148,39 @@ proptest! {
         prop_assert!(parts.as_ps() - sum.as_ps() <= 2);
     }
 
+    /// `Port::tx_time` is `Bandwidth::tx_time` at the drain rate on both of
+    /// its paths — the whole-ps-per-byte multiply (every shipped line rate)
+    /// and the memoized division (a degraded link's odd rate) — for sizes
+    /// that alternate, and across `set_drain_bw` in both directions.
+    #[test]
+    fn port_tx_time_matches_bandwidth(
+        line in 0usize..6,
+        odd_bps in 1_000_000_000u64..400_000_000_000,
+        sizes in proptest::collection::vec(1u64..20_000, 1..40),
+    ) {
+        use fncc::net::ids::NodeRef;
+        use fncc::net::port::Port;
+        use fncc::net::topology::PortSpec;
+        let bw = Bandwidth::gbps([10, 25, 40, 100, 200, 400][line]);
+        let mut port = Port::from_spec(&PortSpec {
+            peer: NodeRef::Host(HostId(0)),
+            peer_port: 0,
+            bw,
+            prop: TimeDelta::from_ns(1500),
+        });
+        // Line rate, a rate that (almost surely) does not divide 8·10¹²,
+        // a clean fraction of the line, and back.
+        for rate in [bw, Bandwidth::bps(odd_bps), Bandwidth::bps(bw.as_bps() / 2), bw] {
+            port.set_drain_bw(rate);
+            let drain = port.drain_bw();
+            for &b in &sizes {
+                prop_assert_eq!(port.tx_time(b), drain.tx_time(b));
+                prop_assert_eq!(port.tx_time(b + 8), drain.tx_time(b + 8));
+                prop_assert_eq!(port.tx_time(b), drain.tx_time(b));
+            }
+        }
+    }
+
     /// Timing-wheel vs binary-heap dispatch equivalence: over random
     /// schedules spanning every wheel level and the overflow heap — with
     /// dynamically scheduled follow-ups, pushes into the slot being
