@@ -707,7 +707,7 @@ mod tests {
                 eng.schedule(SimTime::from_ns((i as u64 * 977) % 5_000), i + 1);
             }
             eng.schedule(SimTime::from_ns(10), 0); // triggers the chain
-            eng.schedule(SimTime::from_secs(120), 999); // overflow territory
+            eng.schedule(SimTime::from_secs(600), 999); // overflow territory
             eng.run_until_idle();
             eng.model.seen
         };

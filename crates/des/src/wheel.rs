@@ -18,8 +18,9 @@
 //! them.
 //!
 //! **Layout.** [`LEVELS`] wheels of [`SLOTS`] slots each. A level-0 slot
-//! spans 2^[`SLOT_SHIFT`] ps (≈ 8.2 ns); each higher level is [`SLOTS`]×
-//! coarser, so level 0 as a whole spans ≈ 8.4 µs — wider than one fabric
+//! spans 2^[`SLOT_SHIFT`] ps (≈ 2 ns: narrow enough that a reached slot
+//! sorts a handful of keys); each higher level is [`SLOTS`]× coarser, so
+//! level 0 as a whole spans ≈ 8.4 µs — wider than one fabric
 //! hop (1.5 µs propagation + an MTU serialization), which therefore lands
 //! in level 0 directly unless it crosses a level-0 group boundary. An
 //! event lands in the finest level whose *aligned group* contains both the
@@ -44,15 +45,15 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// log2 of the level-0 slot width in picoseconds.
-const SLOT_SHIFT: u32 = 13;
+const SLOT_SHIFT: u32 = 11;
 /// log2 of the number of slots per level.
-const SLOT_BITS: u32 = 10;
+const SLOT_BITS: u32 = 12;
 /// Slots per level.
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Mask of a slot index within its level.
 const SLOT_MASK: u64 = SLOTS as u64 - 1;
 /// Number of wheel levels; the top level's aligned window spans
-/// 2^(SLOT_SHIFT + LEVELS·SLOT_BITS) ps ≈ 8.8 s of simulated time.
+/// 2^(SLOT_SHIFT + LEVELS·SLOT_BITS) ps ≈ 141 s of simulated time.
 const LEVELS: usize = 3;
 /// Occupancy bitmap words per level.
 const WORDS: usize = SLOTS / 64;
@@ -442,14 +443,16 @@ mod tests {
     fn orders_across_levels_and_overflow() {
         let mut w = TimingWheel::new();
         // Times spanning the run, levels 0..2 and overflow.
+        let level1 = 1u64 << (SLOT_SHIFT + SLOT_BITS);
+        let level2 = level1 << SLOT_BITS;
         let times = [
             0u64,
             1,
-            5_000,                  // same slot group
-            30_000_000,             // level 1 (past 2^23 ps)
-            20_000_000_000,         // level 2 (past 2^33 ps)
-            200_000_000_000,        // level 2
-            90_000_000_000_000_000, // overflow (past 2^43 ps)
+            5_000, // same slot group
+            3 * level1 + 17,
+            2 * level2 + 5,
+            20 * level2,
+            (10 * level2) << SLOT_BITS, // overflow
             7,
         ];
         for (i, &t) in times.iter().enumerate() {
@@ -520,12 +523,12 @@ mod tests {
 
     #[test]
     fn pushes_into_the_slot_being_drained_keep_exact_order() {
-        // Five events inside one 8 ns slot; after popping the first, push
+        // Five events inside one slot; after popping the first, push
         // ahead of, between and behind the remaining ones, and a same-time
         // tie with a foreign (smaller) sequence number.
         let mut w = TimingWheel::new();
         let base = 1u64 << 20; // slot-aligned
-        for (i, off) in [100u64, 2_000, 4_000, 6_000, 8_000].iter().enumerate() {
+        for (i, off) in [100u64, 500, 1_000, 1_500, 2_000].iter().enumerate() {
             w.push(
                 SimTime::from_ps(base + off),
                 SimTime::ZERO,
@@ -535,9 +538,9 @@ mod tests {
         }
         assert_eq!(w.pop().unwrap().ev, 0);
         w.push(SimTime::from_ps(base + 100), SimTime::ZERO, 20, 20); // "immediate"
-        w.push(SimTime::from_ps(base + 5_000), SimTime::ZERO, 21, 21);
-        w.push(SimTime::from_ps(base + 8_100), SimTime::ZERO, 22, 22);
-        w.push(SimTime::from_ps(base + 4_000), SimTime::ZERO, 3, 23); // wins the tie
+        w.push(SimTime::from_ps(base + 1_200), SimTime::ZERO, 21, 21);
+        w.push(SimTime::from_ps(base + 2_040), SimTime::ZERO, 22, 22);
+        w.push(SimTime::from_ps(base + 1_000), SimTime::ZERO, 3, 23); // wins the tie
         let got: Vec<u32> = drain_order(&mut w).iter().map(|&(_, e)| e).collect();
         assert_eq!(got, vec![20, 1, 23, 2, 21, 3, 4, 22]);
     }
@@ -625,14 +628,15 @@ mod tests {
     #[test]
     fn random_interleaving_matches_the_heap_oracle() {
         use crate::rng::DetRng;
+        const TOP: u32 = SLOT_SHIFT + SLOT_BITS * LEVELS as u32;
         const DELTAS: [u64; 7] = [
-            1,               // same quantum
-            1 << SLOT_SHIFT, // sub-slot
-            1_700_000,       // one hop
-            1 << 24,         // level 1
-            1 << 34,         // level 2
-            1 << 44,         // overflow
-            3 << 44,         // two windows on
+            1,                                 // same quantum
+            1 << SLOT_SHIFT,                   // sub-slot
+            1_700_000,                         // one hop
+            2 << (SLOT_SHIFT + SLOT_BITS),     // level 1
+            2 << (SLOT_SHIFT + 2 * SLOT_BITS), // level 2
+            2 << TOP,                          // overflow
+            6 << TOP,                          // two windows on
         ];
         for seed in 0..20 {
             let mut rng = DetRng::new(seed, 16);

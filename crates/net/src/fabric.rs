@@ -462,11 +462,7 @@ impl<H: HostLogic> Fabric<H> {
         now: SimTime,
         sched: &mut Scheduler<Ev<H::Timer>>,
     ) {
-        let mut out = SwitchEmit {
-            sw,
-            shard: &self.shard,
-            sched,
-        };
+        let mut out = SwitchEmit(sw, &self.shard, sched);
         self.switches[sw.ix()].link_down(
             now,
             port,
@@ -583,11 +579,7 @@ impl<H: HostLogic> Fabric<H> {
                 if let Some(t0) = p.paused_since.take() {
                     self.telemetry.note_pause_episode(now.since(t0));
                 }
-                let mut out = SwitchEmit {
-                    sw: s,
-                    shard: &self.shard,
-                    sched,
-                };
+                let mut out = SwitchEmit(s, &self.shard, sched);
                 self.switches[s.ix()].maybe_start_tx(port, now, &self.cfg, &mut out);
             }
         }
@@ -620,28 +612,25 @@ fn emit_arrive<T>(
     }
 }
 
-/// The fabric's [`SwitchSink`]: switch `sw`'s actions become events in the
-/// scheduler as the switch emits them.
-struct SwitchEmit<'a, T> {
-    sw: SwitchId,
-    shard: &'a Option<ShardCtx>,
-    sched: &'a mut Scheduler<Ev<T>>,
-}
+/// The fabric's [`SwitchSink`] for one switch: its actions become events in
+/// the scheduler (through the shard context) as the switch emits them.
+struct SwitchEmit<'a, T>(SwitchId, &'a Option<ShardCtx>, &'a mut Scheduler<Ev<T>>);
 
 impl<T> SwitchSink for SwitchEmit<'_, T> {
     #[inline(always)]
     fn emit(&mut self, out: SwitchOutput) {
+        let SwitchEmit(sw, shard, sched) = self;
         match out {
             SwitchOutput::StartTx { port, tx_after } => {
-                let node = NodeRef::Switch(self.sw);
-                self.sched.after(tx_after, Ev::TxDone { node, port });
+                let node = NodeRef::Switch(*sw);
+                sched.after(tx_after, Ev::TxDone { node, port });
             }
             SwitchOutput::Deliver {
                 peer,
                 peer_port,
                 prop,
                 pkt,
-            } => emit_arrive(self.shard, self.sched, prop, peer, peer_port, pkt),
+            } => emit_arrive(shard, sched, prop, peer, peer_port, pkt),
         }
     }
 }
@@ -674,11 +663,7 @@ impl<H: HostLogic> Model for Fabric<H> {
                 sched.set_domain(self.node_domain(node));
                 match node {
                     NodeRef::Switch(s) => {
-                        let mut out = SwitchEmit {
-                            sw: s,
-                            shard: &self.shard,
-                            sched,
-                        };
+                        let mut out = SwitchEmit(s, &self.shard, sched);
                         self.switches[s.ix()].on_arrive(
                             now,
                             port,
@@ -696,11 +681,7 @@ impl<H: HostLogic> Model for Fabric<H> {
                 sched.set_domain(self.node_domain(node));
                 match node {
                     NodeRef::Switch(s) => {
-                        let mut out = SwitchEmit {
-                            sw: s,
-                            shard: &self.shard,
-                            sched,
-                        };
+                        let mut out = SwitchEmit(s, &self.shard, sched);
                         self.switches[s.ix()].on_tx_done(
                             now,
                             port,

@@ -48,9 +48,14 @@ pub struct Port {
     pub resume_tx: u64,
     /// PFC XOFF frames received on this port.
     pub pause_rx: u64,
-    /// Memo of the last serialization-time computation (`bytes` → span):
-    /// frame sizes repeat heavily, and the 128-bit division in
-    /// [`Bandwidth::tx_time`] is hot-path noticeable.
+    /// Picoseconds per byte at `drain_bw` when that is a whole number —
+    /// the rate divides 8·10¹², as every shipped line rate does — else 0.
+    /// Serialization time is then one multiplication.
+    ps_per_byte: u64,
+    /// For the other rates (a degraded link's), a memo of the last
+    /// serialization-time computation (`bytes` → span): frame sizes
+    /// repeat, and the 128-bit division in [`Bandwidth::tx_time`] is
+    /// hot-path noticeable.
     tx_memo: (u64, TimeDelta),
     /// Phantom egress backlog, in bytes: traffic that exists only in a
     /// co-simulated fluid model but whose standing queue this port must
@@ -98,6 +103,7 @@ impl Port {
             pause_tx: 0,
             resume_tx: 0,
             pause_rx: 0,
+            ps_per_byte: ps_per_byte(spec.bw),
             tx_memo: (u64::MAX, TimeDelta::ZERO),
             virtual_backlog: 0,
             last_arrival: fncc_des::SimTime::ZERO,
@@ -114,11 +120,18 @@ impl Port {
         }
     }
 
-    /// Serialization time of `bytes` at this port's *drain* rate, memoized
-    /// on the last distinct size (identical result to
-    /// [`Bandwidth::tx_time`] at [`Self::drain_bw`]).
+    /// Serialization time of `bytes` at this port's *drain* rate (identical
+    /// result to [`Bandwidth::tx_time`] at [`Self::drain_bw`]): a multiply
+    /// when the rate has a whole number of picoseconds per byte — data
+    /// frames and INT-grown ACKs alternating on a port would thrash a
+    /// one-entry memo — and otherwise memoized on the last distinct size.
     #[inline]
     pub fn tx_time(&mut self, bytes: u64) -> TimeDelta {
+        if self.ps_per_byte != 0 {
+            if let Some(ps) = bytes.checked_mul(self.ps_per_byte) {
+                return TimeDelta::from_ps(ps);
+            }
+        }
         if self.tx_memo.0 != bytes {
             self.tx_memo = (bytes, self.drain_bw.tx_time(bytes));
         }
@@ -143,6 +156,7 @@ impl Port {
         let capped = rate.clamp(floor, self.bw);
         if capped != self.drain_bw {
             self.drain_bw = capped;
+            self.ps_per_byte = ps_per_byte(capped);
             self.tx_memo = (u64::MAX, TimeDelta::ZERO);
         }
     }
@@ -234,6 +248,17 @@ impl Port {
         let pkt = self.queue.pop_front()?;
         self.queue_bytes -= pkt.size as u64;
         Some(pkt)
+    }
+}
+
+/// Whole picoseconds per byte at `bw`, or 0 when the rate does not divide
+/// 8·10¹² (then [`Bandwidth::tx_time`] has to round up).
+fn ps_per_byte(bw: Bandwidth) -> u64 {
+    const AT_1_BPS: u64 = 8_000_000_000_000;
+    if AT_1_BPS.is_multiple_of(bw.as_bps()) {
+        AT_1_BPS / bw.as_bps()
+    } else {
+        0
     }
 }
 
