@@ -330,12 +330,14 @@ impl<H: HostLogic> Fabric<H> {
         evs
     }
 
-    /// Periodic ticks (INT refresh, RoCC, sampling) run identically on every
-    /// shard so that per-switch timers stay in phase without cross-shard
-    /// traffic; shard 0 counts them as real events, every other shard counts
-    /// a replica so the aggregated `events_processed` matches the
-    /// single-engine run.
-    fn note_tick_replica(&mut self) {
+    /// What every periodic tick (INT refresh, RoCC, sampling) does first: it
+    /// schedules in the tick domain, and since ticks run identically on
+    /// every shard — so that per-switch timers stay in phase without
+    /// cross-shard traffic — shard 0 counts one as a real event and every
+    /// other shard as a replica, so the aggregated `events_processed`
+    /// matches the single-engine run.
+    fn begin_tick(&mut self, sched: &mut Scheduler<Ev<H::Timer>>) {
+        sched.set_domain(self.tick_domain());
         if let Some(sc) = &mut self.shard {
             if sc.my != 0 {
                 sc.replica_events += 1;
@@ -707,8 +709,7 @@ impl<H: HostLogic> Model for Fabric<H> {
                 self.with_host_ctx(host, now, sched, |h, ctx| h.on_timer(ctx, timer));
             }
             Ev::IntRefresh => {
-                sched.set_domain(self.tick_domain());
-                self.note_tick_replica();
+                self.begin_tick(sched);
                 for sw in &mut self.switches {
                     sw.refresh_int_table(now);
                 }
@@ -717,8 +718,7 @@ impl<H: HostLogic> Model for Fabric<H> {
                 }
             }
             Ev::RoccTick => {
-                sched.set_domain(self.tick_domain());
-                self.note_tick_replica();
+                self.begin_tick(sched);
                 for sw in &mut self.switches {
                     sw.rocc_step(&self.cfg);
                 }
@@ -727,8 +727,7 @@ impl<H: HostLogic> Model for Fabric<H> {
                 }
             }
             Ev::Sample => {
-                sched.set_domain(self.tick_domain());
-                self.note_tick_replica();
+                self.begin_tick(sched);
                 self.do_sample(now);
                 let every = self.telemetry.sample_interval;
                 if !every.is_zero() && now + every <= self.telemetry.sample_until {

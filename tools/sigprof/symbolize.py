@@ -65,7 +65,9 @@ def main():
         sys.exit("no samples")
     syms = symbols(exe)
     starts = [s[0] for s in syms]
-    by_sym, by_addr = collections.Counter(), collections.Counter()
+    # by_sym merges the instantiations of one generic function (one demangled
+    # name); by_ix keeps them apart, for --disasm.
+    by_sym, by_ix, by_addr = collections.Counter(), collections.Counter(), collections.Counter()
     for pc in pcs:
         home = next((m for m in maps if m[0] <= pc < m[1]), None)
         if home is None or home[3] != exe:
@@ -75,6 +77,7 @@ def main():
         i = bisect.bisect_right(starts, addr) - 1
         inside = i >= 0 and (syms[i][1] == 0 or addr < syms[i][0] + syms[i][1])
         by_sym[syms[i][2] if inside else "[no symbol]"] += 1
+        by_ix[i if inside else -1] += 1
         by_addr[addr] += 1
     total = len(pcs)
     print(f"{total} samples, {exe}")
@@ -94,10 +97,11 @@ def main():
                 cur = None
         table(by_line, total, args.top)
     elif args.disasm:
-        hot = [(n, s) for s in syms if args.disasm in s[2] and (n := by_sym.get(s[2], 0))]
+        hot = [(n, i) for i, n in by_ix.items() if i >= 0 and args.disasm in syms[i][2]]
         if not hot:
             sys.exit(f"no sampled symbol matches {args.disasm!r}")
-        n, (addr, size, name) = max(hot)
+        n, i = max(hot)
+        addr, size, name = syms[i]
         print(f"{name}: {n} samples ({100 * n / total:.2f}%)")
         out = subprocess.run(
             ["objdump", "-d", "-C", "--no-show-raw-insn", "-M", "intel", "-l",
