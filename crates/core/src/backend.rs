@@ -356,7 +356,8 @@ pub fn run_scenario_traced(
 /// The packet-level discrete-event engine: one [`ShardedSim`] per seed,
 /// a single replica at `threads: 0` and pod shards on `threads` workers
 /// otherwise. Reports are byte-identical either way — `threads ≥ 1` only
-/// adds its `shards`/`epochs`/`cross_shard_frames`/`lookahead_ns` scalars.
+/// adds its `shards`/`epochs`/`cross_shard_frames`/`causality_violations`/
+/// `lookahead_ns` scalars.
 #[derive(Default)]
 pub struct PacketBackend {
     /// Event queue of every engine the backend builds. The default, and the
@@ -451,16 +452,19 @@ impl Backend for PacketBackend {
             // its profiler) out.
             run.absorb_profilers(&mut rb.prof);
             if sc.threads >= 1 {
-                // Epochs and frames sum across seeds; the partition shape
-                // is per-topology and therefore identical in every seed.
+                // Epochs, frames and violations sum across seeds; the
+                // partition shape is per-topology and therefore identical
+                // in every seed.
                 let st = run.stats();
                 let agg = shard_stats.get_or_insert(ShardStats {
                     epochs: 0,
                     cross_shard_frames: 0,
+                    causality_violations: 0,
                     ..st
                 });
                 agg.epochs += st.epochs;
                 agg.cross_shard_frames += st.cross_shard_frames;
+                agg.causality_violations += st.causality_violations;
             }
             run.harvest();
 
@@ -501,6 +505,7 @@ impl Backend for PacketBackend {
                 report.put_scalar("shards", st.shards as f64);
                 report.put_scalar("epochs", st.epochs as f64);
                 report.put_scalar("cross_shard_frames", st.cross_shard_frames as f64);
+                report.put_scalar("causality_violations", st.causality_violations as f64);
                 report.put_scalar("lookahead_ns", st.lookahead_ns as f64);
                 if let Some(code) = st.fallback {
                     report.put_scalar("shard_fallback", code as f64);

@@ -7,6 +7,7 @@ use fncc_net::config::FabricConfig;
 use fncc_net::fabric::{Ev, Fabric, ShardCtx};
 use fncc_net::ids::{FlowId, HostId, SwitchId};
 use fncc_net::partition::PartitionMap;
+use fncc_net::routing::CompiledRoutes;
 use fncc_net::telemetry::{FlowRecord, Telemetry};
 use fncc_net::topology::Topology;
 use fncc_obs::{Profiler, TraceSink};
@@ -34,6 +35,9 @@ pub struct SimBuilder {
     trace: bool,
     recovery: Option<RecoveryConfig>,
     partition: Option<(Arc<PartitionMap>, Option<u16>)>,
+    /// The topology's forwarding tables, compiled ahead of `build` so that
+    /// clones of this builder — a sharded run's replicas — share them.
+    routes: Option<Arc<[CompiledRoutes]>>,
     queue: QueueKind,
 }
 
@@ -66,6 +70,7 @@ impl SimBuilder {
             trace: false,
             recovery: None,
             partition: None,
+            routes: None,
             queue: QueueKind::Wheel,
         }
     }
@@ -155,6 +160,13 @@ impl SimBuilder {
         self
     }
 
+    /// Compile the forwarding tables now: every clone made afterwards
+    /// builds its fabric around this one compilation instead of its own.
+    pub(crate) fn compile_routes(mut self) -> Self {
+        self.routes = Some(self.topo.compile_routes().into());
+        self
+    }
+
     /// Finalize into a runnable [`Sim`].
     pub fn build(self) -> Sim {
         let kind = self.cc.kind();
@@ -163,7 +175,10 @@ impl SimBuilder {
         let hosts: Vec<DcHost> = (0..self.topo.n_hosts)
             .map(|_| DcHost::new(tcfg.clone()))
             .collect();
-        let mut fabric = Fabric::new(&self.topo, self.fabric, hosts);
+        let mut fabric = match &self.routes {
+            Some(routes) => Fabric::with_routes(&self.topo, self.fabric, hosts, routes),
+            None => Fabric::new(&self.topo, self.fabric, hosts),
+        };
         // Event-ordering domains: tag every schedule with the owning shard
         // of the node performing it, on every partitionable topology — in
         // one-replica runs too, so ties at identical `(time, prio)` break
@@ -281,10 +296,11 @@ impl SimBuilder {
     }
 }
 
-/// Whether a startup event belongs on this shard. Periodic ticks run as
-/// replicas on every shard (keeping per-switch timers in phase without
-/// cross-shard traffic); fault boundaries fire on the owner of either
-/// endpoint of the faulted link (each side handles its own direction).
+/// Whether a startup event belongs on this shard. Periodic ticks fire on
+/// every shard, each over the switches it owns (keeping per-switch timers
+/// in phase without cross-shard traffic); fault boundaries fire on the
+/// owner of either endpoint of the faulted link (each side handles its own
+/// direction).
 fn owned_startup_event(
     shard: &Option<(Arc<PartitionMap>, u16)>,
     fabric: &Fabric<DcHost>,

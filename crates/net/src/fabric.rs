@@ -12,6 +12,7 @@ use crate::packet::{Packet, PacketKind};
 use crate::partition::PartitionMap;
 use crate::pool::PacketPool;
 use crate::port::Port;
+use crate::routing::CompiledRoutes;
 use crate::switch::{Switch, SwitchOutput, SwitchSink};
 use crate::telemetry::Telemetry;
 use crate::topology::Topology;
@@ -22,9 +23,9 @@ use fncc_obs::TraceEvent;
 use std::sync::Arc;
 
 /// Ordering domain stamped onto the periodic ticks (INT refresh, RoCC,
-/// sampling) when domain tagging is on. Ticks have no owning node — they
-/// run as full replicas on every shard — so they get a reserved domain
-/// above every shard id: a tick that ties a data event at the same
+/// sampling) when domain tagging is on. Ticks have no owning node — every
+/// shard fires its own, over the switches it owns — so they get a reserved
+/// domain above every shard id: a tick that ties a data event at the same
 /// `(time, prio)` dispatches after it, identically in the single-engine
 /// and sharded executions (the comparison never reaches the engine-local
 /// counters, which differ between the two).
@@ -38,9 +39,9 @@ pub struct ShardCtx {
     pub map: Arc<PartitionMap>,
     /// This replica's shard id.
     pub my: u16,
-    /// Events processed here that are exact replicas of events another
-    /// shard also processes (periodic ticks mirrored on every shard are
-    /// counted by shard 0; fault boundaries are counted by the owner
+    /// Events processed here that another shard also counts (a periodic
+    /// tick fires on every shard, each sweeping its own switches, and
+    /// shard 0 counts it; fault boundaries are counted by the owner
     /// of the faulted switch). Subtracted when aggregating
     /// `events_processed` across shards so the total matches the
     /// single-engine run.
@@ -90,9 +91,9 @@ pub enum Ev<T> {
         /// Transport-defined payload.
         timer: T,
     },
-    /// Periodic `All_INT_Table` refresh across all switches.
+    /// Periodic `All_INT_Table` refresh across this replica's switches.
     IntRefresh,
-    /// Periodic RoCC PI-controller step across all switches.
+    /// Periodic RoCC PI-controller step across this replica's switches.
     RoccTick,
     /// Telemetry sampling tick.
     Sample,
@@ -244,15 +245,29 @@ impl<H: HostLogic> Fabric<H> {
     /// with [`crate::fault::validate`]'s message when `cfg.faults` does not
     /// fit `topo`.
     pub fn new(topo: &Topology, cfg: FabricConfig, hosts: Vec<H>) -> Self {
+        Fabric::with_routes(topo, cfg, hosts, &topo.compile_routes())
+    }
+
+    /// [`Fabric::new`] over forwarding tables compiled beforehand
+    /// ([`Topology::compile_routes`]): the replicas of a sharded run are
+    /// built around one compilation and share its tables.
+    pub fn with_routes(
+        topo: &Topology,
+        cfg: FabricConfig,
+        hosts: Vec<H>,
+        routes: &[CompiledRoutes],
+    ) -> Self {
         assert_eq!(hosts.len(), topo.n_hosts as usize, "one HostLogic per host");
+        assert_eq!(routes.len(), topo.switches.len(), "one table per switch");
         if let Err(e) = crate::fault::validate(&cfg.faults, topo) {
             panic!("invalid fault list: {e}");
         }
         let switches = topo
             .switches
             .iter()
+            .zip(routes)
             .enumerate()
-            .map(|(i, spec)| Switch::new(SwitchId(i as u32), spec, &cfg))
+            .map(|(i, (spec, r))| Switch::with_routes(SwitchId(i as u32), spec, &cfg, r.clone()))
             .collect();
         let host_ports = topo.host_ports.iter().map(Port::from_spec).collect();
         let degrade_base_prop = vec![TimeDelta::ZERO; cfg.faults.len()];
@@ -331,10 +346,10 @@ impl<H: HostLogic> Fabric<H> {
     }
 
     /// What every periodic tick (INT refresh, RoCC, sampling) does first: it
-    /// schedules in the tick domain, and since ticks run identically on
-    /// every shard — so that per-switch timers stay in phase without
-    /// cross-shard traffic — shard 0 counts one as a real event and every
-    /// other shard as a replica, so the aggregated `events_processed`
+    /// schedules in the tick domain, and since every shard fires the tick
+    /// at the same instants — so that per-switch timers stay in phase
+    /// without cross-shard traffic — shard 0 counts one as a real event and
+    /// every other shard as a replica, so the aggregated `events_processed`
     /// matches the single-engine run.
     fn begin_tick(&mut self, sched: &mut Scheduler<Ev<H::Timer>>) {
         sched.set_domain(self.tick_domain());
@@ -588,6 +603,22 @@ impl<H: HostLogic> Fabric<H> {
     }
 }
 
+/// The switches a periodic tick sweeps: the ones this replica owns — all of
+/// them without a shard context. `All_INT_Table` refresh and the RoCC step
+/// are each switch's own management module (Fig. 8) and touch nothing
+/// outside it, and a replica never reads a switch it does not own, so the
+/// owners' sweeps together are the one replica's.
+fn owned_switches<'a>(
+    switches: &'a mut [Switch],
+    shard: &'a Option<ShardCtx>,
+) -> impl Iterator<Item = &'a mut Switch> {
+    switches.iter_mut().filter(move |sw| {
+        shard
+            .as_ref()
+            .is_none_or(|sc| sc.owns(NodeRef::Switch(sw.id)))
+    })
+}
+
 /// Schedule a frame arrival `prop` in the future at `(peer, peer_port)`,
 /// routing it through the engine outbox when `peer` lives in another
 /// shard. All cross-shard traffic funnels through here: both switch
@@ -710,7 +741,7 @@ impl<H: HostLogic> Model for Fabric<H> {
             }
             Ev::IntRefresh => {
                 self.begin_tick(sched);
-                for sw in &mut self.switches {
+                for sw in owned_switches(&mut self.switches, &self.shard) {
                     sw.refresh_int_table(now);
                 }
                 if let Some(d) = self.cfg.int_refresh {
@@ -719,7 +750,7 @@ impl<H: HostLogic> Model for Fabric<H> {
             }
             Ev::RoccTick => {
                 self.begin_tick(sched);
-                for sw in &mut self.switches {
+                for sw in owned_switches(&mut self.switches, &self.shard) {
                     sw.rocc_step(&self.cfg);
                 }
                 if let Some(rc) = &self.cfg.rocc {
@@ -1017,6 +1048,47 @@ mod tests {
         // (pause storm propagation) OR absorbed it in the shared buffer —
         // either way the fault window shows in total pause time.
         assert!(m.telemetry.pause_time_total() >= TimeDelta::from_us(50));
+    }
+
+    /// A periodic tick sweeps the switches its replica owns, and the
+    /// replicas' sweeps together are the one replica's: ownership comes
+    /// from the map (an interleaved split here, not the pod partition).
+    #[test]
+    fn tick_sweeps_owned_switches_only_and_all_of_them() {
+        let topo = Topology::fat_tree(4, Bandwidth::gbps(100), TimeDelta::from_ns(1500));
+        let map = Arc::new(PartitionMap::from_owners(
+            &topo,
+            2,
+            (0..topo.n_hosts).map(|h| (h % 2) as u16).collect(),
+            (0..topo.switches.len()).map(|s| (s % 2) as u16).collect(),
+        ));
+        let now = SimTime::from_us(3);
+        let mut swept = vec![0u32; topo.switches.len()];
+        for my in 0..2u16 {
+            let hosts = (0..topo.n_hosts).map(|_| MiniHost::idle()).collect();
+            // No refresh period: the one tick scheduled below is not renewed.
+            let mut fabric = Fabric::new(&topo, FabricConfig::paper_default(), hosts);
+            fabric.shard = Some(ShardCtx::new(map.clone(), my));
+            let mut eng = Engine::new(fabric);
+            eng.schedule(now, Ev::IntRefresh);
+            eng.run_until_idle();
+            let sc = eng.model.shard.as_ref().unwrap();
+            assert_eq!(sc.replica_events, my as u64, "shard 0 counts the tick");
+            for sw in &eng.model.switches {
+                let owned = sc.owns(NodeRef::Switch(sw.id));
+                let want = if owned { now } else { SimTime::ZERO };
+                assert!(
+                    sw.ports.iter().all(|p| p.int_rec.ts == want),
+                    "shard {my}, switch {:?} (owned: {owned})",
+                    sw.id
+                );
+                swept[sw.id.ix()] += owned as u32;
+            }
+        }
+        assert!(
+            swept.iter().all(|&n| n == 1),
+            "sweeps per switch: {swept:?}"
+        );
     }
 
     #[test]

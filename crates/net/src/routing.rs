@@ -16,6 +16,7 @@
 
 use crate::ids::{FlowId, HostId};
 use fncc_des::rng::splitmix64;
+use std::sync::Arc;
 
 /// Bits of the path hash consumed per ECMP level.
 const LEVEL_DIGIT_BITS: u32 = 8;
@@ -181,15 +182,18 @@ pub fn egress_avoiding(
 /// hardware division per forwarded frame with two dependent loads.
 /// `Trees` tables keep the original lookup (full-hash modulo over the tree
 /// count does not digit-compile); they are off the workload hot path.
+///
+/// The compiled tables are immutable and sit behind `Arc`s, so a clone
+/// shares them: the replicas of a sharded run forward through one copy.
 #[derive(Clone, Debug)]
 pub enum CompiledRoutes {
     /// Digit-compiled per-destination tables.
     PerDst {
         /// Per destination: `level << 16 | table index`, or `u32::MAX` for
         /// unreachable.
-        dst: Vec<u32>,
+        dst: Arc<[u32]>,
         /// Digit→port tables, 256 bytes each, deduplicated.
-        tables: Vec<[u8; 256]>,
+        tables: Arc<[[u8; 256]]>,
     },
     /// Uncompiled fallback (spanning-tree routing).
     Raw(RoutingTable),
@@ -231,7 +235,10 @@ impl CompiledRoutes {
             "too many distinct ECMP tables to digit-compile ({})",
             tables.len()
         );
-        CompiledRoutes::PerDst { dst, tables }
+        CompiledRoutes::PerDst {
+            dst: dst.into(),
+            tables: tables.into(),
+        }
     }
 
     /// Like [`CompiledRoutes::egress`], but `None` for unreachable

@@ -14,6 +14,7 @@ use crate::units::PFC_FRAME_BYTES;
 use fncc_des::rng::DetRng;
 use fncc_des::time::SimTime;
 use fncc_obs::TraceEvent;
+use std::sync::Arc;
 
 /// Actions a switch asks the fabric to perform while handling an event
 /// (the fabric owns event scheduling; the switch stays scheduler-agnostic
@@ -64,11 +65,14 @@ pub struct Switch {
     pub id: SwitchId,
     /// Egress ports.
     pub ports: Vec<Port>,
-    /// Forwarding table as constructed (kept for inspection via
-    /// [`Switch::route`]; forwarding uses the compiled copy below, so the
-    /// field is private to keep the two from diverging).
-    route: RoutingTable,
+    /// Forwarding table as constructed, shared with the topology (kept for
+    /// inspection via [`Switch::route`] and to recompile around dead
+    /// ports; forwarding uses the compiled copy below, so the field is
+    /// private to keep the two from diverging).
+    route: Arc<RoutingTable>,
     /// Digit-compiled forwarding table (hot-path lookups; same results).
+    /// A clone shares its tables, so the replicas of a sharded run forward
+    /// through one copy until a link fault recompiles a switch's own.
     croute: CompiledRoutes,
     /// Total buffered bytes (shared-buffer occupancy). Per-port PFC
     /// accounting, the `All_INT_Table` and RoCC state live on [`Port`].
@@ -94,12 +98,22 @@ pub struct Switch {
 impl Switch {
     /// Instantiate from a topology description.
     pub fn new(id: SwitchId, spec: &SwitchSpec, cfg: &FabricConfig) -> Switch {
+        Switch::with_routes(id, spec, cfg, CompiledRoutes::compile(&spec.route))
+    }
+
+    /// [`Switch::new`] around an already compiled `spec.route`.
+    pub fn with_routes(
+        id: SwitchId,
+        spec: &SwitchSpec,
+        cfg: &FabricConfig,
+        croute: CompiledRoutes,
+    ) -> Switch {
         let ports: Vec<Port> = spec.ports.iter().map(Port::from_spec).collect();
         let n_ports = ports.len();
         Switch {
             id,
             ports,
-            croute: CompiledRoutes::compile(&spec.route),
+            croute,
             route: spec.route.clone(),
             buffered: 0,
             ecn_rng: DetRng::new(cfg.seed, 0x0057_17C4 ^ id.0 as u64),

@@ -8,10 +8,11 @@
 //! computation).
 
 use crate::ids::{FlowId, HostId, NodeRef, SwitchId};
-use crate::routing::{flow_hash, RouteEntry, RoutingTable};
+use crate::routing::{flow_hash, CompiledRoutes, RouteEntry, RoutingTable};
 use crate::units::Bandwidth;
 use fncc_des::time::TimeDelta;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One side of a link: who is at the other end and the link's parameters.
 #[derive(Clone, Debug)]
@@ -31,8 +32,9 @@ pub struct PortSpec {
 pub struct SwitchSpec {
     /// Ports in index order.
     pub ports: Vec<PortSpec>,
-    /// Forwarding state.
-    pub route: RoutingTable,
+    /// Forwarding state. Shared, not copied, by clones of the topology and
+    /// by the live switches built from it: it is read-only once built.
+    pub route: Arc<RoutingTable>,
 }
 
 /// Which builder produced the topology (used in reports).
@@ -69,6 +71,15 @@ impl Topology {
     /// Number of switches.
     pub fn n_switches(&self) -> usize {
         self.switches.len()
+    }
+
+    /// Every switch's forwarding table compiled for the hot path, by switch
+    /// id (what [`crate::fabric::Fabric::with_routes`] takes).
+    pub fn compile_routes(&self) -> Vec<CompiledRoutes> {
+        self.switches
+            .iter()
+            .map(|s| CompiledRoutes::compile(&s.route))
+            .collect()
     }
 
     /// Check structural invariants: every port's peer points back at it with
@@ -411,7 +422,7 @@ impl Topology {
             }
             switches.push(SwitchSpec {
                 ports: ports[j].clone(),
-                route: RoutingTable::PerDst(entries),
+                route: Arc::new(RoutingTable::PerDst(entries)),
             });
         }
 
@@ -451,7 +462,7 @@ impl Topology {
             host_ports,
             switches: vec![SwitchSpec {
                 ports,
-                route: RoutingTable::PerDst(entries),
+                route: Arc::new(RoutingTable::PerDst(entries)),
             }],
         };
         t.validate();
@@ -530,7 +541,7 @@ impl Topology {
                 }
                 switches.push(SwitchSpec {
                     ports,
-                    route: RoutingTable::PerDst(entries),
+                    route: Arc::new(RoutingTable::PerDst(entries)),
                 });
             }
         }
@@ -568,7 +579,7 @@ impl Topology {
                 }
                 switches.push(SwitchSpec {
                     ports,
-                    route: RoutingTable::PerDst(entries),
+                    route: Arc::new(RoutingTable::PerDst(entries)),
                 });
             }
         }
@@ -590,7 +601,7 @@ impl Topology {
             }
             switches.push(SwitchSpec {
                 ports,
-                route: RoutingTable::PerDst(entries),
+                route: Arc::new(RoutingTable::PerDst(entries)),
             });
         }
 
@@ -684,7 +695,7 @@ impl Topology {
             }
             switches.push(SwitchSpec {
                 ports,
-                route: RoutingTable::PerDst(entries),
+                route: Arc::new(RoutingTable::PerDst(entries)),
             });
         }
         // Spine switches: port l goes to leaf l.
@@ -703,7 +714,7 @@ impl Topology {
                 .collect();
             switches.push(SwitchSpec {
                 ports,
-                route: RoutingTable::PerDst(entries),
+                route: Arc::new(RoutingTable::PerDst(entries)),
             });
         }
 
@@ -810,7 +821,10 @@ impl Topology {
             .into_iter()
             .map(|p| SwitchSpec {
                 ports: p,
-                route: RoutingTable::PerDst(vec![RouteEntry::Unreachable; n_hosts as usize]),
+                route: Arc::new(RoutingTable::PerDst(vec![
+                    RouteEntry::Unreachable;
+                    n_hosts as usize
+                ])),
             })
             .collect();
 
@@ -938,7 +952,10 @@ impl Topology {
             .map(|p| SwitchSpec {
                 ports: p,
                 // Placeholder; replaced by spanning trees below.
-                route: RoutingTable::PerDst(vec![RouteEntry::Unreachable; n_hosts as usize]),
+                route: Arc::new(RoutingTable::PerDst(vec![
+                    RouteEntry::Unreachable;
+                    n_hosts as usize
+                ])),
             })
             .collect();
 
@@ -1043,7 +1060,7 @@ impl Topology {
             }
         }
         for (s, trees) in trees_per_switch.into_iter().enumerate() {
-            self.switches[s].route = RoutingTable::Trees(trees);
+            self.switches[s].route = Arc::new(RoutingTable::Trees(trees));
         }
         self
     }

@@ -10,7 +10,8 @@
 //!   shard, so 1, 2 and 4 workers execute the identical event schedule.
 //! * **Against the one-replica run** the comparison additionally strips the
 //!   sharding bookkeeping scalars (`shards`, `epochs`,
-//!   `cross_shard_frames`, `lookahead_ns`, `shard_fallback`) and the
+//!   `cross_shard_frames`, `causality_violations`, `lookahead_ns`,
+//!   `shard_fallback`) and the
 //!   *structurally* per-shard diagnostics — `peak_queue_len` (one queue
 //!   vs k per-shard queues), `pool_hit_rate` (one packet pool vs k),
 //!   `wheel_cascades_l*` (one wheel vs k) — none of which describe
@@ -18,7 +19,8 @@
 //!   slowdowns, counters, series, fault scalars) must match byte-for-byte.
 
 use fncc::core::{
-    run_scenario, Scenario, SimBackend, StopCondition, TopologySpec, TrafficSpec, Workload,
+    run_scenario, ProbeSpec, Scenario, SimBackend, StopCondition, TopologySpec, TrafficSpec,
+    Workload,
 };
 use fncc_cc::CcKind;
 
@@ -32,6 +34,7 @@ const SHARD_BOOKKEEPING: &[&str] = &[
     "shards",
     "epochs",
     "cross_shard_frames",
+    "causality_violations",
     "lookahead_ns",
     "shard_fallback",
 ];
@@ -134,6 +137,25 @@ fn all_schemes_all_thread_counts_match_legacy() {
     }
 }
 
+/// The periodic ticks where they decide what the senders see. A pod shard
+/// sweeps only the switches it owns: with the `All_INT_Table` refreshed
+/// every 3 µs every ACK carries a record up to two epochs old, so a switch
+/// swept late, twice or not at all shows in the FCTs; with no refresh at
+/// all (0) there is no tick to get wrong. RoCC's fair rate is nothing but
+/// its tick's output, and sampling adds the third tick kind and its series
+/// to the bytes compared.
+#[test]
+fn periodic_ticks_match_legacy() {
+    for us in [0, 3] {
+        let mut sc = poisson_scenario(CcKind::Fncc);
+        sc.overrides.int_refresh_us = us;
+        assert_equivalence(&sc, &format!("fncc/int_refresh_us={us}"));
+    }
+    let mut sc = poisson_scenario(CcKind::Rocc);
+    sc.probes = ProbeSpec::micro(1_000, 2);
+    assert_equivalence(&sc, "rocc/sampled");
+}
+
 /// The faulted cell: a link flap on a fat-tree Poisson mix (the shipped
 /// `linkflap_fattree.json` scenario, scaled down for test time). Fault
 /// pause/release and the cross-shard teardown of the peer side of the
@@ -163,6 +185,7 @@ fn sharded_report_exposes_partition_scalars() {
     assert_eq!(report.scalar("lookahead_ns"), Some(1500.0));
     assert!(report.scalar("epochs").unwrap_or(0.0) > 0.0);
     assert!(report.scalar("cross_shard_frames").unwrap_or(0.0) > 0.0);
+    assert_eq!(report.scalar("causality_violations"), Some(0.0));
     assert_eq!(report.scalar("shard_fallback"), None);
 }
 
