@@ -49,9 +49,9 @@
 //! emitted it, whatever the thread count, and the queue high-water mark
 //! and wheel cascade counts stay thread-independent. A flush sorts the
 //! outbox by destination and hands each non-empty lane its frames in one
-//! swap under one lock; an inject drains the lane where it lies. With one
-//! worker the epoch loop runs on the calling thread and reaches the lanes
-//! through `&mut`: no thread, barrier or lock.
+//! swap under one lock; an inject drains the lane where it lies. The
+//! calling thread is the first worker, so a single worker spawns nothing
+//! and its locks and barrier are never contended.
 //!
 //! The run loop mirrors [`Sim::run_to_completion`]'s 1 ms chunking and
 //! its stop test (evaluated on aggregated per-shard counts), so event
@@ -67,7 +67,8 @@ use fncc_net::telemetry::Telemetry;
 use fncc_net::topology::Topology;
 use fncc_obs::{Profiler, TraceSink};
 use fncc_transport::{DcHost, HostTimer};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+use std::thread::ThreadId;
 
 /// A cross-shard frame in flight between epochs.
 type Frame = Outbound<Ev<HostTimer>>;
@@ -138,56 +139,12 @@ impl Lanes {
         }
     }
 
+    /// The lane `src → dst` of `epoch`'s parity.
     #[inline]
-    fn index(&self, epoch: u64, src: usize, dst: usize) -> usize {
-        ((epoch & 1) as usize * self.n + src) * self.n + dst
-    }
-}
-
-/// How one worker reaches the lanes and meets the other workers.
-enum Exchange<'a> {
-    /// The only worker, on the calling thread: the lanes are its own, and
-    /// there is nobody to wait for.
-    Inline(&'a mut Lanes),
-    /// One of several: each lane through its lock, then the epoch barrier.
-    Threaded(&'a Lanes, &'a Barrier),
-}
-
-impl Exchange<'_> {
-    /// Run `f` on the lane `src → dst` of `epoch`'s parity.
-    #[inline]
-    fn lane<R>(
-        &mut self,
-        epoch: u64,
-        src: usize,
-        dst: usize,
-        f: impl FnOnce(&mut Vec<Frame>) -> R,
-    ) -> R {
-        const POISONED: &str = "a shard worker panicked holding a lane";
-        match self {
-            Exchange::Inline(lanes) => {
-                let ix = lanes.index(epoch, src, dst);
-                f(lanes.cells[ix].get_mut().expect(POISONED))
-            }
-            Exchange::Threaded(lanes, _) => f(&mut lanes.cells[lanes.index(epoch, src, dst)]
-                .lock()
-                .expect(POISONED)),
-        }
-    }
-
-    /// End of an epoch: every worker's flush is in before any moves on.
-    #[inline]
-    fn sync(&self) {
-        if let Exchange::Threaded(_, barrier) = self {
-            barrier.wait();
-        }
-    }
-
-    fn n_shards(&self) -> usize {
-        match self {
-            Exchange::Inline(lanes) => lanes.n,
-            Exchange::Threaded(lanes, _) => lanes.n,
-        }
+    fn lock(&self, epoch: u64, src: usize, dst: usize) -> MutexGuard<'_, Vec<Frame>> {
+        self.cells[((epoch & 1) as usize * self.n + src) * self.n + dst]
+            .lock()
+            .expect("a shard worker panicked holding a lane")
     }
 }
 
@@ -230,10 +187,13 @@ impl std::ops::AddAssign for Tally {
 /// (4) meets the other workers. A final inclusive pass processes the
 /// boundary instant `horizon` itself, mirroring the one replica's
 /// `run_until(horizon)` semantics.
-fn run_group(group: &mut [(usize, &mut Sim)], mut ex: Exchange<'_>, span: EpochSpan) -> Tally {
-    #[cfg(test)]
-    tests::GROUPS_RUN_ON_THIS_THREAD.with(|c| c.set(c.get() + 1));
-    let n = ex.n_shards();
+fn run_group(
+    group: &mut [(usize, &mut Sim)],
+    lanes: &Lanes,
+    barrier: &Barrier,
+    span: EpochSpan,
+) -> Tally {
+    let n = lanes.n;
     let mut tally = Tally::default();
     // The outbox sorted by destination, reused across epochs. A lane is
     // empty when its writer comes back to it, so flush swaps the two and
@@ -247,15 +207,14 @@ fn run_group(group: &mut [(usize, &mut Sim)], mut ex: Exchange<'_>, span: EpochS
         for (dst, sim) in group.iter_mut() {
             for src in 0..n {
                 // Parity of the previous epoch.
-                ex.lane(epoch + 1, src, *dst, |lane| {
-                    tally.injected += lane.len() as u64;
-                    for f in lane.drain(..) {
-                        if f.time < sim.eng.now() {
-                            tally.violations += 1;
-                        }
-                        sim.eng.inject(f.time, f.prio, f.seq, f.ev);
+                let mut lane = lanes.lock(epoch + 1, src, *dst);
+                tally.injected += lane.len() as u64;
+                for f in lane.drain(..) {
+                    if f.time < sim.eng.now() {
+                        tally.violations += 1;
                     }
-                });
+                    sim.eng.inject(f.time, f.prio, f.seq, f.ev);
+                }
             }
         }
         for (_, sim) in group.iter_mut() {
@@ -276,14 +235,13 @@ fn run_group(group: &mut [(usize, &mut Sim)], mut ex: Exchange<'_>, span: EpochS
             }
             for (dst, frames) in by_dst.iter_mut().enumerate() {
                 if !frames.is_empty() {
-                    ex.lane(epoch, *src, dst, |lane| {
-                        debug_assert!(lane.is_empty(), "lane {src}->{dst} not drained");
-                        std::mem::swap(lane, frames);
-                    });
+                    let mut lane = lanes.lock(epoch, *src, dst);
+                    debug_assert!(lane.is_empty(), "lane {src}->{dst} not drained");
+                    std::mem::swap(&mut *lane, frames);
                 }
             }
         }
-        ex.sync();
+        barrier.wait();
         if inclusive {
             return tally;
         }
@@ -508,8 +466,9 @@ impl ShardedSim {
     /// The conservative epoch loop: between the current time and
     /// `horizon`, run all shards in lock-step windows of one lookahead
     /// ([`run_group`] is one worker's share). The first worker is the
-    /// calling thread; a single worker needs no other.
-    fn run_epochs(&mut self, horizon: SimTime) {
+    /// calling thread, so a single worker spawns none. Returns the thread
+    /// each worker ran on, in worker order.
+    fn run_epochs(&mut self, horizon: SimTime) -> Vec<ThreadId> {
         let span = EpochSpan {
             first_epoch: self.epochs,
             t0: self.now(),
@@ -527,32 +486,35 @@ impl ShardedSim {
         for (ix, sim) in self.shards.iter_mut().enumerate() {
             groups[self.assign[ix]].push((ix, sim));
         }
-        let mut others = groups.split_off(1);
-        let mine = &mut groups[0];
+        let (mine, others) = groups.split_first_mut().expect("at least one worker");
 
-        self.tally += if others.is_empty() {
-            run_group(mine, Exchange::Inline(&mut self.lanes), span)
-        } else {
-            let barrier = Barrier::new(self.threads);
-            let (lanes, barrier) = (&self.lanes, &barrier);
-            std::thread::scope(|scope| {
-                let spawned: Vec<_> = others
-                    .iter_mut()
-                    .map(|g| {
-                        scope.spawn(move || run_group(g, Exchange::Threaded(lanes, barrier), span))
-                    })
-                    .collect();
-                let mut tally = run_group(mine, Exchange::Threaded(lanes, barrier), span);
-                for worker in spawned {
-                    tally += worker.join().expect("shard worker panicked");
-                }
-                tally
-            })
+        let barrier = Barrier::new(self.threads);
+        let (lanes, barrier) = (&self.lanes, &barrier);
+        let work = move |group: &mut Vec<(usize, &mut Sim)>| {
+            let tally = run_group(group, lanes, barrier, span);
+            (std::thread::current().id(), tally)
         };
+        let done = std::thread::scope(|scope| {
+            let spawned: Vec<_> = others
+                .iter_mut()
+                .map(|g| scope.spawn(move || work(g)))
+                .collect();
+            let mut done = vec![work(mine)];
+            done.extend(
+                spawned
+                    .into_iter()
+                    .map(|w| w.join().expect("shard worker panicked")),
+            );
+            done
+        });
+        for (_, tally) in &done {
+            self.tally += *tally;
+        }
 
         // Epoch count: one per lookahead window plus the inclusive pass.
         let span_ps = horizon.since(span.t0).as_ps();
         self.epochs += span_ps.div_ceil(span.lookahead.as_ps()) + 1;
+        done.into_iter().map(|(thread, _)| thread).collect()
     }
 
     /// Collect the run's telemetry into one network-wide view (call
@@ -598,6 +560,7 @@ mod tests {
     use fncc_net::ids::FlowId;
     use fncc_net::units::Bandwidth;
     use fncc_transport::FlowSpec;
+    use std::collections::HashSet;
 
     fn ft4() -> Topology {
         Topology::fat_tree(4, Bandwidth::gbps(100), TimeDelta::from_ns(1500))
@@ -655,12 +618,6 @@ mod tests {
         }
     }
 
-    thread_local! {
-        /// [`run_group`] calls made on the current thread.
-        pub(super) static GROUPS_RUN_ON_THIS_THREAD: std::cell::Cell<u64> =
-            const { std::cell::Cell::new(0) };
-    }
-
     /// Frames waiting in the lanes.
     fn in_lanes(sim: &mut ShardedSim) -> u64 {
         let cells = sim.lanes.cells.iter_mut();
@@ -684,17 +641,23 @@ mod tests {
             for chunk in [TimeDelta::from_ms(1), TimeDelta::from_us(6)] {
                 let mut sim = ShardedSim::new(builder(), threads);
                 sim.set_worker_assignment(assign.clone());
-                let here = || GROUPS_RUN_ON_THIS_THREAD.with(|c| c.get());
-                let (groups_before, mut chunks) = (here(), 0);
-                // `run_to_completion`, counting the chunks.
-                while !sim.run_to_completion(chunk, sim.now() + chunk) {
-                    chunks += 1;
-                    assert!(sim.now() < SimTime::from_ms(50), "flows never finished");
-                }
-                chunks += 1;
                 let label = format!("threads={threads}, chunk={chunk}");
-                // The caller is worker 0 at any width, and the only one at 1.
-                assert_eq!(here() - groups_before, chunks, "{label}");
+                // `run_to_completion`, a chunk at a time.
+                let finished = |sim: &ShardedSim| -> usize {
+                    let per_shard = sim.shards.iter();
+                    per_shard
+                        .map(|s| s.telemetry().flows_finished_count())
+                        .sum()
+                };
+                while finished(&sim) < flows().len() {
+                    assert!(sim.now() < SimTime::from_ms(50), "flows never finished");
+                    let horizon = sim.now() + chunk;
+                    let workers = sim.run_epochs(horizon);
+                    // The caller is worker 0 at any width, and the only one at 1.
+                    assert_eq!(workers[0], std::thread::current().id(), "{label}");
+                    let distinct: HashSet<_> = workers.iter().collect();
+                    assert_eq!(distinct.len(), threads, "{label}");
+                }
                 let waiting = in_lanes(&mut sim);
                 assert_eq!(sim.tally.crossed, sim.tally.injected + waiting, "{label}");
                 if chunk == TimeDelta::from_ms(1) {

@@ -37,7 +37,7 @@ pub struct SimBuilder {
     partition: Option<(Arc<PartitionMap>, Option<u16>)>,
     /// The topology's forwarding tables, compiled ahead of `build` so that
     /// clones of this builder — a sharded run's replicas — share them.
-    routes: Option<Arc<[CompiledRoutes]>>,
+    routes: Option<Vec<CompiledRoutes>>,
     queue: QueueKind,
 }
 
@@ -163,7 +163,7 @@ impl SimBuilder {
     /// Compile the forwarding tables now: every clone made afterwards
     /// builds its fabric around this one compilation instead of its own.
     pub(crate) fn compile_routes(mut self) -> Self {
-        self.routes = Some(self.topo.compile_routes().into());
+        self.routes = Some(self.topo.compile_routes());
         self
     }
 
@@ -175,10 +175,8 @@ impl SimBuilder {
         let hosts: Vec<DcHost> = (0..self.topo.n_hosts)
             .map(|_| DcHost::new(tcfg.clone()))
             .collect();
-        let mut fabric = match &self.routes {
-            Some(routes) => Fabric::with_routes(&self.topo, self.fabric, hosts, routes),
-            None => Fabric::new(&self.topo, self.fabric, hosts),
-        };
+        let routes = self.routes.unwrap_or_else(|| self.topo.compile_routes());
+        let mut fabric = Fabric::with_routes(&self.topo, self.fabric, hosts, routes);
         // Event-ordering domains: tag every schedule with the owning shard
         // of the node performing it, on every partitionable topology — in
         // one-replica runs too, so ties at identical `(time, prio)` break

@@ -245,7 +245,7 @@ impl<H: HostLogic> Fabric<H> {
     /// with [`crate::fault::validate`]'s message when `cfg.faults` does not
     /// fit `topo`.
     pub fn new(topo: &Topology, cfg: FabricConfig, hosts: Vec<H>) -> Self {
-        Fabric::with_routes(topo, cfg, hosts, &topo.compile_routes())
+        Fabric::with_routes(topo, cfg, hosts, topo.compile_routes())
     }
 
     /// [`Fabric::new`] over forwarding tables compiled beforehand
@@ -255,7 +255,7 @@ impl<H: HostLogic> Fabric<H> {
         topo: &Topology,
         cfg: FabricConfig,
         hosts: Vec<H>,
-        routes: &[CompiledRoutes],
+        routes: Vec<CompiledRoutes>,
     ) -> Self {
         assert_eq!(hosts.len(), topo.n_hosts as usize, "one HostLogic per host");
         assert_eq!(routes.len(), topo.switches.len(), "one table per switch");
@@ -267,7 +267,7 @@ impl<H: HostLogic> Fabric<H> {
             .iter()
             .zip(routes)
             .enumerate()
-            .map(|(i, (spec, r))| Switch::with_routes(SwitchId(i as u32), spec, &cfg, r.clone()))
+            .map(|(i, (spec, r))| Switch::with_routes(SwitchId(i as u32), spec, &cfg, r))
             .collect();
         let host_ports = topo.host_ports.iter().map(Port::from_spec).collect();
         let degrade_base_prop = vec![TimeDelta::ZERO; cfg.faults.len()];
