@@ -104,12 +104,6 @@ impl DcqcnPolicy {
         self.alpha
     }
 
-    /// Timer period for the host scheduler.
-    #[inline]
-    pub fn timer_period(&self) -> TimeDelta {
-        self.cfg.timer
-    }
-
     /// Receiver-side CNP pacing interval.
     #[inline]
     pub fn cnp_interval(&self) -> TimeDelta {

@@ -24,6 +24,7 @@
 //! to it. Reports serialise scalars in insertion order, so each engine
 //! still decides *where* in its list a shared block lands.
 
+use crate::hybrid::HybridSim;
 use crate::metrics::{
     average_slowdowns, fct_slowdowns, reaction_time, time_to_fair, SlowdownStats,
 };
@@ -36,8 +37,7 @@ use fncc_cc::{CcAlgo, CcKind, FnccConfig};
 use fncc_des::engine::QueueKind;
 use fncc_des::stats::TimeSeries;
 use fncc_des::time::{SimTime, TimeDelta};
-use fncc_fluid::{CalibrationSet, FluidResult, FluidSim, Framing, RateModel};
-use fncc_hybrid::HybridSim;
+use fncc_fluid::{FluidResult, FluidSim, Framing, RateModel};
 use fncc_net::config::FabricConfig;
 use fncc_net::ids::{FlowId, NodeRef, SwitchId};
 use fncc_net::telemetry::{Counters, Telemetry};
@@ -269,13 +269,53 @@ fn put_event_rate(report: &mut RunReport, wall_start: Instant) {
     }
 }
 
-/// The rate model a scenario's fluid half runs under: scenario-level
-/// calibration, then the backend's, then the paper defaults.
-fn rate_model(sc: &Scenario, backend: Option<&CalibrationSet>) -> RateModel {
-    match sc.overrides.calibration.as_ref().or(backend) {
+/// The rate model a scenario's fluid half runs under: the scenario's
+/// calibration, else the paper defaults.
+fn rate_model(sc: &Scenario) -> RateModel {
+    match &sc.overrides.calibration {
         Some(cal) => RateModel::from_calibration(sc.cc, cal),
         None => RateModel::paper_default(sc.cc),
     }
+}
+
+/// The packet half of one seed of `sc`: `flows` on `topo` under the
+/// scheme and its overrides (LHCS, INT refresh), the seed, the faults and
+/// the loss recovery they arm, and the trace flag. The packet backend adds
+/// its queue kind and probes; the hybrid backend hands it to
+/// [`HybridSim::new`] as the foreground, so both honour the same overrides.
+fn seed_builder(
+    sc: &Scenario,
+    topo: Topology,
+    flows: Vec<FlowSpec>,
+    seed: u64,
+    trace: bool,
+) -> SimBuilder {
+    let line = sc.link.bandwidth();
+    // Window normalisation must use the frame sizes the fabric will
+    // actually run with, not hardcoded 1518/70 — otherwise an MTU
+    // override would leave the CC's RTT constant inconsistent with the
+    // simulated wire.
+    let frames = FabricConfig::paper_default();
+    let base_rtt = topo.base_rtt(frames.mtu, frames.ack_base);
+    let algo = if sc.cc == CcKind::Fncc && sc.overrides.disable_lhcs {
+        CcAlgo::Fncc(FnccConfig::without_lhcs(line, base_rtt))
+    } else {
+        make_algo(sc.cc, line, base_rtt)
+    };
+    SimBuilder::with_algo(topo, algo)
+        .fabric(|f| {
+            f.seed = seed;
+            if sc.cc == CcKind::Fncc {
+                f.int_refresh = sc.overrides.int_refresh();
+            }
+            f.faults = sc.faults.clone();
+        })
+        // Loss recovery only when the scenario injects faults: lossless
+        // runs stay free of retransmission-timer events, so their event
+        // counts and goldens are byte-identical.
+        .recovery(sc.has_faults().then(RecoveryConfig::paper_default))
+        .flows(flows)
+        .trace(trace)
 }
 
 /// Which simulation engine runs a scenario.
@@ -310,8 +350,8 @@ impl SimBackend {
     pub fn resolve(self) -> Box<dyn Backend> {
         match self {
             SimBackend::Packet => Box::new(PacketBackend::default()),
-            SimBackend::Fluid => Box::new(FluidBackend::default()),
-            SimBackend::Hybrid => Box::new(HybridBackend::default()),
+            SimBackend::Fluid => Box::new(FluidBackend),
+            SimBackend::Hybrid => Box::new(HybridBackend),
         }
     }
 }
@@ -387,18 +427,6 @@ impl Backend for PacketBackend {
 
         for (seed_ix, &seed) in sc.seeds.iter().enumerate() {
             let (topo, flows) = sc.instance(seed);
-            let line = sc.link.bandwidth();
-            // Window normalisation must use the frame sizes the fabric will
-            // actually run with, not hardcoded 1518/70 — otherwise an MTU
-            // override would leave the CC's RTT constant inconsistent with
-            // the simulated wire.
-            let frames = FabricConfig::paper_default();
-            let base_rtt = topo.base_rtt(frames.mtu, frames.ack_base);
-            let algo = if sc.cc == CcKind::Fncc && sc.overrides.disable_lhcs {
-                CcAlgo::Fncc(FnccConfig::without_lhcs(line, base_rtt))
-            } else {
-                make_algo(sc.cc, line, base_rtt)
-            };
             let cp = if sc.probes.congestion_point {
                 sc.congestion_point(&topo)
             } else {
@@ -411,21 +439,8 @@ impl Backend for PacketBackend {
             // One builder for every replica of the run: identical probes
             // and fabric knobs everywhere is what keeps reports
             // byte-identical across thread counts.
-            let mut builder = SimBuilder::with_algo(topo, algo)
-                .fabric(|f| {
-                    f.seed = seed;
-                    if sc.cc == CcKind::Fncc {
-                        f.int_refresh = sc.overrides.int_refresh();
-                    }
-                    f.faults = sc.faults.clone();
-                })
-                // Loss recovery only when the scenario injects faults:
-                // lossless runs stay free of retransmission-timer events,
-                // so their event counts and goldens are byte-identical.
-                .recovery(sc.has_faults().then(RecoveryConfig::paper_default))
-                .flows(flows.iter().cloned())
-                .trace(rb.tracing(seed_ix))
-                .queue(self.queue);
+            let mut builder =
+                seed_builder(sc, topo, flows.clone(), seed, rb.tracing(seed_ix)).queue(self.queue);
             if sc.probes.sample_ns > 0 {
                 builder = builder.sample(TimeDelta::from_ns(sc.probes.sample_ns), horizon);
             }
@@ -682,27 +697,11 @@ fn extract_scalars(
 
 /// The flow-level fluid fast path.
 ///
-/// By default every scheme runs under [`RateModel::paper_default`]. A
-/// measured [`CalibrationSet`] (from `fncc-repro calibrate`) can replace
-/// the defaults at two levels: per scenario through
-/// [`crate::scenario::CcOverrides::calibration`] (most specific, wins), or
-/// backend-wide through [`FluidBackend::with_calibration`].
+/// Every scheme runs under [`RateModel::paper_default`] unless the
+/// scenario carries a measured set (from `fncc-repro calibrate`) in
+/// [`crate::scenario::CcOverrides::calibration`].
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FluidBackend {
-    /// Backend-level measured models (`None` = paper defaults). A
-    /// scenario-level `overrides.calibration` takes precedence.
-    pub calibration: Option<CalibrationSet>,
-}
-
-impl FluidBackend {
-    /// A fluid backend that runs every scenario under `cal` unless the
-    /// scenario carries its own calibration override.
-    pub fn with_calibration(cal: CalibrationSet) -> Self {
-        FluidBackend {
-            calibration: Some(cal),
-        }
-    }
-}
+pub struct FluidBackend;
 
 impl Backend for FluidBackend {
     fn name(&self) -> &'static str {
@@ -724,7 +723,7 @@ impl Backend for FluidBackend {
         let mut rerouted = 0u64;
         for (seed_ix, &seed) in sc.seeds.iter().enumerate() {
             let (topo, flows) = sc.instance(seed);
-            let result = FluidSim::new(topo.clone(), rate_model(sc, self.calibration.as_ref()))
+            let result = FluidSim::new(topo.clone(), rate_model(sc))
                 .framing(framing)
                 .flows(flows)
                 .faults(&sc.faults)
@@ -767,24 +766,11 @@ impl Backend for FluidBackend {
 /// state at every fluid event boundary: the background's standing queue
 /// lands on the DES ports as a shadow backlog that foreground congestion
 /// control senses through its native signals, and measured foreground
-/// throughput feeds back as per-link demand reservations. Calibration resolution
-/// matches [`FluidBackend`].
+/// throughput feeds back as per-link demand reservations. The foreground
+/// is built like the packet backend's run, so it honours every CC
+/// override; the background's calibration resolves as [`FluidBackend`]'s.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct HybridBackend {
-    /// Backend-level measured models (`None` = paper defaults). A
-    /// scenario-level `overrides.calibration` takes precedence.
-    pub calibration: Option<CalibrationSet>,
-}
-
-impl HybridBackend {
-    /// A hybrid backend whose fluid half runs under `cal` unless the
-    /// scenario carries its own calibration override.
-    pub fn with_calibration(cal: CalibrationSet) -> Self {
-        HybridBackend {
-            calibration: Some(cal),
-        }
-    }
-}
+pub struct HybridBackend;
 
 impl Backend for HybridBackend {
     fn name(&self) -> &'static str {
@@ -825,16 +811,9 @@ impl Backend for HybridBackend {
                 n_bg_flows = bg_flows.len();
             }
             let horizon = rb.horizon(&flows);
-            let mut sim = HybridSim::new(
-                topo.clone(),
-                fg_flows,
-                bg_flows,
-                rate_model(sc, self.calibration.as_ref()),
-                &sc.faults,
-                seed,
-                rb.tracing(seed_ix),
-            )
-            .unwrap_or_else(|e| panic!("hybrid backend on '{}': {e}", sc.name));
+            let fg = seed_builder(sc, topo.clone(), fg_flows, seed, rb.tracing(seed_ix));
+            let mut sim = HybridSim::new(fg, bg_flows, rate_model(sc))
+                .unwrap_or_else(|e| panic!("hybrid backend on '{}': {e}", sc.name));
             let outcome = match sc.stop {
                 StopCondition::Horizon { .. } => sim.run_until(horizon).map(|_| true),
                 StopCondition::Drain { .. } => {
@@ -991,6 +970,50 @@ mod tests {
         assert_eq!(r.scalar("background_flows"), Some(2.0));
         assert!(r.scalar("hybrid_syncs").unwrap_or(0.0) > 0.0);
         assert!(r.scalar("hybrid_backlog_pushes").unwrap_or(0.0) > 0.0);
+    }
+
+    /// The hybrid foreground runs FNCC under the scenario's overrides, as
+    /// the packet backend does: live `All_INT_Table` reads and a disabled
+    /// LHCS each change what an incast's packet half simulates. The hybrid
+    /// used to build its foreground with the paper defaults and ignore both.
+    #[test]
+    fn hybrid_backend_honours_cc_overrides() {
+        use crate::scenario::{ForegroundSpec, PartitionRule, TopologySpec};
+        let cell = |size: u64| {
+            let mut sc = Scenario::new(
+                "hybrid-overrides",
+                TopologySpec::FatTree { k: 4 },
+                TrafficSpec::Incast {
+                    receiver: 0,
+                    fan_in: 8,
+                    size,
+                    waves: 2,
+                    gap_us: 30,
+                },
+                CcKind::Fncc,
+            );
+            sc.stop = StopCondition::Drain { cap_ms: 50 };
+            sc.seeds = vec![5];
+            sc.foreground = Some(ForegroundSpec {
+                rules: vec![PartitionRule::FirstFlows { n: 8 }],
+            });
+            sc
+        };
+        let events = |sc: &Scenario| {
+            let r = run_scenario(sc, SimBackend::Hybrid);
+            assert_eq!(r.unfinished, vec![0]);
+            r.events
+        };
+        let sc = cell(100_000);
+        let mut live = sc.clone();
+        live.overrides.int_refresh_us = 0;
+        assert_ne!(events(&live), events(&sc), "int_refresh_us ignored");
+        // 100 KB fits in the initial window, so LHCS only acts on larger
+        // flows.
+        let sc = cell(500_000);
+        let mut no_lhcs = sc.clone();
+        no_lhcs.overrides.disable_lhcs = true;
+        assert_ne!(events(&no_lhcs), events(&sc), "disable_lhcs ignored");
     }
 
     #[test]

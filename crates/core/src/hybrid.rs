@@ -1,5 +1,4 @@
-#![warn(missing_docs)]
-//! `fncc-hybrid` — the fluid↔packet co-simulation engine.
+//! The fluid↔packet co-simulation engine behind the hybrid backend.
 //!
 //! A hybrid run partitions a scenario's flows into two halves that share
 //! one network:
@@ -9,9 +8,9 @@
 //!   water-filling under a calibrated [`RateModel`], costing one solver
 //!   delta per arrival/finish instead of millions of packet events.
 //! * **Foreground** flows (incast victims, latency-sensitive mice,
-//!   anything being measured at packet fidelity) run in the full packet
-//!   DES: the same [`DcHost`] transport, CC schemes, PFC, and switch
-//!   model as the pure packet backend.
+//!   anything being measured at packet fidelity) run in a [`Sim`] built by
+//!   the same [`SimBuilder`] as the pure packet backend's: the same
+//!   [`DcHost`] transport, CC schemes and overrides, PFC, and switch model.
 //!
 //! The two halves are coupled bidirectionally at *synchronization
 //! boundaries* — fluid event times (arrival/finish) capped by a maximum
@@ -43,20 +42,15 @@
 //! scales with foreground traffic plus background *events*, not
 //! background *packets*.
 
+use crate::sim::{Sim, SimBuilder};
 use fncc_cc::CcKind;
-use fncc_des::engine::Engine;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_fluid::{BackgroundFluid, FluidError, FluidResult, Framing, RateModel};
-use fncc_net::config::FabricConfig;
-use fncc_net::fabric::{Ev, Fabric};
-use fncc_net::fault::FaultSpec;
+use fncc_net::fabric::Fabric;
 use fncc_net::ids::NodeRef;
 use fncc_net::telemetry::Telemetry;
-use fncc_net::topology::Topology;
-use fncc_obs::{CounterId, TraceEvent, TraceSink};
-use fncc_transport::{
-    apply_cc_features, make_algo, DcHost, FlowSpec, HostTimer, RecoveryConfig, TransportConfig,
-};
+use fncc_obs::{CounterId, TraceEvent};
+use fncc_transport::{DcHost, FlowSpec};
 
 /// Maximum interval between fluid↔packet synchronizations. Fluid
 /// events (arrivals/finishes) always force a boundary; this cap
@@ -69,10 +63,6 @@ const MAX_SYNC: TimeDelta = TimeDelta::from_us(100);
 /// shadow backlog when it moved by this fraction of the full depth).
 /// Damps solver churn from packet-scale rate jitter.
 const HYSTERESIS: f64 = 0.02;
-
-/// Cumulative-ACK granularity for the foreground transport (§3.2.3's
-/// `m`).
-const ACK_EVERY: u32 = 1;
 
 /// Fair-share ramp length in base-RTTs. A packet flow does not claim
 /// its converged max-min share at birth — it climbs through window
@@ -135,12 +125,9 @@ struct FgLink {
 /// and a stepping fluid model carrying the background, advanced in
 /// lockstep with bidirectional capacity exchange.
 pub struct HybridSim {
-    eng: Engine<Fabric<DcHost>>,
+    /// The packet half, as [`SimBuilder::build`] made it.
+    fg: Sim,
     bg: BackgroundFluid,
-    /// The network description, kept for analysis (ideal FCT, paths).
-    pub topo: Topology,
-    /// The CC scheme both halves are calibrated to.
-    pub kind: CcKind,
     /// Coupling state for every link a foreground flow traverses.
     fg_links: Vec<FgLink>,
     /// Foreground flow specs (for lifecycle tracking at boundaries).
@@ -171,64 +158,47 @@ pub struct HybridSim {
 }
 
 impl HybridSim {
-    /// Build a hybrid simulation: `foreground` flows go to the packet
-    /// DES, `background` flows to the fluid model (rates under `model`,
-    /// calibrated for the scheme `model.kind` both halves run). `faults`
-    /// land on both halves — the foreground fabric schedules them and the
-    /// background derives its capacity boundaries from the same list — and
-    /// a non-empty list arms go-back-N loss recovery on the foreground
-    /// transport. `seed` drives the foreground fabric's stochastic
-    /// components (ECN marking, random loss); `trace` arms the
-    /// flight-recorder on both halves (hybrid coupling events land in the
-    /// foreground sink). Fails like the fluid backend on zero-capacity
+    /// Build a hybrid simulation: `foreground` is the packet half, built
+    /// by [`SimBuilder::build`] with every flow, override, seed and probe
+    /// it carries; `background` flows go to the fluid model under `model`,
+    /// which must be calibrated for the builder's scheme. The builder's
+    /// topology, faults and trace flag apply to both halves — the
+    /// background derives its capacity boundaries from the fault list the
+    /// foreground fabric schedules, and hybrid coupling events land in the
+    /// foreground trace sink. Fails like the fluid backend on zero-capacity
     /// links.
     pub fn new(
-        topo: Topology,
-        foreground: Vec<FlowSpec>,
+        foreground: SimBuilder,
         background: Vec<FlowSpec>,
         model: RateModel,
-        faults: &[FaultSpec],
-        seed: u64,
-        trace: bool,
     ) -> Result<Self, FluidError> {
-        let kind = model.kind;
-        let mut fabric_cfg = FabricConfig::paper_default();
-        let line = topo.host_ports[0].bw;
-        let base_rtt = topo.base_rtt(fabric_cfg.mtu, fabric_cfg.ack_base);
-        apply_cc_features(&mut fabric_cfg, kind, line);
-        fabric_cfg.seed = seed;
-        fabric_cfg.faults = faults.to_vec();
-        let cc = make_algo(kind, line, base_rtt);
-        let framing = Framing::from(&fabric_cfg);
-
+        let kind = foreground.cc.kind();
+        assert_eq!(model.kind, kind, "both halves run one scheme");
+        let topo = &foreground.topo;
+        let cfg = &foreground.fabric;
+        let base_rtt = topo.base_rtt(cfg.mtu, cfg.ack_base);
         let queue_debt = model.queue_rtts * base_rtt.as_secs_f64() * newcomer_queue_scale(kind);
-        let mut bg = BackgroundFluid::new(topo.clone(), model, framing, background, trace)?;
-        bg.faults(faults);
-
-        let mut tcfg = TransportConfig::new(cc).with_ack_every(ACK_EVERY);
-        tcfg.recovery = (!faults.is_empty()).then(RecoveryConfig::paper_default);
-        let hosts: Vec<DcHost> = (0..topo.n_hosts)
-            .map(|_| DcHost::new(tcfg.clone()))
-            .collect();
-        let mut fabric = Fabric::new(&topo, fabric_cfg, hosts);
-        if trace {
-            fabric.telemetry.trace = TraceSink::with_capacity(TraceSink::DEFAULT_CAPACITY);
-        }
-        let c_syncs = fabric.telemetry.metrics.counter("hybrid_syncs");
-        let c_reservations = fabric.telemetry.metrics.counter("hybrid_reservations");
-        let c_backlogs = fabric.telemetry.metrics.counter("hybrid_backlog_pushes");
+        let mut bg = BackgroundFluid::new(
+            topo.clone(),
+            model,
+            Framing::from(cfg),
+            background,
+            foreground.trace,
+        )?;
+        bg.faults(&cfg.faults);
 
         // The foreground link set: every directed link some foreground
         // flow's data path crosses. Only these links exchange
         // reservations and backlogs — background-only links never touch
         // the DES, and foreground-only links never dirty the solver.
+        let fg_specs = foreground.flows.clone();
         let links = bg.link_map();
         let mut fg_index = vec![u32::MAX; links.len()];
         let mut fg_links = Vec::new();
-        let mut fg_flow_links = Vec::with_capacity(foreground.len());
+        let mut fg_flow_links = Vec::with_capacity(fg_specs.len());
         let mut buf = Vec::new();
-        for f in &foreground {
-            links.path_links_into(&topo, f.src, f.dst, f.id, &mut buf);
+        for f in &fg_specs {
+            links.path_links_into(topo, f.src, f.dst, f.id, &mut buf);
             let mut ixs = Vec::with_capacity(buf.len());
             for &l in &buf {
                 if fg_index[l as usize] == u32::MAX {
@@ -250,35 +220,22 @@ impl HybridSim {
             }
             fg_flow_links.push(ixs);
         }
-        let mut fg_order: Vec<u32> = (0..foreground.len() as u32).collect();
-        fg_order.sort_by_key(|&i| foreground[i as usize].start);
+        let mut fg_order: Vec<u32> = (0..fg_specs.len() as u32).collect();
+        fg_order.sort_by_key(|&i| fg_specs[i as usize].start);
 
-        for f in &foreground {
-            fabric.hosts[f.src.ix()].add_flow(f.clone());
-        }
-        let mut eng = Engine::new(fabric);
-        for (t, ev) in eng.model.startup_events() {
-            eng.schedule(t, ev);
-        }
-        for f in &foreground {
-            eng.schedule(
-                f.start,
-                Ev::HostTimer {
-                    host: f.src,
-                    timer: HostTimer::FlowStart(f.id),
-                },
-            );
-        }
+        let mut fg = foreground.build();
+        let metrics = &mut fg.eng.model.telemetry.metrics;
+        let c_syncs = metrics.counter("hybrid_syncs");
+        let c_reservations = metrics.counter("hybrid_reservations");
+        let c_backlogs = metrics.counter("hybrid_backlog_pushes");
 
         let fg_w = vec![0.0; fg_links.len()];
         let ramp = RAMP_RTTS * base_rtt.as_secs_f64();
         Ok(HybridSim {
-            eng,
+            fg,
             bg,
-            topo,
-            kind,
             fg_links,
-            fg_specs: foreground,
+            fg_specs,
             fg_flow_links,
             fg_w,
             ramp,
@@ -299,13 +256,13 @@ impl HybridSim {
     /// Current simulation time (both halves agree at sync boundaries).
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.last_sync.max(self.eng.now())
+        self.last_sync.max(self.fg.now())
     }
 
     /// Packet events dispatched so far by the foreground DES.
     #[inline]
     pub fn fg_events(&self) -> u64 {
-        self.eng.events_processed()
+        self.fg.events_processed()
     }
 
     /// Background flows still draining or yet to arrive.
@@ -316,7 +273,7 @@ impl HybridSim {
 
     /// Whether every foreground flow has finished.
     pub fn foreground_done(&self) -> bool {
-        let t = &self.eng.model.telemetry;
+        let t = self.fg.telemetry();
         t.flow_count() > 0 && t.all_flows_finished()
     }
 
@@ -324,19 +281,13 @@ impl HybridSim {
     /// during the run).
     #[inline]
     pub fn telemetry(&self) -> &Telemetry {
-        &self.eng.model.telemetry
+        self.fg.telemetry()
     }
 
     /// The live foreground fabric (ports, switches, pause counters).
     #[inline]
     pub fn fabric(&self) -> &Fabric<DcHost> {
-        &self.eng.model
-    }
-
-    /// Links on some foreground path (the coupling surface).
-    #[inline]
-    pub fn fg_link_count(&self) -> usize {
-        self.fg_links.len()
+        self.fg.fabric()
     }
 
     /// Co-advance both halves to `horizon`. Synchronization boundaries
@@ -374,7 +325,7 @@ impl HybridSim {
                     break;
                 }
             }
-            self.eng.run_until(t_next);
+            self.fg.run_until(t_next);
             self.sync_at(t_next)?;
             cursor = t_next;
         }
@@ -422,6 +373,7 @@ impl HybridSim {
     fn sync_at(&mut self, t: SimTime) -> Result<(), FluidError> {
         let t_ps = t.as_ps();
         self.bg.advance_to(t.as_secs_f64())?;
+        let fabric = &mut self.fg.eng.model;
 
         // Foreground membership: admit starts ≤ t, retire finished flows.
         for fl in &mut self.fg_links {
@@ -442,9 +394,7 @@ impl HybridSim {
         while k > 0 {
             k -= 1;
             let s = self.fg_active[k] as usize;
-            let done = self
-                .eng
-                .model
+            let done = fabric
                 .telemetry
                 .flow_record(self.fg_specs[s].id)
                 .is_some_and(|r| r.finish.is_some());
@@ -477,10 +427,8 @@ impl HybridSim {
             let mut measured = fl.last_reserved;
             if dt > 0.0 {
                 let tx = match fl.node {
-                    NodeRef::Host(h) => self.eng.model.host_ports[h.ix()].tx_bytes,
-                    NodeRef::Switch(s) => {
-                        self.eng.model.switches[s.ix()].ports[fl.port as usize].tx_bytes
-                    }
+                    NodeRef::Host(h) => fabric.host_ports[h.ix()].tx_bytes,
+                    NodeRef::Switch(s) => fabric.switches[s.ix()].ports[fl.port as usize].tx_bytes,
                 };
                 measured = (tx - fl.last_tx) as f64 * 8.0 / dt;
                 self.fg_links[i].last_tx = tx;
@@ -528,19 +476,15 @@ impl HybridSim {
                 let full = self.queue_debt * fl.raw_bps / 8.0;
                 let backlog = (full * bg_frac) as u64;
                 if (backlog as f64 - fl.last_backlog as f64).abs() > HYSTERESIS * full {
-                    self.eng.model.set_port_backlog(fl.node, fl.port, backlog);
+                    fabric.set_port_backlog(fl.node, fl.port, backlog);
                     self.fg_links[i].last_backlog = backlog;
                     n_back += 1;
-                    if self.eng.model.telemetry.trace.enabled() {
-                        self.eng
-                            .model
-                            .telemetry
-                            .trace
-                            .record(TraceEvent::HybridBacklog {
-                                t_ps,
-                                link: fl.link,
-                                backlog_bytes: backlog,
-                            });
+                    if fabric.telemetry.trace.enabled() {
+                        fabric.telemetry.trace.record(TraceEvent::HybridBacklog {
+                            t_ps,
+                            link: fl.link,
+                            backlog_bytes: backlog,
+                        });
                     }
                 }
             }
@@ -548,16 +492,12 @@ impl HybridSim {
                 self.bg.reserve(fl.link, target);
                 self.fg_links[i].last_reserved = target;
                 n_res += 1;
-                if self.eng.model.telemetry.trace.enabled() {
-                    self.eng
-                        .model
-                        .telemetry
-                        .trace
-                        .record(TraceEvent::HybridReserve {
-                            t_ps,
-                            link: fl.link,
-                            load_bps: target,
-                        });
+                if fabric.telemetry.trace.enabled() {
+                    fabric.telemetry.trace.record(TraceEvent::HybridReserve {
+                        t_ps,
+                        link: fl.link,
+                        load_bps: target,
+                    });
                 }
             }
         }
@@ -567,19 +507,15 @@ impl HybridSim {
         self.syncs += 1;
         self.reservations += n_res as u64;
         self.backlog_pushes += n_back as u64;
-        let m = &mut self.eng.model.telemetry.metrics;
+        let m = &mut fabric.telemetry.metrics;
         m.inc(self.c_syncs, 1);
         m.inc(self.c_reservations, n_res as u64);
         m.inc(self.c_backlogs, n_back as u64);
-        if self.eng.model.telemetry.trace.enabled() {
-            self.eng
-                .model
-                .telemetry
-                .trace
-                .record(TraceEvent::HybridSync {
-                    t_ps,
-                    reservations: n_res,
-                });
+        if fabric.telemetry.trace.enabled() {
+            fabric.telemetry.trace.record(TraceEvent::HybridSync {
+                t_ps,
+                reservations: n_res,
+            });
         }
         self.last_sync = t;
         Ok(())
@@ -588,10 +524,10 @@ impl HybridSim {
     /// Finish the run: split out both halves' telemetry and the coupling
     /// statistics.
     pub fn into_result(mut self) -> HybridResult {
-        let fg_events = self.eng.events_processed();
+        let fg_events = self.fg.events_processed();
         let single_bottleneck_solves = self.bg.single_bottleneck_solves();
         let peak_bg_active = self.bg.peak_active();
-        let fg = std::mem::replace(&mut self.eng.model.telemetry, Telemetry::new());
+        let fg = std::mem::replace(&mut self.fg.eng.model.telemetry, Telemetry::new());
         let bg = self.bg.into_result();
         HybridResult {
             fg,
@@ -647,13 +583,15 @@ fn newcomer_queue_scale(kind: CcKind) -> f64 {
 mod tests {
     use super::*;
     use fncc_net::ids::{FlowId, HostId};
+    use fncc_net::topology::Topology;
     use fncc_net::units::Bandwidth;
 
     const BW: Bandwidth = Bandwidth::gbps(100);
     const PROP: TimeDelta = TimeDelta::from_ns(1500);
 
-    fn dumbbell(n: u32) -> Topology {
-        Topology::dumbbell(n, 3, BW, PROP)
+    /// A paper-default packet half over an `n`-sender dumbbell.
+    fn fg(n: u32, kind: CcKind, flows: Vec<FlowSpec>) -> SimBuilder {
+        SimBuilder::new(Topology::dumbbell(n, 3, BW, PROP), kind).flows(flows)
     }
 
     fn flow(id: u32, src: u32, dst: u32, size: u64, start_us: u64) -> FlowSpec {
@@ -666,39 +604,6 @@ mod tests {
         }
     }
 
-    /// A pure-DES reference built from the same primitives (no fncc-core
-    /// here: that crate sits above us).
-    fn pure_des(topo: Topology, kind: CcKind, flows: &[FlowSpec], horizon: SimTime) -> Telemetry {
-        let mut fabric_cfg = FabricConfig::paper_default();
-        let line = topo.host_ports[0].bw;
-        let base_rtt = topo.base_rtt(fabric_cfg.mtu, fabric_cfg.ack_base);
-        apply_cc_features(&mut fabric_cfg, kind, line);
-        let cc = make_algo(kind, line, base_rtt);
-        let tcfg = TransportConfig::new(cc);
-        let hosts: Vec<DcHost> = (0..topo.n_hosts)
-            .map(|_| DcHost::new(tcfg.clone()))
-            .collect();
-        let mut fabric = Fabric::new(&topo, fabric_cfg, hosts);
-        for f in flows {
-            fabric.hosts[f.src.ix()].add_flow(f.clone());
-        }
-        let mut eng = Engine::new(fabric);
-        for (t, ev) in eng.model.startup_events() {
-            eng.schedule(t, ev);
-        }
-        for f in flows {
-            eng.schedule(
-                f.start,
-                Ev::HostTimer {
-                    host: f.src,
-                    timer: HostTimer::FlowStart(f.id),
-                },
-            );
-        }
-        eng.run_until(horizon);
-        std::mem::replace(&mut eng.model.telemetry, Telemetry::new())
-    }
-
     fn fcts(t: &Telemetry) -> Vec<(FlowId, Option<SimTime>)> {
         let mut v: Vec<_> = t.flow_records().map(|r| (r.flow, r.finish)).collect();
         v.sort_by_key(|(f, _)| f.0);
@@ -709,23 +614,16 @@ mod tests {
     /// no backlog ever lands on a port, so FCTs match exactly.
     #[test]
     fn empty_background_matches_pure_des() {
-        let fg = vec![flow(0, 0, 2, 500_000, 0), flow(1, 1, 2, 500_000, 10)];
+        let flows = vec![flow(0, 0, 2, 500_000, 0), flow(1, 1, 2, 500_000, 10)];
         let horizon = SimTime::from_ms(2);
-        let want = fcts(&pure_des(dumbbell(3), CcKind::Fncc, &fg, horizon));
-        let mut h = HybridSim::new(
-            dumbbell(3),
-            fg,
-            Vec::new(),
-            RateModel::paper_default(CcKind::Fncc),
-            &[],
-            1,
-            false,
-        )
-        .unwrap();
+        let mut des = fg(3, CcKind::Fncc, flows.clone()).build();
+        des.run_until(horizon);
+        let model = RateModel::paper_default(CcKind::Fncc);
+        let mut h = HybridSim::new(fg(3, CcKind::Fncc, flows), Vec::new(), model).unwrap();
         h.run_until(horizon).unwrap();
         assert!(h.foreground_done());
         let r = h.into_result();
-        assert_eq!(fcts(&r.fg), want);
+        assert_eq!(fcts(&r.fg), fcts(des.telemetry()));
         assert_eq!(r.backlog_pushes, 0, "no background → no shadow queue");
         assert!(r.syncs > 0);
     }
@@ -733,18 +631,9 @@ mod tests {
     /// The coupling emits trace events and metrics when armed.
     #[test]
     fn trace_records_hybrid_events() {
-        let fg = vec![flow(0, 0, 2, 200_000, 0)];
+        let fg = fg(3, CcKind::Fncc, vec![flow(0, 0, 2, 200_000, 0)]).trace(true);
         let bg = vec![flow(100, 1, 2, 12_500_000, 0)];
-        let mut h = HybridSim::new(
-            dumbbell(3),
-            fg,
-            bg,
-            RateModel::paper_default(CcKind::Fncc),
-            &[],
-            1,
-            true,
-        )
-        .unwrap();
+        let mut h = HybridSim::new(fg, bg, RateModel::paper_default(CcKind::Fncc)).unwrap();
         h.run_until(SimTime::from_ms(2)).unwrap();
         let r = h.into_result();
         let kinds: Vec<&str> = r.fg.trace.events().map(|e| e.kind()).collect();
@@ -767,18 +656,13 @@ mod tests {
     #[test]
     fn hybrid_runs_are_deterministic() {
         let run = || {
-            let fg = vec![flow(0, 0, 3, 400_000, 0), flow(1, 1, 3, 300_000, 7)];
+            let fg = fg(
+                4,
+                CcKind::Hpcc,
+                vec![flow(0, 0, 3, 400_000, 0), flow(1, 1, 3, 300_000, 7)],
+            );
             let bg = vec![flow(10, 2, 3, 50_000_000, 0), flow(11, 3, 0, 25_000_000, 3)];
-            let mut h = HybridSim::new(
-                dumbbell(4),
-                fg,
-                bg,
-                RateModel::paper_default(CcKind::Hpcc),
-                &[],
-                1,
-                false,
-            )
-            .unwrap();
+            let mut h = HybridSim::new(fg, bg, RateModel::paper_default(CcKind::Hpcc)).unwrap();
             h.run_until(SimTime::from_ms(6)).unwrap();
             let r = h.into_result();
             (fcts(&r.fg), r.syncs, r.reservations, r.backlog_pushes)
@@ -786,40 +670,23 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// The foreground fabric takes the caller's seed with or without
+    /// The foreground fabric takes the builder's seed with or without
     /// faults. It used to keep the default seed in fault-free runs, so the
     /// ECN-marking streams of DCQCN and Throttle did not vary across a
     /// scenario's `seeds`.
     #[test]
     fn foreground_fabric_is_seeded_without_faults() {
-        let h = HybridSim::new(
-            dumbbell(3),
-            vec![flow(0, 0, 2, 100_000, 0)],
-            Vec::new(),
-            RateModel::paper_default(CcKind::Dcqcn),
-            &[],
-            9,
-            false,
-        )
-        .unwrap();
+        let fg = fg(3, CcKind::Dcqcn, vec![flow(0, 0, 2, 100_000, 0)]).fabric(|f| f.seed = 9);
+        let h = HybridSim::new(fg, Vec::new(), RateModel::paper_default(CcKind::Dcqcn)).unwrap();
         assert_eq!(h.fabric().cfg.seed, 9);
     }
 
     /// run_to_completion drains both halves.
     #[test]
     fn run_to_completion_drains_both_halves() {
-        let fg = vec![flow(0, 0, 2, 100_000, 0)];
+        let fg = fg(3, CcKind::Swift, vec![flow(0, 0, 2, 100_000, 0)]);
         let bg = vec![flow(1, 1, 2, 1_000_000, 0)];
-        let mut h = HybridSim::new(
-            dumbbell(3),
-            fg,
-            bg,
-            RateModel::paper_default(CcKind::Swift),
-            &[],
-            1,
-            false,
-        )
-        .unwrap();
+        let mut h = HybridSim::new(fg, bg, RateModel::paper_default(CcKind::Swift)).unwrap();
         let done = h
             .run_to_completion(TimeDelta::from_us(200), SimTime::from_ms(20))
             .unwrap();

@@ -21,9 +21,12 @@
 //!   traffic + CC + probes + stop condition as a pure value, with a JSON
 //!   file format (`fncc-repro run <file.json>`).
 //! * [`backend`] — the [`backend::Backend`] trait (`run(&Scenario) ->
-//!   RunReport`) implemented by the packet DES engine and the
-//!   `fncc-fluid` flow-level fast path; [`backend::SimBackend`] is the
-//!   thin CLI parser that resolves to one of them.
+//!   RunReport`) implemented by the packet DES engine, the
+//!   `fncc-fluid` flow-level fast path and the hybrid co-simulation;
+//!   [`backend::SimBackend`] is the thin CLI parser that resolves to one
+//!   of them.
+//! * [`hybrid`] — [`hybrid::HybridSim`], the fluid↔packet engine whose
+//!   packet half is a [`sim::SimBuilder`]-built [`sim::Sim`].
 //! * [`report`] — [`report::RunReport`], the single artifact format every
 //!   backend emits (named series + scalars + slowdown rows + JSON writer).
 //! * [`json`] — the dependency-free JSON parser/writer behind both.
@@ -41,6 +44,7 @@
 pub mod analysis;
 pub mod backend;
 pub mod calibration;
+pub mod hybrid;
 pub mod json;
 pub mod metrics;
 pub mod report;

@@ -78,14 +78,6 @@ impl RunReport {
         self.series.iter().find(|s| s.name == name)
     }
 
-    /// All series whose name starts with `prefix`, in insertion order.
-    pub fn series_with_prefix(&self, prefix: &str) -> Vec<&TimeSeries> {
-        self.series
-            .iter()
-            .filter(|s| s.name.starts_with(prefix))
-            .collect()
-    }
-
     /// Flow-count-weighted mean slowdown over all buckets (the
     /// cross-backend comparison metric), if any flows were bucketed.
     pub fn mean_slowdown(&self) -> Option<f64> {

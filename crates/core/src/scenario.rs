@@ -376,22 +376,24 @@ impl TrafficSpec {
     }
 }
 
-/// Per-scheme parameter overrides.
+/// Per-scheme parameter overrides. The packet backend and the hybrid's
+/// packet foreground read the CC knobs; the fluid backend and the hybrid's
+/// fluid background read the calibration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CcOverrides {
     /// Disable LHCS (the Fig. 13 "FNCC without LHCS" ablation). FNCC-only;
-    /// ignored elsewhere.
+    /// ignored elsewhere. Packet and hybrid backends.
     pub disable_lhcs: bool,
     /// FNCC's `All_INT_Table` refresh period in µs; 0 = live reads. The
     /// default 1 µs snapshot is what Fig. 8's management module does and
     /// also de-noises the sender's rate estimates — see `DESIGN.md`.
-    /// FNCC-only; ignored elsewhere.
+    /// FNCC-only; ignored elsewhere. Packet and hybrid backends.
     pub int_refresh_us: u64,
-    /// Measured fluid-model parameters for the fluid backend (`None` =
-    /// the baked-in [`fncc_fluid::RateModel::paper_default`]). Carried
-    /// inline in the scenario file (`overrides.calibration`) so a scenario
-    /// stays a self-contained description; produce a set with
-    /// `fncc-repro calibrate`. The packet backend ignores it.
+    /// Measured fluid-model parameters (`None` = the baked-in
+    /// [`fncc_fluid::RateModel::paper_default`]). Carried inline in the
+    /// scenario file (`overrides.calibration`) so a scenario stays a
+    /// self-contained description; produce a set with `fncc-repro
+    /// calibrate`. Fluid and hybrid backends; the packet backend ignores it.
     pub calibration: Option<fncc_fluid::CalibrationSet>,
 }
 

@@ -11,28 +11,29 @@ use fncc_net::routing::CompiledRoutes;
 use fncc_net::telemetry::{FlowRecord, Telemetry};
 use fncc_net::topology::Topology;
 use fncc_obs::{Profiler, TraceSink};
-use fncc_transport::{DcHost, FlowSpec, HostTimer, RecoveryConfig, TransportConfig};
+use fncc_transport::{
+    apply_cc_features, DcHost, FlowSpec, HostTimer, RecoveryConfig, TransportConfig,
+};
 use std::sync::Arc;
 
-// Scheme wiring moved down into `fncc-transport` so the hybrid backend can
-// build packet hosts without this crate; re-exported here for
-// compatibility.
-pub use fncc_transport::{apply_cc_features, make_algo};
+// Scheme wiring lives beside the host model in `fncc-transport`; the
+// scheme constructor is re-exported for callers of this crate.
+pub use fncc_transport::make_algo;
 
 /// Builder for a complete simulation.
 #[derive(Clone)]
 pub struct SimBuilder {
     pub(crate) topo: Topology,
-    cc: CcAlgo,
-    fabric: FabricConfig,
-    flows: Vec<FlowSpec>,
+    pub(crate) cc: CcAlgo,
+    pub(crate) fabric: FabricConfig,
+    pub(crate) flows: Vec<FlowSpec>,
     ack_every: u32,
     sampling: Option<(TimeDelta, SimTime)>,
     watch_queues: Vec<(SwitchId, u8, String)>,
     watch_utils: Vec<(SwitchId, u8, String)>,
     watch_flows: Vec<(FlowId, String)>,
     watch_cc_rates: Vec<(FlowId, HostId, String)>,
-    trace: bool,
+    pub(crate) trace: bool,
     recovery: Option<RecoveryConfig>,
     partition: Option<(Arc<PartitionMap>, Option<u16>)>,
     /// The topology's forwarding tables, compiled ahead of `build` so that

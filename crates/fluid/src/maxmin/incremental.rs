@@ -247,23 +247,11 @@ impl WaterFiller {
         &self.changed
     }
 
-    /// Links currently crossed by at least one flow (incremental mode).
-    #[inline]
-    pub fn incremental_active_links(&self) -> &[u32] {
-        &self.inc_active
-    }
-
     /// Converged residual capacity of link `l` in incremental mode
     /// (bits/s); near zero means the link is a saturated bottleneck.
     #[inline]
     pub fn link_residual(&self, l: u32) -> f64 {
         self.link_state[l as usize].remaining
-    }
-
-    /// Alive flow count in incremental mode.
-    #[inline]
-    pub fn n_active(&self) -> usize {
-        self.n_alive
     }
 
     /// Slots of the alive flows currently crossing link `l` (incremental

@@ -155,12 +155,6 @@ impl<'a, T> HostCtx<'a, T> {
                 .unwrap_or(0)
     }
 
-    /// True while the first-hop switch has PFC-paused this NIC.
-    #[inline]
-    pub fn nic_paused(&self) -> bool {
-        self.port.paused
-    }
-
     /// The shared packet pool: allocate outgoing frames here.
     #[inline]
     pub fn pool(&mut self) -> &mut PacketPool {

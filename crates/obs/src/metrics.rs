@@ -215,14 +215,6 @@ impl MetricsRegistry {
         self.counters[id.0].1 += by;
     }
 
-    /// Overwrite a counter with an externally-accumulated total (for
-    /// counters that live in hot-path structs and are harvested at
-    /// export time).
-    #[inline]
-    pub fn set_counter(&mut self, id: CounterId, total: u64) {
-        self.counters[id.0].1 = total;
-    }
-
     /// Set a gauge.
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, v: f64) {
@@ -254,11 +246,6 @@ impl MetricsRegistry {
     /// Histograms in registration order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.hists.iter().map(|(n, h)| (n.as_str(), h))
-    }
-
-    /// A histogram by name, if registered.
-    pub fn histogram_by_name(&self, name: &str) -> Option<&Histogram> {
-        self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
 
     /// Fold another registry into this one, matching metrics by name:

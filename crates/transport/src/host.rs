@@ -63,11 +63,6 @@ impl DcHost {
         self.active_incoming
     }
 
-    /// Sender-side window of a flow, if live and window-based.
-    pub fn flow_window(&self, id: FlowId) -> Option<f64> {
-        self.send.get(id).and_then(|sf| sf.cc.window_bytes())
-    }
-
     /// Sender-side pacing rate of a flow, if live.
     pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
         self.send.get(id).map(|sf| sf.cc.pacing_rate_bps())

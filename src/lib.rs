@@ -39,7 +39,6 @@ pub use fncc_cc as cc;
 pub use fncc_core as core;
 pub use fncc_des as des;
 pub use fncc_fluid as fluid;
-pub use fncc_hybrid as hybrid;
 pub use fncc_net as net;
 pub use fncc_transport as transport;
 pub use fncc_workloads as workloads;

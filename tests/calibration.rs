@@ -137,61 +137,6 @@ fn scenario_calibration_override_roundtrips_and_applies() {
     );
 }
 
-/// The backend-level override applies when the scenario carries none, and
-/// the scenario-level one wins when both are present.
-#[test]
-fn backend_level_calibration_yields_to_scenario_level() {
-    let mut halved = CalibrationSet::paper();
-    halved
-        .set(
-            CcKind::Fncc,
-            Calibration {
-                utilization: 0.5,
-                queue_rtts: 0.4,
-            },
-        )
-        .unwrap();
-    let sc = Scenario {
-        stop: StopCondition::Drain { cap_ms: 20 },
-        ..Scenario::new(
-            "backend-cal",
-            TopologySpec::Dumbbell {
-                senders: 2,
-                switches: 3,
-            },
-            TrafficSpec::Incast {
-                receiver: 2,
-                fan_in: 2,
-                size: 1_000_000,
-                waves: 1,
-                gap_us: 0,
-            },
-            CcKind::Fncc,
-        )
-    };
-    let default_mean = FluidBackend::default().run(&sc).mean_slowdown().unwrap();
-    let halved_mean = FluidBackend::with_calibration(halved)
-        .run(&sc)
-        .mean_slowdown()
-        .unwrap();
-    assert!(
-        halved_mean > 1.5 * default_mean,
-        "{halved_mean} vs {default_mean}"
-    );
-
-    // Scenario-level paper calibration overrides the backend's halved one.
-    let mut with_override = sc.clone();
-    with_override.overrides.calibration = Some(CalibrationSet::paper());
-    let overridden = FluidBackend::with_calibration(halved)
-        .run(&with_override)
-        .mean_slowdown()
-        .unwrap();
-    assert!(
-        (overridden - default_mean).abs() < 1e-9,
-        "scenario override must win"
-    );
-}
-
 fn calibration_strategy() -> impl Strategy<Value = Calibration> {
     // Valid parameter space: utilization ∈ (0, 1], queue_rtts ≥ 0 finite.
     (1u32..1001, 0.0f64..64.0).prop_map(|(u, q)| Calibration {

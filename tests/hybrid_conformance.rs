@@ -17,15 +17,14 @@
 //! determinism byte-for-byte (minus the wall-clock `events_per_sec`
 //! scalar, exactly like the packet determinism suite).
 
+use fncc::core::hybrid::HybridSim;
 use fncc::core::{
-    make_algo, run_scenario, ForegroundSpec, PartitionRule, Scenario, SimBackend, SimBuilder,
-    StopCondition, TopologySpec, TrafficSpec,
+    run_scenario, ForegroundSpec, PartitionRule, Scenario, SimBackend, SimBuilder, StopCondition,
+    TopologySpec, TrafficSpec,
 };
-use fncc::hybrid::HybridSim;
 use fncc_cc::CcKind;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_fluid::RateModel;
-use fncc_net::config::FabricConfig;
 use fncc_net::ids::FlowId;
 use fncc_net::telemetry::Telemetry;
 use fncc_transport::FlowSpec;
@@ -101,14 +100,8 @@ fn mean_fct_us(telem: &Telemetry, ids: &[FlowId]) -> f64 {
 /// fidelity — the reference the hybrid engine is judged against).
 fn pure_des_fg_fct(sc: &Scenario, fg_ids: &[FlowId]) -> f64 {
     let (topo, flows) = sc.instance(1);
-    let frames = FabricConfig::paper_default();
-    let base_rtt = topo.base_rtt(frames.mtu, frames.ack_base);
-    let algo = make_algo(sc.cc, sc.link.bandwidth(), base_rtt);
     let horizon = drain_horizon(&flows);
-    let mut sim = SimBuilder::with_algo(topo, algo)
-        .fabric(|f| f.seed = 1)
-        .flows(flows)
-        .build();
+    let mut sim = SimBuilder::new(topo, sc.cc).flows(flows).build();
     sim.run_to_completion(TimeDelta::from_ms(1), horizon);
     mean_fct_us(sim.telemetry(), fg_ids)
 }
@@ -120,8 +113,8 @@ fn hybrid_fg_fct(sc: &Scenario, fg_ids: &[FlowId]) -> f64 {
     let spec = sc.foreground.as_ref().expect("cell declares a partition");
     let (fg, bg) = spec.partition(&flows);
     let horizon = drain_horizon(&flows);
-    let mut sim = HybridSim::new(topo, fg, bg, RateModel::paper_default(sc.cc), &[], 1, false)
-        .expect("hybrid build");
+    let fg = SimBuilder::new(topo, sc.cc).flows(fg);
+    let mut sim = HybridSim::new(fg, bg, RateModel::paper_default(sc.cc)).expect("hybrid build");
     let done = sim
         .run_to_completion(TimeDelta::from_ms(1), horizon)
         .expect("hybrid run");
