@@ -4,17 +4,23 @@
 //! congestion control, probes, stop condition), never *how*. Any
 //! [`crate::backend::Backend`] can execute it: the packet DES replays every
 //! frame, the fluid engine water-fills rates between flow events, and both
-//! produce the same [`crate::report::RunReport`] artifact. Scenarios
-//! serialize to a small JSON format (`fncc-repro run <file.json>`), parsed
-//! and written by [`crate::json`] — see `DESIGN.md` §Scenario files for the
-//! schema and how to add a `TopologySpec`/`TrafficSpec` variant.
+//! produce the same [`crate::report::RunReport`] artifact.
+//!
+//! Here: the schema and what it computes (topologies, flow sets,
+//! partitions). `codec.rs`: the JSON form, one table per tagged kind.
+//! `validate.rs`: [`Scenario::validate`]. A new `TopologySpec` or
+//! `TrafficSpec` variant is its `build` or `flows` arm here, one table line
+//! in `codec.rs` (the build fails until it is there) and its range check in
+//! `validate.rs` — `DESIGN.md` §Adding a `TrafficSpec` / `TopologySpec`
+//! variant.
 
-use crate::json::{num_u64, obj, Json};
+mod codec;
+mod validate;
+
 use fncc_cc::CcKind;
 use fncc_des::time::{SimTime, TimeDelta};
 pub use fncc_net::fault::FaultSpec;
 use fncc_net::ids::{HostId, NodeRef, SwitchId};
-use fncc_net::packet::MAX_HOPS;
 use fncc_net::topology::Topology;
 use fncc_net::units::Bandwidth;
 use fncc_transport::FlowSpec;
@@ -172,17 +178,6 @@ impl TopologySpec {
                 spines,
                 hosts_per_leaf,
             } => Topology::leaf_spine(*leaves, *spines, *hosts_per_leaf, bw, prop),
-        }
-    }
-
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TopologySpec::Dumbbell { .. } => "dumbbell",
-            TopologySpec::Line { .. } => "line",
-            TopologySpec::Star { .. } => "star",
-            TopologySpec::FatTree { .. } => "fat_tree",
-            TopologySpec::LeafSpine { .. } => "leaf_spine",
         }
     }
 }
@@ -363,17 +358,6 @@ impl TrafficSpec {
             _ => vec![10_000, 1_000_000, 1_000_000_000],
         }
     }
-
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TrafficSpec::Elephants { .. } => "elephants",
-            TrafficSpec::Staircase { .. } => "staircase",
-            TrafficSpec::Incast { .. } => "incast",
-            TrafficSpec::Poisson { .. } => "poisson",
-            TrafficSpec::MiceBehindElephants { .. } => "mice_behind_elephants",
-        }
-    }
 }
 
 /// Per-scheme parameter overrides. The packet backend and the hybrid's
@@ -485,16 +469,6 @@ impl PartitionRule {
             PartitionRule::FirstFlows { n } => f.id.0 < *n,
         }
     }
-
-    /// Short description for error messages.
-    fn describe(&self) -> String {
-        match self {
-            PartitionRule::SizeBelow { bytes } => format!("size_below {bytes}"),
-            PartitionRule::ToHosts { hosts } => format!("to_hosts {hosts:?}"),
-            PartitionRule::FlowIds { ids } => format!("flow_ids {ids:?}"),
-            PartitionRule::FirstFlows { n } => format!("first_flows {n}"),
-        }
-    }
 }
 
 /// The hybrid backend's flow partition: which of the scenario's flows run
@@ -514,16 +488,7 @@ impl ForegroundSpec {
 
     /// Split `flows` into `(foreground, background)` preserving order.
     pub fn partition(&self, flows: &[FlowSpec]) -> (Vec<FlowSpec>, Vec<FlowSpec>) {
-        let mut fg = Vec::new();
-        let mut bg = Vec::new();
-        for f in flows {
-            if self.is_foreground(f) {
-                fg.push(f.clone());
-            } else {
-                bg.push(f.clone());
-            }
-        }
-        (fg, bg)
+        flows.iter().cloned().partition(|f| self.is_foreground(f))
     }
 }
 
@@ -674,630 +639,13 @@ impl Scenario {
             _ => switch_hops.first().copied(),
         }
     }
-
-    // ------------------------------------------------------------------
-    // JSON (see DESIGN.md §Scenario files for the schema)
-    // ------------------------------------------------------------------
-
-    /// Serialize to the scenario-file JSON format.
-    pub fn to_json(&self) -> String {
-        let topology = match &self.topology {
-            TopologySpec::Dumbbell { senders, switches } => obj([
-                ("kind", Json::Str("dumbbell".into())),
-                ("senders", Json::Num(*senders as f64)),
-                ("switches", Json::Num(*switches as f64)),
-            ]),
-            TopologySpec::Line { switches, attach } => obj([
-                ("kind", Json::Str("line".into())),
-                ("switches", Json::Num(*switches as f64)),
-                (
-                    "attach",
-                    Json::Arr(attach.iter().map(|&a| Json::Num(a as f64)).collect()),
-                ),
-            ]),
-            TopologySpec::Star { hosts } => obj([
-                ("kind", Json::Str("star".into())),
-                ("hosts", Json::Num(*hosts as f64)),
-            ]),
-            TopologySpec::FatTree { k } => obj([
-                ("kind", Json::Str("fat_tree".into())),
-                ("k", Json::Num(*k as f64)),
-            ]),
-            TopologySpec::LeafSpine {
-                leaves,
-                spines,
-                hosts_per_leaf,
-            } => obj([
-                ("kind", Json::Str("leaf_spine".into())),
-                ("leaves", Json::Num(*leaves as f64)),
-                ("spines", Json::Num(*spines as f64)),
-                ("hosts_per_leaf", Json::Num(*hosts_per_leaf as f64)),
-            ]),
-        };
-        let traffic = match &self.traffic {
-            TrafficSpec::Elephants { join_at_us } => obj([
-                ("kind", Json::Str("elephants".into())),
-                ("join_at_us", num_u64(*join_at_us)),
-            ]),
-            TrafficSpec::Staircase { interval_us } => obj([
-                ("kind", Json::Str("staircase".into())),
-                ("interval_us", num_u64(*interval_us)),
-            ]),
-            TrafficSpec::Incast {
-                receiver,
-                fan_in,
-                size,
-                waves,
-                gap_us,
-            } => obj([
-                ("kind", Json::Str("incast".into())),
-                ("receiver", Json::Num(*receiver as f64)),
-                ("fan_in", Json::Num(*fan_in as f64)),
-                ("size", num_u64(*size)),
-                ("waves", Json::Num(*waves as f64)),
-                ("gap_us", num_u64(*gap_us)),
-            ]),
-            TrafficSpec::Poisson {
-                workload,
-                load,
-                flows,
-            } => obj([
-                ("kind", Json::Str("poisson".into())),
-                ("workload", Json::Str(workload.name().into())),
-                ("load", Json::Num(*load)),
-                ("flows", Json::Num(*flows as f64)),
-            ]),
-            TrafficSpec::MiceBehindElephants {
-                elephants,
-                elephant_size,
-                mice,
-                mouse_size,
-                warmup_us,
-                gap_us,
-            } => obj([
-                ("kind", Json::Str("mice_behind_elephants".into())),
-                ("elephants", Json::Num(*elephants as f64)),
-                ("elephant_size", num_u64(*elephant_size)),
-                ("mice", Json::Num(*mice as f64)),
-                ("mouse_size", num_u64(*mouse_size)),
-                ("warmup_us", num_u64(*warmup_us)),
-                ("gap_us", num_u64(*gap_us)),
-            ]),
-        };
-        let stop = match self.stop {
-            StopCondition::Horizon { us } => {
-                obj([("kind", Json::Str("horizon".into())), ("us", num_u64(us))])
-            }
-            StopCondition::Drain { cap_ms } => obj([
-                ("kind", Json::Str("drain".into())),
-                ("cap_ms", num_u64(cap_ms)),
-            ]),
-        };
-        let mut top: Vec<(String, Json)> = vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("topology".into(), topology),
-            (
-                "link".into(),
-                obj([
-                    ("gbps", num_u64(self.link.gbps)),
-                    ("prop_ns", num_u64(self.link.prop_ns)),
-                ]),
-            ),
-            ("traffic".into(), traffic),
-            ("cc".into(), Json::Str(self.cc.name().into())),
-            ("overrides".into(), {
-                let mut fields = vec![
-                    (
-                        "disable_lhcs".to_string(),
-                        Json::Bool(self.overrides.disable_lhcs),
-                    ),
-                    (
-                        "int_refresh_us".to_string(),
-                        num_u64(self.overrides.int_refresh_us),
-                    ),
-                ];
-                if let Some(cal) = &self.overrides.calibration {
-                    fields.push((
-                        "calibration".to_string(),
-                        crate::calibration::set_to_json(cal),
-                    ));
-                }
-                Json::Obj(fields)
-            }),
-            (
-                "probes".into(),
-                obj([
-                    ("sample_ns", num_u64(self.probes.sample_ns)),
-                    ("congestion_point", Json::Bool(self.probes.congestion_point)),
-                    ("flow_rates", Json::Num(self.probes.flow_rates as f64)),
-                    ("cc_rates", Json::Num(self.probes.cc_rates as f64)),
-                    ("trace", Json::Bool(self.probes.trace)),
-                ]),
-            ),
-        ];
-        if let Some(fg) = &self.foreground {
-            let rules: Vec<Json> = fg
-                .rules
-                .iter()
-                .map(|r| match r {
-                    PartitionRule::SizeBelow { bytes } => obj([
-                        ("kind", Json::Str("size_below".into())),
-                        ("bytes", num_u64(*bytes)),
-                    ]),
-                    PartitionRule::ToHosts { hosts } => obj([
-                        ("kind", Json::Str("to_hosts".into())),
-                        (
-                            "hosts",
-                            Json::Arr(hosts.iter().map(|&h| Json::Num(h as f64)).collect()),
-                        ),
-                    ]),
-                    PartitionRule::FlowIds { ids } => obj([
-                        ("kind", Json::Str("flow_ids".into())),
-                        (
-                            "ids",
-                            Json::Arr(ids.iter().map(|&i| Json::Num(i as f64)).collect()),
-                        ),
-                    ]),
-                    PartitionRule::FirstFlows { n } => obj([
-                        ("kind", Json::Str("first_flows".into())),
-                        ("n", Json::Num(*n as f64)),
-                    ]),
-                })
-                .collect();
-            top.push(("foreground".into(), obj([("rules", Json::Arr(rules))])));
-        }
-        if !self.faults.is_empty() {
-            let faults: Vec<Json> = self
-                .faults
-                .iter()
-                .map(|f| {
-                    let (sw, port) = f.location();
-                    let mut fields = vec![
-                        ("kind".to_string(), Json::Str(f.kind_name().into())),
-                        ("switch".to_string(), Json::Num(sw as f64)),
-                        ("port".to_string(), Json::Num(port as f64)),
-                    ];
-                    match f {
-                        FaultSpec::LinkDown { at_us, .. } | FaultSpec::LinkUp { at_us, .. } => {
-                            fields.push(("at_us".to_string(), num_u64(*at_us)));
-                        }
-                        FaultSpec::LinkDegrade {
-                            from_us,
-                            to_us,
-                            rate_factor,
-                            delay_factor,
-                            ..
-                        } => {
-                            fields.push(("from_us".to_string(), num_u64(*from_us)));
-                            fields.push(("to_us".to_string(), num_u64(*to_us)));
-                            fields.push(("rate_factor".to_string(), Json::Num(*rate_factor)));
-                            fields.push(("delay_factor".to_string(), Json::Num(*delay_factor)));
-                        }
-                        FaultSpec::RandomLoss {
-                            from_us,
-                            to_us,
-                            probability,
-                            ..
-                        } => {
-                            fields.push(("from_us".to_string(), num_u64(*from_us)));
-                            fields.push(("to_us".to_string(), num_u64(*to_us)));
-                            fields.push(("probability".to_string(), Json::Num(*probability)));
-                        }
-                        FaultSpec::StuckPort {
-                            at_us, duration_us, ..
-                        } => {
-                            fields.push(("at_us".to_string(), num_u64(*at_us)));
-                            fields.push(("duration_us".to_string(), num_u64(*duration_us)));
-                        }
-                    }
-                    Json::Obj(fields)
-                })
-                .collect();
-            top.push(("faults".into(), Json::Arr(faults)));
-        }
-        top.push(("stop".into(), stop));
-        top.push((
-            "seeds".into(),
-            Json::Arr(self.seeds.iter().map(|&s| num_u64(s)).collect()),
-        ));
-        if self.threads != 0 {
-            top.push(("threads".into(), num_u64(self.threads as u64)));
-        }
-        Json::Obj(top).to_string_pretty()
-    }
-
-    /// Parse the scenario-file JSON format. `link`, `overrides`, `probes`,
-    /// `stop` and `seeds` are optional and default as in [`Scenario::new`].
-    pub fn from_json(text: &str) -> Result<Scenario, String> {
-        let v = Json::parse(text)?;
-        let str_field = |o: &Json, key: &str| -> Result<String, String> {
-            o.get(key)
-                .and_then(|x| x.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or non-string field '{key}'"))
-        };
-        let u64_field = |o: &Json, key: &str| -> Result<u64, String> {
-            o.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-        };
-        let u32_field = |o: &Json, key: &str| -> Result<u32, String> {
-            u64_field(o, key).and_then(|x| {
-                u32::try_from(x).map_err(|_| format!("field '{key}' out of u32 range"))
-            })
-        };
-
-        // Optional fields: absent takes the default (0 / false unless
-        // given); present but mistyped or out of range is an error.
-        let opt_u64 = |o: &Json, key: &str, default: u64| -> Result<u64, String> {
-            o.get(key).map_or(Ok(default), |_| u64_field(o, key))
-        };
-        let opt_u32 = |o: &Json, key: &str| -> Result<u32, String> {
-            o.get(key).map_or(Ok(0), |_| u32_field(o, key))
-        };
-        let opt_bool = |o: &Json, key: &str| -> Result<bool, String> {
-            o.get(key).map_or(Ok(false), |x| {
-                x.as_bool()
-                    .ok_or_else(|| format!("non-boolean field '{key}'"))
-            })
-        };
-
-        let name = str_field(&v, "name")?;
-
-        let t = v.get("topology").ok_or("missing 'topology'")?;
-        let topology = match str_field(t, "kind")?.as_str() {
-            "dumbbell" => TopologySpec::Dumbbell {
-                senders: u32_field(t, "senders")?,
-                switches: u32_field(t, "switches")?,
-            },
-            "line" => TopologySpec::Line {
-                switches: u32_field(t, "switches")?,
-                attach: t
-                    .get("attach")
-                    .and_then(|a| a.as_arr())
-                    .ok_or("missing 'attach' array")?
-                    .iter()
-                    .map(|x| {
-                        x.as_u64()
-                            .and_then(|v| u32::try_from(v).ok())
-                            .ok_or_else(|| "non-integer attach entry".to_string())
-                    })
-                    .collect::<Result<Vec<u32>, String>>()?,
-            },
-            "star" => TopologySpec::Star {
-                hosts: u32_field(t, "hosts")?,
-            },
-            "fat_tree" => TopologySpec::FatTree {
-                k: u32_field(t, "k")?,
-            },
-            "leaf_spine" => TopologySpec::LeafSpine {
-                leaves: u32_field(t, "leaves")?,
-                spines: u32_field(t, "spines")?,
-                hosts_per_leaf: u32_field(t, "hosts_per_leaf")?,
-            },
-            other => return Err(format!("unknown topology kind '{other}'")),
-        };
-
-        let link = match v.get("link") {
-            None => LinkSpec::default(),
-            Some(l) => LinkSpec {
-                gbps: u64_field(l, "gbps")?,
-                prop_ns: u64_field(l, "prop_ns")?,
-            },
-        };
-
-        let tr = v.get("traffic").ok_or("missing 'traffic'")?;
-        let traffic = match str_field(tr, "kind")?.as_str() {
-            "elephants" => TrafficSpec::Elephants {
-                join_at_us: u64_field(tr, "join_at_us")?,
-            },
-            "staircase" => TrafficSpec::Staircase {
-                interval_us: u64_field(tr, "interval_us")?,
-            },
-            "incast" => TrafficSpec::Incast {
-                receiver: u32_field(tr, "receiver")?,
-                fan_in: u32_field(tr, "fan_in")?,
-                size: u64_field(tr, "size")?,
-                waves: u32_field(tr, "waves")?,
-                gap_us: u64_field(tr, "gap_us")?,
-            },
-            "poisson" => TrafficSpec::Poisson {
-                workload: Workload::parse(&str_field(tr, "workload")?)
-                    .ok_or("unknown workload name")?,
-                load: tr
-                    .get("load")
-                    .and_then(|x| x.as_f64())
-                    .ok_or("missing 'load'")?,
-                flows: u32_field(tr, "flows")?,
-            },
-            "mice_behind_elephants" => TrafficSpec::MiceBehindElephants {
-                elephants: u32_field(tr, "elephants")?,
-                elephant_size: u64_field(tr, "elephant_size")?,
-                mice: u32_field(tr, "mice")?,
-                mouse_size: u64_field(tr, "mouse_size")?,
-                warmup_us: u64_field(tr, "warmup_us")?,
-                gap_us: u64_field(tr, "gap_us")?,
-            },
-            other => return Err(format!("unknown traffic kind '{other}'")),
-        };
-
-        let cc = parse_cc(&str_field(&v, "cc")?).ok_or("unknown cc name")?;
-
-        let overrides = match v.get("overrides") {
-            None => CcOverrides::default(),
-            Some(o) => CcOverrides {
-                disable_lhcs: opt_bool(o, "disable_lhcs")?,
-                int_refresh_us: opt_u64(
-                    o,
-                    "int_refresh_us",
-                    CcOverrides::default().int_refresh_us,
-                )?,
-                calibration: match o.get("calibration") {
-                    None => None,
-                    Some(c) => Some(crate::calibration::set_from_json(c)?),
-                },
-            },
-        };
-
-        let probes = match v.get("probes") {
-            None => ProbeSpec::default(),
-            Some(p) => ProbeSpec {
-                sample_ns: opt_u64(p, "sample_ns", 0)?,
-                congestion_point: opt_bool(p, "congestion_point")?,
-                flow_rates: opt_u32(p, "flow_rates")?,
-                cc_rates: opt_u32(p, "cc_rates")?,
-                trace: opt_bool(p, "trace")?,
-            },
-        };
-
-        let stop = match v.get("stop") {
-            None => StopCondition::Drain { cap_ms: 200 },
-            Some(s) => match str_field(s, "kind")?.as_str() {
-                "horizon" => StopCondition::Horizon {
-                    us: u64_field(s, "us")?,
-                },
-                "drain" => StopCondition::Drain {
-                    cap_ms: u64_field(s, "cap_ms")?,
-                },
-                other => return Err(format!("unknown stop kind '{other}'")),
-            },
-        };
-
-        let seeds = match v.get("seeds") {
-            None => vec![1],
-            Some(s) => s
-                .as_arr()
-                .ok_or("'seeds' must be an array")?
-                .iter()
-                .map(|x| x.as_u64().ok_or_else(|| "non-integer seed".to_string()))
-                .collect::<Result<Vec<u64>, String>>()?,
-        };
-
-        let foreground = match v.get("foreground") {
-            None => None,
-            Some(f) => {
-                let rules = f
-                    .get("rules")
-                    .and_then(|r| r.as_arr())
-                    .ok_or("'foreground' must have a 'rules' array")?;
-                let mut parsed = Vec::with_capacity(rules.len());
-                for r in rules {
-                    let rule = match str_field(r, "kind")?.as_str() {
-                        "size_below" => PartitionRule::SizeBelow {
-                            bytes: u64_field(r, "bytes")?,
-                        },
-                        "to_hosts" => PartitionRule::ToHosts {
-                            hosts: r
-                                .get("hosts")
-                                .and_then(|a| a.as_arr())
-                                .ok_or("missing 'hosts' array in to_hosts rule")?
-                                .iter()
-                                .map(|x| {
-                                    x.as_u64()
-                                        .and_then(|v| u32::try_from(v).ok())
-                                        .ok_or_else(|| "non-integer host id".to_string())
-                                })
-                                .collect::<Result<Vec<u32>, String>>()?,
-                        },
-                        "flow_ids" => PartitionRule::FlowIds {
-                            ids: r
-                                .get("ids")
-                                .and_then(|a| a.as_arr())
-                                .ok_or("missing 'ids' array in flow_ids rule")?
-                                .iter()
-                                .map(|x| {
-                                    x.as_u64()
-                                        .and_then(|v| u32::try_from(v).ok())
-                                        .ok_or_else(|| "non-integer flow id".to_string())
-                                })
-                                .collect::<Result<Vec<u32>, String>>()?,
-                        },
-                        "first_flows" => PartitionRule::FirstFlows {
-                            n: u32_field(r, "n")?,
-                        },
-                        other => return Err(format!("unknown partition rule kind '{other}'")),
-                    };
-                    parsed.push(rule);
-                }
-                Some(ForegroundSpec { rules: parsed })
-            }
-        };
-
-        let faults = match v.get("faults") {
-            None => Vec::new(),
-            Some(f) => {
-                let f64_field = |o: &Json, key: &str| -> Result<f64, String> {
-                    o.get(key)
-                        .and_then(|x| x.as_f64())
-                        .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
-                };
-                let port_field = |o: &Json| -> Result<u8, String> {
-                    u64_field(o, "port").and_then(|x| {
-                        u8::try_from(x).map_err(|_| "field 'port' out of u8 range".to_string())
-                    })
-                };
-                let arr = f.as_arr().ok_or("'faults' must be an array")?;
-                let mut parsed = Vec::with_capacity(arr.len());
-                for item in arr {
-                    let switch = u32_field(item, "switch")?;
-                    let port = port_field(item)?;
-                    let fault = match str_field(item, "kind")?.as_str() {
-                        "link_down" => FaultSpec::LinkDown {
-                            switch,
-                            port,
-                            at_us: u64_field(item, "at_us")?,
-                        },
-                        "link_up" => FaultSpec::LinkUp {
-                            switch,
-                            port,
-                            at_us: u64_field(item, "at_us")?,
-                        },
-                        "link_degrade" => FaultSpec::LinkDegrade {
-                            switch,
-                            port,
-                            from_us: u64_field(item, "from_us")?,
-                            to_us: u64_field(item, "to_us")?,
-                            rate_factor: f64_field(item, "rate_factor")?,
-                            delay_factor: f64_field(item, "delay_factor")?,
-                        },
-                        "random_loss" => FaultSpec::RandomLoss {
-                            switch,
-                            port,
-                            from_us: u64_field(item, "from_us")?,
-                            to_us: u64_field(item, "to_us")?,
-                            probability: f64_field(item, "probability")?,
-                        },
-                        "stuck_port" => FaultSpec::StuckPort {
-                            switch,
-                            port,
-                            at_us: u64_field(item, "at_us")?,
-                            duration_us: u64_field(item, "duration_us")?,
-                        },
-                        other => return Err(format!("unknown fault kind '{other}'")),
-                    };
-                    parsed.push(fault);
-                }
-                parsed
-            }
-        };
-
-        let threads = opt_u32(&v, "threads")?;
-
-        let sc = Scenario {
-            name,
-            topology,
-            link,
-            traffic,
-            cc,
-            overrides,
-            probes,
-            foreground,
-            faults,
-            stop,
-            seeds,
-            threads,
-        };
-        sc.validate()?;
-        Ok(sc)
-    }
-
-    /// Validate the fault list (see [`fncc_net::fault::validate`]) and the
-    /// foreground partition against the scenario's actual flow population
-    /// (first seed). Called by [`Scenario::from_json`] so a bad document
-    /// fails loudly at parse time instead of silently running an empty DES
-    /// half or a fault that never fires. Scenarios without a `foreground`
-    /// block skip the partition checks.
-    pub fn validate(&self) -> Result<(), String> {
-        // Only the chain topologies can outgrow the INT stack: a star has
-        // one switch on a path, a leaf–spine three, a fat-tree five.
-        let hops = match &self.topology {
-            TopologySpec::Dumbbell { switches, .. } => *switches,
-            TopologySpec::Line { switches, attach } => {
-                switches.saturating_sub(attach.iter().copied().min().unwrap_or(0))
-            }
-            _ => 0,
-        };
-        if hops as usize > MAX_HOPS {
-            return Err(format!(
-                "{} topology has a {hops}-switch path, but a frame carries at most \
-                 {MAX_HOPS} INT records: the senders would never see the last hops' \
-                 telemetry — shorten the chain",
-                self.topology.name()
-            ));
-        }
-        if self.has_faults() {
-            fncc_net::fault::validate(&self.faults, &self.topology.build(self.link))?;
-        }
-        let Some(fg) = &self.foreground else {
-            return Ok(());
-        };
-        if fg.rules.is_empty() {
-            return Err(
-                "'foreground.rules' is empty: the hybrid backend needs at least one \
-                 partition rule (size_below | to_hosts | flow_ids | first_flows)"
-                    .into(),
-            );
-        }
-        let n_hosts = self.topology.n_hosts();
-        for rule in &fg.rules {
-            match rule {
-                PartitionRule::SizeBelow { bytes } => {
-                    if *bytes == 0 {
-                        return Err("size_below rule with bytes=0 can never match \
-                                    (the threshold is exclusive)"
-                            .into());
-                    }
-                }
-                PartitionRule::ToHosts { hosts } => {
-                    if hosts.is_empty() {
-                        return Err("to_hosts rule with an empty host list".into());
-                    }
-                    if let Some(&bad) = hosts.iter().find(|&&h| h >= n_hosts) {
-                        return Err(format!(
-                            "to_hosts rule names host {bad} but the topology has \
-                             only {n_hosts} hosts"
-                        ));
-                    }
-                }
-                PartitionRule::FlowIds { ids } => {
-                    if ids.is_empty() {
-                        return Err("flow_ids rule with an empty id list".into());
-                    }
-                }
-                PartitionRule::FirstFlows { n } => {
-                    if *n == 0 {
-                        return Err("first_flows rule with n=0 matches nothing".into());
-                    }
-                }
-            }
-        }
-        let (_, flows) = self.instance(*self.seeds.first().unwrap_or(&1));
-        for rule in &fg.rules {
-            if !flows.iter().any(|f| rule.matches(f)) {
-                return Err(format!(
-                    "partition rule `{}` matches none of the scenario's {} flows; \
-                     the rule is dead — fix it or drop it",
-                    rule.describe(),
-                    flows.len()
-                ));
-            }
-        }
-        let n_fg = flows.iter().filter(|f| fg.is_foreground(f)).count();
-        if n_fg == flows.len() {
-            return Err(format!(
-                "foreground partition matches all {} flows, leaving no background \
-                 for the fluid half — run the packet backend instead",
-                flows.len()
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fncc_net::ids::FlowId;
+    use fncc_net::packet::MAX_HOPS;
 
     fn sample() -> Scenario {
         Scenario {

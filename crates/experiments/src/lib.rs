@@ -14,7 +14,7 @@ pub mod report;
 pub mod scorecard;
 pub mod workload_figs;
 
-use fncc_core::SimBackend;
+use fncc_core::{Scenario, SimBackend, TrafficSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,6 +132,36 @@ impl RunOpts {
             _ => 1200,
         }
     }
+
+    /// Apply `run`'s command-line overrides to a parsed scenario, then
+    /// validate it again: an override can break a document that parsed,
+    /// e.g. a `--flows` count under which a foreground rule matches no
+    /// flow. The error names the flags applied.
+    pub fn apply_run_overrides(&self, sc: &mut Scenario) -> Result<(), String> {
+        let mut flags = Vec::new();
+        if self.trace {
+            sc.probes.trace = true;
+            flags.push("--trace".to_string());
+        }
+        // `--threads N` runs the packet DES sharded over N workers; reports
+        // are byte-identical to the single-engine path at any thread count.
+        if let Some(n) = self.sim_threads {
+            sc.threads = n;
+            flags.push(format!("--threads {n}"));
+        }
+        // `--flows N` scales a Poisson scenario down (or up) without editing
+        // the file: CI smoke-runs the fleet-scale scenarios on every backend
+        // at a size the packet engine can chew through in minutes.
+        if let (Some(n), TrafficSpec::Poisson { flows, .. }) = (self.flows, &mut sc.traffic) {
+            *flows = n;
+            flags.push(format!("--flows {n}"));
+        }
+        if flags.is_empty() {
+            return Ok(());
+        }
+        sc.validate()
+            .map_err(|e| format!("{} leaves the scenario invalid: {e}", flags.join(" ")))
+    }
 }
 
 #[cfg(test)]
@@ -164,6 +194,43 @@ mod tests {
         };
         assert_eq!(o.workload_seeds(), vec![1, 2, 3]);
         assert_eq!(o.workload_flows(), 123);
+    }
+
+    /// `run scenarios/hybrid_incast_fleet.json --flows 5`: the fleet's
+    /// `to_hosts [0]` rule matches none of five flows. Before the
+    /// overrides were validated, the hybrid ran with no foreground.
+    #[test]
+    fn run_overrides_are_validated() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/hybrid_incast_fleet.json"
+        );
+        let fleet = Scenario::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let with = |opts: RunOpts| {
+            let mut sc = fleet.clone();
+            opts.apply_run_overrides(&mut sc).map(|()| sc)
+        };
+        let err = with(RunOpts {
+            flows: Some(5),
+            ..Default::default()
+        })
+        .unwrap_err();
+        assert!(err.starts_with("--flows 5 leaves"), "{err}");
+        assert!(err.contains("to_hosts") && err.contains("none"), "{err}");
+
+        let sc = with(RunOpts {
+            flows: Some(2000),
+            sim_threads: Some(2),
+            trace: true,
+            ..Default::default()
+        })
+        .unwrap();
+        assert!(matches!(
+            sc.traffic,
+            TrafficSpec::Poisson { flows: 2000, .. }
+        ));
+        assert_eq!((sc.threads, sc.probes.trace), (2, true));
+        assert_eq!(with(RunOpts::default()).unwrap(), fleet);
     }
 
     #[test]

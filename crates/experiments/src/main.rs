@@ -176,19 +176,9 @@ fn run_scenario_file(path: &str, opts: &RunOpts) {
             std::process::exit(2);
         }
     };
-    scenario.probes.trace |= opts.trace;
-    // `--threads N` runs the packet DES sharded over N workers; reports
-    // are byte-identical to the single-engine path at any thread count.
-    if let Some(n) = opts.sim_threads {
-        scenario.threads = n;
-    }
-    // `--flows N` scales a Poisson scenario down (or up) without editing
-    // the file: CI smoke-runs the fleet-scale scenarios on every backend
-    // at a size the packet engine can chew through in minutes.
-    if let Some(n) = opts.flows {
-        if let fncc_core::TrafficSpec::Poisson { ref mut flows, .. } = scenario.traffic {
-            *flows = n;
-        }
+    if let Err(e) = opts.apply_run_overrides(&mut scenario) {
+        eprintln!("cannot run {path}: {e}");
+        std::process::exit(2);
     }
     let t0 = Instant::now();
     let trace_path = scenario.probes.trace.then(|| {
