@@ -7,9 +7,14 @@
 //! solver counters. The pinned values were recorded before the solver's
 //! heap and residual solve were reworked, so a refactor is held to the
 //! old bits (tie order included), not to a tolerance.
+//!
+//! The same trace also checks every alive rate after every rebalance
+//! against a one-shot `allocate` over the current capacities, within 1e-9
+//! relative: a change that moves the hashes on purpose (tie order) must
+//! still land on the unique max-min solution at every step.
 
 use fncc_des::time::TimeDelta;
-use fncc_fluid::{LinkMap, Rebalance, WaterFiller};
+use fncc_fluid::{Demand, LinkMap, Rebalance, WaterFiller};
 use fncc_net::ids::{FlowId, HostId};
 use fncc_net::topology::Topology;
 use fncc_net::units::Bandwidth;
@@ -63,6 +68,11 @@ fn churn_trace_on_k8_fat_tree_is_bit_identical() {
     let mut wf = WaterFiller::new(line.len());
     wf.begin_incremental(&line);
     let mut alive: Vec<u32> = Vec::new();
+    // The oracle's view of the same state: each alive slot's path (aligned
+    // with `alive`) and every link's current capacity.
+    let mut paths: Vec<Vec<u32>> = Vec::new();
+    let mut caps = line.clone();
+    let (mut oracle, mut want) = (WaterFiller::new(line.len()), Vec::new());
     macro_rules! add {
         () => {{
             let src = (next() % hosts) as u32;
@@ -73,6 +83,7 @@ fn churn_trace_on_k8_fat_tree_is_bit_identical() {
             lm.path_links_into(&topo, HostId(src), HostId(dst), FlowId(flow_id), &mut path);
             flow_id += 1;
             alive.push(wf.add_flow(&path));
+            paths.push(path.clone());
         }};
     }
     macro_rules! remove {
@@ -80,6 +91,7 @@ fn churn_trace_on_k8_fat_tree_is_bit_identical() {
             if !alive.is_empty() {
                 let ix = (next() % alive.len() as u64) as usize;
                 wf.remove_flow(alive.swap_remove(ix));
+                paths.swap_remove(ix);
             }
         }};
     }
@@ -90,7 +102,8 @@ fn churn_trace_on_k8_fat_tree_is_bit_identical() {
             for _ in 0..$n {
                 let l = (next() % n_links) as usize;
                 let cut = (next() % 5) as f64 * 0.2;
-                wf.set_capacity(l as u32, line[l] * (1.0 - cut).max(0.02));
+                caps[l] = line[l] * (1.0 - cut).max(0.02);
+                wf.set_capacity(l as u32, caps[l]);
             }
         }};
     }
@@ -150,6 +163,22 @@ fn churn_trace_on_k8_fat_tree_is_bit_identical() {
         }
         let kind = wf.rebalance();
         rate_updates += wf.changed().len() as u64;
+        let demands: Vec<Demand<'_>> = paths
+            .iter()
+            .map(|p| Demand {
+                cap: f64::INFINITY,
+                path: p,
+            })
+            .collect();
+        oracle.allocate(&caps, &demands, &mut want);
+        for (&s, &w) in alive.iter().zip(&want) {
+            let got = wf.rate(s);
+            let rel = (got - w).abs() / w.max(f64::MIN_POSITIVE);
+            assert!(
+                rel <= 1e-9,
+                "event {ev}: slot {s} rate {got} vs one-shot {w} (rel {rel:.3e})"
+            );
+        }
         h.word(match kind {
             Rebalance::Noop => 0,
             Rebalance::Incremental => 1,
