@@ -424,29 +424,35 @@ impl HybridSim {
         let mut n_back = 0u32;
         for i in 0..self.fg_links.len() {
             let fl = self.fg_links[i];
-            let mut measured = fl.last_reserved;
-            if dt > 0.0 {
-                let tx = match fl.node {
-                    NodeRef::Host(h) => fabric.host_ports[h.ix()].tx_bytes,
-                    NodeRef::Switch(s) => fabric.switches[s.ix()].ports[fl.port as usize].tx_bytes,
-                };
-                measured = (tx - fl.last_tx) as f64 * 8.0 / dt;
-                self.fg_links[i].last_tx = tx;
-            }
-            let w_bg = self
-                .bg
-                .ramped_weight_on(fl.link, now_s, self.ramp, RAMP_FLOOR);
             let w_fg = self.fg_w[i];
+            // A link no foreground flow crosses reserves nothing, so it
+            // reads neither its port counter nor the background's weight.
+            // Its `last_tx` goes stale, which is harmless: the sync that
+            // next admits a flow onto it is `fresh` and ignores the
+            // measurement.
             let target = if fl.n_fg == 0 {
                 0.0
             } else {
-                let cap = if w_fg + w_bg > 0.0 {
-                    fl.raw_bps * w_fg / (w_fg + w_bg)
-                } else {
-                    fl.raw_bps
-                };
+                let mut measured = fl.last_reserved;
+                if dt > 0.0 {
+                    let tx = match fl.node {
+                        NodeRef::Host(h) => fabric.host_ports[h.ix()].tx_bytes,
+                        NodeRef::Switch(s) => {
+                            fabric.switches[s.ix()].ports[fl.port as usize].tx_bytes
+                        }
+                    };
+                    measured = (tx - fl.last_tx) as f64 * 8.0 / dt;
+                    self.fg_links[i].last_tx = tx;
+                }
                 if fl.fresh {
-                    cap
+                    let w_bg = self
+                        .bg
+                        .ramped_weight_on(fl.link, now_s, self.ramp, RAMP_FLOOR);
+                    if w_fg + w_bg > 0.0 {
+                        fl.raw_bps * w_fg / (w_fg + w_bg)
+                    } else {
+                        fl.raw_bps
+                    }
                 } else {
                     // The foreground takes what its CC earns against the
                     // shadow queue; reserve exactly that so the fluid half
@@ -465,13 +471,26 @@ impl HybridSim {
                 // floor: a newborn flow claims bandwidth immediately (its
                 // initial window is in flight) but its standing-queue
                 // contribution starts empty and builds over the ramp.
-                let qw_bg = self
-                    .bg
-                    .ramped_queue_weight_on(fl.link, now_s, self.ramp, 0.0);
-                let bg_frac = if qw_bg > 0.0 {
-                    qw_bg / (qw_bg + w_fg)
+                let bg_frac = if fl.n_fg == 0 {
+                    // No foreground weight (every live flow weighs at
+                    // least RAMP_FLOOR, so w_fg is 0 exactly when n_fg is):
+                    // the background holds the whole queue or none of it,
+                    // and only the sign of its weight matters.
+                    const _: () = assert!(RAMP_FLOOR > 0.0);
+                    if self.bg.queue_forms_on(fl.link, now_s, self.ramp) {
+                        1.0
+                    } else {
+                        0.0
+                    }
                 } else {
-                    0.0
+                    let qw_bg = self
+                        .bg
+                        .ramped_queue_weight_on(fl.link, now_s, self.ramp, 0.0);
+                    if qw_bg > 0.0 {
+                        qw_bg / (qw_bg + w_fg)
+                    } else {
+                        0.0
+                    }
                 };
                 let full = self.queue_debt * fl.raw_bps / 8.0;
                 let backlog = (full * bg_frac) as u64;

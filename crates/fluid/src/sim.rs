@@ -987,24 +987,42 @@ impl BackgroundFluid {
     /// these flows only — summing over every contended link would count
     /// one queue several times along a shared path.
     pub fn ramped_queue_weight_on(&self, l: u32, now: f64, ramp: f64, floor: f64) -> f64 {
-        if !self.filler.is_active(l) {
-            return 0.0;
+        self.queue_weights_on(l, now, ramp, floor)
+            .map_or(0.0, |w| w.sum())
+    }
+
+    /// Whether [`Self::ramped_queue_weight_on`] with a zero floor is
+    /// positive: some flow whose first saturated link is `l` is older than
+    /// `now`. Stops at the first such flow. A flow admitted at `now`
+    /// weighs 0 and does not count.
+    pub fn queue_forms_on(&self, l: u32, now: f64, ramp: f64) -> bool {
+        self.queue_weights_on(l, now, ramp, 0.0)
+            .is_some_and(|mut w| w.any(|x| x > 0.0))
+    }
+
+    /// Each flow's term of [`Self::ramped_queue_weight_on`] (0 for a flow
+    /// whose queue forms elsewhere), or `None` when `l` is idle or not
+    /// saturated.
+    fn queue_weights_on(
+        &self,
+        l: u32,
+        now: f64,
+        ramp: f64,
+        floor: f64,
+    ) -> Option<impl Iterator<Item = f64> + '_> {
+        let sat =
+            move |k: u32| self.filler.link_residual(k) <= 0.01 * self.eff_capacity[k as usize];
+        if !self.filler.is_active(l) || !sat(l) {
+            return None;
         }
-        let sat = |k: u32| self.filler.link_residual(k) <= 0.01 * self.eff_capacity[k as usize];
-        if !sat(l) {
-            return 0.0;
-        }
-        self.filler
-            .link_flows(l)
-            .map(|slot| {
-                let first = self.filler.path(slot).iter().copied().find(|&k| sat(k));
-                if first != Some(l) {
-                    return 0.0;
-                }
-                let age = (now - self.slots[slot as usize].t_start).max(0.0);
-                (floor + age / ramp).min(1.0)
-            })
-            .sum()
+        Some(self.filler.link_flows(l).map(move |slot| {
+            let first = self.filler.path(slot).iter().copied().find(|&k| sat(k));
+            if first != Some(l) {
+                return 0.0;
+            }
+            let age = (now - self.slots[slot as usize].t_start).max(0.0);
+            (floor + age / ramp).min(1.0)
+        }))
     }
 
     /// Age-weighted flow count on link `l` — the background's effective
@@ -1804,6 +1822,62 @@ mod tests {
         let res = bg.into_result();
         let rec = res.telemetry.flow_records().next().unwrap();
         assert!(rec.finish.is_some());
+    }
+
+    /// `queue_forms_on` is the sign of `ramped_queue_weight_on` with a zero
+    /// floor, on every link of random fluid states: arrivals on a coarse
+    /// grid (so the clock often sits on a flow's admission instant, where
+    /// that flow weighs 0), random reservations, and `now` both at the
+    /// clock and just past it.
+    #[test]
+    fn queue_forms_on_is_the_sign_of_the_queue_weight() {
+        let mut seed = 0x0BAC_6120_05EE_D001u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let ramp = 20e-6;
+        let (mut forming, mut newborn_only) = (0u32, 0u32);
+        for _ in 0..24 {
+            let topo = Topology::fat_tree(4, BW, PROP);
+            let hosts = topo.n_hosts as u64;
+            let flows: Vec<FlowSpec> = (0..10 + next() % 40)
+                .map(|id| {
+                    let src = next() % hosts;
+                    let dst = (src + 1 + next() % (hosts - 1)) % hosts;
+                    let size = 10_000 + next() % 3_000_000;
+                    flow(id as u32, src as u32, dst as u32, size, 5 * (next() % 20))
+                })
+                .collect();
+            let mut bg =
+                BackgroundFluid::new(topo, RateModel::ideal(), Framing::default(), flows, false)
+                    .unwrap();
+            let n_links = bg.link_map().len() as u64;
+            for step in 0..24u64 {
+                for _ in 0..next() % 3 {
+                    let l = (next() % n_links) as u32;
+                    bg.reserve(l, (next() % 4) as f64 * 0.25 * BW.as_f64());
+                }
+                bg.advance_to(step as f64 * 5e-6).unwrap();
+                for now in [bg.now(), bg.now() + 1e-9] {
+                    for l in 0..n_links as u32 {
+                        let weight = bg.ramped_queue_weight_on(l, now, ramp, 0.0);
+                        assert_eq!(bg.queue_forms_on(l, now, ramp), weight > 0.0, "link {l}");
+                        if bg.ramped_queue_weight_on(l, now, ramp, 1.0) > 0.0 {
+                            forming += 1;
+                            newborn_only += (weight == 0.0) as u32;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            forming > 5000,
+            "queue-forming links barely exercised: {forming}"
+        );
+        assert!(newborn_only > 100, "newborn-only links: {newborn_only}");
     }
 
     /// Reserving the entire link floors the background at a sliver
