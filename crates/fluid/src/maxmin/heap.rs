@@ -1,4 +1,5 @@
-//! The lazy min-heap of `(saturation level, link)` both solvers share.
+//! The lazy min-heap of `(saturation level, link)` both solvers share (the
+//! residual solve keeps a second one of `(cap, flow)`).
 //!
 //! Equal keys are the common case on uniform fabrics, and which of two
 //! tied links pops first decides which one labels the freeze round
@@ -32,11 +33,22 @@ impl LazyHeap {
         self.items.first()
     }
 
-    /// Append without restoring heap order; [`Self::heapify`] must run
-    /// before the next `push`/`pop`.
+    /// Replace the contents with the kept ones of `n` candidates, in
+    /// order, and heapify: `entry(i)` gives candidate `i` and whether to
+    /// keep it. Every candidate is written and the flag only advances the
+    /// length, so a flag that is hard to predict costs no branch.
     #[inline]
-    pub(super) fn push_unordered(&mut self, key: f64, l: u32) {
-        self.items.push((key, l));
+    pub(super) fn refill(&mut self, n: usize, mut entry: impl FnMut(usize) -> ((f64, u32), bool)) {
+        self.items.clear();
+        self.items.resize(n, (0.0, 0));
+        let mut len = 0;
+        for i in 0..n {
+            let (item, keep) = entry(i);
+            self.items[len] = item;
+            len += keep as usize;
+        }
+        self.items.truncate(len);
+        self.heapify();
     }
 
     /// Sift-up carrying the new entry in a register: parents strictly
@@ -101,7 +113,7 @@ impl LazyHeap {
     /// Floyd heapify over the whole buffer (O(n), vs n log n pushes).
     /// Entries here stop after a level or two, so the sift stays top-down;
     /// it carries the entry instead of swapping it down.
-    pub(super) fn heapify(&mut self) {
+    fn heapify(&mut self) {
         let h = self.items.as_mut_slice();
         let n = h.len();
         for start in (0..n / 2).rev() {
@@ -225,15 +237,14 @@ mod tests {
                     }
                     _ => {
                         // The residual solve's seeding: refill, heapify.
-                        new.clear();
+                        let candidates: Vec<((f64, u32), bool)> = (0..next() % 130)
+                            .map(|i| ((key(next()), id + i as u32), next() % 3 != 0))
+                            .collect();
+                        id += candidates.len() as u32;
+                        new.refill(candidates.len(), |i| candidates[i]);
                         old.heap.clear();
-                        for _ in 0..next() % 130 {
-                            let k = key(next());
-                            new.push_unordered(k, id);
-                            old.heap.push((k, id));
-                            id += 1;
-                        }
-                        new.heapify();
+                        old.heap
+                            .extend(candidates.iter().filter(|c| c.1).map(|c| c.0));
                         old.heapify();
                     }
                 }

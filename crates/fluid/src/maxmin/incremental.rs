@@ -363,6 +363,13 @@ impl WaterFiller {
     /// progressive filling as the one-shot oracle, over dense per-event
     /// CSR scratch. Updates rates, link residuals and binding levels in
     /// place.
+    ///
+    /// A link exactly one residual flow crosses saturates at its headroom
+    /// until that flow freezes, whatever the water level: it is a rate cap
+    /// on the flow, not a competitor. Such links stay out of the link
+    /// heap; each flow's least one-user headroom goes into a cap heap
+    /// instead, and a binding cap writes its link's level as the link
+    /// would have.
     fn solve_residual(&mut self) {
         let (epoch, rid, stride) = (self.res_epoch, self.rebalance_id, self.hop_stride);
         // Borrow every array once: the loops below index plain slices
@@ -379,6 +386,9 @@ impl WaterFiller {
             link_flows,
             frozen,
             heap,
+            caps,
+            one_user,
+            cap_of,
             inv,
             ..
         } = self;
@@ -451,15 +461,31 @@ impl WaterFiller {
         frozen.clear();
         frozen.resize(m, false);
         let frozen = frozen.as_mut_slice();
-        heap.clear();
-        for &l in res_links {
+        // Shared links seed the link heap; each one-user link is listed
+        // with its flow (its slice's only entry). Both are written for
+        // every link and kept by a flag, so the mix costs no branch.
+        one_user.clear();
+        one_user.resize(res_links.len(), (0, 0.0));
+        let mut n_one = 0;
+        heap.refill(res_links.len(), |i| {
+            let l = res_links[i];
             let k = &link[l as usize];
             link_state[l as usize].level = f64::INFINITY;
-            if k.users > 0 {
-                heap.push_unordered(k.rem.max(0.0) * recip(inv, k.users), l);
-            }
+            one_user[n_one] = (link_flows[k.cursor as usize - 1], k.rem);
+            n_one += (k.users == 1) as usize;
+            ((k.rem.max(0.0) * recip(inv, k.users), l), k.users > 1)
+        });
+        // A flow's cap: the least headroom among its one-user links.
+        cap_of.clear();
+        cap_of.resize(m, f64::INFINITY);
+        for &(f, rem) in &one_user[..n_one] {
+            let cap = &mut cap_of[f as usize];
+            *cap = if rem < *cap { rem } else { *cap };
         }
-        heap.heapify();
+        caps.refill(m, |ci| {
+            let cap = cap_of[ci];
+            ((cap.max(0.0), ci as u32), cap < f64::INFINITY)
+        });
 
         let mut unfrozen = m;
 
@@ -472,45 +498,105 @@ impl WaterFiller {
             }
         };
 
+        macro_rules! freeze_flow {
+            ($f:expr, $level:expr) => {{
+                let f = $f as usize;
+                if !frozen[f] {
+                    frozen[f] = true;
+                    slots[changed[f] as usize].rate = $level;
+                    unfrozen -= 1;
+                    for &l2 in &res_path[res_off[f] as usize..res_off[f + 1] as usize] {
+                        link[l2 as usize].rem -= $level;
+                        link[l2 as usize].users -= 1;
+                    }
+                }
+            }};
+        }
+
         macro_rules! freeze_link {
             ($l:expr, $level:expr) => {{
                 let l = $l as usize;
                 link_state[l].level = $level;
                 let (begin, end) = (link[l].cursor - link[l].count, link[l].cursor);
                 for &f in &link_flows[begin as usize..end as usize] {
-                    let f = f as usize;
-                    if !frozen[f] {
-                        frozen[f] = true;
-                        slots[changed[f] as usize].rate = $level;
-                        unfrozen -= 1;
-                        for &l2 in &res_path[res_off[f] as usize..res_off[f + 1] as usize] {
-                            link[l2 as usize].rem -= $level;
-                            link[l2 as usize].users -= 1;
-                        }
-                    }
+                    freeze_flow!(f, $level);
+                }
+            }};
+        }
+
+        // A cap `key` binds only if its flow is still unfrozen. The first
+        // one-user link on the path with that headroom then records the
+        // level, exactly as it would have popped from the link heap (an
+        // unfrozen flow's one-user links still hold their seeded headroom).
+        macro_rules! freeze_cap {
+            ($ci:expr, $key:expr, $level:expr) => {{
+                let ci = $ci as usize;
+                if !frozen[ci] {
+                    let path = &res_path[res_off[ci] as usize..res_off[ci + 1] as usize];
+                    let l = path
+                        .iter()
+                        .find(|&&l| {
+                            let k = &link[l as usize];
+                            k.count == 1 && k.rem.max(0.0) == $key
+                        })
+                        .expect("a cap is one of its flow's link headrooms");
+                    link_state[*l as usize].level = $level;
+                    freeze_flow!(ci, $level);
                 }
             }};
         }
 
         while unfrozen > 0 {
+            // The next round's level: the least link level, or the least
+            // cap of an unfrozen flow when that is strictly lower. Link
+            // keys and cap keys are lower bounds, so a link whose key
+            // exceeds the top cap is not popped, and a frozen flow's cap
+            // is popped only when it would otherwise win.
             let mut min_link: Option<(f64, u32)> = None;
-            while let Some((key, l)) = heap.pop() {
-                let fresh = fill(&link[l as usize]);
-                if fresh.is_infinite() {
-                    continue;
+            let bound = loop {
+                let cap = caps.first().map_or(f64::INFINITY, |&(c, _)| c);
+                if min_link.is_none() {
+                    while let Some(&(key, l)) = heap.first() {
+                        if key > cap {
+                            break;
+                        }
+                        heap.pop();
+                        let fresh = fill(&link[l as usize]);
+                        if fresh.is_infinite() {
+                            continue;
+                        }
+                        if fresh <= key * (1.0 + TIE_REL)
+                            || heap.first().is_none_or(|&(next, _)| fresh <= next)
+                        {
+                            min_link = Some((fresh, l));
+                            break;
+                        }
+                        heap.push(fresh, l);
+                    }
                 }
-                if fresh <= key * (1.0 + TIE_REL)
-                    || heap.first().is_none_or(|&(next, _)| fresh <= next)
-                {
-                    min_link = Some((fresh, l));
-                    break;
+                match (min_link, caps.first()) {
+                    (Some((level, l)), _) if level <= cap => {
+                        freeze_link!(l, level);
+                        break Some(level);
+                    }
+                    (_, Some(&(c, ci))) => {
+                        caps.pop();
+                        if frozen[ci as usize] {
+                            continue;
+                        }
+                        if let Some((level, l)) = min_link {
+                            heap.push(level, l);
+                        }
+                        freeze_cap!(ci, c, c);
+                        break Some(c);
+                    }
+                    (_, None) => break None,
                 }
-                heap.push(fresh, l);
-            }
-            match min_link {
-                Some((level, l)) => {
+            };
+            match bound {
+                Some(level) => {
+                    // Drain every link and cap tied with the round's level.
                     let tie = level * (1.0 + TIE_REL) + 1e-30;
-                    freeze_link!(l, level);
                     while let Some(&(key, l2)) = heap.first() {
                         if key > tie {
                             break;
@@ -525,6 +611,13 @@ impl WaterFiller {
                         } else {
                             heap.push(fresh, l2);
                         }
+                    }
+                    while let Some(&(c, ci)) = caps.first() {
+                        if c > tie {
+                            break;
+                        }
+                        caps.pop();
+                        freeze_cap!(ci, c, level);
                     }
                 }
                 None => {

@@ -150,6 +150,13 @@ pub struct WaterFiller {
     active_links: Vec<u32>,
     /// Lazy min-heap of `(saturation level, link)`.
     heap: LazyHeap,
+    /// Residual solve: min-heap of `(cap, residual flow)`, a flow's cap
+    /// being the least headroom among the links no other residual flow
+    /// crosses; built from the `(flow, headroom)` of each such link and
+    /// each flow's least one.
+    caps: LazyHeap,
+    one_user: Vec<(u32, f64)>,
+    cap_of: Vec<f64>,
     frozen: Vec<bool>,
     by_cap: Vec<u32>,
 

@@ -634,3 +634,147 @@ fn random_demands_stay_feasible_and_pareto() {
         );
     }
 }
+
+/// Alive `(slot, path)` pairs for `paths`, added in order; one rebalance.
+fn incremental(caps: &[f64], paths: &[&[u32]]) -> (WaterFiller, Vec<(u32, Vec<u32>)>) {
+    let mut wf = WaterFiller::new(caps.len());
+    wf.begin_incremental(caps);
+    let alive = paths.iter().map(|p| (wf.add_flow(p), p.to_vec())).collect();
+    wf.rebalance();
+    (wf, alive)
+}
+
+#[test]
+fn one_user_link_binds_as_a_cap_and_records_its_level() {
+    // Flow a crosses its private link 0 (3) and link 1 (10), shared with
+    // b: link 0 caps a at 3 below link 1's level of 5, then b takes 7.
+    // Six flows on link 2 keep the later delta under the full fallback.
+    let caps = [3.0, 10.0, 60.0];
+    let (mut wf, mut alive) =
+        incremental(&caps, &[&[0, 1], &[1], &[2], &[2], &[2], &[2], &[2], &[2]]);
+    assert_matches_oracle(&wf, &caps, &alive, "cap binds");
+    assert_eq!(wf.rate(alive[0].0), 3.0);
+    assert_eq!(wf.rate(alive[1].0), 7.0);
+    assert_eq!(wf.link_state[0].level, 3.0, "the cap's link binds a");
+    assert_eq!(wf.link_state[1].level, 7.0);
+    // A second flow on link 0 turns the cap into a shared link: the warm
+    // start re-solves a, and b through link 1's recorded level.
+    let p = vec![0u32];
+    alive.push((wf.add_flow(&p), p));
+    assert_eq!(wf.rebalance(), Rebalance::Incremental);
+    assert_matches_oracle(&wf, &caps, &alive, "cap link shared");
+    assert_eq!(wf.rate(alive[1].0), 8.5);
+    assert_eq!(wf.rate(alive[8].0), 1.5);
+}
+
+#[test]
+fn one_user_link_tied_with_a_shared_link_freezes_once_at_the_level() {
+    // Link 0 (5) is a's alone; link 1 (10) is shared by a and b, so both
+    // bind at exactly 5. On an exact tie the shared link records the
+    // round and the cap, whose flow is frozen by then, records nothing.
+    let caps = [5.0, 10.0];
+    let (mut wf, mut alive) = incremental(&caps, &[&[0, 1], &[1]]);
+    assert_matches_oracle(&wf, &caps, &alive, "tie");
+    assert_eq!(wf.rate(alive[0].0), 5.0);
+    assert_eq!(wf.rate(alive[1].0), 5.0);
+    assert_eq!(wf.link_state[1].level, 5.0);
+    assert_eq!(wf.link_state[0].level, f64::INFINITY);
+    // b leaves: a stays capped at 5 by link 0.
+    let (b, _) = alive.pop().unwrap();
+    wf.remove_flow(b);
+    wf.rebalance();
+    assert_matches_oracle(&wf, &caps, &alive, "tie partner left");
+    assert_eq!(wf.rate(alive[0].0), 5.0);
+    // Raising link 0 lets a climb to link 1's capacity.
+    let caps = [8.0, 10.0];
+    wf.set_capacity(0, 8.0);
+    wf.rebalance();
+    assert_matches_oracle(&wf, &caps, &alive, "cap raised");
+    assert_eq!(wf.rate(alive[0].0), 8.0);
+}
+
+#[test]
+fn equal_one_user_links_cap_the_flow_once() {
+    // a crosses private links 0 and 1 (both 4) and link 2 (10), shared
+    // with b. The first of the equal caps on a's path records the level.
+    let caps = [4.0, 4.0, 10.0];
+    let (mut wf, alive) = incremental(&caps, &[&[0, 1, 2], &[2]]);
+    assert_matches_oracle(&wf, &caps, &alive, "equal caps");
+    assert_eq!(wf.rate(alive[0].0), 4.0);
+    assert_eq!(wf.rate(alive[1].0), 6.0);
+    assert_eq!(wf.link_state[0].level, 4.0);
+    assert_eq!(wf.link_state[1].level, f64::INFINITY);
+    // Raising the recorded link leaves the other one binding a at 4.
+    let caps = [6.0, 4.0, 10.0];
+    wf.set_capacity(0, 6.0);
+    wf.rebalance();
+    assert_matches_oracle(&wf, &caps, &alive, "recorded cap raised");
+    assert_eq!(wf.rate(alive[0].0), 4.0);
+    assert_eq!(wf.link_state[1].level, 4.0);
+}
+
+#[test]
+fn cap_heavy_full_solves_match_oracle() {
+    // Every flow has its own source and destination links (the fleet's
+    // host links: one user each, so every flow carries a cap) and crosses
+    // one of a few shared core links. Host capacities spread around the
+    // core shares, so caps and core links both bind, in every order.
+    let mut seed = 0xCA95_0F10_5EED_0042u64;
+    let mut next = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    };
+    let (n, cores) = (120usize, 6usize);
+    let mut caps: Vec<f64> = (0..cores).map(|_| (200 + next() % 400) as f64).collect();
+    caps.extend((0..2 * n).map(|_| (5 + next() % 60) as f64));
+    let mut wf = WaterFiller::new(caps.len());
+    wf.begin_incremental(&caps);
+    let mut alive: Vec<(u32, Vec<u32>)> = (0..n)
+        .map(|i| {
+            let p = vec![
+                (cores + i) as u32,
+                (i % cores) as u32,
+                (cores + n + i) as u32,
+            ];
+            (wf.add_flow(&p), p)
+        })
+        .collect();
+    assert_eq!(wf.rebalance(), Rebalance::Full);
+    assert_matches_oracle(&wf, &caps, &alive, "cold");
+    let host_bound = (cores..caps.len())
+        .filter(|&l| wf.link_state[l].level.is_finite())
+        .count();
+    let core_bound = (0..cores)
+        .filter(|&l| wf.link_state[l].level.is_finite())
+        .count();
+    assert!(
+        host_bound > 10 && core_bound > 0,
+        "{host_bound} caps, {core_bound} cores bound"
+    );
+    // Churn: every tenth event re-sets every core link, which trips the
+    // full fallback; the rest move a few links and take the warm start.
+    for ev in 0..60 {
+        let moved: Vec<usize> = if ev % 10 == 0 {
+            (0..cores).collect()
+        } else {
+            (0..1 + next() % 3)
+                .map(|_| (next() % caps.len() as u64) as usize)
+                .collect()
+        };
+        for l in moved {
+            caps[l] = (5 + next() % 400) as f64;
+            wf.set_capacity(l as u32, caps[l]);
+        }
+        if next() % 2 == 0 {
+            let (s, p) = alive.swap_remove((next() % alive.len() as u64) as usize);
+            wf.remove_flow(s);
+            alive.push((wf.add_flow(&p), p));
+        }
+        wf.rebalance();
+        assert_matches_oracle(&wf, &caps, &alive, &format!("event {ev}"));
+    }
+    let (full, inc) = wf.solve_stats();
+    assert!(full > 1 && inc > 10, "{full} full, {inc} incremental");
+}

@@ -4,9 +4,11 @@
 //! `set_capacity` on several links per event, the hybrid driver's delta
 //! shape — is hashed after every rebalance: every alive slot's rate bits,
 //! every active link's residual bits, the rebalance outcome and the
-//! solver counters. The pinned values were recorded before the solver's
-//! heap and residual solve were reworked, so a refactor is held to the
-//! old bits (tie order included), not to a tolerance.
+//! solver counters. A refactor is held to these bits (tie order included),
+//! not to a tolerance. They were last re-recorded when the residual solve
+//! began treating links that one residual flow crosses as per-flow rate
+//! caps: which of several links tied at one level records it moved, and
+//! with it the recruit sets and the last bits of some residuals.
 //!
 //! The same trace also checks every alive rate after every rebalance
 //! against a one-shot `allocate` over the current capacities, within 1e-9
@@ -26,15 +28,15 @@ const EVENTS: usize = 4000;
 /// `(events done, running hash)` checkpoints; the last entry is the pin
 /// the issue asks for, the earlier ones localize a divergence.
 const PINNED: [(usize, u64); 4] = [
-    (250, 9946324545184388432),
-    (1000, 13636977667320821553),
-    (2500, 12606380795706549440),
-    (EVENTS, 4562624366138563795),
+    (250, 14276990675795233676),
+    (1000, 1480954020592396009),
+    (2500, 14082181866403600958),
+    (EVENTS, 3936027100476816857),
 ];
 /// `(full, incremental, single-bottleneck)` solves over the whole trace.
 const PINNED_SOLVES: (u64, u64, u64) = (44, 3823, 2);
 /// Σ `changed().len()` over the whole trace (the run's `rate_updates`).
-const PINNED_RATE_UPDATES: u64 = 88542;
+const PINNED_RATE_UPDATES: u64 = 88447;
 
 struct Fnv(u64);
 
