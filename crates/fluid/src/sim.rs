@@ -281,8 +281,8 @@ pub struct FluidResult {
     pub telemetry: Telemetry,
     /// Max-min re-allocations performed (the event count).
     pub reallocations: u64,
-    /// Peak number of concurrently active flows, sampled as flows are
-    /// admitted (flows a link-up revives count from the next admission).
+    /// Peak number of concurrently active flows, sampled at the end of
+    /// every event instant (flows a link-up revives included).
     pub peak_active: usize,
     /// Simulated instant the last flow completed.
     pub horizon: SimTime,
@@ -639,7 +639,7 @@ impl BackgroundFluid {
     }
 
     /// Peak number of concurrently active background flows so far
-    /// (sampled as flows are admitted).
+    /// (sampled at the end of every event instant).
     #[inline]
     pub fn peak_active(&self) -> usize {
         self.peak_active
@@ -716,6 +716,9 @@ impl BackgroundFluid {
         }
         self.apply_due_faults();
         self.admit_due();
+        // Once per instant, after faults and arrivals, so flows a link-up
+        // revived count as arrivals do.
+        self.peak_active = self.peak_active.max(self.active.len());
         Ok(true)
     }
 
@@ -1129,7 +1132,6 @@ impl BackgroundFluid {
             self.active.push(slot);
             self.place(slot, st);
             self.needs_resolve = true;
-            self.peak_active = self.peak_active.max(self.active.len());
         }
     }
 
@@ -1688,6 +1690,21 @@ mod tests {
         // Born at 200 µs into a dead network, revived at 600 µs: the FCT
         // carries at least the 400 µs wait.
         assert!(fct > 400e-6, "fct {fct}");
+    }
+
+    /// Flows a link-up revives count toward `peak_active` at the instant
+    /// they rejoin, though no flow arrives then: two arrivals park behind
+    /// the outage and both drain together after it.
+    #[test]
+    fn revived_flows_count_toward_peak_active() {
+        let topo = Topology::dumbbell(2, 3, BW, PROP);
+        let r = FluidSim::new(topo, RateModel::ideal())
+            .flows([flow(0, 0, 2, 1_000_000, 200), flow(1, 1, 2, 1_000_000, 300)])
+            .faults(&flap(100, 600))
+            .run()
+            .unwrap();
+        assert!(r.telemetry.all_flows_finished());
+        assert_eq!(r.peak_active, 2);
     }
 
     /// Regression (framing satellite): the queue-delay model's base RTT

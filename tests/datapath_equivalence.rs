@@ -186,11 +186,13 @@ fn hybrid_reports_match_golden() {
 /// FNCC under a ToR-uplink flap, one hash per backend: fault runs emit the
 /// gated fault/recovery scalars in the middle of each backend's scalar
 /// list, so this is the pin on their position and on `incomplete_flows`.
-/// The fluid hash moved with [`FLUID_GOLDEN`]'s, for the same reason.
+/// The fluid hash moved with [`FLUID_GOLDEN`]'s, for the same reason. The
+/// hybrid hash moved when `peak_active` began counting flows a link-up
+/// revives: this cell's `peak_bg_active` reads 8, the true peak, not 6.
 const FAULTED_GOLDEN: [(SimBackend, u64); 3] = [
     (SimBackend::Packet, 0xb2b5b784d472533e),
     (SimBackend::Fluid, 0xa5ca28ec7ea8a420),
-    (SimBackend::Hybrid, 0x77fc81d5770ab50f),
+    (SimBackend::Hybrid, 0x3f5d14d8780f4cdd),
 ];
 
 #[test]
