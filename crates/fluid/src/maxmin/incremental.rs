@@ -549,7 +549,7 @@ impl WaterFiller {
         while unfrozen > 0 {
             // The next round's level: the least link level, or the least
             // cap of an unfrozen flow when that is strictly lower. Link
-            // keys and cap keys are lower bounds, so a link whose key
+            // keys are lower bounds on link levels, so a link whose key
             // exceeds the top cap is not popped, and a frozen flow's cap
             // is popped only when it would otherwise win.
             let mut min_link: Option<(f64, u32)> = None;

@@ -152,9 +152,10 @@ pub struct WaterFiller {
     heap: LazyHeap,
     /// Residual solve: min-heap of `(cap, residual flow)`, a flow's cap
     /// being the least headroom among the links no other residual flow
-    /// crosses; built from the `(flow, headroom)` of each such link and
-    /// each flow's least one.
+    /// crosses.
     caps: LazyHeap,
+    /// Residual-solve scratch: `(flow, headroom)` of each one-user link,
+    /// and each flow's least such headroom.
     one_user: Vec<(u32, f64)>,
     cap_of: Vec<f64>,
     frozen: Vec<bool>,
