@@ -1,6 +1,6 @@
 //! Measurement primitives shared by all metric collectors.
 
-use crate::time::{SimTime, TimeDelta};
+use crate::time::SimTime;
 
 /// A named time series of `(t, value)` samples.
 #[derive(Clone, Debug, Default)]
@@ -92,19 +92,6 @@ impl TimeSeries {
         } else {
             sum / n as f64
         }
-    }
-
-    /// Maximum over samples within `[from, to)`.
-    pub fn max_in(&self, from: SimTime, to: SimTime) -> f64 {
-        self.iter()
-            .filter(|&(t, _)| t >= from && t < to)
-            .map(|(_, v)| v)
-            .fold(0.0, f64::max)
-    }
-
-    /// First time at which the value satisfies `pred`, if any.
-    pub fn first_time_where(&self, mut pred: impl FnMut(f64) -> bool) -> Option<SimTime> {
-        self.iter().find(|&(_, v)| pred(v)).map(|(t, _)| t)
     }
 
     /// First out-of-order sample, as `(index, previous_time, time)`, if any.
@@ -293,32 +280,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// A windowed reduction of a time series: averages consecutive samples into
-/// buckets of `window` so long plots can be printed compactly.
-pub fn downsample(series: &TimeSeries, window: TimeDelta) -> TimeSeries {
-    let mut out = TimeSeries::new(series.name.clone());
-    if series.is_empty() || window.is_zero() {
-        return out;
-    }
-    let mut bucket_start = series.times()[0];
-    let mut acc = 0.0;
-    let mut n = 0usize;
-    for (t, v) in series.iter() {
-        if t.since(bucket_start) >= window && n > 0 {
-            out.push(bucket_start, acc / n as f64);
-            bucket_start = t;
-            acc = 0.0;
-            n = 0;
-        }
-        acc += v;
-        n += 1;
-    }
-    if n > 0 {
-        out.push(bucket_start, acc / n as f64);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,12 +293,10 @@ mod tests {
         assert_eq!(s.len(), 10);
         assert_eq!(s.max(), 9.0);
         assert!((s.mean() - 4.5).abs() < 1e-12);
-        assert_eq!(s.first_time_where(|v| v > 5.0), Some(SimTime::from_us(6)));
         assert_eq!(
             s.mean_in(SimTime::from_us(2), SimTime::from_us(5)),
             (2.0 + 3.0 + 4.0) / 3.0
         );
-        assert_eq!(s.max_in(SimTime::from_us(0), SimTime::from_us(4)), 3.0);
     }
 
     #[test]
@@ -373,7 +332,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.first_time_where(|v| v > 0.0), None);
     }
 
     #[test]
@@ -447,26 +405,5 @@ mod tests {
         // Zero-length interval → 0, not NaN.
         let r3 = m.sample(SimTime::from_us(2), 9999);
         assert_eq!(r3, 0.0);
-    }
-
-    #[test]
-    fn downsample_averages_buckets() {
-        let mut s = TimeSeries::new("d");
-        for i in 0..10u64 {
-            s.push(SimTime::from_us(i), i as f64);
-        }
-        let d = downsample(&s, TimeDelta::from_us(5));
-        assert_eq!(d.len(), 2);
-        assert!((d.values()[0] - 2.0).abs() < 1e-12); // mean of 0..=4
-        assert!((d.values()[1] - 7.0).abs() < 1e-12); // mean of 5..=9
-    }
-
-    #[test]
-    fn downsample_empty_and_zero_window() {
-        let s = TimeSeries::new("d");
-        assert!(downsample(&s, TimeDelta::from_us(1)).is_empty());
-        let mut s2 = TimeSeries::new("d2");
-        s2.push(SimTime::ZERO, 1.0);
-        assert!(downsample(&s2, TimeDelta::ZERO).is_empty());
     }
 }

@@ -139,9 +139,6 @@ pub struct FabricConfig {
     pub data_header: u32,
     /// ACK frame size before INT records.
     pub ack_base: u32,
-    /// Extra on-wire bytes per frame (preamble + IFG); 0 keeps utilization
-    /// plots normalised to goodput like the paper's.
-    pub wire_overhead: u32,
     /// Shared buffer per switch.
     pub buffer_bytes: u64,
     /// PFC settings.
@@ -170,7 +167,6 @@ impl FabricConfig {
             mtu: 1518,
             data_header: crate::units::DATA_HEADER_BYTES,
             ack_base: crate::units::ACK_BASE_BYTES,
-            wire_overhead: 0,
             buffer_bytes: ByteSize::mb(32).as_bytes(),
             pfc: PfcConfig::paper_default(),
             ecn: EcnConfig::disabled(),

@@ -171,7 +171,7 @@ impl<'a, T> HostCtx<'a, T> {
     pub fn send(&mut self, pkt: Box<Packet>) {
         debug_assert!(!pkt.kind.is_control(), "hosts do not send PFC frames");
         self.port.enqueue(pkt);
-        start_port_tx(NodeRef::Host(self.host), self.port, self.cfg, self.sched);
+        start_port_tx(NodeRef::Host(self.host), self.port, self.sched);
     }
 
     /// Fire `timer` after `d`.
@@ -433,7 +433,7 @@ impl<H: HostLogic> Fabric<H> {
                 }
                 self.pool.put(pkt);
                 let p = &mut self.host_ports[host.ix()];
-                start_port_tx(NodeRef::Host(host), p, &self.cfg, sched);
+                start_port_tx(NodeRef::Host(host), p, sched);
             }
             kind => {
                 match kind {
@@ -664,17 +664,12 @@ impl<T> SwitchSink for SwitchEmit<'_, T> {
 
 /// If the host NIC `port` is idle and has an eligible frame, begin
 /// serializing it (no INT/stamping logic; a host's one port is index 0).
-fn start_port_tx<T>(
-    node: NodeRef,
-    port: &mut Port,
-    cfg: &FabricConfig,
-    sched: &mut Scheduler<Ev<T>>,
-) {
+fn start_port_tx<T>(node: NodeRef, port: &mut Port, sched: &mut Scheduler<Ev<T>>) {
     if !port.idle() {
         return;
     }
     let Some(pkt) = port.dequeue() else { return };
-    let t = port.tx_time(pkt.size as u64 + cfg.wire_overhead as u64);
+    let t = port.tx_time(pkt.size as u64);
     port.in_flight = Some(pkt);
     sched.after(t, Ev::TxDone { node, port: 0 });
 }
@@ -729,7 +724,7 @@ impl<H: HostLogic> Model for Fabric<H> {
                         let (peer, peer_port, prop) = (p.peer, p.peer_port, p.wire_delay(now));
                         emit_arrive(&self.shard, sched, prop, peer, peer_port, pkt);
                         let p = &mut self.host_ports[h.ix()];
-                        start_port_tx(NodeRef::Host(h), p, &self.cfg, sched);
+                        start_port_tx(NodeRef::Host(h), p, sched);
                     }
                 }
             }

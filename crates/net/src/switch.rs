@@ -599,7 +599,7 @@ impl Switch {
         };
         self.output_engine(&mut pkt, port, now, cfg);
         let p = &mut self.ports[port as usize];
-        let tx_after = p.tx_time(pkt.size as u64 + cfg.wire_overhead as u64);
+        let tx_after = p.tx_time(pkt.size as u64);
         p.in_flight = Some(pkt);
         out.emit(SwitchOutput::StartTx { port, tx_after });
     }

@@ -1,6 +1,6 @@
 //! Topology construction: the paper's dumbbell (Fig. 10), the hop-location
-//! lines of Fig. 11, the three-level fat-tree of §5.5, a star, and
-//! spanning-tree routing (Fig. 6) for arbitrary topologies.
+//! lines of Fig. 11, the three-level fat-tree of §5.5, a two-level
+//! leaf–spine, a star, and spanning-tree routing (Fig. 6) over any of them.
 //!
 //! A [`Topology`] is a pure description — nodes, ports, link parameters and
 //! routing tables — consumed by [`crate::fabric::Fabric`] to instantiate the
@@ -50,8 +50,6 @@ pub enum TopologyKind {
     LeafSpine(u32, u32),
     /// Single switch.
     Star,
-    /// Anything else.
-    Custom,
 }
 
 /// A complete network description.
@@ -234,11 +232,6 @@ impl Topology {
         max
     }
 
-    /// Minimum link bandwidth along a flow's request path (its line rate).
-    pub fn path_bandwidth(&self, src: HostId, dst: HostId, flow: FlowId) -> Bandwidth {
-        self.bandwidth_on(&self.trace_path(src, dst, flow))
-    }
-
     /// Minimum link bandwidth along an already-traced path.
     fn bandwidth_on(&self, path: &[(NodeRef, u8)]) -> Bandwidth {
         path.iter()
@@ -324,155 +317,46 @@ impl Topology {
             sender_attach.iter().all(|&a| a < m),
             "attachment beyond chain"
         );
-        let n_senders = sender_attach.len() as u32;
-        let receiver = HostId(n_senders);
-        let n_hosts = n_senders + 1;
-
-        // Assign port indices per switch: host ports first, then chain links.
-        let mut ports: Vec<Vec<PortSpec>> = vec![Vec::new(); m];
-        let mut host_ports: Vec<PortSpec> = Vec::with_capacity(n_hosts as usize);
-        // placeholder filled below
-        host_ports.resize(
-            n_hosts as usize,
-            PortSpec {
-                peer: NodeRef::Host(HostId(0)),
-                peer_port: 0,
-                bw,
-                prop,
-            },
-        );
-
-        for (i, &a) in sender_attach.iter().enumerate() {
-            let p = ports[a].len() as u8;
-            ports[a].push(PortSpec {
-                peer: NodeRef::Host(HostId(i as u32)),
-                peer_port: 0,
-                bw,
-                prop,
-            });
-            host_ports[i] = PortSpec {
-                peer: NodeRef::Switch(SwitchId(a as u32)),
-                peer_port: p,
-                bw,
-                prop,
-            };
+        // Every host's switch: each sender's, then the receiver's (the last).
+        let at: Vec<usize> = sender_attach.iter().copied().chain([m - 1]).collect();
+        let mut w = Wiring::new(at.len(), m, 2, bw, prop);
+        let host_port: Vec<u8> = (0..at.len())
+            .map(|h| w.attach(HostId(h as u32), SwitchId(at[h] as u32)))
+            .collect();
+        // Chain links j <-> j+1: switch j's port rightwards, j+1's leftwards.
+        let mut right = vec![0u8; m];
+        let mut left = vec![0u8; m];
+        for j in 1..m {
+            (right[j - 1], left[j]) = w.link(SwitchId(j as u32 - 1), SwitchId(j as u32));
         }
-        // Receiver at the last switch.
-        {
-            let a = m - 1;
-            let p = ports[a].len() as u8;
-            ports[a].push(PortSpec {
-                peer: NodeRef::Host(receiver),
-                peer_port: 0,
-                bw,
-                prop,
-            });
-            host_ports[receiver.ix()] = PortSpec {
-                peer: NodeRef::Switch(SwitchId(a as u32)),
-                peer_port: p,
-                bw,
-                prop,
-            };
-        }
-        // Chain links j <-> j+1.
-        let mut next_port: Vec<Option<u8>> = vec![None; m];
-        let mut prev_port: Vec<Option<u8>> = vec![None; m];
-        for j in 0..m.saturating_sub(1) {
-            let pj = ports[j].len() as u8;
-            let pk = ports[j + 1].len() as u8;
-            ports[j].push(PortSpec {
-                peer: NodeRef::Switch(SwitchId((j + 1) as u32)),
-                peer_port: pk,
-                bw,
-                prop,
-            });
-            ports[j + 1].push(PortSpec {
-                peer: NodeRef::Switch(SwitchId(j as u32)),
-                peer_port: pj,
-                bw,
-                prop,
-            });
-            next_port[j] = Some(pj);
-            prev_port[j + 1] = Some(pk);
-        }
-
-        // Routing: towards the receiver go "right", towards sender i go
-        // "left" until its attachment switch, then its host port.
-        let mut switches = Vec::with_capacity(m);
-        for j in 0..m {
-            let mut entries = Vec::with_capacity(n_hosts as usize);
-            for hid in 0..n_hosts {
-                let h = HostId(hid);
-                let entry = if h == receiver {
-                    if j == m - 1 {
-                        RouteEntry::Single(host_port_on(&ports[j], h))
-                    } else {
-                        RouteEntry::Single(next_port[j].unwrap())
-                    }
-                } else {
-                    let a = sender_attach[hid as usize];
-                    use std::cmp::Ordering;
-                    match a.cmp(&j) {
-                        Ordering::Equal => RouteEntry::Single(host_port_on(&ports[j], h)),
-                        Ordering::Less => RouteEntry::Single(prev_port[j].unwrap()),
-                        Ordering::Greater => RouteEntry::Single(next_port[j].unwrap()),
-                    }
-                };
-                entries.push(entry);
-            }
-            switches.push(SwitchSpec {
-                ports: ports[j].clone(),
-                route: Arc::new(RoutingTable::PerDst(entries)),
-            });
-        }
-
-        let t = Topology {
-            kind: TopologyKind::Line,
-            n_hosts,
-            host_ports,
-            switches,
-        };
-        t.validate();
-        t
+        // Towards a host: its own port at its switch, else along the chain.
+        w.finish(TopologyKind::Line, |s, h| {
+            let (j, a) = (s.ix(), at[h.ix()]);
+            RouteEntry::Single(match a.cmp(&j) {
+                std::cmp::Ordering::Equal => host_port[h.ix()],
+                std::cmp::Ordering::Less => left[j],
+                std::cmp::Ordering::Greater => right[j],
+            })
+        })
     }
 
     /// Single-switch star over `n_hosts`.
     pub fn star(n_hosts: u32, bw: Bandwidth, prop: TimeDelta) -> Topology {
         assert!(n_hosts >= 2);
-        let mut ports = Vec::with_capacity(n_hosts as usize);
-        let mut host_ports = Vec::with_capacity(n_hosts as usize);
+        let mut w = Wiring::new(n_hosts as usize, 1, n_hosts as usize, bw, prop);
         for h in 0..n_hosts {
-            ports.push(PortSpec {
-                peer: NodeRef::Host(HostId(h)),
-                peer_port: 0,
-                bw,
-                prop,
-            });
-            host_ports.push(PortSpec {
-                peer: NodeRef::Switch(SwitchId(0)),
-                peer_port: h as u8,
-                bw,
-                prop,
-            });
+            w.attach(HostId(h), SwitchId(0));
         }
-        let entries = (0..n_hosts).map(|h| RouteEntry::Single(h as u8)).collect();
-        let t = Topology {
-            kind: TopologyKind::Star,
-            n_hosts,
-            host_ports,
-            switches: vec![SwitchSpec {
-                ports,
-                route: Arc::new(RoutingTable::PerDst(entries)),
-            }],
-        };
-        t.validate();
-        t
+        w.finish(TopologyKind::Star, |_, h| RouteEntry::Single(h.0 as u8))
     }
 
     /// Three-level fat-tree with parameter `k` (even): `k³/4` hosts,
     /// `k²/2 + k²/4` switches, canonical wiring so symmetric ECMP holds
     /// (see [`crate::routing`]). The paper uses k=8 (128 hosts) with all
     /// links at 100 Gb/s and 1.5 µs propagation delay (1:1 oversubscription).
+    ///
+    /// Ports: a ToR's hosts, then its pod's aggs; an agg's pod ToRs, then
+    /// its `half` cores; a core's one agg per pod, in pod order.
     pub fn fat_tree(k: u32, bw: Bandwidth, prop: TimeDelta) -> Topology {
         assert!(k >= 2 && k.is_multiple_of(2), "fat-tree k must be even");
         let half = k / 2;
@@ -480,139 +364,48 @@ impl Topology {
         let n_hosts = k * hosts_per_pod;
         let n_tor = k * half;
         let n_agg = k * half;
-        let n_core = half * half;
         let tor_id = |p: u32, t: u32| SwitchId(p * half + t);
         let agg_id = |p: u32, a: u32| SwitchId(n_tor + p * half + a);
         let core_id = |j: u32| SwitchId(n_tor + n_agg + j);
-        let host_id = |p: u32, t: u32, i: u32| HostId(p * hosts_per_pod + t * half + i);
         let pod_of = |h: HostId| h.0 / hosts_per_pod;
         let tor_of = |h: HostId| (h.0 % hosts_per_pod) / half;
-        let slot_of = |h: HostId| h.0 % half;
 
-        let mut host_ports = vec![
-            PortSpec {
-                peer: NodeRef::Host(HostId(0)),
-                peer_port: 0,
-                bw,
-                prop
-            };
-            n_hosts as usize
-        ];
-        let mut switches: Vec<SwitchSpec> = Vec::with_capacity((n_tor + n_agg + n_core) as usize);
-
-        // ToR switches.
+        let n_sw = (n_tor + n_agg + half * half) as usize;
+        let mut w = Wiring::new(n_hosts as usize, n_sw, k as usize, bw, prop);
+        for h in 0..n_hosts {
+            w.attach(HostId(h), SwitchId(h / half));
+        }
         for p in 0..k {
             for t in 0..half {
-                let mut ports = Vec::with_capacity(k as usize);
-                for i in 0..half {
-                    let h = host_id(p, t, i);
-                    ports.push(PortSpec {
-                        peer: NodeRef::Host(h),
-                        peer_port: 0,
-                        bw,
-                        prop,
-                    });
-                    host_ports[h.ix()] = PortSpec {
-                        peer: NodeRef::Switch(tor_id(p, t)),
-                        peer_port: i as u8,
-                        bw,
-                        prop,
-                    };
-                }
                 for a in 0..half {
-                    ports.push(PortSpec {
-                        peer: NodeRef::Switch(agg_id(p, a)),
-                        peer_port: t as u8,
-                        bw,
-                        prop,
-                    });
+                    w.link(tor_id(p, t), agg_id(p, a));
                 }
-                let mut entries = Vec::with_capacity(n_hosts as usize);
-                for hid in 0..n_hosts {
-                    let h = HostId(hid);
-                    entries.push(if pod_of(h) == p && tor_of(h) == t {
-                        RouteEntry::Single(slot_of(h) as u8)
-                    } else {
-                        RouteEntry::Ecmp {
-                            ports: (half as u8..k as u8).collect(),
-                            level: 0,
-                        }
-                    });
-                }
-                switches.push(SwitchSpec {
-                    ports,
-                    route: Arc::new(RoutingTable::PerDst(entries)),
-                });
             }
         }
-        // Aggregation switches.
         for p in 0..k {
             for a in 0..half {
-                let mut ports = Vec::with_capacity(k as usize);
-                for t in 0..half {
-                    ports.push(PortSpec {
-                        peer: NodeRef::Switch(tor_id(p, t)),
-                        peer_port: (half + a) as u8,
-                        bw,
-                        prop,
-                    });
-                }
                 for c in 0..half {
-                    ports.push(PortSpec {
-                        peer: NodeRef::Switch(core_id(a * half + c)),
-                        peer_port: p as u8,
-                        bw,
-                        prop,
-                    });
+                    w.link(agg_id(p, a), core_id(a * half + c));
                 }
-                let mut entries = Vec::with_capacity(n_hosts as usize);
-                for hid in 0..n_hosts {
-                    let h = HostId(hid);
-                    entries.push(if pod_of(h) == p {
-                        RouteEntry::Single(tor_of(h) as u8)
-                    } else {
-                        RouteEntry::Ecmp {
-                            ports: (half as u8..k as u8).collect(),
-                            level: 1,
-                        }
-                    });
-                }
-                switches.push(SwitchSpec {
-                    ports,
-                    route: Arc::new(RoutingTable::PerDst(entries)),
-                });
             }
         }
-        // Core switches.
-        for j in 0..n_core {
-            let a = j / half;
-            let mut ports = Vec::with_capacity(k as usize);
-            for p in 0..k {
-                ports.push(PortSpec {
-                    peer: NodeRef::Switch(agg_id(p, a)),
-                    peer_port: (half + (j % half)) as u8,
-                    bw,
-                    prop,
-                });
-            }
-            let mut entries = Vec::with_capacity(n_hosts as usize);
-            for hid in 0..n_hosts {
-                entries.push(RouteEntry::Single(pod_of(HostId(hid)) as u8));
-            }
-            switches.push(SwitchSpec {
-                ports,
-                route: Arc::new(RoutingTable::PerDst(entries)),
-            });
-        }
-
-        let t = Topology {
-            kind: TopologyKind::FatTree(k),
-            n_hosts,
-            host_ports,
-            switches,
+        // Down along the unique tree path; up by ECMP (hash digit = tier).
+        // Range checks, not divisions: this rule runs once per table entry.
+        let tor_hosts = |s: u32| s * half..(s + 1) * half;
+        let pod_aggs = |h| agg_id(pod_of(h), 0).0..agg_id(pod_of(h), half).0;
+        let up = |level| RouteEntry::Ecmp {
+            ports: (half as u8..k as u8).collect(),
+            level,
         };
-        t.validate();
-        t
+        w.finish(TopologyKind::FatTree(k), |s, h| match s.0 {
+            s if s < n_tor && tor_hosts(s).contains(&h.0) => RouteEntry::Single((h.0 % half) as u8),
+            s if s < n_tor => up(0),
+            s if s < n_tor + n_agg && pod_aggs(h).contains(&s) => {
+                RouteEntry::Single(tor_of(h) as u8)
+            }
+            s if s < n_tor + n_agg => up(1),
+            _ => RouteEntry::Single(pod_of(h) as u8),
+        })
     }
 
     /// Two-level leaf–spine: `leaves` leaf switches with `hosts_per_leaf`
@@ -639,335 +432,29 @@ impl Topology {
         );
         assert!(leaves <= u8::MAX as u32 + 1, "spine port count exceeds u8");
         let n_hosts = leaves * hosts_per_leaf;
-        let leaf_id = |l: u32| SwitchId(l);
-        let spine_id = |s: u32| SwitchId(leaves + s);
         let leaf_of = |h: HostId| h.0 / hosts_per_leaf;
-        let slot_of = |h: HostId| h.0 % hosts_per_leaf;
 
-        let mut host_ports = vec![
-            PortSpec {
-                peer: NodeRef::Host(HostId(0)),
-                peer_port: 0,
-                bw,
-                prop
-            };
-            n_hosts as usize
-        ];
-        let mut switches: Vec<SwitchSpec> = Vec::with_capacity((leaves + spines) as usize);
-
-        // Leaf switches: host ports first, then one uplink per spine.
+        let radix = (hosts_per_leaf + spines).max(leaves) as usize;
+        let n_sw = (leaves + spines) as usize;
+        let mut w = Wiring::new(n_hosts as usize, n_sw, radix, bw, prop);
+        for h in 0..n_hosts {
+            w.attach(HostId(h), SwitchId(h / hosts_per_leaf));
+        }
+        // Leaf ports: hosts first, then one uplink per spine; spine port l
+        // goes to leaf l.
         for l in 0..leaves {
-            let mut ports = Vec::with_capacity((hosts_per_leaf + spines) as usize);
-            for i in 0..hosts_per_leaf {
-                let h = HostId(l * hosts_per_leaf + i);
-                ports.push(PortSpec {
-                    peer: NodeRef::Host(h),
-                    peer_port: 0,
-                    bw,
-                    prop,
-                });
-                host_ports[h.ix()] = PortSpec {
-                    peer: NodeRef::Switch(leaf_id(l)),
-                    peer_port: i as u8,
-                    bw,
-                    prop,
-                };
-            }
             for s in 0..spines {
-                ports.push(PortSpec {
-                    peer: NodeRef::Switch(spine_id(s)),
-                    peer_port: l as u8,
-                    bw,
-                    prop,
-                });
-            }
-            let mut entries = Vec::with_capacity(n_hosts as usize);
-            for hid in 0..n_hosts {
-                let h = HostId(hid);
-                entries.push(if leaf_of(h) == l {
-                    RouteEntry::Single(slot_of(h) as u8)
-                } else {
-                    RouteEntry::Ecmp {
-                        ports: (hosts_per_leaf as u8..(hosts_per_leaf + spines) as u8).collect(),
-                        level: 0,
-                    }
-                });
-            }
-            switches.push(SwitchSpec {
-                ports,
-                route: Arc::new(RoutingTable::PerDst(entries)),
-            });
-        }
-        // Spine switches: port l goes to leaf l.
-        for s in 0..spines {
-            let mut ports = Vec::with_capacity(leaves as usize);
-            for l in 0..leaves {
-                ports.push(PortSpec {
-                    peer: NodeRef::Switch(leaf_id(l)),
-                    peer_port: (hosts_per_leaf + s) as u8,
-                    bw,
-                    prop,
-                });
-            }
-            let entries = (0..n_hosts)
-                .map(|hid| RouteEntry::Single(leaf_of(HostId(hid)) as u8))
-                .collect();
-            switches.push(SwitchSpec {
-                ports,
-                route: Arc::new(RoutingTable::PerDst(entries)),
-            });
-        }
-
-        let t = Topology {
-            kind: TopologyKind::LeafSpine(leaves, spines),
-            n_hosts,
-            host_ports,
-            switches,
-        };
-        t.validate();
-        t
-    }
-
-    /// Dragonfly (§3.1 Observation 2): `groups` groups of `routers_per_group`
-    /// routers, full mesh inside each group, one global link per group pair
-    /// assigned round-robin to routers, `hosts_per_router` hosts each.
-    /// Routed over `n_trees` spanning trees (the Fig. 6 mechanism) so data
-    /// and ACK paths stay identical.
-    ///
-    /// Requires `groups − 1 ≤ routers_per_group · something` only loosely:
-    /// global links are distributed round-robin, so any `groups ≥ 2` works.
-    pub fn dragonfly(
-        groups: u32,
-        routers_per_group: u32,
-        hosts_per_router: u32,
-        bw: Bandwidth,
-        prop: TimeDelta,
-        n_trees: usize,
-    ) -> Topology {
-        assert!(groups >= 2 && routers_per_group >= 1 && hosts_per_router >= 1);
-        let a = routers_per_group;
-        let n_sw = groups * a;
-        let n_hosts = n_sw * hosts_per_router;
-        let router = |g: u32, r: u32| SwitchId(g * a + r);
-
-        // Adjacency (switch pairs), then ports.
-        let mut links: Vec<(SwitchId, SwitchId)> = Vec::new();
-        // Intra-group full mesh.
-        for g in 0..groups {
-            for r1 in 0..a {
-                for r2 in (r1 + 1)..a {
-                    links.push((router(g, r1), router(g, r2)));
-                }
+                w.link(SwitchId(l), SwitchId(leaves + s));
             }
         }
-        // One global link per group pair, round-robin over routers.
-        let mut next_router = vec![0u32; groups as usize];
-        for g1 in 0..groups {
-            for g2 in (g1 + 1)..groups {
-                let r1 = next_router[g1 as usize] % a;
-                let r2 = next_router[g2 as usize] % a;
-                next_router[g1 as usize] += 1;
-                next_router[g2 as usize] += 1;
-                links.push((router(g1, r1), router(g2, r2)));
-            }
-        }
-
-        let mut host_ports = vec![
-            PortSpec {
-                peer: NodeRef::Host(HostId(0)),
-                peer_port: 0,
-                bw,
-                prop
-            };
-            n_hosts as usize
-        ];
-        let mut ports: Vec<Vec<PortSpec>> = vec![Vec::new(); n_sw as usize];
-        for s in 0..n_sw {
-            for i in 0..hosts_per_router {
-                let h = HostId(s * hosts_per_router + i);
-                let p = ports[s as usize].len() as u8;
-                ports[s as usize].push(PortSpec {
-                    peer: NodeRef::Host(h),
-                    peer_port: 0,
-                    bw,
-                    prop,
-                });
-                host_ports[h.ix()] = PortSpec {
-                    peer: NodeRef::Switch(SwitchId(s)),
-                    peer_port: p,
-                    bw,
-                    prop,
-                };
-            }
-        }
-        for &(s1, s2) in &links {
-            let p1 = ports[s1.ix()].len() as u8;
-            let p2 = ports[s2.ix()].len() as u8;
-            ports[s1.ix()].push(PortSpec {
-                peer: NodeRef::Switch(s2),
-                peer_port: p2,
-                bw,
-                prop,
-            });
-            ports[s2.ix()].push(PortSpec {
-                peer: NodeRef::Switch(s1),
-                peer_port: p1,
-                bw,
-                prop,
-            });
-        }
-
-        let switches = ports
-            .into_iter()
-            .map(|p| SwitchSpec {
-                ports: p,
-                route: Arc::new(RoutingTable::PerDst(vec![
-                    RouteEntry::Unreachable;
-                    n_hosts as usize
-                ])),
-            })
-            .collect();
-
-        let t = Topology {
-            kind: TopologyKind::Custom,
-            n_hosts,
-            host_ports,
-            switches,
-        }
-        .with_spanning_trees(n_trees);
-        t.validate();
-        t
-    }
-
-    /// Jellyfish (§3.1 Observation 2): `n_switches` switches wired as a
-    /// random `degree`-regular graph (stub matching, retried until simple
-    /// and connected), `hosts_per_switch` hosts each, routed over
-    /// `n_trees` spanning trees — the Fig. 6 mechanism, which keeps data
-    /// and ACK paths identical on an otherwise unstructured topology.
-    pub fn jellyfish(
-        n_switches: u32,
-        degree: u32,
-        hosts_per_switch: u32,
-        bw: Bandwidth,
-        prop: TimeDelta,
-        seed: u64,
-        n_trees: usize,
-    ) -> Topology {
-        assert!(n_switches >= 2 && degree >= 2 && hosts_per_switch >= 1);
-        assert!(
-            (n_switches * degree).is_multiple_of(2),
-            "n_switches * degree must be even for a regular graph"
-        );
-        assert!(degree < n_switches, "degree must be below switch count");
-        let mut rng = fncc_des::rng::DetRng::new(seed, 0x1E11F);
-
-        // Random regular graph by stub matching; retry on self-loops,
-        // parallel edges or disconnection.
-        let n = n_switches as usize;
-        let edges: Vec<(u32, u32)> = 'outer: loop {
-            let mut stubs: Vec<u32> = (0..n_switches)
-                .flat_map(|s| std::iter::repeat_n(s, degree as usize))
-                .collect();
-            rng.shuffle(&mut stubs);
-            let mut used = std::collections::HashSet::new();
-            let mut edges = Vec::with_capacity(stubs.len() / 2);
-            for pair in stubs.chunks_exact(2) {
-                let (a, b) = (pair[0].min(pair[1]), pair[0].max(pair[1]));
-                if a == b || !used.insert((a, b)) {
-                    continue 'outer; // self-loop or multi-edge: retry
-                }
-                edges.push((a, b));
-            }
-            // Connectivity check (union of edges spans all switches).
-            let mut adj = vec![Vec::new(); n];
-            for &(a, b) in &edges {
-                adj[a as usize].push(b as usize);
-                adj[b as usize].push(a as usize);
-            }
-            let mut seen = vec![false; n];
-            let mut stack = vec![0usize];
-            seen[0] = true;
-            while let Some(s) = stack.pop() {
-                for &t in &adj[s] {
-                    if !seen[t] {
-                        seen[t] = true;
-                        stack.push(t);
-                    }
-                }
-            }
-            if seen.iter().all(|&v| v) {
-                break edges;
-            }
-        };
-
-        // Ports: hosts first, then network links in edge order.
-        let n_hosts = n_switches * hosts_per_switch;
-        let mut host_ports = vec![
-            PortSpec {
-                peer: NodeRef::Host(HostId(0)),
-                peer_port: 0,
-                bw,
-                prop
-            };
-            n_hosts as usize
-        ];
-        let mut ports: Vec<Vec<PortSpec>> = vec![Vec::new(); n];
-        for s in 0..n_switches {
-            for i in 0..hosts_per_switch {
-                let h = HostId(s * hosts_per_switch + i);
-                let p = ports[s as usize].len() as u8;
-                ports[s as usize].push(PortSpec {
-                    peer: NodeRef::Host(h),
-                    peer_port: 0,
-                    bw,
-                    prop,
-                });
-                host_ports[h.ix()] = PortSpec {
-                    peer: NodeRef::Switch(SwitchId(s)),
-                    peer_port: p,
-                    bw,
-                    prop,
-                };
-            }
-        }
-        for &(a, b) in &edges {
-            let pa = ports[a as usize].len() as u8;
-            let pb = ports[b as usize].len() as u8;
-            ports[a as usize].push(PortSpec {
-                peer: NodeRef::Switch(SwitchId(b)),
-                peer_port: pb,
-                bw,
-                prop,
-            });
-            ports[b as usize].push(PortSpec {
-                peer: NodeRef::Switch(SwitchId(a)),
-                peer_port: pa,
-                bw,
-                prop,
-            });
-        }
-
-        let switches = ports
-            .into_iter()
-            .map(|p| SwitchSpec {
-                ports: p,
-                // Placeholder; replaced by spanning trees below.
-                route: Arc::new(RoutingTable::PerDst(vec![
-                    RouteEntry::Unreachable;
-                    n_hosts as usize
-                ])),
-            })
-            .collect();
-
-        let t = Topology {
-            kind: TopologyKind::Custom,
-            n_hosts,
-            host_ports,
-            switches,
-        }
-        .with_spanning_trees(n_trees);
-        t.validate();
-        t
+        w.finish(TopologyKind::LeafSpine(leaves, spines), |s, h| match s.0 {
+            l if l < leaves && l == leaf_of(h) => RouteEntry::Single((h.0 % hosts_per_leaf) as u8),
+            l if l < leaves => RouteEntry::Ecmp {
+                ports: (hosts_per_leaf as u8..(hosts_per_leaf + spines) as u8).collect(),
+                level: 0,
+            },
+            _ => RouteEntry::Single(leaf_of(h) as u8),
+        })
     }
 
     /// Replace every switch's routing table with spanning-tree routing
@@ -1030,7 +517,6 @@ impl Topology {
 
             let mut table: Vec<Vec<u8>> = vec![vec![0; self.n_hosts as usize]; n_sw];
             for h in 0..self.n_hosts {
-                let _ = HostId(h);
                 let attach = match self.host_ports[h as usize].peer {
                     NodeRef::Switch(s) => s.ix(),
                     NodeRef::Host(_) => panic!("host attached to host"),
@@ -1066,11 +552,94 @@ impl Topology {
     }
 }
 
-fn host_port_on(ports: &[PortSpec], h: HostId) -> u8 {
-    ports
-        .iter()
-        .position(|p| matches!(p.peer, NodeRef::Host(x) if x == h))
-        .expect("host not attached here") as u8
+/// Port bookkeeping shared by the builders. Each switch numbers its ports
+/// in the order links reach it, so a builder fixes its port layout by the
+/// order it calls [`Wiring::attach`] and [`Wiring::link`] in.
+struct Wiring {
+    bw: Bandwidth,
+    prop: TimeDelta,
+    host_ports: Vec<PortSpec>,
+    ports: Vec<Vec<PortSpec>>,
+}
+
+impl Wiring {
+    /// Room for `n_hosts` hosts and `n_switches` switches of `radix` ports;
+    /// every link runs at `bw` with `prop` one-way delay.
+    fn new(
+        n_hosts: usize,
+        n_switches: usize,
+        radix: usize,
+        bw: Bandwidth,
+        prop: TimeDelta,
+    ) -> Self {
+        Wiring {
+            bw,
+            prop,
+            host_ports: Vec::with_capacity(n_hosts),
+            ports: (0..n_switches).map(|_| Vec::with_capacity(radix)).collect(),
+        }
+    }
+
+    /// A port facing `peer`'s port `peer_port`.
+    fn end(&self, peer: NodeRef, peer_port: u8) -> PortSpec {
+        PortSpec {
+            peer,
+            peer_port,
+            bw: self.bw,
+            prop: self.prop,
+        }
+    }
+
+    /// Attach host `h` (hosts attach in id order) to switch `s`; returns
+    /// the switch's port.
+    fn attach(&mut self, h: HostId, s: SwitchId) -> u8 {
+        debug_assert_eq!(h.ix(), self.host_ports.len(), "hosts attach in id order");
+        let p = self.ports[s.ix()].len() as u8;
+        let down = self.end(NodeRef::Host(h), 0);
+        self.ports[s.ix()].push(down);
+        self.host_ports.push(self.end(NodeRef::Switch(s), p));
+        p
+    }
+
+    /// Link switches `a` and `b`; returns `(a's port, b's port)`.
+    fn link(&mut self, a: SwitchId, b: SwitchId) -> (u8, u8) {
+        debug_assert_ne!(a, b, "self-link");
+        let pa = self.ports[a.ix()].len() as u8;
+        let pb = self.ports[b.ix()].len() as u8;
+        let to_b = self.end(NodeRef::Switch(b), pb);
+        let to_a = self.end(NodeRef::Switch(a), pa);
+        self.ports[a.ix()].push(to_b);
+        self.ports[b.ix()].push(to_a);
+        (pa, pb)
+    }
+
+    /// Give every switch the table `route(switch, dst)` over all hosts and
+    /// check the result.
+    fn finish(
+        self,
+        kind: TopologyKind,
+        route: impl Fn(SwitchId, HostId) -> RouteEntry,
+    ) -> Topology {
+        let n_hosts = self.host_ports.len() as u32;
+        let switches = (self.ports.into_iter().enumerate())
+            .map(|(s, ports)| {
+                let s = SwitchId(s as u32);
+                let entries = (0..n_hosts).map(|h| route(s, HostId(h))).collect();
+                SwitchSpec {
+                    ports,
+                    route: Arc::new(RoutingTable::PerDst(entries)),
+                }
+            })
+            .collect();
+        let t = Topology {
+            kind,
+            n_hosts,
+            host_ports: self.host_ports,
+            switches,
+        };
+        t.validate();
+        t
+    }
 }
 
 #[cfg(test)]
@@ -1318,83 +887,43 @@ mod tests {
         Topology::star(8, BW, PROP).validate();
         Topology::fat_tree(4, BW, PROP).validate();
         Topology::leaf_spine(3, 2, 4, BW, PROP).validate();
-        Topology::jellyfish(8, 3, 2, BW, PROP, 1, 4).validate();
     }
 
+    /// Every builder's exact layout — ports, peers and route tables — as
+    /// the FNV-1a hash of its `Debug` text.
     #[test]
-    fn dragonfly_structure_and_symmetry() {
-        // 4 groups × 3 routers × 2 hosts = 24 hosts, 12 routers.
-        let t = Topology::dragonfly(4, 3, 2, BW, PROP, 4);
-        assert_eq!(t.n_hosts, 24);
-        assert_eq!(t.n_switches(), 12);
-        // Router port count: 2 hosts + 2 intra-group + global share.
-        // 6 group pairs round-robin over routers: each group owns 3 pair
-        // links spread over 3 routers → 1 global port per router here.
-        for sw in &t.switches {
-            assert_eq!(sw.ports.len(), 2 + 2 + 1, "ports: {}", sw.ports.len());
-        }
-        for f in 0..40u32 {
-            let src = HostId((f * 5) % 24);
-            let dst = HostId((f * 11 + 3) % 24);
-            if src == dst {
-                continue;
-            }
-            let fwd = t.path_switches(src, dst, FlowId(f));
-            let mut rev = t.path_switches(dst, src, FlowId(f));
-            rev.reverse();
-            assert_eq!(fwd, rev, "asymmetric dragonfly path, flow {f}");
-        }
-    }
-
-    #[test]
-    fn jellyfish_is_regular_and_connected() {
-        let t = Topology::jellyfish(10, 4, 2, BW, PROP, 7, 4);
-        assert_eq!(t.n_hosts, 20);
-        assert_eq!(t.n_switches(), 10);
-        for sw in &t.switches {
-            // 2 host ports + 4 network ports each.
-            assert_eq!(sw.ports.len(), 6);
-        }
-        // Every pair is reachable (trace_path would panic otherwise).
-        for a in 0..20u32 {
-            let b = (a + 7) % 20;
-            if a != b {
-                let _ = t.trace_path(HostId(a), HostId(b), FlowId(0));
-            }
-        }
-    }
-
-    #[test]
-    fn jellyfish_paths_are_symmetric() {
-        let t = Topology::jellyfish(12, 3, 1, BW, PROP, 3, 6);
-        for f in 0..50u32 {
-            let src = HostId((f * 5) % 12);
-            let dst = HostId((f * 7 + 1) % 12);
-            if src == dst {
-                continue;
-            }
-            let fwd = t.path_switches(src, dst, FlowId(f));
-            let mut rev = t.path_switches(dst, src, FlowId(f));
-            rev.reverse();
-            assert_eq!(fwd, rev, "asymmetric jellyfish path, flow {f}");
-        }
-    }
-
-    #[test]
-    fn jellyfish_deterministic_per_seed() {
-        let a = Topology::jellyfish(10, 3, 1, BW, PROP, 42, 4);
-        let b = Topology::jellyfish(10, 3, 1, BW, PROP, 42, 4);
-        for h in 1..10u32 {
-            assert_eq!(
-                a.path_switches(HostId(0), HostId(h), FlowId(0)),
-                b.path_switches(HostId(0), HostId(h), FlowId(0)),
-            );
-        }
-    }
-
-    #[test]
-    fn path_bandwidth_is_min_link() {
-        let t = Topology::dumbbell(2, 2, BW, PROP);
-        assert_eq!(t.path_bandwidth(HostId(0), HostId(2), FlowId(0)), BW);
+    fn topology_layouts_are_pinned() {
+        let p = TimeDelta::from_ns(1500);
+        let layouts = [
+            Topology::dumbbell(4, 3, BW, p),
+            Topology::line(3, &[0, 1], BW, p),
+            Topology::line(3, &[0, 2, 1, 0], BW, p),
+            Topology::line(1, &[0, 0], BW, p),
+            Topology::star(8, BW, p),
+            Topology::fat_tree(4, BW, p),
+            Topology::fat_tree(8, BW, p),
+            Topology::leaf_spine(3, 2, 4, BW, p),
+            Topology::fat_tree(4, BW, p).with_spanning_trees(4),
+        ];
+        let fnv1a = |t: &Topology| {
+            let fold = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(0x100000001b3);
+            format!(
+                "{:016x}",
+                format!("{t:?}").bytes().fold(0xcbf29ce484222325, fold)
+            )
+        };
+        let got: Vec<String> = layouts.iter().map(fnv1a).collect();
+        let want = [
+            "ef8740a0d64aad86",
+            "b22731e8ff840800",
+            "791fa8234ba1f30c",
+            "8d40b49abf849967",
+            "9b4b996b33d6d0f0",
+            "590fe4bcf99518ea",
+            "bdab827bdb182d1e",
+            "3fa7d977807d3190",
+            "84c1913c82582552",
+        ];
+        assert_eq!(got, want, "a layout moved");
     }
 }

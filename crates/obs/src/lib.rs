@@ -9,9 +9,9 @@
 //!   ([`TraceSink`]). The hot path pays a single predictable branch when
 //!   tracing is off; when on, events land in a fixed-capacity flight
 //!   recorder that drains to the versioned `fncc.trace/v1` JSONL artifact.
-//! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges and
-//!   log-linear HDR-style [`Histogram`]s, the uniform export path behind
-//!   the `RunReport` metric scalars of both backends.
+//! * [`metrics`] — a [`MetricsRegistry`] of named counters and log-linear
+//!   HDR-style [`Histogram`]s, the uniform export path behind the
+//!   `RunReport` metric scalars of both backends.
 //! * [`profile`] — scoped wall-clock [`Profiler`] spans over engine phases
 //!   (scheduler pop, dispatch, fluid solve, report build). Wall-clock
 //!   readings are non-deterministic, so spans are off unless explicitly
@@ -25,6 +25,6 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use metrics::{CounterId, GaugeId, HistId, Histogram, MetricsRegistry};
+pub use metrics::{CounterId, HistId, Histogram, MetricsRegistry};
 pub use profile::{PhaseId, Profiler};
 pub use trace::{TraceEvent, TraceMeta, TraceSink, TRACE_SCHEMA};

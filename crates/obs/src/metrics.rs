@@ -1,4 +1,4 @@
-//! The metrics registry: named counters, gauges and log-linear HDR-style
+//! The metrics registry: named counters and log-linear HDR-style
 //! histograms, the uniform export path behind both backends' `RunReport`
 //! metric scalars.
 //!
@@ -8,10 +8,6 @@
 /// Handle to a registered counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterId(usize);
-
-/// Handle to a registered gauge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeId(usize);
 
 /// Handle to a registered histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -172,7 +168,6 @@ impl Histogram {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
     hists: Vec<(String, Histogram)>,
 }
 
@@ -191,15 +186,6 @@ impl MetricsRegistry {
         CounterId(self.counters.len() - 1)
     }
 
-    /// Register (or find) a gauge by name.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(ix) = self.gauges.iter().position(|(n, _)| n == name) {
-            return GaugeId(ix);
-        }
-        self.gauges.push((name.to_string(), 0.0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
     /// Register (or find) a histogram by name.
     pub fn histogram(&mut self, name: &str) -> HistId {
         if let Some(ix) = self.hists.iter().position(|(n, _)| n == name) {
@@ -213,12 +199,6 @@ impl MetricsRegistry {
     #[inline]
     pub fn inc(&mut self, id: CounterId, by: u64) {
         self.counters[id.0].1 += by;
-    }
-
-    /// Set a gauge.
-    #[inline]
-    pub fn set_gauge(&mut self, id: GaugeId, v: f64) {
-        self.gauges[id.0].1 = v;
     }
 
     /// Record a histogram value.
@@ -238,18 +218,13 @@ impl MetricsRegistry {
         self.counters.iter().map(|(n, v)| (n.as_str(), *v))
     }
 
-    /// Gauges in registration order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(n, v)| (n.as_str(), *v))
-    }
-
     /// Histograms in registration order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.hists.iter().map(|(n, h)| (n.as_str(), h))
     }
 
     /// Fold another registry into this one, matching metrics by name:
-    /// counters and gauges add, histograms [`Histogram::absorb`]. Metrics
+    /// counters add, histograms [`Histogram::absorb`]. Metrics
     /// only present in `other` are appended in `other`'s registration
     /// order, so two registries built by identical setup code merge into
     /// one with the same export order.
@@ -258,10 +233,6 @@ impl MetricsRegistry {
             let id = self.counter(n);
             self.inc(id, v);
         }
-        for (n, v) in other.gauges() {
-            let id = self.gauge(n);
-            self.gauges[id.0].1 += v;
-        }
         for (n, h) in other.histograms() {
             let id = self.histogram(n);
             self.hists[id.0].1.absorb(h);
@@ -269,16 +240,13 @@ impl MetricsRegistry {
     }
 
     /// Flatten every metric into `(name, value)` scalar pairs, in
-    /// registration order: counters and gauges as-is, histograms as
+    /// registration order: counters as-is, histograms as
     /// `<name>_{count,mean,p50,p99,max}`. Deterministic for deterministic
     /// inputs, so the pairs are safe to embed in run artifacts.
     pub fn scalar_pairs(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         for (n, v) in self.counters() {
             out.push((n.to_string(), v as f64));
-        }
-        for (n, v) in self.gauges() {
-            out.push((n.to_string(), v));
         }
         for (n, h) in self.histograms() {
             if h.count() == 0 {
@@ -341,15 +309,12 @@ mod tests {
         assert_eq!(r.counter("widgets"), c, "re-registration returns same id");
         r.inc(c, 2);
         r.inc(c, 3);
-        let g = r.gauge("level");
-        r.set_gauge(g, 0.5);
         let h = r.histogram("lat");
         r.observe(h, 10);
         r.observe(h, 20);
         let pairs = r.scalar_pairs();
         let get = |k: &str| pairs.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
         assert_eq!(get("widgets"), Some(5.0));
-        assert_eq!(get("level"), Some(0.5));
         assert_eq!(get("lat_count"), Some(2.0));
         assert_eq!(get("lat_max"), Some(20.0));
     }

@@ -10,8 +10,7 @@
 //! * [`arrivals`] — Poisson flow arrivals at a target average link load
 //!   (the paper runs 50%);
 //! * [`patterns`] — deterministic scenarios: incast waves and storms,
-//!   permutation waves, uniform random pairs, and the staggered join/leave
-//!   pattern of Fig. 13e.
+//!   permutation waves, and the staggered join/leave pattern of Fig. 13e.
 
 pub mod arrivals;
 pub mod cdf;

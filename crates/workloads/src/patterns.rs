@@ -1,6 +1,6 @@
 //! Deterministic traffic patterns: incast (one wave or a storm of them),
-//! permutation (one wave or several), uniform random pairs, and the
-//! staggered join/leave pattern of Fig. 13e.
+//! permutation (one wave or several), and the staggered join/leave pattern
+//! of Fig. 13e.
 //!
 //! All of them produce plain [`FlowSpec`] sets, so the same generator feeds
 //! the packet backend at small scale and the fluid backend at 10k–1M flows
@@ -102,37 +102,6 @@ pub fn permutation_waves(
     flows
 }
 
-/// Uniform random pairs with exponential arrivals — a quick generator for
-/// stress runs that sidesteps CDF sampling cost entirely.
-pub fn uniform_pairs(
-    n_hosts: u32,
-    n_flows: u32,
-    size: u64,
-    mean_gap: TimeDelta,
-    seed: u64,
-) -> Vec<FlowSpec> {
-    assert!(n_hosts >= 2);
-    let mut rng = DetRng::new(seed, 0xF1D);
-    let mut t = SimTime::ZERO;
-    (0..n_flows)
-        .map(|k| {
-            t += TimeDelta::from_secs_f64(rng.exp(mean_gap.as_secs_f64()));
-            let src = rng.below(n_hosts as u64) as u32;
-            let mut dst = rng.below(n_hosts as u64 - 1) as u32;
-            if dst >= src {
-                dst += 1;
-            }
-            FlowSpec {
-                id: FlowId(k),
-                src: HostId(src),
-                dst: HostId(dst),
-                size,
-                start: t,
-            }
-        })
-        .collect()
-}
-
 /// Fig. 13e: `n` senders join a shared bottleneck one after another, every
 /// `interval`, and exit in join order — the classic fairness staircase.
 ///
@@ -226,19 +195,6 @@ mod tests {
         // Waves are spaced by the gap.
         assert_eq!(flows[0].start, SimTime::ZERO);
         assert_eq!(flows[39].start, SimTime::ZERO + TimeDelta::from_us(150));
-    }
-
-    #[test]
-    fn uniform_pairs_are_valid_and_ordered() {
-        let flows = uniform_pairs(32, 500, 10_000, TimeDelta::from_us(1), 3);
-        assert_eq!(flows.len(), 500);
-        for w in flows.windows(2) {
-            assert!(w[0].start <= w[1].start);
-        }
-        for f in &flows {
-            assert_ne!(f.src, f.dst);
-            assert!(f.src.0 < 32 && f.dst.0 < 32);
-        }
     }
 
     #[test]

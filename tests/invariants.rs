@@ -181,15 +181,14 @@ fn cumulative_acks_preserve_semantics() {
 }
 
 /// Spanning-tree routing (Fig. 6) also completes workloads losslessly, on
-/// a fat-tree, a Jellyfish and a Dragonfly.
+/// a fat-tree and a leaf–spine.
 #[test]
 fn spanning_tree_routing_end_to_end() {
     let line = Bandwidth::gbps(100);
     let prop = TimeDelta::from_ns(1500);
     let topos = vec![
         Topology::fat_tree(4, line, prop).with_spanning_trees(4),
-        Topology::jellyfish(8, 3, 2, line, prop, 5, 4),
-        Topology::dragonfly(4, 2, 2, line, prop, 4),
+        Topology::leaf_spine(4, 2, 2, line, prop).with_spanning_trees(3),
     ];
     for topo in topos {
         let n = topo.n_hosts;
