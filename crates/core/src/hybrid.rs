@@ -265,12 +265,6 @@ impl HybridSim {
         self.fg.events_processed()
     }
 
-    /// Background flows still draining or yet to arrive.
-    #[inline]
-    pub fn remaining_background(&self) -> usize {
-        self.bg.remaining_flows()
-    }
-
     /// Whether every foreground flow has finished.
     pub fn foreground_done(&self) -> bool {
         let t = self.fg.telemetry();
@@ -710,6 +704,6 @@ mod tests {
             .run_to_completion(TimeDelta::from_us(200), SimTime::from_ms(20))
             .unwrap();
         assert!(done);
-        assert_eq!(h.remaining_background(), 0);
+        assert_eq!(h.bg.remaining_flows(), 0);
     }
 }

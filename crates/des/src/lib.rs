@@ -15,7 +15,7 @@
 //! * **Strict determinism**: ties in the heap are broken by insertion
 //!   sequence number, and all randomness flows through seeded [`rng`]
 //!   streams, so a run is a pure function of its configuration.
-//! * **Reusable statistics** ([`stats`]): time series, EWMA, sample
+//! * **Reusable statistics** ([`stats`]): time series, sample
 //!   percentiles, rate meters and Jain's fairness index used by the metric
 //!   collectors in `fncc-core`.
 

@@ -120,36 +120,6 @@ impl TimeSeries {
     }
 }
 
-/// Exponentially weighted moving average with a fixed smoothing factor.
-#[derive(Clone, Copy, Debug)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// `alpha` is the weight of each new observation, in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in an observation and return the updated average.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(v) => v + self.alpha * (x - v),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average, if any observation has been folded in.
-    pub fn get(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 /// An unsorted bag of samples with percentile queries (nearest-rank).
 #[derive(Clone, Debug, Default)]
 pub struct Samples {
@@ -271,15 +241,6 @@ impl RateMeter {
     }
 }
 
-/// Mean over a slice (0 for empty input).
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,23 +293,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn ewma_converges_towards_constant_input() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.get(), None);
-        e.update(0.0);
-        for _ in 0..50 {
-            e.update(10.0);
-        }
-        assert!((e.get().unwrap() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
     }
 
     #[test]

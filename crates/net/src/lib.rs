@@ -32,7 +32,6 @@ pub mod switch;
 pub mod telemetry;
 pub mod topology;
 pub mod units;
-pub mod wire;
 
 pub use config::{EcnConfig, FabricConfig, IntInsertion, PfcConfig, RoccSwitchConfig};
 pub use fabric::{Ev, Fabric, HostCtx, HostLogic, ShardCtx};

@@ -18,11 +18,6 @@ impl Bandwidth {
     pub const fn gbps(g: u64) -> Self {
         Bandwidth(g * 1_000_000_000)
     }
-    /// From megabits per second.
-    #[inline]
-    pub const fn mbps(m: u64) -> Self {
-        Bandwidth(m * 1_000_000)
-    }
 
     /// Raw bits per second.
     #[inline]
@@ -53,12 +48,6 @@ impl Bandwidth {
     #[inline]
     pub fn bytes_in(self, d: TimeDelta) -> u64 {
         ((self.0 as u128 * d.as_ps() as u128) / (8 * 1_000_000_000_000u128)) as u64
-    }
-
-    /// Bandwidth–delay product in bytes for a round-trip time `rtt`.
-    #[inline]
-    pub fn bdp_bytes(self, rtt: TimeDelta) -> u64 {
-        self.bytes_in(rtt)
     }
 }
 
@@ -101,11 +90,6 @@ impl ByteSize {
     pub const fn as_bytes(self) -> u64 {
         self.0
     }
-    /// As kilobytes (floating point) — the unit of the queue-length plots.
-    #[inline]
-    pub fn as_kb_f64(self) -> f64 {
-        self.0 as f64 / 1024.0
-    }
 }
 
 impl fmt::Debug for ByteSize {
@@ -132,10 +116,8 @@ mod tests {
     #[test]
     fn constructors() {
         assert_eq!(Bandwidth::gbps(100).as_bps(), 100_000_000_000);
-        assert_eq!(Bandwidth::mbps(40).as_bps(), 40_000_000);
         assert_eq!(ByteSize::kb(500).as_bytes(), 512_000);
         assert_eq!(ByteSize::mb(32).as_bytes(), 33_554_432);
-        assert!((ByteSize::kb(3).as_kb_f64() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -174,7 +156,7 @@ mod tests {
     #[test]
     fn bdp_matches_paper_scale() {
         // ~12 us RTT at 100 Gb/s ≈ 150 KB BDP (the paper's dumbbell).
-        let bdp = Bandwidth::gbps(100).bdp_bytes(TimeDelta::from_us(12));
+        let bdp = Bandwidth::gbps(100).bytes_in(TimeDelta::from_us(12));
         assert_eq!(bdp, 150_000);
     }
 

@@ -47,21 +47,11 @@ fn assert_within_band(name: &str, p: f64, f: f64) {
     );
 }
 
-/// Matrix cell scale. CI's quick job shrinks the three newly calibrated
-/// schemes' cells with `FNCC_XVAL_FLOWS`/`FNCC_XVAL_SEEDS`; unset (the
-/// default everywhere else) runs the full 120-flow × 2-seed cells.
-fn env_scale(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn xval_workload(cc: CcKind, workload: Workload) {
     let mut spec = WorkloadSpec::new(cc, workload);
     spec.load = 0.5;
-    spec.n_flows = env_scale("FNCC_XVAL_FLOWS", 120) as u32;
-    spec.seeds = (1..=env_scale("FNCC_XVAL_SEEDS", 2)).collect();
+    spec.n_flows = 120;
+    spec.seeds = vec![1, 2];
     spec.k = 4;
     let (p, f) = both_backends(&spec.scenario());
     assert_within_band(&format!("{cc:?}/{workload:?}"), p, f);
