@@ -259,6 +259,8 @@ pub struct HopCongestionResult {
     pub cc: CcKind,
     /// Congestion location.
     pub location: HopLocation,
+    /// LHCS active?
+    pub lhcs: bool,
     /// Congested-port queue depth (KB).
     pub queue_kb: TimeSeries,
     /// Congested-port utilization.
@@ -283,6 +285,7 @@ pub fn hop_congestion(loc: HopLocation, spec: &MicrobenchSpec) -> HopCongestionR
     HopCongestionResult {
         cc: spec.cc,
         location: loc,
+        lhcs: spec.cc == CcKind::Fncc && !spec.disable_lhcs,
         queue_kb: report.series("queue_kb").cloned().unwrap_or_default(),
         util: report.series("util").cloned().unwrap_or_default(),
         flow_rates_gbps: renamed_series(&report, "flow", 2, |i| format!("flow{i}")),
@@ -482,12 +485,46 @@ mod tests {
     }
 
     #[test]
+    fn elephant_fncc_reacts_before_hpcc_with_shallower_queue() {
+        let f = elephant_dumbbell(&quick(CcKind::Fncc));
+        let h = elephant_dumbbell(&quick(CcKind::Hpcc));
+        let (fr, hr) = (f.reaction_us.unwrap(), h.reaction_us.unwrap());
+        assert!(fr <= hr, "FNCC {fr}us vs HPCC {hr}us");
+        assert!(
+            f.peak_queue_kb <= h.peak_queue_kb * 1.05,
+            "queues F{} H{}",
+            f.peak_queue_kb,
+            h.peak_queue_kb
+        );
+        // FNCC's INT (via ACK) must be fresher than HPCC's on the first hop.
+        assert!(
+            f.mean_int_age_us[0] < h.mean_int_age_us[0],
+            "INT age F{:?} H{:?}",
+            f.mean_int_age_us,
+            h.mean_int_age_us
+        );
+    }
+
+    #[test]
     fn hop_congestion_runs_at_all_locations() {
         for loc in [HopLocation::First, HopLocation::Middle, HopLocation::Last] {
             let r = hop_congestion(loc, &quick(CcKind::Fncc));
             assert!(r.peak_queue_kb > 0.0, "{loc:?} saw no queue");
             assert!(r.mean_util > 0.5, "{loc:?} util {}", r.mean_util);
         }
+    }
+
+    #[test]
+    fn lhcs_fires_only_at_last_hop() {
+        let last = hop_congestion(HopLocation::Last, &quick(CcKind::Fncc));
+        assert!(last.lhcs_triggers > 0, "LHCS silent at last hop");
+        let first = hop_congestion(HopLocation::First, &quick(CcKind::Fncc));
+        assert_eq!(first.lhcs_triggers, 0, "LHCS fired at first hop");
+        let mut spec = quick(CcKind::Fncc);
+        spec.disable_lhcs = true;
+        let disabled = hop_congestion(HopLocation::Last, &spec);
+        assert_eq!(disabled.lhcs_triggers, 0);
+        assert!(!disabled.lhcs);
     }
 
     #[test]
