@@ -30,7 +30,6 @@ use crate::metrics::{
 };
 use crate::report::RunReport;
 use crate::scenario::{Scenario, StopCondition, TrafficSpec};
-use crate::scenarios::{WorkloadResult, WorkloadSpec};
 use crate::sharded::{ShardStats, ShardedSim};
 use crate::sim::{make_algo, SimBuilder};
 use fncc_cc::{CcAlgo, CcKind, FnccConfig};
@@ -871,23 +870,25 @@ impl Backend for HybridBackend {
     }
 }
 
-// ----------------------------------------------------------------------
-// Workload compatibility wrappers
-// ----------------------------------------------------------------------
-
-/// Run the §5.5 fat-tree workload on the chosen backend. Both paths build
-/// identical topologies and flow sets (same seeds → same flows), so their
-/// [`WorkloadResult`]s are directly comparable.
-pub fn fattree_workload_on(spec: &WorkloadSpec, backend: SimBackend) -> WorkloadResult {
-    let report = run_scenario(&spec.scenario(), backend);
-    WorkloadResult::from_report(spec, &report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::Workload;
+    use crate::scenarios::fattree_workload;
     use fncc_cc::CcKind;
+
+    /// The §5.5 preset on a k = 4 fat-tree at 30 % load.
+    fn small_hadoop(flows: u32, seeds: Vec<u64>) -> Scenario {
+        let mut sc = fattree_workload(CcKind::Fncc, Workload::FbHadoop);
+        sc.topology = crate::scenario::TopologySpec::FatTree { k: 4 };
+        sc.traffic = TrafficSpec::Poisson {
+            workload: Workload::FbHadoop,
+            load: 0.3,
+            flows,
+        };
+        sc.seeds = seeds;
+        sc
+    }
 
     #[test]
     fn backend_parse_roundtrip() {
@@ -916,20 +917,11 @@ mod tests {
 
     #[test]
     fn fluid_workload_completes_and_buckets_all_flows() {
-        let spec = WorkloadSpec {
-            cc: CcKind::Fncc,
-            workload: Workload::FbHadoop,
-            load: 0.3,
-            n_flows: 200,
-            seeds: vec![1, 2],
-            k: 4,
-            line_gbps: 100,
-        };
-        let r = fattree_workload_on(&spec, SimBackend::Fluid);
+        let r = run_scenario(&small_hadoop(200, vec![1, 2]), SimBackend::Fluid);
         assert_eq!(r.unfinished, vec![0, 0]);
-        let total: usize = r.rows.iter().map(|b| b.count).sum();
+        let total: usize = r.slowdowns.iter().map(|b| b.count).sum();
         assert_eq!(total, 400);
-        for b in &r.rows {
+        for b in &r.slowdowns {
             if b.count > 0 {
                 assert!(b.avg >= 1.0, "slowdown below 1 in {}", b.label);
                 assert!(b.p99 >= b.p50);
@@ -1170,21 +1162,13 @@ mod tests {
 
     #[test]
     fn both_backends_run_the_same_spec() {
-        let spec = WorkloadSpec {
-            cc: CcKind::Fncc,
-            workload: Workload::FbHadoop,
-            load: 0.3,
-            n_flows: 40,
-            seeds: vec![1],
-            k: 4,
-            line_gbps: 100,
-        };
-        let p = fattree_workload_on(&spec, SimBackend::Packet);
-        let f = fattree_workload_on(&spec, SimBackend::Fluid);
+        let sc = small_hadoop(40, vec![1]);
+        let p = run_scenario(&sc, SimBackend::Packet);
+        let f = run_scenario(&sc, SimBackend::Fluid);
         assert_eq!(p.unfinished, vec![0]);
         assert_eq!(f.unfinished, vec![0]);
         // Identical flow populations land in identical buckets.
-        let counts = |r: &WorkloadResult| r.rows.iter().map(|b| b.count).collect::<Vec<_>>();
+        let counts = |r: &RunReport| r.slowdowns.iter().map(|b| b.count).collect::<Vec<_>>();
         assert_eq!(counts(&p), counts(&f));
         // The fluid engine does orders of magnitude less work.
         assert!(

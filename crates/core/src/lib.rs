@@ -8,9 +8,10 @@
 //!   scheme and a flow set, get a ready-to-run [`sim::Sim`]; the builder
 //!   wires the scheme's switch features (INT-on-data for HPCC, INT-on-ACK
 //!   for FNCC, RED/ECN for DCQCN, the PI controller for RoCC) automatically.
-//! * [`scenarios`] — the paper's experiments as functions: the elephant
-//!   dumbbell of §5.1–5.2, the hop-location study of §5.4, the fairness
-//!   staircase of §5.3, and the fat-tree workload runs of §5.5.
+//! * [`scenarios`] — the paper's experiments as [`scenario::Scenario`]
+//!   presets: the elephant dumbbell of §5.1–5.2, the hop-location study
+//!   of §5.4, the fairness staircase of §5.3, and the fat-tree workload
+//!   runs of §5.5. The [`report::RunReport`] a run returns is the result.
 //! * [`metrics`] — result extraction: reaction times, queue statistics,
 //!   FCT-slowdown tables per flow-size bucket.
 //! * [`analysis`] — closed-form models: the Fig. 12 notification-latency
@@ -36,9 +37,8 @@
 //! ```
 //! use fncc_core::prelude::*;
 //!
-//! let spec = MicrobenchSpec { cc: CcKind::Fncc, horizon_us: 500, ..MicrobenchSpec::default() };
-//! let result = elephant_dumbbell(&spec);
-//! assert!(result.queue_kb.max() < 600.0); // queue stayed shallow
+//! let report = PacketBackend::default().run(&elephants(CcKind::Fncc, 100, 500));
+//! assert!(report.series("queue_kb").unwrap().max() < 600.0); // queue stayed shallow
 //! ```
 
 pub mod analysis;
@@ -56,8 +56,8 @@ pub mod sweep;
 
 pub use analysis::{hardware_trends, notification_gain_model, HopGain, SwitchGen};
 pub use backend::{
-    fattree_workload_on, run_scenario, run_scenario_traced, Backend, FluidBackend, HybridBackend,
-    PacketBackend, SimBackend,
+    run_scenario, run_scenario_traced, Backend, FluidBackend, HybridBackend, PacketBackend,
+    SimBackend,
 };
 pub use calibration::{CalibrationArtifact, CALIBRATION_SCHEMA};
 pub use metrics::{fct_slowdowns, reaction_time, time_to_fair, SlowdownStats};
@@ -66,10 +66,7 @@ pub use scenario::{
     parse_cc, CcOverrides, ForegroundSpec, LinkSpec, PartitionRule, ProbeSpec, Scenario,
     StopCondition, TopologySpec, TrafficSpec, Workload,
 };
-pub use scenarios::{
-    elephant_dumbbell, fairness_staircase, fattree_workload, hop_congestion, ElephantResult,
-    FairnessResult, HopCongestionResult, HopLocation, MicrobenchSpec, WorkloadResult, WorkloadSpec,
-};
+pub use scenarios::{elephants, fattree_workload, hop_location, staircase_scenario, HopLocation};
 pub use sharded::{ShardStats, ShardedSim};
 pub use sim::{make_algo, Sim, SimBuilder};
 
@@ -81,8 +78,8 @@ pub use fncc_obs as obs;
 pub mod prelude {
     pub use crate::analysis::{hardware_trends, notification_gain_model};
     pub use crate::backend::{
-        fattree_workload_on, run_scenario, run_scenario_traced, Backend, FluidBackend,
-        HybridBackend, PacketBackend, SimBackend,
+        run_scenario, run_scenario_traced, Backend, FluidBackend, HybridBackend, PacketBackend,
+        SimBackend,
     };
     pub use crate::calibration::{CalibrationArtifact, CALIBRATION_SCHEMA};
     pub use crate::metrics::{fct_slowdowns, reaction_time, time_to_fair, SlowdownStats};
@@ -92,9 +89,7 @@ pub mod prelude {
         TopologySpec, TrafficSpec, Workload,
     };
     pub use crate::scenarios::{
-        elephant_dumbbell, fairness_staircase, fattree_workload, hop_congestion, ElephantResult,
-        FairnessResult, HopCongestionResult, HopLocation, MicrobenchSpec, WorkloadResult,
-        WorkloadSpec,
+        elephants, fattree_workload, hop_location, staircase_scenario, HopLocation,
     };
     pub use crate::sim::{make_algo, Sim, SimBuilder};
     pub use fncc_cc::CcKind;

@@ -73,6 +73,15 @@ impl RunReport {
             .map(|(_, v)| *v)
     }
 
+    /// The numbered scalars `prefix0`, `prefix1`, … up to the first missing
+    /// index (per-hop INT ages `int_age_us_hop`, per-period Jain indices
+    /// `jain_p`).
+    pub fn indexed_scalars(&self, prefix: &str) -> Vec<f64> {
+        (0..)
+            .map_while(|i| self.scalar(&format!("{prefix}{i}")))
+            .collect()
+    }
+
     /// Look up a time series by name.
     pub fn series(&self, name: &str) -> Option<&TimeSeries> {
         self.series.iter().find(|s| s.name == name)
@@ -287,6 +296,17 @@ mod tests {
         assert_eq!(r.scalar("mean_util"), Some(0.95));
         assert_eq!(r.scalars.len(), 2, "replacement must not duplicate");
         assert_eq!(r.scalar("absent"), None);
+    }
+
+    #[test]
+    fn indexed_scalars_stop_at_the_first_gap() {
+        let mut r = sample();
+        assert!(r.indexed_scalars("jain_p").is_empty());
+        r.put_scalar("jain_p1", 0.8);
+        assert!(r.indexed_scalars("jain_p").is_empty(), "no jain_p0");
+        r.put_scalar("jain_p0", 1.0);
+        r.put_scalar("jain_p3", 0.5);
+        assert_eq!(r.indexed_scalars("jain_p"), vec![1.0, 0.8]);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! `All_INT_Table` refresh, cumulative-ACK granularity, and the Timely/Swift
 //! extension baselines.
 
-use crate::report::{emit_table, f2, f3, opt_us};
+use crate::report::{emit_table, f2, f3, num, opt_us};
 use crate::RunOpts;
 use fncc_cc::{CcAlgo, CcKind, LhcsConfig};
 use fncc_core::prelude::*;
-use fncc_core::scenarios::MicrobenchSpec;
 use fncc_core::sim::SimBuilder;
 use fncc_des::output::Table;
 use fncc_des::time::TimeDelta;
@@ -99,24 +98,15 @@ pub fn lhcs_sweep(opts: &RunOpts) {
 /// FNCC's advantage erodes?
 pub fn int_refresh_sweep(opts: &RunOpts) {
     let mut t = Table::new(["refresh", "reaction_us", "peak_queue_KB", "mean_util"]);
-    for (label, refresh) in [
-        ("live", None),
-        ("1us", Some(TimeDelta::from_us(1))),
-        ("5us", Some(TimeDelta::from_us(5))),
-        ("20us", Some(TimeDelta::from_us(20))),
-    ] {
-        let spec = MicrobenchSpec {
-            cc: CcKind::Fncc,
-            int_refresh: refresh,
-            horizon_us: opts.micro_horizon_us(),
-            ..Default::default()
-        };
-        let r = elephant_dumbbell(&spec);
+    for (label, refresh_us) in [("live", 0), ("1us", 1), ("5us", 5), ("20us", 20)] {
+        let mut sc = elephants(CcKind::Fncc, 100, opts.micro_horizon_us());
+        sc.overrides.int_refresh_us = refresh_us;
+        let r = PacketBackend::default().run(&sc);
         t.row([
             label.to_string(),
-            opt_us(r.reaction_us),
-            f2(r.peak_queue_kb),
-            f3(r.mean_util_after_join),
+            opt_us(r.scalar("reaction_us")),
+            f2(num(&r, "peak_queue_kb")),
+            f3(num(&r, "mean_util")),
         ]);
     }
     emit_table(
@@ -257,18 +247,13 @@ pub fn pause_storm(opts: &RunOpts) {
 pub fn extra_cc(opts: &RunOpts) {
     let mut t = Table::new(["cc", "reaction_us", "peak_queue_KB", "mean_util", "pauses"]);
     for cc in [CcKind::Fncc, CcKind::Hpcc, CcKind::Timely, CcKind::Swift] {
-        let spec = MicrobenchSpec {
-            cc,
-            horizon_us: opts.micro_horizon_us(),
-            ..Default::default()
-        };
-        let r = elephant_dumbbell(&spec);
+        let r = PacketBackend::default().run(&elephants(cc, 100, opts.micro_horizon_us()));
         t.row([
             cc.name().to_string(),
-            opt_us(r.reaction_us),
-            f2(r.peak_queue_kb),
-            f3(r.mean_util_after_join),
-            r.pause_frames.to_string(),
+            opt_us(r.scalar("reaction_us")),
+            f2(num(&r, "peak_queue_kb")),
+            f3(num(&r, "mean_util")),
+            num(&r, "pause_frames").to_string(),
         ]);
     }
     emit_table(

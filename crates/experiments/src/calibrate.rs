@@ -166,21 +166,20 @@ impl Bank {
 }
 
 /// The held-out workload cell for `(cc, workload)` at `scale`.
-fn holdout_spec(cc: CcKind, workload: Workload, scale: Scale) -> WorkloadSpec {
-    let mut spec = WorkloadSpec::new(cc, workload);
-    spec.load = 0.5;
-    spec.k = 4;
-    match scale {
-        Scale::Quick => {
-            spec.n_flows = 60;
-            spec.seeds = HOLDOUT_SEEDS[..4].to_vec();
-        }
-        _ => {
-            spec.n_flows = 120;
-            spec.seeds = HOLDOUT_SEEDS.to_vec();
-        }
-    }
-    spec
+fn holdout_scenario(cc: CcKind, workload: Workload, scale: Scale) -> Scenario {
+    let (flows, seeds) = match scale {
+        Scale::Quick => (60, &HOLDOUT_SEEDS[..4]),
+        _ => (120, &HOLDOUT_SEEDS[..]),
+    };
+    let mut sc = fattree_workload(cc, workload);
+    sc.topology = TopologySpec::FatTree { k: 4 };
+    sc.traffic = TrafficSpec::Poisson {
+        workload,
+        load: 0.5,
+        flows,
+    };
+    sc.seeds = seeds.to_vec();
+    sc
 }
 
 /// Quantize `x` to the nearest `1/per` — the fit's grid (`per` = 20 for
@@ -294,7 +293,7 @@ fn refit_on_holdout(
 ) -> Calibration {
     let cells: Vec<Scenario> = [Workload::FbHadoop, Workload::WebSearch]
         .into_iter()
-        .map(|w| holdout_spec(cc, w, scale).scenario())
+        .map(|w| holdout_scenario(cc, w, scale))
         .collect();
 
     // Big-flow observable from the DES.
@@ -370,7 +369,7 @@ fn holdout_errors_and_reports(
         .into_iter()
         .enumerate()
     {
-        let sc = holdout_spec(cc, workload, scale).scenario();
+        let sc = holdout_scenario(cc, workload, scale);
         let packet = run_scenario(&sc, SimBackend::Packet);
         let p = packet.mean_slowdown().expect("packet slowdowns");
         let f = fluid_report(&sc, candidate)
@@ -550,9 +549,9 @@ mod tests {
                 "held-out seed {s} overlaps validation"
             );
         }
-        let spec = holdout_spec(CcKind::Fncc, Workload::WebSearch, Scale::Default);
-        assert_eq!(spec.seeds, HOLDOUT_SEEDS.to_vec());
-        assert_eq!(spec.k, 4);
+        let sc = holdout_scenario(CcKind::Fncc, Workload::WebSearch, Scale::Default);
+        assert_eq!(sc.seeds, HOLDOUT_SEEDS.to_vec());
+        assert_eq!(sc.topology, TopologySpec::FatTree { k: 4 });
     }
 
     #[test]

@@ -1,23 +1,30 @@
 //! Figures 1, 2, 3, 5/6, 9, 12, 13 — microbenchmarks, models and the
 //! routing-symmetry check.
 
-use crate::report::{emit_series, emit_table, f2, f3, opt_us};
+use crate::report::{emit_series, emit_table, f2, f3, num, opt_us, relabel};
 use crate::RunOpts;
 use fncc_cc::CcKind;
 use fncc_core::prelude::*;
-use fncc_core::scenarios::{HopCongestionResult, MicrobenchSpec};
 use fncc_core::sweep::run_parallel;
 use fncc_des::output::Table;
 use fncc_des::time::TimeDelta;
 use fncc_net::ids::{FlowId, HostId};
 
-fn micro_spec(cc: CcKind, gbps: u64, opts: &RunOpts) -> MicrobenchSpec {
-    MicrobenchSpec {
-        cc,
-        line_gbps: gbps,
-        horizon_us: opts.micro_horizon_us(),
-        ..Default::default()
-    }
+/// The elephant dumbbell of `cc` at `gbps` over the scale's horizon.
+fn micro(cc: CcKind, gbps: u64, opts: &RunOpts) -> Scenario {
+    elephants(cc, gbps, opts.micro_horizon_us())
+}
+
+/// Run `ccs`' elephant dumbbells at `gbps` in parallel.
+fn micro_all(ccs: &[CcKind], gbps: u64, opts: &RunOpts) -> Vec<RunReport> {
+    let jobs: Vec<_> = ccs
+        .iter()
+        .map(|&cc| {
+            let sc = micro(cc, gbps, opts);
+            move || PacketBackend::default().run(&sc)
+        })
+        .collect();
+    run_parallel(jobs, opts.threads)
 }
 
 /// Fig. 1a: NVIDIA Spectrum buffer/capacity trend (static data).
@@ -51,26 +58,15 @@ pub fn fig1a(opts: &RunOpts) {
 pub fn fig1_queues(opts: &RunOpts) {
     let ccs = [CcKind::Fncc, CcKind::Hpcc, CcKind::Dcqcn];
     for gbps in [100u64, 200, 400] {
-        let specs: Vec<MicrobenchSpec> = ccs.iter().map(|&cc| micro_spec(cc, gbps, opts)).collect();
-        let jobs: Vec<_> = specs
-            .iter()
-            .map(|s| {
-                let s = s.clone();
-                move || elephant_dumbbell(&s)
-            })
-            .collect();
-        let results = run_parallel(jobs, opts.threads);
-
         let mut t = Table::new(["cc", "peak_queue_KB", "mean_queue_KB", "pause_frames"]);
         let mut named: Vec<TimeSeries> = Vec::new();
-        for r in &results {
-            let mut q = r.queue_kb.clone();
-            q.name = r.cc.name().to_string();
+        for r in &micro_all(&ccs, gbps, opts) {
+            let q = relabel(r, "queue_kb", r.cc.clone());
             t.row([
-                r.cc.name().to_string(),
-                f2(r.peak_queue_kb),
+                r.cc.clone(),
+                f2(num(r, "peak_queue_kb")),
                 f2(q.mean()),
-                r.pause_frames.to_string(),
+                num(r, "pause_frames").to_string(),
             ]);
             named.push(q);
         }
@@ -89,26 +85,28 @@ pub fn fig1_queues(opts: &RunOpts) {
 /// `age` µs old; FNCC's must be fresher than HPCC's on every hop, and the
 /// sender's first reaction after the join must come earlier.
 pub fn fig2(opts: &RunOpts) {
-    let f = elephant_dumbbell(&micro_spec(CcKind::Fncc, 100, opts));
-    let h = elephant_dumbbell(&micro_spec(CcKind::Hpcc, 100, opts));
-    let join = 300.0;
+    let fncc = micro(CcKind::Fncc, 100, opts);
+    let TrafficSpec::Elephants { join_at_us } = fncc.traffic else {
+        unreachable!("the elephant preset is elephant traffic")
+    };
+    let f = PacketBackend::default().run(&fncc);
+    let h = PacketBackend::default().run(&micro(CcKind::Hpcc, 100, opts));
+    let after_join = |r: &RunReport| opt_us(r.scalar("reaction_us").map(|x| x - join_at_us as f64));
     let mut t = Table::new(["quantity", "HPCC", "FNCC"]);
     t.row([
         "reaction after join (us)".to_string(),
-        opt_us(h.reaction_us.map(|x| x - join)),
-        opt_us(f.reaction_us.map(|x| x - join)),
+        after_join(&h),
+        after_join(&f),
     ]);
-    for hop in 0..h.mean_int_age_us.len().max(f.mean_int_age_us.len()) {
+    let (fa, ha) = (
+        f.indexed_scalars("int_age_us_hop"),
+        h.indexed_scalars("int_age_us_hop"),
+    );
+    for hop in 0..ha.len().max(fa.len()) {
         t.row([
             format!("mean INT age, hop {hop} (us)"),
-            h.mean_int_age_us
-                .get(hop)
-                .map(|&x| f2(x))
-                .unwrap_or("-".into()),
-            f.mean_int_age_us
-                .get(hop)
-                .map(|&x| f2(x))
-                .unwrap_or("-".into()),
+            ha.get(hop).map(|&x| f2(x)).unwrap_or("-".into()),
+            fa.get(hop).map(|&x| f2(x)).unwrap_or("-".into()),
         ]);
     }
     emit_table(
@@ -124,9 +122,11 @@ pub fn fig3(opts: &RunOpts) {
     let ccs = [CcKind::Dcqcn, CcKind::Hpcc, CcKind::Fncc];
     let mut t = Table::new(["cc", "pauses_200G", "pauses_400G"]);
     for &cc in &ccs {
-        let p200 = elephant_dumbbell(&micro_spec(cc, 200, opts)).pause_frames;
-        let p400 = elephant_dumbbell(&micro_spec(cc, 400, opts)).pause_frames;
-        t.row([cc.name().to_string(), p200.to_string(), p400.to_string()]);
+        let pauses = |gbps| {
+            let r = PacketBackend::default().run(&micro(cc, gbps, opts));
+            num(&r, "pause_frames").to_string()
+        };
+        t.row([cc.name().to_string(), pauses(200), pauses(400)]);
     }
     emit_table(
         &opts.out,
@@ -201,40 +201,23 @@ pub fn fig9(opts: &RunOpts) {
         "pauses",
     ]);
     for gbps in [100u64, 200, 400] {
-        let specs: Vec<MicrobenchSpec> = ccs.iter().map(|&cc| micro_spec(cc, gbps, opts)).collect();
-        let jobs: Vec<_> = specs
-            .iter()
-            .map(|s| {
-                let s = s.clone();
-                move || elephant_dumbbell(&s)
-            })
-            .collect();
-        let results = run_parallel(jobs, opts.threads);
-
         let mut queues: Vec<TimeSeries> = Vec::new();
         let mut utils: Vec<TimeSeries> = Vec::new();
         let mut rates: Vec<TimeSeries> = Vec::new();
-        for r in &results {
+        for r in &micro_all(&ccs, gbps, opts) {
             summary.row([
                 format!("{gbps}G"),
-                r.cc.name().to_string(),
-                opt_us(r.reaction_us),
-                opt_us(r.fair_convergence_us),
-                f2(r.peak_queue_kb),
-                f3(r.mean_util_after_join),
-                r.pause_frames.to_string(),
+                r.cc.clone(),
+                opt_us(r.scalar("reaction_us")),
+                opt_us(r.scalar("fair_convergence_us")),
+                f2(num(r, "peak_queue_kb")),
+                f3(num(r, "mean_util")),
+                num(r, "pause_frames").to_string(),
             ]);
-            let mut q = r.queue_kb.clone();
-            q.name = r.cc.name().into();
-            queues.push(q);
-            let mut u = r.util.clone();
-            u.name = r.cc.name().into();
-            utils.push(u);
-            for fr in &r.flow_rates_gbps {
-                rates.push(fr.clone());
-            }
-            for cr in &r.cc_rates_gbps {
-                rates.push(cr.clone());
+            queues.push(relabel(r, "queue_kb", r.cc.clone()));
+            utils.push(relabel(r, "util", r.cc.clone()));
+            for s in ["flow0", "flow1", "cc0", "cc1"] {
+                rates.push(relabel(r, s, format!("{}-{s}", r.cc)));
             }
         }
         emit_series(
@@ -265,8 +248,12 @@ pub fn fig9(opts: &RunOpts) {
 pub fn fig12(opts: &RunOpts) {
     let model =
         notification_gain_model(3, Bandwidth::gbps(100), TimeDelta::from_ns(1500), 1518, 70);
-    let f = elephant_dumbbell(&micro_spec(CcKind::Fncc, 100, opts));
-    let h = elephant_dumbbell(&micro_spec(CcKind::Hpcc, 100, opts));
+    let ages = |cc| {
+        PacketBackend::default()
+            .run(&micro(cc, 100, opts))
+            .indexed_scalars("int_age_us_hop")
+    };
+    let (fa, ha) = (ages(CcKind::Fncc), ages(CcKind::Hpcc));
     let mut t = Table::new([
         "hop",
         "model_HPCC_age_us",
@@ -281,14 +268,8 @@ pub fn fig12(opts: &RunOpts) {
             f2(g.hpcc_age.as_us_f64()),
             f2(g.fncc_age.as_us_f64()),
             f2(g.gain().as_us_f64()),
-            h.mean_int_age_us
-                .get(g.hop)
-                .map(|&x| f2(x))
-                .unwrap_or("-".into()),
-            f.mean_int_age_us
-                .get(g.hop)
-                .map(|&x| f2(x))
-                .unwrap_or("-".into()),
+            ha.get(g.hop).map(|&x| f2(x)).unwrap_or("-".into()),
+            fa.get(g.hop).map(|&x| f2(x)).unwrap_or("-".into()),
         ]);
     }
     emit_table(
@@ -311,56 +292,49 @@ pub fn fig13(opts: &RunOpts) {
         "lhcs_triggers",
     ]);
     for loc in [HopLocation::First, HopLocation::Middle, HopLocation::Last] {
-        let mk = |cc: CcKind, disable_lhcs: bool| MicrobenchSpec {
-            cc,
-            horizon_us: opts.micro_horizon_us().max(800),
-            disable_lhcs,
-            ..Default::default()
+        let run = |cc: CcKind, disable_lhcs: bool| {
+            let mut sc = hop_location(cc, loc, opts.micro_horizon_us().max(800));
+            sc.overrides.disable_lhcs = disable_lhcs;
+            PacketBackend::default().run(&sc)
         };
-        let hpcc = hop_congestion(loc, &mk(CcKind::Hpcc, false));
-        let mut rows: Vec<(String, HopCongestionResult)> = vec![("HPCC".into(), hpcc.clone())];
+        let hpcc = run(CcKind::Hpcc, false);
+        let hpcc_peak = num(&hpcc, "peak_queue_kb");
+        let mut rows = vec![("HPCC", hpcc)];
         if loc == HopLocation::Last {
-            rows.push((
-                "FNCC w/o LHCS".into(),
-                hop_congestion(loc, &mk(CcKind::Fncc, true)),
-            ));
-            rows.push((
-                "FNCC with LHCS".into(),
-                hop_congestion(loc, &mk(CcKind::Fncc, false)),
-            ));
+            rows.push(("FNCC w/o LHCS", run(CcKind::Fncc, true)));
+            rows.push(("FNCC with LHCS", run(CcKind::Fncc, false)));
         } else {
-            rows.push(("FNCC".into(), hop_congestion(loc, &mk(CcKind::Fncc, false))));
+            rows.push(("FNCC", run(CcKind::Fncc, false)));
         }
         for (name, r) in &rows {
             // The paper's reduction percentages refer to queue depth at the
             // congestion point; peak depth is the robust analogue here (the
             // post-join *mean* is near zero for all schemes and noisy).
-            let reduction = if r.cc == CcKind::Hpcc {
+            let reduction = if *name == "HPCC" {
                 "-".to_string()
             } else {
-                f2(100.0 * (1.0 - r.peak_queue_kb / hpcc.peak_queue_kb.max(1e-9)))
+                f2(100.0 * (1.0 - num(r, "peak_queue_kb") / hpcc_peak.max(1e-9)))
             };
             t.row([
                 loc.name().to_string(),
-                name.clone(),
-                f2(r.peak_queue_kb),
-                f2(r.mean_queue_kb),
-                f3(r.mean_util),
+                name.to_string(),
+                f2(num(r, "peak_queue_kb")),
+                f2(num(r, "mean_queue_kb")),
+                f3(num(r, "mean_util")),
                 reduction,
-                r.lhcs_triggers.to_string(),
+                num(r, "lhcs_triggers").to_string(),
             ]);
             // Per-variant series for 13a-c plots.
             let tag = format!("fig13_{}_{}", loc.name(), name.replace([' ', '/'], "_"));
-            emit_series(&opts.out, &tag, &[&r.queue_kb, &r.util]);
+            let probes = ["queue_kb", "util"].map(|s| relabel(r, s, s));
+            emit_series(&opts.out, &tag, &probes.iter().collect::<Vec<_>>());
         }
         // Fig. 13d: last-hop flow rates.
         if loc == HopLocation::Last {
             let mut all: Vec<TimeSeries> = Vec::new();
             for (name, r) in &rows {
-                for (i, s) in r.flow_rates_gbps.iter().enumerate() {
-                    let mut s = s.clone();
-                    s.name = format!("{name}-flow{i}");
-                    all.push(s);
+                for s in ["flow0", "flow1"] {
+                    all.push(relabel(r, s, format!("{name}-{s}")));
                 }
             }
             emit_series(
@@ -384,9 +358,9 @@ pub fn fig13e(opts: &RunOpts) {
         crate::Scale::Quick => TimeDelta::from_us(300),
         _ => TimeDelta::from_ms(1),
     };
-    let r = fairness_staircase(CcKind::Fncc, 4, interval, 1);
+    let r = PacketBackend::default().run(&staircase_scenario(CcKind::Fncc, 4, interval, 1));
     let mut t = Table::new(["period", "jain_index"]);
-    for (p, j) in r.jain_per_period.iter().enumerate() {
+    for (p, j) in r.indexed_scalars("jain_p").iter().enumerate() {
         t.row([p.to_string(), f3(*j)]);
     }
     emit_table(
@@ -395,10 +369,14 @@ pub fn fig13e(opts: &RunOpts) {
         "Fig. 13e — fairness over staggered flows",
         &t,
     );
+    // The staircase probes only the `flow{i}` rates.
     emit_series(
         &opts.out,
         "fig13e_rates",
-        &r.flow_rates_gbps.iter().collect::<Vec<_>>(),
+        &r.series.iter().collect::<Vec<_>>(),
     );
-    println!("all flows drained: {}", r.all_finished);
+    println!(
+        "all flows drained: {}",
+        r.scalar("all_finished") == Some(1.0)
+    );
 }

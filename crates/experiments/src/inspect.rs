@@ -2,7 +2,7 @@
 //!
 //! Works on both artifact kinds the backends emit:
 //!
-//! * `*.report.json` (`fncc.report/v1`) — prints the scalar table, the
+//! * `*.report.json` (`fncc.run_report/v1`) — prints the scalar table, the
 //!   series inventory and the slowdown rows.
 //! * `*.trace.jsonl` (`fncc.trace/v1`) — answers the flight-recorder
 //!   questions: per-flow event timelines (`--flow N`), the top-k hottest

@@ -133,11 +133,25 @@ impl RunOpts {
         }
     }
 
+    /// Reject a scenario `--backend` cannot run: the hybrid needs a
+    /// `foreground` block to know which flows run at packet fidelity.
+    pub fn check_backend(&self, sc: &Scenario) -> Result<(), String> {
+        if self.backend == SimBackend::Hybrid && sc.foreground.is_none() {
+            return Err(format!(
+                "--backend hybrid leaves the scenario invalid: '{}' has no 'foreground' \
+                 block naming the flows that run at packet fidelity",
+                sc.name
+            ));
+        }
+        Ok(())
+    }
+
     /// Apply `run`'s command-line overrides to a parsed scenario, then
     /// validate it again: an override can break a document that parsed,
     /// e.g. a `--flows` count under which a foreground rule matches no
     /// flow. The error names the flags applied.
     pub fn apply_run_overrides(&self, sc: &mut Scenario) -> Result<(), String> {
+        self.check_backend(sc)?;
         let mut flags = Vec::new();
         if self.trace {
             sc.probes.trace = true;
@@ -231,6 +245,31 @@ mod tests {
         ));
         assert_eq!((sc.threads, sc.probes.trace), (2, true));
         assert_eq!(with(RunOpts::default()).unwrap(), fleet);
+    }
+
+    /// `run scenarios/incast_fattree.json --backend hybrid`: the file has no
+    /// `foreground` block, and the hybrid backend used to panic on it.
+    #[test]
+    fn hybrid_backend_needs_a_foreground() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/");
+        let load = |f: &str| {
+            Scenario::from_json(&std::fs::read_to_string(format!("{dir}{f}")).unwrap()).unwrap()
+        };
+        let hybrid = RunOpts {
+            backend: SimBackend::Hybrid,
+            ..Default::default()
+        };
+        let mut incast = load("incast_fattree.json");
+        let err = hybrid.apply_run_overrides(&mut incast).unwrap_err();
+        assert!(
+            err.starts_with("--backend hybrid leaves the scenario invalid: "),
+            "{err}"
+        );
+        assert!(err.contains("foreground"), "{err}");
+        let mut fleet = load("hybrid_incast_fleet.json");
+        assert_eq!(hybrid.apply_run_overrides(&mut fleet), Ok(()));
+        let packet = RunOpts::default();
+        assert_eq!(packet.apply_run_overrides(&mut incast), Ok(()));
     }
 
     #[test]

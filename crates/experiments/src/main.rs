@@ -202,6 +202,15 @@ fn run_scenario_file(path: &str, opts: &RunOpts) {
     );
 }
 
+/// Exit 2 with the reason when an experiment rejected its flags before
+/// running anything.
+fn exit_if_rejected(outcome: Result<(), String>) {
+    if let Err(e) = outcome {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+}
+
 fn run_one(exp: &str, opts: &RunOpts) {
     let t0 = Instant::now();
     match exp {
@@ -214,8 +223,8 @@ fn run_one(exp: &str, opts: &RunOpts) {
         "fig12" => figs::fig12(opts),
         "fig13" => figs::fig13(opts),
         "fig13e" => figs::fig13e(opts),
-        "fig14" => workload_figs::fig14(opts),
-        "fig15" => workload_figs::fig15(opts),
+        "fig14" => exit_if_rejected(workload_figs::fig14(opts)),
+        "fig15" => exit_if_rejected(workload_figs::fig15(opts)),
         "ablate" => {
             ablation::lhcs_sweep(opts);
             ablation::int_refresh_sweep(opts);
@@ -226,7 +235,7 @@ fn run_one(exp: &str, opts: &RunOpts) {
         "calibrate" => {
             calibrate::calibrate(opts);
         }
-        "load-sweep" => workload_figs::load_sweep(opts),
+        "load-sweep" => exit_if_rejected(workload_figs::load_sweep(opts)),
         "check" => {
             let failed = scorecard::check(opts);
             if failed > 0 {

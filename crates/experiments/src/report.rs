@@ -1,8 +1,22 @@
 //! Output helpers: print a table to stdout and persist CSVs.
 
+use fncc_core::RunReport;
 use fncc_des::output::{series_to_csv, write_text, Table};
 use fncc_des::stats::TimeSeries;
 use std::path::Path;
+
+/// Scalar `name` of `report`, 0 when the run did not record it.
+pub fn num(report: &RunReport, name: &str) -> f64 {
+    report.scalar(name).unwrap_or(0.0)
+}
+
+/// A copy of `report`'s series `name` under a figure's CSV header `label`
+/// (empty when the run did not record it).
+pub fn relabel(report: &RunReport, name: &str, label: impl Into<String>) -> TimeSeries {
+    let mut s = report.series(name).cloned().unwrap_or_default();
+    s.name = label.into();
+    s
+}
 
 /// Print a titled table and store it as CSV under `dir/name.csv`.
 pub fn emit_table(dir: &Path, name: &str, title: &str, table: &Table) {

@@ -3,7 +3,7 @@
 //! tier-1 test `tests/paper_claims.rs` asserts it: [`run`] simulates each
 //! cell once, and [`verdicts`] is the one place a claim's condition lives.
 
-use crate::report::f2;
+use crate::report::{f2, num};
 use crate::RunOpts;
 use fncc_cc::CcKind;
 use fncc_core::prelude::*;
@@ -37,53 +37,39 @@ const ELEPHANTS: [(CcKind, u64); 9] = [
 
 /// Every simulation the claims read, each distinct cell run once.
 pub struct Runs {
-    /// One result per [`ELEPHANTS`] cell.
-    elephants: [ElephantResult; 9],
+    /// One report per [`ELEPHANTS`] cell.
+    elephants: [RunReport; 9],
     /// First hop FNCC, HPCC; last hop FNCC, HPCC, FNCC without LHCS.
-    hops: [HopCongestionResult; 5],
+    hops: [RunReport; 5],
     /// FNCC staircases at seeds 1 and 3.
-    staircase: [FairnessResult; 2],
+    staircase: [RunReport; 2],
     /// DCQCN, HPCC, FNCC at 200 flows × seed 11 and 150 flows × seeds 1–3
     /// (one 150-flow draw can flip the DCQCN/FNCC ordering).
-    workloads: [[WorkloadResult; 3]; 2],
+    workloads: [[RunReport; 3]; 2],
     /// C11's incast `incomplete_flows` on the packet and fluid backends.
     incomplete: [f64; 2],
-}
-
-fn quick(cc: CcKind, gbps: u64) -> MicrobenchSpec {
-    MicrobenchSpec {
-        cc,
-        line_gbps: gbps,
-        horizon_us: 800,
-        ..Default::default()
-    }
 }
 
 /// Simulate every cell the claims read. The scale is fixed: `--quick`
 /// and `--full` do not change the claim table.
 pub fn run() -> Runs {
-    let no_lhcs = MicrobenchSpec {
-        disable_lhcs: true,
-        ..quick(CcKind::Fncc, 100)
+    let packet = |sc: Scenario| PacketBackend::default().run(&sc);
+    let hop = |loc, cc, disable_lhcs| {
+        let mut sc = hop_location(cc, loc, 800);
+        sc.overrides.disable_lhcs = disable_lhcs;
+        packet(sc)
     };
-    let hops = [
-        (HopLocation::First, quick(CcKind::Fncc, 100)),
-        (HopLocation::First, quick(CcKind::Hpcc, 100)),
-        (HopLocation::Last, quick(CcKind::Fncc, 100)),
-        (HopLocation::Last, quick(CcKind::Hpcc, 100)),
-        (HopLocation::Last, no_lhcs),
-    ];
-    let workload = |n_flows, seeds: &[u64]| {
+    let workload = |flows, seeds: &[u64]| {
         [CcKind::Dcqcn, CcKind::Hpcc, CcKind::Fncc].map(|cc| {
-            fattree_workload(&WorkloadSpec {
-                cc,
+            let mut sc = fattree_workload(cc, Workload::FbHadoop);
+            sc.topology = TopologySpec::FatTree { k: 4 };
+            sc.traffic = TrafficSpec::Poisson {
                 workload: Workload::FbHadoop,
                 load: 0.5,
-                n_flows,
-                seeds: seeds.to_vec(),
-                k: 4,
-                line_gbps: 100,
-            })
+                flows,
+            };
+            sc.seeds = seeds.to_vec();
+            packet(sc)
         })
     };
 
@@ -106,10 +92,22 @@ pub fn run() -> Runs {
     incast.seeds = vec![1];
 
     Runs {
-        elephants: ELEPHANTS.map(|(cc, gbps)| elephant_dumbbell(&quick(cc, gbps))),
-        hops: hops.map(|(loc, spec)| hop_congestion(loc, &spec)),
-        staircase: [1, 3]
-            .map(|seed| fairness_staircase(CcKind::Fncc, 4, TimeDelta::from_ms(1), seed)),
+        elephants: ELEPHANTS.map(|(cc, gbps)| packet(elephants(cc, gbps, 800))),
+        hops: [
+            hop(HopLocation::First, CcKind::Fncc, false),
+            hop(HopLocation::First, CcKind::Hpcc, false),
+            hop(HopLocation::Last, CcKind::Fncc, false),
+            hop(HopLocation::Last, CcKind::Hpcc, false),
+            hop(HopLocation::Last, CcKind::Fncc, true),
+        ],
+        staircase: [1, 3].map(|seed| {
+            packet(staircase_scenario(
+                CcKind::Fncc,
+                4,
+                TimeDelta::from_ms(1),
+                seed,
+            ))
+        }),
         workloads: [workload(200, &[11]), workload(150, &[1, 2, 3])],
         incomplete: [SimBackend::Packet, SimBackend::Fluid].map(|b| {
             run_scenario(&incast, b)
@@ -124,9 +122,11 @@ pub fn verdicts(runs: &Runs) -> Vec<Check> {
     let mut checks = dumbbell_verdicts(&runs.elephants);
 
     let [hf, hh, lf, lh, ln] = &runs.hops;
-    let gain =
-        |f: &HopCongestionResult, h: &HopCongestionResult| 1.0 - f.peak_queue_kb / h.peak_queue_kb;
+    let peak = |r: &RunReport| num(r, "peak_queue_kb");
+    let gain = |f, h| 1.0 - peak(f) / peak(h);
     let (first, last_no, last_with) = (gain(hf, hh), gain(ln, lh), gain(lf, lh));
+    let triggers = |r: &RunReport| num(r, "lhcs_triggers");
+    let mean_queue = |r: &RunReport| num(r, "mean_queue_kb");
     checks.push(Check {
         id: "C7 (Fig.13a-c)",
         claim: "queue gain larger at first hop than at last hop (w/o LHCS)",
@@ -143,22 +143,23 @@ pub fn verdicts(runs: &Runs) -> Vec<Check> {
         claim: "LHCS fires only at the last hop and cuts the standing queue",
         measured: format!(
             "triggers last={} first={} off={}; mean queue {} -> {} KB; peak {} vs HPCC {} KB",
-            lf.lhcs_triggers,
-            hf.lhcs_triggers,
-            ln.lhcs_triggers,
-            f2(ln.mean_queue_kb),
-            f2(lf.mean_queue_kb),
-            f2(lf.peak_queue_kb),
-            f2(lh.peak_queue_kb)
+            triggers(lf),
+            triggers(hf),
+            triggers(ln),
+            f2(mean_queue(ln)),
+            f2(mean_queue(lf)),
+            f2(peak(lf)),
+            f2(peak(lh))
         ),
-        pass: lf.lhcs_triggers > 0
-            && hf.lhcs_triggers == 0
-            && ln.lhcs_triggers == 0
-            && lf.mean_queue_kb < ln.mean_queue_kb
-            && lf.peak_queue_kb < lh.peak_queue_kb,
+        pass: triggers(lf) > 0.0
+            && triggers(hf) == 0.0
+            && triggers(ln) == 0.0
+            && mean_queue(lf) < mean_queue(ln)
+            && peak(lf) < peak(lh),
     });
 
-    let min_jain = |r: &FairnessResult| r.jain_per_period.iter().copied().fold(1.0, f64::min);
+    let min_jain = |r: &RunReport| r.indexed_scalars("jain_p").into_iter().fold(1.0, f64::min);
+    let drained = |r: &RunReport| r.scalar("all_finished") == Some(1.0);
     let [s1, s3] = &runs.staircase;
     checks.push(Check {
         id: "C9 (Fig.13e)",
@@ -167,17 +168,15 @@ pub fn verdicts(runs: &Runs) -> Vec<Check> {
             "min Jain seed 1 {:.3}, seed 3 {:.3}; drained: {}",
             min_jain(s1),
             min_jain(s3),
-            s1.all_finished && s3.all_finished
+            drained(s1) && drained(s3)
         ),
-        pass: [s1, s3].iter().all(|r| min_jain(r) > 0.9 && r.all_finished),
+        pass: [s1, s3].iter().all(|r| min_jain(r) > 0.9 && drained(r)),
     });
 
     // Weighted mean FCT slowdown over all size buckets, per scheme.
-    let slowdowns = |cell: &[WorkloadResult; 3]| {
-        cell.each_ref().map(|r| {
-            let n: usize = r.rows.iter().map(|b| b.count).sum();
-            r.rows.iter().map(|b| b.avg * b.count as f64).sum::<f64>() / n as f64
-        })
+    let slowdowns = |cell: &[RunReport; 3]| {
+        cell.each_ref()
+            .map(|r| r.mean_slowdown().unwrap_or(f64::NAN))
     };
     let [w1, w3] = runs.workloads.each_ref().map(slowdowns);
     let show = |[d, h, f]: [f64; 3]| format!("{}/{}/{}", f2(d), f2(h), f2(f));
@@ -210,25 +209,30 @@ pub fn verdicts(runs: &Runs) -> Vec<Check> {
 }
 
 /// C1–C6, on the elephant dumbbells.
-fn dumbbell_verdicts(cells: &[ElephantResult; 9]) -> Vec<Check> {
+fn dumbbell_verdicts(cells: &[RunReport; 9]) -> Vec<Check> {
     let [f100, h100, d100, r100, f200, h200, f400, h400, d400] = cells;
+    let reaction = |e: &RunReport| e.scalar("reaction_us");
     // A scheme that never reacts reads as reacting at +∞.
-    let rt = |e: &ElephantResult| e.reaction_us.unwrap_or(f64::INFINITY);
-    let reacted = |es: &[&ElephantResult]| es.iter().all(|e| e.reaction_us.is_some());
-    let show = |es: &[&ElephantResult]| {
+    let rt = |e| reaction(e).unwrap_or(f64::INFINITY);
+    let reacted = |es: &[&RunReport]| es.iter().all(|e| reaction(e).is_some());
+    let peak = |e: &RunReport| num(e, "peak_queue_kb");
+    let util = |e: &RunReport| num(e, "mean_util");
+    let pauses = |e: &RunReport| num(e, "pause_frames");
+    let show = |es: &[&RunReport]| {
         es.iter()
             .map(|e| {
-                let us = e
-                    .reaction_us
-                    .map_or("never".into(), |x| format!("{x:.0}us"));
-                format!("{} {us} {}KB", e.cc.name(), f2(e.peak_queue_kb))
+                let us = reaction(e).map_or("never".into(), |x| format!("{x:.0}us"));
+                format!("{} {us} {}KB", e.cc, f2(peak(e)))
             })
             .collect::<Vec<_>>()
             .join(", ")
     };
 
-    let (fa, ha) = (&f100.mean_int_age_us, &h100.mean_int_age_us);
-    let gain: Vec<f64> = fa.iter().zip(ha).map(|(f, h)| h - f).collect();
+    let (fa, ha) = (
+        f100.indexed_scalars("int_age_us_hop"),
+        h100.indexed_scalars("int_age_us_hop"),
+    );
+    let gain: Vec<f64> = fa.iter().zip(&ha).map(|(f, h)| h - f).collect();
     vec![
         Check {
             id: "C1 (Fig.9b)",
@@ -243,19 +247,13 @@ fn dumbbell_verdicts(cells: &[ElephantResult; 9]) -> Vec<Check> {
             id: "C2 (Fig.9a)",
             claim: "FNCC keeps the shallowest congestion-point queue",
             measured: show(&[f100, h100, d100]),
-            pass: f100.peak_queue_kb < h100.peak_queue_kb
-                && h100.peak_queue_kb < d100.peak_queue_kb,
+            pass: peak(f100) < peak(h100) && peak(h100) < peak(d100),
         },
         Check {
             id: "C3 (Fig.9g-h)",
             claim: "FNCC keeps utilization above 0.9 and at least as high as HPCC",
-            measured: format!(
-                "FNCC {} vs HPCC {}",
-                f2(f100.mean_util_after_join),
-                f2(h100.mean_util_after_join)
-            ),
-            pass: f100.mean_util_after_join >= h100.mean_util_after_join - 0.01
-                && f100.mean_util_after_join > 0.9,
+            measured: format!("FNCC {} vs HPCC {}", f2(util(f100)), f2(util(h100))),
+            pass: util(f100) >= util(h100) - 0.01 && util(f100) > 0.9,
         },
         Check {
             id: "C4 (§5.2)",
@@ -267,22 +265,24 @@ fn dumbbell_verdicts(cells: &[ElephantResult; 9]) -> Vec<Check> {
             ),
             pass: reacted(&[f200, h200, f400, h400])
                 && rt(f200) <= rt(h200)
-                && f200.peak_queue_kb < h200.peak_queue_kb
+                && peak(f200) < peak(h200)
                 && rt(f400) <= rt(h400)
                 && rt(h400) < rt(d400)
-                && f400.peak_queue_kb < h400.peak_queue_kb
-                && h400.peak_queue_kb < d400.peak_queue_kb,
+                && peak(f400) < peak(h400)
+                && peak(h400) < peak(d400),
         },
         Check {
             id: "C5 (Fig.3)",
             claim: "pause frames ordered FNCC <= HPCC <= DCQCN, DCQCN > 0 at 400G",
             measured: format!(
                 "FNCC {} HPCC {} DCQCN {}",
-                f400.pause_frames, h400.pause_frames, d400.pause_frames
+                pauses(f400),
+                pauses(h400),
+                pauses(d400)
             ),
-            pass: f400.pause_frames <= h400.pause_frames
-                && h400.pause_frames <= d400.pause_frames
-                && d400.pause_frames > 0,
+            pass: pauses(f400) <= pauses(h400)
+                && pauses(h400) <= pauses(d400)
+                && pauses(d400) > 0.0,
         },
         Check {
             id: "C6 (Fig.2/12)",
@@ -359,33 +359,36 @@ mod tests {
 
     /// Synthetic dumbbells ranked FNCC, HPCC, then the rest, in every
     /// ordering C1–C6 read: on these, all six claims hold.
-    fn elephants() -> [ElephantResult; 9] {
+    fn elephants() -> [RunReport; 9] {
         ELEPHANTS.map(|(cc, gbps)| {
             let rank = match cc {
                 CcKind::Fncc => 0.0,
                 CcKind::Hpcc => 1.0,
                 _ => 2.0,
             };
-            ElephantResult {
-                cc,
-                line: Bandwidth::gbps(gbps),
-                queue_kb: TimeSeries::default(),
-                util: TimeSeries::default(),
-                flow_rates_gbps: Vec::new(),
-                cc_rates_gbps: Vec::new(),
-                pause_frames: rank as u64,
-                reaction_us: Some(100.0 + rank),
-                fair_convergence_us: None,
-                mean_int_age_us: vec![1.0 + 3.0 * rank, 1.0 + 2.0 * rank, 1.0 + rank],
-                peak_queue_kb: 100.0 + rank,
-                mean_util_after_join: 0.95,
-                events: 0,
+            let mut r = RunReport::new(format!("synthetic-{gbps}g"), "packet", cc.name());
+            r.put_scalar("pause_frames", rank);
+            r.put_scalar("reaction_us", 100.0 + rank);
+            for (hop, age) in [1.0 + 3.0 * rank, 1.0 + 2.0 * rank, 1.0 + rank]
+                .into_iter()
+                .enumerate()
+            {
+                r.put_scalar(format!("int_age_us_hop{hop}"), age);
             }
+            r.put_scalar("peak_queue_kb", 100.0 + rank);
+            r.put_scalar("mean_util", 0.95);
+            r
         })
     }
 
+    /// Drop scalar `name` from a synthetic report, as a run that never
+    /// measured it would.
+    fn drop_scalar(r: &mut RunReport, name: &str) {
+        r.scalars.retain(|(k, _)| k != name);
+    }
+
     /// The synthetic cells, with `edit` applied to the `targets` cells.
-    fn edited(targets: &[(CcKind, u64)], edit: fn(&mut ElephantResult)) -> [ElephantResult; 9] {
+    fn edited(targets: &[(CcKind, u64)], edit: fn(&mut RunReport)) -> [RunReport; 9] {
         let mut cells = elephants();
         for (e, key) in cells.iter_mut().zip(ELEPHANTS) {
             if targets.contains(&key) {
@@ -396,7 +399,7 @@ mod tests {
     }
 
     /// The verdict of claim `id` (`"C1"`, …) on `cells`.
-    fn passes(cells: &[ElephantResult; 9], id: &str) -> bool {
+    fn passes(cells: &[RunReport; 9], id: &str) -> bool {
         let checks = dumbbell_verdicts(cells);
         let prefix = format!("{id} ");
         checks
@@ -414,7 +417,7 @@ mod tests {
 
     #[test]
     fn dcqcn_that_never_reacts_fails_c1() {
-        let cells = edited(&[(CcKind::Dcqcn, 100)], |e| e.reaction_us = None);
+        let cells = edited(&[(CcKind::Dcqcn, 100)], |e| drop_scalar(e, "reaction_us"));
         assert!(!passes(&cells, "C1"));
     }
 
@@ -422,7 +425,7 @@ mod tests {
     fn fncc_and_hpcc_that_never_react_fail_c4() {
         for gbps in [200, 400] {
             let both = [(CcKind::Fncc, gbps), (CcKind::Hpcc, gbps)];
-            let cells = edited(&both, |e| e.reaction_us = None);
+            let cells = edited(&both, |e| drop_scalar(e, "reaction_us"));
             assert!(!passes(&cells, "C4"), "{gbps}G");
         }
     }
@@ -430,7 +433,7 @@ mod tests {
     #[test]
     fn hpcc_with_two_hops_fails_c6_instead_of_panicking() {
         let cells = edited(&[(CcKind::Hpcc, 100)], |e| {
-            e.mean_int_age_us.pop();
+            drop_scalar(e, "int_age_us_hop2")
         });
         assert!(!passes(&cells, "C6"));
     }

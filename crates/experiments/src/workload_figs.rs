@@ -5,32 +5,45 @@
 use crate::report::{emit_table, f2};
 use crate::RunOpts;
 use fncc_cc::CcKind;
-use fncc_core::scenarios::{Workload, WorkloadSpec};
+use fncc_core::scenarios::{fattree_workload, Workload};
 use fncc_core::sweep::run_parallel;
-use fncc_core::{run_scenario, RunReport};
+use fncc_core::{run_scenario, RunReport, Scenario, TopologySpec, TrafficSpec};
 use fncc_des::output::Table;
 
-fn spec(cc: CcKind, workload: Workload, opts: &RunOpts) -> WorkloadSpec {
-    let mut s = WorkloadSpec::new(cc, workload);
-    s.seeds = opts.workload_seeds();
-    s.n_flows = opts.workload_flows();
+const CCS: [CcKind; 3] = [CcKind::Dcqcn, CcKind::Hpcc, CcKind::Fncc];
+
+/// The §5.5 cell of `cc` at `load`, with the scale's flows and seeds
+/// (on a k = 4 fat-tree under `--quick`).
+fn cell(cc: CcKind, workload: Workload, load: f64, opts: &RunOpts) -> Scenario {
+    let mut sc = fattree_workload(cc, workload);
+    sc.traffic = TrafficSpec::Poisson {
+        workload,
+        load,
+        flows: opts.workload_flows(),
+    };
+    sc.seeds = opts.workload_seeds();
     if opts.scale == crate::Scale::Quick {
-        s.k = 4;
+        sc.topology = TopologySpec::FatTree { k: 4 };
     }
-    s
+    sc
 }
 
-fn run(workload: Workload, fig: &str, opts: &RunOpts) {
-    let ccs = [CcKind::Dcqcn, CcKind::Hpcc, CcKind::Fncc];
+/// Run `cells` in parallel on `--backend`, or none of them if the backend
+/// cannot run one.
+fn run_cells(cells: [Scenario; 3], opts: &RunOpts) -> Result<Vec<RunReport>, String> {
+    for sc in &cells {
+        opts.check_backend(sc)?;
+    }
     let backend = opts.backend;
-    let jobs: Vec<_> = ccs
-        .iter()
-        .map(|&cc| {
-            let sc = spec(cc, workload, opts).scenario();
-            move || run_scenario(&sc, backend)
-        })
+    let jobs: Vec<_> = cells
+        .into_iter()
+        .map(|sc| move || run_scenario(&sc, backend))
         .collect();
-    let results: Vec<RunReport> = run_parallel(jobs, opts.threads);
+    Ok(run_parallel(jobs, opts.threads))
+}
+
+fn run(workload: Workload, fig: &str, opts: &RunOpts) -> Result<(), String> {
+    let results = run_cells(CCS.map(|cc| cell(cc, workload, 0.5, opts)), opts)?;
 
     for (stat, pick) in [("average", 0usize), ("median", 1), ("95th", 2), ("99th", 3)] {
         let mut t = Table::new([
@@ -113,36 +126,30 @@ fn run(workload: Workload, fig: &str, opts: &RunOpts) {
         &format!("{fig} run metadata"),
         &meta,
     );
+    Ok(())
 }
 
 /// Fig. 14: WebSearch at 50% load on the k=8 fat-tree.
-pub fn fig14(opts: &RunOpts) {
-    run(Workload::WebSearch, "fig14", opts);
+pub fn fig14(opts: &RunOpts) -> Result<(), String> {
+    run(Workload::WebSearch, "fig14", opts)
 }
 
 /// Fig. 15: FB_Hadoop at 50% load on the k=8 fat-tree.
-pub fn fig15(opts: &RunOpts) {
-    run(Workload::FbHadoop, "fig15", opts);
+pub fn fig15(opts: &RunOpts) -> Result<(), String> {
+    run(Workload::FbHadoop, "fig15", opts)
 }
 
 /// Extension: overall FCT slowdown vs offered load (30/50/70%) — the
 /// classic CC sensitivity sweep the paper fixes at 50%.
-pub fn load_sweep(opts: &RunOpts) {
-    let ccs = [CcKind::Dcqcn, CcKind::Hpcc, CcKind::Fncc];
+pub fn load_sweep(opts: &RunOpts) -> Result<(), String> {
     let mut t = Table::new(["load", "cc", "avg_slowdown", "p99_slowdown", "unfinished"]);
     for &load in &[0.3f64, 0.5, 0.7] {
-        let backend = opts.backend;
-        let jobs: Vec<_> = ccs
-            .iter()
-            .map(|&cc| {
-                let mut s = spec(cc, Workload::FbHadoop, opts);
-                s.load = load;
-                s.k = 4; // pocket fabric keeps the sweep cheap
-                let sc = s.scenario();
-                move || run_scenario(&sc, backend)
-            })
-            .collect();
-        for r in run_parallel(jobs, opts.threads) {
+        let cells = CCS.map(|cc| {
+            let mut sc = cell(cc, Workload::FbHadoop, load, opts);
+            sc.topology = TopologySpec::FatTree { k: 4 }; // pocket fabric keeps the sweep cheap
+            sc
+        });
+        for r in run_cells(cells, opts)? {
             let p99max = r.slowdowns.iter().map(|b| b.p99).fold(0.0f64, f64::max);
             t.row([
                 format!("{:.0}%", load * 100.0),
@@ -159,4 +166,5 @@ pub fn load_sweep(opts: &RunOpts) {
         "Extension — FCT slowdown vs offered load",
         &t,
     );
+    Ok(())
 }

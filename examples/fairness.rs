@@ -10,17 +10,23 @@ use fncc::prelude::*;
 
 fn main() {
     println!("Fairness staircase — 4 staggered flows on a shared bottleneck\n");
+    let staircase =
+        |cc| PacketBackend::default().run(&staircase_scenario(cc, 4, TimeDelta::from_ms(1), 1));
     for cc in [CcKind::Fncc, CcKind::Hpcc] {
-        let r = fairness_staircase(cc, 4, TimeDelta::from_ms(1), 1);
+        let r = staircase(cc);
         print!("{:<6} Jain per period:", cc.name());
-        for j in &r.jain_per_period {
+        for j in r.indexed_scalars("jain_p") {
             print!(" {j:.3}");
         }
-        println!("  (all flows drained: {})", r.all_finished);
+        println!(
+            "  (all flows drained: {})",
+            r.scalar("all_finished") == Some(1.0)
+        );
     }
 
     // Show the staircase itself: mean rate of each flow per period (FNCC).
-    let r = fairness_staircase(CcKind::Fncc, 4, TimeDelta::from_ms(1), 1);
+    // The staircase probes only the `flow{i}` rates.
+    let r = staircase(CcKind::Fncc);
     println!("\nFNCC mean rate (Gb/s) per flow per 1 ms period:");
     println!(
         "{:<8} {:>8} {:>8} {:>8} {:>8}",
@@ -30,7 +36,7 @@ fn main() {
         let lo = SimTime::from_ms(p);
         let hi = SimTime::from_ms(p + 1);
         print!("{p:<8}");
-        for f in &r.flow_rates_gbps {
+        for f in &r.series {
             print!(" {:>8.1}", f.mean_in(lo, hi));
         }
         println!();

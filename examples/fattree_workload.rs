@@ -12,11 +12,15 @@ use fncc::prelude::*;
 fn main() {
     println!("Fat-tree (k=4, 16 hosts) — WebSearch at 50% load, 150 flows/scheme\n");
     let scenario = |cc| {
-        let mut spec = WorkloadSpec::new(cc, Workload::WebSearch);
-        spec.n_flows = 150;
-        spec.seeds = vec![7];
-        spec.k = 4;
-        spec.scenario()
+        let mut sc = fattree_workload(cc, Workload::WebSearch);
+        sc.topology = TopologySpec::FatTree { k: 4 };
+        sc.traffic = TrafficSpec::Poisson {
+            workload: Workload::WebSearch,
+            load: 0.5,
+            flows: 150,
+        };
+        sc.seeds = vec![7];
+        sc
     };
 
     let mut rows: Vec<(CcKind, RunReport)> = Vec::new();

@@ -12,14 +12,16 @@ fn main() {
     let model =
         notification_gain_model(3, Bandwidth::gbps(100), TimeDelta::from_ns(1500), 1518, 70);
 
-    let f = elephant_dumbbell(&MicrobenchSpec {
-        cc: CcKind::Fncc,
-        ..Default::default()
-    });
-    let h = elephant_dumbbell(&MicrobenchSpec {
-        cc: CcKind::Hpcc,
-        ..Default::default()
-    });
+    let fncc = elephants(CcKind::Fncc, 100, 1200);
+    let TrafficSpec::Elephants { join_at_us } = fncc.traffic else {
+        unreachable!("the elephant preset is elephant traffic")
+    };
+    let f = PacketBackend::default().run(&fncc);
+    let h = PacketBackend::default().run(&elephants(CcKind::Hpcc, 100, 1200));
+    let (fa, ha) = (
+        f.indexed_scalars("int_age_us_hop"),
+        h.indexed_scalars("int_age_us_hop"),
+    );
 
     println!("INT staleness when the sender consumes it (100 Gb/s dumbbell, 3 switches)\n");
     println!(
@@ -32,21 +34,22 @@ fn main() {
             format!("sw{}", g.hop + 1),
             g.hpcc_age.as_us_f64(),
             g.fncc_age.as_us_f64(),
-            h.mean_int_age_us.get(g.hop).copied().unwrap_or(f64::NAN),
-            f.mean_int_age_us.get(g.hop).copied().unwrap_or(f64::NAN),
+            ha.get(g.hop).copied().unwrap_or(f64::NAN),
+            fa.get(g.hop).copied().unwrap_or(f64::NAN),
         );
     }
     println!(
         "\nFNCC's gain shrinks towards the last hop — exactly why the paper\n\
          adds the Last-Hop Congestion Speedup (Algorithm 2) there."
     );
+    let after_join = |r: &RunReport| {
+        r.scalar("reaction_us")
+            .map(|x| format!("{:.0}", x - join_at_us as f64))
+            .unwrap_or_else(|| "-".into())
+    };
     println!(
-        "\nMeasured sender reaction after the 300 us join: FNCC {} us, HPCC {} us.",
-        f.reaction_us
-            .map(|x| format!("{:.0}", x - 300.0))
-            .unwrap_or_else(|| "-".into()),
-        h.reaction_us
-            .map(|x| format!("{:.0}", x - 300.0))
-            .unwrap_or_else(|| "-".into()),
+        "\nMeasured sender reaction after the {join_at_us} us join: FNCC {} us, HPCC {} us.",
+        after_join(&f),
+        after_join(&h),
     );
 }

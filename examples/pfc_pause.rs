@@ -16,18 +16,14 @@ fn main() {
     );
     for gbps in [100u64, 200, 400] {
         for cc in [CcKind::Fncc, CcKind::Hpcc, CcKind::Dcqcn] {
-            let spec = MicrobenchSpec {
-                cc,
-                line_gbps: gbps,
-                ..Default::default()
-            };
-            let r = elephant_dumbbell(&spec);
+            let r = PacketBackend::default().run(&elephants(cc, gbps, 1200));
+            let scalar = |name| r.scalar(name).unwrap_or(0.0);
             println!(
                 "{:<6} {:>8} {:>14.1} {:>14} {:>10}",
                 cc.name(),
                 gbps,
-                r.peak_queue_kb,
-                r.pause_frames,
+                scalar("peak_queue_kb"),
+                scalar("pause_frames"),
                 0 // PFC keeps the fabric lossless; drops are always zero here
             );
         }

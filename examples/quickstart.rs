@@ -17,20 +17,17 @@ fn main() {
         "cc", "reaction_us", "peak_queue_KB", "mean_util", "pauses"
     );
     for cc in [CcKind::Fncc, CcKind::Hpcc, CcKind::Dcqcn] {
-        let spec = MicrobenchSpec {
-            cc,
-            ..Default::default()
-        };
-        let r = elephant_dumbbell(&spec);
+        let r = PacketBackend::default().run(&elephants(cc, 100, 1200));
+        let scalar = |name| r.scalar(name).unwrap_or(0.0);
         println!(
             "{:<6} {:>12} {:>15.1} {:>10.3} {:>8}",
             cc.name(),
-            r.reaction_us
+            r.scalar("reaction_us")
                 .map(|x| format!("{x:.0}"))
                 .unwrap_or_else(|| "-".into()),
-            r.peak_queue_kb,
-            r.mean_util_after_join,
-            r.pause_frames,
+            scalar("peak_queue_kb"),
+            scalar("mean_util"),
+            scalar("pause_frames"),
         );
     }
     println!(

@@ -25,11 +25,10 @@
 //! ```
 //! use fncc::prelude::*;
 //!
-//! // Two elephant flows on the paper's dumbbell, FNCC, 100 Gb/s.
-//! let spec = MicrobenchSpec { cc: CcKind::Fncc, horizon_us: 500, ..Default::default() };
-//! let result = elephant_dumbbell(&spec);
-//! assert!(result.reaction_us.is_some());
-//! println!("peak queue: {:.1} KB", result.peak_queue_kb);
+//! // Two elephant flows on the paper's dumbbell, FNCC, 100 Gb/s, 500 µs.
+//! let report = PacketBackend::default().run(&elephants(CcKind::Fncc, 100, 500));
+//! assert!(report.scalar("reaction_us").is_some());
+//! println!("peak queue: {:.1} KB", report.scalar("peak_queue_kb").unwrap());
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `fncc-repro` for the full
@@ -46,6 +45,5 @@ pub use fncc_workloads as workloads;
 /// One-stop imports (re-export of [`fncc_core::prelude`]).
 pub mod prelude {
     pub use fncc_core::prelude::*;
-    pub use fncc_core::scenarios::{Workload, WorkloadSpec};
     pub use fncc_transport::{DcHost, FlowSpec, HostTimer, TransportConfig};
 }

@@ -48,12 +48,15 @@ fn assert_within_band(name: &str, p: f64, f: f64) {
 }
 
 fn xval_workload(cc: CcKind, workload: Workload) {
-    let mut spec = WorkloadSpec::new(cc, workload);
-    spec.load = 0.5;
-    spec.n_flows = 120;
-    spec.seeds = vec![1, 2];
-    spec.k = 4;
-    let (p, f) = both_backends(&spec.scenario());
+    let mut sc = fattree_workload(cc, workload);
+    sc.topology = TopologySpec::FatTree { k: 4 };
+    sc.traffic = TrafficSpec::Poisson {
+        workload,
+        load: 0.5,
+        flows: 120,
+    };
+    sc.seeds = vec![1, 2];
+    let (p, f) = both_backends(&sc);
     assert_within_band(&format!("{cc:?}/{workload:?}"), p, f);
 }
 
