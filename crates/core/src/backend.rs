@@ -257,6 +257,17 @@ impl SolverTally {
     }
 }
 
+/// `int_truncations`, summed across seeds: INT records dropped because a
+/// frame's stack was full. Emitted only when nonzero, like
+/// `incomplete_flows` on a fault-free run: no path a scenario file can
+/// describe is deeper than `MAX_HOPS`, so clean reports stay
+/// byte-identical with builds that did not count truncations.
+fn put_int_truncations(report: &mut RunReport, n: u64) {
+    if n > 0 {
+        report.put_scalar("int_truncations", n as f64);
+    }
+}
+
 /// Engine-health scalars: every scenario run doubles as a perf probe.
 /// `events_per_sec` is wall-clock derived and therefore the one
 /// non-deterministic report field (the determinism suite strips it).
@@ -421,6 +432,7 @@ impl Backend for PacketBackend {
         let mut peak_queue_len = 0usize;
         let mut clamped = 0u64;
         let mut faults = FaultTally::default();
+        let mut int_truncations = 0u64;
         let mut shard_stats: Option<ShardStats> = None;
         let wall_start = Instant::now();
 
@@ -488,6 +500,7 @@ impl Backend for PacketBackend {
             peak_queue_len = peak_queue_len.max(run.peak_queue_len());
             clamped += run.clamped_schedules();
             faults.add(&telem.counters);
+            int_truncations += telem.counters.int_truncations;
             if matches!(sc.stop, StopCondition::Drain { .. }) {
                 rb.slowdowns(run.topo(), telem, Framing::from(run.cfg()));
             }
@@ -526,6 +539,7 @@ impl Backend for PacketBackend {
                 }
             }
             faults.put(report, sc);
+            put_int_truncations(report, int_truncations);
         })
     }
 }
@@ -800,6 +814,7 @@ impl Backend for HybridBackend {
         let mut n_bg_flows = 0usize;
         let mut solver = SolverTally::default();
         let mut faults = FaultTally::default();
+        let mut int_truncations = 0u64;
         let wall_start = Instant::now();
 
         for (seed_ix, &seed) in sc.seeds.iter().enumerate() {
@@ -847,6 +862,7 @@ impl Backend for HybridBackend {
             peak_bg_active = peak_bg_active.max(result.peak_bg_active);
             faults.add(&result.fg.counters);
             faults.rerouted += result.bg.telemetry.counters.rerouted_flows;
+            int_truncations += result.fg.counters.int_truncations;
             solver.add(&result.bg);
             rb.prof.absorb(&result.fg.profiler);
             rb.prof.absorb(&result.bg.profiler);
@@ -864,6 +880,7 @@ impl Backend for HybridBackend {
             report.put_scalar("single_bottleneck_solves", single_bottleneck as f64);
             report.put_scalar("peak_bg_active", peak_bg_active as f64);
             faults.put(report, sc);
+            put_int_truncations(report, int_truncations);
             solver.put(report);
             put_event_rate(report, wall_start);
         })

@@ -63,6 +63,7 @@ use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::fabric::Ev;
 use fncc_net::ids::{HostId, NodeRef, SwitchId};
 use fncc_net::partition::PartitionMap;
+use fncc_net::pool::StackDepot;
 use fncc_net::telemetry::Telemetry;
 use fncc_net::topology::Topology;
 use fncc_obs::{Profiler, TraceSink};
@@ -284,6 +285,12 @@ impl ShardedSim {
         // Shard 0 alone speaks for the run on the `--progress` line.
         for s in &mut shards[1..] {
             s.eng.mute_progress();
+        }
+        if n > 1 {
+            let depot = StackDepot::default();
+            for s in &mut shards {
+                s.eng.model.pool.share_stacks(depot.clone());
+            }
         }
         let n = shards.len();
         let threads = threads.clamp(1, n);

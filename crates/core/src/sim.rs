@@ -500,6 +500,41 @@ mod tests {
         assert!(t.flow_rate_series(FlowId(0)).unwrap().max() > 1e9);
     }
 
+    /// A hand-built line deeper than `MAX_HOPS` cannot carry every hop's
+    /// INT: the senders count what the full stacks dropped, in both INT
+    /// modes; a line exactly `MAX_HOPS` deep drops nothing.
+    #[test]
+    fn int_truncations_counted_on_a_line_deeper_than_the_stack() {
+        use fncc_net::packet::MAX_HOPS;
+        let run = |switches: usize, cc: CcKind| {
+            let topo = Topology::line(
+                switches as u32,
+                &[0],
+                Bandwidth::gbps(100),
+                TimeDelta::from_ns(500),
+            );
+            let flow = FlowSpec {
+                id: FlowId(0),
+                src: HostId(0),
+                dst: HostId(1),
+                size: 100_000,
+                start: SimTime::ZERO,
+            };
+            let mut s = SimBuilder::new(topo, cc).flows([flow]).build();
+            assert!(s.run_to_completion(TimeDelta::from_us(100), SimTime::from_ms(10)));
+            (
+                s.telemetry().counters.int_truncations,
+                s.telemetry().counters.acks_delivered,
+            )
+        };
+        for cc in [CcKind::Fncc, CcKind::Hpcc] {
+            let (dropped, acks) = run(MAX_HOPS + 2, cc);
+            assert!(dropped > 0, "{cc:?}: no truncation counted");
+            assert_eq!(dropped, 2 * acks, "{cc:?}: two records lost per ACK");
+            assert_eq!(run(MAX_HOPS, cc).0, 0, "{cc:?}");
+        }
+    }
+
     #[test]
     fn egress_port_lookup_matches_dumbbell_layout() {
         let topo = dumbbell();

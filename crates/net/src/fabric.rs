@@ -591,7 +591,13 @@ impl<H: HostLogic> Fabric<H> {
                     self.telemetry.note_pause_episode(now.since(t0));
                 }
                 let mut out = SwitchEmit(s, &self.shard, sched);
-                self.switches[s.ix()].maybe_start_tx(port, now, &self.cfg, &mut out);
+                self.switches[s.ix()].maybe_start_tx(
+                    port,
+                    now,
+                    &self.cfg,
+                    &mut self.pool,
+                    &mut out,
+                );
             }
         }
     }
@@ -828,7 +834,7 @@ mod tests {
                 PacketKind::Ack => {
                     self.acks_received += 1;
                     self.last_ack_at = ctx.now();
-                    for r in pkt.int.as_slice() {
+                    for r in pkt.int() {
                         self.int_seen.push(r.qlen);
                     }
                 }

@@ -43,3 +43,23 @@ pub use pool::PacketPool;
 pub use telemetry::{FlowRecord, Telemetry};
 pub use topology::{Topology, TopologyKind};
 pub use units::{Bandwidth, ByteSize};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    /// The hot structs' sizes, pinned like the timing wheel's `Node` and
+    /// `Key` (`fncc_des::wheel`): a layout change fails here with a number
+    /// rather than showing up as a 1–2 % move in a later benchmark row.
+    /// A frame is one cache line; its INT records live in a pooled stack.
+    #[test]
+    fn hot_struct_layout() {
+        assert_eq!(size_of::<Packet>(), 64);
+        assert_eq!(size_of::<IntRecord>(), 32);
+        assert_eq!(size_of::<Option<Box<IntStack>>>(), 8);
+        assert_eq!(size_of::<IntStack>(), 264);
+        assert_eq!(size_of::<port::Port>(), 264);
+        assert_eq!(size_of::<Telemetry>(), 528);
+    }
+}

@@ -2,12 +2,18 @@
 //! and PFC control frames.
 
 use crate::ids::{FlowId, HostId};
+use crate::pool::PacketPool;
 use crate::units::{Bandwidth, INT_RECORD_BYTES};
 use fncc_des::time::SimTime;
 
-/// Maximum number of switch hops whose INT a packet can carry.
+/// Maximum number of switch hops whose INT a packet can carry: the
+/// capacity of one [`IntStack`].
 ///
-/// The deepest path in this repo is the 3-level fat-tree: 5 switches.
+/// The deepest path a scenario file can describe is the 3-level
+/// fat-tree's 5 switches (`Scenario::validate` rejects deeper ones). A
+/// hand-built fabric can go deeper; the records past this depth are
+/// dropped, counted in [`IntStack::dropped`] and summed by the sender into
+/// `Counters::int_truncations`.
 pub const MAX_HOPS: usize = 8;
 
 /// One in-network-telemetry record, `{B, TS, txBytes, qLen}` per Fig. 7.
@@ -23,12 +29,15 @@ pub struct IntRecord {
     pub qlen: u64,
 }
 
-/// A fixed-capacity stack of INT records (no heap allocation in the hot
-/// path). Records are pushed in the order switches append them.
+/// A fixed-capacity stack of INT records. Records are pushed in the order
+/// switches append them. A frame holds one out of line, taken from the
+/// [`PacketPool`] when its first record arrives (see [`Packet::push_int`]).
 #[derive(Clone, Copy, Debug)]
 pub struct IntStack {
     records: [IntRecord; MAX_HOPS],
     len: u8,
+    /// Records refused because the stack was full (saturating).
+    dropped: u8,
 }
 
 const EMPTY_RECORD: IntRecord = IntRecord {
@@ -43,6 +52,7 @@ impl Default for IntStack {
         IntStack {
             records: [EMPTY_RECORD; MAX_HOPS],
             len: 0,
+            dropped: 0,
         }
     }
 }
@@ -66,17 +76,25 @@ impl IntStack {
     }
 
     /// Append a record; returns whether it was stored. A full stack
-    /// ([`MAX_HOPS`] records) drops `r` — `Scenario::validate` rejects
-    /// topologies with paths that deep, so only hand-built fabrics can
-    /// get here.
+    /// ([`MAX_HOPS`] records) drops `r` and counts it in
+    /// [`Self::dropped`] — `Scenario::validate` rejects topologies with
+    /// paths that deep, so only hand-built fabrics can get here.
     #[inline]
     pub fn push(&mut self, r: IntRecord) -> bool {
         let stored = (self.len as usize) < MAX_HOPS;
         if stored {
             self.records[self.len as usize] = r;
             self.len += 1;
+        } else {
+            self.dropped = self.dropped.saturating_add(1);
         }
         stored
+    }
+
+    /// Records [`Self::push`] refused because the stack was full.
+    #[inline]
+    pub fn dropped(&self) -> u8 {
+        self.dropped
     }
 
     /// Records in insertion order.
@@ -92,9 +110,10 @@ impl IntStack {
         self.records[..self.len as usize].reverse();
     }
 
-    /// Remove all records.
+    /// Remove all records and forget the drop count.
     pub fn clear(&mut self) {
         self.len = 0;
+        self.dropped = 0;
     }
 
     /// Wire bytes these records occupy in a frame.
@@ -127,7 +146,9 @@ impl PacketKind {
     }
 }
 
-/// A frame in flight. Boxed when stored in events/queues.
+/// A frame in flight. Boxed when stored in events/queues. One cache line
+/// (64 bytes): the INT records live in a separate pooled [`IntStack`] that
+/// only frames carrying INT hold.
 #[derive(Clone, Debug)]
 pub struct Packet {
     /// Frame kind.
@@ -150,8 +171,10 @@ pub struct Packet {
     pub sent_at: SimTime,
     /// ECN congestion-experienced mark (set by RED marking).
     pub ecn: bool,
-    /// In-network telemetry stack.
-    pub int: IntStack,
+    /// In-network telemetry stack: `None` until a switch appends the first
+    /// record, then a box from the [`PacketPool`] that [`PacketPool::put`]
+    /// takes back. Read through [`Self::int`].
+    pub(crate) int: Option<Box<IntStack>>,
     /// Number of concurrent flows `N` at the receiver (FNCC ACKs, Fig. 7).
     pub concurrent_flows: u16,
     /// Fig. 7 `pathID`: XOR of the (12-bit-truncated) ids of the switches
@@ -190,7 +213,7 @@ impl Packet {
             payload,
             sent_at: now,
             ecn: false,
-            int: IntStack::new(),
+            int: None,
             concurrent_flows: 0,
             path_xor: 0,
             rocc_rate: f64::INFINITY,
@@ -220,7 +243,7 @@ impl Packet {
             payload: 0,
             sent_at: now,
             ecn: false,
-            int: IntStack::new(),
+            int: None,
             concurrent_flows: 0,
             path_xor: 0,
             rocc_rate: f64::INFINITY,
@@ -242,7 +265,7 @@ impl Packet {
             payload: 0,
             sent_at: now,
             ecn: false,
-            int: IntStack::new(),
+            int: None,
             concurrent_flows: 0,
             path_xor: 0,
             rocc_rate: f64::INFINITY,
@@ -265,7 +288,7 @@ impl Packet {
             payload: 0,
             sent_at: now,
             ecn: false,
-            int: IntStack::new(),
+            int: None,
             concurrent_flows: 0,
             path_xor: 0,
             rocc_rate: f64::INFINITY,
@@ -276,11 +299,39 @@ impl Packet {
     }
 
     /// Append an INT record, growing the wire size by the record — unless
-    /// the stack was full and dropped it.
+    /// the stack was full and dropped it. The first record takes a stack
+    /// from `pool`.
     #[inline]
-    pub fn push_int(&mut self, r: IntRecord) {
-        if self.int.push(r) {
+    pub fn push_int(&mut self, r: IntRecord, pool: &mut PacketPool) {
+        let stack = self.int.get_or_insert_with(|| pool.take_stack());
+        if stack.push(r) {
             self.size += INT_RECORD_BYTES;
+        }
+    }
+
+    /// The INT records carried, in insertion order (empty without a stack).
+    #[inline]
+    pub fn int(&self) -> &[IntRecord] {
+        self.int.as_deref().map_or(&[], IntStack::as_slice)
+    }
+
+    /// Wire bytes the INT records occupy.
+    #[inline]
+    pub fn int_wire_bytes(&self) -> u32 {
+        self.int.as_deref().map_or(0, IntStack::wire_bytes)
+    }
+
+    /// INT records dropped because the stack was full.
+    #[inline]
+    pub fn int_dropped(&self) -> u8 {
+        self.int.as_deref().map_or(0, IntStack::dropped)
+    }
+
+    /// Reverse the INT records in place (see [`IntStack::reverse`]).
+    #[inline]
+    pub fn reverse_int(&mut self) {
+        if let Some(s) = self.int.as_deref_mut() {
+            s.reverse();
         }
     }
 }
@@ -347,6 +398,9 @@ mod tests {
             s.push(rec(i as u64, i as u64));
         }
         assert_eq!(s.len(), MAX_HOPS);
+        assert_eq!(s.dropped(), 3);
+        s.clear();
+        assert_eq!(s.dropped(), 0);
     }
 
     #[test]
@@ -360,16 +414,19 @@ mod tests {
             1062,
             SimTime::ZERO,
         );
+        let mut pool = PacketPool::new();
         let before = p.size;
-        p.push_int(rec(0, 0));
+        assert!(p.int().is_empty());
+        p.push_int(rec(0, 0), &mut pool);
         assert_eq!(p.size, before + INT_RECORD_BYTES);
-        assert_eq!(p.int.len(), 1);
+        assert_eq!(p.int().len(), 1);
         // Records a full stack drops add no wire bytes either.
         for _ in 0..MAX_HOPS + 2 {
-            p.push_int(rec(0, 0));
+            p.push_int(rec(0, 0), &mut pool);
         }
-        assert_eq!(p.int.len(), MAX_HOPS);
-        assert_eq!(p.size, before + p.int.wire_bytes());
+        assert_eq!(p.int().len(), MAX_HOPS);
+        assert_eq!(p.int_dropped(), 3);
+        assert_eq!(p.size, before + p.int_wire_bytes());
     }
 
     #[test]

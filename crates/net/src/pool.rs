@@ -1,4 +1,4 @@
-//! Packet recycling: a free-list pool of `Box<Packet>`.
+//! Packet recycling: free-list pools of `Box<Packet>` and of INT stacks.
 //!
 //! Packets are created and destroyed millions of times per run — one
 //! malloc/free pair per frame was a measurable slice of the hot path, and
@@ -7,26 +7,46 @@
 //! back at every point a frame leaves the simulation (delivery to a host,
 //! PFC consumption, buffer drop).
 //!
+//! A frame's INT records live out of line in a `Box<IntStack>` that only
+//! frames carrying INT hold: HPCC and FairQ data frames and their
+//! in-place ACKs, FNCC ACKs. [`Packet::push_int`] takes one from the second free list
+//! when the first record arrives, and [`PacketPool::put`] parks it again,
+//! so a packet box in the free list never keeps a stack.
+//!
 //! The constructors mirror [`Packet::data`]/[`Packet::ack`]/[`Packet::cnp`]/
 //! [`Packet::pfc`] exactly: every field of a recycled box is reset to what
-//! the corresponding constructor writes, except that the INT stack is
-//! cleared by length only — records beyond `len` are unobservable through
-//! the [`crate::packet::IntStack`] API, so stale entries are never read.
+//! the corresponding constructor writes, and a box comes out of the free
+//! list without a stack, as a fresh one does.
 
 use crate::ids::{FlowId, HostId};
-use crate::packet::{Packet, PacketKind};
+use crate::packet::{IntStack, Packet, PacketKind};
 use fncc_des::time::SimTime;
+use std::sync::{Arc, Mutex};
 
-/// A free-list of packet boxes with allocation accounting.
+/// INT stacks the pools of a sharded run hold in common (see
+/// [`PacketPool::share_stacks`]).
+#[allow(clippy::vec_box)]
+pub type StackDepot = Arc<Mutex<Vec<Box<IntStack>>>>;
+
+/// Stacks a pool moves to or from its depot at once; it keeps at most
+/// twice this many parked.
+const STACK_BATCH: usize = 64;
+
+/// Free lists of packet boxes and INT stacks, with allocation accounting.
 #[derive(Default)]
 pub struct PacketPool {
     // The boxes themselves are the currency here — frames circulate as
     // `Box<Packet>` through queues and events, so the free list must hold
-    // boxes (moving `Packet` by value would copy ~400 B per put/take).
+    // boxes (moving `Packet` by value would copy its 64 B per put/take).
     #[allow(clippy::vec_box)]
     free: Vec<Box<Packet>>,
+    // Stacks are handed to packets as boxes, so they are parked as boxes.
+    #[allow(clippy::vec_box)]
+    stacks: Vec<Box<IntStack>>,
     fresh: u64,
     recycled: u64,
+    fresh_stacks: u64,
+    depot: Option<StackDepot>,
 }
 
 impl PacketPool {
@@ -50,10 +70,75 @@ impl PacketPool {
         self.free.len()
     }
 
-    /// Return a box to the free list.
+    /// INT stacks created fresh (misses of the stack list and the depot)
+    /// so far.
+    pub fn fresh_stacks(&self) -> u64 {
+        self.fresh_stacks
+    }
+
+    /// INT stacks currently parked in the stack list.
+    pub fn free_stacks(&self) -> usize {
+        self.stacks.len()
+    }
+
+    /// Share one reserve of INT stacks with the other pools `depot` was
+    /// handed to (one per pod shard of a sharded run). An FNCC ACK takes
+    /// its stack in the receiver's pod and is consumed in the sender's, so
+    /// stacks drift towards pods that send more than they receive: such a
+    /// pool spills the surplus to the depot in batches, and a pool that
+    /// runs dry refills from it before allocating.
+    pub fn share_stacks(&mut self, depot: StackDepot) {
+        self.depot = Some(depot);
+    }
+
+    /// Return a box to the free list, and its INT stack, if it holds one,
+    /// to the stack list.
     #[inline]
-    pub fn put(&mut self, pkt: Box<Packet>) {
+    pub fn put(&mut self, mut pkt: Box<Packet>) {
+        if let Some(stack) = pkt.int.take() {
+            self.stacks.push(stack);
+            if self.stacks.len() > 2 * STACK_BATCH && self.depot.is_some() {
+                self.spill_stacks();
+            }
+        }
         self.free.push(pkt);
+    }
+
+    /// An empty INT stack: a parked one, else one from the depot, else a
+    /// fresh allocation.
+    #[inline]
+    pub(crate) fn take_stack(&mut self) -> Box<IntStack> {
+        let mut s = match self.stacks.pop() {
+            Some(s) => s,
+            None => self.refill_stack(),
+        };
+        s.clear();
+        s
+    }
+
+    #[cold]
+    fn spill_stacks(&mut self) {
+        let depot = self.depot.as_ref().expect("spilling needs a depot");
+        let keep = self.stacks.len() - STACK_BATCH;
+        depot
+            .lock()
+            .expect("stack depot poisoned: a shard panicked")
+            .extend(self.stacks.drain(keep..));
+    }
+
+    #[cold]
+    fn refill_stack(&mut self) -> Box<IntStack> {
+        if let Some(depot) = &self.depot {
+            let mut d = depot
+                .lock()
+                .expect("stack depot poisoned: a shard panicked");
+            let from = d.len().saturating_sub(STACK_BATCH);
+            self.stacks.extend(d.drain(from..));
+        }
+        self.stacks.pop().unwrap_or_else(|| {
+            self.fresh_stacks += 1;
+            Box::default()
+        })
     }
 
     /// A box with unspecified contents; the caller must set every field.
@@ -71,7 +156,8 @@ impl PacketPool {
         }
     }
 
-    /// Reset every non-INT field to the constructors' shared defaults.
+    /// Reset every field to the constructors' shared defaults. A box from
+    /// the free list holds no INT stack ([`Self::put`] took it).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn reset(
@@ -94,7 +180,7 @@ impl PacketPool {
         pkt.payload = payload;
         pkt.sent_at = now;
         pkt.ecn = false;
-        pkt.int.clear();
+        debug_assert!(pkt.int.is_none(), "a parked box keeps no INT stack");
         pkt.concurrent_flows = 0;
         pkt.path_xor = 0;
         pkt.rocc_rate = f64::INFINITY;
@@ -192,7 +278,16 @@ impl PacketPool {
 mod tests {
     use super::*;
     use crate::packet::IntRecord;
-    use crate::units::Bandwidth;
+    use crate::units::{Bandwidth, INT_RECORD_BYTES};
+
+    fn rec(qlen: u64) -> IntRecord {
+        IntRecord {
+            bandwidth: Bandwidth::gbps(100),
+            ts: SimTime::from_us(9),
+            tx_bytes: 77,
+            qlen,
+        }
+    }
 
     #[test]
     fn pooled_constructors_match_fresh_ones() {
@@ -210,6 +305,73 @@ mod tests {
         let a = pool.pfc(PacketKind::PfcPause, 64, now);
         let b = Packet::pfc(PacketKind::PfcPause, 64, now);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        // A box that carried INT comes back as bare as a fresh one.
+        let mut a = pool.ack(FlowId(1), HostId(3), HostId(2), 140, 70, now);
+        a.push_int(rec(5), &mut pool);
+        pool.put(a);
+        let a = pool.ack(FlowId(1), HostId(3), HostId(2), 140, 70, now);
+        let b = Packet::ack(FlowId(1), HostId(3), HostId(2), 140, 70, now);
+        assert!(a.int().is_empty());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn int_stacks_return_to_the_pool() {
+        let mut pool = PacketPool::new();
+        let now = SimTime::from_us(1);
+        let mut ack = pool.ack(FlowId(1), HostId(3), HostId(2), 140, 70, now);
+        ack.push_int(rec(10), &mut pool);
+        ack.push_int(rec(20), &mut pool);
+        assert_eq!(pool.fresh_stacks(), 1);
+        pool.put(ack);
+        assert_eq!(pool.free_stacks(), 1);
+        // The next box has no stack: `put` parked it apart from the box.
+        let mut d = pool.data(FlowId(2), HostId(0), HostId(1), 0, 100, 162, now);
+        assert!(d.int.is_none());
+        assert_eq!(d.int_wire_bytes(), 0);
+        // Its first record reuses the parked stack, emptied.
+        d.push_int(rec(30), &mut pool);
+        assert_eq!(pool.fresh_stacks(), 1);
+        assert_eq!(pool.free_stacks(), 0);
+        let q: Vec<u64> = d.int().iter().map(|r| r.qlen).collect();
+        assert_eq!(q, vec![30]);
+        assert_eq!(d.size, 162 + INT_RECORD_BYTES);
+    }
+
+    /// Pod shards share a depot: a pool that collects more stacks than it
+    /// parks spills them there, and a pool that runs dry takes them back
+    /// before allocating.
+    #[test]
+    fn shared_stacks_move_through_the_depot() {
+        let depot = StackDepot::default();
+        let (mut sender, mut receiver) = (PacketPool::new(), PacketPool::new());
+        sender.share_stacks(depot.clone());
+        receiver.share_stacks(depot.clone());
+        let now = SimTime::ZERO;
+        let n = 3 * STACK_BATCH;
+        // The receiver's pod stamps every ACK; the sender's consumes them.
+        let acks: Vec<_> = (0..n)
+            .map(|i| {
+                let mut a = receiver.ack(FlowId(i as u32), HostId(1), HostId(0), 0, 70, now);
+                a.push_int(rec(1), &mut receiver);
+                a
+            })
+            .collect();
+        assert_eq!(receiver.fresh_stacks(), n as u64);
+        for a in acks {
+            sender.put(a);
+        }
+        assert!(sender.free_stacks() <= 2 * STACK_BATCH);
+        let spilled = depot.lock().unwrap().len();
+        assert_eq!(sender.free_stacks() + spilled, n);
+        // The receiver draws on the depot rather than the allocator.
+        for _ in 0..spilled {
+            let mut a = receiver.ack(FlowId(0), HostId(1), HostId(0), 0, 70, now);
+            a.push_int(rec(2), &mut receiver);
+            assert_eq!(a.int().len(), 1, "a depot stack comes back empty");
+        }
+        assert_eq!(receiver.fresh_stacks(), n as u64);
+        assert!(depot.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -225,12 +387,7 @@ mod tests {
             SimTime::ZERO,
         );
         // Dirty every mutable bit of state a switch or host can touch.
-        p.push_int(IntRecord {
-            bandwidth: Bandwidth::gbps(100),
-            ts: SimTime::from_us(9),
-            tx_bytes: 77,
-            qlen: 12,
-        });
+        p.push_int(rec(12), &mut pool);
         p.ecn = true;
         p.concurrent_flows = 9;
         p.path_xor = 0xabc;
@@ -242,8 +399,8 @@ mod tests {
         assert_eq!(pool.free_len(), 1);
         let q = pool.data(FlowId(1), HostId(2), HostId(3), 40, 100, 162, SimTime::ZERO);
         let fresh = Packet::data(FlowId(1), HostId(2), HostId(3), 40, 100, 162, SimTime::ZERO);
-        assert_eq!(format!("{:?}", q.int.as_slice()), "[]");
-        assert_eq!(q.int.wire_bytes(), 0);
+        assert_eq!(format!("{:?}", q.int()), "[]");
+        assert_eq!(q.int_wire_bytes(), 0);
         // Everything observable matches a fresh construction.
         assert_eq!(q.kind, fresh.kind);
         assert_eq!(q.seq, fresh.seq);

@@ -330,7 +330,7 @@ impl Switch {
                     });
                 }
                 pool.put(pkt);
-                self.maybe_start_tx(in_port, now, cfg, out);
+                self.maybe_start_tx(in_port, now, cfg, pool, out);
                 return;
             }
             _ => {}
@@ -447,10 +447,10 @@ impl Switch {
             }
             let frame = pool.pfc(PacketKind::PfcPause, PFC_FRAME_BYTES, now);
             self.ports[in_port as usize].enqueue_ctrl(frame);
-            self.maybe_start_tx(in_port, now, cfg, out);
+            self.maybe_start_tx(in_port, now, cfg, pool, out);
         }
 
-        self.maybe_start_tx(out_port, now, cfg, out);
+        self.maybe_start_tx(out_port, now, cfg, pool, out);
     }
 
     /// Destroy an admitted frame because of a link fault (severed
@@ -507,7 +507,7 @@ impl Switch {
             }
             let frame = pool.pfc(PacketKind::PfcResume, PFC_FRAME_BYTES, now);
             self.ports[ip].enqueue_ctrl(frame);
-            self.maybe_start_tx(ip as u8, now, cfg, out);
+            self.maybe_start_tx(ip as u8, now, cfg, pool, out);
         }
     }
 
@@ -567,7 +567,7 @@ impl Switch {
                 }
             }
             pool.put(pkt);
-            self.maybe_start_tx(port, now, cfg, out);
+            self.maybe_start_tx(port, now, cfg, pool, out);
             return;
         }
 
@@ -578,7 +578,7 @@ impl Switch {
             prop: p.wire_delay(now),
             pkt,
         });
-        self.maybe_start_tx(port, now, cfg, out);
+        self.maybe_start_tx(port, now, cfg, pool, out);
     }
 
     /// If `port` is idle and has an eligible frame, run the output engine
@@ -589,6 +589,7 @@ impl Switch {
         port: u8,
         now: SimTime,
         cfg: &FabricConfig,
+        pool: &mut PacketPool,
         out: &mut impl SwitchSink,
     ) {
         if !self.ports[port as usize].idle() {
@@ -597,22 +598,29 @@ impl Switch {
         let Some(mut pkt) = self.ports[port as usize].dequeue() else {
             return;
         };
-        self.output_engine(&mut pkt, port, now, cfg);
+        self.output_engine(&mut pkt, port, now, cfg, pool);
         let p = &mut self.ports[port as usize];
         let tx_after = p.tx_time(pkt.size as u64);
         p.in_flight = Some(pkt);
         out.emit(SwitchOutput::StartTx { port, tx_after });
     }
 
-    /// The output engine: INT insertion per the configured mode, RoCC rate
-    /// stamping.
-    fn output_engine(&mut self, pkt: &mut Packet, out_port: u8, now: SimTime, cfg: &FabricConfig) {
+    /// The output engine: INT insertion per the configured mode (a frame's
+    /// first record takes its stack from `pool`), RoCC rate stamping.
+    fn output_engine(
+        &mut self,
+        pkt: &mut Packet,
+        out_port: u8,
+        now: SimTime,
+        cfg: &FabricConfig,
+        pool: &mut PacketPool,
+    ) {
         match (cfg.int, pkt.kind) {
             // HPCC: every data frame picks up the INT of the egress port it
             // is leaving through.
             (IntInsertion::OnData, PacketKind::Data) => {
                 let rec = self.read_int(out_port, now, cfg);
-                pkt.push_int(rec);
+                pkt.push_int(rec, pool);
                 pkt.path_xor ^= (self.id.0 as u16) & 0x0FFF;
             }
             // FNCC (Algorithm 1 lines 7–9): every ACK picks up
@@ -620,7 +628,7 @@ impl Switch {
             // queue the corresponding data packets flow through.
             (IntInsertion::OnAck, PacketKind::Ack) => {
                 let rec = self.read_int(pkt.in_port, now, cfg);
-                pkt.push_int(rec);
+                pkt.push_int(rec, pool);
                 // Fig. 7 pathID: XOR of all switch ids along the path.
                 pkt.path_xor ^= (self.id.0 as u16) & 0x0FFF;
             }
@@ -782,9 +790,9 @@ mod tests {
             &mut out,
         );
         let pkt = sw.ports[2].in_flight.as_ref().unwrap();
-        assert_eq!(pkt.int.len(), 1);
+        assert_eq!(pkt.int().len(), 1);
         assert_eq!(pkt.size, 1008, "INT grows the frame");
-        let rec = pkt.int.as_slice()[0];
+        let rec = pkt.int()[0];
         assert_eq!(rec.ts, SimTime::from_us(3));
         assert_eq!(rec.qlen, 0, "dequeued immediately, queue empty behind it");
     }
@@ -835,8 +843,8 @@ mod tests {
         );
         let pkt = sw.ports[0].in_flight.as_ref().unwrap();
         assert_eq!(pkt.kind, PacketKind::Ack);
-        assert_eq!(pkt.int.len(), 1);
-        let rec = pkt.int.as_slice()[0];
+        assert_eq!(pkt.int().len(), 1);
+        let rec = pkt.int()[0];
         assert_eq!(
             rec.qlen, 1000,
             "ACK carries the data-path egress queue depth"
@@ -844,7 +852,7 @@ mod tests {
         assert_eq!(pkt.size, 78);
         // Data frames in FNCC mode carry no INT.
         let d = sw.ports[2].in_flight.as_ref().unwrap();
-        assert_eq!(d.int.len(), 0);
+        assert_eq!(d.int().len(), 0);
     }
 
     #[test]
@@ -890,7 +898,7 @@ mod tests {
             &mut out,
         );
         let pkt = sw.ports[0].in_flight.as_ref().unwrap();
-        assert_eq!(pkt.int.as_slice()[0].qlen, 0, "stale table value");
+        assert_eq!(pkt.int()[0].qlen, 0, "stale table value");
 
         // After a refresh, a second ACK sees the queue.
         sw.refresh_int_table(SimTime::from_us(10));
@@ -908,7 +916,7 @@ mod tests {
             &mut out,
         );
         let pkt2 = sw.ports[0].in_flight.as_ref().unwrap();
-        assert_eq!(pkt2.int.as_slice()[0].qlen, 1000);
+        assert_eq!(pkt2.int()[0].qlen, 1000);
     }
 
     #[test]
@@ -1206,7 +1214,7 @@ mod tests {
             xor_acc ^= swid as u16;
             assert_eq!(ack.path_xor, xor_acc, "after sw{swid}");
         }
-        assert_eq!(ack.int.len(), 2);
+        assert_eq!(ack.int().len(), 2);
     }
 
     #[test]

@@ -60,6 +60,10 @@ pub struct Counters {
     /// Flows whose frames took a non-pristine route at least once because
     /// of a dead link (deduplicated network-wide).
     pub rerouted_flows: u64,
+    /// INT records dropped because a frame's stack already held
+    /// [`crate::packet::MAX_HOPS`] records, summed by senders as they
+    /// consume ACKs. Zero on every path a scenario file can describe.
+    pub int_truncations: u64,
 }
 
 struct QueueWatch {
@@ -408,6 +412,7 @@ impl Telemetry {
         self.counters.fault_drops += o.fault_drops;
         self.counters.retx += o.retx;
         self.counters.rtos += o.rtos;
+        self.counters.int_truncations += o.int_truncations;
         if self.rerouted.len() < other.rerouted.len() {
             self.rerouted.resize(other.rerouted.len(), false);
         }

@@ -276,7 +276,7 @@ impl DcHost {
         pkt.dst = pkt.src; // back to the data sender
         pkt.src = ctx.host();
         pkt.seq = ack_seq;
-        pkt.size = ctx.cfg.ack_base + pkt.int.wire_bytes();
+        pkt.size = ctx.cfg.ack_base + pkt.int_wire_bytes();
         pkt.payload = 0;
         pkt.ecn = false;
         // §3.2.3: the receiver writes the concurrent-flow count N
@@ -367,6 +367,7 @@ impl DcHost {
     fn on_ack(&mut self, ctx: &mut HostCtx<'_, HostTimer>, mut pkt: Box<Packet>) {
         let id = pkt.flow;
         let reversed = self.cfg.algo.kind().int_in_ack_reversed();
+        ctx.telemetry.counters.int_truncations += pkt.int_dropped() as u64;
         let Some(sf) = self.send.get_mut(id) else {
             ctx.recycle(pkt);
             return;
@@ -392,11 +393,11 @@ impl DcHost {
         if reversed {
             // FNCC ACKs collected INT in return-path order; normalise in
             // place (the box is consumed below, no copy needed).
-            pkt.int.reverse();
+            pkt.reverse_int();
         }
         // Fig. 12 instrumentation: how stale is each hop's telemetry on
         // arrival at the sender?
-        for (hop, rec) in pkt.int.as_slice().iter().enumerate() {
+        for (hop, rec) in pkt.int().iter().enumerate() {
             ctx.telemetry
                 .note_int_age(hop, ctx.now().since(rec.ts).as_secs_f64());
             if ctx.telemetry.trace.enabled() {
@@ -413,7 +414,7 @@ impl DcHost {
             seq: pkt.seq,
             snd_nxt: sf.next_seq,
             newly_acked: newly,
-            int: pkt.int.as_slice(),
+            int: pkt.int(),
             concurrent_flows: pkt.concurrent_flows,
             rocc_rate: pkt.rocc_rate,
             rtt: ctx.now().since(pkt.sent_at),
@@ -602,6 +603,27 @@ mod tests {
             "FCT {fct}"
         );
         assert!(eng.model.hosts[0].flow_done(FlowId(0)));
+    }
+
+    /// The HPCC receiver turns each data frame into its ACK in place, so
+    /// the ACK keeps the records the three switches appended to the data
+    /// frame and the sender reads all three hops; no stack is dropped.
+    #[test]
+    fn hpcc_in_place_ack_keeps_the_data_frames_int() {
+        let mut eng = build(2, hpcc(), |_| {}, vec![flow(0, 0, 2, 200_000, 0)]);
+        eng.run_until(SimTime::from_ms(2));
+        let t = &eng.model.telemetry;
+        assert!(t.all_flows_finished());
+        assert_eq!(t.int_age_hops(), 3, "one record per request-path switch");
+        for hop in 0..3 {
+            assert!(t.mean_int_age(hop).is_some_and(|a| a > 0.0), "hop {hop}");
+        }
+        assert_eq!(t.counters.int_truncations, 0);
+        // The run is drained: every stack came back to the pool with its
+        // frame.
+        let pool = &eng.model.pool;
+        assert!(pool.fresh_stacks() > 0);
+        assert_eq!(pool.free_stacks() as u64, pool.fresh_stacks());
     }
 
     #[test]
