@@ -17,7 +17,11 @@
 
 use fncc::core::json::Json;
 use fncc::core::obs::{TraceEvent, TraceMeta, TraceSink};
-use fncc::core::{run_scenario_traced, Scenario, SimBackend};
+use fncc::core::{
+    run_scenario_traced, ForegroundSpec, PartitionRule, Scenario, SimBackend, StopCondition,
+    TopologySpec, TrafficSpec,
+};
+use fncc_cc::CcKind;
 use proptest::prelude::*;
 
 fn drain(sink: &TraceSink) -> String {
@@ -632,6 +636,18 @@ fn fluid_report_identical_with_tracing_on() {
 /// writes, per `threads` value (recorded at PR 14's head, commit 6fea562).
 const PACKET_TRACE_GOLDEN: [(u32, u64); 2] = [(0, 0x2ef198fddc5d3fb7), (2, 0x8ae2dc4c5f74ae7f)];
 
+/// FNV-1a hash of the `fncc.trace/v1` file one traced run of `sc` writes.
+fn trace_hash(sc: &Scenario, backend: SimBackend, dir: &std::path::Path, tag: &str) -> u64 {
+    let path = dir.join(format!("{tag}.trace.jsonl"));
+    run_scenario_traced(sc, backend, Some(&path));
+    std::fs::read(&path)
+        .unwrap()
+        .iter()
+        .fold(0xcbf29ce484222325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
+}
+
 #[test]
 fn packet_trace_artifact_is_byte_pinned() {
     let text = std::fs::read_to_string("scenarios/fattree_des_smoke.json").unwrap();
@@ -641,17 +657,59 @@ fn packet_trace_artifact_is_byte_pinned() {
     std::fs::create_dir_all(&dir).unwrap();
     for (threads, want) in PACKET_TRACE_GOLDEN {
         sc.threads = threads;
-        let path = dir.join(format!("t{threads}.trace.jsonl"));
-        run_scenario_traced(&sc, SimBackend::Packet, Some(&path));
-        let got = std::fs::read(&path)
-            .unwrap()
-            .iter()
-            .fold(0xcbf29ce484222325u64, |h, &b| {
-                (h ^ b as u64).wrapping_mul(0x100000001b3)
-            });
+        let got = trace_hash(&sc, SimBackend::Packet, &dir, &format!("t{threads}"));
         assert_eq!(
             got, want,
             "threads {threads}: trace artifact drifted (got 0x{got:016x}, want 0x{want:016x})"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a hashes of the fluid smoke scenario's trace file and of a k=4
+/// two-wave incast on the hybrid backend (first wave at packet fidelity),
+/// recorded before the event table derived the JSONL writer.
+const FLUID_TRACE_GOLDEN: u64 = 0x30c7a35641d90ecf;
+const HYBRID_TRACE_GOLDEN: u64 = 0x007ec39fac1803ea;
+
+#[test]
+fn fluid_and_hybrid_trace_artifacts_are_byte_pinned() {
+    // Every event is a copy of plain scalars; the ring's memory budget
+    // (`TraceSink::DEFAULT_CAPACITY` events) assumes this size.
+    assert_eq!(std::mem::size_of::<TraceEvent>(), 32);
+    let text = std::fs::read_to_string("scenarios/websearch_fluid_smoke.json").unwrap();
+    let mut fluid = Scenario::from_json(&text).unwrap();
+    fluid.probes.trace = true;
+    let mut hybrid = Scenario::new(
+        "obs-hybrid-pin",
+        TopologySpec::FatTree { k: 4 },
+        TrafficSpec::Incast {
+            receiver: 0,
+            fan_in: 8,
+            size: 100_000,
+            waves: 2,
+            gap_us: 30,
+        },
+        CcKind::Fncc,
+    );
+    hybrid.stop = StopCondition::Drain { cap_ms: 50 };
+    hybrid.seeds = vec![5];
+    hybrid.foreground = Some(ForegroundSpec {
+        rules: vec![PartitionRule::FirstFlows { n: 8 }],
+    });
+    hybrid.probes.trace = true;
+    let dir = std::env::temp_dir().join("fncc-obs-trace-pin-fh");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (sc, backend, want) in [
+        (&fluid, SimBackend::Fluid, FLUID_TRACE_GOLDEN),
+        (&hybrid, SimBackend::Hybrid, HYBRID_TRACE_GOLDEN),
+    ] {
+        let got = trace_hash(sc, backend, &dir, backend.name());
+        assert_eq!(
+            got,
+            want,
+            "{}: trace artifact drifted (got 0x{got:016x}, want 0x{want:016x})",
+            backend.name()
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
