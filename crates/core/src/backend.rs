@@ -49,7 +49,7 @@ use std::time::Instant;
 
 /// An engine that can execute any [`Scenario`].
 pub trait Backend {
-    /// Backend display name (`"packet"` / `"fluid"`).
+    /// Backend display name (`"packet"`, `"fluid"` or `"hybrid"`).
     fn name(&self) -> &'static str;
 
     /// Execute the scenario and produce the unified report artifact. When

@@ -6,6 +6,7 @@
 //! model except exotic number forms (`NaN`/`Infinity` are rejected on
 //! write); object key order is preserved, which keeps artifacts diffable.
 
+use fncc_obs::trace::write_escaped;
 use std::fmt::Write as _;
 
 /// A JSON value. Objects preserve insertion order.
@@ -190,24 +191,6 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {

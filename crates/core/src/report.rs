@@ -21,7 +21,7 @@ pub const RUN_REPORT_SCHEMA: &str = "fncc.run_report/v1";
 pub struct RunReport {
     /// Scenario name.
     pub scenario: String,
-    /// Backend that produced the report (`"packet"` / `"fluid"`).
+    /// Backend that produced the report (`"packet"`, `"fluid"` or `"hybrid"`).
     pub backend: String,
     /// CC scheme display name.
     pub cc: String,

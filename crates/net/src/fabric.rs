@@ -19,7 +19,6 @@ use crate::topology::Topology;
 use crate::units::Bandwidth;
 use fncc_des::engine::{Model, Scheduler};
 use fncc_des::time::{SimTime, TimeDelta};
-use fncc_obs::TraceEvent;
 use std::sync::Arc;
 
 /// Ordering domain stamped onto the periodic ticks (INT refresh, RoCC,
@@ -398,42 +397,14 @@ impl<H: HostLogic> Fabric<H> {
         sched: &mut Scheduler<Ev<H::Timer>>,
     ) {
         match pkt.kind {
-            PacketKind::PfcPause => {
+            PacketKind::PfcPause | PacketKind::PfcResume => {
+                let pause = pkt.kind == PacketKind::PfcPause;
                 let p = &mut self.host_ports[host.ix()];
-                p.paused = true;
-                p.pause_rx += 1;
-                if p.paused_since.is_none() {
-                    p.paused_since = Some(now);
-                }
-                if self.telemetry.trace.enabled() {
-                    self.telemetry.trace.record(TraceEvent::PfcPause {
-                        t_ps: now.as_ps(),
-                        node: host.0,
-                        port: 0,
-                        tx: false,
-                        at_host: true,
-                    });
-                }
+                p.on_pfc_rx(pause, now, NodeRef::Host(host), 0, &mut self.telemetry);
                 self.pool.put(pkt);
-            }
-            PacketKind::PfcResume => {
-                let p = &mut self.host_ports[host.ix()];
-                p.paused = false;
-                if let Some(t0) = p.paused_since.take() {
-                    self.telemetry.note_pause_episode(now.since(t0));
+                if !pause {
+                    start_port_tx(NodeRef::Host(host), p, sched);
                 }
-                if self.telemetry.trace.enabled() {
-                    self.telemetry.trace.record(TraceEvent::PfcResume {
-                        t_ps: now.as_ps(),
-                        node: host.0,
-                        port: 0,
-                        tx: false,
-                        at_host: true,
-                    });
-                }
-                self.pool.put(pkt);
-                let p = &mut self.host_ports[host.ix()];
-                start_port_tx(NodeRef::Host(host), p, sched);
             }
             kind => {
                 match kind {

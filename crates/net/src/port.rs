@@ -7,9 +7,11 @@
 
 use crate::ids::NodeRef;
 use crate::packet::{IntRecord, Packet};
+use crate::telemetry::Telemetry;
 use crate::topology::PortSpec;
 use crate::units::Bandwidth;
-use fncc_des::time::TimeDelta;
+use fncc_des::time::{SimTime, TimeDelta};
+use fncc_obs::TraceEvent;
 use std::collections::VecDeque;
 
 /// Egress state of one port.
@@ -248,6 +250,53 @@ impl Port {
         let pkt = self.queue.pop_front()?;
         self.queue_bytes -= pkt.size as u64;
         Some(pkt)
+    }
+
+    /// Take a PFC pause (`pause`) or resume frame received on this port,
+    /// port index `port` of `node`: flip `paused`, count the XOFF, open or
+    /// close the pause episode, and trace it. The caller returns the frame
+    /// to its pool and, on a resume, restarts transmission.
+    pub(crate) fn on_pfc_rx(
+        &mut self,
+        pause: bool,
+        now: SimTime,
+        node: NodeRef,
+        port: u8,
+        telem: &mut Telemetry,
+    ) {
+        self.paused = pause;
+        if pause {
+            self.pause_rx += 1;
+            if self.paused_since.is_none() {
+                self.paused_since = Some(now);
+            }
+        } else if let Some(t0) = self.paused_since.take() {
+            telem.note_pause_episode(now.since(t0));
+        }
+        if telem.trace.enabled() {
+            let (t_ps, tx) = (now.as_ps(), false);
+            let (node, at_host) = match node {
+                NodeRef::Host(h) => (h.0, true),
+                NodeRef::Switch(s) => (s.0, false),
+            };
+            telem.trace.record(if pause {
+                TraceEvent::PfcPause {
+                    t_ps,
+                    node,
+                    port,
+                    tx,
+                    at_host,
+                }
+            } else {
+                TraceEvent::PfcResume {
+                    t_ps,
+                    node,
+                    port,
+                    tx,
+                    at_host,
+                }
+            });
+        }
     }
 }
 

@@ -295,42 +295,14 @@ impl Switch {
         out: &mut impl SwitchSink,
     ) {
         match pkt.kind {
-            PacketKind::PfcPause => {
-                let p = &mut self.ports[in_port as usize];
-                p.paused = true;
-                p.pause_rx += 1;
-                if p.paused_since.is_none() {
-                    p.paused_since = Some(now);
-                }
-                if telem.trace.enabled() {
-                    telem.trace.record(TraceEvent::PfcPause {
-                        t_ps: now.as_ps(),
-                        node: self.id.0,
-                        port: in_port,
-                        tx: false,
-                        at_host: false,
-                    });
-                }
+            PacketKind::PfcPause | PacketKind::PfcResume => {
+                let pause = pkt.kind == PacketKind::PfcPause;
+                let node = NodeRef::Switch(self.id);
+                self.ports[in_port as usize].on_pfc_rx(pause, now, node, in_port, telem);
                 pool.put(pkt);
-                return;
-            }
-            PacketKind::PfcResume => {
-                let p = &mut self.ports[in_port as usize];
-                p.paused = false;
-                if let Some(t0) = p.paused_since.take() {
-                    telem.note_pause_episode(now.since(t0));
+                if !pause {
+                    self.maybe_start_tx(in_port, now, cfg, pool, out);
                 }
-                if telem.trace.enabled() {
-                    telem.trace.record(TraceEvent::PfcResume {
-                        t_ps: now.as_ps(),
-                        node: self.id.0,
-                        port: in_port,
-                        tx: false,
-                        at_host: false,
-                    });
-                }
-                pool.put(pkt);
-                self.maybe_start_tx(in_port, now, cfg, pool, out);
                 return;
             }
             _ => {}

@@ -27,4 +27,4 @@ pub mod trace;
 
 pub use metrics::{CounterId, HistId, Histogram, MetricsRegistry};
 pub use profile::{PhaseId, Profiler};
-pub use trace::{TraceEvent, TraceMeta, TraceSink, TRACE_SCHEMA};
+pub use trace::{TraceEvent, TraceMeta, TraceSink, TraceValue, TRACE_SCHEMA};

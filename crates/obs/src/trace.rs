@@ -13,6 +13,7 @@
 //! assert_eq!(sink.len(), 1);
 //! ```
 
+use std::fmt::Write as _;
 use std::io::{self, Write};
 
 /// Schema tag of the trace artifact (its JSONL header line).
@@ -271,246 +272,115 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The event's discriminant as it appears in the artifact's `ev` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Enqueue { .. } => "enqueue",
-            TraceEvent::Dequeue { .. } => "dequeue",
-            TraceEvent::EcnMark { .. } => "ecn_mark",
-            TraceEvent::Drop { .. } => "drop",
-            TraceEvent::PfcPause { .. } => "pfc_pause",
-            TraceEvent::PfcResume { .. } => "pfc_resume",
-            TraceEvent::Cnp { .. } => "cnp",
-            TraceEvent::IntRecord { .. } => "int_record",
-            TraceEvent::RateUpdate { .. } => "rate_update",
-            TraceEvent::FlowStart { .. } => "flow_start",
-            TraceEvent::FlowFinish { .. } => "flow_finish",
-            TraceEvent::SolveBegin { .. } => "solve_begin",
-            TraceEvent::SolveEnd { .. } => "solve_end",
-            TraceEvent::FluidFlowAdd { .. } => "fluid_flow_add",
-            TraceEvent::FluidFlowRemove { .. } => "fluid_flow_remove",
-            TraceEvent::HybridSync { .. } => "hybrid_sync",
-            TraceEvent::HybridReserve { .. } => "hybrid_reserve",
-            TraceEvent::HybridBacklog { .. } => "hybrid_backlog",
-            TraceEvent::LinkDown { .. } => "link_down",
-            TraceEvent::LinkUp { .. } => "link_up",
-            TraceEvent::FaultDrop { .. } => "fault_drop",
-            TraceEvent::Retransmit { .. } => "retransmit",
-            TraceEvent::Rto { .. } => "rto",
-        }
-    }
+/// One payload field value as [`TraceEvent::map_fields`] visits it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum TraceValue {
+    /// An unsigned field (`u8`, `u32` or `u64`).
+    U64(u64),
+    /// A floating-point field.
+    F64(f64),
+    /// A flag.
+    Bool(bool),
+}
 
-    /// The event's simulation timestamp, picoseconds.
-    pub fn t_ps(&self) -> u64 {
-        match *self {
-            TraceEvent::Enqueue { t_ps, .. }
-            | TraceEvent::Dequeue { t_ps, .. }
-            | TraceEvent::EcnMark { t_ps, .. }
-            | TraceEvent::Drop { t_ps, .. }
-            | TraceEvent::PfcPause { t_ps, .. }
-            | TraceEvent::PfcResume { t_ps, .. }
-            | TraceEvent::Cnp { t_ps, .. }
-            | TraceEvent::IntRecord { t_ps, .. }
-            | TraceEvent::RateUpdate { t_ps, .. }
-            | TraceEvent::FlowStart { t_ps, .. }
-            | TraceEvent::FlowFinish { t_ps, .. }
-            | TraceEvent::SolveBegin { t_ps, .. }
-            | TraceEvent::SolveEnd { t_ps, .. }
-            | TraceEvent::FluidFlowAdd { t_ps, .. }
-            | TraceEvent::FluidFlowRemove { t_ps, .. }
-            | TraceEvent::HybridSync { t_ps, .. }
-            | TraceEvent::HybridReserve { t_ps, .. }
-            | TraceEvent::HybridBacklog { t_ps, .. }
-            | TraceEvent::LinkDown { t_ps, .. }
-            | TraceEvent::LinkUp { t_ps, .. }
-            | TraceEvent::FaultDrop { t_ps, .. }
-            | TraceEvent::Retransmit { t_ps, .. }
-            | TraceEvent::Rto { t_ps, .. } => t_ps,
-        }
-    }
+/// The field visitor [`TraceEvent::map_fields`] runs: `f(name, value)`.
+type Visit<'a> = dyn FnMut(&'static str, TraceValue) -> TraceValue + 'a;
 
-    /// The flow id the event concerns, if it concerns one.
-    pub fn flow(&self) -> Option<u32> {
-        match *self {
-            TraceEvent::Enqueue { flow, .. }
-            | TraceEvent::Dequeue { flow, .. }
-            | TraceEvent::EcnMark { flow, .. }
-            | TraceEvent::Drop { flow, .. }
-            | TraceEvent::Cnp { flow, .. }
-            | TraceEvent::IntRecord { flow, .. }
-            | TraceEvent::RateUpdate { flow, .. }
-            | TraceEvent::FlowStart { flow, .. }
-            | TraceEvent::FlowFinish { flow, .. }
-            | TraceEvent::FluidFlowAdd { flow, .. }
-            | TraceEvent::FluidFlowRemove { flow, .. }
-            | TraceEvent::FaultDrop { flow, .. }
-            | TraceEvent::Retransmit { flow, .. }
-            | TraceEvent::Rto { flow, .. } => Some(flow),
-            TraceEvent::PfcPause { .. }
-            | TraceEvent::PfcResume { .. }
-            | TraceEvent::SolveBegin { .. }
-            | TraceEvent::SolveEnd { .. }
-            | TraceEvent::HybridSync { .. }
-            | TraceEvent::HybridReserve { .. }
-            | TraceEvent::HybridBacklog { .. }
-            | TraceEvent::LinkDown { .. }
-            | TraceEvent::LinkUp { .. } => None,
-        }
-    }
+/// A payload field type: visited widened to a [`TraceValue`], narrowed back.
+trait Scalar: Copy {
+    fn map(self, name: &'static str, f: &mut Visit) -> Self;
+}
 
-    /// Append the event as one JSONL object line (no trailing newline).
-    ///
-    /// Every field is a scalar, so this writer needs no string escaping;
-    /// the `ev` tag comes first and `t_ps` second on every line, which the
-    /// schema snapshot test pins.
-    pub fn write_jsonl(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(out, "{{\"ev\":\"{}\",\"t_ps\":{}", self.kind(), self.t_ps());
-        match *self {
-            TraceEvent::Enqueue {
-                sw,
-                port,
-                flow,
-                size,
-                queue_bytes,
-                ..
-            }
-            | TraceEvent::Dequeue {
-                sw,
-                port,
-                flow,
-                size,
-                queue_bytes,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"sw\":{sw},\"port\":{port},\"flow\":{flow},\"size\":{size},\"queue_bytes\":{queue_bytes}"
-                );
-            }
-            TraceEvent::EcnMark {
-                sw,
-                port,
-                flow,
-                queue_bytes,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"sw\":{sw},\"port\":{port},\"flow\":{flow},\"queue_bytes\":{queue_bytes}"
-                );
-            }
-            TraceEvent::Drop {
-                sw,
-                port,
-                flow,
-                size,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"sw\":{sw},\"port\":{port},\"flow\":{flow},\"size\":{size}"
-                );
-            }
-            TraceEvent::PfcPause {
-                node,
-                port,
-                tx,
-                at_host,
-                ..
-            }
-            | TraceEvent::PfcResume {
-                node,
-                port,
-                tx,
-                at_host,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"node\":{node},\"port\":{port},\"tx\":{tx},\"at_host\":{at_host}"
-                );
-            }
-            TraceEvent::Cnp { flow, src, dst, .. } => {
-                let _ = write!(out, ",\"flow\":{flow},\"src\":{src},\"dst\":{dst}");
-            }
-            TraceEvent::IntRecord {
-                flow, hop, age_ps, ..
-            } => {
-                let _ = write!(out, ",\"flow\":{flow},\"hop\":{hop},\"age_ps\":{age_ps}");
-            }
-            TraceEvent::RateUpdate {
-                flow,
-                rate_bps,
-                window_bytes,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"flow\":{flow},\"rate_bps\":{rate_bps},\"window_bytes\":{window_bytes}"
-                );
-            }
-            TraceEvent::FlowStart {
-                flow,
-                src,
-                dst,
-                size,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"flow\":{flow},\"src\":{src},\"dst\":{dst},\"size\":{size}"
-                );
-            }
-            TraceEvent::FlowFinish { flow, .. }
-            | TraceEvent::FluidFlowAdd { flow, .. }
-            | TraceEvent::FluidFlowRemove { flow, .. } => {
-                let _ = write!(out, ",\"flow\":{flow}");
-            }
-            TraceEvent::SolveBegin { active, .. } => {
-                let _ = write!(out, ",\"active\":{active}");
-            }
-            TraceEvent::SolveEnd { full, changed, .. } => {
-                let _ = write!(out, ",\"full\":{full},\"changed\":{changed}");
-            }
-            TraceEvent::HybridSync { reservations, .. } => {
-                let _ = write!(out, ",\"reservations\":{reservations}");
-            }
-            TraceEvent::HybridReserve { link, load_bps, .. } => {
-                let _ = write!(out, ",\"link\":{link},\"load_bps\":{load_bps}");
-            }
-            TraceEvent::HybridBacklog {
-                link,
-                backlog_bytes,
-                ..
-            } => {
-                let _ = write!(out, ",\"link\":{link},\"backlog_bytes\":{backlog_bytes}");
-            }
-            TraceEvent::LinkDown { sw, port, .. } | TraceEvent::LinkUp { sw, port, .. } => {
-                let _ = write!(out, ",\"sw\":{sw},\"port\":{port}");
-            }
-            TraceEvent::FaultDrop {
-                sw,
-                port,
-                flow,
-                size,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"sw\":{sw},\"port\":{port},\"flow\":{flow},\"size\":{size}"
-                );
-            }
-            TraceEvent::Retransmit { flow, seq, .. } => {
-                let _ = write!(out, ",\"flow\":{flow},\"seq\":{seq}");
-            }
-            TraceEvent::Rto { flow, rto_ps, .. } => {
-                let _ = write!(out, ",\"flow\":{flow},\"rto_ps\":{rto_ps}");
+macro_rules! scalar {
+    ($($t:ty: $variant:ident),*) => {$(
+        impl Scalar for $t {
+            fn map(self, name: &'static str, f: &mut Visit) -> Self {
+                match f(name, TraceValue::$variant(self as _)) {
+                    TraceValue::$variant(x) => x as _,
+                    v => panic!("{v:?} for the {} field `{name}`", stringify!($t)),
+                }
             }
         }
-        out.push('}');
-    }
+    )*};
+}
+scalar!(u8: U64, u32: U64, u64: U64, f64: F64, bool: Bool);
+
+/// Derives [`TraceEvent`]'s per-variant code from one line per event,
+/// `Variant "tag" { payload fields in wire order }` (`t_ps` leads every
+/// variant implicitly). `map_fields` names every field without `..`, so a
+/// variant or field missing from the table is a compile error.
+macro_rules! trace_events {
+    ($($variant:ident $tag:literal { $($field:ident),* },)*) => {
+        impl TraceEvent {
+            /// The event's discriminant as it appears in the artifact's `ev` field.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// The event's simulation timestamp, picoseconds.
+            pub fn t_ps(&self) -> u64 {
+                match *self {
+                    $(TraceEvent::$variant { t_ps, .. })|* => t_ps,
+                }
+            }
+
+            /// The one field visitor: calls `f(name, value)` on `t_ps`, then
+            /// on each payload field in wire order, and rebuilds the event
+            /// from what `f` returns, which must keep each value's type (a
+            /// `U64` narrows to its field's width, keeping the low bits).
+            pub fn map_fields(self, f: &mut Visit) -> Self {
+                match self {
+                    $(TraceEvent::$variant { t_ps, $($field),* } => TraceEvent::$variant {
+                        t_ps: t_ps.map("t_ps", f),
+                        $($field: $field.map(stringify!($field), f),)*
+                    },)*
+                }
+            }
+
+            /// Append the event as one JSONL object line (no trailing newline): the
+            /// `ev` tag, then each field `map_fields` visits, `t_ps` first.
+            pub fn write_jsonl(&self, out: &mut String) {
+                let _ = write!(out, "{{\"ev\":\"{}\"", self.kind());
+                self.map_fields(&mut |name, v| {
+                    let _ = match v {
+                        TraceValue::U64(x) => write!(out, ",\"{name}\":{x}"),
+                        TraceValue::F64(x) => write!(out, ",\"{name}\":{x}"),
+                        TraceValue::Bool(x) => write!(out, ",\"{name}\":{x}"),
+                    };
+                    v
+                });
+                out.push('}');
+            }
+        }
+    };
+}
+
+trace_events! {
+    Enqueue "enqueue" { sw, port, flow, size, queue_bytes },
+    Dequeue "dequeue" { sw, port, flow, size, queue_bytes },
+    EcnMark "ecn_mark" { sw, port, flow, queue_bytes },
+    Drop "drop" { sw, port, flow, size },
+    PfcPause "pfc_pause" { node, port, tx, at_host },
+    PfcResume "pfc_resume" { node, port, tx, at_host },
+    Cnp "cnp" { flow, src, dst },
+    IntRecord "int_record" { flow, hop, age_ps },
+    RateUpdate "rate_update" { flow, rate_bps, window_bytes },
+    FlowStart "flow_start" { flow, src, dst, size },
+    FlowFinish "flow_finish" { flow },
+    SolveBegin "solve_begin" { active },
+    SolveEnd "solve_end" { full, changed },
+    FluidFlowAdd "fluid_flow_add" { flow },
+    FluidFlowRemove "fluid_flow_remove" { flow },
+    HybridSync "hybrid_sync" { reservations },
+    HybridReserve "hybrid_reserve" { link, load_bps },
+    HybridBacklog "hybrid_backlog" { link, backlog_bytes },
+    LinkDown "link_down" { sw, port },
+    LinkUp "link_up" { sw, port },
+    FaultDrop "fault_drop" { sw, port, flow, size },
+    Retransmit "retransmit" { flow, seq },
+    Rto "rto" { flow, rto_ps },
 }
 
 /// Run-level metadata written as the artifact's header line.
@@ -518,7 +388,7 @@ impl TraceEvent {
 pub struct TraceMeta {
     /// Scenario name.
     pub scenario: String,
-    /// Backend name (`packet` / `fluid`).
+    /// Backend name (`packet`, `fluid` or `hybrid`).
     pub backend: String,
     /// RNG seed of the traced run.
     pub seed: u64,
@@ -531,7 +401,7 @@ pub struct TraceMeta {
 /// the run, which is the window that explains a hang, a storm or a tail
 /// latency. A disabled sink holds no buffer and answers
 /// [`enabled`](TraceSink::enabled) from one byte.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TraceSink {
     enabled: bool,
     buf: Vec<TraceEvent>,
@@ -542,18 +412,13 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    /// Default ring capacity (events); about 64 MB of buffer at the top end.
+    /// Default ring capacity (events): 2^20 events of 32 bytes, 32 MiB of
+    /// buffer at the top end.
     pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
     /// A disabled sink: records nothing, owns nothing.
     pub fn disabled() -> Self {
-        TraceSink {
-            enabled: false,
-            buf: Vec::new(),
-            cap: 0,
-            head: 0,
-            dropped: 0,
-        }
+        TraceSink::default()
     }
 
     /// Merge per-shard sinks into one deterministic sink: events are
@@ -566,20 +431,15 @@ impl TraceSink {
         if sinks.iter().all(|s| !s.enabled) {
             return TraceSink::disabled();
         }
-        let cap: usize = sinks.iter().map(|s| s.cap).sum();
-        let mut out = TraceSink::with_capacity(cap.max(1));
-        let mut evs: Vec<(u64, usize, usize, TraceEvent)> = Vec::new();
-        for (shard, s) in sinks.iter().enumerate() {
-            out.dropped += s.dropped;
-            for (pos, ev) in s.events().enumerate() {
-                evs.push((ev.t_ps(), shard, pos, *ev));
-            }
+        let mut buf: Vec<TraceEvent> = sinks.iter().flat_map(|s| s.events().copied()).collect();
+        buf.sort_by_key(TraceEvent::t_ps);
+        TraceSink {
+            enabled: true,
+            buf,
+            cap: sinks.iter().map(|s| s.cap).sum(),
+            head: 0,
+            dropped: sinks.iter().map(|s| s.dropped).sum(),
         }
-        evs.sort_by_key(|&(t, shard, pos, _)| (t, shard, pos));
-        for (_, _, _, ev) in evs {
-            out.record(ev);
-        }
-        out
     }
 
     /// An enabled sink holding at most `cap` events (the most recent win).
@@ -587,10 +447,8 @@ impl TraceSink {
         assert!(cap > 0, "zero-capacity trace ring");
         TraceSink {
             enabled: true,
-            buf: Vec::new(),
             cap,
-            head: 0,
-            dropped: 0,
+            ..TraceSink::default()
         }
     }
 
@@ -643,37 +501,28 @@ impl TraceSink {
     /// Drain the recorder to `w` as a `fncc.trace/v1` JSONL stream: one
     /// header object, then one object per event, oldest first.
     pub fn write_jsonl<W: Write>(&self, w: &mut W, meta: &TraceMeta) -> io::Result<()> {
-        let mut line = String::with_capacity(256);
-        line.push_str("{\"schema\":\"");
-        line.push_str(TRACE_SCHEMA);
-        line.push_str("\",\"scenario\":");
+        let mut line = format!("{{\"schema\":\"{TRACE_SCHEMA}\",\"scenario\":");
         write_escaped(&mut line, &meta.scenario);
         line.push_str(",\"backend\":");
         write_escaped(&mut line, &meta.backend);
-        use std::fmt::Write as _;
-        let _ = write!(
-            line,
-            ",\"seed\":{},\"events\":{},\"dropped\":{}}}",
-            meta.seed,
-            self.buf.len(),
-            self.dropped
-        );
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
+        let (seed, events, dropped) = (meta.seed, self.buf.len(), self.dropped);
+        writeln!(
+            w,
+            "{line},\"seed\":{seed},\"events\":{events},\"dropped\":{dropped}}}"
+        )?;
         for ev in self.events() {
             line.clear();
             ev.write_jsonl(&mut line);
-            line.push('\n');
-            w.write_all(line.as_bytes())?;
+            writeln!(w, "{line}")?;
         }
         Ok(())
     }
 }
 
-/// Minimal JSON string escaping for the header's free-form fields (the
-/// event lines themselves carry only scalars).
-fn write_escaped(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
+/// Append `s` to `out` as a quoted JSON string. The trace header's
+/// free-form fields and `fncc_core::json` both escape through it (the event
+/// lines themselves carry only scalars).
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -4,7 +4,7 @@
 use crate::config::TransportConfig;
 use crate::flow::{FlowSpec, FlowTable, RecvFlow, SendFlow};
 use fncc_cc::{AckView, CcFlow};
-use fncc_des::time::TimeDelta;
+use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::fabric::{HostCtx, HostLogic};
 use fncc_net::ids::FlowId;
 use fncc_net::packet::{Packet, PacketKind};
@@ -106,12 +106,7 @@ impl DcHost {
             });
             // Seed the timeline with the flow's starting rate/window so the
             // first RateUpdate delta is interpretable.
-            ctx.telemetry.trace.record(TraceEvent::RateUpdate {
-                t_ps: ctx.now().as_ps(),
-                flow: id.0,
-                rate_bps: cc.pacing_rate_bps(),
-                window_bytes: cc.window_bytes().unwrap_or(-1.0),
-            });
+            ctx.telemetry.trace.record(rate_update(ctx.now(), id, &cc));
         }
         if let Some(d) = cc.initial_tick() {
             ctx.schedule(d, HostTimer::CcTick(id));
@@ -249,12 +244,7 @@ impl DcHost {
                 flow: id.0,
                 rto_ps: rto.as_ps(),
             });
-            ctx.telemetry.trace.record(TraceEvent::RateUpdate {
-                t_ps: now.as_ps(),
-                flow: id.0,
-                rate_bps: sf.cc.pacing_rate_bps(),
-                window_bytes: sf.cc.window_bytes().unwrap_or(-1.0),
-            });
+            ctx.telemetry.trace.record(rate_update(now, id, &sf.cc));
         }
         self.pump(ctx, id);
     }
@@ -423,12 +413,9 @@ impl DcHost {
         sf.cc.on_ack(&view);
         ctx.telemetry.cc_span_end(span);
         if ctx.telemetry.trace.enabled() {
-            ctx.telemetry.trace.record(TraceEvent::RateUpdate {
-                t_ps: ctx.now().as_ps(),
-                flow: id.0,
-                rate_bps: sf.cc.pacing_rate_bps(),
-                window_bytes: sf.cc.window_bytes().unwrap_or(-1.0),
-            });
+            ctx.telemetry
+                .trace
+                .record(rate_update(ctx.now(), id, &sf.cc));
         }
         let done = sf.acked >= sf.spec.size;
         if done {
@@ -438,6 +425,17 @@ impl DcHost {
         if !done {
             self.pump(ctx, id);
         }
+    }
+}
+
+/// The `RateUpdate` trace event for `cc`'s current pacing rate and window
+/// (`-1` for a rate-only scheme).
+fn rate_update(now: SimTime, flow: FlowId, cc: &CcFlow) -> TraceEvent {
+    TraceEvent::RateUpdate {
+        t_ps: now.as_ps(),
+        flow: flow.0,
+        rate_bps: cc.pacing_rate_bps(),
+        window_bytes: cc.window_bytes().unwrap_or(-1.0),
     }
 }
 
@@ -454,12 +452,9 @@ impl HostLogic for DcHost {
                     sf.cc.on_cnp(ctx.now());
                     ctx.telemetry.cc_span_end(span);
                     if ctx.telemetry.trace.enabled() {
-                        ctx.telemetry.trace.record(TraceEvent::RateUpdate {
-                            t_ps: ctx.now().as_ps(),
-                            flow: pkt.flow.0,
-                            rate_bps: sf.cc.pacing_rate_bps(),
-                            window_bytes: sf.cc.window_bytes().unwrap_or(-1.0),
-                        });
+                        ctx.telemetry
+                            .trace
+                            .record(rate_update(ctx.now(), pkt.flow, &sf.cc));
                     }
                 }
                 ctx.recycle(pkt);

@@ -1,22 +1,24 @@
 //! Flight-recorder observability guarantees.
 //!
-//! Three contracts are pinned here:
+//! Four contracts are pinned here:
 //!
 //! 1. The `fncc.trace/v1` JSONL wire format — a literal snapshot of the
 //!    header and one line per event kind, so any accidental schema drift
 //!    (renamed field, reordered key) fails a test instead of breaking the
 //!    downstream `inspect` tooling silently.
 //! 2. Every event round-trips through the repo's own JSON parser with all
-//!    payload fields intact (property-tested over the full value ranges).
+//!    payload fields intact (property-tested over the full value ranges,
+//!    field by field through `TraceEvent::map_fields`, the writer's visitor).
 //! 3. Arming the recorder never changes the `RunReport`: both backends'
 //!    smoke scenarios produce byte-identical artifacts with tracing on and
 //!    off — the trace rides in a separate file.
-//! 4. The packet engine's trace artifact itself is byte-pinned, for the
-//!    one-replica run (`threads: 0`, ring moved out as recorded) and the
-//!    pod-sharded run (per-shard rings interleaved by `(timestamp, shard)`).
+//! 4. Each engine's trace artifact itself is byte-pinned: the packet
+//!    engine's for the one-replica run (`threads: 0`, ring moved out as
+//!    recorded) and the pod-sharded run (per-shard rings interleaved by
+//!    `(timestamp, shard)`), and one fluid and one hybrid run's.
 
 use fncc::core::json::Json;
-use fncc::core::obs::{TraceEvent, TraceMeta, TraceSink};
+use fncc::core::obs::{TraceEvent, TraceMeta, TraceSink, TraceValue};
 use fncc::core::{
     run_scenario_traced, ForegroundSpec, PartitionRule, Scenario, SimBackend, StopCondition,
     TopologySpec, TrafficSpec,
@@ -211,13 +213,7 @@ fn trace_ring_overwrites_oldest_and_counts_drops() {
     }
     assert_eq!(sink.len(), 4);
     assert_eq!(sink.dropped(), 6);
-    let ts: Vec<u64> = sink
-        .events()
-        .map(|e| match e {
-            TraceEvent::FlowFinish { t_ps, .. } => *t_ps,
-            _ => unreachable!(),
-        })
-        .collect();
+    let ts: Vec<u64> = sink.events().map(TraceEvent::t_ps).collect();
     assert_eq!(ts, vec![6, 7, 8, 9], "oldest-first iteration after wrap");
 }
 
@@ -225,157 +221,26 @@ fn trace_ring_overwrites_oldest_and_counts_drops() {
 // Property: every event survives the JSONL round trip.
 // ----------------------------------------------------------------------
 
-/// Draws one uniformly-kinded event with uniformly random payloads (the
-/// vendored proptest shim has no `prop_oneof`, so this implements
-/// [`Strategy`] directly). `t_ps` stays below 2^53 so the f64-based JSON
-/// reader represents it exactly.
+/// Draws one uniformly-kinded event with uniformly random payloads: a
+/// template from [`one_of_each`] with every field redrawn through the
+/// event's field visitor (the vendored proptest shim has no `prop_oneof`,
+/// so this implements [`Strategy`] directly). Unsigned draws stay below
+/// 2^53 so the f64-based JSON reader represents them exactly; narrower
+/// fields keep the low bits.
 struct EventStrategy;
 
 impl Strategy for EventStrategy {
     type Value = TraceEvent;
 
     fn generate(&self, rng: &mut proptest::TestRng) -> TraceEvent {
-        let t_ps = rng.next_u64() >> 11;
-        let u32r = |rng: &mut proptest::TestRng| rng.next_u64() as u32;
-        let u8r = |rng: &mut proptest::TestRng| rng.next_u64() as u8;
-        let boolr = |rng: &mut proptest::TestRng| rng.next_u64() & 1 == 1;
-        match rng.below(23) {
-            0 => TraceEvent::Enqueue {
-                t_ps,
-                sw: u32r(rng),
-                port: u8r(rng),
-                flow: u32r(rng),
-                size: u32r(rng),
-                queue_bytes: rng.next_u64() >> 11,
-            },
-            1 => TraceEvent::Dequeue {
-                t_ps,
-                sw: u32r(rng),
-                port: u8r(rng),
-                flow: u32r(rng),
-                size: u32r(rng),
-                queue_bytes: rng.next_u64() >> 11,
-            },
-            2 => TraceEvent::EcnMark {
-                t_ps,
-                sw: u32r(rng),
-                port: u8r(rng),
-                flow: u32r(rng),
-                queue_bytes: rng.next_u64() >> 11,
-            },
-            3 => TraceEvent::Drop {
-                t_ps,
-                sw: u32r(rng),
-                port: u8r(rng),
-                flow: u32r(rng),
-                size: u32r(rng),
-            },
-            4 => TraceEvent::PfcPause {
-                t_ps,
-                node: u32r(rng),
-                port: u8r(rng),
-                tx: boolr(rng),
-                at_host: boolr(rng),
-            },
-            5 => TraceEvent::PfcResume {
-                t_ps,
-                node: u32r(rng),
-                port: u8r(rng),
-                tx: boolr(rng),
-                at_host: boolr(rng),
-            },
-            6 => TraceEvent::Cnp {
-                t_ps,
-                flow: u32r(rng),
-                src: u32r(rng),
-                dst: u32r(rng),
-            },
-            7 => TraceEvent::IntRecord {
-                t_ps,
-                flow: u32r(rng),
-                hop: u8r(rng),
-                age_ps: rng.next_u64() >> 11,
-            },
-            8 => TraceEvent::RateUpdate {
-                t_ps,
-                flow: u32r(rng),
-                rate_bps: rng.unit_f64() * 1e12,
-                window_bytes: if boolr(rng) {
-                    -1.0
-                } else {
-                    rng.unit_f64() * 1e9
-                },
-            },
-            9 => TraceEvent::FlowStart {
-                t_ps,
-                flow: u32r(rng),
-                src: u32r(rng),
-                dst: u32r(rng),
-                size: rng.next_u64() >> 11,
-            },
-            10 => TraceEvent::FlowFinish {
-                t_ps,
-                flow: u32r(rng),
-            },
-            11 => TraceEvent::SolveBegin {
-                t_ps,
-                active: u32r(rng),
-            },
-            12 => TraceEvent::SolveEnd {
-                t_ps,
-                full: boolr(rng),
-                changed: u32r(rng),
-            },
-            13 => TraceEvent::FluidFlowAdd {
-                t_ps,
-                flow: u32r(rng),
-            },
-            14 => TraceEvent::FluidFlowRemove {
-                t_ps,
-                flow: u32r(rng),
-            },
-            15 => TraceEvent::HybridSync {
-                t_ps,
-                reservations: u32r(rng),
-            },
-            16 => TraceEvent::HybridReserve {
-                t_ps,
-                link: u32r(rng),
-                load_bps: rng.unit_f64() * 1e12,
-            },
-            17 => TraceEvent::HybridBacklog {
-                t_ps,
-                link: u32r(rng),
-                backlog_bytes: rng.next_u64() >> 11,
-            },
-            18 => TraceEvent::LinkDown {
-                t_ps,
-                sw: u32r(rng),
-                port: u8r(rng),
-            },
-            19 => TraceEvent::LinkUp {
-                t_ps,
-                sw: u32r(rng),
-                port: u8r(rng),
-            },
-            20 => TraceEvent::FaultDrop {
-                t_ps,
-                sw: u32r(rng),
-                port: u8r(rng),
-                flow: u32r(rng),
-                size: u32r(rng),
-            },
-            21 => TraceEvent::Retransmit {
-                t_ps,
-                flow: u32r(rng),
-                seq: rng.next_u64() >> 11,
-            },
-            _ => TraceEvent::Rto {
-                t_ps,
-                flow: u32r(rng),
-                rto_ps: rng.next_u64() >> 11,
-            },
-        }
+        let kinds = one_of_each();
+        let template = kinds[rng.below(kinds.len() as u64) as usize];
+        template.map_fields(&mut |_, v| match v {
+            TraceValue::U64(_) => TraceValue::U64(rng.next_u64() >> 11),
+            TraceValue::F64(_) if rng.next_u64() & 1 == 1 => TraceValue::F64(-1.0),
+            TraceValue::F64(_) => TraceValue::F64(rng.unit_f64() * 1e12),
+            TraceValue::Bool(_) => TraceValue::Bool(rng.next_u64() & 1 == 1),
+        })
     }
 }
 
@@ -384,166 +249,22 @@ fn event_strategy() -> impl Strategy<Value = TraceEvent> {
 }
 
 /// Field-by-field comparison of a parsed JSONL line against the source
-/// event. `t_ps` above 2^53 is representable in the artifact (it is written
-/// as a decimal integer) but saturates the reader's f64 — tolerate that by
-/// comparing through the same conversion.
+/// event, through the same field visitor the writer uses; the line holds
+/// `ev` plus exactly the visited fields.
 fn assert_matches(line: &Json, ev: &TraceEvent) {
-    let u = |k: &str| line.get(k).and_then(Json::as_f64).unwrap();
-    let b = |k: &str| line.get(k).and_then(Json::as_bool).unwrap();
-    assert_eq!(line.get("ev").and_then(Json::as_str).unwrap(), ev.kind());
-    assert_eq!(u("t_ps"), ev.t_ps() as f64);
-    match *ev {
-        TraceEvent::Enqueue {
-            sw,
-            port,
-            flow,
-            size,
-            queue_bytes,
-            ..
+    assert_eq!(line.get("ev").and_then(Json::as_str), Some(ev.kind()));
+    let mut keys = 1;
+    ev.map_fields(&mut |k, v| {
+        let field = line.get(k);
+        match v {
+            TraceValue::U64(x) => assert_eq!(field.and_then(Json::as_f64), Some(x as f64), "{k}"),
+            TraceValue::F64(x) => assert_eq!(field.and_then(Json::as_f64), Some(x), "{k}"),
+            TraceValue::Bool(x) => assert_eq!(field.and_then(Json::as_bool), Some(x), "{k}"),
         }
-        | TraceEvent::Dequeue {
-            sw,
-            port,
-            flow,
-            size,
-            queue_bytes,
-            ..
-        } => {
-            assert_eq!(u("sw"), sw as f64);
-            assert_eq!(u("port"), port as f64);
-            assert_eq!(u("flow"), flow as f64);
-            assert_eq!(u("size"), size as f64);
-            assert_eq!(u("queue_bytes"), queue_bytes as f64);
-        }
-        TraceEvent::EcnMark {
-            sw,
-            port,
-            flow,
-            queue_bytes,
-            ..
-        } => {
-            assert_eq!(u("sw"), sw as f64);
-            assert_eq!(u("port"), port as f64);
-            assert_eq!(u("flow"), flow as f64);
-            assert_eq!(u("queue_bytes"), queue_bytes as f64);
-        }
-        TraceEvent::Drop {
-            sw,
-            port,
-            flow,
-            size,
-            ..
-        } => {
-            assert_eq!(u("sw"), sw as f64);
-            assert_eq!(u("port"), port as f64);
-            assert_eq!(u("flow"), flow as f64);
-            assert_eq!(u("size"), size as f64);
-        }
-        TraceEvent::PfcPause {
-            node,
-            port,
-            tx,
-            at_host,
-            ..
-        }
-        | TraceEvent::PfcResume {
-            node,
-            port,
-            tx,
-            at_host,
-            ..
-        } => {
-            assert_eq!(u("node"), node as f64);
-            assert_eq!(u("port"), port as f64);
-            assert_eq!(b("tx"), tx);
-            assert_eq!(b("at_host"), at_host);
-        }
-        TraceEvent::Cnp { flow, src, dst, .. } => {
-            assert_eq!(u("flow"), flow as f64);
-            assert_eq!(u("src"), src as f64);
-            assert_eq!(u("dst"), dst as f64);
-        }
-        TraceEvent::IntRecord {
-            flow, hop, age_ps, ..
-        } => {
-            assert_eq!(u("flow"), flow as f64);
-            assert_eq!(u("hop"), hop as f64);
-            assert_eq!(u("age_ps"), age_ps as f64);
-        }
-        TraceEvent::RateUpdate {
-            flow,
-            rate_bps,
-            window_bytes,
-            ..
-        } => {
-            assert_eq!(u("flow"), flow as f64);
-            assert_eq!(u("rate_bps"), rate_bps);
-            assert_eq!(u("window_bytes"), window_bytes);
-        }
-        TraceEvent::FlowStart {
-            flow,
-            src,
-            dst,
-            size,
-            ..
-        } => {
-            assert_eq!(u("flow"), flow as f64);
-            assert_eq!(u("src"), src as f64);
-            assert_eq!(u("dst"), dst as f64);
-            assert_eq!(u("size"), size as f64);
-        }
-        TraceEvent::FlowFinish { flow, .. }
-        | TraceEvent::FluidFlowAdd { flow, .. }
-        | TraceEvent::FluidFlowRemove { flow, .. } => {
-            assert_eq!(u("flow"), flow as f64);
-        }
-        TraceEvent::SolveBegin { active, .. } => {
-            assert_eq!(u("active"), active as f64);
-        }
-        TraceEvent::SolveEnd { full, changed, .. } => {
-            assert_eq!(b("full"), full);
-            assert_eq!(u("changed"), changed as f64);
-        }
-        TraceEvent::HybridSync { reservations, .. } => {
-            assert_eq!(u("reservations"), reservations as f64);
-        }
-        TraceEvent::HybridReserve { link, load_bps, .. } => {
-            assert_eq!(u("link"), link as f64);
-            assert_eq!(u("load_bps"), load_bps);
-        }
-        TraceEvent::HybridBacklog {
-            link,
-            backlog_bytes,
-            ..
-        } => {
-            assert_eq!(u("link"), link as f64);
-            assert_eq!(u("backlog_bytes"), backlog_bytes as f64);
-        }
-        TraceEvent::LinkDown { sw, port, .. } | TraceEvent::LinkUp { sw, port, .. } => {
-            assert_eq!(u("sw"), sw as f64);
-            assert_eq!(u("port"), port as f64);
-        }
-        TraceEvent::FaultDrop {
-            sw,
-            port,
-            flow,
-            size,
-            ..
-        } => {
-            assert_eq!(u("sw"), sw as f64);
-            assert_eq!(u("port"), port as f64);
-            assert_eq!(u("flow"), flow as f64);
-            assert_eq!(u("size"), size as f64);
-        }
-        TraceEvent::Retransmit { flow, seq, .. } => {
-            assert_eq!(u("flow"), flow as f64);
-            assert_eq!(u("seq"), seq as f64);
-        }
-        TraceEvent::Rto { flow, rto_ps, .. } => {
-            assert_eq!(u("flow"), flow as f64);
-            assert_eq!(u("rto_ps"), rto_ps as f64);
-        }
-    }
+        keys += 1;
+        v
+    });
+    assert!(matches!(line, Json::Obj(fields) if fields.len() == keys));
 }
 
 proptest! {
