@@ -15,9 +15,12 @@
 //!   per-scheme match.
 //!
 //! Adding a scheme means writing one policy struct (~100 LoC: config,
-//! law, `Registration`) and listing it in `CcKind::ALL`; the transport
-//! host, both simulation backends, calibration, and the conformance
-//! matrices pick it up from there.
+//! law, `Registration`) and adding its line to the crate's `schemes!`
+//! table, which derives `CcKind`, `CcAlgo`, `CcFlow` and `make_algo`; the
+//! compiler then asks for its `RateModel::paper_default` and
+//! `newcomer_queue_scale` arms. The transport host, every simulation
+//! backend, calibration, and the conformance matrices pick it up from
+//! there.
 
 use crate::ack::AckView;
 use fncc_des::time::{SimTime, TimeDelta};
@@ -32,7 +35,8 @@ pub enum IntNeed {
     /// stack in ACKs (HPCC's original path).
     OnData,
     /// Switches stamp INT onto *ACK* frames directly — the FNCC return
-    /// path, fresher by up to one RTT.
+    /// path, fresher by up to one RTT. The stack arrives in return-path
+    /// order and is reversed before the law runs.
     OnAck {
         /// Periodic `All_INT_Table` snapshot interval in microseconds
         /// (`None` = live counter reads).
@@ -52,9 +56,6 @@ pub struct Registration {
     /// Switch-computed RoCC fair rate picked up by data frames and echoed
     /// in ACKs.
     pub rocc_rate: bool,
-    /// ACK INT stacks accumulate along the *return* path and must be
-    /// reversed to request-path order before the law runs.
-    pub int_reversed: bool,
 }
 
 impl Registration {
@@ -63,7 +64,6 @@ impl Registration {
         int: IntNeed::None,
         ecn: false,
         rocc_rate: false,
-        int_reversed: false,
     };
 }
 
@@ -171,9 +171,6 @@ impl Transmit {
 /// timer-driven schemes override the tick pair, only byte-counter schemes
 /// override `on_sent`.
 pub trait CcPolicy: Clone + core::fmt::Debug {
-    /// The scheme this policy implements.
-    const KIND: crate::CcKind;
-
     /// Fabric features the scheme needs.
     const REGISTRATION: Registration;
 
@@ -208,6 +205,12 @@ pub trait CcPolicy: Clone + core::fmt::Debug {
 
     /// Initial tick delay, if the scheme is timer-driven.
     fn initial_tick(&self) -> Option<TimeDelta> {
+        None
+    }
+
+    /// How many times the Last-Hop Congestion Speedup fired, for schemes
+    /// that run it (FNCC); `None` for the rest.
+    fn lhcs_triggers(&self) -> Option<u64> {
         None
     }
 }

@@ -16,7 +16,6 @@
 //! rate (40 Mb/s at 40 G → 100 Mb/s at 100 G) as deployments do.
 
 use crate::datapath::{CcPolicy, Datapath, Measurements, Registration, Transmit};
-use crate::CcKind;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::units::Bandwidth;
 
@@ -139,8 +138,6 @@ impl DcqcnPolicy {
 }
 
 impl CcPolicy for DcqcnPolicy {
-    const KIND: CcKind = CcKind::Dcqcn;
-
     /// DCQCN needs RED/ECN marking at switches (the receiver turns marks
     /// into CNPs).
     const REGISTRATION: Registration = Registration {

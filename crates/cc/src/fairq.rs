@@ -19,7 +19,6 @@
 //! snapshot directly, so the policy is a couple of scalars.
 
 use crate::datapath::{CcPolicy, Datapath, IntNeed, Measurements, Registration, Transmit};
-use crate::CcKind;
 use fncc_des::time::TimeDelta;
 use fncc_net::units::Bandwidth;
 
@@ -93,8 +92,6 @@ impl FairQPolicy {
 }
 
 impl CcPolicy for FairQPolicy {
-    const KIND: CcKind = CcKind::FairQ;
-
     /// FairQ reads request-path INT from data frames, like HPCC.
     const REGISTRATION: Registration = Registration {
         int: IntNeed::OnData,

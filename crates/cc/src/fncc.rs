@@ -17,7 +17,6 @@
 use crate::ack::AckView;
 use crate::datapath::{CcPolicy, Datapath, IntNeed, Measurements, Registration, Transmit};
 use crate::hpcc::{HpccConfig, HpccPolicy};
-use crate::CcKind;
 use fncc_des::time::TimeDelta;
 use fncc_net::units::Bandwidth;
 
@@ -147,8 +146,6 @@ impl FnccPolicy {
 }
 
 impl CcPolicy for FnccPolicy {
-    const KIND: CcKind = CcKind::Fncc;
-
     /// FNCC needs return-path INT on ACKs, snapshotted every 1 µs: Fig. 8's
     /// periodic All_INT_Table is load-bearing — live reads phase-quantise
     /// txBytes deltas against ACK pass times, biasing the sender's U
@@ -158,7 +155,6 @@ impl CcPolicy for FnccPolicy {
         int: IntNeed::OnAck {
             refresh_us: Some(1),
         },
-        int_reversed: true,
         ..Registration::NONE
     };
 
@@ -170,6 +166,10 @@ impl CcPolicy for FnccPolicy {
         if let Measurements::Ack(ack) = m {
             self.on_ack(xmit, ack);
         }
+    }
+
+    fn lhcs_triggers(&self) -> Option<u64> {
+        Some(self.lhcs_triggers)
     }
 }
 

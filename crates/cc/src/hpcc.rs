@@ -19,7 +19,6 @@
 
 use crate::ack::AckView;
 use crate::datapath::{CcPolicy, Datapath, IntNeed, Measurements, Registration, Transmit};
-use crate::CcKind;
 use fncc_des::time::TimeDelta;
 use fncc_net::packet::{IntRecord, MAX_HOPS};
 use fncc_net::units::Bandwidth;
@@ -237,8 +236,6 @@ impl HpccPolicy {
 }
 
 impl CcPolicy for HpccPolicy {
-    const KIND: CcKind = CcKind::Hpcc;
-
     /// HPCC needs request-path INT on data frames.
     const REGISTRATION: Registration = Registration {
         int: IntNeed::OnData,

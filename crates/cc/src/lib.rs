@@ -23,8 +23,13 @@
 //!
 //! Algorithms are dispatched through the [`CcFlow`] enum (static dispatch in
 //! the per-ACK hot path). Each policy declares the fabric features it needs
-//! in a [`Registration`]; the transport layer wires switches from that, so
-//! adding a scheme touches no per-scheme match outside this crate.
+//! in a [`Registration`]; the transport layer wires switches from that.
+//! Every scheme is declared once, as one line of the `schemes!` table in
+//! this file, which derives [`CcKind`], [`CcAlgo`], [`CcFlow`] and
+//! [`make_algo`]. Adding a scheme is one policy module plus that line; the
+//! compiler then asks for its arms in the fluid backend's
+//! `RateModel::paper_default` and the hybrid backend's
+//! `newcomer_queue_scale`.
 
 pub mod ack;
 pub mod datapath;
@@ -49,96 +54,129 @@ pub use throttle::{ThrottleConfig, ThrottleFlow, ThrottlePolicy};
 pub use timely::{TimelyConfig, TimelyFlow, TimelyPolicy};
 
 use fncc_des::time::{SimTime, TimeDelta};
+use fncc_net::units::Bandwidth;
 
-/// Which congestion-control scheme a simulation runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CcKind {
-    /// HPCC (baseline).
-    Hpcc,
-    /// FNCC (the paper's contribution).
-    Fncc,
-    /// DCQCN (baseline).
-    Dcqcn,
-    /// RoCC (baseline).
-    Rocc,
-    /// Timely (extension).
-    Timely,
-    /// Swift (extension).
-    Swift,
-    /// FairQ (extension).
-    FairQ,
-    /// Throttle (extension).
-    Throttle,
+/// Derives every per-scheme item from one line per scheme,
+/// `Variant "name" Config Policy Flow => paper-default config`: the
+/// [`CcKind`], [`CcAlgo`] and [`CcFlow`] enums, their per-variant matches,
+/// the static-dispatch `each_flow!` and [`make_algo`]. The leading `$` is
+/// passed through so the expansion can define `each_flow!`; the
+/// parenthesised names are `make_algo`'s line-rate and base-RTT parameters
+/// as the defaults below read them.
+macro_rules! schemes {
+    ($d:tt ($line:ident, $rtt:ident);
+     $($v:ident $name:literal $config:ident $policy:ident $flow:ident => $default:expr;)*) => {
+        /// Which congestion-control scheme a simulation runs.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum CcKind {
+            $(#[doc = concat!("The ", $name, " scheme ([`", stringify!($policy), "`]).")] $v,)*
+        }
+
+        impl CcKind {
+            /// Every scheme the repo implements, in canonical order. Anything
+            /// that must cover *all* schemes — fluid-model calibration,
+            /// cross-backend validation, exhaustiveness tests — iterates this
+            /// slice instead of a hand-maintained list, so a future scheme
+            /// cannot silently miss them. New schemes append (existing indices
+            /// are load-bearing for per-scheme tables and checked-in
+            /// calibration artifacts).
+            pub const ALL: [CcKind; [$($name),*].len()] = [$(CcKind::$v),*];
+
+            /// This scheme's position in [`CcKind::ALL`] — a stable dense
+            /// index for per-scheme tables (e.g. the fluid calibration set).
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Display name matching the paper's figure legends.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(CcKind::$v => $name,)*
+                }
+            }
+
+            /// The fabric features this scheme's policy declares. The
+            /// transport layer translates this into switch configuration;
+            /// there is no per-scheme feature match outside the policies
+            /// themselves.
+            pub fn registration(self) -> Registration {
+                match self {
+                    $(CcKind::$v => $policy::REGISTRATION,)*
+                }
+            }
+        }
+
+        /// Per-scheme configuration, used to spawn per-flow state.
+        #[derive(Clone, Debug)]
+        pub enum CcAlgo {
+            $(#[doc = concat!($name, " configuration.")] $v($config),)*
+        }
+
+        impl CcAlgo {
+            /// The scheme this configuration belongs to.
+            pub fn kind(&self) -> CcKind {
+                match self {
+                    $(CcAlgo::$v(_) => CcKind::$v,)*
+                }
+            }
+
+            /// Spawn fresh per-flow state: mount the scheme's policy on the
+            /// shared datapath.
+            pub fn new_flow(&self) -> CcFlow {
+                match self {
+                    $(CcAlgo::$v(c) => CcFlow::$v(Datapath::new($policy::new(c.clone()))),)*
+                }
+            }
+        }
+
+        /// Per-flow congestion-control state: each variant is the scheme's
+        /// policy mounted on the shared [`Datapath`]. The transport host
+        /// talks only to the uniform datapath surface below.
+        #[derive(Clone, Debug)]
+        pub enum CcFlow {
+            $(#[doc = concat!($name, " per-flow state.")] $v($flow),)*
+        }
+
+        /// Apply one datapath operation uniformly across the scheme enum
+        /// (static dispatch — no vtables in the per-ACK path).
+        macro_rules! each_flow {
+            ($d flow:expr, $d f:ident => $d body:expr) => {
+                match $d flow {
+                    $(CcFlow::$v($d f) => $d body,)*
+                }
+            };
+        }
+
+        /// Build a CC configuration with paper defaults for `kind` on a
+        /// network with the given line rate and base RTT.
+        pub fn make_algo(kind: CcKind, $line: Bandwidth, $rtt: TimeDelta) -> CcAlgo {
+            match kind {
+                $(CcKind::$v => CcAlgo::$v($default),)*
+            }
+        }
+    };
+}
+
+// One line per scheme, in `CcKind::ALL` order: the variant order is the
+// index order, so a new scheme appends.
+schemes! {
+    $ (line, base_rtt);
+    Fncc "FNCC" FnccConfig FnccPolicy FnccFlow => FnccConfig::paper_default(line, base_rtt);
+    Hpcc "HPCC" HpccConfig HpccPolicy HpccFlow => HpccConfig::paper_default(line, base_rtt);
+    Dcqcn "DCQCN" DcqcnConfig DcqcnPolicy DcqcnFlow => DcqcnConfig::paper_default(line);
+    Rocc "RoCC" RoccConfig RoccPolicy RoccFlow => RoccConfig::paper_default(line);
+    Timely "Timely" TimelyConfig TimelyPolicy TimelyFlow => TimelyConfig::paper_default(line, base_rtt);
+    Swift "Swift" SwiftConfig SwiftPolicy SwiftFlow => SwiftConfig::paper_default(line, base_rtt);
+    FairQ "FairQ" FairQConfig FairQPolicy FairQFlow => FairQConfig::paper_default(line, base_rtt);
+    Throttle "Throttle" ThrottleConfig ThrottlePolicy ThrottleFlow => ThrottleConfig::paper_default(line);
 }
 
 impl CcKind {
-    /// Every scheme the repo implements, in canonical order. Anything that
-    /// must cover *all* schemes — fluid-model calibration, cross-backend
-    /// validation, exhaustiveness tests — iterates this slice instead of a
-    /// hand-maintained list, so a future scheme cannot silently miss them.
-    /// New schemes append (existing indices are load-bearing for per-scheme
-    /// tables and checked-in calibration artifacts).
-    pub const ALL: [CcKind; 8] = [
-        CcKind::Fncc,
-        CcKind::Hpcc,
-        CcKind::Dcqcn,
-        CcKind::Rocc,
-        CcKind::Timely,
-        CcKind::Swift,
-        CcKind::FairQ,
-        CcKind::Throttle,
-    ];
-
-    /// This scheme's position in [`CcKind::ALL`] — a stable dense index for
-    /// per-scheme tables (e.g. the fluid calibration set).
-    pub fn index(self) -> usize {
-        match self {
-            CcKind::Fncc => 0,
-            CcKind::Hpcc => 1,
-            CcKind::Dcqcn => 2,
-            CcKind::Rocc => 3,
-            CcKind::Timely => 4,
-            CcKind::Swift => 5,
-            CcKind::FairQ => 6,
-            CcKind::Throttle => 7,
-        }
-    }
-
-    /// Display name matching the paper's figure legends.
-    pub fn name(self) -> &'static str {
-        match self {
-            CcKind::Hpcc => "HPCC",
-            CcKind::Fncc => "FNCC",
-            CcKind::Dcqcn => "DCQCN",
-            CcKind::Rocc => "RoCC",
-            CcKind::Timely => "Timely",
-            CcKind::Swift => "Swift",
-            CcKind::FairQ => "FairQ",
-            CcKind::Throttle => "Throttle",
-        }
-    }
-
-    /// The fabric features this scheme's policy declares. The transport
-    /// layer translates this into switch configuration; there is no
-    /// per-scheme feature match outside the policies themselves.
-    pub fn registration(self) -> Registration {
-        match self {
-            CcKind::Hpcc => HpccPolicy::REGISTRATION,
-            CcKind::Fncc => FnccPolicy::REGISTRATION,
-            CcKind::Dcqcn => DcqcnPolicy::REGISTRATION,
-            CcKind::Rocc => RoccPolicy::REGISTRATION,
-            CcKind::Timely => TimelyPolicy::REGISTRATION,
-            CcKind::Swift => SwiftPolicy::REGISTRATION,
-            CcKind::FairQ => FairQPolicy::REGISTRATION,
-            CcKind::Throttle => ThrottlePolicy::REGISTRATION,
-        }
-    }
-
-    /// FNCC ACKs accumulate INT along the *return* path, so the record order
-    /// is reversed relative to the request path and must be normalised
-    /// before running the window law.
+    /// INT stamped on ACKs (FNCC) accumulates along the *return* path, so
+    /// the record order is reversed relative to the request path and must
+    /// be normalised before running the window law.
     pub fn int_in_ack_reversed(self) -> bool {
-        self.registration().int_reversed
+        matches!(self.registration().int, IntNeed::OnAck { .. })
     }
 }
 
@@ -146,98 +184,6 @@ impl core::fmt::Display for CcKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Per-scheme configuration, used to spawn per-flow state.
-#[derive(Clone, Debug)]
-pub enum CcAlgo {
-    /// HPCC configuration.
-    Hpcc(HpccConfig),
-    /// FNCC configuration.
-    Fncc(FnccConfig),
-    /// DCQCN configuration.
-    Dcqcn(DcqcnConfig),
-    /// RoCC configuration.
-    Rocc(RoccConfig),
-    /// Timely configuration.
-    Timely(TimelyConfig),
-    /// Swift configuration.
-    Swift(SwiftConfig),
-    /// FairQ configuration.
-    FairQ(FairQConfig),
-    /// Throttle configuration.
-    Throttle(ThrottleConfig),
-}
-
-impl CcAlgo {
-    /// The scheme this configuration belongs to.
-    pub fn kind(&self) -> CcKind {
-        match self {
-            CcAlgo::Hpcc(_) => CcKind::Hpcc,
-            CcAlgo::Fncc(_) => CcKind::Fncc,
-            CcAlgo::Dcqcn(_) => CcKind::Dcqcn,
-            CcAlgo::Rocc(_) => CcKind::Rocc,
-            CcAlgo::Timely(_) => CcKind::Timely,
-            CcAlgo::Swift(_) => CcKind::Swift,
-            CcAlgo::FairQ(_) => CcKind::FairQ,
-            CcAlgo::Throttle(_) => CcKind::Throttle,
-        }
-    }
-
-    /// Spawn fresh per-flow state: mount the scheme's policy on the shared
-    /// datapath.
-    pub fn new_flow(&self) -> CcFlow {
-        match self {
-            CcAlgo::Hpcc(c) => CcFlow::Hpcc(Datapath::new(HpccPolicy::new(c.clone()))),
-            CcAlgo::Fncc(c) => CcFlow::Fncc(Datapath::new(FnccPolicy::new(c.clone()))),
-            CcAlgo::Dcqcn(c) => CcFlow::Dcqcn(Datapath::new(DcqcnPolicy::new(c.clone()))),
-            CcAlgo::Rocc(c) => CcFlow::Rocc(Datapath::new(RoccPolicy::new(c.clone()))),
-            CcAlgo::Timely(c) => CcFlow::Timely(Datapath::new(TimelyPolicy::new(c.clone()))),
-            CcAlgo::Swift(c) => CcFlow::Swift(Datapath::new(SwiftPolicy::new(c.clone()))),
-            CcAlgo::FairQ(c) => CcFlow::FairQ(Datapath::new(FairQPolicy::new(c.clone()))),
-            CcAlgo::Throttle(c) => CcFlow::Throttle(Datapath::new(ThrottlePolicy::new(c.clone()))),
-        }
-    }
-}
-
-/// Apply one datapath operation uniformly across the scheme enum (static
-/// dispatch — no vtables in the per-ACK path).
-macro_rules! each_flow {
-    ($self:expr, $f:ident => $body:expr) => {
-        match $self {
-            CcFlow::Hpcc($f) => $body,
-            CcFlow::Fncc($f) => $body,
-            CcFlow::Dcqcn($f) => $body,
-            CcFlow::Rocc($f) => $body,
-            CcFlow::Timely($f) => $body,
-            CcFlow::Swift($f) => $body,
-            CcFlow::FairQ($f) => $body,
-            CcFlow::Throttle($f) => $body,
-        }
-    };
-}
-
-/// Per-flow congestion-control state: each variant is the scheme's policy
-/// mounted on the shared [`Datapath`]. The transport host talks only to the
-/// uniform datapath surface below.
-#[derive(Clone, Debug)]
-pub enum CcFlow {
-    /// HPCC per-flow state.
-    Hpcc(HpccFlow),
-    /// FNCC per-flow state.
-    Fncc(FnccFlow),
-    /// DCQCN per-flow state.
-    Dcqcn(DcqcnFlow),
-    /// RoCC per-flow state.
-    Rocc(RoccFlow),
-    /// Timely per-flow state.
-    Timely(TimelyFlow),
-    /// Swift per-flow state.
-    Swift(SwiftFlow),
-    /// FairQ per-flow state.
-    FairQ(FairQFlow),
-    /// Throttle per-flow state.
-    Throttle(ThrottleFlow),
 }
 
 impl CcFlow {
@@ -283,26 +229,19 @@ impl CcFlow {
     pub fn initial_tick(&self) -> Option<TimeDelta> {
         each_flow!(self, f => f.initial_tick())
     }
+
+    /// LHCS trigger count, if the scheme runs LHCS (FNCC; diagnostics).
+    pub fn lhcs_triggers(&self) -> Option<u64> {
+        each_flow!(self, f => f.policy().lhcs_triggers())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fncc_net::units::Bandwidth;
 
-    fn algos() -> Vec<CcAlgo> {
-        let line = Bandwidth::gbps(100);
-        let rtt = TimeDelta::from_us(12);
-        vec![
-            CcAlgo::Hpcc(HpccConfig::paper_default(line, rtt)),
-            CcAlgo::Fncc(FnccConfig::paper_default(line, rtt)),
-            CcAlgo::Dcqcn(DcqcnConfig::paper_default(line)),
-            CcAlgo::Rocc(RoccConfig::paper_default(line)),
-            CcAlgo::Timely(TimelyConfig::paper_default(line, rtt)),
-            CcAlgo::Swift(SwiftConfig::paper_default(line, rtt)),
-            CcAlgo::FairQ(FairQConfig::paper_default(line, rtt)),
-            CcAlgo::Throttle(ThrottleConfig::paper_default(line)),
-        ]
+    fn algos() -> [CcAlgo; CcKind::ALL.len()] {
+        CcKind::ALL.map(|k| make_algo(k, Bandwidth::gbps(100), TimeDelta::from_us(12)))
     }
 
     #[test]
@@ -315,10 +254,9 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), CcKind::ALL.len(), "duplicate entry in ALL");
-        // Exhaustiveness: the test algo list below covers exactly ALL.
-        let covered: Vec<CcKind> = algos().iter().map(|a| a.kind()).collect();
-        for kind in CcKind::ALL {
-            assert!(covered.contains(&kind), "{kind:?} missing a CcAlgo");
+        // Exhaustiveness: the paper-default table covers exactly ALL.
+        for (a, kind) in algos().iter().zip(CcKind::ALL) {
+            assert_eq!(a.kind(), kind);
         }
     }
 
@@ -327,7 +265,7 @@ mod tests {
         let names: Vec<&str> = algos().iter().map(|a| a.kind().name()).collect();
         assert_eq!(
             names,
-            vec!["HPCC", "FNCC", "DCQCN", "RoCC", "Timely", "Swift", "FairQ", "Throttle"]
+            vec!["FNCC", "HPCC", "DCQCN", "RoCC", "Timely", "Swift", "FairQ", "Throttle"]
         );
     }
 
@@ -357,10 +295,6 @@ mod tests {
             );
             // Only RoCC wants the switch fair rate.
             assert_eq!(reg.rocc_rate, kind == CcKind::Rocc, "{kind:?}");
-            // Reversed INT implies INT on ACKs.
-            if reg.int_reversed {
-                assert!(matches!(reg.int, IntNeed::OnAck { .. }), "{kind:?}");
-            }
         }
     }
 

@@ -8,7 +8,6 @@
 //! stateless beyond its configuration.
 
 use crate::datapath::{CcPolicy, Datapath, Measurements, Registration, Transmit};
-use crate::CcKind;
 use fncc_net::units::Bandwidth;
 
 /// RoCC sender parameters.
@@ -43,8 +42,6 @@ impl RoccPolicy {
 }
 
 impl CcPolicy for RoccPolicy {
-    const KIND: CcKind = CcKind::Rocc;
-
     /// RoCC needs the switch PI controller's fair rate echoed in ACKs.
     const REGISTRATION: Registration = Registration {
         rocc_rate: true,

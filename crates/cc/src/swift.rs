@@ -10,7 +10,6 @@
 //! target), adequate for the ablation role it plays here.
 
 use crate::datapath::{CcPolicy, Datapath, Measurements, Registration, Transmit};
-use crate::CcKind;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::units::Bandwidth;
 
@@ -74,8 +73,6 @@ impl SwiftPolicy {
 }
 
 impl CcPolicy for SwiftPolicy {
-    const KIND: CcKind = CcKind::Swift;
-
     /// Pure end-to-end delay law — nothing needed from the fabric.
     const REGISTRATION: Registration = Registration::NONE;
 

@@ -16,7 +16,6 @@
 //! FNCC's advantage comes from telemetry (INT) rather than reaction speed.
 
 use crate::datapath::{CcPolicy, Datapath, Measurements, Registration, Transmit};
-use crate::CcKind;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::units::Bandwidth;
 
@@ -90,8 +89,6 @@ impl ThrottlePolicy {
 }
 
 impl CcPolicy for ThrottlePolicy {
-    const KIND: CcKind = CcKind::Throttle;
-
     /// Throttle needs RED/ECN marking at switches, like DCQCN.
     const REGISTRATION: Registration = Registration {
         ecn: true,

@@ -12,7 +12,6 @@
 //! networks).
 
 use crate::datapath::{CcPolicy, Datapath, Measurements, Registration, Transmit};
-use crate::CcKind;
 use fncc_des::time::TimeDelta;
 use fncc_net::units::Bandwidth;
 
@@ -73,8 +72,6 @@ impl TimelyPolicy {
 }
 
 impl CcPolicy for TimelyPolicy {
-    const KIND: CcKind = CcKind::Timely;
-
     /// Pure end-to-end delay law — nothing needed from the fabric.
     const REGISTRATION: Registration = Registration::NONE;
 

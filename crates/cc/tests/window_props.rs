@@ -9,9 +9,9 @@
 
 use fncc_cc::ack::AckView;
 use fncc_cc::{
-    CcAlgo, CcKind, Datapath, DcqcnConfig, DcqcnPolicy, FairQConfig, FairQPolicy, FnccConfig,
-    FnccPolicy, HpccConfig, HpccPolicy, RoccConfig, SwiftConfig, SwiftPolicy, ThrottleConfig,
-    TimelyConfig, TimelyPolicy, Transmit,
+    make_algo, CcKind, Datapath, DcqcnConfig, DcqcnPolicy, FairQConfig, FairQPolicy, FnccConfig,
+    FnccPolicy, HpccConfig, HpccPolicy, SwiftConfig, SwiftPolicy, TimelyConfig, TimelyPolicy,
+    Transmit,
 };
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::packet::IntRecord;
@@ -32,19 +32,6 @@ fn view<'a>(k: u64, int: &'a [IntRecord], n: u16, rtt_us: f64) -> AckView<'a> {
         concurrent_flows: n,
         rocc_rate: f64::INFINITY,
         rtt: TimeDelta::from_ps((rtt_us * 1e6) as u64),
-    }
-}
-
-fn algo_for(kind: CcKind) -> CcAlgo {
-    match kind {
-        CcKind::Hpcc => CcAlgo::Hpcc(HpccConfig::paper_default(LINE, RTT)),
-        CcKind::Fncc => CcAlgo::Fncc(FnccConfig::paper_default(LINE, RTT)),
-        CcKind::Dcqcn => CcAlgo::Dcqcn(DcqcnConfig::paper_default(LINE)),
-        CcKind::Rocc => CcAlgo::Rocc(RoccConfig::paper_default(LINE)),
-        CcKind::Timely => CcAlgo::Timely(TimelyConfig::paper_default(LINE, RTT)),
-        CcKind::Swift => CcAlgo::Swift(SwiftConfig::paper_default(LINE, RTT)),
-        CcKind::FairQ => CcAlgo::FairQ(FairQConfig::paper_default(LINE, RTT)),
-        CcKind::Throttle => CcAlgo::Throttle(ThrottleConfig::paper_default(LINE)),
     }
 }
 
@@ -76,8 +63,9 @@ proptest! {
     /// one MTU.
     #[test]
     fn datapath_envelope_holds_for_all_kinds(ops in arb_ops()) {
-        for kind in CcKind::ALL {
-            let mut f = algo_for(kind).new_flow();
+        for algo in CcKind::ALL.map(|k| make_algo(k, LINE, RTT)) {
+            let kind = algo.kind();
+            let mut f = algo.new_flow();
             let mut now = SimTime::ZERO;
             let mut tx = 0u64;
             for (k, ((op, qlen, dtx), (n, rtt_us, rshare))) in ops.iter().enumerate() {

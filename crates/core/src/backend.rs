@@ -20,7 +20,7 @@
 //! Everything the three `run_traced` bodies have in common — seed horizon,
 //! per-seed flow table, first-seed metrics and trace artifact, the fault,
 //! solver and event-rate scalars, the closing slowdown/`incomplete_flows`/
-//! span block — lives once in [`ReportBuilder`] and the small tallies next
+//! span block — lives once in `ReportBuilder` and the small tallies next
 //! to it. Reports serialise scalars in insertion order, so each engine
 //! still decides *where* in its list a shared block lands.
 

@@ -16,9 +16,9 @@ use fncc_transport::{
 };
 use std::sync::Arc;
 
-// Scheme wiring lives beside the host model in `fncc-transport`; the
-// scheme constructor is re-exported for callers of this crate.
-pub use fncc_transport::make_algo;
+// The paper-default scheme constructor is declared with the schemes in
+// `fncc-cc`; it is re-exported for callers of this crate.
+pub use fncc_cc::make_algo;
 
 /// Builder for a complete simulation.
 #[derive(Clone)]

@@ -8,10 +8,10 @@
 //!
 //! Two event-queue implementations share identical `(time, prio, seq)`
 //! dispatch semantics (see [`QueueKind`]): the hierarchical timing wheel
-//! every [`Engine::new`] runs on (O(1) amortized push/pop — see
-//! [`crate::wheel`]) and the classic `BinaryHeap`, kept as the reference
-//! oracle for equivalence tests and benchmarks, which ask for it through
-//! [`Engine::with_queue`].
+//! every [`Engine::new`] runs on (O(1) amortized push/pop — see the
+//! crate-private `wheel` module) and the classic `BinaryHeap`, kept as the
+//! reference oracle for equivalence tests and benchmarks, which ask for it
+//! through [`Engine::with_queue`].
 
 use crate::time::{SimTime, TimeDelta};
 use crate::wheel::{Entry, TimingWheel};

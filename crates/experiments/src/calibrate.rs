@@ -28,7 +28,7 @@
 //!    replaced: `utilization` is re-solved on the held-out cells' big-flow
 //!    buckets (affine in `1/η`), then `queue_rtts` on their overall mean
 //!    slowdown (affine in `q`), both snapped to the grid (η to 0.05,
-//!    `queue_rtts` to 0.1) — see [`refit_on_holdout`] for why the solves
+//!    `queue_rtts` to 0.1) — see `refit_on_holdout` for why the solves
 //!    are decoupled.
 //!
 //! The re-fit is deliberately *not* taken from the bank solves: the bank

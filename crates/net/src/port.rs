@@ -184,6 +184,18 @@ impl Port {
         self.queue_bytes + self.virtual_backlog
     }
 
+    /// This port's INT record as read at `now`: the live counters the
+    /// switch stamps, or snapshots into its `All_INT_Table`.
+    #[inline]
+    pub(crate) fn int_record(&self, now: SimTime) -> IntRecord {
+        IntRecord {
+            bandwidth: self.drain_bw(),
+            ts: now,
+            tx_bytes: self.tx_bytes,
+            qlen: self.signal_qlen(),
+        }
+    }
+
     /// One-way delivery delay for a frame put on the wire at `now`:
     /// propagation plus the FIFO wait behind the phantom backlog (its
     /// serialization time at line rate), clamped so arrivals stay in

@@ -175,16 +175,7 @@ impl Switch {
                 let ip = pkt.in_port as usize;
                 self.ports[ip].ingress_bytes -= pkt.accounted as u64;
                 self.buffered -= pkt.accounted as u64;
-                telem.counters.fault_drops += 1;
-                if telem.trace.enabled() {
-                    telem.trace.record(TraceEvent::FaultDrop {
-                        t_ps: now.as_ps(),
-                        sw: self.id.0,
-                        port,
-                        flow: pkt.flow.0,
-                        size: pkt.size,
-                    });
-                }
+                self.note_fault_drop(now, port, &pkt, telem);
             }
             pool.put(pkt);
         }
@@ -245,27 +236,10 @@ impl Switch {
         &self.route
     }
 
-    /// Snapshot a port's live INT record.
-    #[inline]
-    fn live_int(&self, port: u8, now: SimTime) -> IntRecord {
-        let p = &self.ports[port as usize];
-        IntRecord {
-            bandwidth: p.drain_bw(),
-            ts: now,
-            tx_bytes: p.tx_bytes,
-            qlen: p.signal_qlen(),
-        }
-    }
-
     /// Periodic `All_INT_Table` refresh (Fig. 8 "Management" module).
     pub fn refresh_int_table(&mut self, now: SimTime) {
         for p in &mut self.ports {
-            p.int_rec = IntRecord {
-                bandwidth: p.drain_bw(),
-                ts: now,
-                tx_bytes: p.tx_bytes,
-                qlen: p.signal_qlen(),
-            };
+            p.int_rec = p.int_record(now);
         }
     }
 
@@ -438,6 +412,14 @@ impl Switch {
     ) {
         self.ports[pkt.in_port as usize].ingress_bytes -= pkt.size as u64;
         self.buffered -= pkt.size as u64;
+        self.note_fault_drop(now, port, &pkt, telem);
+        pool.put(pkt);
+    }
+
+    /// Count a frame lost to a link fault at egress `port` and trace it.
+    /// Buffer accounting is the caller's: each drop site releases a
+    /// different share.
+    fn note_fault_drop(&self, now: SimTime, port: u8, pkt: &Packet, telem: &mut Telemetry) {
         telem.counters.fault_drops += 1;
         if telem.trace.enabled() {
             telem.trace.record(TraceEvent::FaultDrop {
@@ -448,7 +430,6 @@ impl Switch {
                 size: pkt.size,
             });
         }
-        pool.put(pkt);
     }
 
     /// PFC hysteresis: if ingress `ip` holds its upstream paused and has
@@ -527,16 +508,7 @@ impl Switch {
         // the peer. (Accounting above already released its buffer share.)
         if self.n_dead > 0 && self.dead[port as usize] {
             if !pkt.kind.is_control() {
-                telem.counters.fault_drops += 1;
-                if telem.trace.enabled() {
-                    telem.trace.record(TraceEvent::FaultDrop {
-                        t_ps: now.as_ps(),
-                        sw: self.id.0,
-                        port,
-                        flow: pkt.flow.0,
-                        size: pkt.size,
-                    });
-                }
+                self.note_fault_drop(now, port, &pkt, telem);
             }
             pool.put(pkt);
             self.maybe_start_tx(port, now, cfg, pool, out);
@@ -614,10 +586,11 @@ impl Switch {
     /// Read a port's INT record: live, or from the periodic table.
     #[inline]
     fn read_int(&self, port: u8, now: SimTime, cfg: &FabricConfig) -> IntRecord {
+        let p = &self.ports[port as usize];
         if cfg.int_refresh.is_some() {
-            self.ports[port as usize].int_rec
+            p.int_rec
         } else {
-            self.live_int(port, now)
+            p.int_record(now)
         }
     }
 }

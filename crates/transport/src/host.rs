@@ -75,10 +75,7 @@ impl DcHost {
 
     /// LHCS trigger count of an FNCC flow (ablation diagnostics).
     pub fn lhcs_triggers(&self, id: FlowId) -> Option<u64> {
-        match &self.send.get(id)?.cc {
-            CcFlow::Fncc(f) => Some(f.lhcs_triggers),
-            _ => None,
-        }
+        self.send.get(id)?.cc.lhcs_triggers()
     }
 
     fn start_flow(&mut self, ctx: &mut HostCtx<'_, HostTimer>, id: FlowId) {

@@ -28,4 +28,4 @@ pub mod scheme;
 pub use config::{RecoveryConfig, TransportConfig};
 pub use flow::FlowSpec;
 pub use host::{DcHost, HostTimer};
-pub use scheme::{apply_cc_features, make_algo};
+pub use scheme::apply_cc_features;

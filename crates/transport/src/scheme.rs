@@ -1,34 +1,15 @@
-//! Scheme wiring: paper-default CC configurations and the switch-side
-//! features each scheme needs.
+//! Scheme wiring: the switch-side features each scheme needs.
 //!
 //! Lives in the transport crate so every backend (packet, fluid
-//! calibration harnesses, hybrid) builds schemes identically without
+//! calibration harnesses, hybrid) wires schemes identically without
 //! depending on the scenario layer. Switch-side wiring is driven entirely
-//! by each policy's [`Registration`] — adding a scheme never touches this
-//! file beyond its `make_algo` constructor arm.
+//! by each policy's [`Registration`](fncc_cc::Registration), so adding a
+//! scheme never touches this file.
 
-use fncc_cc::{
-    CcAlgo, CcKind, DcqcnConfig, FairQConfig, FnccConfig, HpccConfig, IntNeed, RoccConfig,
-    SwiftConfig, ThrottleConfig, TimelyConfig,
-};
+use fncc_cc::{CcKind, IntNeed};
 use fncc_des::time::TimeDelta;
 use fncc_net::config::{EcnConfig, FabricConfig, IntInsertion, RoccSwitchConfig};
 use fncc_net::units::Bandwidth;
-
-/// Build a CC configuration with paper defaults for `kind` on a network
-/// with the given line rate and base RTT.
-pub fn make_algo(kind: CcKind, line: Bandwidth, base_rtt: TimeDelta) -> CcAlgo {
-    match kind {
-        CcKind::Hpcc => CcAlgo::Hpcc(HpccConfig::paper_default(line, base_rtt)),
-        CcKind::Fncc => CcAlgo::Fncc(FnccConfig::paper_default(line, base_rtt)),
-        CcKind::Dcqcn => CcAlgo::Dcqcn(DcqcnConfig::paper_default(line)),
-        CcKind::Rocc => CcAlgo::Rocc(RoccConfig::paper_default(line)),
-        CcKind::Timely => CcAlgo::Timely(TimelyConfig::paper_default(line, base_rtt)),
-        CcKind::Swift => CcAlgo::Swift(SwiftConfig::paper_default(line, base_rtt)),
-        CcKind::FairQ => CcAlgo::FairQ(FairQConfig::paper_default(line, base_rtt)),
-        CcKind::Throttle => CcAlgo::Throttle(ThrottleConfig::paper_default(line)),
-    }
-}
 
 /// Wire the switch-side features a CC scheme needs into a fabric config,
 /// translating the policy's [`fncc_cc::Registration`] generically:
@@ -60,6 +41,7 @@ pub fn apply_cc_features(cfg: &mut FabricConfig, kind: CcKind, line: Bandwidth) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fncc_cc::make_algo;
 
     #[test]
     fn make_algo_covers_all_kinds() {
