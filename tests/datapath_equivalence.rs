@@ -19,9 +19,10 @@
 
 use fncc::core::scenario::FaultSpec;
 use fncc::core::{
-    run_scenario, ForegroundSpec, PartitionRule, Scenario, SimBackend, StopCondition, TopologySpec,
-    TrafficSpec, Workload,
+    elephants, hop_location, run_scenario, staircase_scenario, ForegroundSpec, HopLocation,
+    PartitionRule, Scenario, SimBackend, StopCondition, TopologySpec, TrafficSpec, Workload,
 };
+use fncc::des::time::TimeDelta;
 use fncc_cc::CcKind;
 
 /// 64-bit FNV-1a over the stable report JSON — dependency-free and stable
@@ -181,6 +182,51 @@ fn fluid_reports_match_pre_refactor_golden() {
 #[test]
 fn hybrid_reports_match_golden() {
     assert_golden(&HYBRID_GOLDEN, hybrid_scenario, SimBackend::Hybrid);
+}
+
+/// The probed packet reports: every cell above runs with `sample_ns: 0`,
+/// so these are the pins on the report series (`queue_kb`, `util`,
+/// `flow{i}`, `cc{i}`) and on the scalars read from them. The Fig. 9 cell
+/// is pinned for every scheme; the last-hop cell (Fig. 13) and a
+/// three-flow staircase (Fig. 13e) once, under FNCC.
+const PROBED_GOLDEN: [(CcKind, u64); 8] = [
+    (CcKind::Fncc, 0xe20df2c4de78dde7),
+    (CcKind::Hpcc, 0x468e9cc5af7ce190),
+    (CcKind::Dcqcn, 0xa0baa17f10756a70),
+    (CcKind::Rocc, 0xc3d9393182140ab2),
+    (CcKind::Timely, 0x1b4f9e8d7729905b),
+    (CcKind::Swift, 0xf085fa5fe1dd133b),
+    (CcKind::FairQ, 0xc8946caa0c250820),
+    (CcKind::Throttle, 0xcb7d1b9436f6dc0d),
+];
+
+/// The last-hop and staircase cells of [`PROBED_GOLDEN`]'s docs.
+const PROBED_HOP_LAST_GOLDEN: u64 = 0xde8c730308afbb0d;
+const PROBED_STAIRCASE_GOLDEN: u64 = 0x0fef784c2f2f92f0;
+
+fn probed_elephants(cc: CcKind) -> Scenario {
+    elephants(cc, 100, 600)
+}
+
+#[test]
+fn probed_reports_match_golden() {
+    assert_golden(&PROBED_GOLDEN, probed_elephants, SimBackend::Packet);
+    let cells = [
+        (
+            "hop-last",
+            hop_location(CcKind::Fncc, HopLocation::Last, 600),
+            PROBED_HOP_LAST_GOLDEN,
+        ),
+        (
+            "staircase",
+            staircase_scenario(CcKind::Fncc, 3, TimeDelta::from_us(200), 1),
+            PROBED_STAIRCASE_GOLDEN,
+        ),
+    ];
+    for (label, sc, want) in cells {
+        let got = fnv1a(stable_json(&sc, SimBackend::Packet).as_bytes());
+        assert_eq!(got, want, "{label}: got 0x{got:016x}, want 0x{want:016x}");
+    }
 }
 
 /// FNCC under a ToR-uplink flap, one hash per backend: fault runs emit the
