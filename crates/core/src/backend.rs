@@ -39,7 +39,7 @@ use fncc_des::time::{SimTime, TimeDelta};
 use fncc_fluid::{FluidResult, FluidSim, Framing, RateModel};
 use fncc_net::config::FabricConfig;
 use fncc_net::ids::{FlowId, NodeRef, SwitchId};
-use fncc_net::telemetry::{Counters, Telemetry};
+use fncc_net::telemetry::{Counters, Probe, Telemetry};
 use fncc_net::topology::Topology;
 use fncc_obs::{Profiler, TraceMeta};
 use fncc_transport::{FlowSpec, RecoveryConfig};
@@ -444,8 +444,22 @@ impl Backend for PacketBackend {
                 None
             };
             let horizon = rb.horizon(&flows);
-            let n_watched_flows = (sc.probes.flow_rates as usize).min(flows.len());
-            let n_watched_cc = (sc.probes.cc_rates as usize).min(flows.len());
+            // The report's series, in report order and under their report
+            // names; each probe already records in the report's unit.
+            let mut probes: Vec<(Probe, String)> = Vec::new();
+            if let Some((sw, port)) = cp {
+                probes.push((Probe::Queue { sw, port }, "queue_kb".into()));
+                probes.push((Probe::Util { sw, port }, "util".into()));
+            }
+            let n_flows = (sc.probes.flow_rates as usize).min(flows.len());
+            for i in 0..n_flows {
+                probes.push((Probe::FlowRate(FlowId(i as u32)), format!("flow{i}")));
+            }
+            let n_cc = (sc.probes.cc_rates as usize).min(flows.len());
+            for (i, f) in flows.iter().take(n_cc).enumerate() {
+                let (flow, host) = (FlowId(i as u32), f.src);
+                probes.push((Probe::CcRate { flow, host }, format!("cc{i}")));
+            }
 
             // One builder for every replica of the run: identical probes
             // and fabric knobs everywhere is what keeps reports
@@ -455,16 +469,8 @@ impl Backend for PacketBackend {
             if sc.probes.sample_ns > 0 {
                 builder = builder.sample(TimeDelta::from_ns(sc.probes.sample_ns), horizon);
             }
-            if let Some((sw, port)) = cp {
-                builder = builder
-                    .watch_queue(sw, port, "queue")
-                    .watch_util(sw, port, "util");
-            }
-            for i in 0..n_watched_flows {
-                builder = builder.watch_flow(FlowId(i as u32), format!("flow{i}"));
-            }
-            for (i, f) in flows.iter().take(n_watched_cc).enumerate() {
-                builder = builder.watch_cc_rate(FlowId(i as u32), f.src, format!("cc{i}"));
+            for (probe, name) in &probes {
+                builder = builder.watch(*probe, name.clone());
             }
 
             let mut run = ShardedSim::new(builder, sc.threads as usize);
@@ -505,7 +511,10 @@ impl Backend for PacketBackend {
                 rb.slowdowns(run.topo(), telem, Framing::from(run.cfg()));
             }
             if seed_ix == 0 {
-                extract_series(&mut rb.report, &run, cp, n_watched_flows, n_watched_cc);
+                // By name, not by position: pod shards concatenate their
+                // watch lists in shard order.
+                let watched = probes.iter().filter_map(|(_, name)| telem.series(name));
+                rb.report.series.extend(watched.cloned());
                 extract_scalars(&mut rb.report, sc, &run, cp, &flows);
                 rb.first_seed(seed, telem);
                 let (fresh, rec) = run.pool_stats();
@@ -541,45 +550,6 @@ impl Backend for PacketBackend {
             faults.put(report, sc);
             put_int_truncations(report, int_truncations);
         })
-    }
-}
-
-/// Copy the watched series out of the telemetry under canonical names:
-/// `queue_kb` (KB), `util`, `flow{i}` / `cc{i}` (Gb/s).
-fn extract_series(
-    report: &mut RunReport,
-    run: &ShardedSim,
-    cp: Option<(SwitchId, u8)>,
-    n_flows: usize,
-    n_cc: usize,
-) {
-    let telem = run.telemetry();
-    let scaled = |src: &TimeSeries, name: &str, div: f64| {
-        let mut out = TimeSeries::new(name);
-        for (t, v) in src.iter() {
-            out.push(t, v / div);
-        }
-        out
-    };
-    if let Some((sw, port)) = cp {
-        if let Some(q) = telem.queue_series(sw, port) {
-            report.series.push(scaled(q, "queue_kb", 1024.0));
-        }
-        if let Some(u) = telem.util_series(sw, port) {
-            let mut u = u.clone();
-            u.name = "util".into();
-            report.series.push(u);
-        }
-    }
-    for i in 0..n_flows {
-        if let Some(s) = telem.flow_rate_series(FlowId(i as u32)) {
-            report.series.push(scaled(s, &format!("flow{i}"), 1e9));
-        }
-    }
-    for i in 0..n_cc {
-        if let Some(s) = telem.cc_rate_series(FlowId(i as u32)) {
-            report.series.push(scaled(s, &format!("cc{i}"), 1e9));
-        }
     }
 }
 

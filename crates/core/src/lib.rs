@@ -98,6 +98,7 @@ pub mod prelude {
     pub use fncc_des::time::{SimTime, TimeDelta};
     pub use fncc_fluid::{Calibration, CalibrationSet, RateModel};
     pub use fncc_net::ids::{FlowId, HostId, SwitchId};
+    pub use fncc_net::telemetry::Probe;
     pub use fncc_net::topology::Topology;
     pub use fncc_net::units::{Bandwidth, ByteSize};
     pub use fncc_obs::{MetricsRegistry, Profiler, TraceEvent, TraceMeta, TraceSink, TRACE_SCHEMA};

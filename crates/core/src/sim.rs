@@ -8,7 +8,7 @@ use fncc_net::fabric::{Ev, Fabric, ShardCtx};
 use fncc_net::ids::{FlowId, HostId, SwitchId};
 use fncc_net::partition::PartitionMap;
 use fncc_net::routing::CompiledRoutes;
-use fncc_net::telemetry::{FlowRecord, Telemetry};
+use fncc_net::telemetry::{FlowRecord, Probe, Telemetry};
 use fncc_net::topology::Topology;
 use fncc_obs::{Profiler, TraceSink};
 use fncc_transport::{
@@ -29,10 +29,7 @@ pub struct SimBuilder {
     pub(crate) flows: Vec<FlowSpec>,
     ack_every: u32,
     sampling: Option<(TimeDelta, SimTime)>,
-    watch_queues: Vec<(SwitchId, u8, String)>,
-    watch_utils: Vec<(SwitchId, u8, String)>,
-    watch_flows: Vec<(FlowId, String)>,
-    watch_cc_rates: Vec<(FlowId, HostId, String)>,
+    watches: Vec<(Probe, String)>,
     pub(crate) trace: bool,
     recovery: Option<RecoveryConfig>,
     partition: Option<(Arc<PartitionMap>, Option<u16>)>,
@@ -64,10 +61,7 @@ impl SimBuilder {
             flows: Vec::new(),
             ack_every: 1,
             sampling: None,
-            watch_queues: Vec::new(),
-            watch_utils: Vec::new(),
-            watch_flows: Vec::new(),
-            watch_cc_rates: Vec::new(),
+            watches: Vec::new(),
             trace: false,
             recovery: None,
             partition: None,
@@ -100,27 +94,10 @@ impl SimBuilder {
         self
     }
 
-    /// Watch a switch egress queue.
-    pub fn watch_queue(mut self, sw: SwitchId, port: u8, name: impl Into<String>) -> Self {
-        self.watch_queues.push((sw, port, name.into()));
-        self
-    }
-
-    /// Watch a switch egress utilization.
-    pub fn watch_util(mut self, sw: SwitchId, port: u8, name: impl Into<String>) -> Self {
-        self.watch_utils.push((sw, port, name.into()));
-        self
-    }
-
-    /// Watch a flow's sending rate.
-    pub fn watch_flow(mut self, flow: FlowId, name: impl Into<String>) -> Self {
-        self.watch_flows.push((flow, name.into()));
-        self
-    }
-
-    /// Watch a flow's CC pacing rate (the sender's control variable).
-    pub fn watch_cc_rate(mut self, flow: FlowId, host: HostId, name: impl Into<String>) -> Self {
-        self.watch_cc_rates.push((flow, host, name.into()));
+    /// Sample `probe` into the series `name` (read back with
+    /// [`Telemetry::series`]; needs [`SimBuilder::sample`]).
+    pub fn watch(mut self, probe: Probe, name: impl Into<String>) -> Self {
+        self.watches.push((probe, name.into()));
         self
     }
 
@@ -201,33 +178,20 @@ impl SimBuilder {
                 .is_none_or(|(m, my)| m.owner_switch(s) == *my)
         };
 
-        for (sw, port, name) in self.watch_queues {
-            if owns_switch(sw) {
-                fabric.telemetry.watch_queue(sw, port, name);
-            }
-        }
-        for (sw, port, name) in self.watch_utils {
-            if owns_switch(sw) {
-                let bw = fabric.switches[sw.ix()].ports[port as usize].bw;
-                fabric.telemetry.watch_utilization(sw, port, bw, name);
-            }
-        }
-        for (flow, name) in self.watch_flows {
-            // Flow-rate watches sample sender-side tx bytes, so they live
-            // in the sender's shard (unknown flows default to shard 0).
-            let src = self.flows.iter().find(|f| f.id == flow).map(|f| f.src);
-            let owned = match (&shard, src) {
-                (None, _) => true,
-                (Some((m, my)), Some(src)) => m.owner_host(src) == *my,
-                (Some((_, my)), None) => *my == 0,
+        for (probe, name) in self.watches {
+            let owned = match probe {
+                Probe::Queue { sw, .. } | Probe::Util { sw, .. } => owns_switch(sw),
+                // Flow-rate watches sample sender-side tx bytes, so they
+                // live in the sender's shard (unknown flows: shard 0).
+                Probe::FlowRate(flow) => match (&shard, self.flows.iter().find(|f| f.id == flow)) {
+                    (None, _) => true,
+                    (Some((m, my)), Some(f)) => m.owner_host(f.src) == *my,
+                    (Some((_, my)), None) => *my == 0,
+                },
+                Probe::CcRate { host, .. } => owns_host(host),
             };
             if owned {
-                fabric.telemetry.watch_flow_rate(flow, name);
-            }
-        }
-        for (flow, host, name) in self.watch_cc_rates {
-            if owns_host(host) {
-                fabric.telemetry.watch_cc_rate(flow, host, name);
+                fabric.telemetry.watch(probe, name);
             }
         }
         if let Some((every, until)) = self.sampling {
@@ -468,7 +432,7 @@ mod tests {
         let s = SimBuilder::new(dumbbell(), CcKind::Fncc).build();
         assert_eq!(s.fabric().cfg.int, IntInsertion::OnAck);
         let s = SimBuilder::new(dumbbell(), CcKind::Dcqcn).build();
-        assert!(s.fabric().cfg.ecn.enabled);
+        assert!(s.fabric().cfg.ecn.is_some());
         let s = SimBuilder::new(dumbbell(), CcKind::Rocc).build();
         assert!(s.fabric().cfg.rocc.is_some());
     }
@@ -486,18 +450,19 @@ mod tests {
 
     #[test]
     fn watches_produce_series() {
+        let (sw, port) = (SwitchId(0), 2);
         let mut s = SimBuilder::new(dumbbell(), CcKind::Fncc)
             .flows(two_flows())
             .sample(TimeDelta::from_us(1), SimTime::from_us(200))
-            .watch_queue(SwitchId(0), 2, "q")
-            .watch_util(SwitchId(0), 2, "u")
-            .watch_flow(FlowId(0), "r0")
+            .watch(Probe::Queue { sw, port }, "q")
+            .watch(Probe::Util { sw, port }, "u")
+            .watch(Probe::FlowRate(FlowId(0)), "r0")
             .build();
         s.run_until(SimTime::from_us(300));
         let t = s.telemetry();
-        assert!(t.queue_series(SwitchId(0), 2).unwrap().len() > 100);
-        assert!(t.util_series(SwitchId(0), 2).unwrap().max() > 0.5);
-        assert!(t.flow_rate_series(FlowId(0)).unwrap().max() > 1e9);
+        assert!(t.series("q").unwrap().len() > 100);
+        assert!(t.series("u").unwrap().max() > 0.5);
+        assert!(t.series("r0").unwrap().max() > 1.0, "Gb/s");
     }
 
     /// A hand-built line deeper than `MAX_HOPS` cannot carry every hop's

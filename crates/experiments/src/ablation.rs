@@ -9,6 +9,7 @@ use fncc_core::prelude::*;
 use fncc_core::sim::SimBuilder;
 use fncc_des::output::Table;
 use fncc_des::time::TimeDelta;
+use fncc_net::config::FabricConfig;
 use fncc_net::ids::SwitchId;
 use fncc_transport::FlowSpec;
 
@@ -23,10 +24,11 @@ pub fn lhcs_sweep(opts: &RunOpts) {
         "mean_util",
         "lhcs_triggers",
     ]);
+    let frames = FabricConfig::paper_default();
     for &beta in &[0.8, 0.9, 0.95, 1.0] {
         for &alpha in &[1.01, 1.05, 1.2] {
             let topo = Topology::line(3, &[0, 2], line, TimeDelta::from_ns(1500));
-            let base_rtt = topo.base_rtt(1518, 70);
+            let base_rtt = topo.base_rtt(frames.mtu, frames.ack_base);
             // Paper-default construction via the one shared factory; only
             // the swept LHCS knobs are overridden on top.
             let mut algo = fncc_core::sim::make_algo(CcKind::Fncc, line, base_rtt);
@@ -67,20 +69,20 @@ pub fn lhcs_sweep(opts: &RunOpts) {
             let mut sim = SimBuilder::with_algo(topo, algo)
                 .flows(flows)
                 .sample(TimeDelta::from_us(1), horizon)
-                .watch_queue(sw, port, "q")
-                .watch_util(sw, port, "u")
+                .watch(Probe::Queue { sw, port }, "queue_kb")
+                .watch(Probe::Util { sw, port }, "util")
                 .build();
             sim.run_until(horizon);
             let telem = sim.telemetry();
-            let q = telem.queue_series(sw, port).unwrap();
-            let u = telem.util_series(sw, port).unwrap();
+            let q = telem.series("queue_kb").unwrap();
+            let u = telem.series("util").unwrap();
             let triggers: u64 = (0..2u32)
                 .map(|i| sim.host(HostId(i)).lhcs_triggers(FlowId(i)).unwrap_or(0))
                 .sum();
             t.row([
                 f2(beta),
                 f2(alpha),
-                f2(q.max() / 1024.0),
+                f2(q.max()),
                 f3(u.mean_in(SimTime::from_us(300), horizon)),
                 triggers.to_string(),
             ]);
@@ -148,25 +150,22 @@ pub fn ack_coalescing_sweep(opts: &RunOpts) {
                 start: join,
             },
         ];
+        let sw = SwitchId(0);
         let mut sim = SimBuilder::new(topo, CcKind::Fncc)
             .ack_every(m)
             .flows(flows)
             .sample(TimeDelta::from_us(1), horizon)
-            .watch_queue(SwitchId(0), 2, "q")
-            .watch_flow(FlowId(0), "flow0")
+            .watch(Probe::Queue { sw, port: 2 }, "queue_kb")
+            .watch(Probe::FlowRate(FlowId(0)), "flow0")
             .build();
         sim.run_until(horizon);
         let telem = sim.telemetry();
-        let rate = telem.flow_rate_series(FlowId(0)).unwrap();
-        let mut gbps = fncc_des::stats::TimeSeries::new("r");
-        for (tt, v) in rate.iter() {
-            gbps.push(tt, v / 1e9);
-        }
-        let reaction = fncc_core::metrics::reaction_time(&gbps, join, 90.0).map(|x| x.as_us_f64());
+        let rate = telem.series("flow0").unwrap();
+        let reaction = fncc_core::metrics::reaction_time(rate, join, 90.0).map(|x| x.as_us_f64());
         t.row([
             m.to_string(),
             opt_us(reaction),
-            f2(telem.queue_series(SwitchId(0), 2).unwrap().max() / 1024.0),
+            f2(telem.series("queue_kb").unwrap().max()),
             telem.counters.acks_delivered.to_string(),
         ]);
     }

@@ -21,8 +21,6 @@ pub enum IntInsertion {
 /// Priority-flow-control configuration (§2.3; §5.1 uses a 500 KB threshold).
 #[derive(Clone, Copy, Debug)]
 pub struct PfcConfig {
-    /// Master switch.
-    pub enabled: bool,
     /// Per-ingress-port byte threshold that triggers XOFF.
     pub threshold: u64,
     /// Hysteresis: XON is sent when the counter falls below
@@ -31,21 +29,11 @@ pub struct PfcConfig {
 }
 
 impl PfcConfig {
-    /// The paper's setting: enabled with a 500 KB threshold.
+    /// The paper's setting: a 500 KB threshold.
     pub fn paper_default() -> Self {
         PfcConfig {
-            enabled: true,
             threshold: ByteSize::kb(500).as_bytes(),
             resume_offset: 2 * 1518,
-        }
-    }
-
-    /// PFC disabled (packets can drop at buffer exhaustion).
-    pub fn disabled() -> Self {
-        PfcConfig {
-            enabled: false,
-            threshold: u64::MAX,
-            resume_offset: 0,
         }
     }
 }
@@ -53,8 +41,6 @@ impl PfcConfig {
 /// RED/ECN marking for DCQCN.
 #[derive(Clone, Copy, Debug)]
 pub struct EcnConfig {
-    /// Master switch.
-    pub enabled: bool,
     /// No marking below this egress queue depth (bytes).
     pub kmin: u64,
     /// Above this depth every frame is marked (bytes).
@@ -64,23 +50,12 @@ pub struct EcnConfig {
 }
 
 impl EcnConfig {
-    /// Disabled.
-    pub fn disabled() -> Self {
-        EcnConfig {
-            enabled: false,
-            kmin: u64::MAX,
-            kmax: u64::MAX,
-            pmax: 0.0,
-        }
-    }
-
     /// DCQCN defaults scaled linearly with line rate, anchored at the
     /// commonly used 100 Gb/s values (Kmin = 100 KB, Kmax = 400 KB,
     /// Pmax = 0.2).
     pub fn dcqcn_scaled(line: Bandwidth) -> Self {
         let scale = line.as_f64() / 100e9;
         EcnConfig {
-            enabled: true,
             kmin: (ByteSize::kb(100).as_bytes() as f64 * scale) as u64,
             kmax: (ByteSize::kb(400).as_bytes() as f64 * scale) as u64,
             pmax: 0.2,
@@ -89,7 +64,7 @@ impl EcnConfig {
 
     /// Marking probability at queue depth `q` bytes.
     pub fn mark_probability(&self, q: u64) -> f64 {
-        if !self.enabled || q < self.kmin {
+        if q < self.kmin {
             0.0
         } else if q >= self.kmax {
             1.0
@@ -141,10 +116,10 @@ pub struct FabricConfig {
     pub ack_base: u32,
     /// Shared buffer per switch.
     pub buffer_bytes: u64,
-    /// PFC settings.
-    pub pfc: PfcConfig,
-    /// ECN marking settings.
-    pub ecn: EcnConfig,
+    /// PFC settings; `None` runs lossy (frames drop at buffer exhaustion).
+    pub pfc: Option<PfcConfig>,
+    /// ECN marking settings; `None` marks nothing.
+    pub ecn: Option<EcnConfig>,
     /// INT insertion mode.
     pub int: IntInsertion,
     /// `Some(d)`: `All_INT_Table` refreshed every `d` (Fig. 8's periodic
@@ -168,8 +143,8 @@ impl FabricConfig {
             data_header: crate::units::DATA_HEADER_BYTES,
             ack_base: crate::units::ACK_BASE_BYTES,
             buffer_bytes: ByteSize::mb(32).as_bytes(),
-            pfc: PfcConfig::paper_default(),
-            ecn: EcnConfig::disabled(),
+            pfc: Some(PfcConfig::paper_default()),
+            ecn: None,
             int: IntInsertion::None,
             int_refresh: None,
             rocc: None,
@@ -197,8 +172,7 @@ mod tests {
 
     #[test]
     fn pfc_paper_default_is_500kb() {
-        let p = PfcConfig::paper_default();
-        assert!(p.enabled);
+        let p = FabricConfig::paper_default().pfc.unwrap();
         assert_eq!(p.threshold, 512_000);
         assert!(p.resume_offset > 0 && p.resume_offset < p.threshold);
     }
@@ -206,7 +180,6 @@ mod tests {
     #[test]
     fn ecn_probability_ramp() {
         let e = EcnConfig {
-            enabled: true,
             kmin: 100,
             kmax: 300,
             pmax: 0.2,
@@ -219,10 +192,30 @@ mod tests {
         assert_eq!(e.mark_probability(10_000), 1.0);
     }
 
+    /// A switch under `ecn: None` marks nothing, however deep its queue.
     #[test]
     fn ecn_disabled_never_marks() {
-        let e = EcnConfig::disabled();
-        assert_eq!(e.mark_probability(u64::MAX / 2), 0.0);
+        use crate::ids::{FlowId, HostId, SwitchId};
+        use crate::{packet::Packet, pool::PacketPool, switch::Switch, telemetry::Telemetry};
+        use fncc_des::time::SimTime;
+
+        let cfg = FabricConfig::paper_default();
+        assert!(cfg.ecn.is_none());
+        let topo = crate::topology::Topology::dumbbell(2, 3, Bandwidth::gbps(100), TimeDelta::ZERO);
+        let mut sw = Switch::new(SwitchId(0), &topo.switches[0], &cfg);
+        let (mut telem, mut pool, mut out, t0) = (
+            Telemetry::new(),
+            PacketPool::new(),
+            Vec::new(),
+            SimTime::ZERO,
+        );
+        for in_port in [0, 1].repeat(200) {
+            let pkt = Packet::data(FlowId(0), HostId(0), HostId(2), 0, 1456, 1518, t0);
+            sw.on_arrive(t0, in_port, pkt, &cfg, &mut telem, &mut pool, &mut out);
+        }
+        // The uplink queue runs far past where DCQCN's profile marks every frame.
+        assert!(sw.ports[2].queue_bytes > EcnConfig::dcqcn_scaled(Bandwidth::gbps(100)).kmax);
+        assert_eq!(telem.counters.ecn_marks, 0);
     }
 
     #[test]

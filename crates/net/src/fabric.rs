@@ -419,15 +419,12 @@ impl<H: HostLogic> Fabric<H> {
     }
 
     fn do_sample(&mut self, now: SimTime) {
-        let switches = &self.switches;
+        let (switches, hosts) = (&self.switches, &self.hosts);
         self.telemetry.sample(
             now,
-            |s, p| switches[s.ix()].ports[p as usize].queue_bytes,
-            |s, p| switches[s.ix()].ports[p as usize].tx_bytes,
+            |s, p| &switches[s.ix()].ports[p as usize],
+            |h, f| hosts[h.ix()].cc_rate_bps(f),
         );
-        let hosts = &self.hosts;
-        self.telemetry
-            .sample_cc_rates(now, |h, f| hosts[h.ix()].cc_rate_bps(f));
     }
 
     /// Total PFC pause frames sent by one switch port (Fig. 3's metric).
@@ -745,6 +742,7 @@ impl<H: HostLogic> Model for Fabric<H> {
 mod tests {
     use super::*;
     use crate::ids::FlowId;
+    use crate::telemetry::Probe;
     use crate::units::Bandwidth;
     use fncc_des::engine::Engine;
 
@@ -940,7 +938,7 @@ mod tests {
     #[test]
     fn pfc_pauses_host_and_run_is_lossless() {
         let mut cfg = FabricConfig::paper_default();
-        cfg.pfc.threshold = 10_000; // tiny: force pauses
+        cfg.pfc.as_mut().unwrap().threshold = 10_000; // tiny: force pauses
         let mut eng = contended_dumbbell(cfg, 400);
         eng.run_until_idle();
         let m = &eng.model;
@@ -958,7 +956,7 @@ mod tests {
     #[test]
     fn no_pfc_small_buffer_drops() {
         let mut cfg = FabricConfig::paper_default();
-        cfg.pfc = crate::config::PfcConfig::disabled();
+        cfg.pfc = None;
         cfg.buffer_bytes = 20_000;
         let mut eng = contended_dumbbell(cfg, 400);
         eng.run_until_idle();
@@ -972,17 +970,15 @@ mod tests {
         eng.model
             .telemetry
             .enable_sampling(TimeDelta::from_us(1), SimTime::from_us(50));
-        eng.model
-            .telemetry
-            .watch_queue(SwitchId(0), 2, "sw0-uplink");
-        eng.model
-            .telemetry
-            .watch_utilization(SwitchId(0), 2, Bandwidth::gbps(100), "util");
+        let (sw, port) = (SwitchId(0), 2);
+        let t = &mut eng.model.telemetry;
+        t.watch(Probe::Queue { sw, port }, "sw0-uplink");
+        t.watch(Probe::Util { sw, port }, "util");
         eng.schedule(SimTime::ZERO, Ev::Sample);
         eng.run_until_idle();
-        let q = eng.model.telemetry.queue_series(SwitchId(0), 2).unwrap();
+        let q = eng.model.telemetry.series("sw0-uplink").unwrap();
         assert!(q.len() >= 50, "expected ≥50 samples, got {}", q.len());
-        let u = eng.model.telemetry.util_series(SwitchId(0), 2).unwrap();
+        let u = eng.model.telemetry.series("util").unwrap();
         // While 200 MTU frames stream through, utilization must hit ~1.
         assert!(u.max() > 0.9, "peak utilization {}", u.max());
     }

@@ -40,7 +40,7 @@ pub use ids::{FlowId, HostId, NodeRef, SwitchId};
 pub use packet::{IntRecord, IntStack, Packet, PacketKind, MAX_HOPS};
 pub use partition::{FallbackReason, PartitionMap};
 pub use pool::PacketPool;
-pub use telemetry::{FlowRecord, Telemetry};
+pub use telemetry::{FlowRecord, Probe, Telemetry};
 pub use topology::{Topology, TopologyKind};
 pub use units::{Bandwidth, ByteSize};
 
@@ -60,6 +60,6 @@ mod tests {
         assert_eq!(size_of::<Option<Box<IntStack>>>(), 8);
         assert_eq!(size_of::<IntStack>(), 264);
         assert_eq!(size_of::<port::Port>(), 264);
-        assert_eq!(size_of::<Telemetry>(), 528);
+        assert_eq!(size_of::<Telemetry>(), 456);
     }
 }

@@ -189,11 +189,9 @@ impl Switch {
         // The purge may have drained other ingress ports below the PFC
         // resume threshold; issue the pending resumes now rather than
         // waiting for an unrelated departure.
-        if cfg.pfc.enabled {
-            for ip in 0..self.ports.len() {
-                if !self.dead[ip] {
-                    self.maybe_resume_upstream(ip, now, cfg, telem, pool, out);
-                }
+        for ip in 0..self.ports.len() {
+            if !self.dead[ip] {
+                self.maybe_resume_upstream(ip, now, cfg, telem, pool, out);
             }
         }
     }
@@ -343,9 +341,9 @@ impl Switch {
 
         // RED/ECN marking on data frames (DCQCN), against the egress queue
         // depth seen at enqueue.
-        if cfg.ecn.enabled && pkt.kind == PacketKind::Data {
+        if let Some(ecn) = cfg.ecn.as_ref().filter(|_| pkt.kind == PacketKind::Data) {
             let q = self.ports[out_port as usize].signal_qlen();
-            let p_mark = cfg.ecn.mark_probability(q);
+            let p_mark = ecn.mark_probability(q);
             if p_mark > 0.0 && self.ecn_rng.chance(p_mark) {
                 pkt.ecn = true;
                 telem.counters.ecn_marks += 1;
@@ -375,10 +373,10 @@ impl Switch {
         }
 
         // PFC: pause the upstream once this ingress crosses the threshold.
-        if cfg.pfc.enabled
-            && !self.ports[in_port as usize].upstream_paused
-            && self.ports[in_port as usize].ingress_bytes > cfg.pfc.threshold
-        {
+        if cfg.pfc.is_some_and(|pfc| {
+            !self.ports[in_port as usize].upstream_paused
+                && self.ports[in_port as usize].ingress_bytes > pfc.threshold
+        }) {
             self.ports[in_port as usize].upstream_paused = true;
             self.ports[in_port as usize].pause_tx += 1;
             telem.counters.pfc_pause_tx += 1;
@@ -443,8 +441,9 @@ impl Switch {
         pool: &mut PacketPool,
         out: &mut impl SwitchSink,
     ) {
+        let Some(pfc) = cfg.pfc else { return };
         if self.ports[ip].upstream_paused
-            && self.ports[ip].ingress_bytes + cfg.pfc.resume_offset <= cfg.pfc.threshold
+            && self.ports[ip].ingress_bytes + pfc.resume_offset <= pfc.threshold
         {
             self.ports[ip].upstream_paused = false;
             self.ports[ip].resume_tx += 1;
@@ -499,9 +498,7 @@ impl Switch {
             self.ports[ip].ingress_bytes -= pkt.accounted as u64;
             self.buffered -= pkt.accounted as u64;
             // PFC hysteresis: un-pause the upstream once drained enough.
-            if cfg.pfc.enabled {
-                self.maybe_resume_upstream(ip, now, cfg, telem, pool, out);
-            }
+            self.maybe_resume_upstream(ip, now, cfg, telem, pool, out);
         }
 
         // The link died while this frame was serializing: it never reaches
@@ -868,7 +865,7 @@ mod tests {
     fn pfc_pause_sent_when_ingress_crosses_threshold() {
         let mut sw = sw0();
         let mut cfg = test_cfg();
-        cfg.pfc.threshold = 2500; // tiny threshold for the test
+        cfg.pfc.as_mut().unwrap().threshold = 2500; // tiny threshold for the test
         let mut telem = Telemetry::new();
         let mut pool = PacketPool::new();
         let mut out = Vec::new();
@@ -910,8 +907,10 @@ mod tests {
     fn pfc_resume_after_draining() {
         let mut sw = sw0();
         let mut cfg = test_cfg();
-        cfg.pfc.threshold = 1500;
-        cfg.pfc.resume_offset = 500;
+        cfg.pfc = Some(crate::config::PfcConfig {
+            threshold: 1500,
+            resume_offset: 500,
+        });
         let mut telem = Telemetry::new();
         let mut pool = PacketPool::new();
         let mut out = Vec::new();
@@ -985,7 +984,7 @@ mod tests {
     fn buffer_exhaustion_drops_without_pfc() {
         let mut sw = sw0();
         let mut cfg = test_cfg();
-        cfg.pfc = crate::config::PfcConfig::disabled();
+        cfg.pfc = None;
         cfg.buffer_bytes = 2048;
         let mut telem = Telemetry::new();
         let mut pool = PacketPool::new();
@@ -1025,12 +1024,11 @@ mod tests {
     fn ecn_marks_above_kmax() {
         let mut sw = sw0();
         let mut cfg = test_cfg();
-        cfg.ecn = crate::config::EcnConfig {
-            enabled: true,
+        cfg.ecn = Some(crate::config::EcnConfig {
             kmin: 0,
             kmax: 1,
             pmax: 1.0,
-        };
+        });
         let mut telem = Telemetry::new();
         let mut pool = PacketPool::new();
         let mut out = Vec::new();

@@ -1,9 +1,19 @@
 //! Run-wide measurement state: counters, per-flow byte counters, flow
-//! completion records, and the sampling watch-lists feeding the paper's
+//! completion records, and the sampling watch list feeding the paper's
 //! time-series plots.
+//!
+//! Every sampled quantity is one [`Probe`] variant, and the variant fixes
+//! the unit its series is recorded in: queue depth in KB, link
+//! utilization as a fraction of line rate, flow and CC rates in Gb/s. A
+//! watch pairs a probe with a series name; one [`Telemetry::sample`] loop
+//! records every watch on each sampling tick, and [`Telemetry::series`]
+//! finds a series by that name. In a sharded run each shard watches only
+//! what it owns — queue and utilization probes live with their switch,
+//! flow-rate probes with the flow's sender, CC-rate probes with their host
+//! — so after [`Telemetry::merge_shard`] every name still names one series.
 
 use crate::ids::{FlowId, HostId, SwitchId};
-use crate::units::Bandwidth;
+use crate::port::Port;
 use fncc_des::stats::{RateMeter, TimeSeries};
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_obs::{HistId, MetricsRegistry, PhaseId, Profiler, TraceSink};
@@ -66,29 +76,41 @@ pub struct Counters {
     pub int_truncations: u64,
 }
 
-struct QueueWatch {
-    sw: SwitchId,
-    port: u8,
-    series: TimeSeries,
+/// One sampled quantity, recorded in the unit of its report series.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Probe {
+    /// Egress queue depth of switch `sw`'s `port`, in KB (Figs. 1b–d,
+    /// 9a/c/e, 13a–c).
+    Queue {
+        /// The switch.
+        sw: SwitchId,
+        /// Its egress port.
+        port: u8,
+    },
+    /// Egress link utilization of switch `sw`'s `port`, as a fraction of
+    /// the port's line rate (Figs. 9g–h, 13a–c).
+    Util {
+        /// The switch.
+        sw: SwitchId,
+        /// Its egress port.
+        port: u8,
+    },
+    /// A flow's sender-side sending rate, in Gb/s (Figs. 9b/d/f, 13d–e).
+    FlowRate(FlowId),
+    /// A flow's CC pacing rate at its sender `host`, in Gb/s; 0 while the
+    /// flow is not live (reaction timing).
+    CcRate {
+        /// The flow.
+        flow: FlowId,
+        /// Its sender.
+        host: HostId,
+    },
 }
 
-struct UtilWatch {
-    sw: SwitchId,
-    port: u8,
-    bw: Bandwidth,
+struct Watch {
+    probe: Probe,
+    /// Turns a cumulative byte counter into a rate (`Util`, `FlowRate`).
     meter: RateMeter,
-    series: TimeSeries,
-}
-
-struct FlowWatch {
-    flow: FlowId,
-    meter: RateMeter,
-    series: TimeSeries,
-}
-
-struct CcRateWatch {
-    flow: FlowId,
-    host: HostId,
     series: TimeSeries,
 }
 
@@ -123,10 +145,7 @@ pub struct Telemetry {
     pub sample_interval: TimeDelta,
     /// No further sample events are scheduled after this instant.
     pub sample_until: SimTime,
-    queues: Vec<QueueWatch>,
-    utils: Vec<UtilWatch>,
-    flows_watched: Vec<FlowWatch>,
-    cc_watched: Vec<CcRateWatch>,
+    watches: Vec<Watch>,
     /// Per-hop INT age accumulators (seconds): how stale the telemetry of
     /// hop `j` was when the sender consumed it (Fig. 12's quantity).
     int_age_sum: Vec<f64>,
@@ -161,10 +180,7 @@ impl Telemetry {
             flows_finished: 0,
             sample_interval: TimeDelta::ZERO,
             sample_until: SimTime::MAX,
-            queues: Vec::new(),
-            utils: Vec::new(),
-            flows_watched: Vec::new(),
-            cc_watched: Vec::new(),
+            watches: Vec::new(),
             int_age_sum: Vec::new(),
             int_age_cnt: Vec::new(),
             pause_episodes: 0,
@@ -183,46 +199,11 @@ impl Telemetry {
         self.sample_until = until;
     }
 
-    /// Watch a switch egress queue depth (Fig. 1b–d, 9a/c/e, 13a–c).
-    pub fn watch_queue(&mut self, sw: SwitchId, port: u8, name: impl Into<String>) {
-        self.queues.push(QueueWatch {
-            sw,
-            port,
-            series: TimeSeries::new(name),
-        });
-    }
-
-    /// Watch a switch egress link utilization (Fig. 9g–h, 13a–c).
-    pub fn watch_utilization(
-        &mut self,
-        sw: SwitchId,
-        port: u8,
-        bw: Bandwidth,
-        name: impl Into<String>,
-    ) {
-        self.utils.push(UtilWatch {
-            sw,
-            port,
-            bw,
+    /// Sample `probe` into a series called `name` on every sampling tick.
+    pub fn watch(&mut self, probe: Probe, name: impl Into<String>) {
+        self.watches.push(Watch {
+            probe,
             meter: RateMeter::new(SimTime::ZERO, 0),
-            series: TimeSeries::new(name),
-        });
-    }
-
-    /// Watch a sender's flow rate (Fig. 9b/d/f, 13d–e).
-    pub fn watch_flow_rate(&mut self, flow: FlowId, name: impl Into<String>) {
-        self.flows_watched.push(FlowWatch {
-            flow,
-            meter: RateMeter::new(SimTime::ZERO, 0),
-            series: TimeSeries::new(name),
-        });
-    }
-
-    /// Watch a sender's congestion-control pacing rate (reaction timing).
-    pub fn watch_cc_rate(&mut self, flow: FlowId, host: HostId, name: impl Into<String>) {
-        self.cc_watched.push(CcRateWatch {
-            flow,
-            host,
             series: TimeSeries::new(name),
         });
     }
@@ -271,40 +252,34 @@ impl Telemetry {
         self.flow_tx_bytes.get(flow.ix()).copied().unwrap_or(0)
     }
 
-    /// Take one sample of every watched quantity. Called by the fabric on
-    /// its sampling tick: `queue_read`/`tx_read` map `(switch, port)` to the
-    /// current queue depth and cumulative tx bytes.
-    pub fn sample(
+    /// Take one sample of every watch, in its probe's unit. Called by the
+    /// fabric on its sampling tick: `port_read` maps `(switch, port)` to
+    /// the egress port, `cc_rate` maps `(host, flow)` to the current pacing
+    /// rate in bits/s, `None` while the flow is not live.
+    pub fn sample<'a>(
         &mut self,
         now: SimTime,
-        mut queue_read: impl FnMut(SwitchId, u8) -> u64,
-        mut tx_read: impl FnMut(SwitchId, u8) -> u64,
+        port_read: impl Fn(SwitchId, u8) -> &'a Port,
+        cc_rate: impl Fn(HostId, FlowId) -> Option<f64>,
     ) {
-        for w in &mut self.queues {
-            let depth = queue_read(w.sw, w.port);
-            self.metrics.observe(self.h_queue_depth, depth);
-            w.series.push(now, depth as f64);
-        }
-        for w in &mut self.utils {
-            let rate = w.meter.sample(now, tx_read(w.sw, w.port));
-            w.series.push(now, rate / w.bw.as_f64());
-        }
-        for w in &mut self.flows_watched {
-            let bytes = self.flow_tx_bytes.get(w.flow.ix()).copied().unwrap_or(0);
-            let rate = w.meter.sample(now, bytes);
-            w.series.push(now, rate);
-        }
-    }
-
-    /// Sample watched CC pacing rates; `read` maps `(host, flow)` to the
-    /// current rate, `None` while the flow is not live (recorded as 0).
-    pub fn sample_cc_rates(
-        &mut self,
-        now: SimTime,
-        mut read: impl FnMut(HostId, FlowId) -> Option<f64>,
-    ) {
-        for w in &mut self.cc_watched {
-            w.series.push(now, read(w.host, w.flow).unwrap_or(0.0));
+        for w in &mut self.watches {
+            let v = match w.probe {
+                Probe::Queue { sw, port } => {
+                    let depth = port_read(sw, port).queue_bytes;
+                    self.metrics.observe(self.h_queue_depth, depth);
+                    depth as f64 / 1024.0
+                }
+                Probe::Util { sw, port } => {
+                    let p = port_read(sw, port);
+                    w.meter.sample(now, p.tx_bytes) / p.bw.as_f64()
+                }
+                Probe::FlowRate(flow) => {
+                    let bytes = self.flow_tx_bytes.get(flow.ix()).copied().unwrap_or(0);
+                    w.meter.sample(now, bytes) / 1e9
+                }
+                Probe::CcRate { flow, host } => cc_rate(host, flow).unwrap_or(0.0) / 1e9,
+            };
+            w.series.push(now, v);
         }
     }
 
@@ -394,8 +369,8 @@ impl Telemetry {
     /// per-flow byte vectors are integer sums; the histograms round to
     /// integer units before summing (see [`fncc_obs::Histogram::absorb`]);
     /// watch lists concatenate in shard order because each shard only
-    /// registers watches for entities it owns, so the keyed lookups
-    /// (`queue_series`, …) see exactly one entry per key. Flow records
+    /// registers watches for entities it owns, so [`Telemetry::series`]
+    /// finds exactly one series per name. Flow records
     /// merge per id, a finished record (receiver side) winning over the
     /// sender's open one. `rerouted_flows` is deduplicated network-wide,
     /// so the per-flow bitmaps are unioned and the counter recomputed
@@ -450,10 +425,7 @@ impl Telemetry {
             .filter(|f| f.as_ref().is_some_and(|r| r.finish.is_some()))
             .count();
 
-        self.queues.extend(other.queues);
-        self.utils.extend(other.utils);
-        self.flows_watched.extend(other.flows_watched);
-        self.cc_watched.extend(other.cc_watched);
+        self.watches.extend(other.watches);
 
         if self.int_age_sum.len() < other.int_age_sum.len() {
             self.int_age_sum.resize(other.int_age_sum.len(), 0.0);
@@ -501,36 +473,12 @@ impl Telemetry {
         self.flows_finished
     }
 
-    /// Harvest the queue-depth series for a watched queue.
-    pub fn queue_series(&self, sw: SwitchId, port: u8) -> Option<&TimeSeries> {
-        self.queues
+    /// Harvest the series a watch recorded under `name`.
+    pub fn series(&self, name: &str) -> Option<&TimeSeries> {
+        self.watches
             .iter()
-            .find(|w| w.sw == sw && w.port == port)
             .map(|w| &w.series)
-    }
-
-    /// Harvest the utilization series for a watched port.
-    pub fn util_series(&self, sw: SwitchId, port: u8) -> Option<&TimeSeries> {
-        self.utils
-            .iter()
-            .find(|w| w.sw == sw && w.port == port)
-            .map(|w| &w.series)
-    }
-
-    /// Harvest the rate series for a watched flow.
-    pub fn flow_rate_series(&self, flow: FlowId) -> Option<&TimeSeries> {
-        self.flows_watched
-            .iter()
-            .find(|w| w.flow == flow)
-            .map(|w| &w.series)
-    }
-
-    /// Harvest the CC pacing-rate series for a watched flow.
-    pub fn cc_rate_series(&self, flow: FlowId) -> Option<&TimeSeries> {
-        self.cc_watched
-            .iter()
-            .find(|w| w.flow == flow)
-            .map(|w| &w.series)
+            .find(|s| s.name == name)
     }
 }
 
@@ -543,6 +491,8 @@ impl Default for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
+    use crate::units::Bandwidth;
 
     #[test]
     fn flow_lifecycle() {
@@ -576,29 +526,37 @@ mod tests {
     #[test]
     fn sampling_records_watched_quantities() {
         let mut t = Telemetry::new();
-        t.watch_queue(SwitchId(1), 2, "q");
-        t.watch_utilization(SwitchId(1), 2, Bandwidth::gbps(100), "u");
-        t.watch_flow_rate(FlowId(0), "r");
+        let (sw, port) = (SwitchId(0), 2);
+        t.watch(Probe::Queue { sw, port }, "q");
+        t.watch(Probe::Util { sw, port }, "u");
+        t.watch(Probe::FlowRate(FlowId(0)), "r");
+        let (flow, host) = (FlowId(0), HostId(0));
+        t.watch(Probe::CcRate { flow, host }, "cc");
         t.add_flow_tx(FlowId(0), 0);
 
-        // At t=1us: queue 500 bytes, 12500 bytes txed → 100 Gb/s → util 1.0.
+        // At t=1us: queue 512 bytes, 12500 bytes txed → 100 Gb/s → util 1.0.
+        let topo = Topology::dumbbell(2, 3, Bandwidth::gbps(100), TimeDelta::from_us(1));
+        let mut p = Port::from_spec(&topo.switches[0].ports[2]);
+        p.queue_bytes = 512;
+        p.tx_bytes = 12_500;
         t.add_flow_tx(FlowId(0), 1250); // flow rate 10 Gb/s over 1 us
-        t.sample(SimTime::from_us(1), |_, _| 500, |_, _| 12_500);
+        t.sample(SimTime::from_us(1), |_, _| &p, |_, _| Some(25e9));
 
-        let q = t.queue_series(SwitchId(1), 2).unwrap();
-        assert_eq!(q.values(), &[500.0]);
-        let u = t.util_series(SwitchId(1), 2).unwrap();
+        assert_eq!(t.series("q").unwrap().values(), &[0.5]);
+        let u = t.series("u").unwrap();
         assert!((u.values()[0] - 1.0).abs() < 1e-9, "util {}", u.values()[0]);
-        let r = t.flow_rate_series(FlowId(0)).unwrap();
-        assert!((r.values()[0] - 10e9).abs() < 1.0);
+        let r = t.series("r").unwrap();
+        assert!((r.values()[0] - 10.0).abs() < 1e-9);
+        assert_eq!(t.series("cc").unwrap().values(), &[25.0]);
     }
 
     #[test]
     fn unwatched_lookups_return_none() {
-        let t = Telemetry::new();
-        assert!(t.queue_series(SwitchId(0), 0).is_none());
-        assert!(t.util_series(SwitchId(0), 0).is_none());
-        assert!(t.flow_rate_series(FlowId(0)).is_none());
+        let mut t = Telemetry::new();
+        assert!(t.series("q").is_none());
+        t.watch(Probe::FlowRate(FlowId(0)), "r");
+        assert!(t.series("q").is_none());
+        assert!(t.series("r").is_some());
     }
 
     #[test]

@@ -630,25 +630,18 @@ mod tests {
         eng.model
             .telemetry
             .enable_sampling(TimeDelta::from_us(1), SimTime::from_ms(2));
+        let (sw, port) = (fncc_net::ids::SwitchId(0), 2);
         eng.model
             .telemetry
-            .watch_queue(fncc_net::ids::SwitchId(0), 2, "q");
+            .watch(fncc_net::telemetry::Probe::Queue { sw, port }, "q");
         eng.schedule(SimTime::ZERO, Ev::Sample);
         eng.run_until(SimTime::from_ms(5));
         assert!(eng.model.telemetry.all_flows_finished());
         // Both flows finished ⇒ they shared; HPCC must keep the queue well
         // below the PFC threshold.
-        let q = eng
-            .model
-            .telemetry
-            .queue_series(fncc_net::ids::SwitchId(0), 2)
-            .unwrap();
+        let q = eng.model.telemetry.series("q").unwrap();
         assert!(q.max() > 0.0, "bottleneck never queued?");
-        assert!(
-            q.max() < 500.0 * 1024.0,
-            "queue {}KB at PFC threshold",
-            q.max() / 1024.0
-        );
+        assert!(q.max() < 500.0, "queue {}KB at PFC threshold", q.max());
         assert_eq!(
             eng.model.telemetry.counters.pfc_pause_tx, 0,
             "HPCC should avoid PFC here"

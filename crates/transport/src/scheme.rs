@@ -31,7 +31,7 @@ pub fn apply_cc_features(cfg: &mut FabricConfig, kind: CcKind, line: Bandwidth) 
         }
     }
     if reg.ecn {
-        cfg.ecn = EcnConfig::dcqcn_scaled(line);
+        cfg.ecn = Some(EcnConfig::dcqcn_scaled(line));
     }
     if reg.rocc_rate {
         cfg.rocc = Some(RoccSwitchConfig::default_for(line));
@@ -64,7 +64,7 @@ mod tests {
         assert_eq!(cfg.int_refresh, Some(TimeDelta::from_us(1)));
         let mut cfg = FabricConfig::paper_default();
         apply_cc_features(&mut cfg, CcKind::Dcqcn, line);
-        assert!(cfg.ecn.enabled);
+        assert!(cfg.ecn.is_some());
         let mut cfg = FabricConfig::paper_default();
         apply_cc_features(&mut cfg, CcKind::Rocc, line);
         assert!(cfg.rocc.is_some());
@@ -83,7 +83,7 @@ mod tests {
                 IntNeed::OnData => assert_eq!(cfg.int, IntInsertion::OnData, "{kind:?}"),
                 IntNeed::OnAck { .. } => assert_eq!(cfg.int, IntInsertion::OnAck, "{kind:?}"),
             }
-            assert_eq!(cfg.ecn.enabled, reg.ecn || base.ecn.enabled, "{kind:?}");
+            assert_eq!(cfg.ecn.is_some(), reg.ecn || base.ecn.is_some(), "{kind:?}");
             assert_eq!(cfg.rocc.is_some(), reg.rocc_rate, "{kind:?}");
         }
     }

@@ -11,13 +11,15 @@
 
 use fncc::cc::{CcAlgo, FnccConfig};
 use fncc::core::sim::SimBuilder;
+use fncc::net::config::FabricConfig;
 use fncc::prelude::*;
 
 fn run(n_senders: u32, lhcs: bool) -> (f64, f64, f64, u64, bool) {
     let line = Bandwidth::gbps(100);
     let topo = Topology::star(n_senders + 1, line, TimeDelta::from_ns(1500));
     let receiver = HostId(n_senders);
-    let base_rtt = topo.base_rtt(1518, 70);
+    let frames = FabricConfig::paper_default();
+    let base_rtt = topo.base_rtt(frames.mtu, frames.ack_base);
     let algo = if lhcs {
         CcAlgo::Fncc(FnccConfig::paper_default(line, base_rtt))
     } else {
@@ -35,18 +37,18 @@ fn run(n_senders: u32, lhcs: bool) -> (f64, f64, f64, u64, bool) {
         })
         .collect();
 
-    let port = n_senders as u8; // receiver's port on the star switch
+    let (sw, port) = (SwitchId(0), n_senders as u8); // the receiver's port on the star
     let horizon = SimTime::from_ms(10);
     let mut sim = SimBuilder::with_algo(topo, algo)
         .flows(flows)
         .sample(TimeDelta::from_us(1), horizon)
-        .watch_queue(SwitchId(0), port, "q")
+        .watch(Probe::Queue { sw, port }, "queue_kb")
         .build();
     let all_done = sim.run_to_completion(TimeDelta::from_us(100), horizon);
 
     let telem = sim.telemetry();
-    let q = telem.queue_series(SwitchId(0), port).unwrap();
-    let peak_kb = q.max() / 1024.0;
+    let q = telem.series("queue_kb").unwrap();
+    let peak_kb = q.max();
     let last_fct_us = telem
         .flow_records()
         .filter_map(|r| r.fct())
@@ -54,8 +56,7 @@ fn run(n_senders: u32, lhcs: bool) -> (f64, f64, f64, u64, bool) {
         .fold(0.0, f64::max);
     // Standing queue once the initial synchronized burst has passed — this
     // is what LHCS drains (β < 1 under-utilises until the queue empties).
-    let standing_kb =
-        q.mean_in(SimTime::from_us(150), SimTime::from_us(last_fct_us as u64)) / 1024.0;
+    let standing_kb = q.mean_in(SimTime::from_us(150), SimTime::from_us(last_fct_us as u64));
     let triggers: u64 = (0..n_senders)
         .map(|i| sim.host(HostId(i)).lhcs_triggers(FlowId(i)).unwrap_or(0))
         .sum();

@@ -54,7 +54,7 @@ fn pfc_pause_resume_balance_under_incast() {
         })
         .collect();
     let mut sim = SimBuilder::new(topo, CcKind::Dcqcn)
-        .fabric(|f| f.pfc.threshold = 100 * 1024) // aggressive threshold
+        .fabric(|f| f.pfc.as_mut().unwrap().threshold = 100 * 1024) // aggressive threshold
         .flows(flows)
         .build();
     let done = sim.run_to_completion(TimeDelta::from_us(100), SimTime::from_ms(50));
