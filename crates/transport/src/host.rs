@@ -278,14 +278,13 @@ impl DcHost {
 
     fn on_data(&mut self, ctx: &mut HostCtx<'_, HostTimer>, pkt: Box<Packet>) {
         let id = pkt.flow;
-        if self.recv.get(id).is_none() {
-            self.recv.insert(id, RecvFlow::new());
-            self.active_incoming += 1;
-        }
         let cfg_ack_every = self.cfg.ack_every;
         let cnp_interval = self.cfg.cnp_interval;
         let recovery_on = self.cfg.recovery.is_some();
-        let rf = self.recv.get_mut(id).expect("just inserted");
+        let (rf, inserted) = self.recv.get_or_insert_with(id, RecvFlow::new);
+        if inserted {
+            self.active_incoming += 1;
+        }
         if recovery_on && pkt.seq != rf.expected {
             // Go-back-N receiver: a gap (the preceding frame was lost
             // upstream) or a duplicate (retransmission overshoot / lost
