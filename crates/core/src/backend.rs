@@ -39,7 +39,7 @@ use fncc_des::time::{SimTime, TimeDelta};
 use fncc_fluid::{FluidResult, FluidSim, Framing, RateModel};
 use fncc_net::config::FabricConfig;
 use fncc_net::ids::{FlowId, NodeRef, SwitchId};
-use fncc_net::telemetry::{Counters, Probe, Telemetry};
+use fncc_net::telemetry::{Counters, FlowRecord, Probe, Telemetry};
 use fncc_net::topology::Topology;
 use fncc_obs::{Profiler, TraceMeta};
 use fncc_transport::{FlowSpec, RecoveryConfig};
@@ -113,16 +113,22 @@ impl<'a> ReportBuilder<'a> {
     }
 
     /// Record one seed's unfinished-flow count.
-    fn unfinished(&mut self, telem: &Telemetry) {
-        let n = telem.flow_records().filter(|r| r.finish.is_none()).count();
+    fn unfinished(&mut self, records: impl Iterator<Item = FlowRecord>) {
+        let n = records.filter(|r| r.finish.is_none()).count();
         self.report.unfinished.push(n);
     }
 
-    /// Record one seed's FCT-slowdown table.
-    fn slowdowns(&mut self, topo: &Topology, telem: &Telemetry, framing: Framing) {
+    /// Record one seed's FCT-slowdown table, over its flow records in
+    /// ascending flow id.
+    fn slowdowns(
+        &mut self,
+        topo: &Topology,
+        records: impl Iterator<Item = FlowRecord>,
+        framing: Framing,
+    ) {
         self.runs.push(fct_slowdowns(
             topo,
-            telem,
+            records,
             &self.buckets,
             framing.mtu_payload,
             framing.header,
@@ -501,14 +507,18 @@ impl Backend for PacketBackend {
             run.harvest();
 
             let telem = run.telemetry();
-            rb.unfinished(telem);
+            rb.unfinished(telem.flow_records().copied());
             rb.report.events += run.events_processed();
             peak_queue_len = peak_queue_len.max(run.peak_queue_len());
             clamped += run.clamped_schedules();
             faults.add(&telem.counters);
             int_truncations += telem.counters.int_truncations;
             if matches!(sc.stop, StopCondition::Drain { .. }) {
-                rb.slowdowns(run.topo(), telem, Framing::from(run.cfg()));
+                rb.slowdowns(
+                    run.topo(),
+                    telem.flow_records().copied(),
+                    Framing::from(run.cfg()),
+                );
             }
             if seed_ix == 0 {
                 // By name, not by position: pod shards concatenate their
@@ -714,8 +724,8 @@ impl Backend for FluidBackend {
                 .run()
                 .unwrap_or_else(|e| panic!("fluid backend on '{}': {e}", sc.name));
             rerouted += result.telemetry.counters.rerouted_flows;
-            rb.unfinished(&result.telemetry);
-            rb.slowdowns(&topo, &result.telemetry, framing);
+            rb.unfinished(result.records());
+            rb.slowdowns(&topo, result.records(), framing);
             rb.report.events += result.reallocations;
             peak_active = peak_active.max(result.peak_active);
             horizon = horizon.max(result.horizon);
@@ -789,12 +799,12 @@ impl Backend for HybridBackend {
 
         for (seed_ix, &seed) in sc.seeds.iter().enumerate() {
             let (topo, flows) = sc.instance(seed);
-            let (fg_flows, bg_flows) = fg_spec.partition(&flows);
+            let horizon = rb.horizon(&flows);
+            let (fg_flows, bg_flows) = fg_spec.partition(flows);
             if seed_ix == 0 {
                 n_fg_flows = fg_flows.len();
                 n_bg_flows = bg_flows.len();
             }
-            let horizon = rb.horizon(&flows);
             let fg = seed_builder(sc, topo.clone(), fg_flows, seed, rb.tracing(seed_ix));
             let mut sim = HybridSim::new(fg, bg_flows, rate_model(sc))
                 .unwrap_or_else(|e| panic!("hybrid backend on '{}': {e}", sc.name));
@@ -807,23 +817,10 @@ impl Backend for HybridBackend {
             outcome.unwrap_or_else(|e| panic!("hybrid backend on '{}': {e}", sc.name));
 
             let result = sim.into_result();
-            // One merged record table: slowdown buckets must span both
-            // halves or hybrid rows would not be comparable to pure-DES.
-            let mut merged = Telemetry::new();
-            for rec in result
-                .fg
-                .flow_records()
-                .chain(result.bg.telemetry.flow_records())
-            {
-                let mut open = rec.clone();
-                open.finish = None;
-                merged.flow_started(open);
-                if let Some(at) = rec.finish {
-                    merged.flow_finished(rec.flow, at);
-                }
-            }
-            rb.unfinished(&merged);
-            rb.slowdowns(&topo, &merged, framing);
+            // Slowdown buckets span both halves, or hybrid rows would not
+            // be comparable to pure-DES.
+            rb.unfinished(result.records());
+            rb.slowdowns(&topo, result.records(), framing);
             rb.report.events += result.fg_events + result.bg.reallocations;
             syncs += result.syncs;
             reservations += result.reservations;

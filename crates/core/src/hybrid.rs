@@ -48,7 +48,7 @@ use fncc_des::time::{SimTime, TimeDelta};
 use fncc_fluid::{BackgroundFluid, FluidError, FluidResult, Framing, RateModel};
 use fncc_net::fabric::Fabric;
 use fncc_net::ids::NodeRef;
-use fncc_net::telemetry::Telemetry;
+use fncc_net::telemetry::{FlowRecord, Telemetry};
 use fncc_obs::{CounterId, TraceEvent};
 use fncc_transport::{DcHost, FlowSpec};
 
@@ -555,6 +555,22 @@ impl HybridSim {
     }
 }
 
+impl HybridResult {
+    /// Both halves' flow records in ascending flow id: the foreground's
+    /// record table and the background's records, merged by id. Each half
+    /// walks its own flows in id order, so one merge pass gives the order
+    /// a single table over every flow would.
+    pub fn records(&self) -> impl Iterator<Item = FlowRecord> + '_ {
+        let mut fg = self.fg.flow_records().copied().peekable();
+        let mut bg = self.bg.records().peekable();
+        std::iter::from_fn(move || match (fg.peek(), bg.peek()) {
+            (Some(f), Some(b)) if b.flow < f.flow => bg.next(),
+            (Some(_), _) => fg.next(),
+            (None, _) => bg.next(),
+        })
+    }
+}
+
 /// How much of the background's calibrated standing queue
 /// ([`RateModel::queue_rtts`]) a *foreground* flow actually pays when it
 /// joins the link. `queue_rtts` measures the steady-state depth; what a
@@ -692,6 +708,27 @@ mod tests {
         let fg = fg(3, CcKind::Dcqcn, vec![flow(0, 0, 2, 100_000, 0)]).fabric(|f| f.seed = 9);
         let h = HybridSim::new(fg, Vec::new(), RateModel::paper_default(CcKind::Dcqcn)).unwrap();
         assert_eq!(h.fabric().cfg.seed, 9);
+    }
+
+    /// The merged record walk interleaves the two halves by flow id: the
+    /// sequence a sort of both halves' records together gives, though the
+    /// halves' ids interleave and the background starts out of id order.
+    #[test]
+    fn merged_records_interleave_both_halves_by_id() {
+        let fg_flows = vec![flow(0, 0, 3, 200_000, 10), flow(2, 1, 3, 100_000, 0)];
+        let bg = vec![flow(3, 2, 3, 2_000_000, 0), flow(1, 0, 3, 1_000_000, 5)];
+        let model = RateModel::paper_default(CcKind::Fncc);
+        let mut h = HybridSim::new(fg(3, CcKind::Fncc, fg_flows), bg, model).unwrap();
+        let done = h
+            .run_to_completion(TimeDelta::from_us(200), SimTime::from_ms(20))
+            .unwrap();
+        assert!(done);
+        let r = h.into_result();
+        let chained: Vec<FlowRecord> = r.fg.flow_records().copied().chain(r.bg.records()).collect();
+        let mut by_id = chained.clone();
+        by_id.sort_by_key(|rec| rec.flow);
+        assert_ne!(chained, by_id, "the halves' ids must interleave");
+        assert_eq!(r.records().collect::<Vec<_>>(), by_id);
     }
 
     /// run_to_completion drains both halves.

@@ -2,7 +2,7 @@
 
 use fncc_des::stats::{Samples, TimeSeries};
 use fncc_des::time::{SimTime, TimeDelta};
-use fncc_net::telemetry::Telemetry;
+use fncc_net::telemetry::FlowRecord;
 use fncc_net::topology::Topology;
 use fncc_workloads::distributions::{bucket_label, bucket_of};
 
@@ -78,21 +78,25 @@ pub struct SlowdownStats {
 }
 
 /// Compute FCT slowdowns — actual FCT divided by the contention-free ideal
-/// FCT on the same path — bucketed by flow size. Unfinished flows are
-/// skipped (callers should run to completion first).
+/// FCT on the same path ([`Topology::slowdown`]) — bucketed by flow size.
+/// Unfinished flows are skipped (callers should run to completion first).
+/// Samples are taken in `records` order: the packet backend passes
+/// [`Telemetry::flow_records`](fncc_net::telemetry::Telemetry::flow_records),
+/// the fluid backend `FluidResult::records`, both in ascending flow id.
 pub fn fct_slowdowns(
     topo: &Topology,
-    telemetry: &Telemetry,
+    records: impl IntoIterator<Item = FlowRecord>,
     buckets: &[u64],
     mtu_payload: u32,
     header: u32,
 ) -> Vec<SlowdownStats> {
     let mut per_bucket: Vec<Samples> = (0..buckets.len()).map(|_| Samples::new()).collect();
-    for rec in telemetry.flow_records() {
-        let Some(fct) = rec.fct() else { continue };
-        let ideal = topo.ideal_fct(rec.src, rec.dst, rec.flow, rec.size, mtu_payload, header);
-        let slowdown = fct.as_secs_f64() / ideal.as_secs_f64().max(f64::MIN_POSITIVE);
-        per_bucket[bucket_of(rec.size, buckets)].push(slowdown.max(1.0));
+    let mut path = Vec::new();
+    for rec in records {
+        let Some(slowdown) = topo.slowdown(&rec, mtu_payload, header, &mut path) else {
+            continue;
+        };
+        per_bucket[bucket_of(rec.size, buckets)].push(slowdown);
     }
     buckets
         .iter()
@@ -135,8 +139,8 @@ pub fn average_slowdowns(runs: &[Vec<SlowdownStats>]) -> Vec<SlowdownStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fncc_cc::CcKind;
     use fncc_net::ids::{FlowId, HostId};
-    use fncc_net::telemetry::FlowRecord;
     use fncc_net::topology::Topology;
     use fncc_net::units::Bandwidth;
 
@@ -187,28 +191,29 @@ mod tests {
     #[test]
     fn slowdown_table_buckets_and_floors() {
         let topo = Topology::dumbbell(2, 3, Bandwidth::gbps(100), TimeDelta::from_ns(1500));
-        let mut telem = Telemetry::new();
         // One fast small flow (slowdown ~1) and one stalled big flow.
-        telem.flow_started(FlowRecord {
-            flow: FlowId(0),
-            src: HostId(0),
-            dst: HostId(2),
-            size: 5_000,
-            start: SimTime::ZERO,
-            finish: None,
-        });
-        let ideal = topo.ideal_fct(HostId(0), HostId(2), FlowId(0), 5_000, 1456, 62);
-        telem.flow_finished(FlowId(0), SimTime::ZERO + ideal);
-        telem.flow_started(FlowRecord {
-            flow: FlowId(1),
-            src: HostId(1),
-            dst: HostId(2),
-            size: 2_000_000,
-            start: SimTime::ZERO,
-            finish: Some(SimTime::from_ms(2)),
-        });
+        let path = topo.trace_path(HostId(0), HostId(2), FlowId(0));
+        let ideal = topo.ideal_fct_on(&path, 5_000, 1456, 62);
+        let records = [
+            FlowRecord {
+                flow: FlowId(0),
+                src: HostId(0),
+                dst: HostId(2),
+                size: 5_000,
+                start: SimTime::ZERO,
+                finish: Some(SimTime::ZERO + ideal),
+            },
+            FlowRecord {
+                flow: FlowId(1),
+                src: HostId(1),
+                dst: HostId(2),
+                size: 2_000_000,
+                start: SimTime::ZERO,
+                finish: Some(SimTime::from_ms(2)),
+            },
+        ];
         let buckets = [10_000u64, 1_000_000, 30_000_000];
-        let rows = fct_slowdowns(&topo, &telem, &buckets, 1456, 62);
+        let rows = fct_slowdowns(&topo, records, &buckets, 1456, 62);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].count, 1);
         assert!(
@@ -224,16 +229,15 @@ mod tests {
     #[test]
     fn unfinished_flows_are_skipped() {
         let topo = Topology::dumbbell(2, 3, Bandwidth::gbps(100), TimeDelta::from_ns(1500));
-        let mut telem = Telemetry::new();
-        telem.flow_started(FlowRecord {
+        let open = FlowRecord {
             flow: FlowId(0),
             src: HostId(0),
             dst: HostId(2),
             size: 1_000,
             start: SimTime::ZERO,
             finish: None,
-        });
-        let rows = fct_slowdowns(&topo, &telem, &[10_000], 1456, 62);
+        };
+        let rows = fct_slowdowns(&topo, [open], &[10_000], 1456, 62);
         assert_eq!(rows[0].count, 0);
     }
 
@@ -254,5 +258,60 @@ mod tests {
         assert_eq!(merged[0].count, 10);
         assert!((merged[0].avg - 2.0).abs() < 1e-12);
         assert!((merged[0].p95 - 4.0).abs() < 1e-12);
+    }
+
+    /// Every field of a slowdown table, as bits.
+    fn table_bits(rows: &[SlowdownStats]) -> Vec<[u64; 5]> {
+        rows.iter()
+            .map(|s| [s.count as f64, s.avg, s.p50, s.p95, s.p99].map(f64::to_bits))
+            .collect()
+    }
+
+    /// A fluid run whose flow ids are out of start order still walks its
+    /// records in ascending flow id, so a bucket's mean sums its samples in
+    /// the order the packet backend's id-indexed table gives.
+    #[test]
+    fn fluid_records_walk_in_flow_id_order() {
+        use fncc_fluid::{FluidSim, Framing, RateModel};
+        use fncc_transport::FlowSpec;
+        let topo = Topology::dumbbell(3, 3, Bandwidth::gbps(100), TimeDelta::from_ns(1500));
+        // Ids 2, 0, 1 start at 0, 5 and 10 µs and share one bottleneck.
+        let flows: Vec<FlowSpec> = [(2, 0, 0, 800_000), (0, 1, 5, 600_000), (1, 2, 10, 50_000)]
+            .into_iter()
+            .map(|(id, src, start_us, size)| FlowSpec {
+                id: FlowId(id),
+                src: HostId(src),
+                dst: HostId(3),
+                size,
+                start: SimTime::from_us(start_us),
+            })
+            .collect();
+        let r = FluidSim::new(topo.clone(), RateModel::paper_default(CcKind::Fncc))
+            .flows(flows)
+            .run()
+            .unwrap();
+        let framing = Framing::default();
+        let table = |records: &[FlowRecord]| {
+            let rows = fct_slowdowns(
+                &topo,
+                records.iter().copied(),
+                &[1_000_000],
+                framing.mtu_payload,
+                framing.header,
+            );
+            table_bits(&rows)
+        };
+        let walked: Vec<FlowRecord> = r.records().collect();
+        let mut by_id = walked.clone();
+        by_id.sort_by_key(|rec| rec.flow);
+        let mut by_start = walked.clone();
+        by_start.sort_by_key(|rec| rec.start);
+        assert!(by_id.iter().all(|rec| rec.finish.is_some()));
+        assert_ne!(
+            table(&by_start),
+            table(&by_id),
+            "the cell must tell a start-order walk from an id-order one"
+        );
+        assert_eq!(table(&walked), table(&by_id));
     }
 }

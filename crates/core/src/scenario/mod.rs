@@ -487,8 +487,18 @@ impl ForegroundSpec {
     }
 
     /// Split `flows` into `(foreground, background)` preserving order.
-    pub fn partition(&self, flows: &[FlowSpec]) -> (Vec<FlowSpec>, Vec<FlowSpec>) {
-        flows.iter().cloned().partition(|f| self.is_foreground(f))
+    /// The background keeps `flows`' own allocation: at fleet scale it is
+    /// nearly every flow, and a copy would double the instance's footprint.
+    pub fn partition(&self, mut flows: Vec<FlowSpec>) -> (Vec<FlowSpec>, Vec<FlowSpec>) {
+        let mut fg = Vec::new();
+        flows.retain(|f| {
+            let keep = !self.is_foreground(f);
+            if !keep {
+                fg.push(f.clone());
+            }
+            keep
+        });
+        (fg, flows)
     }
 }
 
@@ -1092,8 +1102,9 @@ mod tests {
         let sc = hybrid_sample();
         let (_, flows) = sc.instance(1);
         let fg_spec = sc.foreground.as_ref().unwrap();
-        let (fg, bg) = fg_spec.partition(&flows);
-        assert_eq!(fg.len() + bg.len(), flows.len());
+        let n = flows.len();
+        let (fg, bg) = fg_spec.partition(flows);
+        assert_eq!(fg.len() + bg.len(), n);
         assert!(!fg.is_empty() && !bg.is_empty());
         // All mice foreground; the elephants stay background.
         assert!(fg.iter().all(|f| f.size < 1_000_000));

@@ -42,7 +42,7 @@
 //!     .flows(flows)
 //!     .run()
 //!     .expect("no zero-capacity links");
-//! assert!(result.telemetry.all_flows_finished());
+//! assert!(result.records().all(|rec| rec.finish.is_some()));
 //! println!("mean slowdown: {:.2}", result.mean_slowdown(&topo, Default::default()));
 //! ```
 

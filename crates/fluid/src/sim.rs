@@ -48,7 +48,7 @@
 //! flow drains at the scheme's full rate (contention 0, no queue to sit
 //! behind), a flow halved by an elephant pays half the scheme's standing
 //! queue. An uncontended flow under an ideal scheme scores a slowdown of
-//! exactly 1.0 against [`Topology::ideal_fct`].
+//! exactly 1.0 against [`Topology::ideal_fct_on`] its path.
 
 use crate::link::LinkMap;
 use crate::maxmin::{Rebalance, WaterFiller};
@@ -274,10 +274,15 @@ fn path_avoiding(
     }
 }
 
+/// `finish` entry of a flow that has not finished.
+const UNFINISHED: SimTime = SimTime::MAX;
+
 /// Result of a fluid run.
 pub struct FluidResult {
-    /// Per-flow lifetime records (compatible with the packet backend's
-    /// telemetry, so `fncc_core::metrics::fct_slowdowns` applies directly).
+    /// Counters (`rerouted_flows`), the metrics registry (the `fct_us`
+    /// histogram and the resolve-set histogram) and the trace ring. The
+    /// flows themselves are not registered here: [`Self::records`] builds
+    /// their lifetime records from the specs and finish times.
     pub telemetry: Telemetry,
     /// Max-min re-allocations performed (the event count).
     pub reallocations: u64,
@@ -298,27 +303,43 @@ pub struct FluidResult {
     /// Wall-clock spans over the solver (populated only when `FNCC_PROFILE`
     /// is set; empty otherwise so reports stay deterministic).
     pub profiler: Profiler,
+    /// Every flow, in start order.
+    specs: Vec<FlowSpec>,
+    /// Finish instant per spec ([`UNFINISHED`] for a flow still draining
+    /// or stalled when the run ended).
+    finish: Vec<SimTime>,
+    /// Spec indices in ascending flow id, when start order is not id
+    /// order (`None` when it is, as for every shipped generator).
+    by_id: Option<Vec<u32>>,
 }
 
 impl FluidResult {
+    /// Every flow's lifetime record, finished or not, built on the fly in
+    /// ascending flow id — the order the packet backend's telemetry walks
+    /// its record table, so per-bucket sums add up in the same order.
+    pub fn records(&self) -> impl Iterator<Item = FlowRecord> + '_ {
+        (0..self.specs.len()).map(move |k| {
+            let ix = self.by_id.as_ref().map_or(k, |order| order[k] as usize);
+            let (s, finish) = (&self.specs[ix], self.finish[ix]);
+            FlowRecord {
+                flow: s.id,
+                src: s.src,
+                dst: s.dst,
+                size: s.size,
+                start: s.start,
+                finish: (finish != UNFINISHED).then_some(finish),
+            }
+        })
+    }
+
     /// Mean FCT slowdown (actual / contention-free ideal) over finished
     /// flows, the cross-backend comparison metric.
     pub fn mean_slowdown(&self, topo: &Topology, framing: Framing) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for rec in self.telemetry.flow_records() {
-            let Some(fct) = rec.fct() else { continue };
-            let ideal = topo.ideal_fct(
-                rec.src,
-                rec.dst,
-                rec.flow,
-                rec.size,
-                framing.mtu_payload,
-                framing.header,
-            );
-            sum += (fct.as_secs_f64() / ideal.as_secs_f64().max(f64::MIN_POSITIVE)).max(1.0);
-            n += 1;
-        }
+        let mut path = Vec::new();
+        let (sum, n) = self
+            .records()
+            .filter_map(|rec| topo.slowdown(&rec, framing.mtu_payload, framing.header, &mut path))
+            .fold((0.0, 0usize), |(sum, n), s| (sum + s, n + 1));
         if n == 0 {
             f64::NAN
         } else {
@@ -371,9 +392,15 @@ impl FluidSim {
         self
     }
 
-    /// Add flows.
-    pub fn flows(mut self, flows: impl IntoIterator<Item = FlowSpec>) -> Self {
-        self.flows.extend(flows);
+    /// Add flows. The first call's `Vec` becomes the engine's flow table
+    /// as it is, without a copy.
+    pub fn flows(mut self, flows: impl Into<Vec<FlowSpec>>) -> Self {
+        let mut flows = flows.into();
+        if self.flows.is_empty() {
+            self.flows = flows;
+        } else {
+            self.flows.append(&mut flows);
+        }
         self
     }
 
@@ -410,6 +437,8 @@ pub struct BackgroundFluid {
     framing: Framing,
     /// All flows, sorted by start time.
     specs: Vec<FlowSpec>,
+    /// Finish instant per spec, [`UNFINISHED`] until it retires.
+    finish: Vec<SimTime>,
     next_arrival: usize,
     filler: WaterFiller,
     /// Drain state and cached projection per allocator slot, plus the
@@ -527,23 +556,17 @@ impl BackgroundFluid {
                 .as_secs_f64()
         };
         let queue_delay = model.queue_rtts * base_rtt;
-        flows.sort_by_key(|f| f.start);
+        // Every shipped generator emits flows in start order already; a
+        // stable sort would only copy them into a scratch buffer.
+        if !flows.is_sorted_by_key(|f| f.start) {
+            flows.sort_by_key(|f| f.start);
+        }
 
         let mut telemetry = Telemetry::new();
         if trace {
             telemetry.trace = TraceSink::with_capacity(TraceSink::DEFAULT_CAPACITY);
         }
         let h_resolve = telemetry.metrics.histogram(hist);
-        for f in &flows {
-            telemetry.flow_started(FlowRecord {
-                flow: f.id,
-                src: f.src,
-                dst: f.dst,
-                size: f.size,
-                start: f.start,
-                finish: None,
-            });
-        }
         let mut filler = WaterFiller::new(links.len());
         filler.begin_incremental(&capacity_base);
         let mut profiler = Profiler::from_env();
@@ -559,6 +582,7 @@ impl BackgroundFluid {
             links,
             model,
             framing,
+            finish: vec![UNFINISHED; flows.len()],
             specs: flows,
             next_arrival: 0,
             filler,
@@ -1048,12 +1072,22 @@ impl BackgroundFluid {
             .sum()
     }
 
-    /// Finish the run: package telemetry and solver statistics. Flows
-    /// still draining stay unfinished in the records (the hybrid driver
-    /// stops at a scenario horizon, like the DES).
+    /// Finish the run: package the flows, their finish times, telemetry
+    /// and solver statistics. Flows still draining stay unfinished in the
+    /// records (the hybrid driver stops at a scenario horizon, like the
+    /// DES).
     pub fn into_result(self) -> FluidResult {
         let (full_solves, incremental_solves) = self.filler.solve_stats();
+        let specs = self.specs;
+        let by_id = (!specs.is_sorted_by_key(|s| s.id)).then(|| {
+            let mut order: Vec<u32> = (0..specs.len() as u32).collect();
+            order.sort_by_key(|&ix| specs[ix as usize].id);
+            order
+        });
         FluidResult {
+            specs,
+            finish: self.finish,
+            by_id,
             telemetry: self.telemetry,
             reallocations: self.reallocations,
             peak_active: self.peak_active,
@@ -1284,8 +1318,10 @@ impl BackgroundFluid {
                 0.0
             };
             let fct_secs = drain + st.floor + self.queue_delay * contention * buildup;
-            let finish = spec.start + TimeDelta::from_secs_f64(fct_secs.max(f64::MIN_POSITIVE));
-            self.telemetry.flow_finished(spec.id, finish);
+            let fct = TimeDelta::from_secs_f64(fct_secs.max(f64::MIN_POSITIVE));
+            let finish = spec.start + fct;
+            self.finish[st.spec_ix as usize] = finish;
+            self.telemetry.observe_fct(fct);
             self.horizon = self.horizon.max(finish);
             if self.telemetry.trace.enabled() {
                 self.telemetry.trace.record(TraceEvent::FluidFlowRemove {
@@ -1311,6 +1347,18 @@ mod tests {
     const BW: Bandwidth = Bandwidth::gbps(100);
     const PROP: TimeDelta = TimeDelta::from_ns(1500);
 
+    /// Flow `id`'s record.
+    fn record(r: &FluidResult, id: u32) -> FlowRecord {
+        r.records()
+            .find(|rec| rec.flow == FlowId(id))
+            .expect("flow in the run")
+    }
+
+    /// Whether every flow of the run finished.
+    fn all_finished(r: &FluidResult) -> bool {
+        r.records().all(|rec| rec.finish.is_some())
+    }
+
     fn flow(id: u32, src: u32, dst: u32, size: u64, start_us: u64) -> FlowSpec {
         FlowSpec {
             id: FlowId(id),
@@ -1330,7 +1378,7 @@ mod tests {
             .unwrap();
         let s = r.mean_slowdown(&topo, Framing::default());
         assert!((s - 1.0).abs() < 0.02, "slowdown {s}");
-        assert!(r.telemetry.all_flows_finished());
+        assert!(all_finished(&r));
     }
 
     #[test]
@@ -1344,7 +1392,7 @@ mod tests {
         // Both share the 100G bottleneck: each drains at 50G.
         let framing = Framing::default();
         let expect = framing.wire_bytes(size) as f64 * 8.0 / 50e9;
-        for rec in r.telemetry.flow_records() {
+        for rec in r.records() {
             let fct = rec.fct().unwrap().as_secs_f64();
             assert!(
                 (fct - expect).abs() / expect < 0.05,
@@ -1361,8 +1409,8 @@ mod tests {
             .flows([flow(0, 0, 2, size, 0), flow(1, 1, 2, size, 400)])
             .run()
             .unwrap();
-        let rec0 = r.telemetry.flow_record(FlowId(0)).unwrap().clone();
-        let rec1 = r.telemetry.flow_record(FlowId(1)).unwrap().clone();
+        let rec0 = record(&r, 0);
+        let rec1 = record(&r, 1);
         let (f0, f1) = (
             rec0.fct().unwrap().as_secs_f64(),
             rec1.fct().unwrap().as_secs_f64(),
@@ -1420,13 +1468,12 @@ mod tests {
             .flows(flows)
             .run()
             .unwrap();
-        assert!(r.telemetry.all_flows_finished());
+        assert!(all_finished(&r));
         // Equal shares of the receiver link: everyone completes together,
         // in two allocation rounds (start + batch completion).
         assert!(r.reallocations <= 3, "reallocations {}", r.reallocations);
         let fcts: Vec<f64> = r
-            .telemetry
-            .flow_records()
+            .records()
             .map(|rec| rec.fct().unwrap().as_secs_f64())
             .collect();
         let (min, max) = fcts
@@ -1457,7 +1504,7 @@ mod tests {
             .flows(flows)
             .run()
             .unwrap();
-        assert!(r.telemetry.all_flows_finished());
+        assert!(all_finished(&r));
         assert_eq!(r.full_solves + r.incremental_solves, r.reallocations);
         assert!(
             r.incremental_solves > r.full_solves * 3,
@@ -1520,7 +1567,7 @@ mod tests {
             .faults(&flap(100, 400))
             .run()
             .unwrap();
-        assert!(r.telemetry.all_flows_finished());
+        assert!(all_finished(&r));
         assert!(
             r.telemetry.counters.rerouted_flows >= 1,
             "rerouted {}",
@@ -1539,7 +1586,7 @@ mod tests {
                 .faults(faults)
                 .run()
                 .unwrap();
-            let rec = r.telemetry.flow_record(FlowId(0)).unwrap().clone();
+            let rec = record(&r, 0);
             rec.fct().unwrap().as_secs_f64()
         };
         let clean = run(&[]);
@@ -1578,7 +1625,7 @@ mod tests {
         let finish = |mut bg: BackgroundFluid| {
             bg.run_to_end().unwrap();
             let r = bg.into_result();
-            r.telemetry.flow_record(FlowId(0)).unwrap().finish.unwrap()
+            record(&r, 0).finish.unwrap()
         };
         let clean = finish(engine(&[]));
         let (switch, port, from_us, to_us) = (0, 2, 100, 400);
@@ -1630,22 +1677,10 @@ mod tests {
                 .unwrap()
         };
         let clean = run(&[]);
-        let fct_clean = clean
-            .telemetry
-            .flow_record(FlowId(0))
-            .unwrap()
-            .fct()
-            .unwrap()
-            .as_secs_f64();
+        let fct_clean = record(&clean, 0).fct().unwrap().as_secs_f64();
         let flapped = run(&flap(100, 500));
-        assert!(flapped.telemetry.all_flows_finished());
-        let fct = flapped
-            .telemetry
-            .flow_record(FlowId(0))
-            .unwrap()
-            .fct()
-            .unwrap()
-            .as_secs_f64();
+        assert!(all_finished(&flapped));
+        let fct = record(&flapped, 0).fct().unwrap().as_secs_f64();
         // The 400 µs outage is dead time: FCT grows by roughly that much.
         assert!(
             (fct - fct_clean - 400e-6).abs() < 50e-6,
@@ -1665,8 +1700,39 @@ mod tests {
             .faults(&flap(100, 0))
             .run()
             .unwrap();
-        assert!(!r.telemetry.all_flows_finished());
-        assert!(r.telemetry.flow_record(FlowId(0)).unwrap().fct().is_none());
+        assert!(!all_finished(&r));
+        assert!(record(&r, 0).fct().is_none());
+    }
+
+    /// The result keeps the flows out of its telemetry: `records()` builds
+    /// one record per flow, a flow stalled behind a severed link reports no
+    /// finish, and the `fct_us` histogram counts the finished flows only.
+    #[test]
+    fn result_builds_records_from_specs_and_finish_times() {
+        let topo = Topology::dumbbell(2, 3, BW, PROP);
+        let r = FluidSim::new(topo, RateModel::ideal())
+            .flows([
+                flow(0, 0, 2, 10_000_000, 0),
+                flow(1, 1, 2, 10_000, 0),
+                flow(2, 0, 2, 20_000, 20),
+            ])
+            .faults(&flap(100, 0))
+            .run()
+            .unwrap();
+        assert_eq!(r.telemetry.flow_count(), 0);
+        assert!(r.telemetry.flow_records().next().is_none());
+        let ids: Vec<u32> = r.records().map(|rec| rec.flow.0).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        assert_eq!(record(&r, 0).finish, None, "severed for good at 100 µs");
+        let unfinished = r.records().filter(|rec| rec.finish.is_none()).count();
+        assert_eq!(unfinished, 1);
+        let (_, fct_us) = r
+            .telemetry
+            .metrics
+            .histograms()
+            .find(|&(name, _)| name == "fct_us")
+            .unwrap();
+        assert_eq!(fct_us.count(), 2);
     }
 
     /// An arrival during an outage that severs its destination parks until
@@ -1679,14 +1745,8 @@ mod tests {
             .faults(&flap(100, 600))
             .run()
             .unwrap();
-        assert!(r.telemetry.all_flows_finished());
-        let fct = r
-            .telemetry
-            .flow_record(FlowId(0))
-            .unwrap()
-            .fct()
-            .unwrap()
-            .as_secs_f64();
+        assert!(all_finished(&r));
+        let fct = record(&r, 0).fct().unwrap().as_secs_f64();
         // Born at 200 µs into a dead network, revived at 600 µs: the FCT
         // carries at least the 400 µs wait.
         assert!(fct > 400e-6, "fct {fct}");
@@ -1703,7 +1763,7 @@ mod tests {
             .faults(&flap(100, 600))
             .run()
             .unwrap();
-        assert!(r.telemetry.all_flows_finished());
+        assert!(all_finished(&r));
         assert_eq!(r.peak_active, 2);
     }
 
@@ -1728,7 +1788,7 @@ mod tests {
                 ])
                 .run()
                 .unwrap();
-            let rec = r.telemetry.flow_record(FlowId(1)).unwrap().clone();
+            let rec = record(&r, 1);
             rec.fct().unwrap().as_secs_f64()
         };
         let standard = Framing::default();
@@ -1767,7 +1827,7 @@ mod tests {
             .flows(flows.clone())
             .run()
             .unwrap();
-        assert!(r.telemetry.all_flows_finished());
+        assert!(all_finished(&r));
         assert_eq!(
             r.reallocations, 2,
             "one solve per arrival, none per gap edge"
@@ -1837,7 +1897,7 @@ mod tests {
         }
         assert_eq!(bg.remaining_flows(), 0);
         let res = bg.into_result();
-        let rec = res.telemetry.flow_records().next().unwrap();
+        let rec = res.records().next().unwrap();
         assert!(rec.finish.is_some());
     }
 

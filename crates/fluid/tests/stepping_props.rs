@@ -25,12 +25,10 @@ const PROP: TimeDelta = TimeDelta::from_ns(1500);
 
 /// `(flow, finish in ps)` sorted by flow id, plus the rerouted-flow count.
 fn outcome(r: &FluidResult) -> (Vec<(FlowId, Option<u64>)>, u64) {
-    let mut v: Vec<_> = r
-        .telemetry
-        .flow_records()
+    let v: Vec<_> = r
+        .records()
         .map(|rec| (rec.flow, rec.finish.map(|t| t.as_ps())))
         .collect();
-    v.sort_by_key(|&(f, _)| f.0);
     (v, r.telemetry.counters.rerouted_flows)
 }
 

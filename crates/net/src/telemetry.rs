@@ -20,7 +20,7 @@ use fncc_obs::{HistId, MetricsRegistry, PhaseId, Profiler, TraceSink};
 use std::time::Instant;
 
 /// Lifetime record of one flow.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowRecord {
     /// Flow id.
     pub flow: FlowId,
@@ -229,12 +229,20 @@ impl Telemetry {
     pub fn flow_finished(&mut self, flow: FlowId, at: SimTime) {
         let rec = self.flows[flow.ix()].as_mut().expect("finish before start");
         debug_assert!(rec.finish.is_none(), "double finish for {flow:?}");
-        if rec.finish.is_none() {
+        let fresh = rec.finish.replace(at).is_none();
+        let fct = at.since(rec.start);
+        if fresh {
             self.flows_finished += 1;
-            self.metrics
-                .observe_f64(self.h_fct_us, at.since(rec.start).as_secs_f64() * 1e6);
+            self.observe_fct(fct);
         }
-        rec.finish = Some(at);
+    }
+
+    /// Feed one finished flow's FCT into the `fct_us` histogram, as
+    /// [`Self::flow_finished`] does for a registered record. The fluid
+    /// engine keeps its flows' finish times itself and calls this directly.
+    pub fn observe_fct(&mut self, fct: TimeDelta) {
+        self.metrics
+            .observe_f64(self.h_fct_us, fct.as_secs_f64() * 1e6);
     }
 
     /// Add sender-side transmitted payload bytes for a flow.

@@ -9,6 +9,7 @@
 
 use crate::ids::{FlowId, HostId, NodeRef, SwitchId};
 use crate::routing::{flow_hash, CompiledRoutes, RouteEntry, RoutingTable};
+use crate::telemetry::FlowRecord;
 use crate::units::Bandwidth;
 use fncc_des::time::TimeDelta;
 use std::collections::VecDeque;
@@ -241,28 +242,13 @@ impl Topology {
     }
 
     /// Ideal (contention-free) flow completion time for `size` application
-    /// bytes from `src` to `dst`: the last byte's arrival at the receiver on
-    /// an empty network, assuming full-MTU segmentation and store-and-forward
-    /// pipelining:
+    /// bytes along an already-traced request path ([`Self::trace_path`]'s
+    /// hops): the last byte's arrival at the receiver on an empty network,
+    /// assuming full-MTU segmentation and store-and-forward pipelining:
     /// `FCT = size_wire/B_min + Σ_hops(MTU/B_hop + prop) − MTU/B_first…`
     ///
     /// Concretely: the first frame pipelines through every hop; subsequent
     /// bytes stream at the bottleneck rate.
-    pub fn ideal_fct(
-        &self,
-        src: HostId,
-        dst: HostId,
-        flow: FlowId,
-        size: u64,
-        mtu_payload: u32,
-        header: u32,
-    ) -> TimeDelta {
-        self.ideal_fct_on(&self.trace_path(src, dst, flow), size, mtu_payload, header)
-    }
-
-    /// [`Self::ideal_fct`] over an already-traced request path
-    /// ([`Self::trace_path`]'s hops), for callers that need the path for
-    /// something else as well.
     pub fn ideal_fct_on(
         &self,
         path: &[(NodeRef, u8)],
@@ -282,6 +268,23 @@ impl Topology {
         }
         // …and the remaining bytes stream behind it at the bottleneck.
         t + bottleneck.tx_time(wire_total - first_frame)
+    }
+
+    /// FCT slowdown of a finished flow: its FCT over [`Self::ideal_fct_on`]
+    /// its own path, floored at 1; `None` while it is unfinished. The path
+    /// is traced into `path`, a caller-owned buffer, so a report walks each
+    /// flow's route once and allocates nothing per flow.
+    pub fn slowdown(
+        &self,
+        rec: &FlowRecord,
+        mtu_payload: u32,
+        header: u32,
+        path: &mut Vec<(NodeRef, u8)>,
+    ) -> Option<f64> {
+        let fct = rec.fct()?;
+        self.trace_path_into(rec.src, rec.dst, rec.flow, path);
+        let ideal = self.ideal_fct_on(path, rec.size, mtu_payload, header);
+        Some((fct.as_secs_f64() / ideal.as_secs_f64().max(f64::MIN_POSITIVE)).max(1.0))
     }
 
     // ------------------------------------------------------------------
@@ -838,7 +841,8 @@ mod tests {
         let prop = TimeDelta::from_ns(1500);
         let t = Topology::dumbbell(2, 3, BW, prop);
         // One 1000-byte packet + 62B header over 4 links.
-        let fct = t.ideal_fct(HostId(0), HostId(2), FlowId(0), 1000, 1456, 62);
+        let path = t.trace_path(HostId(0), HostId(2), FlowId(0));
+        let fct = t.ideal_fct_on(&path, 1000, 1456, 62);
         let expect = (BW.tx_time(1062) + prop) * 4;
         assert_eq!(fct, expect);
     }
@@ -848,7 +852,8 @@ mod tests {
         let prop = TimeDelta::from_ns(1500);
         let t = Topology::dumbbell(2, 3, BW, prop);
         let size = 10_000_000u64; // 10 MB
-        let fct = t.ideal_fct(HostId(0), HostId(2), FlowId(0), size, 1456, 62);
+        let path = t.trace_path(HostId(0), HostId(2), FlowId(0));
+        let fct = t.ideal_fct_on(&path, size, 1456, 62);
         // Dominated by size/bw: 10MB*8/100G = 800us (plus ~5% header).
         let lower = 0.8 * 1.04; // ms
         assert!(fct.as_secs_f64() * 1e3 > lower && fct.as_secs_f64() * 1e3 < 0.9);

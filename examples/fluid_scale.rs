@@ -26,7 +26,7 @@ fn run(name: &str, topo: &Topology, flows: Vec<FlowSpec>) {
         .expect("scenario has no zero-capacity links");
     let wall = t0.elapsed().as_secs_f64();
     assert!(
-        result.telemetry.all_flows_finished(),
+        result.records().all(|rec| rec.finish.is_some()),
         "{name}: flows left unfinished"
     );
     println!(

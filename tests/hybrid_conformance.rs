@@ -111,8 +111,8 @@ fn pure_des_fg_fct(sc: &Scenario, fg_ids: &[FlowId]) -> f64 {
 fn hybrid_fg_fct(sc: &Scenario, fg_ids: &[FlowId]) -> f64 {
     let (topo, flows) = sc.instance(1);
     let spec = sc.foreground.as_ref().expect("cell declares a partition");
-    let (fg, bg) = spec.partition(&flows);
     let horizon = drain_horizon(&flows);
+    let (fg, bg) = spec.partition(flows);
     let fg = SimBuilder::new(topo, sc.cc).flows(fg);
     let mut sim = HybridSim::new(fg, bg, RateModel::paper_default(sc.cc)).expect("hybrid build");
     let done = sim
