@@ -457,12 +457,11 @@ impl Backend for PacketBackend {
                 probes.push((Probe::Queue { sw, port }, "queue_kb".into()));
                 probes.push((Probe::Util { sw, port }, "util".into()));
             }
-            let n_flows = (sc.probes.flow_rates as usize).min(flows.len());
-            for i in 0..n_flows {
-                probes.push((Probe::FlowRate(FlowId(i as u32)), format!("flow{i}")));
+            for (i, f) in flows.iter().take(sc.probes.flow_rates as usize).enumerate() {
+                let (flow, host) = (FlowId(i as u32), f.src);
+                probes.push((Probe::FlowRate { flow, host }, format!("flow{i}")));
             }
-            let n_cc = (sc.probes.cc_rates as usize).min(flows.len());
-            for (i, f) in flows.iter().take(n_cc).enumerate() {
+            for (i, f) in flows.iter().take(sc.probes.cc_rates as usize).enumerate() {
                 let (flow, host) = (FlowId(i as u32), f.src);
                 probes.push((Probe::CcRate { flow, host }, format!("cc{i}")));
             }
@@ -507,6 +506,7 @@ impl Backend for PacketBackend {
             run.harvest();
 
             let telem = run.telemetry();
+            assert_eq!(telem.flow_count(), flows.len(), "a flow went unreported");
             rb.unfinished(telem.flow_records().copied());
             rb.report.events += run.events_processed();
             peak_queue_len = peak_queue_len.max(run.peak_queue_len());
@@ -800,6 +800,7 @@ impl Backend for HybridBackend {
         for (seed_ix, &seed) in sc.seeds.iter().enumerate() {
             let (topo, flows) = sc.instance(seed);
             let horizon = rb.horizon(&flows);
+            let n_flows = flows.len();
             let (fg_flows, bg_flows) = fg_spec.partition(flows);
             if seed_ix == 0 {
                 n_fg_flows = fg_flows.len();
@@ -817,6 +818,8 @@ impl Backend for HybridBackend {
             outcome.unwrap_or_else(|e| panic!("hybrid backend on '{}': {e}", sc.name));
 
             let result = sim.into_result();
+            let reported = result.fg.flow_count() + result.bg.flow_count();
+            assert_eq!(reported, n_flows, "a flow went unreported");
             // Slowdown buckets span both halves, or hybrid rows would not
             // be comparable to pure-DES.
             rb.unfinished(result.records());

@@ -53,8 +53,15 @@
 //! calling thread is the first worker, so a single worker spawns nothing
 //! and its locks and barrier are never contended.
 //!
-//! The run loop mirrors [`Sim::run_to_completion`]'s 1 ms chunking and
-//! its stop test (evaluated on aggregated per-shard counts), so event
+//! # Flow records and the stop test
+//!
+//! Each replica registers the records of the flows it carries when it is
+//! built: every flow in a one-replica run, those whose receiver it owns in
+//! a pod shard — the receiver is where a flow finishes. The shards' record
+//! sets are therefore disjoint and together hold every flow once, so the
+//! run is done exactly when every replica's records are finished, and the
+//! harvest merges them as a sorted union. The run loop mirrors
+//! [`Sim::run_to_completion`]'s chunking and that stop test, so event
 //! totals and stop times match the one-replica run exactly.
 
 use crate::sim::{Sim, SimBuilder};
@@ -113,10 +120,6 @@ pub struct ShardedSim {
     /// What the workers counted so far (`tally.injected` catches up with
     /// `tally.crossed` whenever the lanes are empty).
     tally: Tally,
-    /// Receiver-side flow records pre-registered at build time (flows
-    /// whose sender lives in another shard); subtracted from the summed
-    /// started-count so the stop test sees distinct flows.
-    cross_dst_records: usize,
     merged: Option<Telemetry>,
 }
 
@@ -295,11 +298,6 @@ impl ShardedSim {
         let n = shards.len();
         let threads = threads.clamp(1, n);
         let assign = (0..n).map(|s| s % threads).collect();
-        // At build time the only registered flow records are the
-        // receiver-side ones pre-registered for cross-shard flows (sender
-        // records appear when FlowStart timers fire), so counting now
-        // yields exactly the double-count correction the stop test needs.
-        let cross_dst_records = shards.iter().map(|s| s.telemetry().flow_count()).sum();
         ShardedSim {
             shards,
             map,
@@ -308,7 +306,6 @@ impl ShardedSim {
             lanes: Lanes::new(n),
             epochs: 0,
             tally: Tally::default(),
-            cross_dst_records,
             merged: None,
         }
     }
@@ -440,34 +437,25 @@ impl ShardedSim {
     }
 
     /// Mirror of [`Sim::run_to_completion`]: run in `chunk` steps until
-    /// every distinct flow that has started finished, or `cap` is
-    /// reached. The stop test aggregates per-shard counts, discounting
-    /// the receiver-side records pre-registered for cross-shard flows
-    /// (none in a one-replica run), so it fires at exactly the chunk
-    /// boundary at every thread count.
+    /// every flow of the builder finished, or `cap` is reached. Each flow
+    /// is carried by exactly one replica, so the stop test fires at the
+    /// same chunk boundary at every thread count.
     pub fn run_to_completion(&mut self, chunk: TimeDelta, cap: SimTime) -> bool {
         let mut t = self.now();
-        loop {
-            let started: usize = self
-                .shards
-                .iter()
-                .map(|s| s.telemetry().flow_count())
-                .sum::<usize>()
-                - self.cross_dst_records;
-            let finished: usize = self
-                .shards
-                .iter()
-                .map(|s| s.telemetry().flows_finished_count())
-                .sum();
-            if started > 0 && finished == started {
-                return true;
-            }
+        while !self.all_flows_finished() {
             if t >= cap {
-                return finished == started;
+                return false;
             }
             t = (t + chunk).min(cap);
             self.run_until(t);
         }
+        true
+    }
+
+    /// Whether every replica's carried flows have finished.
+    fn all_flows_finished(&self) -> bool {
+        let mut shards = self.shards.iter();
+        shards.all(|s| s.telemetry().all_flows_finished())
     }
 
     /// The conservative epoch loop: between the current time and
@@ -527,8 +515,8 @@ impl ShardedSim {
     /// Collect the run's telemetry into one network-wide view (call
     /// once, after the run). The one replica's is moved out as recorded.
     /// Per-shard telemetry merges: counters sum, histograms absorb
-    /// exactly, watch lists concatenate in shard order, flow records merge
-    /// per id with the receiver's finished record winning, and per-shard
+    /// exactly, watch lists concatenate in shard order, the disjoint flow
+    /// record sets form one list in ascending flow id, and per-shard
     /// trace sinks interleave deterministically by `(timestamp, shard)`.
     pub fn harvest(&mut self) -> &Telemetry {
         self.merged.get_or_insert_with(|| {
@@ -650,13 +638,7 @@ mod tests {
                 sim.set_worker_assignment(assign.clone());
                 let label = format!("threads={threads}, chunk={chunk}");
                 // `run_to_completion`, a chunk at a time.
-                let finished = |sim: &ShardedSim| -> usize {
-                    let per_shard = sim.shards.iter();
-                    per_shard
-                        .map(|s| s.telemetry().flows_finished_count())
-                        .sum()
-                };
-                while finished(&sim) < flows().len() {
+                while !sim.all_flows_finished() {
                     assert!(sim.now() < SimTime::from_ms(50), "flows never finished");
                     let horizon = sim.now() + chunk;
                     let workers = sim.run_epochs(horizon);
@@ -708,6 +690,50 @@ mod tests {
         assert!(sim.host(HostId(12)).lhcs_triggers(FlowId(2)).is_some());
         assert_eq!(sim.pause_frames_at(SwitchId(7), 0), 0);
         assert!(sim.harvest().all_flows_finished());
+    }
+
+    /// A flow that starts after an idle gap of several chunks still runs:
+    /// the stop test waits on every flow of the builder, not on those
+    /// started so far. Checked on the plain `Sim`, on one replica, and on
+    /// two shards that cut the dumbbell between the senders and the
+    /// receiver (one worker).
+    #[test]
+    fn flow_after_an_idle_gap_runs_on_every_engine() {
+        let topo = Topology::dumbbell(2, 3, Bandwidth::gbps(100), TimeDelta::from_ns(1500));
+        let flow = |id: u32, start: SimTime| FlowSpec {
+            id: FlowId(id),
+            src: HostId(id),
+            dst: HostId(2),
+            size: 100_000,
+            start,
+        };
+        let flows = vec![flow(0, SimTime::ZERO), flow(1, SimTime::from_ms(3))];
+        let builder = SimBuilder::new(topo.clone(), CcKind::Fncc).flows(flows.clone());
+        let (chunk, cap) = (TimeDelta::from_ms(1), SimTime::from_ms(50));
+        let finishes = |t: &Telemetry| -> Vec<_> {
+            flows
+                .iter()
+                .map(|f| t.flow_record(f.id).and_then(|r| r.finish))
+                .collect()
+        };
+
+        let mut sim = builder.clone().build();
+        assert!(sim.run_to_completion(chunk, cap));
+        let want = finishes(sim.telemetry());
+        assert!(want.iter().all(|f| f.is_some()), "{want:?}");
+        assert!(want[1] > Some(SimTime::from_ms(3)));
+
+        let split = PartitionMap::from_owners(&topo, 2, vec![0, 0, 1], vec![0, 1, 1]);
+        let engines = [
+            ShardedSim::new(builder.clone(), 0),
+            ShardedSim::with_map(builder, Arc::new(split), 1),
+        ];
+        for (shards, mut run) in [1, 2].into_iter().zip(engines) {
+            assert_eq!(run.stats().shards, shards);
+            assert!(run.run_to_completion(chunk, cap), "{shards} shards");
+            assert_eq!(run.events_processed(), sim.events_processed());
+            assert_eq!(finishes(run.harvest()), want, "{shards} shards");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use fncc_net::fabric::{Ev, Fabric, ShardCtx};
 use fncc_net::ids::{FlowId, HostId, SwitchId};
 use fncc_net::partition::PartitionMap;
 use fncc_net::routing::CompiledRoutes;
-use fncc_net::telemetry::{FlowRecord, Probe, Telemetry};
+use fncc_net::telemetry::{Probe, Telemetry};
 use fncc_net::topology::Topology;
 use fncc_obs::{Profiler, TraceSink};
 use fncc_transport::{
@@ -132,7 +132,8 @@ impl SimBuilder {
     /// only events for entities `map` assigns to `my` are scheduled or
     /// processed here: flows, flow-start timers, watches and fault events
     /// are filtered by ownership, and frames leaving the shard go to the
-    /// engine outbox instead of the local queue.
+    /// engine outbox instead of the local queue. A shard registers the flow
+    /// records of the flows whose receiver it owns, where they finish.
     pub(crate) fn partition(mut self, map: Arc<PartitionMap>, shard: Option<u16>) -> Self {
         self.partition = Some((map, shard));
         self
@@ -181,14 +182,7 @@ impl SimBuilder {
         for (probe, name) in self.watches {
             let owned = match probe {
                 Probe::Queue { sw, .. } | Probe::Util { sw, .. } => owns_switch(sw),
-                // Flow-rate watches sample sender-side tx bytes, so they
-                // live in the sender's shard (unknown flows: shard 0).
-                Probe::FlowRate(flow) => match (&shard, self.flows.iter().find(|f| f.id == flow)) {
-                    (None, _) => true,
-                    (Some((m, my)), Some(f)) => m.owner_host(f.src) == *my,
-                    (Some((_, my)), None) => *my == 0,
-                },
-                Probe::CcRate { host, .. } => owns_host(host),
+                Probe::FlowRate { host, .. } | Probe::CcRate { host, .. } => owns_host(host),
             };
             if owned {
                 fabric.telemetry.watch(probe, name);
@@ -201,28 +195,13 @@ impl SimBuilder {
             fabric.telemetry.trace = TraceSink::with_capacity(TraceSink::DEFAULT_CAPACITY);
         }
 
+        // A flow's record lives where it finishes: with its receiver.
+        let carried = self.flows.iter().filter(|f| owns_host(f.dst));
+        let records = carried.map(FlowSpec::record);
+        fabric.telemetry.register_flows(records);
         for f in &self.flows {
             if owns_host(f.src) {
                 fabric.hosts[f.src.ix()].add_flow(f.clone());
-            }
-        }
-        // Receiver-side records for flows whose sender lives elsewhere:
-        // the receiving shard observes the finish (last payload byte) but
-        // never sees the sender's start, so the record is opened here with
-        // the spec's start time — which is exactly when the sender's
-        // FlowStart timer fires.
-        if let Some((map, my)) = &shard {
-            for f in &self.flows {
-                if map.owner_host(f.dst) == *my && map.owner_host(f.src) != *my {
-                    fabric.telemetry.flow_started(FlowRecord {
-                        flow: f.id,
-                        src: f.src,
-                        dst: f.dst,
-                        size: f.size,
-                        start: f.start,
-                        finish: None,
-                    });
-                }
             }
         }
 
@@ -296,22 +275,19 @@ impl Sim {
         self.eng.run_until(horizon)
     }
 
-    /// Run in `chunk` steps until every registered flow finished or `cap`
-    /// is reached; returns true if all flows finished.
+    /// Run in `chunk` steps until every flow of the builder finished or
+    /// `cap` is reached; returns true if all flows finished (at once, with
+    /// none).
     pub fn run_to_completion(&mut self, chunk: TimeDelta, cap: SimTime) -> bool {
         let mut t = self.eng.now();
-        loop {
-            if self.eng.model.telemetry.flow_count() > 0
-                && self.eng.model.telemetry.all_flows_finished()
-            {
-                return true;
-            }
+        while !self.telemetry().all_flows_finished() {
             if t >= cap {
-                return self.eng.model.telemetry.all_flows_finished();
+                return false;
             }
             t = (t + chunk).min(cap);
             self.eng.run_until(t);
         }
+        true
     }
 
     /// Current simulation time.
@@ -451,12 +427,13 @@ mod tests {
     #[test]
     fn watches_produce_series() {
         let (sw, port) = (SwitchId(0), 2);
+        let (flow, host) = (FlowId(0), HostId(0));
         let mut s = SimBuilder::new(dumbbell(), CcKind::Fncc)
             .flows(two_flows())
             .sample(TimeDelta::from_us(1), SimTime::from_us(200))
             .watch(Probe::Queue { sw, port }, "q")
             .watch(Probe::Util { sw, port }, "u")
-            .watch(Probe::FlowRate(FlowId(0)), "r0")
+            .watch(Probe::FlowRate { flow, host }, "r0")
             .build();
         s.run_until(SimTime::from_us(300));
         let t = s.telemetry();

@@ -150,13 +150,13 @@ pub fn ack_coalescing_sweep(opts: &RunOpts) {
                 start: join,
             },
         ];
-        let sw = SwitchId(0);
+        let (sw, flow, host) = (SwitchId(0), FlowId(0), HostId(0));
         let mut sim = SimBuilder::new(topo, CcKind::Fncc)
             .ack_every(m)
             .flows(flows)
             .sample(TimeDelta::from_us(1), horizon)
             .watch(Probe::Queue { sw, port: 2 }, "queue_kb")
-            .watch(Probe::FlowRate(FlowId(0)), "flow0")
+            .watch(Probe::FlowRate { flow, host }, "flow0")
             .build();
         sim.run_until(horizon);
         let telem = sim.telemetry();

@@ -320,16 +320,17 @@ impl FluidResult {
     pub fn records(&self) -> impl Iterator<Item = FlowRecord> + '_ {
         (0..self.specs.len()).map(move |k| {
             let ix = self.by_id.as_ref().map_or(k, |order| order[k] as usize);
-            let (s, finish) = (&self.specs[ix], self.finish[ix]);
+            let finish = self.finish[ix];
             FlowRecord {
-                flow: s.id,
-                src: s.src,
-                dst: s.dst,
-                size: s.size,
-                start: s.start,
                 finish: (finish != UNFINISHED).then_some(finish),
+                ..self.specs[ix].record()
             }
         })
+    }
+
+    /// Number of flows the run carried: the length of [`Self::records`].
+    pub fn flow_count(&self) -> usize {
+        self.specs.len()
     }
 
     /// Mean FCT slowdown (actual / contention-free ideal) over finished

@@ -201,6 +201,13 @@ pub trait HostLogic: Sized {
     fn cc_rate_bps(&self, _flow: FlowId) -> Option<f64> {
         None
     }
+
+    /// Payload bytes of a locally originated flow handed to the NIC so far,
+    /// retransmissions included; 0 before the flow starts (telemetry probe
+    /// for sending rates).
+    fn sent_bytes(&self, _flow: FlowId) -> u64 {
+        0
+    }
 }
 
 /// The complete simulated network.
@@ -423,7 +430,7 @@ impl<H: HostLogic> Fabric<H> {
         self.telemetry.sample(
             now,
             |s, p| &switches[s.ix()].ports[p as usize],
-            |h, f| hosts[h.ix()].cc_rate_bps(f),
+            |h| &hosts[h.ix()],
         );
     }
 

@@ -60,6 +60,6 @@ mod tests {
         assert_eq!(size_of::<Option<Box<IntStack>>>(), 8);
         assert_eq!(size_of::<IntStack>(), 264);
         assert_eq!(size_of::<port::Port>(), 264);
-        assert_eq!(size_of::<Telemetry>(), 456);
+        assert_eq!(size_of::<Telemetry>(), 424);
     }
 }

@@ -1,6 +1,10 @@
-//! Run-wide measurement state: counters, per-flow byte counters, flow
-//! completion records, and the sampling watch list feeding the paper's
-//! time-series plots.
+//! Run-wide measurement state: counters, flow completion records, and the
+//! sampling watch list feeding the paper's time-series plots.
+//!
+//! The flow records are registered once, before the run, one per flow this
+//! telemetry's engine carries, and kept in ascending flow id; a finish fills
+//! its record in, so "every carried flow finished" is one comparison of two
+//! counts.
 //!
 //! Every sampled quantity is one [`Probe`] variant, and the variant fixes
 //! the unit its series is recorded in: queue depth in KB, link
@@ -9,9 +13,10 @@
 //! records every watch on each sampling tick, and [`Telemetry::series`]
 //! finds a series by that name. In a sharded run each shard watches only
 //! what it owns — queue and utilization probes live with their switch,
-//! flow-rate probes with the flow's sender, CC-rate probes with their host
-//! — so after [`Telemetry::merge_shard`] every name still names one series.
+//! flow-rate and CC-rate probes with the flow's sender — so after
+//! [`Telemetry::merge_shard`] every name still names one series.
 
+use crate::fabric::HostLogic;
 use crate::ids::{FlowId, HostId, SwitchId};
 use crate::port::Port;
 use fncc_des::stats::{RateMeter, TimeSeries};
@@ -95,8 +100,14 @@ pub enum Probe {
         /// Its egress port.
         port: u8,
     },
-    /// A flow's sender-side sending rate, in Gb/s (Figs. 9b/d/f, 13d–e).
-    FlowRate(FlowId),
+    /// A flow's sending rate at its sender `host`, in Gb/s (Figs. 9b/d/f,
+    /// 13d–e).
+    FlowRate {
+        /// The flow.
+        flow: FlowId,
+        /// Its sender.
+        host: HostId,
+    },
     /// A flow's CC pacing rate at its sender `host`, in Gb/s; 0 while the
     /// flow is not live (reaction timing).
     CcRate {
@@ -133,13 +144,10 @@ pub struct Telemetry {
     /// Wall-clock spans (active only when `FNCC_PROFILE` is set).
     pub profiler: Profiler,
     ph_cc_update: PhaseId,
-    /// Cumulative payload bytes handed to the NIC per flow (sender side).
-    flow_tx_bytes: Vec<u64>,
-    /// Flow lifetime records, indexed by flow id.
-    flows: Vec<Option<FlowRecord>>,
-    /// Number of `Some` entries in `flows` (O(1) `flow_count`).
-    flows_started: usize,
-    /// Number of finished flows (O(1) `all_flows_finished`).
+    /// Lifetime records of the flows this engine carries, in ascending
+    /// flow id.
+    flows: Vec<FlowRecord>,
+    /// Number of finished records (O(1) `all_flows_finished`).
     flows_finished: usize,
     /// Sampling period; `TimeDelta::ZERO` disables sampling.
     pub sample_interval: TimeDelta,
@@ -174,9 +182,7 @@ impl Telemetry {
             h_fct_us,
             profiler,
             ph_cc_update,
-            flow_tx_bytes: Vec::new(),
             flows: Vec::new(),
-            flows_started: 0,
             flows_finished: 0,
             sample_interval: TimeDelta::ZERO,
             sample_until: SimTime::MAX,
@@ -210,28 +216,29 @@ impl Telemetry {
 
     // --- updates from the fabric/hosts ------------------------------------
 
-    /// Register a flow at start time.
-    pub fn flow_started(&mut self, rec: FlowRecord) {
-        let ix = rec.flow.ix();
-        if self.flows.len() <= ix {
-            self.flows.resize(ix + 1, None);
-        }
-        if self.flows[ix].is_none() {
-            self.flows_started += 1;
-        } else if self.flows[ix].as_ref().is_some_and(|r| r.finish.is_some()) {
-            // Re-registration of a finished record re-opens it.
-            self.flows_finished -= 1;
-        }
-        self.flows[ix] = Some(rec);
+    /// Register the flows this engine carries, before the run (a flow
+    /// finishes only once registered here), or another shard's records
+    /// after it. Panics on an id registered twice.
+    pub fn register_flows(&mut self, recs: impl IntoIterator<Item = FlowRecord>) {
+        self.flows.extend(recs);
+        // Stable sort: two sorted runs (a shard merge) cost one merge pass.
+        self.flows.sort_by_key(|r| r.flow);
+        assert!(
+            self.flows.windows(2).all(|w| w[0].flow < w[1].flow),
+            "flow id registered twice"
+        );
+        self.flows_finished = self.flows.iter().filter(|r| r.finish.is_some()).count();
     }
 
     /// Mark a flow finished (last payload byte delivered).
     pub fn flow_finished(&mut self, flow: FlowId, at: SimTime) {
-        let rec = self.flows[flow.ix()].as_mut().expect("finish before start");
+        let ix = self
+            .record_ix(flow)
+            .expect("finish of an unregistered flow");
+        let rec = &mut self.flows[ix];
         debug_assert!(rec.finish.is_none(), "double finish for {flow:?}");
-        let fresh = rec.finish.replace(at).is_none();
-        let fct = at.since(rec.start);
-        if fresh {
+        if rec.finish.replace(at).is_none() {
+            let fct = at.since(rec.start);
             self.flows_finished += 1;
             self.observe_fct(fct);
         }
@@ -245,30 +252,16 @@ impl Telemetry {
             .observe_f64(self.h_fct_us, fct.as_secs_f64() * 1e6);
     }
 
-    /// Add sender-side transmitted payload bytes for a flow.
-    #[inline]
-    pub fn add_flow_tx(&mut self, flow: FlowId, bytes: u64) {
-        let ix = flow.ix();
-        if self.flow_tx_bytes.len() <= ix {
-            self.flow_tx_bytes.resize(ix + 1, 0);
-        }
-        self.flow_tx_bytes[ix] += bytes;
-    }
-
-    /// Cumulative transmitted payload bytes of a flow.
-    pub fn flow_tx(&self, flow: FlowId) -> u64 {
-        self.flow_tx_bytes.get(flow.ix()).copied().unwrap_or(0)
-    }
-
     /// Take one sample of every watch, in its probe's unit. Called by the
     /// fabric on its sampling tick: `port_read` maps `(switch, port)` to
-    /// the egress port, `cc_rate` maps `(host, flow)` to the current pacing
-    /// rate in bits/s, `None` while the flow is not live.
-    pub fn sample<'a>(
+    /// the egress port, `host_read` maps a host id to the host, whose
+    /// [`HostLogic::sent_bytes`] and [`HostLogic::cc_rate_bps`] feed the
+    /// flow probes.
+    pub fn sample<'a, H: HostLogic + 'a>(
         &mut self,
         now: SimTime,
         port_read: impl Fn(SwitchId, u8) -> &'a Port,
-        cc_rate: impl Fn(HostId, FlowId) -> Option<f64>,
+        host_read: impl Fn(HostId) -> &'a H,
     ) {
         for w in &mut self.watches {
             let v = match w.probe {
@@ -281,11 +274,12 @@ impl Telemetry {
                     let p = port_read(sw, port);
                     w.meter.sample(now, p.tx_bytes) / p.bw.as_f64()
                 }
-                Probe::FlowRate(flow) => {
-                    let bytes = self.flow_tx_bytes.get(flow.ix()).copied().unwrap_or(0);
-                    w.meter.sample(now, bytes) / 1e9
+                Probe::FlowRate { flow, host } => {
+                    w.meter.sample(now, host_read(host).sent_bytes(flow)) / 1e9
                 }
-                Probe::CcRate { flow, host } => cc_rate(host, flow).unwrap_or(0.0) / 1e9,
+                Probe::CcRate { flow, host } => {
+                    host_read(host).cc_rate_bps(flow).unwrap_or(0.0) / 1e9
+                }
             };
             w.series.push(now, v);
         }
@@ -373,16 +367,15 @@ impl Telemetry {
 
     /// Fold another shard's telemetry into this one (sharded-DES harvest).
     ///
-    /// Every aggregate here is exact, not approximate: counters and
-    /// per-flow byte vectors are integer sums; the histograms round to
-    /// integer units before summing (see [`fncc_obs::Histogram::absorb`]);
-    /// watch lists concatenate in shard order because each shard only
-    /// registers watches for entities it owns, so [`Telemetry::series`]
-    /// finds exactly one series per name. Flow records
-    /// merge per id, a finished record (receiver side) winning over the
-    /// sender's open one. `rerouted_flows` is deduplicated network-wide,
-    /// so the per-flow bitmaps are unioned and the counter recomputed
-    /// rather than summed.
+    /// Every aggregate here is exact, not approximate: counters are integer
+    /// sums; the histograms round to integer units before summing (see
+    /// [`fncc_obs::Histogram::absorb`]); watch lists concatenate in shard
+    /// order because each shard only registers watches for entities it
+    /// owns, so [`Telemetry::series`] finds exactly one series per name.
+    /// Each shard registers the flows whose receiver it owns, so the record
+    /// sets are disjoint and merge as a sorted union. `rerouted_flows` is
+    /// deduplicated network-wide, so the per-flow bitmaps are unioned and
+    /// the counter recomputed rather than summed.
     pub fn merge_shard(&mut self, other: Telemetry) {
         let o = other.counters;
         self.counters.data_delivered += o.data_delivered;
@@ -408,30 +401,7 @@ impl Telemetry {
 
         self.metrics.absorb(&other.metrics);
 
-        if self.flow_tx_bytes.len() < other.flow_tx_bytes.len() {
-            self.flow_tx_bytes.resize(other.flow_tx_bytes.len(), 0);
-        }
-        for (ix, &b) in other.flow_tx_bytes.iter().enumerate() {
-            self.flow_tx_bytes[ix] += b;
-        }
-
-        if self.flows.len() < other.flows.len() {
-            self.flows.resize(other.flows.len(), None);
-        }
-        for (ix, rec) in other.flows.into_iter().enumerate() {
-            let Some(rec) = rec else { continue };
-            let mine = &self.flows[ix];
-            let mine_finished = mine.as_ref().is_some_and(|r| r.finish.is_some());
-            if mine.is_none() || (rec.finish.is_some() && !mine_finished) {
-                self.flows[ix] = Some(rec);
-            }
-        }
-        self.flows_started = self.flows.iter().filter(|f| f.is_some()).count();
-        self.flows_finished = self
-            .flows
-            .iter()
-            .filter(|f| f.as_ref().is_some_and(|r| r.finish.is_some()))
-            .count();
+        self.register_flows(other.flows);
 
         self.watches.extend(other.watches);
 
@@ -453,32 +423,29 @@ impl Telemetry {
 
     // --- harvesting --------------------------------------------------------
 
-    /// All flow records (finished or not).
+    /// All flow records (finished or not), in ascending flow id.
     pub fn flow_records(&self) -> impl Iterator<Item = &FlowRecord> {
-        self.flows.iter().filter_map(|f| f.as_ref())
+        self.flows.iter()
     }
 
     /// Record for one flow.
     pub fn flow_record(&self, flow: FlowId) -> Option<&FlowRecord> {
-        self.flows.get(flow.ix()).and_then(|f| f.as_ref())
+        self.record_ix(flow).map(|ix| &self.flows[ix])
+    }
+
+    /// Where `flow`'s record sits in `flows`.
+    fn record_ix(&self, flow: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&flow, |r| r.flow).ok()
     }
 
     /// Number of registered flows.
     pub fn flow_count(&self) -> usize {
-        self.flows_started
+        self.flows.len()
     }
 
-    /// True if every registered flow has finished.
+    /// True if every registered flow has finished (vacuously, with none).
     pub fn all_flows_finished(&self) -> bool {
-        self.flows_finished == self.flows_started
-    }
-
-    /// Number of finished flows (the sharded coordinator's termination
-    /// check needs the raw count, not just [`Telemetry::all_flows_finished`],
-    /// because receiver shards pre-register records for flows whose sender
-    /// lives elsewhere).
-    pub fn flows_finished_count(&self) -> usize {
-        self.flows_finished
+        self.flows_finished == self.flows.len()
     }
 
     /// Harvest the series a watch recorded under `name`.
@@ -499,36 +466,84 @@ impl Default for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::HostCtx;
+    use crate::packet::Packet;
     use crate::topology::Topology;
     use crate::units::Bandwidth;
+
+    fn open(flow: u32, start_us: u64) -> FlowRecord {
+        FlowRecord {
+            flow: FlowId(flow),
+            src: HostId(0),
+            dst: HostId(1),
+            size: 1000,
+            start: SimTime::from_us(start_us),
+            finish: None,
+        }
+    }
 
     #[test]
     fn flow_lifecycle() {
         let mut t = Telemetry::new();
-        t.flow_started(FlowRecord {
-            flow: FlowId(2),
-            src: HostId(0),
-            dst: HostId(1),
-            size: 1000,
-            start: SimTime::from_us(5),
-            finish: None,
-        });
-        assert_eq!(t.flow_count(), 1);
+        assert!(t.all_flows_finished(), "no flows: nothing left to finish");
+        t.register_flows([open(7, 0), open(2, 5)]);
+        assert_eq!(t.flow_count(), 2);
+        let ids: Vec<_> = t.flow_records().map(|r| r.flow).collect();
+        assert_eq!(ids, [FlowId(2), FlowId(7)], "records walk in id order");
         assert!(!t.all_flows_finished());
         t.flow_finished(FlowId(2), SimTime::from_us(9));
-        assert!(t.all_flows_finished());
+        assert!(!t.all_flows_finished(), "flow 7 never started");
+        assert_eq!(t.flow_record(FlowId(3)), None);
         let rec = t.flow_record(FlowId(2)).unwrap();
         assert_eq!(rec.fct(), Some(TimeDelta::from_us(4)));
+        t.flow_finished(FlowId(7), SimTime::from_us(20));
+        assert!(t.all_flows_finished());
+    }
+
+    /// Shards carry disjoint record sets; the merge is their sorted union
+    /// and keeps each side's finishes.
+    #[test]
+    fn merged_records_are_the_sorted_union() {
+        let (mut a, mut b) = (Telemetry::new(), Telemetry::new());
+        a.register_flows([open(0, 0), open(3, 0)]);
+        b.register_flows([open(1, 0), open(2, 0), open(4, 0)]);
+        a.flow_finished(FlowId(3), SimTime::from_us(1));
+        b.flow_finished(FlowId(1), SimTime::from_us(2));
+        a.merge_shard(b);
+        let ids: Vec<_> = a.flow_records().map(|r| r.flow.0).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+        assert_eq!(a.flow_count(), 5);
+        let finished: Vec<_> = a
+            .flow_records()
+            .filter(|r| r.finish.is_some())
+            .map(|r| r.flow.0)
+            .collect();
+        assert_eq!(finished, [1, 3]);
+        assert!(!a.all_flows_finished());
     }
 
     #[test]
-    fn flow_tx_accumulates_with_sparse_ids() {
-        let mut t = Telemetry::new();
-        t.add_flow_tx(FlowId(7), 100);
-        t.add_flow_tx(FlowId(7), 50);
-        assert_eq!(t.flow_tx(FlowId(7)), 150);
-        assert_eq!(t.flow_tx(FlowId(3)), 0);
-        assert_eq!(t.flow_tx(FlowId(100)), 0);
+    #[should_panic(expected = "registered twice")]
+    fn duplicate_registration_panics() {
+        Telemetry::new().register_flows([open(1, 0), open(1, 3)]);
+    }
+
+    /// A host reporting fixed flow readings, for sampling.
+    struct FixedHost {
+        tx_bytes: u64,
+        cc_bps: f64,
+    }
+
+    impl HostLogic for FixedHost {
+        type Timer = ();
+        fn on_packet(&mut self, _: &mut HostCtx<'_, ()>, _: Box<Packet>) {}
+        fn on_timer(&mut self, _: &mut HostCtx<'_, ()>, _: ()) {}
+        fn sent_bytes(&self, _flow: FlowId) -> u64 {
+            self.tx_bytes
+        }
+        fn cc_rate_bps(&self, _flow: FlowId) -> Option<f64> {
+            Some(self.cc_bps)
+        }
     }
 
     #[test]
@@ -537,18 +552,21 @@ mod tests {
         let (sw, port) = (SwitchId(0), 2);
         t.watch(Probe::Queue { sw, port }, "q");
         t.watch(Probe::Util { sw, port }, "u");
-        t.watch(Probe::FlowRate(FlowId(0)), "r");
         let (flow, host) = (FlowId(0), HostId(0));
+        t.watch(Probe::FlowRate { flow, host }, "r");
         t.watch(Probe::CcRate { flow, host }, "cc");
-        t.add_flow_tx(FlowId(0), 0);
 
         // At t=1us: queue 512 bytes, 12500 bytes txed → 100 Gb/s → util 1.0.
         let topo = Topology::dumbbell(2, 3, Bandwidth::gbps(100), TimeDelta::from_us(1));
         let mut p = Port::from_spec(&topo.switches[0].ports[2]);
         p.queue_bytes = 512;
         p.tx_bytes = 12_500;
-        t.add_flow_tx(FlowId(0), 1250); // flow rate 10 Gb/s over 1 us
-        t.sample(SimTime::from_us(1), |_, _| &p, |_, _| Some(25e9));
+        // Flow rate 10 Gb/s over 1 us.
+        let h = FixedHost {
+            tx_bytes: 1250,
+            cc_bps: 25e9,
+        };
+        t.sample(SimTime::from_us(1), |_, _| &p, |_| &h);
 
         assert_eq!(t.series("q").unwrap().values(), &[0.5]);
         let u = t.series("u").unwrap();
@@ -562,7 +580,8 @@ mod tests {
     fn unwatched_lookups_return_none() {
         let mut t = Telemetry::new();
         assert!(t.series("q").is_none());
-        t.watch(Probe::FlowRate(FlowId(0)), "r");
+        let (flow, host) = (FlowId(0), HostId(0));
+        t.watch(Probe::FlowRate { flow, host }, "r");
         assert!(t.series("q").is_none());
         assert!(t.series("r").is_some());
     }
@@ -581,17 +600,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "unregistered flow")]
     fn finish_before_start_panics() {
         let mut t = Telemetry::new();
-        t.flow_started(FlowRecord {
-            flow: FlowId(0),
-            src: HostId(0),
-            dst: HostId(1),
-            size: 1,
-            start: SimTime::ZERO,
-            finish: None,
-        });
+        t.register_flows([open(0, 0)]);
         t.flow_finished(FlowId(1), SimTime::ZERO);
     }
 }

@@ -3,6 +3,7 @@
 use fncc_cc::CcFlow;
 use fncc_des::time::SimTime;
 use fncc_net::ids::{FlowId, HostId};
+use fncc_net::telemetry::FlowRecord;
 
 /// A flow (one RDMA QP): `size` application bytes from `src` to `dst`,
 /// eligible to send from `start`.
@@ -18,6 +19,21 @@ pub struct FlowSpec {
     pub size: u64,
     /// Start time.
     pub start: SimTime,
+}
+
+impl FlowSpec {
+    /// The flow's lifetime record as an engine registers it before the run:
+    /// started at the spec's start, not finished.
+    pub fn record(&self) -> FlowRecord {
+        FlowRecord {
+            flow: self.id,
+            src: self.src,
+            dst: self.dst,
+            size: self.size,
+            start: self.start,
+            finish: None,
+        }
+    }
 }
 
 /// Sender-side live state of one flow.
@@ -44,6 +60,9 @@ pub(crate) struct SendFlow {
     /// Absolute deadline of the armed retransmission timer. `Some` ⇔
     /// exactly one `Rto` timer event is outstanding for this flow.
     pub rto_deadline: Option<SimTime>,
+    /// Payload bytes handed to the NIC, retransmissions included (the
+    /// flow-rate probe's counter).
+    pub tx_bytes: u64,
 }
 
 impl SendFlow {
@@ -59,6 +78,7 @@ impl SendFlow {
             highest_sent: 0,
             rto_backoff: 0,
             rto_deadline: None,
+            tx_bytes: 0,
         }
     }
 

@@ -8,7 +8,6 @@ use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::fabric::{HostCtx, HostLogic};
 use fncc_net::ids::FlowId;
 use fncc_net::packet::{Packet, PacketKind};
-use fncc_net::telemetry::FlowRecord;
 use fncc_net::units::CNP_BYTES;
 use fncc_obs::TraceEvent;
 
@@ -84,14 +83,6 @@ impl DcHost {
             .remove(id)
             .expect("FlowStart for unregistered flow");
         debug_assert_eq!(spec.src, ctx.host());
-        ctx.telemetry.flow_started(FlowRecord {
-            flow: id,
-            src: spec.src,
-            dst: spec.dst,
-            size: spec.size,
-            start: ctx.now(),
-            finish: None,
-        });
         let cc = self.cfg.algo.new_flow();
         if ctx.telemetry.trace.enabled() {
             ctx.telemetry.trace.record(TraceEvent::FlowStart {
@@ -180,7 +171,7 @@ impl DcHost {
             sf.next_seq += payload as u64;
             sf.highest_sent = sf.highest_sent.max(sf.next_seq);
             sf.cc.on_sent(payload as u64);
-            ctx.telemetry.add_flow_tx(id, payload as u64);
+            sf.tx_bytes += payload as u64;
             ctx.send(pkt);
             if let Some(rec) = recovery {
                 if sf.rto_deadline.is_none() {
@@ -469,6 +460,10 @@ impl HostLogic for DcHost {
         Some(sf.cc.pacing_rate_bps())
     }
 
+    fn sent_bytes(&self, flow: FlowId) -> u64 {
+        self.send.get(flow).map_or(0, |sf| sf.tx_bytes)
+    }
+
     fn on_timer(&mut self, ctx: &mut HostCtx<'_, HostTimer>, timer: HostTimer) {
         match timer {
             HostTimer::FlowStart(id) => self.start_flow(ctx, id),
@@ -537,6 +532,9 @@ mod tests {
             .map(|_| DcHost::new(tcfg.clone()))
             .collect();
         let mut fabric = Fabric::new(&topo, cfg, hosts);
+        fabric
+            .telemetry
+            .register_flows(flows.iter().map(FlowSpec::record));
         for f in &flows {
             fabric.hosts[f.src.ix()].add_flow(f.clone());
         }
@@ -677,6 +675,9 @@ mod tests {
         let hosts: Vec<DcHost> = (0..5).map(|_| DcHost::new(tcfg.clone())).collect();
         let mut fabric = Fabric::new(&topo, cfg, hosts);
         let flows: Vec<FlowSpec> = (0..4).map(|i| flow(i, i, 4, 2_000_000, 0)).collect();
+        fabric
+            .telemetry
+            .register_flows(flows.iter().map(FlowSpec::record));
         for f in &flows {
             fabric.hosts[f.src.ix()].add_flow(f.clone());
         }
@@ -771,6 +772,24 @@ mod tests {
         let coalesced = run(4);
         assert_eq!(per_packet, 1000);
         assert_eq!(coalesced, 250);
+    }
+
+    /// The flow-rate probe's counter lives with the sender: it reads 0
+    /// before the flow starts and on any other host, and every payload
+    /// byte once the flow is done.
+    #[test]
+    fn flow_tx_accumulates_on_the_sender() {
+        let size = 500_000;
+        let mut eng = build(2, hpcc(), |_| {}, vec![flow(0, 0, 2, size, 20)]);
+        eng.run_until(SimTime::from_us(10));
+        assert_eq!(eng.model.hosts[0].sent_bytes(FlowId(0)), 0);
+        eng.run_until(SimTime::from_us(30));
+        let early = eng.model.hosts[0].sent_bytes(FlowId(0));
+        assert!(early > 0 && early < size, "{early} bytes 10 µs in");
+        eng.run_until(SimTime::from_ms(5));
+        assert_eq!(eng.model.hosts[0].sent_bytes(FlowId(0)), size);
+        assert_eq!(eng.model.hosts[1].sent_bytes(FlowId(0)), 0);
+        assert_eq!(eng.model.hosts[2].sent_bytes(FlowId(0)), 0);
     }
 
     #[test]

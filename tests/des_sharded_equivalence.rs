@@ -19,8 +19,8 @@
 //!   slowdowns, counters, series, fault scalars) must match byte-for-byte.
 
 use fncc::core::{
-    run_scenario, ProbeSpec, Scenario, SimBackend, StopCondition, TopologySpec, TrafficSpec,
-    Workload,
+    run_scenario, ProbeSpec, RunReport, Scenario, SimBackend, StopCondition, TopologySpec,
+    TrafficSpec, Workload,
 };
 use fncc_cc::CcKind;
 
@@ -55,7 +55,10 @@ enum Strip {
 fn report_json(sc: &Scenario, threads: u32, strip: Strip) -> String {
     let mut sc = sc.clone();
     sc.threads = threads;
-    let mut report = run_scenario(&sc, SimBackend::Packet);
+    stripped_json(run_scenario(&sc, SimBackend::Packet), strip)
+}
+
+fn stripped_json(mut report: RunReport, strip: Strip) -> String {
     report.scalars.retain(|(k, _)| {
         let k = k.as_str();
         let stripped = WALL_CLOCK.contains(&k)
@@ -173,6 +176,40 @@ fn faulted_scenario_matches_legacy() {
     }
     sc.seeds = vec![1];
     assert_equivalence(&sc, "linkflap/poisson");
+}
+
+/// The shipped packet smoke cell at a tenth of its load: arrivals leave
+/// idle gaps longer than the 1 ms drain chunk, and the run still goes on
+/// to every flow behind them. Each flow is in a slowdown bucket or counted
+/// unfinished, as many finish as on the fluid backend, and one replica and
+/// pod shards report the same bytes.
+#[test]
+fn flows_behind_an_idle_gap_are_all_reported() {
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/fattree_des_smoke.json"
+    ))
+    .expect("shipped scenario file");
+    let mut sc = Scenario::from_json(&text).expect("shipped scenario parses");
+    let TrafficSpec::Poisson {
+        ref mut load,
+        ref mut flows,
+        ..
+    } = sc.traffic
+    else {
+        panic!("the smoke cell is a Poisson mix");
+    };
+    (*load, *flows) = (0.05, 200);
+    let packet = run_scenario(&sc, SimBackend::Packet);
+    let bucketed: usize = packet.slowdowns.iter().map(|b| b.count).sum();
+    let unfinished: usize = packet.unfinished.iter().sum();
+    assert_eq!(bucketed + unfinished, 200);
+    let fluid = run_scenario(&sc, SimBackend::Fluid);
+    assert_eq!(packet.scalar("fct_us_count"), fluid.scalar("fct_us_count"));
+    assert_eq!(
+        stripped_json(packet, Strip::ShardShape),
+        report_json(&sc, 1, Strip::ShardShape),
+    );
 }
 
 /// The sharded report carries the partition's bookkeeping scalars.

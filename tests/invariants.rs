@@ -65,15 +65,16 @@ fn pfc_pause_resume_balance_under_incast() {
     assert_eq!(c.drops, 0);
 }
 
-/// The byte count delivered equals the byte count sent (per telemetry).
+/// The byte count delivered equals the byte count sent (per sender).
 #[test]
 fn payload_conservation() {
+    use fncc::net::fabric::HostLogic;
     let mut sim = dumbbell_sim(CcKind::Fncc, 3, 250_000);
     assert!(sim.run_to_completion(TimeDelta::from_us(100), SimTime::from_ms(20)));
     let telem = sim.telemetry();
     for i in 0..3u32 {
         assert_eq!(
-            telem.flow_tx(FlowId(i)),
+            sim.host(HostId(i)).sent_bytes(FlowId(i)),
             250_000,
             "flow {i}: sender transmitted exactly the flow size"
         );

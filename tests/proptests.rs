@@ -327,6 +327,7 @@ proptest! {
             size,
             start: SimTime::ZERO,
         };
+        fabric.telemetry.register_flows([spec.record()]);
         fabric.hosts[0].add_flow(spec.clone());
         let mut eng = fncc::des::engine::Engine::new(fabric);
         for (t, ev) in eng.model.startup_events() {
