@@ -192,7 +192,7 @@ mod tests {
     fn slowdown_table_buckets_and_floors() {
         let topo = Topology::dumbbell(2, 3, Bandwidth::gbps(100), TimeDelta::from_ns(1500));
         // One fast small flow (slowdown ~1) and one stalled big flow.
-        let path = topo.trace_path(HostId(0), HostId(2), FlowId(0));
+        let path: Vec<_> = topo.path_hops(HostId(0), HostId(2), FlowId(0)).collect();
         let ideal = topo.ideal_fct_on(&path, 5_000, 1456, 62);
         let records = [
             FlowRecord {

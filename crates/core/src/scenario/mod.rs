@@ -627,9 +627,8 @@ impl Scenario {
             }
         };
         let flow0 = fncc_net::ids::FlowId(0);
-        let path = topo.trace_path(observer_src, dst, flow0);
-        let switch_hops: Vec<(SwitchId, u8)> = path
-            .into_iter()
+        let switch_hops: Vec<(SwitchId, u8)> = topo
+            .path_hops(observer_src, dst, flow0)
             .filter_map(|(n, p)| match n {
                 NodeRef::Switch(s) => Some((s, p)),
                 NodeRef::Host(_) => None,
@@ -982,7 +981,7 @@ mod tests {
         let inc = sample();
         let topo = inc.topology.build(inc.link);
         let (sw, port) = inc.congestion_point(&topo).unwrap();
-        let path = topo.trace_path(HostId(1), HostId(0), FlowId(0));
+        let path: Vec<_> = topo.path_hops(HostId(1), HostId(0), FlowId(0)).collect();
         let (last, last_port) = *path.last().unwrap();
         assert_eq!(NodeRef::Switch(sw), last);
         assert_eq!(port, last_port);

@@ -195,9 +195,11 @@ impl SimBuilder {
             fabric.telemetry.trace = TraceSink::with_capacity(TraceSink::DEFAULT_CAPACITY);
         }
 
-        // A flow's record lives where it finishes: with its receiver.
-        let carried = self.flows.iter().filter(|f| owns_host(f.dst));
-        let records = carried.map(FlowSpec::record);
+        // A flow's record lives where it finishes: with its receiver. The
+        // table is allocated once, at its exact length.
+        let carried = || self.flows.iter().filter(|f| owns_host(f.dst));
+        let mut records = Vec::with_capacity(carried().count());
+        records.extend(carried().map(FlowSpec::record));
         fabric.telemetry.register_flows(records);
         for f in &self.flows {
             if owns_host(f.src) {
@@ -347,12 +349,10 @@ impl Sim {
         flow: FlowId,
         sw: SwitchId,
     ) -> Option<u8> {
-        topo.trace_path(src, dst, flow)
-            .into_iter()
-            .find_map(|(n, p)| match n {
-                fncc_net::ids::NodeRef::Switch(s) if s == sw => Some(p),
-                _ => None,
-            })
+        topo.path_hops(src, dst, flow).find_map(|(n, p)| match n {
+            fncc_net::ids::NodeRef::Switch(s) if s == sw => Some(p),
+            _ => None,
+        })
     }
 }
 

@@ -119,10 +119,14 @@ impl LinkMap {
         flow: FlowId,
         out: &mut Vec<u32>,
     ) {
-        self.ids_into(&topo.trace_path(src, dst, flow), out);
+        out.clear();
+        out.extend(
+            topo.path_hops(src, dst, flow)
+                .map(|(n, p)| self.id_of(n, p)),
+        );
     }
 
-    /// The link ids of an already-traced path (`Topology::trace_path`'s
+    /// The link ids of an already-traced path (`Topology::path_hops`'s
     /// `(node, egress port)` hops) into `out` (cleared first).
     pub fn ids_into(&self, hops: &[(NodeRef, u8)], out: &mut Vec<u32>) {
         out.clear();

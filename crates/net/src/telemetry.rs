@@ -22,6 +22,7 @@ use crate::port::Port;
 use fncc_des::stats::{RateMeter, TimeSeries};
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_obs::{HistId, MetricsRegistry, PhaseId, Profiler, TraceSink};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// Lifetime record of one flow.
@@ -161,9 +162,9 @@ pub struct Telemetry {
     pause_episodes: u64,
     pause_time_total: TimeDelta,
     pause_time_max: TimeDelta,
-    /// Flows already counted in `counters.rerouted_flows` (dense by flow
-    /// id; only ever grows while dead links exist).
-    rerouted: Vec<bool>,
+    /// Flows already counted in `counters.rerouted_flows`: one entry per
+    /// rerouted flow, added only while dead links exist.
+    rerouted: BTreeSet<FlowId>,
 }
 
 impl Telemetry {
@@ -192,7 +193,7 @@ impl Telemetry {
             pause_episodes: 0,
             pause_time_total: TimeDelta::ZERO,
             pause_time_max: TimeDelta::ZERO,
-            rerouted: Vec::new(),
+            rerouted: BTreeSet::new(),
         }
     }
 
@@ -218,9 +219,14 @@ impl Telemetry {
 
     /// Register the flows this engine carries, before the run (a flow
     /// finishes only once registered here), or another shard's records
-    /// after it. Panics on an id registered twice.
+    /// after it. Panics on an id registered twice. A first registration
+    /// from a `Vec` keeps that `Vec`'s allocation as the table.
     pub fn register_flows(&mut self, recs: impl IntoIterator<Item = FlowRecord>) {
-        self.flows.extend(recs);
+        if self.flows.is_empty() {
+            self.flows = recs.into_iter().collect();
+        } else {
+            self.flows.extend(recs);
+        }
         // Stable sort: two sorted runs (a shard merge) cost one merge pass.
         self.flows.sort_by_key(|r| r.flow);
         assert!(
@@ -288,12 +294,7 @@ impl Telemetry {
     /// Count `flow` as rerouted (its frames deviated from the pristine
     /// route because of a dead link); idempotent per flow.
     pub fn note_rerouted(&mut self, flow: FlowId) {
-        let ix = flow.ix();
-        if self.rerouted.len() <= ix {
-            self.rerouted.resize(ix + 1, false);
-        }
-        if !self.rerouted[ix] {
-            self.rerouted[ix] = true;
+        if self.rerouted.insert(flow) {
             self.counters.rerouted_flows += 1;
         }
     }
@@ -345,6 +346,11 @@ impl Telemetry {
         Some(self.int_age_sum[hop] / n as f64)
     }
 
+    /// Number of INT-age samples recorded for hop `hop`.
+    pub fn int_age_samples(&self, hop: usize) -> u64 {
+        self.int_age_cnt.get(hop).copied().unwrap_or(0)
+    }
+
     /// Number of hops with INT-age records.
     pub fn int_age_hops(&self) -> usize {
         self.int_age_cnt.len()
@@ -374,7 +380,7 @@ impl Telemetry {
     /// owns, so [`Telemetry::series`] finds exactly one series per name.
     /// Each shard registers the flows whose receiver it owns, so the record
     /// sets are disjoint and merge as a sorted union. `rerouted_flows` is
-    /// deduplicated network-wide, so the per-flow bitmaps are unioned and
+    /// deduplicated network-wide, so the rerouted id sets are unioned and
     /// the counter recomputed rather than summed.
     pub fn merge_shard(&mut self, other: Telemetry) {
         let o = other.counters;
@@ -389,15 +395,8 @@ impl Telemetry {
         self.counters.retx += o.retx;
         self.counters.rtos += o.rtos;
         self.counters.int_truncations += o.int_truncations;
-        if self.rerouted.len() < other.rerouted.len() {
-            self.rerouted.resize(other.rerouted.len(), false);
-        }
-        for (ix, &r) in other.rerouted.iter().enumerate() {
-            if r {
-                self.rerouted[ix] = true;
-            }
-        }
-        self.counters.rerouted_flows = self.rerouted.iter().filter(|&&r| r).count() as u64;
+        self.rerouted.extend(other.rerouted);
+        self.counters.rerouted_flows = self.rerouted.len() as u64;
 
         self.metrics.absorb(&other.metrics);
 
@@ -520,6 +519,32 @@ mod tests {
             .collect();
         assert_eq!(finished, [1, 3]);
         assert!(!a.all_flows_finished());
+    }
+
+    /// The rerouted set holds the flows it counted, not a slot per flow
+    /// id up to the largest, and the shard merge counts a flow both shards
+    /// rerouted once.
+    #[test]
+    fn rerouted_set_is_sized_by_its_flows() {
+        let (mut a, mut b) = (Telemetry::new(), Telemetry::new());
+        a.note_rerouted(FlowId(1_000_000));
+        a.note_rerouted(FlowId(1_000_000));
+        assert_eq!(a.counters.rerouted_flows, 1);
+        assert_eq!(a.rerouted.len(), 1);
+        b.note_rerouted(FlowId(1_000_000));
+        a.merge_shard(b);
+        assert!(a.rerouted.iter().eq(&[FlowId(1_000_000)]));
+        assert_eq!(a.counters.rerouted_flows, 1);
+        // Distinct flows from both sides keep their order and count.
+        let mut c = Telemetry::new();
+        c.note_rerouted(FlowId(5));
+        a.note_rerouted(FlowId(3));
+        a.merge_shard(c);
+        assert!(a
+            .rerouted
+            .iter()
+            .eq(&[FlowId(3), FlowId(5), FlowId(1_000_000)]));
+        assert_eq!(a.counters.rerouted_flows, 3);
     }
 
     #[test]

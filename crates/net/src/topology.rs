@@ -120,17 +120,36 @@ impl Topology {
         }
     }
 
-    /// Trace the request path of a flow: `(node, egress port)` pairs starting
-    /// at the source host and ending when the destination host is reached.
-    /// The destination host itself is not included.
-    pub fn trace_path(&self, src: HostId, dst: HostId, flow: FlowId) -> Vec<(NodeRef, u8)> {
-        let mut path = Vec::new();
-        self.trace_path_into(src, dst, flow, &mut path);
-        path
+    /// The request path of a flow, walked lazily: `(node, egress port)`
+    /// pairs starting at the source host and ending when the destination
+    /// host is reached. The destination host itself is not included.
+    pub fn path_hops(
+        &self,
+        src: HostId,
+        dst: HostId,
+        flow: FlowId,
+    ) -> impl Iterator<Item = (NodeRef, u8)> + '_ {
+        assert_ne!(src, dst, "flow to self");
+        let h = flow_hash(src, dst, flow);
+        let mut next = Some((NodeRef::Host(src), 0u8));
+        let mut hops = 0;
+        std::iter::from_fn(move || {
+            let hop = next?;
+            hops += 1;
+            assert!(hops < 64, "routing loop tracing {src:?}->{dst:?}");
+            next = match self.port_spec(hop.0, hop.1).peer {
+                NodeRef::Host(hh) => {
+                    assert_eq!(hh, dst, "path reached wrong host");
+                    None
+                }
+                sw @ NodeRef::Switch(s) => Some((sw, self.switches[s.ix()].route.egress(dst, h))),
+            };
+            Some(hop)
+        })
     }
 
-    /// [`Self::trace_path`] into a caller-owned buffer (cleared first), so
-    /// a per-flow hot path walks the route once and allocates nothing.
+    /// [`Self::path_hops`] into a caller-owned buffer (cleared first), for
+    /// a caller that reads the path more than once.
     pub fn trace_path_into(
         &self,
         src: HostId,
@@ -138,34 +157,13 @@ impl Topology {
         flow: FlowId,
         path: &mut Vec<(NodeRef, u8)>,
     ) {
-        assert_ne!(src, dst, "flow to self");
-        let h = flow_hash(src, dst, flow);
         path.clear();
-        path.push((NodeRef::Host(src), 0u8));
-        let mut cur = self.host_ports[src.ix()].peer;
-        let mut hops = 0;
-        loop {
-            hops += 1;
-            assert!(hops < 64, "routing loop tracing {src:?}->{dst:?}");
-            match cur {
-                NodeRef::Host(hh) => {
-                    assert_eq!(hh, dst, "path reached wrong host");
-                    return;
-                }
-                NodeRef::Switch(s) => {
-                    let sw = &self.switches[s.ix()];
-                    let out = sw.route.egress(dst, h);
-                    path.push((cur, out));
-                    cur = sw.ports[out as usize].peer;
-                }
-            }
-        }
+        path.extend(self.path_hops(src, dst, flow));
     }
 
     /// The switches on a flow's request path, in order.
     pub fn path_switches(&self, src: HostId, dst: HostId, flow: FlowId) -> Vec<SwitchId> {
-        self.trace_path(src, dst, flow)
-            .into_iter()
+        self.path_hops(src, dst, flow)
             .filter_map(|(n, _)| match n {
                 NodeRef::Switch(s) => Some(s),
                 NodeRef::Host(_) => None,
@@ -185,7 +183,7 @@ impl Topology {
     /// request path (store-and-forward: serialize at every hop + propagate).
     pub fn one_way_latency(&self, src: HostId, dst: HostId, flow: FlowId, bytes: u32) -> TimeDelta {
         let mut total = TimeDelta::ZERO;
-        for (node, port) in self.trace_path(src, dst, flow) {
+        for (node, port) in self.path_hops(src, dst, flow) {
             let spec = self.port_spec(node, port);
             total += spec.bw.tx_time(bytes as u64) + spec.prop;
         }
@@ -242,7 +240,7 @@ impl Topology {
     }
 
     /// Ideal (contention-free) flow completion time for `size` application
-    /// bytes along an already-traced request path ([`Self::trace_path`]'s
+    /// bytes along an already-traced request path ([`Self::path_hops`]'s
     /// hops): the last byte's arrival at the receiver on an empty network,
     /// assuming full-MTU segmentation and store-and-forward pipelining:
     /// `FCT = size_wire/B_min + Σ_hops(MTU/B_hop + prop) − MTU/B_first…`
@@ -841,7 +839,7 @@ mod tests {
         let prop = TimeDelta::from_ns(1500);
         let t = Topology::dumbbell(2, 3, BW, prop);
         // One 1000-byte packet + 62B header over 4 links.
-        let path = t.trace_path(HostId(0), HostId(2), FlowId(0));
+        let path: Vec<_> = t.path_hops(HostId(0), HostId(2), FlowId(0)).collect();
         let fct = t.ideal_fct_on(&path, 1000, 1456, 62);
         let expect = (BW.tx_time(1062) + prop) * 4;
         assert_eq!(fct, expect);
@@ -852,7 +850,7 @@ mod tests {
         let prop = TimeDelta::from_ns(1500);
         let t = Topology::dumbbell(2, 3, BW, prop);
         let size = 10_000_000u64; // 10 MB
-        let path = t.trace_path(HostId(0), HostId(2), FlowId(0));
+        let path: Vec<_> = t.path_hops(HostId(0), HostId(2), FlowId(0)).collect();
         let fct = t.ideal_fct_on(&path, size, 1456, 62);
         // Dominated by size/bw: 10MB*8/100G = 800us (plus ~5% header).
         let lower = 0.8 * 1.04; // ms

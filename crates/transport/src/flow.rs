@@ -36,7 +36,8 @@ impl FlowSpec {
     }
 }
 
-/// Sender-side live state of one flow.
+/// Sender-side state of one flow, from its start until the cumulative ACK
+/// covers its last byte.
 #[derive(Debug)]
 pub(crate) struct SendFlow {
     pub spec: FlowSpec,
@@ -49,8 +50,6 @@ pub(crate) struct SendFlow {
     pub next_send: SimTime,
     /// True while a `Pace` timer is outstanding (avoids duplicates).
     pub pace_pending: bool,
-    /// All bytes acknowledged.
-    pub done: bool,
     /// High-water mark of `next_seq`; `next_seq` below this means the flow
     /// was rewound by an RTO and is retransmitting (go-back-N).
     pub highest_sent: u64,
@@ -74,7 +73,6 @@ impl SendFlow {
             acked: 0,
             next_send: SimTime::ZERO,
             pace_pending: false,
-            done: false,
             highest_sent: 0,
             rto_backoff: 0,
             rto_deadline: None,
@@ -193,6 +191,11 @@ impl<T> FlowTable<T> {
         self.index[slot] = e as u32 + 1;
         self.entries.push((id, value));
         e
+    }
+
+    #[cfg(test)]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
     /// Remove and return, compacting entry storage (O(1) swap-remove).

@@ -25,14 +25,32 @@ pub enum HostTimer {
     Rto(FlowId),
 }
 
+/// What outlives a flow's sender state once its final ACK arrives: the
+/// flow-rate probe's byte counter and the LHCS diagnostics.
+#[derive(Clone, Copy, Debug)]
+struct RetiredFlow {
+    tx_bytes: u64,
+    /// `None` for schemes without LHCS.
+    lhcs_triggers: Option<u64>,
+}
+
 /// An end host: RDMA-like sender and receiver sharing one NIC.
+///
+/// A sent flow moves through three tables: `pending` from `add_flow` to
+/// its `FlowStart` timer, `send` until the cumulative ACK covers its last
+/// byte, then `retired`, which keeps two counters and no CC state.
 pub struct DcHost {
     cfg: TransportConfig,
     /// Registered flows awaiting their start timer.
     pending: FlowTable<FlowSpec>,
-    /// Live sender-side flows.
+    /// Started sender-side flows not yet fully acknowledged; every entry
+    /// is live, so timers and packets that find none are for a retired
+    /// flow and do nothing.
     send: FlowTable<SendFlow>,
-    /// Live receiver-side flows.
+    /// Fully acknowledged flows this host sent.
+    retired: FlowTable<RetiredFlow>,
+    /// Receiver-side flows, kept after the last byte so a duplicate frame
+    /// is still re-ACKed.
     recv: FlowTable<RecvFlow>,
     /// Incoming flows currently in progress — the `N` of FNCC ACKs.
     active_incoming: u32,
@@ -45,6 +63,7 @@ impl DcHost {
             cfg,
             pending: FlowTable::new(),
             send: FlowTable::new(),
+            retired: FlowTable::new(),
             recv: FlowTable::new(),
             active_incoming: 0,
         }
@@ -62,19 +81,17 @@ impl DcHost {
         self.active_incoming
     }
 
-    /// Sender-side pacing rate of a flow, if live.
-    pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
-        self.send.get(id).map(|sf| sf.cc.pacing_rate_bps())
-    }
-
     /// True once every byte of the flow has been acknowledged.
     pub fn flow_done(&self, id: FlowId) -> bool {
-        self.send.get(id).map(|sf| sf.done).unwrap_or(false)
+        self.retired.get(id).is_some()
     }
 
     /// LHCS trigger count of an FNCC flow (ablation diagnostics).
     pub fn lhcs_triggers(&self, id: FlowId) -> Option<u64> {
-        self.send.get(id)?.cc.lhcs_triggers()
+        match self.send.get(id) {
+            Some(sf) => sf.cc.lhcs_triggers(),
+            None => self.retired.get(id)?.lhcs_triggers,
+        }
     }
 
     fn start_flow(&mut self, ctx: &mut HostCtx<'_, HostTimer>, id: FlowId) {
@@ -110,9 +127,6 @@ impl DcHost {
         let Some(sf) = self.send.get_mut(id) else {
             return;
         };
-        if sf.done {
-            return;
-        }
         let payload_max = ctx.cfg.mtu_payload() as u64;
         loop {
             if sf.remaining() == 0 {
@@ -204,10 +218,6 @@ impl DcHost {
         let Some(deadline) = sf.rto_deadline else {
             return;
         };
-        if sf.done {
-            sf.rto_deadline = None;
-            return;
-        }
         let now = ctx.now();
         if now < deadline {
             ctx.schedule(deadline - now, HostTimer::Rto(id));
@@ -343,9 +353,30 @@ impl DcHost {
 
     fn on_ack(&mut self, ctx: &mut HostCtx<'_, HostTimer>, mut pkt: Box<Packet>) {
         let id = pkt.flow;
-        let reversed = self.cfg.algo.kind().int_in_ack_reversed();
         ctx.telemetry.counters.int_truncations += pkt.int_dropped() as u64;
+        if self.cfg.algo.kind().int_in_ack_reversed() {
+            // FNCC ACKs collected INT in return-path order; normalise in
+            // place (the box is consumed below, no copy needed).
+            pkt.reverse_int();
+        }
+        // Fig. 12 instrumentation: how stale is each hop's telemetry on
+        // arrival at the sender? Counted for every ACK, also a duplicate
+        // that reaches a retired flow.
+        for (hop, rec) in pkt.int().iter().enumerate() {
+            ctx.telemetry
+                .note_int_age(hop, ctx.now().since(rec.ts).as_secs_f64());
+            if ctx.telemetry.trace.enabled() {
+                ctx.telemetry.trace.record(TraceEvent::IntRecord {
+                    t_ps: ctx.now().as_ps(),
+                    flow: id.0,
+                    hop: hop as u8,
+                    age_ps: ctx.now().since(rec.ts).as_ps(),
+                });
+            }
+        }
         let Some(sf) = self.send.get_mut(id) else {
+            // A go-back-N duplicate for a flow already fully acknowledged.
+            debug_assert!(self.retired.get(id).is_some(), "ACK for unsent {id:?}");
             ctx.recycle(pkt);
             return;
         };
@@ -367,25 +398,6 @@ impl DcHost {
                 sf.rto_deadline = Some(ctx.now() + rec.rto(0));
             }
         }
-        if reversed {
-            // FNCC ACKs collected INT in return-path order; normalise in
-            // place (the box is consumed below, no copy needed).
-            pkt.reverse_int();
-        }
-        // Fig. 12 instrumentation: how stale is each hop's telemetry on
-        // arrival at the sender?
-        for (hop, rec) in pkt.int().iter().enumerate() {
-            ctx.telemetry
-                .note_int_age(hop, ctx.now().since(rec.ts).as_secs_f64());
-            if ctx.telemetry.trace.enabled() {
-                ctx.telemetry.trace.record(TraceEvent::IntRecord {
-                    t_ps: ctx.now().as_ps(),
-                    flow: id.0,
-                    hop: hop as u8,
-                    age_ps: ctx.now().since(rec.ts).as_ps(),
-                });
-            }
-        }
         let view = AckView {
             now: ctx.now(),
             seq: pkt.seq,
@@ -405,11 +417,17 @@ impl DcHost {
                 .record(rate_update(ctx.now(), id, &sf.cc));
         }
         let done = sf.acked >= sf.spec.size;
-        if done {
-            sf.done = true;
-        }
         ctx.recycle(pkt);
-        if !done {
+        if done {
+            // Retire: the CC state goes; its outstanding timers find no
+            // entry and lapse.
+            let sf = self.send.remove(id).expect("live flow");
+            let retired = RetiredFlow {
+                tx_bytes: sf.tx_bytes,
+                lhcs_triggers: sf.cc.lhcs_triggers(),
+            };
+            self.retired.insert(id, retired);
+        } else {
             self.pump(ctx, id);
         }
     }
@@ -453,15 +471,14 @@ impl HostLogic for DcHost {
     }
 
     fn cc_rate_bps(&self, flow: FlowId) -> Option<f64> {
-        let sf = self.send.get(flow)?;
-        if sf.done {
-            return None;
-        }
-        Some(sf.cc.pacing_rate_bps())
+        self.send.get(flow).map(|sf| sf.cc.pacing_rate_bps())
     }
 
     fn sent_bytes(&self, flow: FlowId) -> u64 {
-        self.send.get(flow).map_or(0, |sf| sf.tx_bytes)
+        match self.send.get(flow) {
+            Some(sf) => sf.tx_bytes,
+            None => self.retired.get(flow).map_or(0, |r| r.tx_bytes),
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut HostCtx<'_, HostTimer>, timer: HostTimer) {
@@ -477,9 +494,6 @@ impl HostLogic for DcHost {
                 let Some(sf) = self.send.get_mut(id) else {
                     return;
                 };
-                if sf.done {
-                    return;
-                }
                 if let Some(next) = sf.cc.tick(ctx.now()) {
                     ctx.schedule(next, HostTimer::CcTick(id));
                 }
@@ -661,20 +675,14 @@ mod tests {
         assert_eq!(eng.model.telemetry.counters.drops, 0);
     }
 
-    #[test]
-    fn fncc_lhcs_fires_under_last_hop_incast() {
-        // 4 senders on a star incast into the receiver's link — the single
-        // switch is the flows' last (and only) hop, so this is genuine
-        // last-hop congestion.
-        let topo = Topology::star(5, BW, PROP);
-        let base_rtt = topo.base_rtt(1518, 70);
-        let algo = CcAlgo::Fncc(FnccConfig::paper_default(BW, base_rtt));
+    /// A star with `n` hosts, INT on ACKs, running `algo` over `flows`.
+    fn build_star(n: u32, algo: CcAlgo, flows: Vec<FlowSpec>) -> Engine<Fabric<DcHost>> {
+        let topo = Topology::star(n, BW, PROP);
         let mut cfg = FabricConfig::paper_default();
         cfg.int = IntInsertion::OnAck;
         let tcfg = TransportConfig::new(algo);
-        let hosts: Vec<DcHost> = (0..5).map(|_| DcHost::new(tcfg.clone())).collect();
+        let hosts: Vec<DcHost> = (0..n).map(|_| DcHost::new(tcfg.clone())).collect();
         let mut fabric = Fabric::new(&topo, cfg, hosts);
-        let flows: Vec<FlowSpec> = (0..4).map(|i| flow(i, i, 4, 2_000_000, 0)).collect();
         fabric
             .telemetry
             .register_flows(flows.iter().map(FlowSpec::record));
@@ -691,6 +699,22 @@ mod tests {
                 },
             );
         }
+        eng
+    }
+
+    /// FNCC with the star's base RTT.
+    fn star_fncc(n: u32) -> CcAlgo {
+        let base_rtt = Topology::star(n, BW, PROP).base_rtt(1518, 70);
+        CcAlgo::Fncc(FnccConfig::paper_default(BW, base_rtt))
+    }
+
+    #[test]
+    fn fncc_lhcs_fires_under_last_hop_incast() {
+        // 4 senders on a star incast into the receiver's link — the single
+        // switch is the flows' last (and only) hop, so this is genuine
+        // last-hop congestion.
+        let flows: Vec<FlowSpec> = (0..4).map(|i| flow(i, i, 4, 2_000_000, 0)).collect();
+        let mut eng = build_star(5, star_fncc(5), flows);
         eng.run_until(SimTime::from_ms(1));
         let total: u64 = (0..4)
             .map(|i| {
@@ -700,6 +724,46 @@ mod tests {
             })
             .sum();
         assert!(total > 0, "LHCS never fired under 4:1 last-hop incast");
+    }
+
+    /// A flow leaves `send` at its final ACK. What outlives it — the
+    /// flow-rate probe's byte counter, the LHCS count, "done" — answers as
+    /// it did while the sender kept every flow's state to the end of the
+    /// run (the LHCS counts are those that sender read).
+    #[test]
+    fn finished_flows_leave_the_send_table() {
+        // Three 4:1 incast waves into host 4; sender i runs flows i, i + 4
+        // and i + 8 back to back.
+        let size = 300_000;
+        let flows: Vec<FlowSpec> = (0..12)
+            .map(|f| flow(f, f % 4, 4, size, 200 * (f / 4) as u64))
+            .collect();
+        let mut eng = build_star(5, star_fncc(5), flows);
+        eng.run_until(SimTime::from_ms(5));
+        assert!(eng.model.telemetry.all_flows_finished());
+        const LHCS: [u64; 12] = [53, 53, 53, 54, 53, 53, 53, 54, 53, 53, 53, 54];
+        for f in 0..12 {
+            let host = &eng.model.hosts[(f % 4) as usize];
+            assert!(host.flow_done(FlowId(f)), "flow {f}");
+            assert_eq!(host.sent_bytes(FlowId(f)), size, "flow {f}");
+            assert_eq!(
+                host.lhcs_triggers(FlowId(f)),
+                Some(LHCS[f as usize]),
+                "flow {f}"
+            );
+            assert_eq!(host.cc_rate_bps(FlowId(f)), None, "flow {f}");
+        }
+        assert!(LHCS.iter().sum::<u64>() > 0, "the incast never fired LHCS");
+        for host in &eng.model.hosts {
+            assert!(host.pending.is_empty() && host.send.is_empty());
+        }
+        // A non-FNCC sender retires with no LHCS count.
+        let mut eng = build(2, hpcc(), |_| {}, vec![flow(0, 0, 2, size, 0)]);
+        eng.run_until(SimTime::from_ms(5));
+        let host = &eng.model.hosts[0];
+        assert!(host.flow_done(FlowId(0)) && host.send.is_empty());
+        assert_eq!(host.sent_bytes(FlowId(0)), size);
+        assert_eq!(host.lhcs_triggers(FlowId(0)), None);
     }
 
     #[test]
@@ -732,8 +796,8 @@ mod tests {
         eng.run_until(SimTime::from_us(300));
         assert!(eng.model.telemetry.counters.ecn_marks > 0, "no ECN marks");
         assert!(eng.model.telemetry.counters.cnps_delivered > 0, "no CNPs");
-        let r0 = eng.model.hosts[0].flow_rate(FlowId(0)).unwrap();
-        let r1 = eng.model.hosts[1].flow_rate(FlowId(1)).unwrap();
+        let r0 = eng.model.hosts[0].cc_rate_bps(FlowId(0)).unwrap();
+        let r1 = eng.model.hosts[1].cc_rate_bps(FlowId(1)).unwrap();
         assert!(r0 < 100e9 && r1 < 100e9, "rates did not drop: {r0} {r1}");
     }
 
@@ -747,7 +811,7 @@ mod tests {
             vec![flow(0, 0, 2, 3_000_000, 0), flow(1, 1, 2, 3_000_000, 0)],
         );
         eng.run_until(SimTime::from_us(500));
-        let r0 = eng.model.hosts[0].flow_rate(FlowId(0)).unwrap();
+        let r0 = eng.model.hosts[0].cc_rate_bps(FlowId(0)).unwrap();
         assert!(r0 < 100e9, "RoCC rate never advertised down: {r0}");
     }
 
@@ -855,6 +919,54 @@ mod tests {
         assert!(t.counters.fault_drops > 0, "loss window never dropped");
         assert!(t.counters.retx > 0, "no retransmissions recorded");
         assert!(t.counters.rtos > 0, "no RTO fired");
+    }
+
+    /// ACKs back to the sender crawl (switch 0's port to host 0 at 100×
+    /// its propagation delay, 150 µs) past the 100 µs RTO floor, so the
+    /// sender rewinds and resends frames the receiver already holds. Their
+    /// duplicate ACKs arrive after the original ACK stream has retired the
+    /// flow: each is recycled and still feeds the INT-age statistics.
+    #[test]
+    fn duplicate_ack_for_a_retired_flow_is_recycled_and_counted() {
+        let mut eng = build_t(
+            2,
+            with_recovery(hpcc()),
+            |cfg| {
+                cfg.faults.push(FaultSpec::LinkDegrade {
+                    switch: 0,
+                    port: 0,
+                    from_us: 0,
+                    to_us: 20_000,
+                    rate_factor: 1.0,
+                    delay_factor: 100.0,
+                });
+            },
+            vec![flow(0, 0, 2, 200_000, 0)],
+        );
+        let mut t = SimTime::ZERO;
+        while !eng.model.hosts[0].flow_done(FlowId(0)) {
+            t += TimeDelta::from_us(1);
+            assert!(t < SimTime::from_ms(5), "flow never finished");
+            eng.run_until(t);
+        }
+        assert!(eng.model.hosts[0].send.is_empty());
+        let telem = &eng.model.telemetry;
+        assert!(telem.counters.rtos > 0, "no rewind");
+        let acks = telem.counters.acks_delivered;
+        let samples: Vec<u64> = (0..3).map(|hop| telem.int_age_samples(hop)).collect();
+        eng.run_until(SimTime::from_ms(20));
+        let telem = &eng.model.telemetry;
+        let late = telem.counters.acks_delivered - acks;
+        assert!(late > 0, "no duplicate ACK reached the retired flow");
+        for (hop, before) in samples.into_iter().enumerate() {
+            assert_eq!(telem.int_age_samples(hop) - before, late, "hop {hop}");
+        }
+        // The rewound frames count: the retired counter includes them.
+        assert!(eng.model.hosts[0].sent_bytes(FlowId(0)) > 200_000);
+        // Drained: every frame and INT stack came back to the pool.
+        let pool = &eng.model.pool;
+        assert_eq!(pool.free_len() as u64, pool.fresh_allocs());
+        assert_eq!(pool.free_stacks() as u64, pool.fresh_stacks());
     }
 
     #[test]

@@ -80,7 +80,7 @@ proptest! {
     #[test]
     fn ideal_fct_monotone(size_a in 1u64..50_000_000, size_b in 1u64..50_000_000) {
         let topo = Topology::dumbbell(2, 3, Bandwidth::gbps(100), TimeDelta::from_ns(1500));
-        let path = topo.trace_path(HostId(0), HostId(2), FlowId(0));
+        let path: Vec<_> = topo.path_hops(HostId(0), HostId(2), FlowId(0)).collect();
         let fct = |s| topo.ideal_fct_on(&path, s, 1456, 62);
         let (lo, hi) = if size_a <= size_b { (size_a, size_b) } else { (size_b, size_a) };
         prop_assert!(fct(lo) <= fct(hi));
