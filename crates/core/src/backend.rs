@@ -348,11 +348,6 @@ pub enum SimBackend {
 }
 
 impl SimBackend {
-    /// Parse a CLI name (case-insensitive; see also the [`FromStr`] impl).
-    pub fn parse(s: &str) -> Option<SimBackend> {
-        s.parse().ok()
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -879,13 +874,14 @@ mod tests {
 
     #[test]
     fn backend_parse_roundtrip() {
-        assert_eq!(SimBackend::parse("packet"), Some(SimBackend::Packet));
-        assert_eq!(SimBackend::parse("des"), Some(SimBackend::Packet));
-        assert_eq!(SimBackend::parse("fluid"), Some(SimBackend::Fluid));
-        assert_eq!(SimBackend::parse("flow"), Some(SimBackend::Fluid));
-        assert_eq!(SimBackend::parse("hybrid"), Some(SimBackend::Hybrid));
-        assert_eq!(SimBackend::parse("cosim"), Some(SimBackend::Hybrid));
-        assert_eq!(SimBackend::parse("quantum"), None);
+        let parse = |s: &str| s.parse::<SimBackend>().ok();
+        assert_eq!(parse("packet"), Some(SimBackend::Packet));
+        assert_eq!(parse("des"), Some(SimBackend::Packet));
+        assert_eq!(parse("fluid"), Some(SimBackend::Fluid));
+        assert_eq!(parse("flow"), Some(SimBackend::Fluid));
+        assert_eq!(parse("hybrid"), Some(SimBackend::Hybrid));
+        assert_eq!(parse("cosim"), Some(SimBackend::Hybrid));
+        assert_eq!(parse("quantum"), None);
         assert_eq!(SimBackend::default(), SimBackend::Packet);
         assert_eq!(format!("{}", SimBackend::Fluid), "fluid");
     }

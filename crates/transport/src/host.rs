@@ -10,6 +10,7 @@ use fncc_net::ids::FlowId;
 use fncc_net::packet::{Packet, PacketKind};
 use fncc_net::units::CNP_BYTES;
 use fncc_obs::TraceEvent;
+use std::collections::hash_map::Entry;
 
 /// Host timer payloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,7 +39,9 @@ struct RetiredFlow {
 ///
 /// A sent flow moves through three tables: `pending` from `add_flow` to
 /// its `FlowStart` timer, `send` until the cumulative ACK covers its last
-/// byte, then `retired`, which keeps two counters and no CC state.
+/// byte, then `retired`, which keeps two counters and no CC state. Every
+/// table, `recv` too, is a `std` `HashMap` keyed by flow id (`FlowTable`),
+/// so it is sized by the flows this host carries, not by the run's ids.
 pub struct DcHost {
     cfg: TransportConfig,
     /// Registered flows awaiting their start timer.
@@ -61,10 +64,10 @@ impl DcHost {
     pub fn new(cfg: TransportConfig) -> Self {
         DcHost {
             cfg,
-            pending: FlowTable::new(),
-            send: FlowTable::new(),
-            retired: FlowTable::new(),
-            recv: FlowTable::new(),
+            pending: FlowTable::default(),
+            send: FlowTable::default(),
+            retired: FlowTable::default(),
+            recv: FlowTable::default(),
             active_incoming: 0,
         }
     }
@@ -83,21 +86,21 @@ impl DcHost {
 
     /// True once every byte of the flow has been acknowledged.
     pub fn flow_done(&self, id: FlowId) -> bool {
-        self.retired.get(id).is_some()
+        self.retired.contains_key(&id)
     }
 
     /// LHCS trigger count of an FNCC flow (ablation diagnostics).
     pub fn lhcs_triggers(&self, id: FlowId) -> Option<u64> {
-        match self.send.get(id) {
+        match self.send.get(&id) {
             Some(sf) => sf.cc.lhcs_triggers(),
-            None => self.retired.get(id)?.lhcs_triggers,
+            None => self.retired.get(&id)?.lhcs_triggers,
         }
     }
 
     fn start_flow(&mut self, ctx: &mut HostCtx<'_, HostTimer>, id: FlowId) {
         let spec = self
             .pending
-            .remove(id)
+            .remove(&id)
             .expect("FlowStart for unregistered flow");
         debug_assert_eq!(spec.src, ctx.host());
         let cc = self.cfg.algo.new_flow();
@@ -124,7 +127,7 @@ impl DcHost {
     fn pump(&mut self, ctx: &mut HostCtx<'_, HostTimer>, id: FlowId) {
         let cfg = &self.cfg;
         let recovery = cfg.recovery;
-        let Some(sf) = self.send.get_mut(id) else {
+        let Some(sf) = self.send.get_mut(&id) else {
             return;
         };
         let payload_max = ctx.cfg.mtu_payload() as u64;
@@ -212,7 +215,7 @@ impl DcHost {
         let Some(rec) = self.cfg.recovery else {
             return;
         };
-        let Some(sf) = self.send.get_mut(id) else {
+        let Some(sf) = self.send.get_mut(&id) else {
             return;
         };
         let Some(deadline) = sf.rto_deadline else {
@@ -282,10 +285,13 @@ impl DcHost {
         let cfg_ack_every = self.cfg.ack_every;
         let cnp_interval = self.cfg.cnp_interval;
         let recovery_on = self.cfg.recovery.is_some();
-        let (rf, inserted) = self.recv.get_or_insert_with(id, RecvFlow::new);
-        if inserted {
-            self.active_incoming += 1;
-        }
+        let rf = match self.recv.entry(id) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.active_incoming += 1;
+                e.insert(RecvFlow::new())
+            }
+        };
         if recovery_on && pkt.seq != rf.expected {
             // Go-back-N receiver: a gap (the preceding frame was lost
             // upstream) or a duplicate (retransmission overshoot / lost
@@ -301,9 +307,6 @@ impl DcHost {
         rf.expected = pkt.seq + pkt.payload as u64;
         rf.frames_since_ack += 1;
         let is_last = pkt.last_of_flow;
-        if is_last {
-            rf.finished = true;
-        }
         let want_cnp = pkt.ecn
             && rf
                 .last_cnp
@@ -374,9 +377,9 @@ impl DcHost {
                 });
             }
         }
-        let Some(sf) = self.send.get_mut(id) else {
+        let Some(sf) = self.send.get_mut(&id) else {
             // A go-back-N duplicate for a flow already fully acknowledged.
-            debug_assert!(self.retired.get(id).is_some(), "ACK for unsent {id:?}");
+            debug_assert!(self.retired.contains_key(&id), "ACK for unsent {id:?}");
             ctx.recycle(pkt);
             return;
         };
@@ -421,7 +424,7 @@ impl DcHost {
         if done {
             // Retire: the CC state goes; its outstanding timers find no
             // entry and lapse.
-            let sf = self.send.remove(id).expect("live flow");
+            let sf = self.send.remove(&id).expect("live flow");
             let retired = RetiredFlow {
                 tx_bytes: sf.tx_bytes,
                 lhcs_triggers: sf.cc.lhcs_triggers(),
@@ -452,7 +455,7 @@ impl HostLogic for DcHost {
             PacketKind::Data => self.on_data(ctx, pkt),
             PacketKind::Ack => self.on_ack(ctx, pkt),
             PacketKind::Cnp => {
-                if let Some(sf) = self.send.get_mut(pkt.flow) {
+                if let Some(sf) = self.send.get_mut(&pkt.flow) {
                     let span = ctx.telemetry.cc_span();
                     sf.cc.on_cnp(ctx.now());
                     ctx.telemetry.cc_span_end(span);
@@ -471,13 +474,13 @@ impl HostLogic for DcHost {
     }
 
     fn cc_rate_bps(&self, flow: FlowId) -> Option<f64> {
-        self.send.get(flow).map(|sf| sf.cc.pacing_rate_bps())
+        self.send.get(&flow).map(|sf| sf.cc.pacing_rate_bps())
     }
 
     fn sent_bytes(&self, flow: FlowId) -> u64 {
-        match self.send.get(flow) {
+        match self.send.get(&flow) {
             Some(sf) => sf.tx_bytes,
-            None => self.retired.get(flow).map_or(0, |r| r.tx_bytes),
+            None => self.retired.get(&flow).map_or(0, |r| r.tx_bytes),
         }
     }
 
@@ -485,13 +488,13 @@ impl HostLogic for DcHost {
         match timer {
             HostTimer::FlowStart(id) => self.start_flow(ctx, id),
             HostTimer::Pace(id) => {
-                if let Some(sf) = self.send.get_mut(id) {
+                if let Some(sf) = self.send.get_mut(&id) {
                     sf.pace_pending = false;
                 }
                 self.pump(ctx, id);
             }
             HostTimer::CcTick(id) => {
-                let Some(sf) = self.send.get_mut(id) else {
+                let Some(sf) = self.send.get_mut(&id) else {
                     return;
                 };
                 if let Some(next) = sf.cc.tick(ctx.now()) {

@@ -276,8 +276,9 @@ proptest! {
 
 proptest! {
     /// Go-back-N under arbitrary seeded drop patterns (random per-frame
-    /// loss, optionally compounded by a link flap that drops a whole window
-    /// in flight and reorders delivery around the outage): the flow must
+    /// loss, optionally compounded by a link flap that drops the back half
+    /// of the first window in flight and reorders delivery around the
+    /// outage): the flow must
     /// finish — the cumulative-ACK receiver accepts every byte exactly once
     /// in order, so `all_flows_finished` certifies exactly-once delivery —
     /// and back-to-back RTO expiries with no ACK progress must never shrink
@@ -300,8 +301,9 @@ proptest! {
 
         let bw = Bandwidth::gbps(100);
         let topo = Topology::dumbbell(2, 3, bw, TimeDelta::from_ns(1500));
-        let algo = CcAlgo::Hpcc(HpccConfig::paper_default(bw, TimeDelta::from_us(13)));
-        let tcfg = TransportConfig::new(algo).with_recovery(RecoveryConfig::paper_default());
+        let hpcc = HpccConfig::paper_default(bw, TimeDelta::from_us(13));
+        let tcfg = TransportConfig::new(CcAlgo::Hpcc(hpcc.clone()))
+            .with_recovery(RecoveryConfig::paper_default());
         let mut cfg = FabricConfig::paper_default();
         apply_cc_features(&mut cfg, tcfg.algo.kind(), bw);
         cfg.seed = seed;
@@ -314,7 +316,13 @@ proptest! {
             probability: prob,
         });
         if flap {
-            cfg.faults.push(FaultSpec::LinkDown { switch, port, at_us: 20 });
+            // The sender emits its first window (the BDP, or the whole flow)
+            // back to back at line rate from t = 0. The link fails halfway
+            // through that window, so every later frame of it reaches the
+            // dead port and is dropped, whatever the flow's size.
+            let first_window = (size as f64).min(hpcc.bdp());
+            let at_us = (first_window * 8.0 / bw.as_f64() * 1e6 / 2.0) as u64;
+            cfg.faults.push(FaultSpec::LinkDown { switch, port, at_us });
             cfg.faults.push(FaultSpec::LinkUp { switch, port, at_us: 200 });
         }
         let hosts: Vec<DcHost> = (0..topo.n_hosts).map(|_| DcHost::new(tcfg.clone())).collect();
