@@ -278,11 +278,11 @@ proptest! {
     /// Go-back-N under arbitrary seeded drop patterns (random per-frame
     /// loss, optionally compounded by a link flap that drops the back half
     /// of the first window in flight and reorders delivery around the
-    /// outage): the flow must
-    /// finish — the cumulative-ACK receiver accepts every byte exactly once
-    /// in order, so `all_flows_finished` certifies exactly-once delivery —
-    /// and back-to-back RTO expiries with no ACK progress must never shrink
-    /// the timeout (exponential backoff is monotone within a loss episode).
+    /// outage): the flow must finish — the cumulative-ACK receiver accepts
+    /// every byte exactly once in order, so `all_flows_finished` certifies
+    /// exactly-once delivery — and back-to-back RTO expiries with no ACK
+    /// progress must never shrink the timeout (exponential backoff is
+    /// monotone within a loss episode).
     #[test]
     fn go_back_n_survives_seeded_loss_with_monotone_backoff(
         seed in 0u64..10_000,
