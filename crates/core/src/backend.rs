@@ -18,7 +18,9 @@
 //! `DESIGN.md` for when to use which.
 //!
 //! Everything the three `run_traced` bodies have in common — seed horizon,
-//! per-seed flow table, first-seed metrics and trace artifact, the fault,
+//! per-seed flow table, the one recorder each seed's run hands over (its
+//! profiler on every seed, its metrics and trace artifact on the first),
+//! the fault,
 //! solver and event-rate scalars, the closing slowdown/`incomplete_flows`/
 //! span block — lives once in `ReportBuilder` and the small tallies next
 //! to it. Reports serialise scalars in insertion order, so each engine
@@ -39,9 +41,9 @@ use fncc_des::time::{SimTime, TimeDelta};
 use fncc_fluid::{FluidResult, FluidSim, Framing, RateModel};
 use fncc_net::config::FabricConfig;
 use fncc_net::ids::{FlowId, NodeRef, SwitchId};
-use fncc_net::telemetry::{Counters, FlowRecord, Probe, Telemetry};
+use fncc_net::telemetry::{Counters, FlowRecord, Probe};
 use fncc_net::topology::Topology;
-use fncc_obs::{Profiler, TraceMeta};
+use fncc_obs::{Profiler, Recorder, TraceMeta};
 use fncc_transport::{FlowSpec, RecoveryConfig};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -135,12 +137,17 @@ impl<'a> ReportBuilder<'a> {
         ));
     }
 
-    /// First-seed extras out of the (packet-side) telemetry: the metrics
+    /// Read the one recorder seed number `seed_ix`'s run handed over: its
+    /// profiler on every seed; on the first seed also its metrics
     /// registry's scalars, and the `fncc.trace/v1` artifact when the
     /// scenario arms tracing. Trace output is best-effort diagnostics:
     /// failures warn on stderr, never fail the run.
-    fn first_seed(&mut self, seed: u64, telem: &Telemetry) {
-        for (name, v) in telem.metrics.scalar_pairs() {
+    fn recorder(&mut self, seed_ix: usize, seed: u64, rec: &Recorder) {
+        self.prof.absorb(&rec.profiler);
+        if seed_ix > 0 {
+            return;
+        }
+        for (name, v) in rec.metrics.scalar_pairs() {
             self.report.put_scalar(name, v);
         }
         if !self.sc.probes.trace {
@@ -155,7 +162,7 @@ impl<'a> ReportBuilder<'a> {
             backend: self.report.backend.clone(),
             seed,
         };
-        let sink = &telem.trace;
+        let sink = &rec.trace;
         let res = std::fs::File::create(&path).and_then(|f| {
             let mut w = std::io::BufWriter::new(f);
             sink.write_jsonl(&mut w, &meta)
@@ -480,9 +487,6 @@ impl Backend for PacketBackend {
                     run.run_to_completion(TimeDelta::from_ms(1), horizon);
                 }
             }
-            // Before `harvest`, which moves the per-shard telemetry (and
-            // its profiler) out.
-            run.absorb_profilers(&mut rb.prof);
             if sc.threads >= 1 {
                 // Epochs, frames and violations sum across seeds; the
                 // partition shape is per-topology and therefore identical
@@ -521,7 +525,9 @@ impl Backend for PacketBackend {
                 let watched = probes.iter().filter_map(|(_, name)| telem.series(name));
                 rb.report.series.extend(watched.cloned());
                 extract_scalars(&mut rb.report, sc, &run, cp, &flows);
-                rb.first_seed(seed, telem);
+            }
+            rb.recorder(seed_ix, seed, &telem.rec);
+            if seed_ix == 0 {
                 let (fresh, rec) = run.pool_stats();
                 if fresh + rec > 0 {
                     let hit_rate = rec as f64 / (fresh + rec) as f64;
@@ -631,8 +637,9 @@ fn extract_scalars(
             // INT freshness per hop (Fig. 2/12) and LHCS trigger count.
             // Hops without samples are compacted out, so the scalar index
             // is dense — consumers may stop at the first missing index.
-            let ages: Vec<f64> = (0..telem.int_age_hops())
-                .filter_map(|h| telem.mean_int_age(h).map(|a| a * 1e6))
+            let c = &telem.counters;
+            let ages: Vec<f64> = (0..c.int_age_hops())
+                .filter_map(|h| c.mean_int_age(h).map(|a| a * 1e6))
                 .collect();
             for (i, age) in ages.into_iter().enumerate() {
                 report.put_scalar(format!("int_age_us_hop{i}"), age);
@@ -718,17 +725,14 @@ impl Backend for FluidBackend {
                 .trace(rb.tracing(seed_ix))
                 .run()
                 .unwrap_or_else(|e| panic!("fluid backend on '{}': {e}", sc.name));
-            rerouted += result.telemetry.counters.rerouted_flows;
+            rerouted += result.rerouted_flows;
             rb.unfinished(result.records());
             rb.slowdowns(&topo, result.records(), framing);
             rb.report.events += result.reallocations;
             peak_active = peak_active.max(result.peak_active);
             horizon = horizon.max(result.horizon);
             solver.add(&result);
-            rb.prof.absorb(&result.profiler);
-            if seed_ix == 0 {
-                rb.first_seed(seed, &result.telemetry);
-            }
+            rb.recorder(seed_ix, seed, &result.rec);
         }
         rb.finish(|report| {
             report.put_scalar("peak_active", peak_active as f64);
@@ -826,14 +830,10 @@ impl Backend for HybridBackend {
             single_bottleneck += result.single_bottleneck_solves;
             peak_bg_active = peak_bg_active.max(result.peak_bg_active);
             faults.add(&result.fg.counters);
-            faults.rerouted += result.bg.telemetry.counters.rerouted_flows;
+            faults.rerouted += result.bg.rerouted_flows;
             int_truncations += result.fg.counters.int_truncations;
             solver.add(&result.bg);
-            rb.prof.absorb(&result.fg.profiler);
-            rb.prof.absorb(&result.bg.profiler);
-            if seed_ix == 0 {
-                rb.first_seed(seed, &result.fg);
-            }
+            rb.recorder(seed_ix, seed, &result.fg.rec);
         }
 
         rb.finish(|report| {

@@ -49,7 +49,7 @@ use fncc_fluid::{BackgroundFluid, FluidError, FluidResult, Framing, RateModel};
 use fncc_net::fabric::Fabric;
 use fncc_net::ids::NodeRef;
 use fncc_net::telemetry::{FlowRecord, Telemetry};
-use fncc_obs::{CounterId, TraceEvent};
+use fncc_obs::TraceEvent;
 use fncc_transport::{DcHost, FlowSpec};
 
 /// Maximum interval between fluid↔packet synchronizations. Fluid
@@ -78,11 +78,13 @@ const RAMP_FLOOR: f64 = 0.25;
 /// Outcome of a completed hybrid run: the packet half's telemetry, the
 /// fluid half's result, and the coupling statistics.
 pub struct HybridResult {
-    /// Foreground (packet DES) telemetry: flow records, counters,
-    /// metrics, trace ring.
+    /// Foreground (packet DES) telemetry: flow records, counters and the
+    /// run's one recorder — the foreground's metrics and trace ring, and
+    /// the profiler spans of both halves.
     pub fg: Telemetry,
-    /// Background (fluid) result: flow records, solver statistics,
-    /// profiler.
+    /// Background (fluid) result: flow records and solver statistics. Its
+    /// metrics stay out of the report, and its profiler is folded into
+    /// `fg`'s.
     pub bg: FluidResult,
     /// Fluid↔packet synchronization boundaries taken.
     pub syncs: u64,
@@ -152,9 +154,6 @@ pub struct HybridSim {
     syncs: u64,
     reservations: u64,
     backlog_pushes: u64,
-    c_syncs: CounterId,
-    c_reservations: CounterId,
-    c_backlogs: CounterId,
 }
 
 impl HybridSim {
@@ -162,11 +161,11 @@ impl HybridSim {
     /// by [`SimBuilder::build`] with every flow, override, seed and probe
     /// it carries; `background` flows go to the fluid model under `model`,
     /// which must be calibrated for the builder's scheme. The builder's
-    /// topology, faults and trace flag apply to both halves — the
-    /// background derives its capacity boundaries from the fault list the
-    /// foreground fabric schedules, and hybrid coupling events land in the
-    /// foreground trace sink. Fails like the fluid backend on zero-capacity
-    /// links.
+    /// topology and faults apply to both halves — the background derives
+    /// its capacity boundaries from the fault list the foreground fabric
+    /// schedules. Its trace flag arms the foreground ring alone, where the
+    /// hybrid coupling events land too; the background is never traced.
+    /// Fails like the fluid backend on zero-capacity links.
     pub fn new(
         foreground: SimBuilder,
         background: Vec<FlowSpec>,
@@ -178,13 +177,8 @@ impl HybridSim {
         let cfg = &foreground.fabric;
         let base_rtt = topo.base_rtt(cfg.mtu, cfg.ack_base);
         let queue_debt = model.queue_rtts * base_rtt.as_secs_f64() * newcomer_queue_scale(kind);
-        let mut bg = BackgroundFluid::new(
-            topo.clone(),
-            model,
-            Framing::from(cfg),
-            background,
-            foreground.trace,
-        )?;
+        let mut bg =
+            BackgroundFluid::new(topo.clone(), model, Framing::from(cfg), background, false)?;
         bg.faults(&cfg.faults);
 
         // The foreground link set: every directed link some foreground
@@ -223,12 +217,7 @@ impl HybridSim {
         let mut fg_order: Vec<u32> = (0..fg_specs.len() as u32).collect();
         fg_order.sort_by_key(|&i| fg_specs[i as usize].start);
 
-        let mut fg = foreground.build();
-        let metrics = &mut fg.eng.model.telemetry.metrics;
-        let c_syncs = metrics.counter("hybrid_syncs");
-        let c_reservations = metrics.counter("hybrid_reservations");
-        let c_backlogs = metrics.counter("hybrid_backlog_pushes");
-
+        let fg = foreground.build();
         let fg_w = vec![0.0; fg_links.len()];
         let ramp = RAMP_RTTS * base_rtt.as_secs_f64();
         Ok(HybridSim {
@@ -247,9 +236,6 @@ impl HybridSim {
             syncs: 0,
             reservations: 0,
             backlog_pushes: 0,
-            c_syncs,
-            c_reservations,
-            c_backlogs,
         })
     }
 
@@ -488,8 +474,9 @@ impl HybridSim {
                     fabric.set_port_backlog(fl.node, fl.port, backlog);
                     self.fg_links[i].last_backlog = backlog;
                     n_back += 1;
-                    if fabric.telemetry.trace.enabled() {
-                        fabric.telemetry.trace.record(TraceEvent::HybridBacklog {
+                    let trace = &mut fabric.telemetry.rec.trace;
+                    if trace.enabled() {
+                        trace.record(TraceEvent::HybridBacklog {
                             t_ps,
                             link: fl.link,
                             backlog_bytes: backlog,
@@ -501,8 +488,9 @@ impl HybridSim {
                 self.bg.reserve(fl.link, target);
                 self.fg_links[i].last_reserved = target;
                 n_res += 1;
-                if fabric.telemetry.trace.enabled() {
-                    fabric.telemetry.trace.record(TraceEvent::HybridReserve {
+                let trace = &mut fabric.telemetry.rec.trace;
+                if trace.enabled() {
+                    trace.record(TraceEvent::HybridReserve {
                         t_ps,
                         link: fl.link,
                         load_bps: target,
@@ -516,12 +504,8 @@ impl HybridSim {
         self.syncs += 1;
         self.reservations += n_res as u64;
         self.backlog_pushes += n_back as u64;
-        let m = &mut fabric.telemetry.metrics;
-        m.inc(self.c_syncs, 1);
-        m.inc(self.c_reservations, n_res as u64);
-        m.inc(self.c_backlogs, n_back as u64);
-        if fabric.telemetry.trace.enabled() {
-            fabric.telemetry.trace.record(TraceEvent::HybridSync {
+        if fabric.telemetry.rec.trace.enabled() {
+            fabric.telemetry.rec.trace.record(TraceEvent::HybridSync {
                 t_ps,
                 reservations: n_res,
             });
@@ -530,14 +514,17 @@ impl HybridSim {
         Ok(())
     }
 
-    /// Finish the run: split out both halves' telemetry and the coupling
-    /// statistics.
+    /// Finish the run: split out both halves' results and the coupling
+    /// statistics, with the foreground engine's and the background's
+    /// profilers folded into the foreground recorder.
     pub fn into_result(mut self) -> HybridResult {
         let fg_events = self.fg.events_processed();
         let single_bottleneck_solves = self.bg.single_bottleneck_solves();
         let peak_bg_active = self.bg.peak_active();
-        let fg = std::mem::replace(&mut self.fg.eng.model.telemetry, Telemetry::new());
+        let mut fg = std::mem::take(&mut self.fg.eng.model.telemetry);
         let bg = self.bg.into_result();
+        fg.rec.profiler.absorb(self.fg.eng.profiler());
+        fg.rec.profiler.absorb(&bg.rec.profiler);
         HybridResult {
             fg,
             bg,
@@ -653,7 +640,8 @@ mod tests {
         assert!(r.syncs > 0);
     }
 
-    /// The coupling emits trace events and metrics when armed.
+    /// The coupling emits trace events into the foreground ring when
+    /// armed; the background ring stays unarmed.
     #[test]
     fn trace_records_hybrid_events() {
         let fg = fg(3, CcKind::Fncc, vec![flow(0, 0, 2, 200_000, 0)]).trace(true);
@@ -661,19 +649,13 @@ mod tests {
         let mut h = HybridSim::new(fg, bg, RateModel::paper_default(CcKind::Fncc)).unwrap();
         h.run_until(SimTime::from_ms(2)).unwrap();
         let r = h.into_result();
-        let kinds: Vec<&str> = r.fg.trace.events().map(|e| e.kind()).collect();
-        assert!(kinds.contains(&"hybrid_sync"));
-        assert!(kinds.contains(&"hybrid_reserve"));
-        assert!(kinds.contains(&"hybrid_backlog"));
-        let m: Vec<(String, u64)> =
-            r.fg.metrics
-                .counters()
-                .map(|(n, v)| (n.to_string(), v))
-                .collect();
-        let get = |name: &str| m.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap();
-        assert_eq!(get("hybrid_syncs"), r.syncs);
-        assert_eq!(get("hybrid_reservations"), r.reservations);
-        assert_eq!(get("hybrid_backlog_pushes"), r.backlog_pushes);
+        let kinds: Vec<&str> = r.fg.rec.trace.events().map(|e| e.kind()).collect();
+        let count = |k: &str| kinds.iter().filter(|&&e| e == k).count() as u64;
+        assert_eq!(count("hybrid_sync"), r.syncs);
+        assert_eq!(count("hybrid_reserve"), r.reservations);
+        assert_eq!(count("hybrid_backlog"), r.backlog_pushes);
+        assert!(r.backlog_pushes > 0);
+        assert!(!r.bg.rec.trace.enabled(), "the background is never traced");
     }
 
     /// Two identical runs produce byte-identical foreground FCTs and

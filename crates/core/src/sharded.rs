@@ -7,7 +7,8 @@
 //! cannot split (its `fallback` names why), run as a single [`Sim`] that
 //! owns every node: no shard context on the fabric, no lane, barrier
 //! or worker thread — `run_until`/`run_to_completion` are the replica's
-//! own, and [`ShardedSim::harvest`] moves its telemetry out untouched.
+//! own, and [`ShardedSim::harvest`] moves its telemetry out as recorded,
+//! the engine's profiler folded into its recorder.
 //! The partition map still supplies the event-ordering domains, which is
 //! what makes this run byte-identical to the pod-sharded one.
 //!
@@ -73,7 +74,6 @@ use fncc_net::partition::PartitionMap;
 use fncc_net::pool::StackDepot;
 use fncc_net::telemetry::Telemetry;
 use fncc_net::topology::Topology;
-use fncc_obs::{Profiler, TraceSink};
 use fncc_transport::{DcHost, HostTimer};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::thread::ThreadId;
@@ -396,14 +396,6 @@ impl ShardedSim {
         out
     }
 
-    /// Fold every shard's engine and telemetry profiler into `prof`.
-    pub fn absorb_profilers(&self, prof: &mut Profiler) {
-        for s in &self.shards {
-            prof.absorb(s.profiler());
-            prof.absorb(&s.telemetry().profiler);
-        }
-    }
-
     /// A host's transport state (from its owning shard, where it ran).
     pub fn host(&self, h: HostId) -> &DcHost {
         self.owner(NodeRef::Host(h)).host(h)
@@ -513,28 +505,23 @@ impl ShardedSim {
     }
 
     /// Collect the run's telemetry into one network-wide view (call
-    /// once, after the run). The one replica's is moved out as recorded.
-    /// Per-shard telemetry merges: counters sum, histograms absorb
+    /// once, after the run), each replica's DES-engine profiler folded into
+    /// its recorder first, so the run hands the backend one recorder. The
+    /// one replica's telemetry is moved out as recorded; pod shards merge
+    /// by [`Telemetry::merge_shard`]: counters sum, histograms absorb
     /// exactly, watch lists concatenate in shard order, the disjoint flow
     /// record sets form one list in ascending flow id, and per-shard
-    /// trace sinks interleave deterministically by `(timestamp, shard)`.
+    /// trace rings interleave deterministically by `(timestamp, shard)`.
     pub fn harvest(&mut self) -> &Telemetry {
         self.merged.get_or_insert_with(|| {
-            let trace = (self.shards.len() > 1).then(|| {
-                let sinks: Vec<&TraceSink> =
-                    self.shards.iter().map(|s| &s.telemetry().trace).collect();
-                TraceSink::merged(&sinks)
+            let mut iter = self.shards.iter_mut().map(|s| {
+                let mut t = std::mem::take(&mut s.eng.model.telemetry);
+                t.rec.profiler.absorb(s.eng.profiler());
+                t
             });
-            let mut iter = self
-                .shards
-                .iter_mut()
-                .map(|s| std::mem::take(&mut s.eng.model.telemetry));
             let mut merged = iter.next().expect("at least one replica");
             for t in iter {
                 merged.merge_shard(t);
-            }
-            if let Some(trace) = trace {
-                merged.trace = trace;
             }
             merged
         })

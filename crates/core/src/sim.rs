@@ -10,7 +10,7 @@ use fncc_net::partition::PartitionMap;
 use fncc_net::routing::CompiledRoutes;
 use fncc_net::telemetry::{Probe, Telemetry};
 use fncc_net::topology::Topology;
-use fncc_obs::{Profiler, TraceSink};
+use fncc_obs::TraceSink;
 use fncc_transport::{
     apply_cc_features, DcHost, FlowSpec, HostTimer, RecoveryConfig, TransportConfig,
 };
@@ -192,7 +192,7 @@ impl SimBuilder {
             fabric.telemetry.enable_sampling(every, until);
         }
         if self.trace {
-            fabric.telemetry.trace = TraceSink::with_capacity(TraceSink::DEFAULT_CAPACITY);
+            fabric.telemetry.rec.trace = TraceSink::with_capacity(TraceSink::DEFAULT_CAPACITY);
         }
 
         // A flow's record lives where it finishes: with its receiver. The
@@ -321,12 +321,6 @@ impl Sim {
     /// The live fabric (ports, switches, pause counters).
     pub fn fabric(&self) -> &Fabric<DcHost> {
         &self.eng.model
-    }
-
-    /// The engine's self-profiler (scheduler-pop and dispatch spans;
-    /// enabled only when `FNCC_PROFILE` is set).
-    pub fn profiler(&self) -> &Profiler {
-        self.eng.profiler()
     }
 
     /// Per-level cascade counts of the timing-wheel scheduler, if that

@@ -235,8 +235,6 @@ pub enum RunOutcome {
     HorizonReached,
     /// The event queue drained before the horizon.
     Idle,
-    /// The event budget was exhausted (runaway-model backstop).
-    BudgetExhausted,
 }
 
 /// Heartbeat state for the `--progress`/`FNCC_PROGRESS` stderr line.
@@ -280,7 +278,6 @@ pub struct Engine<M: Model> {
     /// Clock, queue, sequence counter and outbox (see [`Scheduler`]).
     sched: Scheduler<M::Event>,
     events_processed: u64,
-    event_budget: u64,
     peak_queue_len: usize,
     /// Self-profiling spans over the hot loop: scheduler pop, then dispatch
     /// (the model's handler, which files its schedules as it makes them) —
@@ -327,7 +324,6 @@ impl<M: Model> Engine<M> {
                 clamped: 0,
             },
             events_processed: 0,
-            event_budget: u64::MAX,
             peak_queue_len: 0,
             profiler,
             ph_pop,
@@ -370,11 +366,6 @@ impl<M: Model> Engine<M> {
         self.peak_queue_len = self.peak_queue_len.max(self.sched.queue.len());
     }
 
-    /// Cap the total number of events processed (safety backstop for tests).
-    pub fn set_event_budget(&mut self, budget: u64) {
-        self.event_budget = budget;
-    }
-
     /// Current simulation time (time of the most recently dispatched event).
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -388,8 +379,8 @@ impl<M: Model> Engine<M> {
     }
 
     /// Number of events waiting in the queue.
-    #[inline]
-    pub fn queue_len(&self) -> usize {
+    #[cfg(test)]
+    fn queue_len(&self) -> usize {
         self.sched.queue.len()
     }
 
@@ -463,9 +454,8 @@ impl<M: Model> Engine<M> {
         self.peak_queue_len = self.peak_queue_len.max(self.sched.queue.len());
     }
 
-    /// Run until simulation time strictly exceeds `horizon`, the queue
-    /// drains, or the event budget runs out. Events *at* the horizon are
-    /// processed.
+    /// Run until simulation time strictly exceeds `horizon` or the queue
+    /// drains. Events *at* the horizon are processed.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         let outcome = loop {
             match self.sched.queue.peek_time() {
@@ -476,9 +466,6 @@ impl<M: Model> Engine<M> {
                     break RunOutcome::HorizonReached;
                 }
                 Some(_) => {}
-            }
-            if self.events_processed >= self.event_budget {
-                break RunOutcome::BudgetExhausted;
             }
             self.step();
             if self.progress.is_some() && self.events_processed.is_multiple_of(PROGRESS_EVERY) {
@@ -495,7 +482,7 @@ impl<M: Model> Engine<M> {
         outcome
     }
 
-    /// Run until the queue drains or the budget runs out.
+    /// Run until the queue drains.
     pub fn run_until_idle(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
     }
@@ -652,22 +639,6 @@ mod tests {
         eng.schedule(SimTime::from_us(5), 1);
         assert_eq!(eng.run_until(SimTime::from_us(5)), RunOutcome::Idle);
         assert_eq!(eng.model.seen.len(), 1);
-    }
-
-    #[test]
-    fn event_budget_stops_runaway_models() {
-        struct Loopy;
-        impl Model for Loopy {
-            type Event = ();
-            fn handle(&mut self, _now: SimTime, _ev: (), sched: &mut Scheduler<()>) {
-                sched.after(TimeDelta::from_ns(1), ());
-            }
-        }
-        let mut eng = Engine::new(Loopy);
-        eng.set_event_budget(1000);
-        eng.schedule(SimTime::ZERO, ());
-        assert_eq!(eng.run_until_idle(), RunOutcome::BudgetExhausted);
-        assert_eq!(eng.events_processed(), 1000);
     }
 
     #[cfg(debug_assertions)]

@@ -225,9 +225,9 @@ pub fn pause_storm(opts: &RunOpts) {
             t.row([
                 fault_us.to_string(),
                 cc.name().to_string(),
-                telem.pause_episodes().to_string(),
-                f2(telem.pause_time_max().as_us_f64()),
-                f2(telem.pause_time_total().as_us_f64()),
+                telem.counters.pause_episodes.to_string(),
+                f2(telem.counters.pause_time_max.as_us_f64()),
+                f2(telem.counters.pause_time_total.as_us_f64()),
                 telem.counters.pfc_pause_tx.to_string(),
                 telem.counters.drops.to_string(),
                 done.to_string(),

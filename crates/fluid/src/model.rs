@@ -253,7 +253,8 @@ impl RateModel {
     }
 
     /// Override the utilization (clamped to `(0, 1]`).
-    pub fn with_utilization(mut self, eta: f64) -> Self {
+    #[cfg(test)]
+    fn with_utilization(mut self, eta: f64) -> Self {
         assert!(
             eta > 0.0 && eta <= 1.0,
             "utilization must be in (0,1], got {eta}"
@@ -263,7 +264,8 @@ impl RateModel {
     }
 
     /// Override the standing-queue delay.
-    pub fn with_queue_rtts(mut self, rtts: f64) -> Self {
+    #[cfg(test)]
+    fn with_queue_rtts(mut self, rtts: f64) -> Self {
         assert!(rtts >= 0.0 && rtts.is_finite());
         self.queue_rtts = rtts;
         self

@@ -56,12 +56,13 @@ use crate::model::RateModel;
 use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::config::FabricConfig;
 use fncc_net::fault::FaultSpec;
-use fncc_net::ids::{NodeRef, SwitchId};
+use fncc_net::ids::{FlowId, NodeRef, SwitchId};
 use fncc_net::routing::{egress_avoiding, flow_hash};
-use fncc_net::telemetry::{FlowRecord, Telemetry};
+use fncc_net::telemetry::FlowRecord;
 use fncc_net::topology::Topology;
-use fncc_obs::{HistId, PhaseId, Profiler, TraceEvent, TraceSink};
+use fncc_obs::{HistId, PhaseId, Recorder, TraceEvent};
 use fncc_transport::FlowSpec;
+use std::collections::BTreeSet;
 
 /// One scheduled boundary of a fault: `faults[ix]` takes effect
 /// (`opening`) or its window closes at `at`.
@@ -279,11 +280,14 @@ const UNFINISHED: SimTime = SimTime::MAX;
 
 /// Result of a fluid run.
 pub struct FluidResult {
-    /// Counters (`rerouted_flows`), the metrics registry (the `fct_us`
-    /// histogram and the resolve-set histogram) and the trace ring. The
-    /// flows themselves are not registered here: [`Self::records`] builds
-    /// their lifetime records from the specs and finish times.
-    pub telemetry: Telemetry,
+    /// The run's trace ring, its metrics registry (the `fct_us` histogram
+    /// and the resolve-set histogram) and its profiler (the solver span,
+    /// populated only when `FNCC_PROFILE` is set). The flows themselves
+    /// are not recorded here: [`Self::records`] builds their lifetime
+    /// records from the specs and finish times.
+    pub rec: Recorder,
+    /// Flows that took a detour around a dead link at least once.
+    pub rerouted_flows: u64,
     /// Max-min re-allocations performed (the event count).
     pub reallocations: u64,
     /// Peak number of concurrently active flows, sampled at the end of
@@ -300,9 +304,6 @@ pub struct FluidResult {
     /// mean residual size; a from-scratch loop would write
     /// `Σ active-set sizes`).
     pub rate_updates: u64,
-    /// Wall-clock spans over the solver (populated only when `FNCC_PROFILE`
-    /// is set; empty otherwise so reports stay deterministic).
-    pub profiler: Profiler,
     /// Every flow, in start order.
     specs: Vec<FlowSpec>,
     /// Finish instant per spec ([`UNFINISHED`] for a flow still draining
@@ -387,7 +388,7 @@ impl FluidSim {
     }
 
     /// Arm the flight-recorder trace sink: solver begin/end, flow add/remove
-    /// events land in the result telemetry's [`TraceSink`].
+    /// events land in the result recorder's trace ring.
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = on;
         self
@@ -487,10 +488,12 @@ pub struct BackgroundFluid {
     stalled: Vec<SlotState>,
     /// The active set or a capacity changed since the last rebalance.
     needs_resolve: bool,
-    telemetry: Telemetry,
-    profiler: Profiler,
+    rec: Recorder,
     ph_solve: PhaseId,
+    h_fct_us: HistId,
     h_resolve: HistId,
+    /// Flows that took a detour around a dead link (each counted once).
+    rerouted: BTreeSet<FlowId>,
     reallocations: u64,
     rate_updates: u64,
     peak_active: usize,
@@ -563,15 +566,12 @@ impl BackgroundFluid {
             flows.sort_by_key(|f| f.start);
         }
 
-        let mut telemetry = Telemetry::new();
-        if trace {
-            telemetry.trace = TraceSink::with_capacity(TraceSink::DEFAULT_CAPACITY);
-        }
-        let h_resolve = telemetry.metrics.histogram(hist);
+        let mut rec = Recorder::new(trace);
+        let h_fct_us = rec.metrics.histogram("fct_us");
+        let h_resolve = rec.metrics.histogram(hist);
+        let ph_solve = rec.profiler.phase(span);
         let mut filler = WaterFiller::new(links.len());
         filler.begin_incremental(&capacity_base);
-        let mut profiler = Profiler::from_env();
-        let ph_solve = profiler.phase(span);
         let n = links.len();
         let dead = topo
             .switches
@@ -610,10 +610,11 @@ impl BackgroundFluid {
             n_dead: 0,
             stalled: Vec::new(),
             needs_resolve: false,
-            telemetry,
-            profiler,
+            rec,
             ph_solve,
+            h_fct_us,
             h_resolve,
+            rerouted: BTreeSet::new(),
             reallocations: 0,
             rate_updates: 0,
             peak_active: 0,
@@ -855,9 +856,9 @@ impl BackgroundFluid {
                     };
                 }
             }
-            if self.telemetry.trace.enabled() {
+            if self.rec.trace.enabled() {
                 let t_ps = to_ps(self.t);
-                self.telemetry.trace.record(if down {
+                self.rec.trace.record(if down {
                     TraceEvent::LinkDown { t_ps, sw, port }
                 } else {
                     TraceEvent::LinkUp { t_ps, sw, port }
@@ -934,7 +935,7 @@ impl BackgroundFluid {
             st.rate = 0.0;
             self.filler.remove_flow(slot);
             if reachable {
-                self.telemetry.note_rerouted(spec.id);
+                self.rerouted.insert(spec.id);
                 let new_slot = self.filler.add_flow(&self.route_buf);
                 self.active[i] = new_slot;
                 self.place(new_slot, st);
@@ -1073,7 +1074,7 @@ impl BackgroundFluid {
             .sum()
     }
 
-    /// Finish the run: package the flows, their finish times, telemetry
+    /// Finish the run: package the flows, their finish times, the recorder
     /// and solver statistics. Flows still draining stay unfinished in the
     /// records (the hybrid driver stops at a scenario horizon, like the
     /// DES).
@@ -1089,14 +1090,14 @@ impl BackgroundFluid {
             specs,
             finish: self.finish,
             by_id,
-            telemetry: self.telemetry,
+            rec: self.rec,
+            rerouted_flows: self.rerouted.len() as u64,
             reallocations: self.reallocations,
             peak_active: self.peak_active,
             horizon: self.horizon,
             full_solves,
             incremental_solves,
             rate_updates: self.rate_updates,
-            profiler: self.profiler,
         }
     }
 
@@ -1139,8 +1140,8 @@ impl BackgroundFluid {
                 rate: 0.0,
                 max_cont: 0.0,
             };
-            if self.telemetry.trace.enabled() {
-                self.telemetry.trace.record(TraceEvent::FluidFlowAdd {
+            if self.rec.trace.enabled() {
+                self.rec.trace.record(TraceEvent::FluidFlowAdd {
                     t_ps: to_ps(self.t),
                     flow: s.id.0,
                 });
@@ -1156,7 +1157,7 @@ impl BackgroundFluid {
                 .is_some()
             {
                 if self.route_buf != self.path_buf {
-                    self.telemetry.note_rerouted(s.id);
+                    self.rerouted.insert(s.id);
                 }
                 &self.route_buf
             } else {
@@ -1175,25 +1176,24 @@ impl BackgroundFluid {
     /// saturation tracking.
     fn resolve(&mut self) -> Result<(), FluidError> {
         self.needs_resolve = false;
-        if self.telemetry.trace.enabled() {
-            self.telemetry.trace.record(TraceEvent::SolveBegin {
+        if self.rec.trace.enabled() {
+            self.rec.trace.record(TraceEvent::SolveBegin {
                 t_ps: to_ps(self.t),
                 active: self.active.len() as u32,
             });
         }
         let full_before = self.filler.solve_stats().0;
-        let span = self.profiler.begin();
+        let span = self.rec.profiler.begin();
         let outcome = self.filler.rebalance();
-        self.profiler.end(self.ph_solve, span);
+        self.rec.profiler.end(self.ph_solve, span);
         if outcome != Rebalance::Noop {
             self.reallocations += 1;
             self.rate_updates += self.filler.changed().len() as u64;
-            self.telemetry
-                .metrics
-                .observe(self.h_resolve, self.filler.changed().len() as u64);
+            let changed = self.filler.changed().len() as u64;
+            self.rec.metrics.observe(self.h_resolve, changed);
         }
-        if self.telemetry.trace.enabled() {
-            self.telemetry.trace.record(TraceEvent::SolveEnd {
+        if self.rec.trace.enabled() {
+            self.rec.trace.record(TraceEvent::SolveEnd {
                 t_ps: to_ps(self.t),
                 full: self.filler.solve_stats().0 > full_before,
                 changed: self.filler.changed().len() as u32,
@@ -1322,10 +1322,11 @@ impl BackgroundFluid {
             let fct = TimeDelta::from_secs_f64(fct_secs.max(f64::MIN_POSITIVE));
             let finish = spec.start + fct;
             self.finish[st.spec_ix as usize] = finish;
-            self.telemetry.observe_fct(fct);
+            let fct_us = fct.as_secs_f64() * 1e6;
+            self.rec.metrics.observe_f64(self.h_fct_us, fct_us);
             self.horizon = self.horizon.max(finish);
-            if self.telemetry.trace.enabled() {
-                self.telemetry.trace.record(TraceEvent::FluidFlowRemove {
+            if self.rec.trace.enabled() {
+                self.rec.trace.record(TraceEvent::FluidFlowRemove {
                     t_ps: to_ps(t),
                     flow: spec.id.0,
                 });
@@ -1569,11 +1570,7 @@ mod tests {
             .run()
             .unwrap();
         assert!(all_finished(&r));
-        assert!(
-            r.telemetry.counters.rerouted_flows >= 1,
-            "rerouted {}",
-            r.telemetry.counters.rerouted_flows
-        );
+        assert!(r.rerouted_flows >= 1, "rerouted {}", r.rerouted_flows);
     }
 
     /// A degraded bottleneck lengthens the FCT of a flow crossing it, and
@@ -1688,7 +1685,7 @@ mod tests {
             "fct {fct} vs clean {fct_clean}"
         );
         // A stall is not a reroute — the flow resumed on its only path.
-        assert_eq!(flapped.telemetry.counters.rerouted_flows, 0);
+        assert_eq!(flapped.rerouted_flows, 0);
     }
 
     /// A permanent sever leaves the flow unfinished rather than hanging the
@@ -1705,8 +1702,8 @@ mod tests {
         assert!(record(&r, 0).fct().is_none());
     }
 
-    /// The result keeps the flows out of its telemetry: `records()` builds
-    /// one record per flow, a flow stalled behind a severed link reports no
+    /// `records()` builds one record per flow from the specs and finish
+    /// times, a flow stalled behind a severed link reports no
     /// finish, and the `fct_us` histogram counts the finished flows only.
     #[test]
     fn result_builds_records_from_specs_and_finish_times() {
@@ -1720,15 +1717,13 @@ mod tests {
             .faults(&flap(100, 0))
             .run()
             .unwrap();
-        assert_eq!(r.telemetry.flow_count(), 0);
-        assert!(r.telemetry.flow_records().next().is_none());
         let ids: Vec<u32> = r.records().map(|rec| rec.flow.0).collect();
         assert_eq!(ids, [0, 1, 2]);
         assert_eq!(record(&r, 0).finish, None, "severed for good at 100 µs");
         let unfinished = r.records().filter(|rec| rec.finish.is_none()).count();
         assert_eq!(unfinished, 1);
         let (_, fct_us) = r
-            .telemetry
+            .rec
             .metrics
             .histograms()
             .find(|&(name, _)| name == "fct_us")

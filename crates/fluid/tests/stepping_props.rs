@@ -29,7 +29,7 @@ fn outcome(r: &FluidResult) -> (Vec<(FlowId, Option<u64>)>, u64) {
         .records()
         .map(|rec| (rec.flow, rec.finish.map(|t| t.as_ps())))
         .collect();
-    (v, r.telemetry.counters.rerouted_flows)
+    (v, r.rerouted_flows)
 }
 
 fn assert_same(want: &FluidResult, got: &FluidResult, how: &str) {

@@ -563,7 +563,7 @@ impl<H: HostLogic> Fabric<H> {
                     return;
                 }
                 if let Some(t0) = p.paused_since.take() {
-                    self.telemetry.note_pause_episode(now.since(t0));
+                    self.telemetry.counters.note_pause_episode(now.since(t0));
                 }
                 let mut out = SwitchEmit(s, &self.shard, sched);
                 self.switches[s.ix()].maybe_start_tx(
@@ -1008,19 +1008,19 @@ mod tests {
         assert_eq!(m.telemetry.counters.drops, 0);
         // The watchdog saw the (injected) long pause episode.
         assert_eq!(
-            m.telemetry.pause_episodes(),
+            m.telemetry.counters.pause_episodes,
             1 + m.telemetry.counters.pfc_resume_tx
         );
         assert!(
-            m.telemetry.pause_time_max() >= TimeDelta::from_us(50),
+            m.telemetry.counters.pause_time_max >= TimeDelta::from_us(50),
             "max pause {} must cover the injected fault",
-            m.telemetry.pause_time_max()
+            m.telemetry.counters.pause_time_max
         );
         // The stall backed traffic up at sw1 while the fault was active;
         // with the tiny default backlog it must have PFC-paused upstream
         // (pause storm propagation) OR absorbed it in the shared buffer —
         // either way the fault window shows in total pause time.
-        assert!(m.telemetry.pause_time_total() >= TimeDelta::from_us(50));
+        assert!(m.telemetry.counters.pause_time_total >= TimeDelta::from_us(50));
     }
 
     /// A periodic tick sweeps the switches its replica owns, and the

@@ -47,7 +47,7 @@ pub use units::{Bandwidth, ByteSize};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::mem::size_of;
+    use std::mem::{offset_of, size_of};
 
     /// The hot structs' sizes, pinned like the timing wheel's `Node` and
     /// `Key` (`fncc_des::wheel`): a layout change fails here with a number
@@ -60,6 +60,11 @@ mod tests {
         assert_eq!(size_of::<Option<Box<IntStack>>>(), 8);
         assert_eq!(size_of::<IntStack>(), 264);
         assert_eq!(size_of::<port::Port>(), 264);
-        assert_eq!(size_of::<Telemetry>(), 424);
+        // Field offsets as rustc lays them out: a reorder shows up here,
+        // not as a move in a layout-sensitive benchmark row.
+        assert_eq!(size_of::<Telemetry>(), 504);
+        assert_eq!(size_of::<telemetry::Counters>(), 248);
+        assert_eq!(offset_of!(Telemetry, counters), 184);
+        assert_eq!(offset_of!(Telemetry, rec), 0);
     }
 }

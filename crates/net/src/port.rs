@@ -228,8 +228,8 @@ impl Port {
     }
 
     /// Frames waiting in the data FIFO.
-    #[inline]
-    pub fn queued_frames(&self) -> usize {
+    #[cfg(test)]
+    fn queued_frames(&self) -> usize {
         self.queue.len()
     }
 
@@ -283,15 +283,15 @@ impl Port {
                 self.paused_since = Some(now);
             }
         } else if let Some(t0) = self.paused_since.take() {
-            telem.note_pause_episode(now.since(t0));
+            telem.counters.note_pause_episode(now.since(t0));
         }
-        if telem.trace.enabled() {
+        if telem.rec.trace.enabled() {
             let (t_ps, tx) = (now.as_ps(), false);
             let (node, at_host) = match node {
                 NodeRef::Host(h) => (h.0, true),
                 NodeRef::Switch(s) => (s.0, false),
             };
-            telem.trace.record(if pause {
+            telem.rec.trace.record(if pause {
                 TraceEvent::PfcPause {
                     t_ps,
                     node,

@@ -126,8 +126,8 @@ impl Switch {
     }
 
     /// True while egress `port`'s link is down.
-    #[inline]
-    pub fn port_dead(&self, port: u8) -> bool {
+    #[cfg(test)]
+    fn port_dead(&self, port: u8) -> bool {
         self.dead[port as usize]
     }
 
@@ -163,8 +163,8 @@ impl Switch {
         }
         self.dead[pi] = true;
         self.n_dead += 1;
-        if telem.trace.enabled() {
-            telem.trace.record(TraceEvent::LinkDown {
+        if telem.rec.trace.enabled() {
+            telem.rec.trace.record(TraceEvent::LinkDown {
                 t_ps: now.as_ps(),
                 sw: self.id.0,
                 port,
@@ -182,7 +182,7 @@ impl Switch {
         let p = &mut self.ports[pi];
         p.paused = false;
         if let Some(t0) = p.paused_since.take() {
-            telem.note_pause_episode(now.since(t0));
+            telem.counters.note_pause_episode(now.since(t0));
         }
         p.upstream_paused = false;
         self.recompile_routes();
@@ -206,8 +206,8 @@ impl Switch {
         }
         self.dead[pi] = false;
         self.n_dead -= 1;
-        if telem.trace.enabled() {
-            telem.trace.record(TraceEvent::LinkUp {
+        if telem.rec.trace.enabled() {
+            telem.rec.trace.record(TraceEvent::LinkUp {
                 t_ps: now.as_ps(),
                 sw: self.id.0,
                 port,
@@ -283,8 +283,8 @@ impl Switch {
         // Shared-buffer admission.
         if self.buffered + pkt.size as u64 > cfg.buffer_bytes {
             telem.counters.drops += 1;
-            if telem.trace.enabled() {
-                telem.trace.record(TraceEvent::Drop {
+            if telem.rec.trace.enabled() {
+                telem.rec.trace.record(TraceEvent::Drop {
                     t_ps: now.as_ps(),
                     sw: self.id.0,
                     port: in_port,
@@ -347,8 +347,8 @@ impl Switch {
             if p_mark > 0.0 && self.ecn_rng.chance(p_mark) {
                 pkt.ecn = true;
                 telem.counters.ecn_marks += 1;
-                if telem.trace.enabled() {
-                    telem.trace.record(TraceEvent::EcnMark {
+                if telem.rec.trace.enabled() {
+                    telem.rec.trace.record(TraceEvent::EcnMark {
                         t_ps: now.as_ps(),
                         sw: self.id.0,
                         port: out_port,
@@ -361,8 +361,8 @@ impl Switch {
 
         let (flow, size) = (pkt.flow.0, pkt.size);
         self.ports[out_port as usize].enqueue(pkt);
-        if telem.trace.enabled() {
-            telem.trace.record(TraceEvent::Enqueue {
+        if telem.rec.trace.enabled() {
+            telem.rec.trace.record(TraceEvent::Enqueue {
                 t_ps: now.as_ps(),
                 sw: self.id.0,
                 port: out_port,
@@ -380,8 +380,8 @@ impl Switch {
             self.ports[in_port as usize].upstream_paused = true;
             self.ports[in_port as usize].pause_tx += 1;
             telem.counters.pfc_pause_tx += 1;
-            if telem.trace.enabled() {
-                telem.trace.record(TraceEvent::PfcPause {
+            if telem.rec.trace.enabled() {
+                telem.rec.trace.record(TraceEvent::PfcPause {
                     t_ps: now.as_ps(),
                     node: self.id.0,
                     port: in_port,
@@ -419,8 +419,8 @@ impl Switch {
     /// different share.
     fn note_fault_drop(&self, now: SimTime, port: u8, pkt: &Packet, telem: &mut Telemetry) {
         telem.counters.fault_drops += 1;
-        if telem.trace.enabled() {
-            telem.trace.record(TraceEvent::FaultDrop {
+        if telem.rec.trace.enabled() {
+            telem.rec.trace.record(TraceEvent::FaultDrop {
                 t_ps: now.as_ps(),
                 sw: self.id.0,
                 port,
@@ -448,8 +448,8 @@ impl Switch {
             self.ports[ip].upstream_paused = false;
             self.ports[ip].resume_tx += 1;
             telem.counters.pfc_resume_tx += 1;
-            if telem.trace.enabled() {
-                telem.trace.record(TraceEvent::PfcResume {
+            if telem.rec.trace.enabled() {
+                telem.rec.trace.record(TraceEvent::PfcResume {
                     t_ps: now.as_ps(),
                     node: self.id.0,
                     port: ip as u8,
@@ -484,8 +484,8 @@ impl Switch {
             self.ports[port as usize].tx_bytes += pkt.size as u64;
             // The frame was dequeued when serialization began; its departure
             // is recorded here, once it is fully on the wire.
-            if telem.trace.enabled() {
-                telem.trace.record(TraceEvent::Dequeue {
+            if telem.rec.trace.enabled() {
+                telem.rec.trace.record(TraceEvent::Dequeue {
                     t_ps: now.as_ps(),
                     sw: self.id.0,
                     port,

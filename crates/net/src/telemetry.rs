@@ -1,5 +1,7 @@
-//! Run-wide measurement state: counters, flow completion records, and the
-//! sampling watch list feeding the paper's time-series plots.
+//! Run-wide measurement state: the hot [`Counters`] block, the run's
+//! [`Recorder`] (trace ring, metrics registry, profiler), flow completion
+//! records, and the sampling watch list feeding the paper's time-series
+//! plots.
 //!
 //! The flow records are registered once, before the run, one per flow this
 //! telemetry's engine carries, and kept in ascending flow id; a finish fills
@@ -18,10 +20,11 @@
 
 use crate::fabric::HostLogic;
 use crate::ids::{FlowId, HostId, SwitchId};
+use crate::packet::MAX_HOPS;
 use crate::port::Port;
 use fncc_des::stats::{RateMeter, TimeSeries};
 use fncc_des::time::{SimTime, TimeDelta};
-use fncc_obs::{HistId, MetricsRegistry, PhaseId, Profiler, TraceSink};
+use fncc_obs::{HistId, PhaseId, Recorder};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -49,7 +52,8 @@ impl FlowRecord {
     }
 }
 
-/// Global event counters.
+/// Global event counters and per-hop/pause aggregates: plain numbers, no
+/// allocation, summed exactly by [`Counters::absorb`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Counters {
     /// Data frames delivered to receivers.
@@ -80,6 +84,73 @@ pub struct Counters {
     /// [`crate::packet::MAX_HOPS`] records, summed by senders as they
     /// consume ACKs. Zero on every path a scenario file can describe.
     pub int_truncations: u64,
+    /// Per-hop INT age sums (seconds), in request-path order: how stale
+    /// hop `j`'s telemetry was when the sender consumed it (Fig. 12's
+    /// quantity).
+    pub int_age_sum: [f64; MAX_HOPS],
+    /// INT-age samples per hop.
+    pub int_age_cnt: [u64; MAX_HOPS],
+    /// Completed PFC pause episodes network-wide.
+    pub pause_episodes: u64,
+    /// Time spent paused, summed over ports.
+    pub pause_time_total: TimeDelta,
+    /// Longest single pause episode (a storm/deadlock indicator when it
+    /// approaches the run length).
+    pub pause_time_max: TimeDelta,
+}
+
+impl Counters {
+    /// Record how stale hop `hop`'s INT record was (in seconds) when a
+    /// sender consumed it. Hops are indexed in request-path order.
+    #[inline]
+    pub fn note_int_age(&mut self, hop: usize, age_secs: f64) {
+        self.int_age_sum[hop] += age_secs;
+        self.int_age_cnt[hop] += 1;
+    }
+
+    /// Mean INT age (seconds) observed for hop `hop`, if any was recorded.
+    pub fn mean_int_age(&self, hop: usize) -> Option<f64> {
+        let n = *self.int_age_cnt.get(hop)?;
+        (n > 0).then(|| self.int_age_sum[hop] / n as f64)
+    }
+
+    /// Number of hops up to the deepest one with INT-age records.
+    pub fn int_age_hops(&self) -> usize {
+        let deepest = self.int_age_cnt.iter().rposition(|&n| n > 0);
+        deepest.map_or(0, |h| h + 1)
+    }
+
+    /// Record the end of one PFC pause episode of `duration` (watchdog:
+    /// pause storms / stuck-pause detection, §2.3).
+    pub fn note_pause_episode(&mut self, duration: TimeDelta) {
+        self.pause_episodes += 1;
+        self.pause_time_total += duration;
+        self.pause_time_max = self.pause_time_max.max(duration);
+    }
+
+    /// Fold another shard's counters into these: every count and sum adds,
+    /// the longest pause is the longer one.
+    pub fn absorb(&mut self, o: &Counters) {
+        self.data_delivered += o.data_delivered;
+        self.acks_delivered += o.acks_delivered;
+        self.cnps_delivered += o.cnps_delivered;
+        self.ecn_marks += o.ecn_marks;
+        self.drops += o.drops;
+        self.pfc_pause_tx += o.pfc_pause_tx;
+        self.pfc_resume_tx += o.pfc_resume_tx;
+        self.fault_drops += o.fault_drops;
+        self.retx += o.retx;
+        self.rtos += o.rtos;
+        self.rerouted_flows += o.rerouted_flows;
+        self.int_truncations += o.int_truncations;
+        for h in 0..MAX_HOPS {
+            self.int_age_sum[h] += o.int_age_sum[h];
+            self.int_age_cnt[h] += o.int_age_cnt[h];
+        }
+        self.pause_episodes += o.pause_episodes;
+        self.pause_time_total += o.pause_time_total;
+        self.pause_time_max = self.pause_time_max.max(o.pause_time_max);
+    }
 }
 
 /// One sampled quantity, recorded in the unit of its report series.
@@ -129,21 +200,18 @@ struct Watch {
 /// Telemetry sink owned by the fabric; scenario code configures watches
 /// before the run and harvests series after it.
 pub struct Telemetry {
-    /// Global counters.
+    /// Global counters, touched on the per-packet path.
     pub counters: Counters,
-    /// Flight-recorder event sink (disabled by default; the backend arms it
-    /// when the scenario's `probes.trace` knob is set).
-    pub trace: TraceSink,
-    /// Named metrics harvested into the run report. Histograms registered
-    /// here are fed only from simulation state, so their percentiles are
-    /// deterministic and identical whether tracing is armed or not.
-    pub metrics: MetricsRegistry,
+    /// The run's trace ring (disabled by default; the backend arms it when
+    /// the scenario's `probes.trace` knob is set), its metrics registry
+    /// (histograms fed only from simulation state, so their percentiles are
+    /// deterministic and identical whether tracing is armed or not) and its
+    /// profiler (`cc_update` spans, under `FNCC_PROFILE` only).
+    pub rec: Recorder,
     /// Queue-depth histogram (bytes), fed on every sampling tick.
     h_queue_depth: HistId,
     /// Flow-completion-time histogram (µs), fed on each flow finish.
     h_fct_us: HistId,
-    /// Wall-clock spans (active only when `FNCC_PROFILE` is set).
-    pub profiler: Profiler,
     ph_cc_update: PhaseId,
     /// Lifetime records of the flows this engine carries, in ascending
     /// flow id.
@@ -155,13 +223,6 @@ pub struct Telemetry {
     /// No further sample events are scheduled after this instant.
     pub sample_until: SimTime,
     watches: Vec<Watch>,
-    /// Per-hop INT age accumulators (seconds): how stale the telemetry of
-    /// hop `j` was when the sender consumed it (Fig. 12's quantity).
-    int_age_sum: Vec<f64>,
-    int_age_cnt: Vec<u64>,
-    pause_episodes: u64,
-    pause_time_total: TimeDelta,
-    pause_time_max: TimeDelta,
     /// Flows already counted in `counters.rerouted_flows`: one entry per
     /// rerouted flow, added only while dead links exist.
     rerouted: BTreeSet<FlowId>,
@@ -170,29 +231,21 @@ pub struct Telemetry {
 impl Telemetry {
     /// Fresh telemetry with sampling disabled.
     pub fn new() -> Self {
-        let mut metrics = MetricsRegistry::new();
-        let h_queue_depth = metrics.histogram("queue_depth_bytes");
-        let h_fct_us = metrics.histogram("fct_us");
-        let mut profiler = Profiler::from_env();
-        let ph_cc_update = profiler.phase("cc_update");
+        let mut rec = Recorder::new(false);
+        let h_queue_depth = rec.metrics.histogram("queue_depth_bytes");
+        let h_fct_us = rec.metrics.histogram("fct_us");
+        let ph_cc_update = rec.profiler.phase("cc_update");
         Telemetry {
             counters: Counters::default(),
-            trace: TraceSink::disabled(),
-            metrics,
+            rec,
             h_queue_depth,
             h_fct_us,
-            profiler,
             ph_cc_update,
             flows: Vec::new(),
             flows_finished: 0,
             sample_interval: TimeDelta::ZERO,
             sample_until: SimTime::MAX,
             watches: Vec::new(),
-            int_age_sum: Vec::new(),
-            int_age_cnt: Vec::new(),
-            pause_episodes: 0,
-            pause_time_total: TimeDelta::ZERO,
-            pause_time_max: TimeDelta::ZERO,
             rerouted: BTreeSet::new(),
         }
     }
@@ -244,18 +297,10 @@ impl Telemetry {
         let rec = &mut self.flows[ix];
         debug_assert!(rec.finish.is_none(), "double finish for {flow:?}");
         if rec.finish.replace(at).is_none() {
-            let fct = at.since(rec.start);
+            let fct_us = at.since(rec.start).as_secs_f64() * 1e6;
             self.flows_finished += 1;
-            self.observe_fct(fct);
+            self.rec.metrics.observe_f64(self.h_fct_us, fct_us);
         }
-    }
-
-    /// Feed one finished flow's FCT into the `fct_us` histogram, as
-    /// [`Self::flow_finished`] does for a registered record. The fluid
-    /// engine keeps its flows' finish times itself and calls this directly.
-    pub fn observe_fct(&mut self, fct: TimeDelta) {
-        self.metrics
-            .observe_f64(self.h_fct_us, fct.as_secs_f64() * 1e6);
     }
 
     /// Take one sample of every watch, in its probe's unit. Called by the
@@ -273,7 +318,7 @@ impl Telemetry {
             let v = match w.probe {
                 Probe::Queue { sw, port } => {
                     let depth = port_read(sw, port).queue_bytes;
-                    self.metrics.observe(self.h_queue_depth, depth);
+                    self.rec.metrics.observe(self.h_queue_depth, depth);
                     depth as f64 / 1024.0
                 }
                 Probe::Util { sw, port } => {
@@ -299,74 +344,17 @@ impl Telemetry {
         }
     }
 
-    /// Record the end of one PFC pause episode of `duration` (watchdog:
-    /// pause storms / stuck-pause detection, §2.3).
-    pub fn note_pause_episode(&mut self, duration: TimeDelta) {
-        self.pause_episodes += 1;
-        self.pause_time_total += duration;
-        if duration > self.pause_time_max {
-            self.pause_time_max = duration;
-        }
-    }
-
-    /// Number of completed pause episodes network-wide.
-    pub fn pause_episodes(&self) -> u64 {
-        self.pause_episodes
-    }
-
-    /// Total time spent paused, summed over ports.
-    pub fn pause_time_total(&self) -> TimeDelta {
-        self.pause_time_total
-    }
-
-    /// Longest single pause episode (a storm/deadlock indicator when it
-    /// approaches the run length).
-    pub fn pause_time_max(&self) -> TimeDelta {
-        self.pause_time_max
-    }
-
-    /// Record how stale hop `hop`'s INT record was (in seconds) when a
-    /// sender consumed it. Hops are indexed in request-path order.
-    #[inline]
-    pub fn note_int_age(&mut self, hop: usize, age_secs: f64) {
-        if self.int_age_sum.len() <= hop {
-            self.int_age_sum.resize(hop + 1, 0.0);
-            self.int_age_cnt.resize(hop + 1, 0);
-        }
-        self.int_age_sum[hop] += age_secs;
-        self.int_age_cnt[hop] += 1;
-    }
-
-    /// Mean INT age (seconds) observed for hop `hop`, if any was recorded.
-    pub fn mean_int_age(&self, hop: usize) -> Option<f64> {
-        let n = *self.int_age_cnt.get(hop)?;
-        if n == 0 {
-            return None;
-        }
-        Some(self.int_age_sum[hop] / n as f64)
-    }
-
-    /// Number of INT-age samples recorded for hop `hop`.
-    pub fn int_age_samples(&self, hop: usize) -> u64 {
-        self.int_age_cnt.get(hop).copied().unwrap_or(0)
-    }
-
-    /// Number of hops with INT-age records.
-    pub fn int_age_hops(&self) -> usize {
-        self.int_age_cnt.len()
-    }
-
     /// Open a wall-clock span over one congestion-control update; returns
     /// `None` (no clock read) when profiling is off.
     #[inline]
     pub fn cc_span(&self) -> Option<Instant> {
-        self.profiler.begin()
+        self.rec.profiler.begin()
     }
 
     /// Close a span opened by [`Telemetry::cc_span`].
     #[inline]
     pub fn cc_span_end(&mut self, started: Option<Instant>) {
-        self.profiler.end(self.ph_cc_update, started);
+        self.rec.profiler.end(self.ph_cc_update, started);
     }
 
     // --- shard merging -----------------------------------------------------
@@ -374,50 +362,23 @@ impl Telemetry {
     /// Fold another shard's telemetry into this one (sharded-DES harvest).
     ///
     /// Every aggregate here is exact, not approximate: counters are integer
-    /// sums; the histograms round to integer units before summing (see
-    /// [`fncc_obs::Histogram::absorb`]); watch lists concatenate in shard
-    /// order because each shard only registers watches for entities it
-    /// owns, so [`Telemetry::series`] finds exactly one series per name.
+    /// sums ([`Counters::absorb`]); the recorders merge as
+    /// [`Recorder::absorb`] does, histograms rounding to integer units
+    /// before summing (see [`fncc_obs::Histogram::absorb`]) and trace rings
+    /// interleaving by `(timestamp, shard)`; watch lists concatenate in
+    /// shard order because each shard only registers watches for entities
+    /// it owns, so [`Telemetry::series`] finds exactly one series per name.
     /// Each shard registers the flows whose receiver it owns, so the record
     /// sets are disjoint and merge as a sorted union. `rerouted_flows` is
     /// deduplicated network-wide, so the rerouted id sets are unioned and
     /// the counter recomputed rather than summed.
     pub fn merge_shard(&mut self, other: Telemetry) {
-        let o = other.counters;
-        self.counters.data_delivered += o.data_delivered;
-        self.counters.acks_delivered += o.acks_delivered;
-        self.counters.cnps_delivered += o.cnps_delivered;
-        self.counters.ecn_marks += o.ecn_marks;
-        self.counters.drops += o.drops;
-        self.counters.pfc_pause_tx += o.pfc_pause_tx;
-        self.counters.pfc_resume_tx += o.pfc_resume_tx;
-        self.counters.fault_drops += o.fault_drops;
-        self.counters.retx += o.retx;
-        self.counters.rtos += o.rtos;
-        self.counters.int_truncations += o.int_truncations;
+        self.counters.absorb(&other.counters);
+        self.rec.absorb(other.rec);
+        self.register_flows(other.flows);
+        self.watches.extend(other.watches);
         self.rerouted.extend(other.rerouted);
         self.counters.rerouted_flows = self.rerouted.len() as u64;
-
-        self.metrics.absorb(&other.metrics);
-
-        self.register_flows(other.flows);
-
-        self.watches.extend(other.watches);
-
-        if self.int_age_sum.len() < other.int_age_sum.len() {
-            self.int_age_sum.resize(other.int_age_sum.len(), 0.0);
-            self.int_age_cnt.resize(other.int_age_cnt.len(), 0);
-        }
-        for (ix, &s) in other.int_age_sum.iter().enumerate() {
-            self.int_age_sum[ix] += s;
-            self.int_age_cnt[ix] += other.int_age_cnt[ix];
-        }
-
-        self.pause_episodes += other.pause_episodes;
-        self.pause_time_total += other.pause_time_total;
-        if other.pause_time_max > self.pause_time_max {
-            self.pause_time_max = other.pause_time_max;
-        }
     }
 
     // --- harvesting --------------------------------------------------------
@@ -613,15 +574,36 @@ mod tests {
 
     #[test]
     fn int_age_accumulates_per_hop() {
-        let mut t = Telemetry::new();
-        assert_eq!(t.mean_int_age(0), None);
-        t.note_int_age(0, 2.0e-6);
-        t.note_int_age(0, 4.0e-6);
-        t.note_int_age(2, 10.0e-6);
-        assert!((t.mean_int_age(0).unwrap() - 3.0e-6).abs() < 1e-15);
-        assert_eq!(t.mean_int_age(1), None);
-        assert!((t.mean_int_age(2).unwrap() - 10.0e-6).abs() < 1e-15);
-        assert_eq!(t.int_age_hops(), 3);
+        let mut c = Counters::default();
+        assert_eq!(c.mean_int_age(0), None);
+        assert_eq!(c.int_age_hops(), 0);
+        c.note_int_age(0, 2.0e-6);
+        c.note_int_age(0, 4.0e-6);
+        c.note_int_age(2, 10.0e-6);
+        assert!((c.mean_int_age(0).unwrap() - 3.0e-6).abs() < 1e-15);
+        assert_eq!(c.mean_int_age(1), None);
+        assert!((c.mean_int_age(2).unwrap() - 10.0e-6).abs() < 1e-15);
+        assert_eq!(c.mean_int_age(MAX_HOPS), None);
+        assert_eq!(c.int_age_hops(), 3);
+    }
+
+    /// Shard counters sum hop by hop; the longest pause is the longer one.
+    #[test]
+    fn counters_absorb_sums_hops_and_keeps_the_longest_pause() {
+        let (mut a, mut b) = (Counters::default(), Counters::default());
+        a.note_int_age(0, 2.0e-6);
+        b.note_int_age(0, 4.0e-6);
+        b.note_int_age(1, 1.0e-6);
+        a.note_pause_episode(TimeDelta::from_us(5));
+        b.note_pause_episode(TimeDelta::from_us(3));
+        b.note_pause_episode(TimeDelta::from_us(9));
+        a.absorb(&b);
+        assert_eq!(a.int_age_cnt[..2], [2, 1]);
+        assert!((a.mean_int_age(0).unwrap() - 3.0e-6).abs() < 1e-15);
+        assert_eq!(a.int_age_hops(), 2);
+        assert_eq!(a.pause_episodes, 3);
+        assert_eq!(a.pause_time_total, TimeDelta::from_us(17));
+        assert_eq!(a.pause_time_max, TimeDelta::from_us(9));
     }
 
     #[test]

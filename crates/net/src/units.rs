@@ -45,8 +45,8 @@ impl Bandwidth {
     }
 
     /// Bytes transferable in `d` at this bandwidth (floor).
-    #[inline]
-    pub fn bytes_in(self, d: TimeDelta) -> u64 {
+    #[cfg(test)]
+    fn bytes_in(self, d: TimeDelta) -> u64 {
         ((self.0 as u128 * d.as_ps() as u128) / (8 * 1_000_000_000_000u128)) as u64
     }
 }

@@ -17,6 +17,9 @@
 //!   readings are non-deterministic, so spans are off unless explicitly
 //!   enabled (`FNCC_PROFILE=1`) and never feed deterministic artifacts.
 //!
+//! One [`Recorder`] bundles the three for one engine run; the backend reads
+//! exactly one per run.
+//!
 //! Timestamps cross this crate's API as raw picosecond `u64`s and ids as
 //! raw `u32`s: depending on `fncc_des::SimTime` or the id newtypes would
 //! invert the crate ordering.
@@ -28,3 +31,91 @@ pub mod trace;
 pub use metrics::{CounterId, HistId, Histogram, MetricsRegistry};
 pub use profile::{PhaseId, Profiler};
 pub use trace::{TraceEvent, TraceMeta, TraceSink, TraceValue, TRACE_SCHEMA};
+
+/// The three instruments of one engine run: its trace ring, its metrics
+/// registry and its profiler.
+#[derive(Debug, Default)]
+pub struct Recorder {
+    /// Flight-recorder event ring (disabled unless the run is traced).
+    pub trace: TraceSink,
+    /// Named metrics, fed only from simulation state (deterministic).
+    pub metrics: MetricsRegistry,
+    /// Wall-clock spans (enabled only under `FNCC_PROFILE`).
+    pub profiler: Profiler,
+}
+
+impl Recorder {
+    /// A recorder whose trace ring is armed iff `trace`, with the profiler
+    /// enabled iff `FNCC_PROFILE` is set (see [`Profiler::from_env`]).
+    pub fn new(trace: bool) -> Self {
+        Recorder {
+            trace: if trace {
+                TraceSink::with_capacity(TraceSink::DEFAULT_CAPACITY)
+            } else {
+                TraceSink::disabled()
+            },
+            metrics: MetricsRegistry::new(),
+            profiler: Profiler::from_env(),
+        }
+    }
+
+    /// Fold another run's recorder into this one: traces interleave as
+    /// [`TraceSink::merged`] orders them (this ring's events win ties),
+    /// metrics match by name ([`MetricsRegistry::absorb`]) and profiler
+    /// phases by name ([`Profiler::absorb`]).
+    pub fn absorb(&mut self, other: Recorder) {
+        if other.trace.enabled() {
+            self.trace = TraceSink::merged(&[&self.trace, &other.trace]);
+        }
+        self.metrics.absorb(&other.metrics);
+        self.profiler.absorb(&other.profiler);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ring(times: &[u64], flow: u32) -> Recorder {
+        let mut r = Recorder::new(true);
+        for &t_ps in times {
+            r.trace.record(TraceEvent::FlowFinish { t_ps, flow });
+        }
+        r
+    }
+
+    /// Absorbing shards one at a time gives the order one
+    /// `TraceSink::merged` over all of them gives: by timestamp, ties to
+    /// the earlier shard.
+    #[test]
+    fn pairwise_absorb_matches_one_merge() {
+        let shards = || [ring(&[1, 5, 5], 0), ring(&[0, 5], 1), ring(&[5, 9], 2)];
+        let all = shards();
+        let want = TraceSink::merged(&all.each_ref().map(|r| &r.trace));
+        let mut it = shards().into_iter();
+        let mut got = it.next().unwrap();
+        it.for_each(|r| got.absorb(r));
+        assert!(got.trace.events().eq(want.events()));
+        assert_eq!(got.trace.len(), 7);
+    }
+
+    /// An unarmed ring leaves the armed one as it was; metrics and
+    /// profiler phases merge by name.
+    #[test]
+    fn absorb_merges_metrics_and_phases_by_name() {
+        let mut a = ring(&[3, 1], 0);
+        let mut b = Recorder::new(false);
+        let c = b.metrics.counter("n");
+        b.metrics.inc(c, 2);
+        b.profiler.phase("solve");
+        a.metrics.counter("n");
+        a.absorb(b);
+        let times: Vec<u64> = a.trace.events().map(TraceEvent::t_ps).collect();
+        assert_eq!(times, [3, 1], "an unarmed ring leaves the order alone");
+        assert_eq!(a.metrics.counters().collect::<Vec<_>>(), [("n", 2)]);
+        assert_eq!(
+            a.profiler.spans().map(|s| s.0).collect::<Vec<_>>(),
+            ["solve"]
+        );
+    }
+}

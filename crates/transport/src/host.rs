@@ -104,8 +104,8 @@ impl DcHost {
             .expect("FlowStart for unregistered flow");
         debug_assert_eq!(spec.src, ctx.host());
         let cc = self.cfg.algo.new_flow();
-        if ctx.telemetry.trace.enabled() {
-            ctx.telemetry.trace.record(TraceEvent::FlowStart {
+        if ctx.telemetry.rec.trace.enabled() {
+            ctx.telemetry.rec.trace.record(TraceEvent::FlowStart {
                 t_ps: ctx.now().as_ps(),
                 flow: id.0,
                 src: spec.src.0,
@@ -114,7 +114,10 @@ impl DcHost {
             });
             // Seed the timeline with the flow's starting rate/window so the
             // first RateUpdate delta is interpretable.
-            ctx.telemetry.trace.record(rate_update(ctx.now(), id, &cc));
+            ctx.telemetry
+                .rec
+                .trace
+                .record(rate_update(ctx.now(), id, &cc));
         }
         if let Some(d) = cc.initial_tick() {
             ctx.schedule(d, HostTimer::CcTick(id));
@@ -177,8 +180,8 @@ impl DcHost {
                 // Below the high-water mark: an RTO rewound the flow and
                 // this frame is a go-back-N retransmission.
                 ctx.telemetry.counters.retx += 1;
-                if ctx.telemetry.trace.enabled() {
-                    ctx.telemetry.trace.record(TraceEvent::Retransmit {
+                if ctx.telemetry.rec.trace.enabled() {
+                    ctx.telemetry.rec.trace.record(TraceEvent::Retransmit {
                         t_ps: now.as_ps(),
                         flow: id.0,
                         seq: sf.next_seq,
@@ -239,13 +242,13 @@ impl DcHost {
         ctx.schedule(rto, HostTimer::Rto(id));
         sf.cc.on_timeout(now);
         ctx.telemetry.counters.rtos += 1;
-        if ctx.telemetry.trace.enabled() {
-            ctx.telemetry.trace.record(TraceEvent::Rto {
+        if ctx.telemetry.rec.trace.enabled() {
+            ctx.telemetry.rec.trace.record(TraceEvent::Rto {
                 t_ps: now.as_ps(),
                 flow: id.0,
                 rto_ps: rto.as_ps(),
             });
-            ctx.telemetry.trace.record(rate_update(now, id, &sf.cc));
+            ctx.telemetry.rec.trace.record(rate_update(now, id, &sf.cc));
         }
         self.pump(ctx, id);
     }
@@ -323,8 +326,8 @@ impl DcHost {
         // rf borrow ends here; act on the NIC.
         if want_cnp {
             let (host, now) = (ctx.host(), ctx.now());
-            if ctx.telemetry.trace.enabled() {
-                ctx.telemetry.trace.record(TraceEvent::Cnp {
+            if ctx.telemetry.rec.trace.enabled() {
+                ctx.telemetry.rec.trace.record(TraceEvent::Cnp {
                     t_ps: now.as_ps(),
                     flow: id.0,
                     src: host.0,
@@ -336,8 +339,8 @@ impl DcHost {
         }
         if is_last {
             ctx.telemetry.flow_finished(id, ctx.now());
-            if ctx.telemetry.trace.enabled() {
-                ctx.telemetry.trace.record(TraceEvent::FlowFinish {
+            if ctx.telemetry.rec.trace.enabled() {
+                ctx.telemetry.rec.trace.record(TraceEvent::FlowFinish {
                     t_ps: ctx.now().as_ps(),
                     flow: id.0,
                 });
@@ -366,14 +369,14 @@ impl DcHost {
         // arrival at the sender? Counted for every ACK, also a duplicate
         // that reaches a retired flow.
         for (hop, rec) in pkt.int().iter().enumerate() {
-            ctx.telemetry
-                .note_int_age(hop, ctx.now().since(rec.ts).as_secs_f64());
-            if ctx.telemetry.trace.enabled() {
-                ctx.telemetry.trace.record(TraceEvent::IntRecord {
+            let age = ctx.now().since(rec.ts);
+            ctx.telemetry.counters.note_int_age(hop, age.as_secs_f64());
+            if ctx.telemetry.rec.trace.enabled() {
+                ctx.telemetry.rec.trace.record(TraceEvent::IntRecord {
                     t_ps: ctx.now().as_ps(),
                     flow: id.0,
                     hop: hop as u8,
-                    age_ps: ctx.now().since(rec.ts).as_ps(),
+                    age_ps: age.as_ps(),
                 });
             }
         }
@@ -414,10 +417,9 @@ impl DcHost {
         let span = ctx.telemetry.cc_span();
         sf.cc.on_ack(&view);
         ctx.telemetry.cc_span_end(span);
-        if ctx.telemetry.trace.enabled() {
-            ctx.telemetry
-                .trace
-                .record(rate_update(ctx.now(), id, &sf.cc));
+        if ctx.telemetry.rec.trace.enabled() {
+            let ev = rate_update(ctx.now(), id, &sf.cc);
+            ctx.telemetry.rec.trace.record(ev);
         }
         let done = sf.acked >= sf.spec.size;
         ctx.recycle(pkt);
@@ -459,10 +461,9 @@ impl HostLogic for DcHost {
                     let span = ctx.telemetry.cc_span();
                     sf.cc.on_cnp(ctx.now());
                     ctx.telemetry.cc_span_end(span);
-                    if ctx.telemetry.trace.enabled() {
-                        ctx.telemetry
-                            .trace
-                            .record(rate_update(ctx.now(), pkt.flow, &sf.cc));
+                    if ctx.telemetry.rec.trace.enabled() {
+                        let ev = rate_update(ctx.now(), pkt.flow, &sf.cc);
+                        ctx.telemetry.rec.trace.record(ev);
                     }
                 }
                 ctx.recycle(pkt);
@@ -620,9 +621,16 @@ mod tests {
         eng.run_until(SimTime::from_ms(2));
         let t = &eng.model.telemetry;
         assert!(t.all_flows_finished());
-        assert_eq!(t.int_age_hops(), 3, "one record per request-path switch");
+        assert_eq!(
+            t.counters.int_age_hops(),
+            3,
+            "one record per request-path switch"
+        );
         for hop in 0..3 {
-            assert!(t.mean_int_age(hop).is_some_and(|a| a > 0.0), "hop {hop}");
+            assert!(
+                t.counters.mean_int_age(hop).is_some_and(|a| a > 0.0),
+                "hop {hop}"
+            );
         }
         assert_eq!(t.counters.int_truncations, 0);
         // The run is drained: every stack came back to the pool with its
@@ -956,13 +964,13 @@ mod tests {
         let telem = &eng.model.telemetry;
         assert!(telem.counters.rtos > 0, "no rewind");
         let acks = telem.counters.acks_delivered;
-        let samples: Vec<u64> = (0..3).map(|hop| telem.int_age_samples(hop)).collect();
+        let samples = telem.counters.int_age_cnt;
         eng.run_until(SimTime::from_ms(20));
         let telem = &eng.model.telemetry;
         let late = telem.counters.acks_delivered - acks;
         assert!(late > 0, "no duplicate ACK reached the retired flow");
-        for (hop, before) in samples.into_iter().enumerate() {
-            assert_eq!(telem.int_age_samples(hop) - before, late, "hop {hop}");
+        for (hop, before) in samples.into_iter().enumerate().take(3) {
+            assert_eq!(telem.counters.int_age_cnt[hop] - before, late, "hop {hop}");
         }
         // The rewound frames count: the retired counter includes them.
         assert!(eng.model.hosts[0].sent_bytes(FlowId(0)) > 200_000);

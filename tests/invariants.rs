@@ -145,9 +145,16 @@ fn fncc_ack_int_hop_count_matches_path_length() {
     let mut sim = SimBuilder::new(topo, CcKind::Fncc).flows(flows).build();
     assert!(sim.run_to_completion(TimeDelta::from_us(100), SimTime::from_ms(10)));
     let telem = sim.telemetry();
-    assert_eq!(telem.int_age_hops(), hops, "one INT record per path switch");
+    assert_eq!(
+        telem.counters.int_age_hops(),
+        hops,
+        "one INT record per path switch"
+    );
     for h in 0..hops {
-        assert!(telem.mean_int_age(h).is_some(), "hop {h} never sampled");
+        assert!(
+            telem.counters.mean_int_age(h).is_some(),
+            "hop {h} never sampled"
+        );
     }
 }
 

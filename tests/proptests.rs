@@ -327,7 +327,7 @@ proptest! {
         }
         let hosts: Vec<DcHost> = (0..topo.n_hosts).map(|_| DcHost::new(tcfg.clone())).collect();
         let mut fabric = Fabric::new(&topo, cfg, hosts);
-        fabric.telemetry.trace = TraceSink::with_capacity(1 << 16);
+        fabric.telemetry.rec.trace = TraceSink::with_capacity(1 << 16);
         let spec = FlowSpec {
             id: FlowId(0),
             src: HostId(0),
@@ -368,6 +368,7 @@ proptest! {
         let rec = RecoveryConfig::paper_default();
         let schedule: Vec<u64> = (1..=25).map(|k| rec.rto(k).as_ps()).collect();
         let rtos: Vec<(u64, u64)> = t
+            .rec
             .trace
             .events()
             .filter_map(|e| match *e {
