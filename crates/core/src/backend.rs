@@ -20,10 +20,9 @@
 //! Everything the three `run_traced` bodies have in common — seed horizon,
 //! per-seed flow table, the one recorder each seed's run hands over (its
 //! profiler on every seed, its metrics and trace artifact on the first),
-//! the fault,
-//! solver and event-rate scalars, the closing slowdown/`incomplete_flows`/
-//! span block — lives once in `ReportBuilder` and the small tallies next
-//! to it. Reports serialise scalars in insertion order, so each engine
+//! the fault, solver and event-rate scalars, the closing
+//! slowdown/`incomplete_flows`/span block — lives once in `ReportBuilder`
+//! and the small tallies next to it. Reports serialise scalars in insertion order, so each engine
 //! still decides *where* in its list a shared block lands.
 
 use crate::hybrid::HybridSim;

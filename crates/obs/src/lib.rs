@@ -34,7 +34,7 @@ pub use trace::{TraceEvent, TraceMeta, TraceSink, TraceValue, TRACE_SCHEMA};
 
 /// The three instruments of one engine run: its trace ring, its metrics
 /// registry and its profiler.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Recorder {
     /// Flight-recorder event ring (disabled unless the run is traced).
     pub trace: TraceSink,
