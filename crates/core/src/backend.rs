@@ -19,8 +19,8 @@
 //!
 //! Everything the three `run_traced` bodies have in common — seed horizon,
 //! per-seed flow table, the one recorder each seed's run hands over (its
-//! profiler on every seed, its metrics and trace artifact on the first),
-//! the fault, solver and event-rate scalars, the closing
+//! profiler on every seed, its trace artifact on the first), the
+//! distribution scalars, the fault, solver and event-rate scalars, the closing
 //! slowdown/`incomplete_flows`/span block — lives once in `ReportBuilder`
 //! and the small tallies next to it. Reports serialise scalars in insertion order, so each engine
 //! still decides *where* in its list a shared block lands.
@@ -40,9 +40,9 @@ use fncc_des::time::{SimTime, TimeDelta};
 use fncc_fluid::{FluidResult, FluidSim, Framing, RateModel};
 use fncc_net::config::FabricConfig;
 use fncc_net::ids::{FlowId, NodeRef, SwitchId};
-use fncc_net::telemetry::{Counters, FlowRecord, Probe};
+use fncc_net::telemetry::{FlowRecord, Probe, Telemetry};
 use fncc_net::topology::Topology;
-use fncc_obs::{Profiler, Recorder, TraceMeta};
+use fncc_obs::{Histogram, Profiler, Recorder, TraceMeta};
 use fncc_transport::{FlowSpec, RecoveryConfig};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -137,19 +137,12 @@ impl<'a> ReportBuilder<'a> {
     }
 
     /// Read the one recorder seed number `seed_ix`'s run handed over: its
-    /// profiler on every seed; on the first seed also its metrics
-    /// registry's scalars, and the `fncc.trace/v1` artifact when the
-    /// scenario arms tracing. Trace output is best-effort diagnostics:
-    /// failures warn on stderr, never fail the run.
+    /// profiler on every seed; on the first seed also the `fncc.trace/v1`
+    /// artifact when the scenario arms tracing. Trace output is best-effort
+    /// diagnostics: failures warn on stderr, never fail the run.
     fn recorder(&mut self, seed_ix: usize, seed: u64, rec: &Recorder) {
         self.prof.absorb(&rec.profiler);
-        if seed_ix > 0 {
-            return;
-        }
-        for (name, v) in rec.metrics.scalar_pairs() {
-            self.report.put_scalar(name, v);
-        }
-        if !self.sc.probes.trace {
+        if !self.tracing(seed_ix) {
             return;
         }
         let path = self
@@ -228,11 +221,11 @@ struct FaultTally {
 }
 
 impl FaultTally {
-    fn add(&mut self, c: &Counters) {
-        self.drops += c.fault_drops;
-        self.retx += c.retx;
-        self.rtos += c.rtos;
-        self.rerouted += c.rerouted_flows;
+    fn add(&mut self, t: &Telemetry) {
+        self.drops += t.counters.fault_drops;
+        self.retx += t.counters.retx;
+        self.rtos += t.counters.rtos;
+        self.rerouted += t.rerouted_flows();
     }
 
     fn put(&self, report: &mut RunReport, sc: &Scenario) {
@@ -278,6 +271,29 @@ fn put_int_truncations(report: &mut RunReport, n: u64) {
     if n > 0 {
         report.put_scalar("int_truncations", n as f64);
     }
+}
+
+/// A histogram's `<name>_{count,mean,p50,p99,max}` scalars, or none when
+/// it is empty. Reports build their histograms on the first seed only.
+fn put_histogram(report: &mut RunReport, name: &str, h: &Histogram) {
+    if h.count() == 0 {
+        return;
+    }
+    report.put_scalar(format!("{name}_count"), h.count() as f64);
+    report.put_scalar(format!("{name}_mean"), h.mean());
+    report.put_scalar(format!("{name}_p50"), h.percentile(50.0) as f64);
+    report.put_scalar(format!("{name}_p99"), h.percentile(99.0) as f64);
+    report.put_scalar(format!("{name}_max"), h.max() as f64);
+}
+
+/// The `fct_us` histogram: the FCT in µs of every finished flow among
+/// `records`.
+fn fct_us_histogram(records: impl Iterator<Item = FlowRecord>) -> Histogram {
+    let mut h = Histogram::new();
+    for fct in records.filter_map(|r| r.fct()) {
+        h.record_f64(fct.as_secs_f64() * 1e6);
+    }
+    h
 }
 
 /// Engine-health scalars: every scenario run doubles as a perf probe.
@@ -509,7 +525,7 @@ impl Backend for PacketBackend {
             rb.report.events += run.events_processed();
             peak_queue_len = peak_queue_len.max(run.peak_queue_len());
             clamped += run.clamped_schedules();
-            faults.add(&telem.counters);
+            faults.add(telem);
             int_truncations += telem.counters.int_truncations;
             if matches!(sc.stop, StopCondition::Drain { .. }) {
                 rb.slowdowns(
@@ -524,9 +540,14 @@ impl Backend for PacketBackend {
                 let watched = probes.iter().filter_map(|(_, name)| telem.series(name));
                 rb.report.series.extend(watched.cloned());
                 extract_scalars(&mut rb.report, sc, &run, cp, &flows);
-            }
-            rb.recorder(seed_ix, seed, &telem.rec);
-            if seed_ix == 0 {
+                // The `queue_kb` series records `bytes / 1024`, exact in
+                // binary, so it gives back every sampled depth.
+                let queue_kb = telem.series("queue_kb").map_or(&[][..], TimeSeries::values);
+                let mut depth = Histogram::new();
+                queue_kb.iter().for_each(|kb| depth.record_f64(kb * 1024.0));
+                put_histogram(&mut rb.report, "queue_depth_bytes", &depth);
+                let fct_us = fct_us_histogram(telem.flow_records().copied());
+                put_histogram(&mut rb.report, "fct_us", &fct_us);
                 let (fresh, rec) = run.pool_stats();
                 if fresh + rec > 0 {
                     let hit_rate = rec as f64 / (fresh + rec) as f64;
@@ -539,6 +560,7 @@ impl Backend for PacketBackend {
                     }
                 }
             }
+            rb.recorder(seed_ix, seed, &telem.rec);
         }
 
         rb.finish(|report| {
@@ -731,6 +753,11 @@ impl Backend for FluidBackend {
             peak_active = peak_active.max(result.peak_active);
             horizon = horizon.max(result.horizon);
             solver.add(&result);
+            if seed_ix == 0 {
+                let fct_us = fct_us_histogram(result.records());
+                put_histogram(&mut rb.report, "fct_us", &fct_us);
+                put_histogram(&mut rb.report, "resolve_set_size", &result.resolve_set_size);
+            }
             rb.recorder(seed_ix, seed, &result.rec);
         }
         rb.finish(|report| {
@@ -828,10 +855,16 @@ impl Backend for HybridBackend {
             backlog_pushes += result.backlog_pushes;
             single_bottleneck += result.single_bottleneck_solves;
             peak_bg_active = peak_bg_active.max(result.peak_bg_active);
-            faults.add(&result.fg.counters);
+            faults.add(&result.fg);
             faults.rerouted += result.bg.rerouted_flows;
             int_truncations += result.fg.counters.int_truncations;
             solver.add(&result.bg);
+            if seed_ix == 0 {
+                // The foreground's flows only: the background's FCTs are
+                // fluid estimates, not packet-level measurements.
+                let fct_us = fct_us_histogram(result.fg.flow_records().copied());
+                put_histogram(&mut rb.report, "fct_us", &fct_us);
+            }
             rb.recorder(seed_ix, seed, &result.fg.rec);
         }
 
@@ -911,11 +944,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hybrid_backend_runs_a_partitioned_scenario() {
+    /// Two 2 MB elephants in the fluid background and six 20 KB mice at
+    /// packet fidelity behind them, on a dumbbell.
+    fn mice_behind_elephants_hybrid(name: &str) -> Scenario {
         use crate::scenario::{ForegroundSpec, PartitionRule, TopologySpec};
         let mut sc = Scenario::new(
-            "hybrid-smoke",
+            name,
             TopologySpec::Dumbbell {
                 senders: 4,
                 switches: 3,
@@ -933,6 +967,12 @@ mod tests {
         sc.foreground = Some(ForegroundSpec {
             rules: vec![PartitionRule::SizeBelow { bytes: 1_000_000 }],
         });
+        sc
+    }
+
+    #[test]
+    fn hybrid_backend_runs_a_partitioned_scenario() {
+        let sc = mice_behind_elephants_hybrid("hybrid-smoke");
         sc.validate().unwrap();
         let r = run_scenario(&sc, SimBackend::Hybrid);
         assert_eq!(r.backend, "hybrid");
@@ -944,6 +984,31 @@ mod tests {
         assert_eq!(r.scalar("background_flows"), Some(2.0));
         assert!(r.scalar("hybrid_syncs").unwrap_or(0.0) > 0.0);
         assert!(r.scalar("hybrid_backlog_pushes").unwrap_or(0.0) > 0.0);
+    }
+
+    /// A hybrid report's `fct_us_*` describe the foreground's finished
+    /// flows: not the background's, and not the foreground flows a horizon
+    /// cut short.
+    #[test]
+    fn hybrid_fct_histogram_counts_finished_foreground_flows() {
+        let mut sc = mice_behind_elephants_hybrid("hybrid-fct");
+        let drained = run_scenario(&sc, SimBackend::Hybrid);
+        assert_eq!(drained.unfinished, vec![0]);
+        assert_eq!(
+            drained.scalar("fct_us_count"),
+            Some(6.0),
+            "8 flows, 6 of them mice"
+        );
+        assert_eq!(
+            drained.scalar("fct_us_count"),
+            drained.scalar("foreground_flows")
+        );
+        // At 70 µs the elephants and the last mice are still running.
+        sc.stop = StopCondition::Horizon { us: 70 };
+        let cut = run_scenario(&sc, SimBackend::Hybrid);
+        let finished = cut.scalar("fct_us_count").unwrap();
+        assert!((1.0..6.0).contains(&finished), "{finished} mice finished");
+        assert_eq!(finished as usize + cut.unfinished[0], 8);
     }
 
     /// The hybrid foreground runs FNCC under the scenario's overrides, as
@@ -1067,26 +1132,8 @@ mod tests {
 
     #[test]
     fn hybrid_backend_completes_under_linkflap() {
-        use crate::scenario::{FaultSpec, ForegroundSpec, PartitionRule, TopologySpec};
-        let mut sc = Scenario::new(
-            "hybrid-flap-smoke",
-            TopologySpec::Dumbbell {
-                senders: 4,
-                switches: 3,
-            },
-            TrafficSpec::MiceBehindElephants {
-                elephants: 2,
-                elephant_size: 2_000_000,
-                mice: 6,
-                mouse_size: 20_000,
-                warmup_us: 30,
-                gap_us: 10,
-            },
-            CcKind::Fncc,
-        );
-        sc.foreground = Some(ForegroundSpec {
-            rules: vec![PartitionRule::SizeBelow { bytes: 1_000_000 }],
-        });
+        use crate::scenario::FaultSpec;
+        let mut sc = mice_behind_elephants_hybrid("hybrid-flap-smoke");
         sc.stop = StopCondition::Drain { cap_ms: 50 };
         // Flap the dumbbell bottleneck: the packet half recovers by RTO
         // retransmission, the fluid half parks its elephants until link-up.
@@ -1140,6 +1187,30 @@ mod tests {
         ] {
             assert_eq!(r.scalar(key), None, "unexpected scalar {key}");
         }
+    }
+
+    #[test]
+    fn histogram_scalars() {
+        let mut report = RunReport::new("h", "packet", "fncc");
+        let mut h = Histogram::new();
+        h.record(10);
+        h.record(20);
+        put_histogram(&mut report, "lat", &h);
+        let names: Vec<&str> = report.scalars.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["lat_count", "lat_mean", "lat_p50", "lat_p99", "lat_max"]
+        );
+        assert_eq!(report.scalar("lat_count"), Some(2.0));
+        assert_eq!(report.scalar("lat_mean"), Some(15.0));
+        assert_eq!(report.scalar("lat_max"), Some(20.0));
+    }
+
+    #[test]
+    fn empty_histograms_export_nothing() {
+        let mut report = RunReport::new("h", "packet", "fncc");
+        put_histogram(&mut report, "never_fed", &Histogram::new());
+        assert!(report.scalars.is_empty());
     }
 
     #[test]

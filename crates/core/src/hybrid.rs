@@ -79,12 +79,12 @@ const RAMP_FLOOR: f64 = 0.25;
 /// fluid half's result, and the coupling statistics.
 pub struct HybridResult {
     /// Foreground (packet DES) telemetry: flow records, counters and the
-    /// run's one recorder — the foreground's metrics and trace ring, and
-    /// the profiler spans of both halves.
+    /// run's one recorder — the foreground's trace ring, and the profiler
+    /// spans of both halves.
     pub fg: Telemetry,
     /// Background (fluid) result: flow records and solver statistics. Its
-    /// metrics stay out of the report, and its profiler is folded into
-    /// `fg`'s.
+    /// resolve-set histogram stays out of the report, and its profiler is
+    /// folded into `fg`'s.
     pub bg: FluidResult,
     /// Fluid↔packet synchronization boundaries taken.
     pub syncs: u64,

@@ -70,8 +70,9 @@ pub use scenarios::{elephants, fattree_workload, hop_location, staircase_scenari
 pub use sharded::{ShardStats, ShardedSim};
 pub use sim::{make_algo, Sim, SimBuilder};
 
-/// Flight-recorder observability: trace sink, metrics registry, profiling
-/// spans (re-export of the dependency-free `fncc-obs` crate).
+/// Flight-recorder observability: trace sink, profiling spans and the
+/// histograms behind the reports' distribution scalars (re-export of the
+/// dependency-free `fncc-obs` crate).
 pub use fncc_obs as obs;
 
 /// One-stop imports for examples and experiment binaries.
@@ -101,6 +102,6 @@ pub mod prelude {
     pub use fncc_net::telemetry::Probe;
     pub use fncc_net::topology::Topology;
     pub use fncc_net::units::{Bandwidth, ByteSize};
-    pub use fncc_obs::{MetricsRegistry, Profiler, TraceEvent, TraceMeta, TraceSink, TRACE_SCHEMA};
+    pub use fncc_obs::{Profiler, TraceEvent, TraceMeta, TraceSink, TRACE_SCHEMA};
     pub use fncc_transport::FlowSpec;
 }

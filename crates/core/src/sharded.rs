@@ -508,8 +508,8 @@ impl ShardedSim {
     /// once, after the run), each replica's DES-engine profiler folded into
     /// its recorder first, so the run hands the backend one recorder. The
     /// one replica's telemetry is moved out as recorded; pod shards merge
-    /// by [`Telemetry::merge_shard`]: counters sum, histograms absorb
-    /// exactly, watch lists concatenate in shard order, the disjoint flow
+    /// by [`Telemetry::merge_shard`]: counters sum, profiler phases
+    /// add by name, watch lists concatenate in shard order, the disjoint flow
     /// record sets form one list in ascending flow id, and per-shard
     /// trace rings interleave deterministically by `(timestamp, shard)`.
     pub fn harvest(&mut self) -> &Telemetry {

@@ -60,7 +60,7 @@ use fncc_net::ids::{FlowId, NodeRef, SwitchId};
 use fncc_net::routing::{egress_avoiding, flow_hash};
 use fncc_net::telemetry::FlowRecord;
 use fncc_net::topology::Topology;
-use fncc_obs::{HistId, PhaseId, Recorder, TraceEvent};
+use fncc_obs::{Histogram, PhaseId, Recorder, TraceEvent};
 use fncc_transport::FlowSpec;
 use std::collections::BTreeSet;
 
@@ -280,12 +280,13 @@ const UNFINISHED: SimTime = SimTime::MAX;
 
 /// Result of a fluid run.
 pub struct FluidResult {
-    /// The run's trace ring, its metrics registry (the `fct_us` histogram
-    /// and the resolve-set histogram) and its profiler (the solver span,
-    /// populated only when `FNCC_PROFILE` is set). The flows themselves
-    /// are not recorded here: [`Self::records`] builds their lifetime
-    /// records from the specs and finish times.
+    /// The run's trace ring and its profiler (the solver span, populated
+    /// only when `FNCC_PROFILE` is set). The flows themselves are not
+    /// recorded here: [`Self::records`] builds their lifetime records from
+    /// the specs and finish times.
     pub rec: Recorder,
+    /// Flows whose rate moved, per re-allocation that moved any.
+    pub resolve_set_size: Histogram,
     /// Flows that took a detour around a dead link at least once.
     pub rerouted_flows: u64,
     /// Max-min re-allocations performed (the event count).
@@ -419,7 +420,6 @@ impl FluidSim {
             self.framing,
             self.flows,
             self.trace,
-            "resolve_set_size",
             "fluid_solve",
         )?;
         engine.faults(&self.faults);
@@ -490,14 +490,13 @@ pub struct BackgroundFluid {
     needs_resolve: bool,
     rec: Recorder,
     ph_solve: PhaseId,
-    h_fct_us: HistId,
-    h_resolve: HistId,
+    /// Flows whose rate moved, per re-allocation that moved any.
+    resolve_set_size: Histogram,
     /// Flows that took a detour around a dead link (each counted once).
     rerouted: BTreeSet<FlowId>,
     reallocations: u64,
     rate_updates: u64,
     peak_active: usize,
-    horizon: SimTime,
 }
 
 impl BackgroundFluid {
@@ -511,26 +510,17 @@ impl BackgroundFluid {
         flows: Vec<FlowSpec>,
         trace: bool,
     ) -> Result<Self, FluidError> {
-        Self::with_labels(
-            topo,
-            model,
-            framing,
-            flows,
-            trace,
-            "bg_resolve_set_size",
-            "bg_fluid_solve",
-        )
+        Self::with_labels(topo, model, framing, flows, trace, "bg_fluid_solve")
     }
 
-    /// [`Self::new`] naming the resolve-set histogram and the solver span,
-    /// which a report keys on to tell a fluid run from a hybrid background.
+    /// [`Self::new`] naming the solver span, which a report keys on to tell
+    /// a fluid run from a hybrid background.
     fn with_labels(
         topo: Topology,
         model: RateModel,
         framing: Framing,
         mut flows: Vec<FlowSpec>,
         trace: bool,
-        hist: &str,
         span: &'static str,
     ) -> Result<Self, FluidError> {
         let links = LinkMap::new(&topo);
@@ -567,8 +557,6 @@ impl BackgroundFluid {
         }
 
         let mut rec = Recorder::new(trace);
-        let h_fct_us = rec.metrics.histogram("fct_us");
-        let h_resolve = rec.metrics.histogram(hist);
         let ph_solve = rec.profiler.phase(span);
         let mut filler = WaterFiller::new(links.len());
         filler.begin_incremental(&capacity_base);
@@ -612,13 +600,11 @@ impl BackgroundFluid {
             needs_resolve: false,
             rec,
             ph_solve,
-            h_fct_us,
-            h_resolve,
+            resolve_set_size: Histogram::new(),
             rerouted: BTreeSet::new(),
             reallocations: 0,
             rate_updates: 0,
             peak_active: 0,
-            horizon: SimTime::ZERO,
         })
     }
 
@@ -1080,6 +1066,8 @@ impl BackgroundFluid {
     /// DES).
     pub fn into_result(self) -> FluidResult {
         let (full_solves, incremental_solves) = self.filler.solve_stats();
+        let finished = self.finish.iter().filter(|&&f| f != UNFINISHED);
+        let horizon = finished.max().copied().unwrap_or(SimTime::ZERO);
         let specs = self.specs;
         let by_id = (!specs.is_sorted_by_key(|s| s.id)).then(|| {
             let mut order: Vec<u32> = (0..specs.len() as u32).collect();
@@ -1091,10 +1079,11 @@ impl BackgroundFluid {
             finish: self.finish,
             by_id,
             rec: self.rec,
+            resolve_set_size: self.resolve_set_size,
             rerouted_flows: self.rerouted.len() as u64,
             reallocations: self.reallocations,
             peak_active: self.peak_active,
-            horizon: self.horizon,
+            horizon,
             full_solves,
             incremental_solves,
             rate_updates: self.rate_updates,
@@ -1188,9 +1177,9 @@ impl BackgroundFluid {
         self.rec.profiler.end(self.ph_solve, span);
         if outcome != Rebalance::Noop {
             self.reallocations += 1;
-            self.rate_updates += self.filler.changed().len() as u64;
             let changed = self.filler.changed().len() as u64;
-            self.rec.metrics.observe(self.h_resolve, changed);
+            self.rate_updates += changed;
+            self.resolve_set_size.record(changed);
         }
         if self.rec.trace.enabled() {
             self.rec.trace.record(TraceEvent::SolveEnd {
@@ -1320,11 +1309,7 @@ impl BackgroundFluid {
             };
             let fct_secs = drain + st.floor + self.queue_delay * contention * buildup;
             let fct = TimeDelta::from_secs_f64(fct_secs.max(f64::MIN_POSITIVE));
-            let finish = spec.start + fct;
-            self.finish[st.spec_ix as usize] = finish;
-            let fct_us = fct.as_secs_f64() * 1e6;
-            self.rec.metrics.observe_f64(self.h_fct_us, fct_us);
-            self.horizon = self.horizon.max(finish);
+            self.finish[st.spec_ix as usize] = spec.start + fct;
             if self.rec.trace.enabled() {
                 self.rec.trace.record(TraceEvent::FluidFlowRemove {
                     t_ps: to_ps(t),
@@ -1704,7 +1689,7 @@ mod tests {
 
     /// `records()` builds one record per flow from the specs and finish
     /// times, a flow stalled behind a severed link reports no
-    /// finish, and the `fct_us` histogram counts the finished flows only.
+    /// finish, and the horizon is the latest finish of the finished flows.
     #[test]
     fn result_builds_records_from_specs_and_finish_times() {
         let topo = Topology::dumbbell(2, 3, BW, PROP);
@@ -1722,13 +1707,8 @@ mod tests {
         assert_eq!(record(&r, 0).finish, None, "severed for good at 100 µs");
         let unfinished = r.records().filter(|rec| rec.finish.is_none()).count();
         assert_eq!(unfinished, 1);
-        let (_, fct_us) = r
-            .rec
-            .metrics
-            .histograms()
-            .find(|&(name, _)| name == "fct_us")
-            .unwrap();
-        assert_eq!(fct_us.count(), 2);
+        let latest = r.records().filter_map(|rec| rec.finish).max();
+        assert_eq!(Some(r.horizon), latest, "the stalled flow sets no horizon");
     }
 
     /// An arrival during an outage that severs its destination parks until

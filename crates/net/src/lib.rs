@@ -62,9 +62,10 @@ mod tests {
         assert_eq!(size_of::<port::Port>(), 264);
         // Field offsets as rustc lays them out: a reorder shows up here,
         // not as a move in a layout-sensitive benchmark row.
-        assert_eq!(size_of::<Telemetry>(), 504);
-        assert_eq!(size_of::<telemetry::Counters>(), 248);
-        assert_eq!(offset_of!(Telemetry, counters), 184);
+        assert_eq!(size_of::<Telemetry>(), 432);
+        assert_eq!(size_of::<telemetry::Counters>(), 240);
+        assert_eq!(size_of::<fncc_obs::Recorder>(), 88);
+        assert_eq!(offset_of!(Telemetry, counters), 136);
         assert_eq!(offset_of!(Telemetry, rec), 0);
     }
 }

@@ -1301,12 +1301,12 @@ mod tests {
             matches!(out.as_slice(), [SwitchOutput::StartTx { port: 3, .. }]),
             "survivor uplink takes over: {out:?}"
         );
-        assert_eq!(telem.counters.rerouted_flows, 1);
+        assert_eq!(telem.rerouted_flows(), 1);
         // Second frame of the same flow does not recount.
         let mut pkt = data(flow.0, 0, 15, 1000);
         pkt.flow = flow;
         sw.on_arrive(SimTime::ZERO, 0, pkt, &cfg, &mut telem, &mut pool, &mut out);
-        assert_eq!(telem.counters.rerouted_flows, 1);
+        assert_eq!(telem.rerouted_flows(), 1);
     }
 
     #[test]

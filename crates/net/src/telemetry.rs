@@ -1,5 +1,5 @@
 //! Run-wide measurement state: the hot [`Counters`] block, the run's
-//! [`Recorder`] (trace ring, metrics registry, profiler), flow completion
+//! [`Recorder`] (trace ring, profiler), flow completion
 //! records, and the sampling watch list feeding the paper's time-series
 //! plots.
 //!
@@ -24,7 +24,7 @@ use crate::packet::MAX_HOPS;
 use crate::port::Port;
 use fncc_des::stats::{RateMeter, TimeSeries};
 use fncc_des::time::{SimTime, TimeDelta};
-use fncc_obs::{HistId, PhaseId, Recorder};
+use fncc_obs::{PhaseId, Recorder};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -77,9 +77,6 @@ pub struct Counters {
     pub retx: u64,
     /// Retransmission-timeout firings that rewound a flow.
     pub rtos: u64,
-    /// Flows whose frames took a non-pristine route at least once because
-    /// of a dead link (deduplicated network-wide).
-    pub rerouted_flows: u64,
     /// INT records dropped because a frame's stack already held
     /// [`crate::packet::MAX_HOPS`] records, summed by senders as they
     /// consume ACKs. Zero on every path a scenario file can describe.
@@ -141,7 +138,6 @@ impl Counters {
         self.fault_drops += o.fault_drops;
         self.retx += o.retx;
         self.rtos += o.rtos;
-        self.rerouted_flows += o.rerouted_flows;
         self.int_truncations += o.int_truncations;
         for h in 0..MAX_HOPS {
             self.int_age_sum[h] += o.int_age_sum[h];
@@ -203,15 +199,9 @@ pub struct Telemetry {
     /// Global counters, touched on the per-packet path.
     pub counters: Counters,
     /// The run's trace ring (disabled by default; the backend arms it when
-    /// the scenario's `probes.trace` knob is set), its metrics registry
-    /// (histograms fed only from simulation state, so their percentiles are
-    /// deterministic and identical whether tracing is armed or not) and its
-    /// profiler (`cc_update` spans, under `FNCC_PROFILE` only).
+    /// the scenario's `probes.trace` knob is set) and its profiler
+    /// (`cc_update` spans, under `FNCC_PROFILE` only).
     pub rec: Recorder,
-    /// Queue-depth histogram (bytes), fed on every sampling tick.
-    h_queue_depth: HistId,
-    /// Flow-completion-time histogram (µs), fed on each flow finish.
-    h_fct_us: HistId,
     ph_cc_update: PhaseId,
     /// Lifetime records of the flows this engine carries, in ascending
     /// flow id.
@@ -223,8 +213,9 @@ pub struct Telemetry {
     /// No further sample events are scheduled after this instant.
     pub sample_until: SimTime,
     watches: Vec<Watch>,
-    /// Flows already counted in `counters.rerouted_flows`: one entry per
-    /// rerouted flow, added only while dead links exist.
+    /// Flows whose frames took a non-pristine route at least once because
+    /// of a dead link: one entry per rerouted flow, added only while dead
+    /// links exist.
     rerouted: BTreeSet<FlowId>,
 }
 
@@ -232,14 +223,10 @@ impl Telemetry {
     /// Fresh telemetry with sampling disabled.
     pub fn new() -> Self {
         let mut rec = Recorder::new(false);
-        let h_queue_depth = rec.metrics.histogram("queue_depth_bytes");
-        let h_fct_us = rec.metrics.histogram("fct_us");
         let ph_cc_update = rec.profiler.phase("cc_update");
         Telemetry {
             counters: Counters::default(),
             rec,
-            h_queue_depth,
-            h_fct_us,
             ph_cc_update,
             flows: Vec::new(),
             flows_finished: 0,
@@ -297,9 +284,7 @@ impl Telemetry {
         let rec = &mut self.flows[ix];
         debug_assert!(rec.finish.is_none(), "double finish for {flow:?}");
         if rec.finish.replace(at).is_none() {
-            let fct_us = at.since(rec.start).as_secs_f64() * 1e6;
             self.flows_finished += 1;
-            self.rec.metrics.observe_f64(self.h_fct_us, fct_us);
         }
     }
 
@@ -316,11 +301,7 @@ impl Telemetry {
     ) {
         for w in &mut self.watches {
             let v = match w.probe {
-                Probe::Queue { sw, port } => {
-                    let depth = port_read(sw, port).queue_bytes;
-                    self.rec.metrics.observe(self.h_queue_depth, depth);
-                    depth as f64 / 1024.0
-                }
+                Probe::Queue { sw, port } => port_read(sw, port).queue_bytes as f64 / 1024.0,
                 Probe::Util { sw, port } => {
                     let p = port_read(sw, port);
                     w.meter.sample(now, p.tx_bytes) / p.bw.as_f64()
@@ -339,9 +320,13 @@ impl Telemetry {
     /// Count `flow` as rerouted (its frames deviated from the pristine
     /// route because of a dead link); idempotent per flow.
     pub fn note_rerouted(&mut self, flow: FlowId) {
-        if self.rerouted.insert(flow) {
-            self.counters.rerouted_flows += 1;
-        }
+        self.rerouted.insert(flow);
+    }
+
+    /// Flows whose frames took a non-pristine route at least once because
+    /// of a dead link (deduplicated network-wide).
+    pub fn rerouted_flows(&self) -> u64 {
+        self.rerouted.len() as u64
     }
 
     /// Open a wall-clock span over one congestion-control update; returns
@@ -363,22 +348,19 @@ impl Telemetry {
     ///
     /// Every aggregate here is exact, not approximate: counters are integer
     /// sums ([`Counters::absorb`]); the recorders merge as
-    /// [`Recorder::absorb`] does, histograms rounding to integer units
-    /// before summing (see [`fncc_obs::Histogram::absorb`]) and trace rings
-    /// interleaving by `(timestamp, shard)`; watch lists concatenate in
+    /// [`Recorder::absorb`] does, trace rings interleaving by
+    /// `(timestamp, shard)`; watch lists concatenate in
     /// shard order because each shard only registers watches for entities
     /// it owns, so [`Telemetry::series`] finds exactly one series per name.
     /// Each shard registers the flows whose receiver it owns, so the record
-    /// sets are disjoint and merge as a sorted union. `rerouted_flows` is
-    /// deduplicated network-wide, so the rerouted id sets are unioned and
-    /// the counter recomputed rather than summed.
+    /// sets are disjoint and merge as a sorted union. Rerouted flows are
+    /// deduplicated network-wide, so the rerouted id sets are unioned.
     pub fn merge_shard(&mut self, other: Telemetry) {
         self.counters.absorb(&other.counters);
         self.rec.absorb(other.rec);
         self.register_flows(other.flows);
         self.watches.extend(other.watches);
         self.rerouted.extend(other.rerouted);
-        self.counters.rerouted_flows = self.rerouted.len() as u64;
     }
 
     // --- harvesting --------------------------------------------------------
@@ -490,12 +472,11 @@ mod tests {
         let (mut a, mut b) = (Telemetry::new(), Telemetry::new());
         a.note_rerouted(FlowId(1_000_000));
         a.note_rerouted(FlowId(1_000_000));
-        assert_eq!(a.counters.rerouted_flows, 1);
-        assert_eq!(a.rerouted.len(), 1);
+        assert_eq!(a.rerouted_flows(), 1);
         b.note_rerouted(FlowId(1_000_000));
         a.merge_shard(b);
         assert!(a.rerouted.iter().eq(&[FlowId(1_000_000)]));
-        assert_eq!(a.counters.rerouted_flows, 1);
+        assert_eq!(a.rerouted_flows(), 1);
         // Distinct flows from both sides keep their order and count.
         let mut c = Telemetry::new();
         c.note_rerouted(FlowId(5));
@@ -505,7 +486,7 @@ mod tests {
             .rerouted
             .iter()
             .eq(&[FlowId(3), FlowId(5), FlowId(1_000_000)]));
-        assert_eq!(a.counters.rerouted_flows, 3);
+        assert_eq!(a.rerouted_flows(), 3);
     }
 
     #[test]

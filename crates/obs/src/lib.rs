@@ -9,16 +9,16 @@
 //!   ([`TraceSink`]). The hot path pays a single predictable branch when
 //!   tracing is off; when on, events land in a fixed-capacity flight
 //!   recorder that drains to the versioned `fncc.trace/v1` JSONL artifact.
-//! * [`metrics`] — a [`MetricsRegistry`] of named counters and log-linear
-//!   HDR-style [`Histogram`]s, the uniform export path behind the
-//!   `RunReport` metric scalars of both backends.
+//! * [`metrics`] — log-linear HDR-style [`Histogram`]s, which a report
+//!   builds from the flow records and series a run already keeps (the
+//!   `fct_us_*`, `queue_depth_bytes_*` and `resolve_set_size_*` scalars).
 //! * [`profile`] — scoped wall-clock [`Profiler`] spans over engine phases
 //!   (scheduler pop, dispatch, fluid solve, report build). Wall-clock
 //!   readings are non-deterministic, so spans are off unless explicitly
 //!   enabled (`FNCC_PROFILE=1`) and never feed deterministic artifacts.
 //!
-//! One [`Recorder`] bundles the three for one engine run; the backend reads
-//! exactly one per run.
+//! One [`Recorder`] bundles the trace ring and the profiler of one engine
+//! run; the backend reads exactly one per run.
 //!
 //! Timestamps cross this crate's API as raw picosecond `u64`s and ids as
 //! raw `u32`s: depending on `fncc_des::SimTime` or the id newtypes would
@@ -28,18 +28,15 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use metrics::{CounterId, HistId, Histogram, MetricsRegistry};
+pub use metrics::Histogram;
 pub use profile::{PhaseId, Profiler};
 pub use trace::{TraceEvent, TraceMeta, TraceSink, TraceValue, TRACE_SCHEMA};
 
-/// The three instruments of one engine run: its trace ring, its metrics
-/// registry and its profiler.
+/// The instruments of one engine run: its trace ring and its profiler.
 #[derive(Debug)]
 pub struct Recorder {
     /// Flight-recorder event ring (disabled unless the run is traced).
     pub trace: TraceSink,
-    /// Named metrics, fed only from simulation state (deterministic).
-    pub metrics: MetricsRegistry,
     /// Wall-clock spans (enabled only under `FNCC_PROFILE`).
     pub profiler: Profiler,
 }
@@ -54,20 +51,17 @@ impl Recorder {
             } else {
                 TraceSink::disabled()
             },
-            metrics: MetricsRegistry::new(),
             profiler: Profiler::from_env(),
         }
     }
 
     /// Fold another run's recorder into this one: traces interleave as
-    /// [`TraceSink::merged`] orders them (this ring's events win ties),
-    /// metrics match by name ([`MetricsRegistry::absorb`]) and profiler
-    /// phases by name ([`Profiler::absorb`]).
+    /// [`TraceSink::merged`] orders them (this ring's events win ties) and
+    /// profiler phases match by name ([`Profiler::absorb`]).
     pub fn absorb(&mut self, other: Recorder) {
         if other.trace.enabled() {
             self.trace = TraceSink::merged(&[&self.trace, &other.trace]);
         }
-        self.metrics.absorb(&other.metrics);
         self.profiler.absorb(&other.profiler);
     }
 }
@@ -99,20 +93,16 @@ mod tests {
         assert_eq!(got.trace.len(), 7);
     }
 
-    /// An unarmed ring leaves the armed one as it was; metrics and
-    /// profiler phases merge by name.
+    /// An unarmed ring leaves the armed one as it was; profiler phases
+    /// merge by name.
     #[test]
-    fn absorb_merges_metrics_and_phases_by_name() {
+    fn absorb_merges_phases_by_name() {
         let mut a = ring(&[3, 1], 0);
         let mut b = Recorder::new(false);
-        let c = b.metrics.counter("n");
-        b.metrics.inc(c, 2);
         b.profiler.phase("solve");
-        a.metrics.counter("n");
         a.absorb(b);
         let times: Vec<u64> = a.trace.events().map(TraceEvent::t_ps).collect();
         assert_eq!(times, [3, 1], "an unarmed ring leaves the order alone");
-        assert_eq!(a.metrics.counters().collect::<Vec<_>>(), [("n", 2)]);
         assert_eq!(
             a.profiler.spans().map(|s| s.0).collect::<Vec<_>>(),
             ["solve"]

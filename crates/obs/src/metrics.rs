@@ -1,17 +1,5 @@
-//! The metrics registry: named counters and log-linear HDR-style
-//! histograms, the uniform export path behind both backends' `RunReport`
-//! metric scalars.
-//!
-//! Hot paths hold typed handles ([`CounterId`], [`HistId`]) obtained once at
-//! setup, so an update is an indexed add — no name lookup, no allocation.
-
-/// Handle to a registered counter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered histogram.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistId(usize);
+//! Log-linear HDR-style histograms: the distribution scalars
+//! (`<name>_{count,mean,p50,p99,max}`) of every backend's `RunReport`.
 
 /// Sub-bucket resolution: 2^4 = 16 linear sub-buckets per power of two,
 /// bounding the relative quantization error at ~6%.
@@ -21,7 +9,10 @@ const SUBS: u64 = 1 << SUB_BITS;
 /// A log-linear histogram of non-negative integer values (HdrHistogram's
 /// bucketing scheme): values below 2^4 get exact unit buckets, larger
 /// values 16 linear sub-buckets per octave. Recording is O(1) and
-/// allocation-free after the first value of a given magnitude.
+/// allocation-free after the first value of a given magnitude. Bucket
+/// counts, totals and extrema are all exact integer quantities (sums stay
+/// below 2^53), so a histogram is byte-identical however its values were
+/// ordered: a report may feed them in flow-id order, not finish order.
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
     /// Bucket counts, grown lazily to the highest index touched.
@@ -122,28 +113,6 @@ impl Histogram {
         }
     }
 
-    /// Fold `other`'s recorded values into `self`. Because recording
-    /// rounds to integer units first, bucket counts, totals and extrema
-    /// are all exact integer quantities (sums stay below 2^53), so the
-    /// merged histogram is byte-identical to one fed the union of values
-    /// in any order — the property the sharded DES relies on when it
-    /// combines per-shard telemetry.
-    pub fn absorb(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (ix, &c) in other.counts.iter().enumerate() {
-            self.counts[ix] += c;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Nearest-rank percentile (`p` in [0, 100]) as a bucket-midpoint
     /// value; exact at the recorded extremes, within ~6% elsewhere.
     pub fn percentile(&self, p: f64) -> u64 {
@@ -159,106 +128,6 @@ impl Histogram {
             }
         }
         self.max
-    }
-}
-
-/// A registry of named metrics. Names are registered once (returning a
-/// handle) and exported in registration order, which keeps downstream
-/// artifacts diffable.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(String, u64)>,
-    hists: Vec<(String, Histogram)>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register (or find) a counter by name.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(ix) = self.counters.iter().position(|(n, _)| n == name) {
-            return CounterId(ix);
-        }
-        self.counters.push((name.to_string(), 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Register (or find) a histogram by name.
-    pub fn histogram(&mut self, name: &str) -> HistId {
-        if let Some(ix) = self.hists.iter().position(|(n, _)| n == name) {
-            return HistId(ix);
-        }
-        self.hists.push((name.to_string(), Histogram::new()));
-        HistId(self.hists.len() - 1)
-    }
-
-    /// Add to a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].1 += by;
-    }
-
-    /// Record a histogram value.
-    #[inline]
-    pub fn observe(&mut self, id: HistId, v: u64) {
-        self.hists[id.0].1.record(v);
-    }
-
-    /// Record a histogram value given as a non-negative float.
-    #[inline]
-    pub fn observe_f64(&mut self, id: HistId, v: f64) {
-        self.hists[id.0].1.record_f64(v);
-    }
-
-    /// Counters in registration order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(n, v)| (n.as_str(), *v))
-    }
-
-    /// Histograms in registration order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.hists.iter().map(|(n, h)| (n.as_str(), h))
-    }
-
-    /// Fold another registry into this one, matching metrics by name:
-    /// counters add, histograms [`Histogram::absorb`]. Metrics
-    /// only present in `other` are appended in `other`'s registration
-    /// order, so two registries built by identical setup code merge into
-    /// one with the same export order.
-    pub fn absorb(&mut self, other: &MetricsRegistry) {
-        for (n, v) in other.counters() {
-            let id = self.counter(n);
-            self.inc(id, v);
-        }
-        for (n, h) in other.histograms() {
-            let id = self.histogram(n);
-            self.hists[id.0].1.absorb(h);
-        }
-    }
-
-    /// Flatten every metric into `(name, value)` scalar pairs, in
-    /// registration order: counters as-is, histograms as
-    /// `<name>_{count,mean,p50,p99,max}`. Deterministic for deterministic
-    /// inputs, so the pairs are safe to embed in run artifacts.
-    pub fn scalar_pairs(&self) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        for (n, v) in self.counters() {
-            out.push((n.to_string(), v as f64));
-        }
-        for (n, h) in self.histograms() {
-            if h.count() == 0 {
-                continue;
-            }
-            out.push((format!("{n}_count"), h.count() as f64));
-            out.push((format!("{n}_mean"), h.mean()));
-            out.push((format!("{n}_p50"), h.percentile(50.0) as f64));
-            out.push((format!("{n}_p99"), h.percentile(99.0) as f64));
-            out.push((format!("{n}_max"), h.max() as f64));
-        }
-        out
     }
 }
 
@@ -300,29 +169,5 @@ mod tests {
         assert!((p99 - 9900.0).abs() / 9900.0 < 0.07, "p99={p99}");
         assert_eq!(h.max(), 10_000);
         assert!((h.mean() - 5000.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn registry_handles_and_scalars() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("widgets");
-        assert_eq!(r.counter("widgets"), c, "re-registration returns same id");
-        r.inc(c, 2);
-        r.inc(c, 3);
-        let h = r.histogram("lat");
-        r.observe(h, 10);
-        r.observe(h, 20);
-        let pairs = r.scalar_pairs();
-        let get = |k: &str| pairs.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
-        assert_eq!(get("widgets"), Some(5.0));
-        assert_eq!(get("lat_count"), Some(2.0));
-        assert_eq!(get("lat_max"), Some(20.0));
-    }
-
-    #[test]
-    fn empty_histograms_export_nothing() {
-        let mut r = MetricsRegistry::new();
-        r.histogram("never_fed");
-        assert!(r.scalar_pairs().is_empty());
     }
 }

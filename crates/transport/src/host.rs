@@ -84,11 +84,6 @@ impl DcHost {
         self.active_incoming
     }
 
-    /// True once every byte of the flow has been acknowledged.
-    pub fn flow_done(&self, id: FlowId) -> bool {
-        self.retired.contains_key(&id)
-    }
-
     /// LHCS trigger count of an FNCC flow (ablation diagnostics).
     pub fn lhcs_triggers(&self, id: FlowId) -> Option<u64> {
         match self.send.get(&id) {
@@ -609,7 +604,7 @@ mod tests {
             fct > TimeDelta::from_us(85) && fct < TimeDelta::from_us(200),
             "FCT {fct}"
         );
-        assert!(eng.model.hosts[0].flow_done(FlowId(0)));
+        assert!(eng.model.hosts[0].retired.contains_key(&FlowId(0)));
     }
 
     /// The HPCC receiver turns each data frame into its ACK in place, so
@@ -755,7 +750,7 @@ mod tests {
         const LHCS: [u64; 12] = [53, 53, 53, 54, 53, 53, 53, 54, 53, 53, 53, 54];
         for f in 0..12 {
             let host = &eng.model.hosts[(f % 4) as usize];
-            assert!(host.flow_done(FlowId(f)), "flow {f}");
+            assert!(host.retired.contains_key(&FlowId(f)), "flow {f}");
             assert_eq!(host.sent_bytes(FlowId(f)), size, "flow {f}");
             assert_eq!(
                 host.lhcs_triggers(FlowId(f)),
@@ -772,7 +767,7 @@ mod tests {
         let mut eng = build(2, hpcc(), |_| {}, vec![flow(0, 0, 2, size, 0)]);
         eng.run_until(SimTime::from_ms(5));
         let host = &eng.model.hosts[0];
-        assert!(host.flow_done(FlowId(0)) && host.send.is_empty());
+        assert!(host.retired.contains_key(&FlowId(0)) && host.send.is_empty());
         assert_eq!(host.sent_bytes(FlowId(0)), size);
         assert_eq!(host.lhcs_triggers(FlowId(0)), None);
     }
@@ -955,7 +950,7 @@ mod tests {
             vec![flow(0, 0, 2, 200_000, 0)],
         );
         let mut t = SimTime::ZERO;
-        while !eng.model.hosts[0].flow_done(FlowId(0)) {
+        while !eng.model.hosts[0].retired.contains_key(&FlowId(0)) {
             t += TimeDelta::from_us(1);
             assert!(t < SimTime::from_ms(5), "flow never finished");
             eng.run_until(t);

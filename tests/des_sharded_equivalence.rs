@@ -212,6 +212,33 @@ fn flows_behind_an_idle_gap_are_all_reported() {
     );
 }
 
+/// The distribution scalars a report builds on its first seed read the
+/// same from pod shards as from one replica: `fct_us_*` from the flow
+/// records (each shard holds its receivers' records) and
+/// `queue_depth_bytes_*` from the congestion point's `queue_kb` series
+/// (held by the shard that owns the switch).
+#[test]
+fn pod_shards_report_the_same_histograms() {
+    let mut sc = incast_scenario(CcKind::Fncc);
+    sc.probes = ProbeSpec::micro(1000, 0);
+    let histograms = |threads: u32| {
+        let mut sc = sc.clone();
+        sc.threads = threads;
+        let mut scalars = run_scenario(&sc, SimBackend::Packet).scalars;
+        scalars.retain(|(k, _)| k.starts_with("fct_us_") || k.starts_with("queue_depth_bytes_"));
+        scalars
+    };
+    let one = histograms(0);
+    assert_eq!(one.len(), 10, "{one:?}");
+    assert_eq!(
+        one[5],
+        ("fct_us_count".to_string(), 6.0),
+        "the six incast flows"
+    );
+    assert!(one[4].1 > 0.0, "the incast queued: {one:?}");
+    assert_eq!(one, histograms(2));
+}
+
 /// The sharded report carries the partition's bookkeeping scalars.
 #[test]
 fn sharded_report_exposes_partition_scalars() {
