@@ -17,9 +17,9 @@
 //! Adding a scheme means writing one policy struct (~100 LoC: config,
 //! law, `Registration`) and adding its line to the crate's `schemes!`
 //! table, which derives `CcKind`, `CcAlgo`, `CcFlow` and `make_algo`; the
-//! compiler then asks for its `RateModel::paper_default` and
-//! `newcomer_queue_scale` arms. The transport host, every simulation
-//! backend, calibration, and the conformance matrices pick it up from
+//! compiler then asks for its one `RateModel::paper_default` arm (every
+//! fluid and hybrid constant of the scheme). The transport host, every
+//! simulation backend, calibration, and the conformance matrices pick it up from
 //! there.
 
 use crate::ack::AckView;

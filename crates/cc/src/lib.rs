@@ -27,9 +27,9 @@
 //! Every scheme is declared once, as one line of the `schemes!` table in
 //! this file, which derives [`CcKind`], [`CcAlgo`], [`CcFlow`] and
 //! [`make_algo`]. Adding a scheme is one policy module plus that line; the
-//! compiler then asks for its arms in the fluid backend's
-//! `RateModel::paper_default` and the hybrid backend's
-//! `newcomer_queue_scale`.
+//! compiler then asks for its one arm in the fluid backend's
+//! `RateModel::paper_default`, which carries every fluid and hybrid
+//! constant of the scheme.
 
 pub mod ack;
 pub mod datapath;

@@ -43,8 +43,8 @@
 //! background *packets*.
 
 use crate::sim::{Sim, SimBuilder};
-use fncc_cc::CcKind;
 use fncc_des::time::{SimTime, TimeDelta};
+use fncc_fluid::sim::age_ramp;
 use fncc_fluid::{BackgroundFluid, FluidError, FluidResult, Framing, RateModel};
 use fncc_net::fabric::Fabric;
 use fncc_net::ids::NodeRef;
@@ -143,7 +143,7 @@ pub struct HybridSim {
     ramp: f64,
     /// The background's full-contention standing-queue delay in seconds
     /// (`queue_rtts · base_rtt`, from the calibrated rate model, scaled
-    /// per scheme by [`newcomer_queue_scale`]).
+    /// per scheme by [`RateModel::newcomer_queue_scale`]).
     queue_debt: f64,
     /// Spec indices sorted by start time; `next_fg_admit` walks it.
     fg_order: Vec<u32>,
@@ -176,7 +176,7 @@ impl HybridSim {
         let topo = &foreground.topo;
         let cfg = &foreground.fabric;
         let base_rtt = topo.base_rtt(cfg.mtu, cfg.ack_base);
-        let queue_debt = model.queue_rtts * base_rtt.as_secs_f64() * newcomer_queue_scale(kind);
+        let queue_debt = model.queue_rtts * base_rtt.as_secs_f64() * model.newcomer_queue_scale;
         let mut bg =
             BackgroundFluid::new(topo.clone(), model, Framing::from(cfg), background, false)?;
         bg.faults(&cfg.faults);
@@ -389,7 +389,7 @@ impl HybridSim {
         }
         for &s in &self.fg_active {
             let age = (t - self.fg_specs[s as usize].start).as_secs_f64();
-            let w = (RAMP_FLOOR + age / self.ramp).min(1.0);
+            let w = age_ramp(age, self.ramp, RAMP_FLOOR);
             for &i in &self.fg_flow_links[s as usize] {
                 self.fg_w[i as usize] += w;
             }
@@ -554,46 +554,10 @@ impl HybridResult {
     }
 }
 
-/// How much of the background's calibrated standing queue
-/// ([`RateModel::queue_rtts`]) a *foreground* flow actually pays when it
-/// joins the link. `queue_rtts` measures the steady-state depth; what a
-/// newcomer experiences depends on how the scheme yields:
-///
-/// * window-law schemes with an explicit target (HPCC) cut their windows
-///   within one RTT of the INT `qLen` rising, so a newcomer sees the
-///   queue drain ahead of it and pays well under the standing depth;
-/// * FNCC's return-path INT and Swift's delay target yield fast enough
-///   that the standing depth is what you pay — scale 1;
-/// * Timely's RTT-gradient convergence is slower than its standing depth
-///   suggests: a newcomer also eats the incumbents' overshoot while the
-///   gradient settles;
-/// * RoCC's advertised fair rate recovers over many controller periods,
-///   so a newcomer pays the full depth *plus* the rate-recovery lag;
-/// * FairQ divides the fair window by the receiver-echoed flow count the
-///   moment a newcomer raises `N`, so incumbents shed load within a
-///   round and the newcomer pays less than the standing depth;
-/// * Throttle only reacts to CNPs and restores on a fixed timer, so a
-///   newcomer eats the standing queue plus the restore-lag overshoot.
-///
-/// These factors are measured against the packet DES on the conformance
-/// cells (`tests/hybrid_conformance.rs`), the same way the rate-model
-/// constants are calibrated.
-fn newcomer_queue_scale(kind: CcKind) -> f64 {
-    match kind {
-        CcKind::Fncc => 1.0,
-        CcKind::Hpcc => 0.35,
-        CcKind::Dcqcn => 1.0,
-        CcKind::Rocc => 2.8,
-        CcKind::Timely => 1.4,
-        CcKind::Swift => 1.0,
-        CcKind::FairQ => 0.35,
-        CcKind::Throttle => 1.8,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fncc_cc::CcKind;
     use fncc_net::ids::{FlowId, HostId};
     use fncc_net::topology::Topology;
     use fncc_net::units::Bandwidth;

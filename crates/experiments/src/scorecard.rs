@@ -1,6 +1,6 @@
 //! The reproduction scorecard: every headline claim of the paper checked
 //! live, with a PASS/FAIL verdict. `fncc-repro check` prints it and the
-//! tier-1 test `tests/paper_claims.rs` asserts it: [`run`] simulates each
+//! tier-1 test `crates/experiments/tests/paper_claims.rs` asserts it: [`run`] simulates each
 //! cell once, and [`verdicts`] is the one place a claim's condition lives.
 
 use crate::report::{f2, num};

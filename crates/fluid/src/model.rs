@@ -59,9 +59,14 @@ pub struct RateModel {
     /// Duration→effective-η hook for schemes that cannot hold their
     /// short-horizon utilization under sustained saturation (`None` for
     /// every scheme but Timely). A per-scheme structural property, not a
-    /// calibrated knob: [`RateModel::from_calibration`] applies the same
-    /// table as [`RateModel::paper_default`].
+    /// calibrated knob: [`RateModel::from_calibration`] keeps the
+    /// [`RateModel::paper_default`] one.
     pub duration_eta: Option<DurationEta>,
+    /// Fraction of the standing queue a flow born into a saturated link
+    /// pays (the hybrid backend's shadow-queue depth): how fast the
+    /// scheme's incumbents yield to a newcomer. Structural like
+    /// `duration_eta`; see [`RateModel::paper_default`].
+    pub newcomer_queue_scale: f64,
 }
 
 /// Measured steady-state parameters of one scheme — the two [`RateModel`]
@@ -160,12 +165,12 @@ impl CalibrationSet {
 impl RateModel {
     /// The calibrated model for `kind`.
     ///
-    /// These constants are **regenerated from the checked-in
-    /// `CALIBRATION.json`** (produced by `fncc-repro calibrate`, which
-    /// measures each scheme against the packet DES on the calibration
-    /// scenario bank — see `DESIGN.md` §RateModel calibration). They are
-    /// kept inline so the fluid backend needs no IO; `tests/calibration.rs`
-    /// pins the two representations together.
+    /// The `utilization` and `queue_rtts` constants are **regenerated from
+    /// the checked-in `CALIBRATION.json`** (produced by `fncc-repro
+    /// calibrate`, which measures each scheme against the packet DES on the
+    /// calibration scenario bank — see `DESIGN.md` §RateModel
+    /// calibration). They are kept inline so the fluid backend needs no IO;
+    /// `tests/calibration.rs` pins the two representations together.
     ///
     /// The measured shape matches the schemes' designs: window-law schemes
     /// with an explicit target (HPCC's η, which FNCC inherits) sustain
@@ -174,50 +179,54 @@ impl RateModel {
     /// queue, HPCC's one-RTT-stale INT slightly deeper, the RTT-gradient
     /// schemes deeper still, and DCQCN's ECN threshold + CNP pipeline the
     /// deepest (the ordering of the paper's Figs. 9/13 queue plots).
+    ///
+    /// `newcomer_queue_scale`, the share of that standing depth a flow
+    /// joining a saturated link pays, follows how fast the incumbents
+    /// yield, measured against the packet DES on the hybrid conformance
+    /// cells (`tests/hybrid_conformance.rs`): HPCC's INT window law and
+    /// FairQ's echoed flow count shed load within a round (0.35); FNCC,
+    /// Swift and DCQCN pay the standing depth (1); Timely also eats the
+    /// gradient's settling overshoot (1.4), Throttle its restore-lag
+    /// overshoot (1.8) and RoCC its fair-rate recovery lag (2.8).
+    ///
+    /// Only Timely carries a [`DurationEta`]: the packet DES shows its
+    /// gradient control sustaining ~0.6 of the bottleneck on multi-MB
+    /// drains while every other scheme holds its headline utilization.
     pub fn paper_default(kind: CcKind) -> Self {
-        let (utilization, queue_rtts) = match kind {
-            CcKind::Fncc => (0.95, 0.4),
-            CcKind::Hpcc => (0.95, 0.6),
-            CcKind::FairQ => (0.95, 0.8),
-            CcKind::Swift => (0.97, 1.2),
-            CcKind::Timely => (0.97, 1.6),
-            CcKind::Rocc => (1.0, 2.4),
-            CcKind::Dcqcn => (1.0, 3.2),
-            CcKind::Throttle => (1.0, 3.6),
+        const TIMELY_DECAY: DurationEta = DurationEta {
+            eta_sustained: 0.41,
+            onset_rtts: 4.0,
+            ramp_rtts: 16.0,
+        };
+        let (utilization, queue_rtts, newcomer_queue_scale, duration_eta) = match kind {
+            CcKind::Fncc => (0.95, 0.4, 1.0, None),
+            CcKind::Hpcc => (0.95, 0.6, 0.35, None),
+            CcKind::FairQ => (0.95, 0.8, 0.35, None),
+            CcKind::Swift => (0.97, 1.2, 1.0, None),
+            CcKind::Timely => (0.97, 1.6, 1.4, Some(TIMELY_DECAY)),
+            CcKind::Rocc => (1.0, 2.4, 2.8, None),
+            CcKind::Dcqcn => (1.0, 3.2, 1.0, None),
+            CcKind::Throttle => (1.0, 3.6, 1.8, None),
         };
         RateModel {
             kind,
             utilization,
             queue_rtts,
-            duration_eta: Self::duration_eta_default(kind),
-        }
-    }
-
-    /// The structural duration→η decay per scheme (see [`DurationEta`]).
-    /// Only Timely needs one: the packet DES shows its gradient control
-    /// sustaining ~0.6 of the bottleneck on multi-MB drains while every
-    /// other scheme holds its headline utilization.
-    fn duration_eta_default(kind: CcKind) -> Option<DurationEta> {
-        match kind {
-            CcKind::Timely => Some(DurationEta {
-                eta_sustained: 0.41,
-                onset_rtts: 4.0,
-                ramp_rtts: 16.0,
-            }),
-            _ => None,
+            duration_eta,
+            newcomer_queue_scale,
         }
     }
 
     /// The model for `kind` from a measured [`CalibrationSet`] — how the
     /// fluid backend runs with `fncc-repro calibrate` output instead of the
-    /// baked-in defaults.
+    /// baked-in defaults. Only the two calibrated knobs move; the
+    /// structural ones stay [`RateModel::paper_default`]'s.
     pub fn from_calibration(kind: CcKind, cal: &CalibrationSet) -> Self {
         let e = cal.get(kind);
         RateModel {
-            kind,
             utilization: e.utilization,
             queue_rtts: e.queue_rtts,
-            duration_eta: Self::duration_eta_default(kind),
+            ..Self::paper_default(kind)
         }
     }
 
@@ -229,6 +238,7 @@ impl RateModel {
             utilization: 1.0,
             queue_rtts: 0.0,
             duration_eta: None,
+            newcomer_queue_scale: 1.0,
         }
     }
 

@@ -57,12 +57,13 @@ use fncc_des::time::{SimTime, TimeDelta};
 use fncc_net::config::FabricConfig;
 use fncc_net::fault::FaultSpec;
 use fncc_net::ids::{FlowId, NodeRef, SwitchId};
-use fncc_net::routing::{egress_avoiding, flow_hash};
+use fncc_net::routing::{without_ports, RoutingTable};
 use fncc_net::telemetry::FlowRecord;
 use fncc_net::topology::Topology;
 use fncc_obs::{Histogram, PhaseId, Recorder, TraceEvent};
 use fncc_transport::FlowSpec;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One scheduled boundary of a fault: `faults[ix]` takes effect
 /// (`opening`) or its window closes at `at`.
@@ -236,43 +237,33 @@ fn to_ps(secs: f64) -> u64 {
     (secs * 1e12).round() as u64
 }
 
-/// The request path of `spec` avoiding dead switch egress ports, as dense
-/// link ids into `out`. Each hop resolves through [`egress_avoiding`], so
-/// the surviving-ECMP choice is bit-identical to the packet engine's
-/// recompiled tables. `None` when the dead set severs the destination
-/// (`out` is then unspecified).
-fn path_avoiding(
+/// `spec`'s request path through the live tables `routes`, as dense link
+/// ids into `out`; `false` when the dead set severs the destination (`out`
+/// is then unspecified).
+fn live_path(
     topo: &Topology,
+    routes: &[Arc<RoutingTable>],
     links: &LinkMap,
-    dead: &[Vec<bool>],
     spec: &FlowSpec,
     out: &mut Vec<u32>,
-) -> Option<()> {
-    let (src, dst) = (spec.src, spec.dst);
+) -> bool {
     out.clear();
-    let h = flow_hash(src, dst, spec.id);
-    out.push(links.id_of(NodeRef::Host(src), 0));
-    let mut cur = topo.host_ports[src.ix()].peer;
-    let mut hops = 0;
-    loop {
-        hops += 1;
-        assert!(hops < 64, "routing loop tracing {src:?}->{dst:?}");
-        match cur {
-            NodeRef::Host(hh) => {
-                debug_assert_eq!(hh, dst, "path reached wrong host");
-                return Some(());
-            }
-            NodeRef::Switch(s) => {
-                let sw = &topo.switches[s.ix()];
-                let d = &dead[s.ix()];
-                let port = egress_avoiding(&sw.route, dst, h, |p| {
-                    d.get(p as usize).copied().unwrap_or(false)
-                })?;
-                out.push(links.id_of(cur, port));
-                cur = sw.ports[port as usize].peer;
-            }
-        }
+    for hop in topo.walk_path(|s| &*routes[s.ix()], spec.src, spec.dst, spec.id) {
+        let Ok((node, port)) = hop else {
+            return false;
+        };
+        out.push(links.id_of(node, port));
     }
+    true
+}
+
+/// A flow's age-ramped weight: phased in linearly from `floor` at birth to
+/// 1 after `ramp` seconds of `age`. The one ramp behind
+/// [`BackgroundFluid::ramped_weight_on`], its queue-weight twin and the
+/// hybrid coupling's foreground entitlement.
+#[inline]
+pub fn age_ramp(age: f64, ramp: f64, floor: f64) -> f64 {
+    (floor + age / ramp).min(1.0)
 }
 
 /// `finish` entry of a flow that has not finished.
@@ -484,6 +475,10 @@ pub struct BackgroundFluid {
     /// Per-switch-port dead flags from link down/up faults.
     dead: Vec<Vec<bool>>,
     n_dead: usize,
+    /// Each switch's forwarding table under `dead`: the pristine `Arc` for
+    /// a switch with no dead port, else [`without_ports`] of it — the
+    /// table a faulted packet switch compiles.
+    routes: Vec<Arc<RoutingTable>>,
     /// Flows parked because the dead set severs their destination.
     stalled: Vec<SlotState>,
     /// The active set or a capacity changed since the last rebalance.
@@ -566,6 +561,7 @@ impl BackgroundFluid {
             .iter()
             .map(|sw| vec![false; sw.ports.len()])
             .collect();
+        let routes = topo.switches.iter().map(|sw| sw.route.clone()).collect();
         Ok(BackgroundFluid {
             topo,
             links,
@@ -596,6 +592,7 @@ impl BackgroundFluid {
             factor: vec![1.0; n],
             dead,
             n_dead: 0,
+            routes,
             stalled: Vec::new(),
             needs_resolve: false,
             rec,
@@ -801,7 +798,8 @@ impl BackgroundFluid {
     /// opening or closing re-derives its link's capacity factor from the
     /// windows still open there; link down/up flip the dead flags on both
     /// directions of the physical link — it dies whole, exactly as in the
-    /// packet fabric — and re-walk every flow's route once.
+    /// packet fabric — rebuild the flipped switches' tables as
+    /// [`without_ports`], and re-walk every flow's route once.
     fn apply_due_faults(&mut self) {
         let mut links_flipped = false;
         while let Some(&b) = self.fevents.get(self.next_fault) {
@@ -839,6 +837,12 @@ impl BackgroundFluid {
                         self.n_dead + 1
                     } else {
                         self.n_dead - 1
+                    };
+                    let pristine = &self.topo.switches[s].route;
+                    self.routes[s] = if self.dead[s].contains(&true) {
+                        Arc::new(without_ports(pristine, &self.dead[s]))
+                    } else {
+                        pristine.clone()
                     };
                 }
             }
@@ -905,14 +909,13 @@ impl BackgroundFluid {
             i -= 1;
             let slot = self.active[i];
             let spec = &self.specs[self.slots[slot as usize].spec_ix as usize];
-            let reachable = path_avoiding(
+            let reachable = live_path(
                 &self.topo,
+                &self.routes,
                 &self.links,
-                &self.dead,
                 spec,
                 &mut self.route_buf,
-            )
-            .is_some();
+            );
             if reachable && self.route_buf.as_slice() == self.filler.path(slot) {
                 continue;
             }
@@ -934,15 +937,13 @@ impl BackgroundFluid {
         while i > 0 {
             i -= 1;
             let spec = &self.specs[self.stalled[i].spec_ix as usize];
-            if path_avoiding(
+            if live_path(
                 &self.topo,
+                &self.routes,
                 &self.links,
-                &self.dead,
                 spec,
                 &mut self.route_buf,
-            )
-            .is_some()
-            {
+            ) {
                 let mut st = self.stalled.swap_remove(i);
                 st.last_sync = self.t;
                 st.rate = 0.0;
@@ -1025,18 +1026,21 @@ impl BackgroundFluid {
         ramp: f64,
         floor: f64,
     ) -> Option<impl Iterator<Item = f64> + '_> {
-        let sat =
-            move |k: u32| self.filler.link_residual(k) <= 0.01 * self.eff_capacity[k as usize];
-        if !self.filler.is_active(l) || !sat(l) {
+        if !self.filler.is_active(l) || !self.saturated(l) {
             return None;
         }
         Some(self.filler.link_flows(l).map(move |slot| {
-            let first = self.filler.path(slot).iter().copied().find(|&k| sat(k));
+            let first = self
+                .filler
+                .path(slot)
+                .iter()
+                .copied()
+                .find(|&k| self.saturated(k));
             if first != Some(l) {
                 return 0.0;
             }
             let age = (now - self.slots[slot as usize].t_start).max(0.0);
-            (floor + age / ramp).min(1.0)
+            age_ramp(age, ramp, floor)
         }))
     }
 
@@ -1055,9 +1059,16 @@ impl BackgroundFluid {
             .link_flows(l)
             .map(|slot| {
                 let age = (now - self.slots[slot as usize].t_start).max(0.0);
-                (floor + age / ramp).min(1.0)
+                age_ramp(age, ramp, floor)
             })
             .sum()
+    }
+
+    /// Whether link `l`'s residual is within 1 % of its effective capacity:
+    /// the saturation test behind queue build-up and queue placement.
+    #[inline]
+    fn saturated(&self, l: u32) -> bool {
+        self.filler.link_residual(l) <= 0.01 * self.eff_capacity[l as usize]
     }
 
     /// Finish the run: package the flows, their finish times, the recorder
@@ -1142,9 +1153,13 @@ impl BackgroundFluid {
             // keeps fault-free runs on the exact pre-fault code path.
             let route = if self.n_dead == 0 {
                 &self.path_buf
-            } else if path_avoiding(&self.topo, &self.links, &self.dead, s, &mut self.route_buf)
-                .is_some()
-            {
+            } else if live_path(
+                &self.topo,
+                &self.routes,
+                &self.links,
+                s,
+                &mut self.route_buf,
+            ) {
                 if self.route_buf != self.path_buf {
                     self.rerouted.insert(s.id);
                 }
@@ -1222,8 +1237,7 @@ impl BackgroundFluid {
         }
         for &l in self.filler.touched_links() {
             let li = l as usize;
-            let saturated = self.filler.link_residual(l) <= 0.01 * self.eff_capacity[li];
-            if !saturated {
+            if !self.saturated(l) {
                 self.sat_since[li] = f64::NAN;
             } else if self.sat_since[li].is_nan() {
                 self.sat_since[li] = self.t;
@@ -1556,6 +1570,86 @@ mod tests {
             .unwrap();
         assert!(all_finished(&r));
         assert!(r.rerouted_flows >= 1, "rerouted {}", r.rerouted_flows);
+    }
+
+    /// Each switch-to-switch link of a k=4 fat-tree dies in turn under
+    /// all-pairs flows in flight. Every flow the fluid keeps draining
+    /// follows, hop by hop, the packet switches' own forwarding once both
+    /// endpoints took the `link_down` the fabric delivers; the rest are
+    /// parked as severed.
+    #[test]
+    fn fluid_failover_matches_packet_switches() {
+        use fncc_net::config::FabricConfig;
+        use fncc_net::pool::PacketPool;
+        use fncc_net::switch::{egress_for, Switch, SwitchOutput};
+        use fncc_net::telemetry::Telemetry;
+        let topo = Topology::fat_tree(4, BW, PROP);
+        let cfg = FabricConfig::paper_default();
+        let n = topo.n_hosts;
+        let pairs = (0..n).flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)));
+        let flows: Vec<FlowSpec> = pairs
+            .enumerate()
+            .map(|(i, (s, d))| flow(i as u32, s, d, 10_000_000, 0))
+            .collect();
+        let at = SimTime::from_us(10);
+        let (mut links_failed, mut rerouted) = (0, 0);
+        for (sw, spec) in topo.switches.iter().enumerate() {
+            for (port, near) in spec.ports.iter().enumerate() {
+                let NodeRef::Switch(peer) = near.peer else {
+                    continue;
+                };
+                if peer.ix() < sw {
+                    continue; // each physical link once
+                }
+                let fault = FaultSpec::LinkDown {
+                    switch: sw as u32,
+                    port: port as u8,
+                    at_us: 10,
+                };
+                let mut bg = BackgroundFluid::new(
+                    topo.clone(),
+                    RateModel::ideal(),
+                    Framing::default(),
+                    flows.clone(),
+                    false,
+                )
+                .unwrap();
+                bg.faults(&[fault]);
+                bg.advance_to(at.as_secs_f64() + 1e-6).unwrap();
+
+                let mut switches: Vec<Switch> = (0..topo.n_switches())
+                    .map(|s| Switch::new(SwitchId(s as u32), &topo.switches[s], &cfg))
+                    .collect();
+                let (mut telem, mut pool) = (Telemetry::new(), PacketPool::new());
+                let mut out: Vec<SwitchOutput> = Vec::new();
+                for (s, p) in [(sw, port as u8), (peer.ix(), near.peer_port)] {
+                    switches[s].link_down(at, p, &cfg, &mut telem, &mut pool, &mut out);
+                }
+
+                for &slot in &bg.active {
+                    let f = &bg.specs[bg.slots[slot as usize].spec_ix as usize];
+                    let mut want = vec![bg.links.id_of(NodeRef::Host(f.src), 0)];
+                    let mut cur = topo.host_ports[f.src.ix()].peer;
+                    while let NodeRef::Switch(s) = cur {
+                        let p = egress_for(&switches[s.ix()], f.src, f.dst, f.id);
+                        want.push(bg.links.id_of(cur, p));
+                        cur = topo.switches[s.ix()].ports[p as usize].peer;
+                    }
+                    assert!(cur == NodeRef::Host(f.dst));
+                    assert_eq!(
+                        bg.filler.path(slot),
+                        want.as_slice(),
+                        "link {sw}:{port} down, flow {:?}",
+                        f.id
+                    );
+                }
+                assert_eq!(bg.active.len() + bg.stalled.len(), flows.len());
+                links_failed += 1;
+                rerouted += bg.rerouted.len();
+            }
+        }
+        assert_eq!(links_failed, 32, "k=4: 16 edge-agg + 16 agg-core links");
+        assert!(rerouted > 0);
     }
 
     /// A degraded bottleneck lengthens the FCT of a flow crossing it, and

@@ -84,21 +84,8 @@ impl RoutingTable {
     /// bug, not a runtime condition.
     #[inline]
     pub fn egress(&self, dst: HostId, h: u64) -> u8 {
-        match self {
-            RoutingTable::PerDst(entries) => match &entries[dst.ix()] {
-                RouteEntry::Unreachable => panic!("no route to {dst:?}"),
-                RouteEntry::Single(p) => *p,
-                RouteEntry::Ecmp { ports, level } => {
-                    let digit =
-                        (h >> (LEVEL_DIGIT_BITS * *level as u32)) & ((1 << LEVEL_DIGIT_BITS) - 1);
-                    ports[(digit as usize) % ports.len()]
-                }
-            },
-            RoutingTable::Trees(trees) => {
-                let t = (h as usize) % trees.len();
-                trees[t][dst.ix()]
-            }
-        }
+        self.try_egress(dst, h)
+            .unwrap_or_else(|| panic!("no route to {dst:?}"))
     }
 }
 
@@ -108,6 +95,10 @@ impl RoutingTable {
 /// [`RouteEntry::Unreachable`]. `Trees` routing has no alternate paths
 /// within a tree and is returned unchanged — spanning-tree topologies do
 /// not support link faults.
+///
+/// This is the one failover rule: a faulted packet switch compiles the
+/// table it returns, and the fluid engine walks the same tables, so both
+/// steer a flow onto the same surviving member.
 pub fn without_ports(rt: &RoutingTable, dead: &[bool]) -> RoutingTable {
     let is_dead = |p: u8| dead.get(p as usize).copied().unwrap_or(false);
     match rt {
@@ -134,42 +125,6 @@ pub fn without_ports(rt: &RoutingTable, dead: &[bool]) -> RoutingTable {
                 .collect(),
         ),
         RoutingTable::Trees(_) => rt.clone(),
-    }
-}
-
-/// One egress lookup under a set of dead ports, without materializing the
-/// filtered table: exactly what [`without_ports`] + [`RoutingTable::try_egress`]
-/// would return, hop by hop. The fluid backend walks paths with this so its
-/// failure-aware rerouting picks the *same* surviving ECMP member as the
-/// packet engine's recompiled tables (the hash digit re-indexes the shrunken
-/// canonical list), keeping the two backends' post-fault paths identical.
-pub fn egress_avoiding(
-    rt: &RoutingTable,
-    dst: HostId,
-    h: u64,
-    is_dead: impl Fn(u8) -> bool,
-) -> Option<u8> {
-    match rt {
-        RoutingTable::PerDst(entries) => match &entries[dst.ix()] {
-            RouteEntry::Unreachable => None,
-            RouteEntry::Single(p) => (!is_dead(*p)).then_some(*p),
-            RouteEntry::Ecmp { ports, level } => {
-                let live = ports.iter().filter(|&&p| !is_dead(p)).count();
-                if live == 0 {
-                    return None;
-                }
-                let digit =
-                    (h >> (LEVEL_DIGIT_BITS * *level as u32)) & ((1 << LEVEL_DIGIT_BITS) - 1);
-                ports
-                    .iter()
-                    .filter(|&&p| !is_dead(p))
-                    .nth(digit as usize % live)
-                    .copied()
-            }
-        },
-        // Trees routing has no alternates within a tree; faults don't
-        // steer it (mirrors `without_ports`).
-        RoutingTable::Trees(_) => Some(rt.egress(dst, h)),
     }
 }
 
@@ -263,16 +218,8 @@ impl CompiledRoutes {
     /// Panics on unreachable destinations, like [`RoutingTable::egress`].
     #[inline]
     pub fn egress(&self, dst: HostId, h: u64) -> u8 {
-        match self {
-            CompiledRoutes::PerDst { dst: d, tables } => {
-                let packed = d[dst.ix()];
-                assert_ne!(packed, u32::MAX, "no route to {dst:?}");
-                let level = packed >> 16;
-                let digit = (h >> (LEVEL_DIGIT_BITS * level)) & 0xFF;
-                tables[(packed & 0xFFFF) as usize][digit as usize]
-            }
-            CompiledRoutes::Raw(rt) => rt.egress(dst, h),
-        }
+        self.try_egress(dst, h)
+            .unwrap_or_else(|| panic!("no route to {dst:?}"))
     }
 }
 
@@ -460,8 +407,29 @@ mod tests {
                 level: 0,
             },
         ]);
+        // The failover rule stated per lookup: the hash digit re-indexes
+        // the canonical member list with the dead ports filtered out; a
+        // dead single hop or an emptied set severs the destination.
+        let oracle = |dst: usize, h: u64, dead: &[bool]| -> Option<u8> {
+            let RoutingTable::PerDst(entries) = &rt else {
+                unreachable!()
+            };
+            match &entries[dst] {
+                RouteEntry::Unreachable => None,
+                RouteEntry::Single(p) => (!dead[*p as usize]).then_some(*p),
+                RouteEntry::Ecmp { ports, level } => {
+                    let live: Vec<u8> = ports
+                        .iter()
+                        .copied()
+                        .filter(|&p| !dead[p as usize])
+                        .collect();
+                    let digit = (h >> (8 * *level as u32)) & 0xFF;
+                    (!live.is_empty()).then(|| live[digit as usize % live.len()])
+                }
+            }
+        };
         // Every dead-set over ports 2..=5, every dst, many hashes: the
-        // per-lookup filter must agree with the recompiled table exactly.
+        // rebuilt table must agree with the rule exactly.
         for mask in 0u8..16 {
             let mut dead = vec![false; 6];
             for p in 0..4 {
@@ -472,8 +440,8 @@ mod tests {
                 for f in 0..100u32 {
                     let h = flow_hash(HostId(dst), HostId(50), FlowId(f));
                     assert_eq!(
-                        egress_avoiding(&rt, HostId(dst), h, |p| dead[p as usize]),
                         filtered.try_egress(HostId(dst), h),
+                        oracle(dst as usize, h, &dead),
                         "mask {mask:04b} dst {dst} flow {f}"
                     );
                 }

@@ -65,10 +65,10 @@ pub struct Switch {
     pub id: SwitchId,
     /// Egress ports.
     pub ports: Vec<Port>,
-    /// Forwarding table as constructed, shared with the topology (kept for
-    /// inspection via [`Switch::route`] and to recompile around dead
-    /// ports; forwarding uses the compiled copy below, so the field is
-    /// private to keep the two from diverging).
+    /// Forwarding table as constructed, shared with the topology (kept to
+    /// recompile around dead ports and to tell a reroute; forwarding uses
+    /// the compiled copy below, so the field is private to keep the two
+    /// from diverging).
     route: Arc<RoutingTable>,
     /// Digit-compiled forwarding table (hot-path lookups; same results).
     /// A clone shares its tables, so the replicas of a sharded run forward
@@ -227,11 +227,6 @@ impl Switch {
             self.n_lossy += 1;
         }
         self.loss_prob[pi] = prob;
-    }
-
-    /// The forwarding table this switch was built with.
-    pub fn route(&self) -> &RoutingTable {
-        &self.route
     }
 
     /// Periodic `All_INT_Table` refresh (Fig. 8 "Management" module).

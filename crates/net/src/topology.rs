@@ -120,32 +120,55 @@ impl Topology {
         }
     }
 
-    /// The request path of a flow, walked lazily: `(node, egress port)`
-    /// pairs starting at the source host and ending when the destination
-    /// host is reached. The destination host itself is not included.
+    /// The request path of a flow through the forwarding tables `route`
+    /// hands out per switch, walked lazily: `(node, egress port)` pairs
+    /// starting at the source host and ending when the destination host is
+    /// reached (the destination itself is not included). A switch whose
+    /// table has no route to `dst` yields `Err` with its id and ends the
+    /// walk: link faults severed the destination. Every path walk goes
+    /// through here, the pristine one ([`Self::path_hops`]) and the fluid
+    /// engine's around dead links alike.
+    pub fn walk_path<'a>(
+        &'a self,
+        route: impl Fn(SwitchId) -> &'a RoutingTable + 'a,
+        src: HostId,
+        dst: HostId,
+        flow: FlowId,
+    ) -> impl Iterator<Item = Result<(NodeRef, u8), SwitchId>> + 'a {
+        assert_ne!(src, dst, "flow to self");
+        let h = flow_hash(src, dst, flow);
+        let mut next = Some(Ok((NodeRef::Host(src), 0u8)));
+        let mut hops = 0;
+        std::iter::from_fn(move || {
+            let hop = next.take()?;
+            if let Ok((node, port)) = hop {
+                hops += 1;
+                assert!(hops < 64, "routing loop tracing {src:?}->{dst:?}");
+                next = match self.port_spec(node, port).peer {
+                    NodeRef::Host(hh) => {
+                        assert_eq!(hh, dst, "path reached wrong host");
+                        None
+                    }
+                    sw @ NodeRef::Switch(s) => {
+                        Some(route(s).try_egress(dst, h).map(|p| (sw, p)).ok_or(s))
+                    }
+                };
+            }
+            Some(hop)
+        })
+    }
+
+    /// The request path of a flow through the pristine tables:
+    /// [`Self::walk_path`] over every switch's built route. Panics on a
+    /// destination the tables do not reach (a topology-construction bug).
     pub fn path_hops(
         &self,
         src: HostId,
         dst: HostId,
         flow: FlowId,
     ) -> impl Iterator<Item = (NodeRef, u8)> + '_ {
-        assert_ne!(src, dst, "flow to self");
-        let h = flow_hash(src, dst, flow);
-        let mut next = Some((NodeRef::Host(src), 0u8));
-        let mut hops = 0;
-        std::iter::from_fn(move || {
-            let hop = next?;
-            hops += 1;
-            assert!(hops < 64, "routing loop tracing {src:?}->{dst:?}");
-            next = match self.port_spec(hop.0, hop.1).peer {
-                NodeRef::Host(hh) => {
-                    assert_eq!(hh, dst, "path reached wrong host");
-                    None
-                }
-                sw @ NodeRef::Switch(s) => Some((sw, self.switches[s.ix()].route.egress(dst, h))),
-            };
-            Some(hop)
-        })
+        self.walk_path(|s| &*self.switches[s.ix()].route, src, dst, flow)
+            .map(move |hop| hop.unwrap_or_else(|s| panic!("no route from {s:?} to {dst:?}")))
     }
 
     /// [`Self::path_hops`] into a caller-owned buffer (cleared first), for
