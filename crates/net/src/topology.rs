@@ -694,6 +694,23 @@ mod tests {
         assert_eq!(back, vec![SwitchId(2), SwitchId(1), SwitchId(0)]);
     }
 
+    /// With the bottleneck uplink (switch 0, port 2) cut out of switch 0's
+    /// table, the walk ends at switch 0 with an `Err` naming it.
+    #[test]
+    fn walk_path_reports_the_severing_switch() {
+        let t = Topology::dumbbell(2, 3, BW, PROP);
+        let cut = crate::routing::without_ports(&t.switches[0].route, &[false, false, true]);
+        let table = |s: SwitchId| match s {
+            SwitchId(0) => &cut,
+            _ => &*t.switches[s.ix()].route,
+        };
+        let hops: Vec<_> = t.walk_path(table, HostId(0), HostId(2), FlowId(0)).collect();
+        assert!(hops == [Ok((NodeRef::Host(HostId(0)), 0)), Err(SwitchId(0))]);
+        // Host 1 still reaches host 0 through the same switch.
+        let local: Vec<_> = t.walk_path(table, HostId(1), HostId(0), FlowId(0)).collect();
+        assert!(local.iter().all(Result::is_ok) && local.len() == 2);
+    }
+
     #[test]
     fn line_attachment_paths() {
         // Fig. 11b: sender1 joins at the last switch.
