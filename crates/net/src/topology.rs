@@ -704,10 +704,14 @@ mod tests {
             SwitchId(0) => &cut,
             _ => &*t.switches[s.ix()].route,
         };
-        let hops: Vec<_> = t.walk_path(table, HostId(0), HostId(2), FlowId(0)).collect();
+        let hops: Vec<_> = t
+            .walk_path(table, HostId(0), HostId(2), FlowId(0))
+            .collect();
         assert!(hops == [Ok((NodeRef::Host(HostId(0)), 0)), Err(SwitchId(0))]);
         // Host 1 still reaches host 0 through the same switch.
-        let local: Vec<_> = t.walk_path(table, HostId(1), HostId(0), FlowId(0)).collect();
+        let local: Vec<_> = t
+            .walk_path(table, HostId(1), HostId(0), FlowId(0))
+            .collect();
         assert!(local.iter().all(Result::is_ok) && local.len() == 2);
     }
 
