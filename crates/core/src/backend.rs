@@ -749,7 +749,7 @@ impl Backend for FluidBackend {
             rerouted += result.rerouted_flows;
             rb.unfinished(result.records());
             rb.slowdowns(&topo, result.records(), framing);
-            rb.report.events += result.reallocations;
+            rb.report.events += result.reallocations();
             peak_active = peak_active.max(result.peak_active);
             horizon = horizon.max(result.horizon);
             solver.add(&result);
@@ -813,7 +813,6 @@ impl Backend for HybridBackend {
         let mut syncs = 0u64;
         let mut reservations = 0u64;
         let mut backlog_pushes = 0u64;
-        let mut single_bottleneck = 0u64;
         let mut peak_bg_active = 0usize;
         let mut n_fg_flows = 0usize;
         let mut n_bg_flows = 0usize;
@@ -849,11 +848,10 @@ impl Backend for HybridBackend {
             // be comparable to pure-DES.
             rb.unfinished(result.records());
             rb.slowdowns(&topo, result.records(), framing);
-            rb.report.events += result.fg_events + result.bg.reallocations;
+            rb.report.events += result.fg_events + result.bg.reallocations();
             syncs += result.syncs;
             reservations += result.reservations;
             backlog_pushes += result.backlog_pushes;
-            single_bottleneck += result.single_bottleneck_solves;
             peak_bg_active = peak_bg_active.max(result.peak_bg_active);
             faults.add(&result.fg);
             faults.rerouted += result.bg.rerouted_flows;
@@ -874,7 +872,6 @@ impl Backend for HybridBackend {
             report.put_scalar("hybrid_syncs", syncs as f64);
             report.put_scalar("hybrid_reservations", reservations as f64);
             report.put_scalar("hybrid_backlog_pushes", backlog_pushes as f64);
-            report.put_scalar("single_bottleneck_solves", single_bottleneck as f64);
             report.put_scalar("peak_bg_active", peak_bg_active as f64);
             faults.put(report, sc);
             put_int_truncations(report, int_truncations);

@@ -28,9 +28,7 @@
 //! * packet → fluid: measured foreground throughput per link (from port
 //!   byte counters, with hysteresis) is fed back as a **demand
 //!   reservation** ([`BackgroundFluid::reserve`]), shrinking the
-//!   capacity the water-filler shares out. A reservation dirtying a
-//!   single contended link takes the closed-form single-bottleneck
-//!   re-solve — the incast fast path.
+//!   capacity the water-filler shares out at its next re-solve.
 //!
 //! Newborn flows on both halves phase their fair-share entitlement in
 //! over `RAMP_RTTS` base-RTTs: a flow that just started holds its
@@ -92,8 +90,6 @@ pub struct HybridResult {
     pub reservations: u64,
     /// Shadow-queue backlog pushes onto DES ports.
     pub backlog_pushes: u64,
-    /// Closed-form single-bottleneck re-solves (incast fast path).
-    pub single_bottleneck_solves: u64,
     /// Packet events dispatched by the foreground DES.
     pub fg_events: u64,
     /// Peak concurrently-active background flows.
@@ -519,7 +515,6 @@ impl HybridSim {
     /// profilers folded into the foreground recorder.
     pub fn into_result(mut self) -> HybridResult {
         let fg_events = self.fg.events_processed();
-        let single_bottleneck_solves = self.bg.single_bottleneck_solves();
         let peak_bg_active = self.bg.peak_active();
         let mut fg = std::mem::take(&mut self.fg.eng.model.telemetry);
         let bg = self.bg.into_result();
@@ -531,7 +526,6 @@ impl HybridSim {
             syncs: self.syncs,
             reservations: self.reservations,
             backlog_pushes: self.backlog_pushes,
-            single_bottleneck_solves,
             fg_events,
             peak_bg_active,
         }

@@ -13,10 +13,6 @@ pub enum Rebalance {
     /// The delta invalidated too much (or no converged solution existed);
     /// solved from scratch over the persistent structure.
     Full,
-    /// Closed form: the event dirtied a single binding link whose members
-    /// are bound by it alone, so the new level is `(capacity − Σ frozen)
-    /// / k` with no progressive filling at all.
-    SingleBottleneck,
 }
 
 /// Hops per slot in the flat path tables until a longer path arrives
@@ -70,7 +66,6 @@ impl WaterFiller {
         self.rebalance_id = 0;
         self.n_full_solves = 0;
         self.n_incremental_solves = 0;
-        self.n_single_bottleneck_solves = 0;
         if self.inv.is_empty() {
             self.inv = (0..4096)
                 .map(|u| {
@@ -273,13 +268,6 @@ impl WaterFiller {
     #[inline]
     pub fn solve_stats(&self) -> (u64, u64) {
         (self.n_full_solves, self.n_incremental_solves)
-    }
-
-    /// Closed-form single-bottleneck solve count since `begin_incremental`
-    /// (events absorbed without running progressive filling at all).
-    #[inline]
-    pub fn single_bottleneck_solves(&self) -> u64 {
-        self.n_single_bottleneck_solves
     }
 
     /// Links whose converged residual/level changed in the last
@@ -693,109 +681,6 @@ impl WaterFiller {
         }
     }
 
-    /// Attempt the closed-form re-level of single dirty link `l`. Valid
-    /// when `l` was already a binding bottleneck and every member at its
-    /// level is bound by `l` alone (all other path links non-binding): the
-    /// new level is `(capacity − Σ frozen-below rates) / k`, provided it
-    /// stays above every frozen-below rate (freeze order unchanged) and a
-    /// rate *increase* still fits inside each side link's headroom (they
-    /// stay non-binding). Commits rates, residuals and the touched-links
-    /// record itself and returns `true`; returns `false` untouched when
-    /// any condition fails, falling back to the general solve.
-    fn try_single_bottleneck(&mut self, l: u32) -> bool {
-        let li = l as usize;
-        let level = self.link_state[li].level;
-        if self.link_list[li].is_empty() || !level.is_finite() {
-            return false;
-        }
-        let at = level * (1.0 - TIE_REL);
-        // Pass 1: split members into the k at-level flows the link binds
-        // and the flows frozen below by their own bottlenecks.
-        let mut k = 0u32;
-        let mut frozen_sum = 0.0f64;
-        let mut max_frozen = 0.0f64;
-        for &(s, _) in &self.link_list[li] {
-            let r = self.slots[s as usize].rate;
-            if r >= at {
-                k += 1;
-            } else {
-                frozen_sum += r;
-                max_frozen = max_frozen.max(r);
-            }
-        }
-        if k == 0 {
-            return false;
-        }
-        let new_level = (self.inc_capacity[li] - frozen_sum).max(0.0) / k as f64;
-        if new_level <= max_frozen * (1.0 + TIE_REL) {
-            return false; // the freeze order would change
-        }
-        // Pass 2: validate the at-level members' side links and accumulate
-        // the per-link rate delta (the scratch's `rem`/`mark` double as the
-        // event-scoped accumulator; any fallback path re-derives them).
-        self.res_epoch += 1;
-        let epoch = self.res_epoch;
-        self.res_links.clear();
-        for ix in 0..self.link_list[li].len() {
-            let (s, _) = self.link_list[li][ix];
-            let si = s as usize;
-            let r = self.slots[si].rate;
-            if r < at {
-                continue;
-            }
-            let base = si * self.hop_stride;
-            for hi in base..base + self.slots[si].hops as usize {
-                let l2 = self.hop_link[hi];
-                if l2 == l {
-                    continue;
-                }
-                let l2i = l2 as usize;
-                if self.link_state[l2i].level.is_finite() {
-                    return false; // a second binding link: cascade risk
-                }
-                if self.link[l2i].mark != epoch {
-                    self.link[l2i].mark = epoch;
-                    self.link[l2i].rem = 0.0;
-                    self.res_links.push(l2);
-                }
-                self.link[l2i].rem += new_level - r;
-            }
-        }
-        if new_level > level {
-            for i in 0..self.res_links.len() {
-                let l2i = self.res_links[i] as usize;
-                if self.link[l2i].rem * (1.0 + TIE_REL) >= self.link_state[l2i].remaining {
-                    return false; // a side link would newly saturate
-                }
-            }
-        }
-        // Commit: re-rate the k members, move their deltas off the side
-        // links' headroom, and re-derive `l`'s own residual exactly.
-        for ix in 0..self.link_list[li].len() {
-            let (s, _) = self.link_list[li][ix];
-            let si = s as usize;
-            let r = self.slots[si].rate;
-            if r < at {
-                continue;
-            }
-            let delta = new_level - r;
-            self.slots[si].rate = new_level;
-            self.changed.push(s);
-            let base = si * self.hop_stride;
-            for hi in base..base + self.slots[si].hops as usize {
-                let l2 = self.hop_link[hi];
-                if l2 != l {
-                    self.link_state[l2 as usize].remaining -= delta;
-                }
-            }
-        }
-        self.link_state[li].level = new_level;
-        self.link_state[li].remaining =
-            (self.inc_capacity[li] - frozen_sum - new_level * k as f64).max(0.0);
-        self.res_links.push(l);
-        true
-    }
-
     /// Expansion rounds before giving up on the warm start entirely.
     const MAX_VERIFY_ROUNDS: usize = 8;
 
@@ -818,20 +703,6 @@ impl WaterFiller {
         }
         self.rebalance_id += 1;
         let rid = self.rebalance_id;
-
-        // Closed-form fast path: an event that dirtied exactly one link
-        // (an incast receiver's demand reservation, a single-hop flow
-        // departure) whose members are bound by that link alone re-levels
-        // in O(members) with no progressive filling.
-        if self.inc_ready && self.pending_adds.is_empty() && self.dirty.len() == 1 {
-            let l = self.dirty[0];
-            if self.try_single_bottleneck(l) {
-                self.n_single_bottleneck_solves += 1;
-                self.dirty_flag[l as usize] = false;
-                self.dirty.clear();
-                return Rebalance::SingleBottleneck;
-            }
-        }
 
         let dirty_entries: usize = self
             .dirty

@@ -220,7 +220,6 @@ pub struct WaterFiller {
     inv: Vec<f64>,
     n_full_solves: u64,
     n_incremental_solves: u64,
-    n_single_bottleneck_solves: u64,
 }
 
 impl WaterFiller {

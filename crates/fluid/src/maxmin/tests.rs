@@ -296,45 +296,59 @@ fn incremental_pure_removal_without_binding_changes_nothing() {
 fn incremental_removal_of_bottlenecked_peer_raises_share() {
     // The case the divergence cap exists for: the departing flow's
     // link was binding, so its peers must be re-frozen even though the
-    // link's *new* saturation level sits above their old rates.
-    let caps = [9.0];
-    let mut wf = WaterFiller::new(1);
+    // link's *new* saturation level sits above their old rates. Six
+    // bystanders on link 1 keep the delta under the full-solve
+    // threshold, so the warm start takes it.
+    let caps = [9.0, 60.0];
+    let mut wf = WaterFiller::new(2);
     wf.begin_incremental(&caps);
     let s: Vec<u32> = (0..3).map(|_| wf.add_flow(&[0])).collect();
+    for _ in 0..6 {
+        wf.add_flow(&[1]);
+    }
     wf.rebalance();
     for &x in &s {
         assert!((wf.rate(x) - 3.0).abs() < 1e-9);
     }
     wf.remove_flow(s[0]);
-    // A departure dirtying a single binding link is exactly the
-    // closed-form case: no progressive filling runs at all.
-    assert_eq!(wf.rebalance(), Rebalance::SingleBottleneck);
+    assert_eq!(wf.rebalance(), Rebalance::Incremental);
     assert!((wf.rate(s[1]) - 4.5).abs() < 1e-9, "{}", wf.rate(s[1]));
     assert!((wf.rate(s[2]) - 4.5).abs() < 1e-9);
-    assert_eq!(wf.single_bottleneck_solves(), 1);
+    assert_eq!(wf.changed().len(), 2, "the bystanders keep their rates");
+}
+
+/// Two disjoint incasts of `n` sources, each source on its own link
+/// and every incast through one receiver link: incast `c` uses links
+/// `c·(n+1) .. c·(n+1)+n`, its receiver link last.
+fn two_incasts(wf: &mut WaterFiller, n: usize) -> Vec<(u32, Vec<u32>)> {
+    let mut alive = Vec::new();
+    for c in 0..2 {
+        let base = (c * (n + 1)) as u32;
+        for i in 0..n as u32 {
+            let p = vec![base + i, base + n as u32];
+            alive.push((wf.add_flow(&p), p));
+        }
+    }
+    alive
 }
 
 #[test]
-fn set_capacity_reservation_takes_single_bottleneck_path() {
-    // Incast: 8 sources through one receiver link (id 8). A foreground
-    // demand reservation shrinks the receiver link; the re-level is
-    // the closed form, both down and back up.
+fn set_capacity_reservation_takes_warm_start() {
+    // Incast: 8 sources through one receiver link (id 8), beside a
+    // second incast that stays out of the delta. A foreground demand
+    // reservation shrinks the receiver link; the warm start re-levels
+    // its incast alone, both down and back up.
     let n = 8usize;
-    let caps: Vec<f64> = vec![100.0; n + 1];
-    let mut wf = WaterFiller::new(n + 1);
+    let caps: Vec<f64> = vec![100.0; 2 * (n + 1)];
+    let mut wf = WaterFiller::new(caps.len());
     wf.begin_incremental(&caps);
-    let mut alive: Vec<(u32, Vec<u32>)> = Vec::new();
-    for i in 0..n {
-        let p = vec![i as u32, n as u32];
-        let s = wf.add_flow(&p);
-        alive.push((s, p));
-    }
+    let alive = two_incasts(&mut wf, n);
     wf.rebalance();
     assert_matches_oracle(&wf, &caps, &alive, "initial");
     let mut caps2 = caps.clone();
     caps2[n] = 40.0;
     wf.set_capacity(n as u32, 40.0);
-    assert_eq!(wf.rebalance(), Rebalance::SingleBottleneck);
+    assert_eq!(wf.rebalance(), Rebalance::Incremental);
     assert_matches_oracle(&wf, &caps2, &alive, "reserve");
     assert_eq!(wf.changed().len(), n);
     assert!(wf.touched_links().contains(&(n as u32)));
@@ -342,10 +356,9 @@ fn set_capacity_reservation_takes_single_bottleneck_path() {
     // (the per-source side links keep ample headroom).
     caps2[n] = 80.0;
     wf.set_capacity(n as u32, 80.0);
-    assert_eq!(wf.rebalance(), Rebalance::SingleBottleneck);
+    assert_eq!(wf.rebalance(), Rebalance::Incremental);
     assert_matches_oracle(&wf, &caps2, &alive, "release");
-    assert_eq!(wf.single_bottleneck_solves(), 2);
-    for (s, _) in &alive {
+    for (s, _) in &alive[..n] {
         assert!((wf.rate(*s) - 10.0).abs() < 1e-9);
     }
     // No-op capacity write: nothing dirtied, nothing solved.
@@ -357,8 +370,10 @@ fn set_capacity_reservation_takes_single_bottleneck_path() {
 fn set_capacity_falls_back_when_freeze_order_changes() {
     // Sources 0 (5 Gb/s), 1, 2 through receiver link 3: flow 0 is
     // frozen below the receiver level by its own narrow source link.
-    let caps = [5.0, 100.0, 100.0, 30.0];
-    let mut wf = WaterFiller::new(4);
+    // Six bystanders on link 4 keep each cut under the full-solve
+    // threshold.
+    let caps = [5.0, 100.0, 100.0, 30.0, 60.0];
+    let mut wf = WaterFiller::new(5);
     wf.begin_incremental(&caps);
     let mut alive: Vec<(u32, Vec<u32>)> = Vec::new();
     for i in 0..3u32 {
@@ -366,21 +381,25 @@ fn set_capacity_falls_back_when_freeze_order_changes() {
         let s = wf.add_flow(&p);
         alive.push((s, p));
     }
+    for _ in 0..6 {
+        alive.push((wf.add_flow(&[4]), vec![4]));
+    }
     wf.rebalance();
     assert!((wf.rate(alive[0].0) - 5.0).abs() < 1e-9);
     assert!((wf.rate(alive[1].0) - 12.5).abs() < 1e-9);
     // A cut that keeps the new level above the frozen flow's rate
-    // preserves the freeze order: closed form applies.
+    // preserves the freeze order.
     let mut caps2 = caps.to_vec();
     caps2[3] = 21.0;
     wf.set_capacity(3, 21.0);
-    assert_eq!(wf.rebalance(), Rebalance::SingleBottleneck);
+    assert_eq!(wf.rebalance(), Rebalance::Incremental);
     assert_matches_oracle(&wf, &caps2, &alive, "valid cut");
     assert!((wf.rate(alive[1].0) - 8.0).abs() < 1e-9);
-    // A cut below the frozen rate reorders the freeze: general solve.
+    // A cut below the frozen rate reorders the freeze: the divergence
+    // level drops under flow 0's rate and recruits it too.
     caps2[3] = 12.0;
     wf.set_capacity(3, 12.0);
-    assert_ne!(wf.rebalance(), Rebalance::SingleBottleneck);
+    assert_eq!(wf.rebalance(), Rebalance::Incremental);
     assert_matches_oracle(&wf, &caps2, &alive, "deep cut");
     assert!((wf.rate(alive[0].0) - 4.0).abs() < 1e-9);
 }
@@ -389,8 +408,8 @@ fn set_capacity_falls_back_when_freeze_order_changes() {
 fn capacity_raise_beyond_side_headroom_falls_back() {
     // Flow a crosses links {0, 2}, flow b crosses {0, 1}; link 1 binds
     // b, link 2 binds a, link 0 binds nobody. Raising link 2 far above
-    // link 0's headroom would make link 0 binding — not expressible in
-    // the closed form, so the general solve must run.
+    // link 0's headroom makes link 0 binding: the re-solve must carry
+    // the new bottleneck to both flows.
     let caps = [100.0, 4.0, 10.0];
     let mut wf = WaterFiller::new(3);
     wf.begin_incremental(&caps);
@@ -400,7 +419,7 @@ fn capacity_raise_beyond_side_headroom_falls_back() {
     assert!((wf.rate(a) - 10.0).abs() < 1e-9);
     assert!((wf.rate(b) - 4.0).abs() < 1e-9);
     wf.set_capacity(2, 200.0);
-    assert_ne!(wf.rebalance(), Rebalance::SingleBottleneck);
+    assert_eq!(wf.rebalance(), Rebalance::Incremental);
     let caps2 = [100.0, 4.0, 200.0];
     let alive = vec![(a, vec![0u32, 2]), (b, vec![0u32, 1])];
     assert_matches_oracle(&wf, &caps2, &alive, "raise");
@@ -493,7 +512,7 @@ fn incremental_matches_oracle_over_random_sequences() {
         seed ^= seed << 17;
         seed
     };
-    let (mut n_inc, mut n_full, mut n_sb) = (0u64, 0u64, 0u64);
+    let (mut n_inc, mut n_full) = (0u64, 0u64);
     let (mut n_fleet_inc, mut n_fleet_full) = (0u64, 0u64);
     for trial in 0..16 {
         // The last four trials have the hybrid driver's shape: a link
@@ -533,7 +552,7 @@ fn incremental_matches_oracle_over_random_sequences() {
             }
             if !fleet && next() % 8 == 0 {
                 // Capacity perturbation (a reservation push): a lone
-                // single-link delta, the fast path's natural shape.
+                // single-link delta.
                 let l = (next() % nl as u64) as usize;
                 caps[l] = (1 + next() % 100) as f64;
                 wf.set_capacity(l as u32, caps[l]);
@@ -574,12 +593,10 @@ fn incremental_matches_oracle_over_random_sequences() {
         let (f, i) = wf.solve_stats();
         n_full += f;
         n_inc += i;
-        n_sb += wf.single_bottleneck_solves();
     }
     // The sequences must exercise every path, or the test is vacuous.
     assert!(n_inc > 100, "incremental path barely exercised: {n_inc}");
     assert!(n_full > 10, "full fallback never exercised: {n_full}");
-    assert!(n_sb > 0, "single-bottleneck path never exercised: {n_sb}");
     // Multi-link capacity batches must reach the warm start, not only
     // the full fallback.
     assert!(

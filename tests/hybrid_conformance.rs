@@ -5,9 +5,8 @@
 //! schemes:
 //!
 //! * **incast** — overlapping incast waves into one receiver; the first
-//!   wave runs at packet fidelity, the second drains in the fluid model
-//!   through the single-bottleneck fast path. Tests fluid→packet residual
-//!   capacity.
+//!   wave runs at packet fidelity, the second drains in the fluid model.
+//!   Tests fluid→packet residual capacity.
 //! * **mice-behind-elephants** — mice at packet fidelity squeeze past
 //!   fluid elephants on a shared dumbbell. Tests packet→fluid demand
 //!   reservations (and back).
