@@ -144,16 +144,20 @@ const FLUID_GOLDEN: [(CcKind, u64); 8] = [
 /// `hybrid_reservations` and `hybrid_backlog_pushes` stopped being metrics
 /// registry counters: they now land where the backend writes their
 /// seed sums, after `background_flows`, instead of ahead of `fct_us_*`.
-/// Sorted by key, every cell's report is byte-identical to before.
+/// Sorted by key, every cell's report is byte-identical to before. And
+/// again when the water-filler's closed-form single-bottleneck re-level
+/// was deleted: the `single_bottleneck_solves` scalar — zero in every
+/// cell — left the report, and each cell's canonical JSON differs from
+/// before by that one line.
 const HYBRID_GOLDEN: [(CcKind, u64); 8] = [
-    (CcKind::Fncc, 0xab5e77f25eec79f6),
-    (CcKind::Hpcc, 0xc36130bc30765aaf),
-    (CcKind::Dcqcn, 0x9a2f0b96f45d97ad),
-    (CcKind::Rocc, 0xd7e138c990659a2d),
-    (CcKind::Timely, 0x3eb84c98873a6da8),
-    (CcKind::Swift, 0x215dcc1dcef8c6f4),
-    (CcKind::FairQ, 0x84e0cfdfc1d57ae6),
-    (CcKind::Throttle, 0x15d79f24a1bc0d5e),
+    (CcKind::Fncc, 0xd627549cb131444f),
+    (CcKind::Hpcc, 0x88fd91ad7bd506de),
+    (CcKind::Dcqcn, 0x8bd72e83ab3c302e),
+    (CcKind::Rocc, 0x0d525840f1279f34),
+    (CcKind::Timely, 0x6fbd4681f088e9a7),
+    (CcKind::Swift, 0x8435a874a632912d),
+    (CcKind::FairQ, 0x913405f8871f188d),
+    (CcKind::Throttle, 0x55b57b916afedf07),
 ];
 
 /// Run `scenario(cc)` on `backend` for every pinned scheme and compare the
@@ -239,11 +243,11 @@ fn probed_reports_match_golden() {
 /// The fluid hash moved with [`FLUID_GOLDEN`]'s, for the same reason. The
 /// hybrid hash moved when `peak_active` began counting flows a link-up
 /// revives: this cell's `peak_bg_active` reads 8, the true peak, not 6;
-/// and again with [`HYBRID_GOLDEN`]'s, for the same reason.
+/// and twice more with [`HYBRID_GOLDEN`]'s, for the same reasons.
 const FAULTED_GOLDEN: [(SimBackend, u64); 3] = [
     (SimBackend::Packet, 0xb2b5b784d472533e),
     (SimBackend::Fluid, 0xa5ca28ec7ea8a420),
-    (SimBackend::Hybrid, 0x739b0967f5c9961d),
+    (SimBackend::Hybrid, 0x82b3a2c2c9e18b4c),
 ];
 
 #[test]
