@@ -5,8 +5,10 @@
 //! builders keep their own asserts for hand-built topologies.
 
 use super::codec::{Field, Tagged};
-use super::{PartitionRule, Scenario, TopologySpec, TrafficSpec};
+use super::{LinkSpec, PartitionRule, Scenario, TopologySpec, TrafficSpec};
+use fncc_des::time::TimeDelta;
 use fncc_net::packet::MAX_HOPS;
+use fncc_net::units::Bandwidth;
 
 /// Port indices are `u8`, so no switch may have more ports than this.
 const MAX_PORTS: u32 = u8::MAX as u32 + 1;
@@ -14,7 +16,7 @@ const MAX_PORTS: u32 = u8::MAX as u32 + 1;
 /// Return an error naming `$kind`'s field `$f` unless `$lo ≤ $f ≤ $hi`.
 macro_rules! bound {
     ($kind:expr, $f:ident in $lo:expr, $hi:expr) => {
-        let (value, lo, hi): (u32, u32, u32) = (*$f, $lo, $hi);
+        let (value, lo, hi) = (*$f, $lo, $hi);
         if !(lo..=hi).contains(&value) {
             let (kind, field) = ($kind, stringify!($f));
             return Err(format!("{kind} '{field}' is {value}, outside [{lo}, {hi}]"));
@@ -23,8 +25,9 @@ macro_rules! bound {
 }
 
 impl Scenario {
-    /// Check that every engine can run the scenario: topology sizes within
-    /// what the builders support and port indices can address, traffic
+    /// Check that every engine can run the scenario: at least one seed, a
+    /// link rate and delay the unit conversions can hold, topology sizes
+    /// within what the builders support and port indices can address, traffic
     /// that fits the topology's hosts, paths no longer than the INT stack,
     /// the fault list (see [`fncc_net::fault::validate`]), and the
     /// foreground partition against the scenario's actual flow population
@@ -33,6 +36,10 @@ impl Scenario {
     /// an empty DES half or a fault that never fires. Scenarios without a
     /// `foreground` block skip the partition checks.
     pub fn validate(&self) -> Result<(), String> {
+        if self.seeds.is_empty() {
+            return Err("'seeds' is empty: a scenario runs once per seed".to_string());
+        }
+        self.link.check()?;
         self.topology.check()?;
         self.traffic.check(self.topology.n_hosts())?;
         if self.has_faults() {
@@ -62,7 +69,7 @@ impl Scenario {
                 }
             }
         }
-        let (_, flows) = self.instance(*self.seeds.first().unwrap_or(&1));
+        let (_, flows) = self.instance(self.seeds[0]);
         for rule in &fg.rules {
             if !flows.iter().any(|f| rule.matches(f)) {
                 return Err(format!(
@@ -81,6 +88,17 @@ impl Scenario {
                 flows.len()
             ));
         }
+        Ok(())
+    }
+}
+
+impl LinkSpec {
+    /// A nonzero rate, and a rate and delay whose bits/s and picoseconds
+    /// fit the `u64` of [`Bandwidth`] and [`TimeDelta`].
+    fn check(&self) -> Result<(), String> {
+        let LinkSpec { gbps, prop_ns } = self;
+        bound!("link", gbps in 1, u64::MAX / Bandwidth::gbps(1).as_bps());
+        bound!("link", prop_ns in 0, u64::MAX / TimeDelta::from_ns(1).as_ps());
         Ok(())
     }
 }
@@ -196,15 +214,15 @@ mod tests {
 
     /// Each document parses on a parser without range checks and then
     /// panics in a topology builder or flow generator; here it is an error
-    /// that names the field. The first eight ship as
-    /// `scenarios/invalid/*.json`, which CI runs through `fncc-repro run`.
+    /// that names the field. The first eight and the zero link rate ship
+    /// as `scenarios/invalid/*.json`, which CI runs through `fncc-repro run`.
     #[test]
     fn malformed_documents_are_errors_not_panics() {
         const INCAST: &str =
             r#"{"kind":"incast","receiver":0,"fan_in":2,"size":10000,"waves":1,"gap_us":10}"#;
         const ELEPHANTS: &str = r#"{"kind":"elephants","join_at_us":10}"#;
         const POISSON: &str = r#"{"kind":"poisson","workload":"WebSearch","load":0.5,"flows":20}"#;
-        let table: [(&str, &str, &str); 15] = [
+        let table: [(&str, &str, &str); 16] = [
             (r#"{"kind":"fat_tree","k":3}"#, INCAST, "must be even"),
             (
                 r#"{"kind":"star","hosts":1}"#,
@@ -274,6 +292,13 @@ mod tests {
                 INCAST,
                 "needs at least 2 hosts",
             ),
+            // A zero link rate: the traffic cell carries the link member.
+            (
+                r#"{"kind":"star","hosts":4}"#,
+                r#"{"kind":"incast","receiver":0,"fan_in":2,"size":10000,"waves":1,"gap_us":10},
+                    "link":{"gbps":0,"prop_ns":1500}"#,
+                "link 'gbps' is 0, outside [1, 18446744073]",
+            ),
         ];
         for (topology, traffic, want) in table {
             let doc = format!(
@@ -290,7 +315,49 @@ mod tests {
             assert!(Scenario::from_json(&text).is_err(), "{}", path.display());
             shipped += 1;
         }
-        assert_eq!(shipped, 8);
+        assert_eq!(shipped, 9);
+    }
+
+    /// A document with no seeds would run nothing and report nothing; a
+    /// link rate or delay past what the units hold would wrap.
+    #[test]
+    fn empty_seeds_and_overflowing_links_are_errors() {
+        let mut sc = Scenario::new(
+            "bad",
+            TopologySpec::Star { hosts: 4 },
+            TrafficSpec::Elephants { join_at_us: 10 },
+            fncc_cc::CcKind::Fncc,
+        );
+        sc.validate().unwrap();
+        sc.seeds.clear();
+        assert!(sc.validate().unwrap_err().contains("'seeds' is empty"));
+        sc.seeds = vec![1];
+        let max_gbps = u64::MAX / 1_000_000_000;
+        let max_ns = u64::MAX / 1_000;
+        for (link, want) in [
+            (
+                LinkSpec {
+                    gbps: max_gbps + 1,
+                    prop_ns: 1500,
+                },
+                format!("link 'gbps' is {}, outside [1, {max_gbps}]", max_gbps + 1),
+            ),
+            (
+                LinkSpec {
+                    gbps: 100,
+                    prop_ns: max_ns + 1,
+                },
+                format!("link 'prop_ns' is {}, outside [0, {max_ns}]", max_ns + 1),
+            ),
+        ] {
+            sc.link = link;
+            assert_eq!(sc.validate().unwrap_err(), want);
+        }
+        sc.link = LinkSpec {
+            gbps: max_gbps,
+            prop_ns: max_ns,
+        };
+        sc.validate().unwrap();
     }
 
     /// The bounds are the builders' own: a document at each edge builds.

@@ -83,9 +83,11 @@ fn main() {
                 opts.sim_threads = Some(n as u32);
             }
             "--seeds" => {
+                // Zero seeds would run nothing and leave empty tables.
                 opts.seeds = Some(
                     args.next()
                         .and_then(|s| s.parse().ok())
+                        .filter(|&n| n > 0)
                         .unwrap_or_else(|| usage()),
                 )
             }
