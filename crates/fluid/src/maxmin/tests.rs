@@ -317,32 +317,23 @@ fn incremental_removal_of_bottlenecked_peer_raises_share() {
     assert_eq!(wf.changed().len(), 2, "the bystanders keep their rates");
 }
 
-/// Two disjoint incasts of `n` sources, each source on its own link
-/// and every incast through one receiver link: incast `c` uses links
-/// `c·(n+1) .. c·(n+1)+n`, its receiver link last.
-fn two_incasts(wf: &mut WaterFiller, n: usize) -> Vec<(u32, Vec<u32>)> {
-    let mut alive = Vec::new();
-    for c in 0..2 {
-        let base = (c * (n + 1)) as u32;
-        for i in 0..n as u32 {
-            let p = vec![base + i, base + n as u32];
-            alive.push((wf.add_flow(&p), p));
-        }
-    }
-    alive
-}
-
 #[test]
 fn set_capacity_reservation_takes_warm_start() {
     // Incast: 8 sources through one receiver link (id 8), beside a
-    // second incast that stays out of the delta. A foreground demand
-    // reservation shrinks the receiver link; the warm start re-levels
-    // its incast alone, both down and back up.
+    // second incast (links 9..17) that stays out of the delta. A
+    // foreground demand reservation shrinks the receiver link; the warm
+    // start re-levels its incast alone, both down and back up.
     let n = 8usize;
     let caps: Vec<f64> = vec![100.0; 2 * (n + 1)];
     let mut wf = WaterFiller::new(caps.len());
     wf.begin_incremental(&caps);
-    let alive = two_incasts(&mut wf, n);
+    let mut alive: Vec<(u32, Vec<u32>)> = Vec::new();
+    for base in [0, n + 1] {
+        for i in 0..n {
+            let p = vec![(base + i) as u32, (base + n) as u32];
+            alive.push((wf.add_flow(&p), p));
+        }
+    }
     wf.rebalance();
     assert_matches_oracle(&wf, &caps, &alive, "initial");
     let mut caps2 = caps.clone();
