@@ -145,10 +145,9 @@ const FLUID_GOLDEN: [(CcKind, u64); 8] = [
 /// registry counters: they now land where the backend writes their
 /// seed sums, after `background_flows`, instead of ahead of `fct_us_*`.
 /// Sorted by key, every cell's report is byte-identical to before. And
-/// again when the water-filler's closed-form single-bottleneck re-level
-/// was deleted: the `single_bottleneck_solves` scalar — zero in every
-/// cell — left the report, and each cell's canonical JSON differs from
-/// before by that one line.
+/// again when the water-filler's closed-form re-level was deleted: the
+/// scalar counting its solves — zero in every cell — left the report,
+/// and each cell's canonical JSON differs from before by that one line.
 const HYBRID_GOLDEN: [(CcKind, u64); 8] = [
     (CcKind::Fncc, 0xd627549cb131444f),
     (CcKind::Hpcc, 0x88fd91ad7bd506de),
