@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn ecn_disabled_never_marks() {
         use crate::ids::{FlowId, HostId, SwitchId};
-        use crate::{packet::Packet, pool::PacketPool, switch::Switch, telemetry::Telemetry};
+        use crate::{pool::PacketPool, switch::Switch, telemetry::Telemetry};
         use fncc_des::time::SimTime;
 
         let cfg = FabricConfig::paper_default();
@@ -210,7 +210,7 @@ mod tests {
             SimTime::ZERO,
         );
         for in_port in [0, 1].repeat(200) {
-            let pkt = Packet::data(FlowId(0), HostId(0), HostId(2), 0, 1456, 1518, t0);
+            let pkt = pool.data(FlowId(0), HostId(0), HostId(2), 0, 1456, 1518, t0);
             sw.on_arrive(t0, in_port, pkt, &cfg, &mut telem, &mut pool, &mut out);
         }
         // The uplink queue runs far past where DCQCN's profile marks every frame.

@@ -797,14 +797,9 @@ mod tests {
             match pkt.kind {
                 PacketKind::Data => {
                     self.data_received += 1;
-                    let ack = Packet::ack(
-                        pkt.flow,
-                        ctx.host(),
-                        pkt.src,
-                        pkt.seq + pkt.payload as u64,
-                        ctx.cfg.ack_base,
-                        ctx.now(),
-                    );
+                    let (host, base, now) = (ctx.host(), ctx.cfg.ack_base, ctx.now());
+                    let ack_seq = pkt.seq + pkt.payload as u64;
+                    let ack = ctx.pool().ack(pkt.flow, host, pkt.src, ack_seq, base, now);
                     ctx.send(ack);
                 }
                 PacketKind::Ack => {
@@ -821,16 +816,12 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut HostCtx<'_, MiniTimer>, _t: MiniTimer) {
             let dst = self.send_to.expect("start on non-sender");
             let payload = ctx.cfg.mtu_payload();
+            let (host, mtu, now) = (ctx.host(), ctx.cfg.mtu, ctx.now());
             for i in 0..self.n_packets {
-                let pkt = Packet::data(
-                    FlowId(0),
-                    ctx.host(),
-                    dst,
-                    i as u64 * payload as u64,
-                    payload,
-                    ctx.cfg.mtu,
-                    ctx.now(),
-                );
+                let seq = i as u64 * payload as u64;
+                let pkt = ctx
+                    .pool()
+                    .data(FlowId(0), host, dst, seq, payload, mtu, now);
                 ctx.send(pkt);
             }
         }

@@ -149,7 +149,7 @@ impl PacketKind {
 /// A frame in flight. Boxed when stored in events/queues. One cache line
 /// (64 bytes): the INT records live in a separate pooled [`IntStack`] that
 /// only frames carrying INT hold.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Packet {
     /// Frame kind.
     pub kind: PacketKind,
@@ -193,23 +193,29 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// A data frame of `payload` application bytes starting at `seq`.
-    pub fn data(
+    /// The one place a frame's fields are written: `kind` and the given
+    /// fields, every other field at its unset value (no ECN mark, no INT
+    /// stack, no `N`, no `pathID`, no RoCC rate, no switch metadata).
+    /// Frames are boxed by the [`PacketPool`], which calls this.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn new(
+        kind: PacketKind,
         flow: FlowId,
         src: HostId,
         dst: HostId,
         seq: u64,
+        size: u32,
         payload: u32,
-        wire_size: u32,
         now: SimTime,
-    ) -> Box<Packet> {
-        Box::new(Packet {
-            kind: PacketKind::Data,
+    ) -> Packet {
+        Packet {
+            kind,
             flow,
             src,
             dst,
             seq,
-            size: wire_size,
+            size,
             payload,
             sent_at: now,
             ecn: false,
@@ -220,82 +226,41 @@ impl Packet {
             in_port: 0,
             accounted: 0,
             last_of_flow: false,
-        })
+        }
     }
 
-    /// An ACK from `src` (the data receiver) to `dst` (the data sender),
-    /// cumulatively acknowledging payload bytes below `ack_seq`.
-    pub fn ack(
-        flow: FlowId,
+    /// Turn a delivered data frame into its own ACK from `src` (the data
+    /// receiver) back to the data sender, cumulatively acknowledging payload
+    /// bytes below `ack_seq` and carrying the receiver's flow count `n`
+    /// (§3.2.3). The box is reused without touching the allocator, and the
+    /// ACK keeps only what the receiver echoes: the flow, `sent_at` (RTT
+    /// sampling), `rocc_rate` (the switch-advertised fair rate) and the INT
+    /// stack (the HPCC receiver copy of Fig. 4a), whose records add to
+    /// `base_size`.
+    #[inline]
+    pub fn into_ack(
+        mut self: Box<Self>,
         src: HostId,
-        dst: HostId,
         ack_seq: u64,
         base_size: u32,
-        now: SimTime,
+        n: u16,
     ) -> Box<Packet> {
-        Box::new(Packet {
-            kind: PacketKind::Ack,
-            flow,
+        let size = base_size + self.int_wire_bytes();
+        let mut ack = Packet::new(
+            PacketKind::Ack,
+            self.flow,
             src,
-            dst,
-            seq: ack_seq,
-            size: base_size,
-            payload: 0,
-            sent_at: now,
-            ecn: false,
-            int: None,
-            concurrent_flows: 0,
-            path_xor: 0,
-            rocc_rate: f64::INFINITY,
-            in_port: 0,
-            accounted: 0,
-            last_of_flow: false,
-        })
-    }
-
-    /// A DCQCN congestion-notification packet.
-    pub fn cnp(flow: FlowId, src: HostId, dst: HostId, size: u32, now: SimTime) -> Box<Packet> {
-        Box::new(Packet {
-            kind: PacketKind::Cnp,
-            flow,
-            src,
-            dst,
-            seq: 0,
+            self.src,
+            ack_seq,
             size,
-            payload: 0,
-            sent_at: now,
-            ecn: false,
-            int: None,
-            concurrent_flows: 0,
-            path_xor: 0,
-            rocc_rate: f64::INFINITY,
-            in_port: 0,
-            accounted: 0,
-            last_of_flow: false,
-        })
-    }
-
-    /// A PFC control frame (link-local; src/dst are not routed).
-    pub fn pfc(kind: PacketKind, size: u32, now: SimTime) -> Box<Packet> {
-        debug_assert!(kind.is_control());
-        Box::new(Packet {
-            kind,
-            flow: FlowId(u32::MAX),
-            src: HostId(u32::MAX),
-            dst: HostId(u32::MAX),
-            seq: 0,
-            size,
-            payload: 0,
-            sent_at: now,
-            ecn: false,
-            int: None,
-            concurrent_flows: 0,
-            path_xor: 0,
-            rocc_rate: f64::INFINITY,
-            in_port: 0,
-            accounted: 0,
-            last_of_flow: false,
-        })
+            0,
+            self.sent_at,
+        );
+        ack.int = self.int.take();
+        ack.concurrent_flows = n;
+        ack.rocc_rate = self.rocc_rate;
+        *self = ack;
+        self
     }
 
     /// Append an INT record, growing the wire size by the record — unless
@@ -405,7 +370,8 @@ mod tests {
 
     #[test]
     fn push_int_grows_wire_size() {
-        let mut p = Packet::data(
+        let mut pool = PacketPool::new();
+        let mut p = pool.data(
             FlowId(0),
             HostId(0),
             HostId(1),
@@ -414,7 +380,6 @@ mod tests {
             1062,
             SimTime::ZERO,
         );
-        let mut pool = PacketPool::new();
         let before = p.size;
         assert!(p.int().is_empty());
         p.push_int(rec(0, 0), &mut pool);
@@ -431,23 +396,61 @@ mod tests {
 
     #[test]
     fn constructors_set_kinds() {
-        let d = Packet::data(FlowId(1), HostId(0), HostId(1), 0, 100, 162, SimTime::ZERO);
+        let mut pool = PacketPool::new();
+        let d = pool.data(FlowId(1), HostId(0), HostId(1), 0, 100, 162, SimTime::ZERO);
         assert_eq!(d.kind, PacketKind::Data);
         assert!(!d.kind.is_control());
-        let a = Packet::ack(FlowId(1), HostId(1), HostId(0), 100, 70, SimTime::ZERO);
+        let a = pool.ack(FlowId(1), HostId(1), HostId(0), 100, 70, SimTime::ZERO);
         assert_eq!(a.kind, PacketKind::Ack);
         assert_eq!(a.seq, 100);
-        let c = Packet::cnp(FlowId(1), HostId(1), HostId(0), 64, SimTime::ZERO);
+        let c = pool.cnp(FlowId(1), HostId(1), HostId(0), 64, SimTime::ZERO);
         assert_eq!(c.kind, PacketKind::Cnp);
-        let p = Packet::pfc(PacketKind::PfcPause, 64, SimTime::ZERO);
+        let p = pool.pfc(PacketKind::PfcPause, 64, SimTime::ZERO);
         assert!(p.kind.is_control());
-        let r = Packet::pfc(PacketKind::PfcResume, 64, SimTime::ZERO);
+        let r = pool.pfc(PacketKind::PfcResume, 64, SimTime::ZERO);
         assert!(r.kind.is_control());
     }
 
     #[test]
     fn rocc_rate_defaults_unset() {
-        let d = Packet::data(FlowId(1), HostId(0), HostId(1), 0, 100, 162, SimTime::ZERO);
+        let mut pool = PacketPool::new();
+        let d = pool.data(FlowId(1), HostId(0), HostId(1), 0, 100, 162, SimTime::ZERO);
         assert!(d.rocc_rate.is_infinite());
+    }
+
+    /// The ACK keeps the flow, `sent_at`, `rocc_rate` and the INT stack,
+    /// swaps the endpoints, writes `seq`, `size` and `N`, and resets the
+    /// rest.
+    #[test]
+    fn into_ack_keeps_only_the_echoed_fields() {
+        let mut pool = PacketPool::new();
+        let sent = SimTime::from_us(4);
+        let mut d = pool.data(FlowId(5), HostId(0), HostId(1), 3000, 1000, 1062, sent);
+        d.push_int(rec(1, 10), &mut pool);
+        d.push_int(rec(2, 20), &mut pool);
+        d.ecn = true;
+        d.path_xor = 0xabc;
+        d.rocc_rate = 7e9;
+        d.in_port = 3;
+        d.accounted = 1062;
+        d.last_of_flow = true;
+        let a = d.into_ack(HostId(1), 4000, 70, 9);
+        assert_eq!(a.kind, PacketKind::Ack);
+        assert_eq!(a.flow, FlowId(5));
+        assert_eq!((a.src, a.dst), (HostId(1), HostId(0)));
+        assert_eq!(a.seq, 4000);
+        assert_eq!(a.size, 70 + 2 * INT_RECORD_BYTES);
+        assert_eq!(a.payload, 0);
+        assert_eq!(a.sent_at, sent);
+        assert_eq!(a.rocc_rate, 7e9);
+        let q: Vec<u64> = a.int().iter().map(|r| r.qlen).collect();
+        assert_eq!(q, vec![10, 20]);
+        assert!(!a.ecn);
+        assert_eq!(a.path_xor, 0);
+        assert_eq!((a.in_port, a.accounted), (0, 0));
+        assert!(!a.last_of_flow);
+        assert_eq!(a.concurrent_flows, 9);
+        // The box and its stack came from the pool, and nothing else did.
+        assert_eq!((pool.fresh_allocs(), pool.fresh_stacks()), (1, 1));
     }
 }

@@ -8,15 +8,16 @@
 //! PFC consumption, buffer drop).
 //!
 //! A frame's INT records live out of line in a `Box<IntStack>` that only
-//! frames carrying INT hold: HPCC and FairQ data frames and their
-//! in-place ACKs, FNCC ACKs. [`Packet::push_int`] takes one from the second free list
+//! frames carrying INT hold: HPCC and FairQ data frames and their ACKs,
+//! FNCC ACKs. [`Packet::push_int`] takes one from the second free list
 //! when the first record arrives, and [`PacketPool::put`] parks it again,
 //! so a packet box in the free list never keeps a stack.
 //!
-//! The constructors mirror [`Packet::data`]/[`Packet::ack`]/[`Packet::cnp`]/
-//! [`Packet::pfc`] exactly: every field of a recycled box is reset to what
-//! the corresponding constructor writes, and a box comes out of the free
-//! list without a stack, as a fresh one does.
+//! One function, `Packet::new`, writes every frame's fields. The
+//! constructors ([`PacketPool::data`], [`PacketPool::ack`],
+//! [`PacketPool::cnp`], [`PacketPool::pfc`]) move its value into a parked
+//! box or a fresh one, and [`Packet::into_ack`] into the data frame's own
+//! box, so a recycled frame cannot differ from a fresh one.
 
 use crate::ids::{FlowId, HostId};
 use crate::packet::{IntStack, Packet, PacketKind};
@@ -141,55 +142,26 @@ impl PacketPool {
         })
     }
 
-    /// A box with unspecified contents; the caller must set every field.
+    /// Move `pkt` into a parked box, else into a fresh one. A parked box
+    /// holds no INT stack ([`Self::put`] took it), so overwriting it frees
+    /// nothing.
     #[inline]
-    fn take(&mut self) -> Box<Packet> {
+    fn boxed(&mut self, pkt: Packet) -> Box<Packet> {
         match self.free.pop() {
-            Some(p) => {
+            Some(mut b) => {
                 self.recycled += 1;
-                p
+                debug_assert!(b.int.is_none(), "a parked box keeps no INT stack");
+                *b = pkt;
+                b
             }
             None => {
                 self.fresh += 1;
-                Packet::data(FlowId(0), HostId(0), HostId(0), 0, 0, 0, SimTime::ZERO)
+                Box::new(pkt)
             }
         }
     }
 
-    /// Reset every field to the constructors' shared defaults. A box from
-    /// the free list holds no INT stack ([`Self::put`] took it).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn reset(
-        pkt: &mut Packet,
-        kind: PacketKind,
-        flow: FlowId,
-        src: HostId,
-        dst: HostId,
-        seq: u64,
-        size: u32,
-        payload: u32,
-        now: SimTime,
-    ) {
-        pkt.kind = kind;
-        pkt.flow = flow;
-        pkt.src = src;
-        pkt.dst = dst;
-        pkt.seq = seq;
-        pkt.size = size;
-        pkt.payload = payload;
-        pkt.sent_at = now;
-        pkt.ecn = false;
-        debug_assert!(pkt.int.is_none(), "a parked box keeps no INT stack");
-        pkt.concurrent_flows = 0;
-        pkt.path_xor = 0;
-        pkt.rocc_rate = f64::INFINITY;
-        pkt.in_port = 0;
-        pkt.accounted = 0;
-        pkt.last_of_flow = false;
-    }
-
-    /// Pooled equivalent of [`Packet::data`].
+    /// A data frame of `payload` application bytes starting at `seq`.
     #[allow(clippy::too_many_arguments)]
     pub fn data(
         &mut self,
@@ -201,22 +173,14 @@ impl PacketPool {
         wire_size: u32,
         now: SimTime,
     ) -> Box<Packet> {
-        let mut p = self.take();
-        Self::reset(
-            &mut p,
-            PacketKind::Data,
-            flow,
-            src,
-            dst,
-            seq,
-            wire_size,
-            payload,
-            now,
-        );
-        p
+        let kind = PacketKind::Data;
+        self.boxed(Packet::new(
+            kind, flow, src, dst, seq, wire_size, payload, now,
+        ))
     }
 
-    /// Pooled equivalent of [`Packet::ack`].
+    /// An ACK from `src` (the data receiver) to `dst` (the data sender),
+    /// cumulatively acknowledging payload bytes below `ack_seq`.
     pub fn ack(
         &mut self,
         flow: FlowId,
@@ -226,22 +190,13 @@ impl PacketPool {
         base_size: u32,
         now: SimTime,
     ) -> Box<Packet> {
-        let mut p = self.take();
-        Self::reset(
-            &mut p,
-            PacketKind::Ack,
-            flow,
-            src,
-            dst,
-            ack_seq,
-            base_size,
-            0,
-            now,
-        );
-        p
+        let kind = PacketKind::Ack;
+        self.boxed(Packet::new(
+            kind, flow, src, dst, ack_seq, base_size, 0, now,
+        ))
     }
 
-    /// Pooled equivalent of [`Packet::cnp`].
+    /// A DCQCN congestion-notification packet.
     pub fn cnp(
         &mut self,
         flow: FlowId,
@@ -250,27 +205,23 @@ impl PacketPool {
         size: u32,
         now: SimTime,
     ) -> Box<Packet> {
-        let mut p = self.take();
-        Self::reset(&mut p, PacketKind::Cnp, flow, src, dst, 0, size, 0, now);
-        p
-    }
-
-    /// Pooled equivalent of [`Packet::pfc`].
-    pub fn pfc(&mut self, kind: PacketKind, size: u32, now: SimTime) -> Box<Packet> {
-        debug_assert!(kind.is_control());
-        let mut p = self.take();
-        Self::reset(
-            &mut p,
-            kind,
-            FlowId(u32::MAX),
-            HostId(u32::MAX),
-            HostId(u32::MAX),
+        self.boxed(Packet::new(
+            PacketKind::Cnp,
+            flow,
+            src,
+            dst,
             0,
             size,
             0,
             now,
-        );
-        p
+        ))
+    }
+
+    /// A PFC control frame (link-local; src/dst are not routed).
+    pub fn pfc(&mut self, kind: PacketKind, size: u32, now: SimTime) -> Box<Packet> {
+        debug_assert!(kind.is_control());
+        let (flow, host) = (FlowId(u32::MAX), HostId(u32::MAX));
+        self.boxed(Packet::new(kind, flow, host, host, 0, size, 0, now))
     }
 }
 
@@ -289,30 +240,30 @@ mod tests {
         }
     }
 
+    /// Every kind of frame comes out of a recycled box exactly as out of
+    /// an empty pool's fresh one, also when the box last carried INT.
     #[test]
     fn pooled_constructors_match_fresh_ones() {
-        let mut pool = PacketPool::new();
-        let now = SimTime::from_us(3);
-        let a = pool.data(FlowId(1), HostId(2), HostId(3), 40, 100, 162, now);
-        let b = Packet::data(FlowId(1), HostId(2), HostId(3), 40, 100, 162, now);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        let a = pool.ack(FlowId(1), HostId(3), HostId(2), 140, 70, now);
-        let b = Packet::ack(FlowId(1), HostId(3), HostId(2), 140, 70, now);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        let a = pool.cnp(FlowId(1), HostId(3), HostId(2), 64, now);
-        let b = Packet::cnp(FlowId(1), HostId(3), HostId(2), 64, now);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        let a = pool.pfc(PacketKind::PfcPause, 64, now);
-        let b = Packet::pfc(PacketKind::PfcPause, 64, now);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        // A box that carried INT comes back as bare as a fresh one.
-        let mut a = pool.ack(FlowId(1), HostId(3), HostId(2), 140, 70, now);
-        a.push_int(rec(5), &mut pool);
-        pool.put(a);
-        let a = pool.ack(FlowId(1), HostId(3), HostId(2), 140, 70, now);
-        let b = Packet::ack(FlowId(1), HostId(3), HostId(2), 140, 70, now);
-        assert!(a.int().is_empty());
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        const NOW: SimTime = SimTime::from_us(3);
+        let kinds: [fn(&mut PacketPool) -> Box<Packet>; 5] = [
+            |p| p.data(FlowId(1), HostId(2), HostId(3), 40, 100, 162, NOW),
+            |p| p.ack(FlowId(1), HostId(3), HostId(2), 140, 70, NOW),
+            |p| p.cnp(FlowId(1), HostId(3), HostId(2), 64, NOW),
+            |p| p.pfc(PacketKind::PfcPause, 64, NOW),
+            |p| p.pfc(PacketKind::PfcResume, 64, NOW),
+        ];
+        for make in kinds {
+            let fresh = make(&mut PacketPool::new());
+            let mut pool = PacketPool::new();
+            let mut used = pool.ack(FlowId(9), HostId(8), HostId(7), 1, 70, SimTime::ZERO);
+            used.push_int(rec(5), &mut pool);
+            used.concurrent_flows = 4;
+            pool.put(used);
+            let recycled = make(&mut pool);
+            assert_eq!(pool.recycled(), 1);
+            assert!(recycled.int().is_empty());
+            assert_eq!(format!("{recycled:?}"), format!("{fresh:?}"));
+        }
     }
 
     #[test]
@@ -398,10 +349,12 @@ mod tests {
         pool.put(p);
         assert_eq!(pool.free_len(), 1);
         let q = pool.data(FlowId(1), HostId(2), HostId(3), 40, 100, 162, SimTime::ZERO);
-        let fresh = Packet::data(FlowId(1), HostId(2), HostId(3), 40, 100, 162, SimTime::ZERO);
+        let fresh =
+            PacketPool::new().data(FlowId(1), HostId(2), HostId(3), 40, 100, 162, SimTime::ZERO);
         assert_eq!(format!("{:?}", q.int()), "[]");
         assert_eq!(q.int_wire_bytes(), 0);
-        // Everything observable matches a fresh construction.
+        // Everything observable matches an empty pool's fresh box.
+        assert_eq!(format!("{q:?}"), format!("{fresh:?}"));
         assert_eq!(q.kind, fresh.kind);
         assert_eq!(q.seq, fresh.seq);
         assert_eq!(q.size, fresh.size);

@@ -328,6 +328,7 @@ mod tests {
     use super::*;
     use crate::ids::{FlowId, HostId};
     use crate::packet::PacketKind;
+    use crate::pool::PacketPool;
     use fncc_des::time::SimTime;
 
     fn spec() -> PortSpec {
@@ -340,7 +341,7 @@ mod tests {
     }
 
     fn data(size: u32) -> Box<Packet> {
-        Packet::data(
+        PacketPool::new().data(
             FlowId(0),
             HostId(0),
             HostId(1),
@@ -371,7 +372,7 @@ mod tests {
     fn control_frames_have_strict_priority() {
         let mut p = Port::from_spec(&spec());
         p.enqueue(data(100));
-        p.enqueue_ctrl(Packet::pfc(PacketKind::PfcPause, 64, SimTime::ZERO));
+        p.enqueue_ctrl(PacketPool::new().pfc(PacketKind::PfcPause, 64, SimTime::ZERO));
         let first = p.dequeue().unwrap();
         assert_eq!(first.kind, PacketKind::PfcPause);
         let second = p.dequeue().unwrap();
@@ -382,7 +383,7 @@ mod tests {
     fn pause_gates_data_but_not_control() {
         let mut p = Port::from_spec(&spec());
         p.enqueue(data(100));
-        p.enqueue_ctrl(Packet::pfc(PacketKind::PfcResume, 64, SimTime::ZERO));
+        p.enqueue_ctrl(PacketPool::new().pfc(PacketKind::PfcResume, 64, SimTime::ZERO));
         p.paused = true;
         // Control still flows.
         assert_eq!(p.dequeue().unwrap().kind, PacketKind::PfcResume);

@@ -611,7 +611,7 @@ mod tests {
     }
 
     fn data(flow: u32, src: u32, dst: u32, size: u32) -> Box<Packet> {
-        Packet::data(
+        PacketPool::new().data(
             FlowId(flow),
             HostId(src),
             HostId(dst),
@@ -767,7 +767,7 @@ mod tests {
 
         // An ACK for flow 0 arrives on port 2 (the data egress) heading to
         // host 0: it must pick up port 2's INT (the request-path queue).
-        let ack = Packet::ack(FlowId(0), HostId(2), HostId(0), 1000, 70, SimTime::ZERO);
+        let ack = pool.ack(FlowId(0), HostId(2), HostId(0), 1000, 70, SimTime::ZERO);
         out.clear();
         sw.on_arrive(
             SimTime::from_us(5),
@@ -823,7 +823,7 @@ mod tests {
             &mut out,
         );
 
-        let ack = Packet::ack(FlowId(0), HostId(2), HostId(0), 0, 70, SimTime::ZERO);
+        let ack = pool.ack(FlowId(0), HostId(2), HostId(0), 0, 70, SimTime::ZERO);
         out.clear();
         sw.on_arrive(
             SimTime::from_us(5),
@@ -839,7 +839,7 @@ mod tests {
 
         // After a refresh, a second ACK sees the queue.
         sw.refresh_int_table(SimTime::from_us(10));
-        let ack2 = Packet::ack(FlowId(0), HostId(2), HostId(0), 0, 70, SimTime::ZERO);
+        let ack2 = pool.ack(FlowId(0), HostId(2), HostId(0), 0, 70, SimTime::ZERO);
         out.clear();
         // port 0 is busy with ack1; drain it first.
         drain_tx(&mut sw, 0, &cfg, &mut telem);
@@ -940,7 +940,7 @@ mod tests {
         sw.on_arrive(
             SimTime::ZERO,
             2,
-            Packet::pfc(PacketKind::PfcPause, 64, SimTime::ZERO),
+            pool.pfc(PacketKind::PfcPause, 64, SimTime::ZERO),
             &cfg,
             &mut telem,
             &mut pool,
@@ -965,7 +965,7 @@ mod tests {
         sw.on_arrive(
             SimTime::ZERO,
             2,
-            Packet::pfc(PacketKind::PfcResume, 64, SimTime::ZERO),
+            pool.pfc(PacketKind::PfcResume, 64, SimTime::ZERO),
             &cfg,
             &mut telem,
             &mut pool,
@@ -1134,7 +1134,7 @@ mod tests {
         let topo = Topology::dumbbell(2, 3, Bandwidth::gbps(100), TimeDelta::from_us(1));
         // Pass one ACK through sw1 then sw0 (reverse path order).
         let mut xor_acc = 0u16;
-        let mut ack = Packet::ack(FlowId(0), HostId(2), HostId(0), 0, 70, SimTime::ZERO);
+        let mut ack = pool.ack(FlowId(0), HostId(2), HostId(0), 0, 70, SimTime::ZERO);
         for swid in [1u32, 0] {
             let mut sw = Switch::new(SwitchId(swid), &topo.switches[swid as usize], &cfg);
             let mut out = Vec::new();

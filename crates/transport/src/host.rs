@@ -248,34 +248,17 @@ impl DcHost {
         self.pump(ctx, id);
     }
 
-    /// Turn a delivered data frame into its own ACK in place: the box (and
-    /// its INT stack — the HPCC receiver copy of Fig. 4a, empty for
-    /// FNCC/DCQCN/RoCC whose data carries no INT) is reused without touching
-    /// the allocator. Every field ends up exactly as `Packet::ack` plus the
-    /// receiver's echo assignments produced: `sent_at` keeps the data
-    /// timestamp (RTT sampling) and `rocc_rate` the switch-advertised fair
-    /// rate.
+    /// Turn a delivered data frame into its own ACK ([`Packet::into_ack`]).
+    /// §3.2.3: the receiver writes the concurrent-flow count N (16 bits)
+    /// into every ACK (a finishing flow still counts).
     fn make_ack(
         &self,
         ctx: &HostCtx<'_, HostTimer>,
-        mut pkt: Box<Packet>,
+        pkt: Box<Packet>,
         ack_seq: u64,
     ) -> Box<Packet> {
-        pkt.kind = PacketKind::Ack;
-        pkt.dst = pkt.src; // back to the data sender
-        pkt.src = ctx.host();
-        pkt.seq = ack_seq;
-        pkt.size = ctx.cfg.ack_base + pkt.int_wire_bytes();
-        pkt.payload = 0;
-        pkt.ecn = false;
-        // §3.2.3: the receiver writes the concurrent-flow count N
-        // (16 bits) into every ACK (a finishing flow still counts).
-        pkt.concurrent_flows = self.active_incoming.min(u16::MAX as u32) as u16;
-        pkt.path_xor = 0;
-        pkt.in_port = 0;
-        pkt.accounted = 0;
-        pkt.last_of_flow = false;
-        pkt
+        let n = self.active_incoming.min(u16::MAX as u32) as u16;
+        pkt.into_ack(ctx.host(), ack_seq, ctx.cfg.ack_base, n)
     }
 
     fn on_data(&mut self, ctx: &mut HostCtx<'_, HostTimer>, pkt: Box<Packet>) {
