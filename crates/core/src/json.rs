@@ -16,7 +16,7 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (stored as f64; integers up to 2^53 are exact).
+    /// Any number (stored as f64; integers below 2^53 are exact).
     Num(f64),
     /// A string.
     Str(String),
@@ -43,12 +43,15 @@ impl Json {
         }
     }
 
-    /// The value as u64: non-negative integral numbers, or the decimal
-    /// string form [`num_u64`] emits for values JSON's f64 number model
-    /// cannot hold exactly.
+    /// The value as u64: non-negative integral numbers below 2^53, or the
+    /// decimal string form [`num_u64`] emits for values JSON's f64 number
+    /// model cannot hold exactly. A number at or above 2^53 reads as `None`:
+    /// it may already have been rounded to a neighbouring integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Some(*x as u64),
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < EXACT_INT_LIMIT as f64 => {
+                Some(*x as u64)
+            }
             Json::Str(s) if !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()) => {
                 s.parse().ok()
             }
@@ -170,13 +173,17 @@ impl Json {
     }
 }
 
-/// A u64 as a lossless JSON value. Values up to 2^53 are exact f64s and
+/// 2^53: every integer below it is an exact f64, but 2^53 + 1 parses as
+/// 2^53, so a JSON number from here on may not be the integer written.
+pub(crate) const EXACT_INT_LIMIT: u64 = 1 << 53;
+
+/// A u64 as a lossless JSON value. Values below 2^53 are exact f64s and
 /// emit as plain numbers; larger ones (total wire bytes at fleet scale)
 /// would silently corrupt a round-trip through the f64 number model, so
 /// they emit as decimal strings instead — [`Json::as_u64`] reads both
 /// forms back, and no value aborts the run.
 pub fn num_u64(x: u64) -> Json {
-    if x <= 1 << 53 {
+    if x < EXACT_INT_LIMIT {
         Json::Num(x as f64)
     } else {
         Json::Str(x.to_string())
@@ -410,6 +417,11 @@ mod tests {
         assert_eq!(Json::Num(3.0).as_u64(), Some(3));
         assert_eq!(Json::Num(-3.0).as_u64(), None);
         assert_eq!(Json::Num(3.5).as_u64(), None);
+        // 2^53 + 1 parses as 2^53: no number from 2^53 on is trusted.
+        let edge = EXACT_INT_LIMIT as f64;
+        assert_eq!(Json::Num(edge - 1.0).as_u64(), Some(EXACT_INT_LIMIT - 1));
+        assert_eq!(Json::parse("9007199254740993").unwrap().as_u64(), None);
+        assert_eq!(Json::Num(edge).as_u64(), None);
         assert_eq!(Json::Str("3".into()).as_u64(), Some(3));
         assert_eq!(Json::Str("".into()).as_u64(), None);
         assert_eq!(Json::Str("-3".into()).as_u64(), None);
@@ -420,13 +432,16 @@ mod tests {
     #[test]
     fn num_u64_is_lossless_at_any_magnitude() {
         // Exact f64 range: plain numbers.
-        assert_eq!(num_u64(1 << 53).as_u64(), Some(1 << 53));
+        let below = EXACT_INT_LIMIT - 1;
+        assert_eq!(num_u64(below), Json::Num(below as f64));
+        assert_eq!(num_u64(below).as_u64(), Some(below));
         assert_eq!(num_u64(0).to_string_compact(), "0");
-        // Beyond 2^53 (fleet-scale wire-byte totals): decimal strings,
+        // From 2^53 on (fleet-scale wire-byte totals): decimal strings,
         // round-tripping exactly instead of aborting the run.
-        let big = (1u64 << 53) + 1;
-        assert_eq!(num_u64(big), Json::Str(big.to_string()));
-        assert_eq!(num_u64(big).as_u64(), Some(big));
+        for big in [EXACT_INT_LIMIT, EXACT_INT_LIMIT + 1] {
+            assert_eq!(num_u64(big), Json::Str(big.to_string()));
+            assert_eq!(num_u64(big).as_u64(), Some(big));
+        }
         assert_eq!(num_u64(u64::MAX).as_u64(), Some(u64::MAX));
         let reparsed = Json::parse(&num_u64(u64::MAX).to_string_compact()).unwrap();
         assert_eq!(reparsed.as_u64(), Some(u64::MAX));

@@ -12,7 +12,7 @@ use super::{
     StopCondition, TopologySpec, TrafficSpec, Workload,
 };
 use crate::calibration::{set_from_json, set_to_json};
-use crate::json::{num_u64, Json};
+use crate::json::{num_u64, Json, EXACT_INT_LIMIT};
 use fncc_cc::CcKind;
 use fncc_fluid::CalibrationSet;
 
@@ -67,12 +67,30 @@ macro_rules! scalar {
 scalar! {
     u8, "u8", |v| v.as_u64().and_then(|x| u8::try_from(x).ok()), |x| Json::Num(*x as f64);
     u32, "u32", |v| v.as_u64().and_then(|x| u32::try_from(x).ok()), |x| Json::Num(*x as f64);
-    u64, "integer", |v| v.as_u64(), |x| num_u64(*x);
     f64, "numeric", |v| v.as_f64(), |x| Json::Num(*x);
     bool, "boolean", |v| v.as_bool(), |x| Json::Bool(*x);
     String, "string", |v| v.as_str().map(str::to_string), |x| Json::Str(x.clone());
     Workload, "trace-name", |v| v.as_str().and_then(Workload::parse), |x| Json::Str(x.name().into());
     CcKind, "scheme-name", |v| v.as_str().and_then(parse_cc), |x| Json::Str(x.name().into());
+}
+
+/// A number at or above 2^53 may already be rounded to a neighbouring
+/// integer, so only the decimal-string form can carry it.
+impl Field for u64 {
+    fn emit(&self) -> Json {
+        num_u64(*self)
+    }
+    fn parse(v: &Json, key: &str) -> Result<Self, String> {
+        match v {
+            Json::Num(x) if x.fract() == 0.0 && *x >= EXACT_INT_LIMIT as f64 => Err(format!(
+                "integer field '{key}' is at or above 2^53, past what a JSON number holds \
+                 exactly: write it as a decimal string, \"{key}\": \"<digits>\""
+            )),
+            _ => v
+                .as_u64()
+                .ok_or_else(|| format!("missing or non-integer field '{key}'")),
+        }
+    }
 }
 
 impl<T: Field> Field for Vec<T> {
@@ -569,5 +587,37 @@ mod tests {
             doc(r#"{"kind":"line","switches":3,"attach":[0,-1]}"#),
             "missing or non-u32 field 'attach'"
         );
+        // Integers from 2^53 on: a number is refused by name, however near
+        // the next exact float, and the decimal-string form is read.
+        let above_2p53 = |link: &str, size: &str| {
+            Scenario::from_json(&format!(
+                r#"{{"name":"x","topology":{{"kind":"star","hosts":4}},"link":{link},
+                    "traffic":{{"kind":"incast","receiver":0,"fan_in":2,"size":{size},
+                    "waves":1,"gap_us":10}},"cc":"fncc"}}"#
+            ))
+        };
+        let hint = |key: &str| {
+            format!(
+                "integer field '{key}' is at or above 2^53, past what a JSON number holds \
+                 exactly: write it as a decimal string, \"{key}\": \"<digits>\""
+            )
+        };
+        let link = r#"{"gbps":100,"prop_ns":1500}"#;
+        let big = r#"{"gbps":100,"prop_ns":18446744073709551}"#;
+        assert_eq!(above_2p53(big, "10000").unwrap_err(), hint("prop_ns"));
+        assert_eq!(
+            above_2p53(link, "9007199254740993").unwrap_err(),
+            hint("size")
+        );
+        let big = r#"{"gbps":100,"prop_ns":"18446744073709551"}"#;
+        let sc = above_2p53(big, r#""9007199254740993""#).unwrap();
+        assert_eq!(sc.link.prop_ns, 18_446_744_073_709_551);
+        assert!(matches!(
+            sc.traffic,
+            TrafficSpec::Incast {
+                size: 9_007_199_254_740_993,
+                ..
+            }
+        ));
     }
 }

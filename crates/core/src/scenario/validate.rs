@@ -42,6 +42,17 @@ impl Scenario {
         self.link.check()?;
         self.topology.check()?;
         self.traffic.check(self.topology.n_hosts())?;
+        // Elephants are sized from the horizon: a zero one makes zero-byte
+        // flows, which the hosts assert on.
+        if matches!(self.traffic, TrafficSpec::Elephants { .. })
+            && self.stop.sizing_horizon().as_ps() == 0
+        {
+            return Err(
+                "elephants traffic is sized from the 'stop' horizon, which is 0: \
+                 every elephant would carry 0 bytes"
+                    .to_string(),
+            );
+        }
         if self.has_faults() {
             fncc_net::fault::validate(&self.faults, &self.topology.build(self.link))?;
         }
@@ -177,31 +188,56 @@ fn int_stack(kind: &str, hops: u32) -> Result<(), String> {
 }
 
 impl TrafficSpec {
-    /// What the flow generators assert on, given the topology's host count.
+    /// What the flow generators and hosts assert on, given the topology's
+    /// host count, and traffic that generates at least one flow, each of at
+    /// least one byte.
     fn check(&self, n_hosts: u32) -> Result<(), String> {
         let kind = self.name();
-        // Every kind but elephants needs a sender besides the receiver.
-        if n_hosts < 2 && !matches!(self, TrafficSpec::Elephants { .. }) {
+        // Every kind needs a sender besides the receiver.
+        if n_hosts < 2 {
             return Err(format!(
                 "{kind} traffic needs at least 2 hosts, but the topology has {n_hosts}"
             ));
         }
         match self {
             TrafficSpec::Elephants { .. } | TrafficSpec::Staircase { .. } => {}
-            TrafficSpec::Incast { receiver, .. } => {
+            TrafficSpec::Incast {
+                receiver,
+                fan_in,
+                size,
+                waves,
+                ..
+            } => {
                 bound!(kind, receiver in 0, n_hosts - 1);
+                bound!(kind, fan_in in 1, u32::MAX);
+                bound!(kind, size in 1, u64::MAX);
+                bound!(kind, waves in 1, u32::MAX);
             }
-            TrafficSpec::Poisson { load, .. } => {
+            TrafficSpec::Poisson { load, flows, .. } => {
                 if !(*load > 0.0 && *load <= 1.0) {
                     return Err(format!(
                         "{kind} '{}' is {load}, outside (0, 1]",
                         stringify!(load)
                     ));
                 }
+                bound!(kind, flows in 1, u32::MAX);
             }
-            TrafficSpec::MiceBehindElephants { elephants, .. } => {
+            TrafficSpec::MiceBehindElephants {
+                elephants,
+                elephant_size,
+                mice,
+                mouse_size,
+                ..
+            } => {
                 // The last host receives; the mice need a sender of their own.
                 bound!(kind, elephants in 0, n_hosts - 2);
+                bound!(kind, elephant_size in 1, u64::MAX);
+                bound!(kind, mouse_size in 1, u64::MAX);
+                if *elephants == 0 && *mice == 0 {
+                    return Err(format!(
+                        "{kind} 'elephants' and 'mice' are both 0: the traffic has no flow"
+                    ));
+                }
             }
         }
         Ok(())
@@ -213,16 +249,18 @@ mod tests {
     use super::*;
 
     /// Each document parses on a parser without range checks and then
-    /// panics in a topology builder or flow generator; here it is an error
-    /// that names the field. The first eight and the zero link rate ship
-    /// as `scenarios/invalid/*.json`, which CI runs through `fncc-repro run`.
+    /// panics in a topology builder, flow generator or host, or runs no
+    /// flow at all; here it is an error that names the field. The first
+    /// eight, the zero link rate, the zero-byte incast and the zero-flow
+    /// Poisson ship as `scenarios/invalid/*.json` (with a `prop_ns` past
+    /// 2^53, see `codec.rs`), which CI runs through `fncc-repro run`.
     #[test]
     fn malformed_documents_are_errors_not_panics() {
         const INCAST: &str =
             r#"{"kind":"incast","receiver":0,"fan_in":2,"size":10000,"waves":1,"gap_us":10}"#;
         const ELEPHANTS: &str = r#"{"kind":"elephants","join_at_us":10}"#;
         const POISSON: &str = r#"{"kind":"poisson","workload":"WebSearch","load":0.5,"flows":20}"#;
-        let table: [(&str, &str, &str); 16] = [
+        let table: [(&str, &str, &str); 25] = [
             (r#"{"kind":"fat_tree","k":3}"#, INCAST, "must be even"),
             (
                 r#"{"kind":"star","hosts":1}"#,
@@ -299,6 +337,56 @@ mod tests {
                     "link":{"gbps":0,"prop_ns":1500}"#,
                 "link 'gbps' is 0, outside [1, 18446744073]",
             ),
+            // Zero-byte flows, which the hosts assert on, and traffic with
+            // no flow, which runs nothing.
+            (
+                r#"{"kind":"star","hosts":4}"#,
+                r#"{"kind":"incast","receiver":0,"fan_in":2,"size":0,"waves":1,"gap_us":10}"#,
+                "'size' is 0, outside [1, 18446744073709551615]",
+            ),
+            (
+                r#"{"kind":"dumbbell","senders":2,"switches":2}"#,
+                r#"{"kind":"mice_behind_elephants","elephants":1,"elephant_size":100000,
+                    "mice":4,"mouse_size":0,"warmup_us":10,"gap_us":10}"#,
+                "'mouse_size' is 0",
+            ),
+            (
+                r#"{"kind":"dumbbell","senders":2,"switches":2}"#,
+                r#"{"kind":"mice_behind_elephants","elephants":1,"elephant_size":0,
+                    "mice":4,"mouse_size":1000,"warmup_us":10,"gap_us":10}"#,
+                "'elephant_size' is 0",
+            ),
+            (
+                r#"{"kind":"star","hosts":4}"#,
+                r#"{"kind":"incast","receiver":0,"fan_in":0,"size":10000,"waves":1,"gap_us":10}"#,
+                "'fan_in' is 0, outside [1, 4294967295]",
+            ),
+            (
+                r#"{"kind":"star","hosts":4}"#,
+                r#"{"kind":"incast","receiver":0,"fan_in":2,"size":10000,"waves":0,"gap_us":10}"#,
+                "'waves' is 0, outside [1, 4294967295]",
+            ),
+            (
+                r#"{"kind":"star","hosts":4}"#,
+                r#"{"kind":"poisson","workload":"WebSearch","load":0.5,"flows":0}"#,
+                "'flows' is 0, outside [1, 4294967295]",
+            ),
+            (
+                r#"{"kind":"dumbbell","senders":2,"switches":2}"#,
+                r#"{"kind":"mice_behind_elephants","elephants":0,"elephant_size":100000,
+                    "mice":0,"mouse_size":1000,"warmup_us":10,"gap_us":10}"#,
+                "'elephants' and 'mice' are both 0",
+            ),
+            (
+                r#"{"kind":"dumbbell","senders":0,"switches":2}"#,
+                ELEPHANTS,
+                "needs at least 2 hosts",
+            ),
+            (
+                r#"{"kind":"star","hosts":4}"#,
+                r#"{"kind":"elephants","join_at_us":10},"stop":{"kind":"horizon","us":0}"#,
+                "'stop' horizon, which is 0",
+            ),
         ];
         for (topology, traffic, want) in table {
             let doc = format!(
@@ -315,7 +403,7 @@ mod tests {
             assert!(Scenario::from_json(&text).is_err(), "{}", path.display());
             shipped += 1;
         }
-        assert_eq!(shipped, 9);
+        assert_eq!(shipped, 12);
     }
 
     /// A document with no seeds would run nothing and report nothing; a

@@ -82,8 +82,8 @@ fn main() {
                 opts.threads = n;
                 opts.sim_threads = Some(n as u32);
             }
+            // Zero seeds or flows would run nothing and leave empty tables.
             "--seeds" => {
-                // Zero seeds would run nothing and leave empty tables.
                 opts.seeds = Some(
                     args.next()
                         .and_then(|s| s.parse().ok())
@@ -95,6 +95,7 @@ fn main() {
                 opts.flows = Some(
                     args.next()
                         .and_then(|s| s.parse().ok())
+                        .filter(|&n| n > 0)
                         .unwrap_or_else(|| usage()),
                 )
             }
