@@ -196,7 +196,7 @@ impl Packet {
     /// The one place a frame's fields are written: `kind` and the given
     /// fields, every other field at its unset value (no ECN mark, no INT
     /// stack, no `N`, no `pathID`, no RoCC rate, no switch metadata).
-    /// Frames are boxed by the [`PacketPool`], which calls this.
+    /// The [`PacketPool`]'s constructors and [`Self::into_ack`] call it.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn new(
