@@ -82,6 +82,16 @@ impl RunReport {
             .collect()
     }
 
+    /// The stable report: this one without its wall-clock readings, the
+    /// event rate `events_per_sec` and the `FNCC_PROFILE` spans `span_*`.
+    /// Every other value is a function of the scenario and its seeds, so
+    /// two runs of one scenario agree on it byte for byte.
+    pub fn stable(mut self) -> Self {
+        self.scalars
+            .retain(|(k, _)| k != "events_per_sec" && !k.starts_with("span_"));
+        self
+    }
+
     /// Look up a time series by name.
     pub fn series(&self, name: &str) -> Option<&TimeSeries> {
         self.series.iter().find(|s| s.name == name)
@@ -307,6 +317,16 @@ mod tests {
         r.put_scalar("jain_p0", 1.0);
         r.put_scalar("jain_p3", 0.5);
         assert_eq!(r.indexed_scalars("jain_p"), vec![1.0, 0.8]);
+    }
+
+    #[test]
+    fn stable_drops_only_the_wall_clock_scalars() {
+        let mut r = sample();
+        r.put_scalar("events_per_sec", 1e6);
+        r.put_scalar("span_dispatch_ns", 42.0);
+        r.put_scalar("wheel_cascades_l1", 3.0);
+        let keys: Vec<String> = r.stable().scalars.into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["peak_queue_kb", "mean_util", "wheel_cascades_l1"]);
     }
 
     #[test]

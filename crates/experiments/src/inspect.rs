@@ -12,6 +12,7 @@
 //!   shadow-backlog pushes per link).
 
 use fncc_core::json::Json;
+use fncc_core::RUN_REPORT_SCHEMA;
 use std::collections::BTreeMap;
 
 /// Options parsed from the `inspect` verb's trailing flags.
@@ -40,11 +41,17 @@ pub fn inspect(path: &str, opts: InspectOpts) -> Result<(), String> {
 
 fn inspect_report(text: &str, path: &str) -> Result<(), String> {
     let root = Json::parse(text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let schema = root.get("schema").and_then(Json::as_str).unwrap_or("?");
+    let schema = root.get("schema").and_then(Json::as_str);
+    if schema != Some(RUN_REPORT_SCHEMA) {
+        let found = schema.map_or("no schema".to_string(), |s| format!("schema '{s}'"));
+        return Err(format!(
+            "{path} is neither a trace nor a run report: {found}, want '{RUN_REPORT_SCHEMA}'"
+        ));
+    }
     let scenario = root.get("scenario").and_then(Json::as_str).unwrap_or("?");
     let backend = root.get("backend").and_then(Json::as_str).unwrap_or("?");
     let cc = root.get("cc").and_then(Json::as_str).unwrap_or("?");
-    println!("report   {scenario} [{backend}/{cc}] ({schema})");
+    println!("report   {scenario} [{backend}/{cc}] ({RUN_REPORT_SCHEMA})");
     if let Some(events) = root.get("events").and_then(Json::as_u64) {
         println!("events   {events}");
     }
@@ -567,8 +574,23 @@ mod tests {
 
     #[test]
     fn report_inspection_accepts_minimal_report() {
-        let report = "{\"schema\":\"fncc.report/v1\",\"scenario\":\"x\",\"backend\":\"packet\",\
-             \"cc\":\"fncc\",\"events\":5,\"scalars\":{\"a\":1.5},\"series\":[],\"slowdowns\":[]}";
-        assert!(inspect_report(report, "mem").is_ok());
+        let report = format!(
+            "{{\"schema\":\"{RUN_REPORT_SCHEMA}\",\"scenario\":\"x\",\"backend\":\"packet\",\
+             \"cc\":\"fncc\",\"events\":5,\"scalars\":{{\"a\":1.5}},\"series\":[],\"slowdowns\":[]}}"
+        );
+        assert!(inspect_report(&report, "mem").is_ok());
+    }
+
+    #[test]
+    fn report_inspection_rejects_other_documents() {
+        let scenario = include_str!("../../../scenarios/incast_fattree.json");
+        for (doc, found) in [
+            ("{}", "no schema"),
+            (scenario, "no schema"),
+            ("{\"schema\":\"fncc.report/v1\"}", "schema 'fncc.report/v1'"),
+        ] {
+            let err = inspect_report(doc, "mem").unwrap_err();
+            assert!(err.contains(found), "{err}");
+        }
     }
 }

@@ -1,49 +1,32 @@
-//! Datapath-refactor equivalence: every scheme's `RunReport` is pinned to a
-//! golden hash recorded from the pre-refactor per-scheme `CcFlow`
-//! implementations. The generic `Datapath`/`CcPolicy` layer must reproduce
-//! each control law float-op for float-op, so the packet, fluid, and hybrid
-//! backends all have to produce byte-identical artifacts — any drift in
-//! operation order shows up here as a hash mismatch before it can show up
-//! as a silent behaviour change.
+//! Datapath equivalence: every scheme's `RunReport` on the packet, fluid
+//! and hybrid backends is pinned to a golden report under `tests/golden/`
+//! (see `golden/mod.rs` for the view, the comparison and the re-record
+//! command). The generic `Datapath`/`CcPolicy` layer reproduces each
+//! control law float-op for float-op, so any drift in operation order
+//! shows up here as a moved scalar before it can show up as a silent
+//! behaviour change.
 //!
-//! Wall-clock-derived scalars (`events_per_sec`, `span_*`) and
-//! scheduler-internal diagnostics (`wheel_cascades_*`) are stripped before
-//! hashing, exactly as in `des_determinism.rs`.
-//!
-//! The two PR-8 schemes (FairQ, Throttle) have no pre-refactor
-//! implementation; their hashes were recorded at PR 14's head (commit
-//! 6fea562) so the report-builder refactor of PR 15 had a byte pin on all
-//! of `CcKind::ALL`. The hybrid hashes were re-recorded in PR 22 when the
-//! `hybrid_residual_pushes` scalar — zero in every cell — left the report;
-//! the canonical JSON of each cell differs from PR 14's by that one line.
+//! The first six schemes' packet and fluid goldens were recorded from the
+//! per-scheme `CcFlow` implementations that predate the generic datapath;
+//! FairQ and Throttle, which have no such ancestor, from the first
+//! generic-datapath build. Every later move of a golden was a change that
+//! meant to move it, and says why in its history.
+
+mod golden;
 
 use fncc::core::scenario::FaultSpec;
 use fncc::core::{
     elephants, hop_location, run_scenario, staircase_scenario, ForegroundSpec, HopLocation,
-    PartitionRule, Scenario, SimBackend, StopCondition, TopologySpec, TrafficSpec, Workload,
+    PartitionRule, RunReport, Scenario, SimBackend, SlowdownStats, StopCondition, TopologySpec,
+    TrafficSpec, Workload,
 };
 use fncc::des::time::TimeDelta;
 use fncc_cc::CcKind;
+use std::path::{Path, PathBuf};
 
-/// 64-bit FNV-1a over the stable report JSON — dependency-free and stable
-/// across platforms for identical input bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Serialize a report with wall-clock and scheduler-introspection scalars
-/// removed.
+/// Serialize a run's stable report.
 fn stable_json(sc: &Scenario, backend: SimBackend) -> String {
-    let mut report = run_scenario(sc, backend);
-    report.scalars.retain(|(k, _)| {
-        k != "events_per_sec" && !k.starts_with("wheel_cascades_") && !k.starts_with("span_")
-    });
-    report.to_json()
+    run_scenario(sc, backend).stable().to_json()
 }
 
 /// Small fat-tree incast — exercises INT collection, ECN/CNP, PFC, and the
@@ -108,87 +91,45 @@ fn hybrid_scenario(cc: CcKind) -> Scenario {
     sc
 }
 
-/// Golden packet-backend hashes on `packet_scenario`: the first six from
-/// the pre-refactor engine (PR 7 head, commit d225292), FairQ and Throttle
-/// from PR 14's head.
-const PACKET_GOLDEN: [(CcKind, u64); 8] = [
-    (CcKind::Fncc, 0x6c771e4bc71b3401),
-    (CcKind::Hpcc, 0x3160578e127a8458),
-    (CcKind::Dcqcn, 0x80a12becc6cea02a),
-    (CcKind::Rocc, 0xcc17a593a2e575ae),
-    (CcKind::Timely, 0x27cc0f0095c1923a),
-    (CcKind::Swift, 0x545c6a492ae31447),
-    (CcKind::FairQ, 0xb7242645b082da1b),
-    (CcKind::Throttle, 0x5b1e42d1acdd92fb),
-];
+/// Every scheme's cell `<prefix>_<scheme>`, built by `scenario`.
+fn per_scheme(
+    prefix: &str,
+    scenario: fn(CcKind) -> Scenario,
+) -> impl Iterator<Item = (String, Scenario)> + '_ {
+    CcKind::ALL.iter().map(move |&cc| {
+        (
+            format!("{prefix}_{}", cc.name().to_lowercase()),
+            scenario(cc),
+        )
+    })
+}
 
-/// Golden fluid-backend hashes on `fluid_scenario`. Same provenance as
-/// [`PACKET_GOLDEN`] until the water-filler began treating links that one
-/// residual flow crosses as per-flow rate caps: that moved which of several
-/// tied links records a binding level, hence recruit sets and the last bits
-/// of some FCTs (the rates stay the unique max-min solution within 1e-9),
-/// and the hashes were re-recorded then.
-const FLUID_GOLDEN: [(CcKind, u64); 8] = [
-    (CcKind::Fncc, 0xaa014146f200480e),
-    (CcKind::Hpcc, 0x75f7d9846b7d7645),
-    (CcKind::Dcqcn, 0x42f6ab88495175f7),
-    (CcKind::Rocc, 0xdd0e35e2962d9840),
-    (CcKind::Timely, 0x7f1a0da811a9fca3),
-    (CcKind::Swift, 0xf8d24a3bb11e77bd),
-    (CcKind::FairQ, 0x7bebe4874d922a84),
-    (CcKind::Throttle, 0x758dff80ad4a88d5),
-];
-
-/// Golden hybrid-backend hashes on `hybrid_scenario` (PR 22; see the
-/// module docs). Re-recorded when the hybrid's `hybrid_syncs`,
-/// `hybrid_reservations` and `hybrid_backlog_pushes` stopped being metrics
-/// registry counters: they now land where the backend writes their
-/// seed sums, after `background_flows`, instead of ahead of `fct_us_*`.
-/// Sorted by key, every cell's report is byte-identical to before. And
-/// again when the water-filler's closed-form re-level was deleted: the
-/// scalar counting its solves — zero in every cell — left the report,
-/// and each cell's canonical JSON differs from before by that one line.
-const HYBRID_GOLDEN: [(CcKind, u64); 8] = [
-    (CcKind::Fncc, 0xd627549cb131444f),
-    (CcKind::Hpcc, 0x88fd91ad7bd506de),
-    (CcKind::Dcqcn, 0x8bd72e83ab3c302e),
-    (CcKind::Rocc, 0x0d525840f1279f34),
-    (CcKind::Timely, 0x6fbd4681f088e9a7),
-    (CcKind::Swift, 0x8435a874a632912d),
-    (CcKind::FairQ, 0x913405f8871f188d),
-    (CcKind::Throttle, 0x55b57b916afedf07),
-];
-
-/// Run `scenario(cc)` on `backend` for every pinned scheme and compare the
-/// stable report bytes' hash with the golden.
-fn assert_golden(golden: &[(CcKind, u64)], scenario: fn(CcKind) -> Scenario, backend: SimBackend) {
-    assert_eq!(golden.len(), CcKind::ALL.len(), "a scheme has no byte pin");
-    let drifted: Vec<String> = golden
-        .iter()
-        .filter_map(|&(cc, want)| {
-            let got = fnv1a(stable_json(&scenario(cc), backend).as_bytes());
-            (got != want).then(|| format!("{}: got 0x{got:016x}, want 0x{want:016x}", cc.name()))
-        })
-        .collect();
-    assert!(
-        drifted.is_empty(),
-        "{backend} RunReport drifted from the golden: {drifted:#?}"
+/// Run each cell on `backend` and check its report against its golden.
+fn assert_golden(backend: SimBackend, cells: impl IntoIterator<Item = (String, Scenario)>) {
+    golden::check(
+        cells
+            .into_iter()
+            .map(|(cell, sc)| (cell, run_scenario(&sc, backend))),
     );
 }
 
 #[test]
 fn packet_reports_match_pre_refactor_golden() {
-    assert_golden(&PACKET_GOLDEN, packet_scenario, SimBackend::Packet);
+    assert_golden(SimBackend::Packet, per_scheme("packet", packet_scenario));
 }
 
 #[test]
 fn fluid_reports_match_pre_refactor_golden() {
-    assert_golden(&FLUID_GOLDEN, fluid_scenario, SimBackend::Fluid);
+    assert_golden(SimBackend::Fluid, per_scheme("fluid", fluid_scenario));
 }
 
 #[test]
 fn hybrid_reports_match_golden() {
-    assert_golden(&HYBRID_GOLDEN, hybrid_scenario, SimBackend::Hybrid);
+    assert_golden(SimBackend::Hybrid, per_scheme("hybrid", hybrid_scenario));
+}
+
+fn probed_elephants(cc: CcKind) -> Scenario {
+    elephants(cc, 100, 600)
 }
 
 /// The probed packet reports: every cell above runs with `sample_ns: 0`,
@@ -196,64 +137,31 @@ fn hybrid_reports_match_golden() {
 /// `flow{i}`, `cc{i}`) and on the scalars read from them. The Fig. 9 cell
 /// is pinned for every scheme; the last-hop cell (Fig. 13) and a
 /// three-flow staircase (Fig. 13e) once, under FNCC.
-const PROBED_GOLDEN: [(CcKind, u64); 8] = [
-    (CcKind::Fncc, 0xe20df2c4de78dde7),
-    (CcKind::Hpcc, 0x468e9cc5af7ce190),
-    (CcKind::Dcqcn, 0xa0baa17f10756a70),
-    (CcKind::Rocc, 0xc3d9393182140ab2),
-    (CcKind::Timely, 0x1b4f9e8d7729905b),
-    (CcKind::Swift, 0xf085fa5fe1dd133b),
-    (CcKind::FairQ, 0xc8946caa0c250820),
-    (CcKind::Throttle, 0xcb7d1b9436f6dc0d),
-];
-
-/// The last-hop and staircase cells of [`PROBED_GOLDEN`]'s docs.
-const PROBED_HOP_LAST_GOLDEN: u64 = 0xde8c730308afbb0d;
-const PROBED_STAIRCASE_GOLDEN: u64 = 0x0fef784c2f2f92f0;
-
-fn probed_elephants(cc: CcKind) -> Scenario {
-    elephants(cc, 100, 600)
-}
-
 #[test]
 fn probed_reports_match_golden() {
-    assert_golden(&PROBED_GOLDEN, probed_elephants, SimBackend::Packet);
-    let cells = [
+    let single = [
         (
-            "hop-last",
+            "probed_hop_last".to_string(),
             hop_location(CcKind::Fncc, HopLocation::Last, 600),
-            PROBED_HOP_LAST_GOLDEN,
         ),
         (
-            "staircase",
+            "probed_staircase".to_string(),
             staircase_scenario(CcKind::Fncc, 3, TimeDelta::from_us(200), 1),
-            PROBED_STAIRCASE_GOLDEN,
         ),
     ];
-    for (label, sc, want) in cells {
-        let got = fnv1a(stable_json(&sc, SimBackend::Packet).as_bytes());
-        assert_eq!(got, want, "{label}: got 0x{got:016x}, want 0x{want:016x}");
-    }
+    assert_golden(
+        SimBackend::Packet,
+        per_scheme("probed", probed_elephants).chain(single),
+    );
 }
 
-/// FNCC under a ToR-uplink flap, one hash per backend: fault runs emit the
-/// gated fault/recovery scalars in the middle of each backend's scalar
+/// FNCC under a ToR-uplink flap, one golden per backend: fault runs emit
+/// the gated fault/recovery scalars in the middle of each backend's scalar
 /// list, so this is the pin on their position and on `incomplete_flows`.
-/// The fluid hash moved with [`FLUID_GOLDEN`]'s, for the same reason. The
-/// hybrid hash moved when `peak_active` began counting flows a link-up
-/// revives: this cell's `peak_bg_active` reads 8, the true peak, not 6;
-/// and twice more with [`HYBRID_GOLDEN`]'s, for the same reasons.
-const FAULTED_GOLDEN: [(SimBackend, u64); 3] = [
-    (SimBackend::Packet, 0xb2b5b784d472533e),
-    (SimBackend::Fluid, 0xa5ca28ec7ea8a420),
-    (SimBackend::Hybrid, 0x82b3a2c2c9e18b4c),
-];
-
 #[test]
 fn faulted_reports_match_golden() {
-    let drifted: Vec<String> = FAULTED_GOLDEN
-        .iter()
-        .filter_map(|&(backend, want)| {
+    golden::check(
+        [SimBackend::Packet, SimBackend::Fluid, SimBackend::Hybrid].map(|backend| {
             let mut sc = match backend {
                 SimBackend::Packet => packet_scenario(CcKind::Fncc),
                 SimBackend::Fluid => fluid_scenario(CcKind::Fncc),
@@ -273,13 +181,8 @@ fn faulted_reports_match_golden() {
                 },
             ];
             sc.validate().expect("faulted pin scenario is valid");
-            let got = fnv1a(stable_json(&sc, backend).as_bytes());
-            (got != want).then(|| format!("{backend}: got 0x{got:016x}, want 0x{want:016x}"))
-        })
-        .collect();
-    assert!(
-        drifted.is_empty(),
-        "faulted RunReport drifted from the golden: {drifted:#?}"
+            (format!("faulted_{backend}"), run_scenario(&sc, backend))
+        }),
     );
 }
 
@@ -303,4 +206,88 @@ fn all_schemes_are_run_to_run_deterministic() {
             cc.name()
         );
     }
+}
+
+// ----------------------------------------------------------------------
+// The golden comparison itself.
+// ----------------------------------------------------------------------
+
+/// A small report with three scalars and three slowdown rows.
+fn sample_report() -> RunReport {
+    let mut r = RunReport::new("golden-selftest", "packet", "FNCC");
+    r.put_scalar("events_processed", 100.0);
+    r.put_scalar("mean_slowdown", 1.5);
+    r.put_scalar("peak_queue_len", 7.0);
+    r.slowdowns = (1..=3)
+        .map(|i| SlowdownStats {
+            bucket_upper: i * 10_000,
+            label: format!("{i}0KB"),
+            count: 4,
+            avg: 1.25,
+            p50: 1.0,
+            p95: 2.0,
+            p99: 3.0,
+        })
+        .collect();
+    r
+}
+
+/// A fresh golden directory holding `report`'s view as `cell.json`, and
+/// the output directory beside it.
+fn recorded(test: &str, report: RunReport) -> (PathBuf, PathBuf) {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("golden-selftest")
+        .join(test);
+    let _ = std::fs::remove_dir_all(&root);
+    let dir = root.join("want");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("cell.json"), golden::view(report)).unwrap();
+    (dir, root.join("got"))
+}
+
+#[test]
+fn a_moved_value_is_named_with_both_values() {
+    let (dir, out) = recorded("moved", sample_report());
+    let mut moved = sample_report();
+    moved.put_scalar("mean_slowdown", 1.75);
+    moved.slowdowns[2].p99 = 3.5;
+    let err = golden::compare(&dir, &out, "cell", &golden::view(moved)).unwrap_err();
+    assert!(
+        err.contains("scalars.mean_slowdown: want 1.5 got 1.75"),
+        "{err}"
+    );
+    assert!(err.contains("slowdowns[2].p99: want 3 got 3.5"), "{err}");
+}
+
+#[test]
+fn a_reordered_scalar_list_is_an_order_move() {
+    let (dir, out) = recorded("reordered", sample_report());
+    let mut moved = sample_report();
+    moved.scalars.rotate_left(1);
+    let got = golden::view(moved);
+    assert!(golden::compare(&dir, &out, "cell", &got).is_err());
+    let want = std::fs::read_to_string(dir.join("cell.json")).unwrap();
+    assert_eq!(
+        golden::deltas(&want, &got),
+        [
+            "scalars: key order moved: want [events_processed, mean_slowdown, peak_queue_len] \
+          got [mean_slowdown, peak_queue_len, events_processed]"
+        ]
+    );
+}
+
+#[test]
+fn a_missing_golden_fails_and_writes_the_actual_text() {
+    let (dir, out) = recorded("missing", sample_report());
+    let actual = golden::view(sample_report());
+    let err = golden::compare(&dir, &out, "absent", &actual).unwrap_err();
+    assert!(err.contains("no golden file"), "{err}");
+    let written = out.join("absent.json");
+    let cp = format!(
+        "cp {} {}",
+        written.display(),
+        dir.join("absent.json").display()
+    );
+    assert!(err.contains(&cp), "{err}");
+    assert_eq!(std::fs::read_to_string(written).unwrap(), actual);
 }

@@ -2,9 +2,9 @@
 //! byte-identical `RunReport` artifact run over run, and across event-queue
 //! implementations (timing wheel vs the binary-heap reference oracle).
 //!
-//! The single wall-clock-derived scalar (`events_per_sec`) is stripped
-//! before comparison — it is the one intentionally non-deterministic
-//! report field.
+//! Each comparison is over the stable report (`RunReport::stable`): the
+//! wall-clock readings (`events_per_sec`, the `FNCC_PROFILE` spans) are the
+//! report's only intentionally non-deterministic fields.
 
 use fncc::core::scenario::FaultSpec;
 use fncc::core::{
@@ -32,11 +32,9 @@ fn scenario() -> Scenario {
     sc
 }
 
-/// Serialize the wheel's report with the wall-clock scalar removed.
+/// Serialize the wheel's stable report.
 fn stable_json(sc: &Scenario) -> String {
-    let mut report = run_scenario(sc, SimBackend::Packet);
-    report.scalars.retain(|(k, _)| k != "events_per_sec");
-    report.to_json()
+    run_scenario(sc, SimBackend::Packet).stable().to_json()
 }
 
 /// Additionally drop scheduler-internal diagnostics: `wheel_cascades_l*`
@@ -44,10 +42,10 @@ fn stable_json(sc: &Scenario) -> String {
 /// cross-scheduler invariant pins the *measurements*, not the scheduler's
 /// own introspection counters.
 fn scheduler_neutral_json(sc: &Scenario, queue: QueueKind) -> String {
-    let mut report = PacketBackend { queue }.run(sc);
+    let mut report = PacketBackend { queue }.run(sc).stable();
     report
         .scalars
-        .retain(|(k, _)| k != "events_per_sec" && !k.starts_with("wheel_cascades_"));
+        .retain(|(k, _)| !k.starts_with("wheel_cascades_"));
     report.to_json()
 }
 

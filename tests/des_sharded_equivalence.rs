@@ -4,8 +4,8 @@
 //!
 //! Two strengths of "the same":
 //!
-//! * **Across thread counts** the report is byte-identical modulo the one
-//!   wall-clock scalar (`events_per_sec`): the number of shards is fixed
+//! * **Across thread counts** the stable report (`RunReport::stable`, no
+//!   wall-clock readings) is byte-identical: the number of shards is fixed
 //!   by the topology and threads only choose which worker runs which
 //!   shard, so 1, 2 and 4 workers execute the identical event schedule.
 //! * **Against the one-replica run** the comparison additionally strips the
@@ -24,10 +24,6 @@ use fncc::core::{
 };
 use fncc_cc::CcKind;
 
-/// Scalars whose values are wall-clock-derived (non-deterministic by
-/// design) — stripped in every comparison.
-const WALL_CLOCK: &[&str] = &["events_per_sec"];
-
 /// Sharding bookkeeping — the scalars a `threads ≥ 1` report adds, even
 /// when the run is one replica.
 const SHARD_BOOKKEEPING: &[&str] = &[
@@ -44,7 +40,7 @@ const SHARD_BOOKKEEPING: &[&str] = &[
 /// with the bookkeeping for the one-replica-vs-pod-shards comparison.
 const PER_SHARD_DIAGNOSTICS: &[&str] = &["peak_queue_len", "pool_hit_rate"];
 
-/// What [`report_json`] removes on top of the wall-clock scalar.
+/// What [`report_json`] removes from the stable report.
 #[derive(Clone, Copy, PartialEq)]
 enum Strip {
     Nothing,
@@ -58,11 +54,11 @@ fn report_json(sc: &Scenario, threads: u32, strip: Strip) -> String {
     stripped_json(run_scenario(&sc, SimBackend::Packet), strip)
 }
 
-fn stripped_json(mut report: RunReport, strip: Strip) -> String {
+fn stripped_json(report: RunReport, strip: Strip) -> String {
+    let mut report = report.stable();
     report.scalars.retain(|(k, _)| {
         let k = k.as_str();
-        let stripped = WALL_CLOCK.contains(&k)
-            || (strip != Strip::Nothing && SHARD_BOOKKEEPING.contains(&k))
+        let stripped = (strip != Strip::Nothing && SHARD_BOOKKEEPING.contains(&k))
             || (strip == Strip::ShardShape
                 && (PER_SHARD_DIAGNOSTICS.contains(&k) || k.starts_with("wheel_cascades_")));
         !stripped

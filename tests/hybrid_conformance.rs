@@ -13,8 +13,11 @@
 //!
 //! Acceptance band: the foreground's mean FCT within 15% of the pure-DES
 //! run of the identical flow set. A third test pins hybrid `RunReport`
-//! determinism byte-for-byte (minus the wall-clock `events_per_sec`
-//! scalar, exactly like the packet determinism suite).
+//! determinism byte-for-byte (the stable report, exactly like the packet
+//! determinism suite), and a fourth checks the fleet scenario at 20k flows
+//! against its golden report (`golden/mod.rs`).
+
+mod golden;
 
 use fncc::core::hybrid::HybridSim;
 use fncc::core::{
@@ -157,18 +160,33 @@ fn mice_foreground_fct_tracks_pure_des_all_schemes() {
     }
 }
 
-/// Same scenario + seed ⇒ byte-identical hybrid `RunReport`, modulo the
-/// one wall-clock-derived scalar.
+/// Same scenario + seed ⇒ byte-identical stable hybrid `RunReport`.
 #[test]
 fn hybrid_reports_are_byte_identical() {
-    let stable = |sc: &Scenario| {
-        let mut report = run_scenario(sc, SimBackend::Hybrid);
-        report.scalars.retain(|(k, _)| k != "events_per_sec");
-        report.to_json()
-    };
+    let stable = |sc: &Scenario| run_scenario(sc, SimBackend::Hybrid).stable().to_json();
     let mut sc = mice_cell(CcKind::Fncc);
     sc.seeds = vec![7, 8];
     let a = stable(&sc);
     let b = stable(&sc);
     assert_eq!(a, b, "hybrid report must be deterministic");
+}
+
+/// `scenarios/hybrid_incast_fleet.json` at `--flows 20000`, the size the
+/// packet engine also finishes in CI minutes.
+#[test]
+fn fleet_at_20k_flows_matches_golden() {
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/hybrid_incast_fleet.json"
+    ))
+    .expect("shipped scenario file");
+    let mut sc = Scenario::from_json(&text).expect("shipped scenario parses");
+    let TrafficSpec::Poisson { ref mut flows, .. } = sc.traffic else {
+        panic!("the fleet is a Poisson mix");
+    };
+    *flows = 20_000;
+    golden::check([(
+        "hybrid_incast_fleet_20k",
+        run_scenario(&sc, SimBackend::Hybrid),
+    )]);
 }

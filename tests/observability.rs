@@ -15,13 +15,17 @@
 //! 4. Each engine's trace artifact itself is byte-pinned: the packet
 //!    engine's for the one-replica run (`threads: 0`, ring moved out as
 //!    recorded) and the pod-sharded run (per-shard rings interleaved by
-//!    `(timestamp, shard)`), and one fluid and one hybrid run's.
+//!    `(timestamp, shard)`), and one fluid and one hybrid run's. The
+//!    traced packet and fluid smoke runs' reports are checked against
+//!    their goldens (`golden/mod.rs`) on the way.
+
+mod golden;
 
 use fncc::core::json::Json;
 use fncc::core::obs::{TraceEvent, TraceMeta, TraceSink, TraceValue};
 use fncc::core::{
-    run_scenario_traced, ForegroundSpec, PartitionRule, Scenario, SimBackend, StopCondition,
-    TopologySpec, TrafficSpec,
+    run_scenario_traced, ForegroundSpec, PartitionRule, RunReport, Scenario, SimBackend,
+    StopCondition, TopologySpec, TrafficSpec,
 };
 use fncc_cc::CcKind;
 use proptest::prelude::*;
@@ -298,12 +302,11 @@ proptest! {
 // Report invariance: tracing on vs off.
 // ----------------------------------------------------------------------
 
-/// The report with the single wall-clock scalar stripped (same rule as the
-/// determinism suite: `events_per_sec` is intentionally non-deterministic).
+/// The run's stable report (same rule as the determinism suite).
 fn stable_json(sc: &Scenario, backend: SimBackend, trace_out: Option<&std::path::Path>) -> String {
-    let mut report = run_scenario_traced(sc, backend, trace_out);
-    report.scalars.retain(|(k, _)| k != "events_per_sec");
-    report.to_json()
+    run_scenario_traced(sc, backend, trace_out)
+        .stable()
+        .to_json()
 }
 
 fn assert_trace_invariant(scenario_file: &str, backend: SimBackend) {
@@ -354,19 +357,23 @@ fn fluid_report_identical_with_tracing_on() {
 }
 
 /// FNV-1a hashes of the `fncc.trace/v1` file the packet smoke scenario
-/// writes, per `threads` value (recorded at PR 14's head, commit 6fea562).
-const PACKET_TRACE_GOLDEN: [(u32, u64); 2] = [(0, 0x2ef198fddc5d3fb7), (2, 0x8ae2dc4c5f74ae7f)];
+/// writes, per `threads` value, and the golden cell of the run's report.
+const PACKET_TRACE_GOLDEN: [(u32, &str, u64); 2] = [
+    (0, "fattree_des_smoke", 0x2ef198fddc5d3fb7),
+    (2, "fattree_des_smoke_sharded", 0x8ae2dc4c5f74ae7f),
+];
 
-/// FNV-1a hash of the `fncc.trace/v1` file one traced run of `sc` writes.
-fn trace_hash(sc: &Scenario, backend: SimBackend, dir: &std::path::Path, tag: &str) -> u64 {
+/// One traced run of `sc`: its report and the FNV-1a hash of the
+/// `fncc.trace/v1` file it writes.
+fn traced_run(
+    sc: &Scenario,
+    backend: SimBackend,
+    dir: &std::path::Path,
+    tag: &str,
+) -> (RunReport, u64) {
     let path = dir.join(format!("{tag}.trace.jsonl"));
-    run_scenario_traced(sc, backend, Some(&path));
-    std::fs::read(&path)
-        .unwrap()
-        .iter()
-        .fold(0xcbf29ce484222325u64, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x100000001b3)
-        })
+    let report = run_scenario_traced(sc, backend, Some(&path));
+    (report, golden::fnv1a(&std::fs::read(&path).unwrap()))
 }
 
 #[test]
@@ -376,20 +383,22 @@ fn packet_trace_artifact_is_byte_pinned() {
     sc.probes.trace = true;
     let dir = std::env::temp_dir().join("fncc-obs-trace-pin");
     std::fs::create_dir_all(&dir).unwrap();
-    for (threads, want) in PACKET_TRACE_GOLDEN {
+    for (threads, cell, want) in PACKET_TRACE_GOLDEN {
         sc.threads = threads;
-        let got = trace_hash(&sc, SimBackend::Packet, &dir, &format!("t{threads}"));
+        let (report, got) = traced_run(&sc, SimBackend::Packet, &dir, &format!("t{threads}"));
         assert_eq!(
             got, want,
             "threads {threads}: trace artifact drifted (got 0x{got:016x}, want 0x{want:016x})"
         );
+        golden::check([(cell, report)]);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// FNV-1a hashes of the fluid smoke scenario's trace file and of a k=4
 /// two-wave incast on the hybrid backend (first wave at packet fidelity),
-/// recorded before the event table derived the JSONL writer.
+/// recorded before the event table derived the JSONL writer. The fluid
+/// smoke's report is the golden cell `websearch_fluid_smoke`.
 const FLUID_TRACE_GOLDEN: u64 = 0x30c7a35641d90ecf;
 const HYBRID_TRACE_GOLDEN: u64 = 0x007ec39fac1803ea;
 
@@ -421,11 +430,12 @@ fn fluid_and_hybrid_trace_artifacts_are_byte_pinned() {
     hybrid.probes.trace = true;
     let dir = std::env::temp_dir().join("fncc-obs-trace-pin-fh");
     std::fs::create_dir_all(&dir).unwrap();
-    for (sc, backend, want) in [
-        (&fluid, SimBackend::Fluid, FLUID_TRACE_GOLDEN),
-        (&hybrid, SimBackend::Hybrid, HYBRID_TRACE_GOLDEN),
+    let (fluid_report, fluid_hash) = traced_run(&fluid, SimBackend::Fluid, &dir, "fluid");
+    let (_, hybrid_hash) = traced_run(&hybrid, SimBackend::Hybrid, &dir, "hybrid");
+    for (backend, got, want) in [
+        (SimBackend::Fluid, fluid_hash, FLUID_TRACE_GOLDEN),
+        (SimBackend::Hybrid, hybrid_hash, HYBRID_TRACE_GOLDEN),
     ] {
-        let got = trace_hash(sc, backend, &dir, backend.name());
         assert_eq!(
             got,
             want,
@@ -433,5 +443,6 @@ fn fluid_and_hybrid_trace_artifacts_are_byte_pinned() {
             backend.name()
         );
     }
+    golden::check([("websearch_fluid_smoke", fluid_report)]);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,8 +6,8 @@
 
 use fncc::core::obs::profile::PROFILE_ENV;
 use fncc::core::{
-    run_scenario, ForegroundSpec, PartitionRule, RunReport, Scenario, SimBackend, StopCondition,
-    TopologySpec, TrafficSpec,
+    run_scenario, ForegroundSpec, PartitionRule, Scenario, SimBackend, StopCondition, TopologySpec,
+    TrafficSpec,
 };
 use fncc_cc::CcKind;
 
@@ -32,14 +32,6 @@ fn cell() -> Scenario {
         rules: vec![PartitionRule::FirstFlows { n: 8 }],
     });
     sc
-}
-
-/// The report without its wall-clock scalars: the spans and the event rate.
-fn stable_json(mut report: RunReport) -> String {
-    report
-        .scalars
-        .retain(|(k, _)| !k.starts_with("span_") && k != "events_per_sec");
-    report.to_json()
 }
 
 #[test]
@@ -82,8 +74,8 @@ fn every_backend_reports_its_spans_and_nothing_else_moves() {
             );
         }
         assert_eq!(
-            stable_json(plain),
-            stable_json(profiled),
+            plain.stable().to_json(),
+            profiled.stable().to_json(),
             "{name}: profiling moved a deterministic scalar"
         );
     }
