@@ -80,12 +80,6 @@ impl ThrottlePolicy {
             last_throttle: None,
         }
     }
-
-    /// Consecutive quiet periods so far (tests).
-    #[inline]
-    pub fn quiet_periods(&self) -> u32 {
-        self.quiet_periods
-    }
 }
 
 impl CcPolicy for ThrottlePolicy {
@@ -181,7 +175,7 @@ mod tests {
             now += tick(&mut f, now);
         }
         assert!((f.pacing_rate_bps() - 51e9).abs() < 1e6);
-        assert_eq!(f.quiet_periods(), 5);
+        assert_eq!(f.quiet_periods, 5);
         // Sixth onwards: +rhai (= 2 G).
         now += tick(&mut f, now);
         assert!((f.pacing_rate_bps() - 53e9).abs() < 1e6);
@@ -195,9 +189,9 @@ mod tests {
         for _ in 0..10 {
             now += tick(&mut f, now);
         }
-        assert!(f.quiet_periods() > 5);
+        assert!(f.quiet_periods > 5);
         f.on_cnp(now);
-        assert_eq!(f.quiet_periods(), 0);
+        assert_eq!(f.quiet_periods, 0);
     }
 
     #[test]

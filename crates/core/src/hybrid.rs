@@ -81,8 +81,8 @@ pub struct HybridResult {
     /// spans of both halves.
     pub fg: Telemetry,
     /// Background (fluid) result: flow records and solver statistics. Its
-    /// resolve-set histogram stays out of the report, and its profiler is
-    /// folded into `fg`'s.
+    /// resolve-set histogram is empty (only a fluid run records one), and
+    /// its profiler is folded into `fg`'s.
     pub bg: FluidResult,
     /// Fluid↔packet synchronization boundaries taken.
     pub syncs: u64,

@@ -16,8 +16,8 @@
 //!
 //! With `threads ≥ 1` a fat-tree is partitioned into one shard per pod
 //! (cores round-robined). Each shard is a complete [`Sim`] replica —
-//! same fabric, same ids, one set of compiled forwarding tables between
-//! them — that only schedules and processes events for entities it owns,
+//! same fabric, same ids, the topology's one set of forwarding tables
+//! between them — that only schedules and processes events for entities it owns,
 //! periodic ticks included (each sweeps its own switches); state of
 //! non-owned entities goes stale but is never read. A frame crossing a
 //! cut link is diverted to the engine's *outbox* carrying the exact
@@ -276,11 +276,6 @@ impl ShardedSim {
         // The only replica owns everything (`None`); otherwise replica `s`
         // is pod shard `s`. The last one takes the builder itself.
         let slot = |s: u16| (n > 1).then_some(s);
-        let builder = if n > 1 {
-            builder.compile_routes()
-        } else {
-            builder
-        };
         let mut shards: Vec<Sim> = (0..n - 1)
             .map(|s| builder.clone().partition(map.clone(), slot(s)).build())
             .collect();
@@ -596,6 +591,31 @@ mod tests {
                 let b = st.flow_record(f.id).unwrap();
                 assert_eq!(a.start, b.start, "flow {:?} start", f.id);
                 assert_eq!(a.finish, b.finish, "flow {:?} finish", f.id);
+            }
+        }
+    }
+
+    /// The topology builds each switch's forwarding table once: every
+    /// replica's switches forward through the very allocations of
+    /// `topo.switches[i].route`, at `threads` 0 (one replica) and 2 (four
+    /// pod shards) alike.
+    #[test]
+    fn replicas_forward_through_the_topology_tables() {
+        use fncc_net::routing::RoutingTable;
+        let allocations = |rt: &RoutingTable| match rt {
+            RoutingTable::PerDst { by_dst, tables, .. } => (by_dst.as_ptr(), tables.as_ptr()),
+            RoutingTable::Trees(_) => unreachable!("fat-trees route per destination"),
+        };
+        let topo = ft4();
+        for threads in [0usize, 2] {
+            let sim = ShardedSim::new(SimBuilder::new(topo.clone(), CcKind::Fncc), threads);
+            assert_eq!(sim.shards.len(), if threads == 0 { 1 } else { 4 });
+            for shard in &sim.shards {
+                let switches = &shard.fabric().switches;
+                assert_eq!(switches.len(), topo.switches.len());
+                for (sw, spec) in switches.iter().zip(&topo.switches) {
+                    assert_eq!(allocations(sw.route()), allocations(&spec.route));
+                }
             }
         }
     }

@@ -7,7 +7,6 @@ use fncc_net::config::FabricConfig;
 use fncc_net::fabric::{Ev, Fabric, ShardCtx};
 use fncc_net::ids::{FlowId, HostId, SwitchId};
 use fncc_net::partition::PartitionMap;
-use fncc_net::routing::CompiledRoutes;
 use fncc_net::telemetry::{Probe, Telemetry};
 use fncc_net::topology::Topology;
 use fncc_obs::TraceSink;
@@ -33,9 +32,6 @@ pub struct SimBuilder {
     pub(crate) trace: bool,
     recovery: Option<RecoveryConfig>,
     partition: Option<(Arc<PartitionMap>, Option<u16>)>,
-    /// The topology's forwarding tables, compiled ahead of `build` so that
-    /// clones of this builder — a sharded run's replicas — share them.
-    routes: Option<Vec<CompiledRoutes>>,
     queue: QueueKind,
 }
 
@@ -65,7 +61,6 @@ impl SimBuilder {
             trace: false,
             recovery: None,
             partition: None,
-            routes: None,
             queue: QueueKind::Wheel,
         }
     }
@@ -139,13 +134,6 @@ impl SimBuilder {
         self
     }
 
-    /// Compile the forwarding tables now: every clone made afterwards
-    /// builds its fabric around this one compilation instead of its own.
-    pub(crate) fn compile_routes(mut self) -> Self {
-        self.routes = Some(self.topo.compile_routes());
-        self
-    }
-
     /// Finalize into a runnable [`Sim`].
     pub fn build(self) -> Sim {
         let kind = self.cc.kind();
@@ -154,8 +142,7 @@ impl SimBuilder {
         let hosts: Vec<DcHost> = (0..self.topo.n_hosts)
             .map(|_| DcHost::new(tcfg.clone()))
             .collect();
-        let routes = self.routes.unwrap_or_else(|| self.topo.compile_routes());
-        let mut fabric = Fabric::with_routes(&self.topo, self.fabric, hosts, routes);
+        let mut fabric = Fabric::new(&self.topo, self.fabric, hosts);
         // Event-ordering domains: tag every schedule with the owning shard
         // of the node performing it, on every partitionable topology — in
         // one-replica runs too, so ties at identical `(time, prio)` break

@@ -43,8 +43,6 @@ pub struct Scheduler<E> {
     /// Schedules filed so far, local and remote: the low bits of the next
     /// sequence number.
     seq: u64,
-    /// `seq` when the current callback began (see [`Scheduler::pending_len`]).
-    seq_mark: u64,
     /// Events scheduled via [`Scheduler::remote`], awaiting epoch exchange.
     outbox: Vec<Outbound<E>>,
     /// Ordering domain stamped onto every schedule until changed (see
@@ -144,12 +142,6 @@ impl<E> Scheduler<E> {
             seq,
             ev,
         });
-    }
-
-    /// Number of events scheduled by the current callback so far.
-    #[inline]
-    pub fn pending_len(&self) -> usize {
-        (self.seq - self.seq_mark) as usize
     }
 }
 
@@ -318,7 +310,6 @@ impl<M: Model> Engine<M> {
                 now: SimTime::ZERO,
                 queue: EventQueue::new(kind),
                 seq: 0,
-                seq_mark: 0,
                 outbox: Vec::new(),
                 domain: 0,
                 clamped: 0,
@@ -446,7 +437,6 @@ impl<M: Model> Engine<M> {
         self.profiler.end(self.ph_pop, t0);
         debug_assert!(entry.time >= self.sched.now, "event queue went backwards");
         self.sched.now = entry.time;
-        self.sched.seq_mark = self.sched.seq;
         let t1 = self.profiler.begin();
         self.model.handle(entry.time, entry.ev, &mut self.sched);
         self.profiler.end(self.ph_dispatch, t1);
@@ -720,12 +710,11 @@ mod tests {
     /// handler files — into the slot being drained, `immediate`, tied at one
     /// `(time, prio)` from two domains, to another shard, behind a cursor
     /// that a horizon peek parked ahead of the clock — dispatches in the
-    /// heap's order, and `pending_len` counts the running callback's only.
+    /// heap's order.
     #[test]
     fn mid_handler_schedules_match_the_heap() {
         struct Script {
             seen: Vec<u32>,
-            pending: Vec<usize>,
         }
         impl Model for Script {
             type Event = u32;
@@ -753,17 +742,10 @@ mod tests {
                     }
                     _ => {}
                 }
-                self.pending.push(s.pending_len());
             }
         }
         let run = |kind: QueueKind| {
-            let mut eng = Engine::with_queue(
-                Script {
-                    seen: vec![],
-                    pending: vec![],
-                },
-                kind,
-            );
+            let mut eng = Engine::with_queue(Script { seen: vec![] }, kind);
             // Aligned to a level-0 slot of any width up to 2^20 ps.
             let t0 = SimTime::from_ps(1 << 20);
             eng.set_domain(1);
@@ -789,12 +771,11 @@ mod tests {
             // between 14's and 16's — and never entered the local queue.
             let t = t0 + TimeDelta::from_ns(50);
             assert_eq!(outbox, vec![(3, t, t0, (1 << SEQ_SHARD_SHIFT) | 9, 15)]);
-            (eng.model.seen, eng.model.pending)
+            eng.model.seen
         };
-        let (seen, pending) = run(QueueKind::Wheel);
+        let seen = run(QueueKind::Wheel);
         assert_eq!(seen, vec![1, 11, 10, 2, 12, 3, 14, 16, 13, 20, 21, 30, 22]);
-        assert_eq!(pending, vec![7, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]);
-        assert_eq!((seen, pending), run(QueueKind::Heap));
+        assert_eq!(seen, run(QueueKind::Heap));
     }
 
     #[test]

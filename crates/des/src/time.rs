@@ -64,11 +64,6 @@ impl SimTime {
     pub const fn as_ps(self) -> u64 {
         self.0
     }
-    /// Value in nanoseconds (floating point).
-    #[inline]
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_NS as f64
-    }
     /// Value in microseconds (floating point) — the unit of the paper's plots.
     #[inline]
     pub fn as_us_f64(self) -> f64 {
@@ -136,11 +131,6 @@ impl TimeDelta {
     #[inline]
     pub const fn as_ps(self) -> u64 {
         self.0
-    }
-    /// Value in nanoseconds (floating point).
-    #[inline]
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_NS as f64
     }
     /// Value in microseconds (floating point).
     #[inline]
@@ -328,7 +318,7 @@ mod tests {
     fn float_views() {
         let t = SimTime::from_us(2);
         assert!((t.as_us_f64() - 2.0).abs() < 1e-12);
-        assert!((t.as_ns_f64() - 2000.0).abs() < 1e-9);
+        assert_eq!(t.0, 2000 * PS_PER_NS);
         assert!((t.as_secs_f64() - 2e-6).abs() < 1e-15);
     }
 

@@ -61,7 +61,6 @@ use fncc_net::topology::Topology;
 use fncc_obs::{Histogram, PhaseId, Recorder, TraceEvent};
 use fncc_transport::FlowSpec;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// One scheduled boundary of a fault: `faults[ix]` takes effect
 /// (`opening`) or its window closes at `at`.
@@ -240,13 +239,13 @@ fn to_ps(secs: f64) -> u64 {
 /// is then unspecified).
 fn live_path(
     topo: &Topology,
-    routes: &[Arc<RoutingTable>],
+    routes: &[RoutingTable],
     links: &LinkMap,
     spec: &FlowSpec,
     out: &mut Vec<u32>,
 ) -> bool {
     out.clear();
-    for hop in topo.walk_path(|s| &*routes[s.ix()], spec.src, spec.dst, spec.id) {
+    for hop in topo.walk_path(|s| &routes[s.ix()], spec.src, spec.dst, spec.id) {
         let Ok((node, port)) = hop else {
             return false;
         };
@@ -274,7 +273,8 @@ pub struct FluidResult {
     /// recorded here: [`Self::records`] builds their lifetime records from
     /// the specs and finish times.
     pub rec: Recorder,
-    /// Flows whose rate moved, per re-allocation that moved any.
+    /// Flows whose rate moved, per re-allocation that moved any; empty for
+    /// a hybrid background, which no report reads it from.
     pub resolve_set_size: Histogram,
     /// Flows that took a detour around a dead link at least once.
     pub rerouted_flows: u64,
@@ -415,6 +415,7 @@ impl FluidSim {
             self.trace,
             "fluid_solve",
         )?;
+        engine.resolve_set_size = Some(Histogram::new());
         engine.faults(&self.faults);
         engine.run_to_end()?;
         Ok(engine.into_result())
@@ -477,18 +478,20 @@ pub struct BackgroundFluid {
     /// Per-switch-port dead flags from link down/up faults.
     dead: Vec<Vec<bool>>,
     n_dead: usize,
-    /// Each switch's forwarding table under `dead`: the pristine `Arc` for
-    /// a switch with no dead port, else [`without_ports`] of it — the
-    /// table a faulted packet switch compiles.
-    routes: Vec<Arc<RoutingTable>>,
+    /// Each switch's forwarding table under `dead`: the pristine one
+    /// (shared with the topology) for a switch with no dead port, else
+    /// [`without_ports`] of it — the table a faulted packet switch
+    /// forwards through.
+    routes: Vec<RoutingTable>,
     /// Flows parked because the dead set severs their destination.
     stalled: Vec<SlotState>,
     /// The active set or a capacity changed since the last rebalance.
     needs_resolve: bool,
     rec: Recorder,
     ph_solve: PhaseId,
-    /// Flows whose rate moved, per re-allocation that moved any.
-    resolve_set_size: Histogram,
+    /// Flows whose rate moved, per re-allocation that moved any: recorded
+    /// for a fluid run ([`FluidSim::run`]) only.
+    resolve_set_size: Option<Histogram>,
     /// Flows that took a detour around a dead link (each counted once).
     rerouted: BTreeSet<FlowId>,
     rate_updates: u64,
@@ -598,7 +601,7 @@ impl BackgroundFluid {
             needs_resolve: false,
             rec,
             ph_solve,
-            resolve_set_size: Histogram::new(),
+            resolve_set_size: None,
             rerouted: BTreeSet::new(),
             rate_updates: 0,
             peak_active: 0,
@@ -607,7 +610,7 @@ impl BackgroundFluid {
 
     /// Inject faults, before the first step. Link down/up fail and restore
     /// the physical link — both directions; crossing flows reroute over
-    /// the surviving ECMP paths exactly as the packet engine's recompiled
+    /// the surviving ECMP paths exactly as the packet engine's rebuilt
     /// tables would steer them, or stall until the link returns when the
     /// failure severs their destination. The window kinds scale the named
     /// egress direction's capacity while open, overlapping windows
@@ -840,7 +843,7 @@ impl BackgroundFluid {
                     };
                     let pristine = &self.topo.switches[s].route;
                     self.routes[s] = if self.dead[s].contains(&true) {
-                        Arc::new(without_ports(pristine, &self.dead[s]))
+                        without_ports(pristine, &self.dead[s])
                     } else {
                         pristine.clone()
                     };
@@ -1083,7 +1086,7 @@ impl BackgroundFluid {
             finish: self.finish,
             by_id,
             rec: self.rec,
-            resolve_set_size: self.resolve_set_size,
+            resolve_set_size: self.resolve_set_size.unwrap_or_default(),
             rerouted_flows: self.rerouted.len() as u64,
             peak_active: self.peak_active,
             horizon,
@@ -1184,7 +1187,9 @@ impl BackgroundFluid {
         if outcome != Rebalance::Noop {
             let changed = self.filler.changed().len() as u64;
             self.rate_updates += changed;
-            self.resolve_set_size.record(changed);
+            if let Some(sizes) = &mut self.resolve_set_size {
+                sizes.record(changed);
+            }
         }
         if self.rec.trace.enabled() {
             self.rec.trace.record(TraceEvent::SolveEnd {

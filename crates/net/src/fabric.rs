@@ -12,7 +12,6 @@ use crate::packet::{Packet, PacketKind};
 use crate::partition::PartitionMap;
 use crate::pool::PacketPool;
 use crate::port::Port;
-use crate::routing::CompiledRoutes;
 use crate::switch::{Switch, SwitchOutput, SwitchSink};
 use crate::telemetry::Telemetry;
 use crate::topology::Topology;
@@ -244,30 +243,14 @@ impl<H: HostLogic> Fabric<H> {
     /// Build a fabric over `topo` with one [`HostLogic`] per host. Panics
     /// with [`crate::fault::validate`]'s message when `cfg.faults` does not
     /// fit `topo`.
+    /// Every switch forwards through its topology table, shared, not copied.
     pub fn new(topo: &Topology, cfg: FabricConfig, hosts: Vec<H>) -> Self {
-        Fabric::with_routes(topo, cfg, hosts, topo.compile_routes())
-    }
-
-    /// [`Fabric::new`] over forwarding tables compiled beforehand
-    /// ([`Topology::compile_routes`]): the replicas of a sharded run are
-    /// built around one compilation and share its tables.
-    pub fn with_routes(
-        topo: &Topology,
-        cfg: FabricConfig,
-        hosts: Vec<H>,
-        routes: Vec<CompiledRoutes>,
-    ) -> Self {
         assert_eq!(hosts.len(), topo.n_hosts as usize, "one HostLogic per host");
-        assert_eq!(routes.len(), topo.switches.len(), "one table per switch");
         if let Err(e) = crate::fault::validate(&cfg.faults, topo) {
             panic!("invalid fault list: {e}");
         }
-        let switches = topo
-            .switches
-            .iter()
-            .zip(routes)
-            .enumerate()
-            .map(|(i, (spec, r))| Switch::with_routes(SwitchId(i as u32), spec, &cfg, r))
+        let switches = (topo.switches.iter().enumerate())
+            .map(|(i, spec)| Switch::new(SwitchId(i as u32), spec, &cfg))
             .collect();
         let host_ports = topo.host_ports.iter().map(Port::from_spec).collect();
         let degrade_base_prop = vec![TimeDelta::ZERO; cfg.faults.len()];

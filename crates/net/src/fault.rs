@@ -18,7 +18,7 @@ use crate::topology::Topology;
 pub enum FaultSpec {
     /// The inter-switch link behind `switch`'s egress `port` dies at
     /// `at_us`: queued and in-flight frames are destroyed, both directions
-    /// are marked dead, and ECMP routing recompiles around it.
+    /// are marked dead, and ECMP routing is rebuilt around it.
     LinkDown {
         /// Switch owning the egress port.
         switch: u32,

@@ -13,9 +13,17 @@
 //!    "symmetric routing table" of Fig. 5. With the canonical fat-tree
 //!    wiring in [`crate::topology`], the up-path choices made by the data
 //!    packet are exactly reproduced (in reverse) by the ACK.
+//!
+//! **One table.** A topology builder states each `(switch, destination)`
+//! route as a [`RouteEntry`]; [`RoutingTable::per_dst`] digit-compiles
+//! them once, into the only form anything forwards through or walks: the
+//! live switches of every replica, [`crate::topology::Topology::walk_path`]
+//! and the fluid engine share that allocation, and [`without_ports`] maps
+//! it to the table a switch uses around dead ports.
 
 use crate::ids::{FlowId, HostId};
 use fncc_des::rng::splitmix64;
+use std::fmt;
 use std::sync::Arc;
 
 /// Bits of the path hash consumed per ECMP level.
@@ -29,56 +37,90 @@ pub fn flow_hash(a: HostId, b: HostId, flow: FlowId) -> u64 {
     splitmix64(((lo as u64) << 40) ^ ((hi as u64) << 16) ^ (flow.0 as u64) ^ 0x5bd1_e995)
 }
 
-/// How a switch forwards towards one destination host.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A [`RoutingTable::PerDst`] destination word for a destination the
+/// table does not reach.
+const UNREACHABLE: u32 = u32::MAX;
+
+/// How a switch forwards towards one destination host, as a topology
+/// builder states it; [`RoutingTable::per_dst`] compiles a list of them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RouteEntry {
-    /// Destination unreachable (configuration error if ever hit).
-    Unreachable,
     /// Single next hop.
     Single(u8),
-    /// Equal-cost set; `level` selects which hash digit picks the member.
+    /// Equal-cost set over the ports `first..=last`, in port order (the
+    /// canonical, symmetric order); `level` selects which hash digit picks
+    /// the member.
     Ecmp {
-        /// Candidate egress ports in canonical (symmetric) order.
-        ports: Vec<u8>,
+        /// Lowest member port.
+        first: u8,
+        /// Highest member port.
+        last: u8,
         /// Topology level of this choice point (0 = first up-hop, …).
         level: u8,
     },
 }
 
-/// Routing state of one switch.
-#[derive(Clone, Debug)]
+/// Routing state of one switch. Immutable once built, with its tables
+/// behind `Arc`s: a clone shares them, so a topology's clones, the live
+/// switches of every replica and the fluid engine all read one copy.
+#[derive(Clone)]
 pub enum RoutingTable {
-    /// Classic per-destination table (dumbbell, line, fat-tree).
-    PerDst(Vec<RouteEntry>),
+    /// Per-destination tables (dumbbell, line, star, fat-tree, leaf–spine),
+    /// digit-compiled: a lookup is two dependent loads, a packed word per
+    /// destination, then a byte of a 256-entry digit→port table.
+    PerDst {
+        /// Per destination: `level << 16 | table index`, or `u32::MAX` for
+        /// unreachable.
+        by_dst: Arc<[u32]>,
+        /// Digit→port tables, one per distinct member list (a switch has
+        /// at most 32 896 distinct port ranges, so the index fits 16 bits):
+        /// digit `d` maps to member `d % n` of the table's `n` members, so
+        /// its first `n` bytes are the members in canonical order.
+        tables: Arc<[[u8; 256]]>,
+        /// Each table's member count `n`.
+        members: Arc<[u16]>,
+    },
     /// Spanning-tree routing: `trees[t][dst]` = egress port within tree `t`;
     /// the flow hash picks the tree (Fig. 6 / TCP-Bolt style).
-    Trees(Vec<Vec<u8>>),
+    Trees(Arc<[Vec<u8>]>),
 }
 
 impl RoutingTable {
-    /// Like [`RoutingTable::egress`], but `None` for unreachable
-    /// destinations — link faults can legitimately sever a destination at
-    /// runtime, which must drop the frame rather than panic.
+    /// Compile each destination's route, in host-id order.
+    pub fn per_dst(routes: impl IntoIterator<Item = RouteEntry>) -> RoutingTable {
+        let mut b = TableSet::default();
+        let by_dst = routes
+            .into_iter()
+            .map(|e| match e {
+                RouteEntry::Single(p) => b.intern(p..=p),
+                RouteEntry::Ecmp { first, last, level } => {
+                    (level as u32) << 16 | b.intern(first..=last)
+                }
+            })
+            .collect();
+        b.finish(by_dst)
+    }
+
+    /// The egress port towards `dst` for a frame with path hash `h`, or
+    /// `None` when the table does not reach `dst` — link faults can
+    /// legitimately sever a destination at runtime, which must drop the
+    /// frame rather than panic.
     #[inline]
     pub fn try_egress(&self, dst: HostId, h: u64) -> Option<u8> {
         match self {
-            RoutingTable::PerDst(entries) => match &entries[dst.ix()] {
-                RouteEntry::Unreachable => None,
-                RouteEntry::Single(p) => Some(*p),
-                RouteEntry::Ecmp { ports, level } => {
-                    let digit =
-                        (h >> (LEVEL_DIGIT_BITS * *level as u32)) & ((1 << LEVEL_DIGIT_BITS) - 1);
-                    Some(ports[(digit as usize) % ports.len()])
+            RoutingTable::PerDst { by_dst, tables, .. } => {
+                let packed = by_dst[dst.ix()];
+                if packed == UNREACHABLE {
+                    return None;
                 }
-            },
-            RoutingTable::Trees(trees) => {
-                let t = (h as usize) % trees.len();
-                Some(trees[t][dst.ix()])
+                let digit = (h >> (LEVEL_DIGIT_BITS * (packed >> 16))) & 0xFF;
+                Some(tables[(packed & 0xFFFF) as usize][digit as usize])
             }
+            RoutingTable::Trees(trees) => Some(trees[(h as usize) % trees.len()][dst.ix()]),
         }
     }
 
-    /// Select the egress port towards `dst` for a frame with path hash `h`.
+    /// [`Self::try_egress`] for a destination that must be reachable.
     ///
     /// Panics on unreachable destinations — that is a topology-construction
     /// bug, not a runtime condition.
@@ -87,140 +129,137 @@ impl RoutingTable {
         self.try_egress(dst, h)
             .unwrap_or_else(|| panic!("no route to {dst:?}"))
     }
+
+    /// Destination `dst`'s canonical member list and hash level, `None`
+    /// when the table does not reach it (`PerDst` tables only).
+    fn route_to(&self, dst: usize) -> Option<(&[u8], u32)> {
+        let RoutingTable::PerDst {
+            by_dst,
+            tables,
+            members,
+        } = self
+        else {
+            panic!("spanning-tree routes have no member lists")
+        };
+        let w = by_dst[dst];
+        (w != UNREACHABLE).then(|| {
+            let ix = (w & 0xFFFF) as usize;
+            (&tables[ix][..members[ix] as usize], w >> 16)
+        })
+    }
+}
+
+/// Each destination's route as a builder states it — `Single(p)`,
+/// `Ecmp { ports, level }` or `Unreachable` — not the 256-byte tables.
+impl fmt::Debug for RoutingTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let n_dst = match self {
+            RoutingTable::Trees(trees) => return write!(f, "Trees({trees:?})"),
+            RoutingTable::PerDst { by_dst, .. } => by_dst.len(),
+        };
+        f.write_str("PerDst([")?;
+        for d in 0..n_dst {
+            f.write_str(if d == 0 { "" } else { ", " })?;
+            match self.route_to(d) {
+                None => write!(f, "Unreachable"),
+                Some(([p], _)) => write!(f, "Single({p})"),
+                Some((ports, level)) => write!(f, "Ecmp {{ ports: {ports:?}, level: {level} }}"),
+            }?;
+        }
+        f.write_str("])")
+    }
+}
+
+/// The deduplicated digit→port tables of a [`RoutingTable::PerDst`] being
+/// built.
+#[derive(Default)]
+struct TableSet {
+    tables: Vec<[u8; 256]>,
+    members: Vec<u16>,
+}
+
+impl TableSet {
+    /// The index of the table over `ports` (canonical order, non-empty),
+    /// added if no table has that member list yet.
+    fn intern(&mut self, ports: impl ExactSizeIterator<Item = u8> + Clone) -> u32 {
+        let n = ports.len();
+        assert!(n > 0, "empty ECMP set");
+        let found = (self.tables.iter().zip(&self.members))
+            .position(|(t, &m)| m as usize == n && ports.clone().eq(t[..n].iter().copied()));
+        let ix = found.unwrap_or_else(|| {
+            let mut t = [0u8; 256];
+            for (slot, p) in t.iter_mut().zip(ports) {
+                *slot = p;
+            }
+            // Repeat the members over all 256 digits by doubling copies.
+            let mut len = n;
+            while len < 256 {
+                let c = len.min(256 - len);
+                t.copy_within(..c, len);
+                len += c;
+            }
+            self.tables.push(t);
+            self.members.push(n as u16);
+            self.tables.len() - 1
+        });
+        ix as u32
+    }
+
+    fn finish(self, by_dst: Arc<[u32]>) -> RoutingTable {
+        RoutingTable::PerDst {
+            by_dst,
+            tables: self.tables.into(),
+            members: self.members.into(),
+        }
+    }
 }
 
 /// `rt` with every route steered around the `dead` egress ports: ECMP
 /// member lists shrink to the survivors (hash digits then re-index the
 /// smaller canonical list), single or fully-emptied routes become
-/// [`RouteEntry::Unreachable`]. `Trees` routing has no alternate paths
-/// within a tree and is returned unchanged — spanning-tree topologies do
-/// not support link faults.
+/// unreachable. `Trees` routing has no alternate paths within a tree and
+/// is returned unchanged — spanning-tree topologies do not support link
+/// faults.
 ///
-/// This is the one failover rule: a faulted packet switch compiles the
-/// table it returns, and the fluid engine walks the same tables, so both
-/// steer a flow onto the same surviving member.
+/// This is the one failover rule: a faulted packet switch forwards through
+/// the table it returns, and the fluid engine walks the same tables, so
+/// both steer a flow onto the same surviving member.
 pub fn without_ports(rt: &RoutingTable, dead: &[bool]) -> RoutingTable {
+    let RoutingTable::PerDst {
+        by_dst,
+        tables,
+        members,
+    } = rt
+    else {
+        return rt.clone();
+    };
     let is_dead = |p: u8| dead.get(p as usize).copied().unwrap_or(false);
-    match rt {
-        RoutingTable::PerDst(entries) => RoutingTable::PerDst(
-            entries
+    let mut b = TableSet::default();
+    // Old table index → the index of its survivors' table, or UNREACHABLE.
+    let survivors: Vec<u32> = (tables.iter().zip(members.iter()))
+        .map(|(t, &n)| {
+            let live: Vec<u8> = t[..n as usize]
                 .iter()
-                .map(|e| match e {
-                    RouteEntry::Unreachable => RouteEntry::Unreachable,
-                    RouteEntry::Single(p) if is_dead(*p) => RouteEntry::Unreachable,
-                    RouteEntry::Single(p) => RouteEntry::Single(*p),
-                    RouteEntry::Ecmp { ports, level } => {
-                        let live: Vec<u8> =
-                            ports.iter().copied().filter(|p| !is_dead(*p)).collect();
-                        match live.len() {
-                            0 => RouteEntry::Unreachable,
-                            1 => RouteEntry::Single(live[0]),
-                            _ => RouteEntry::Ecmp {
-                                ports: live,
-                                level: *level,
-                            },
-                        }
-                    }
-                })
-                .collect(),
-        ),
-        RoutingTable::Trees(_) => rt.clone(),
-    }
-}
-
-/// A [`RoutingTable`] compiled for the hot path.
-///
-/// `PerDst` tables resolve to one load pair per lookup: per destination a
-/// packed `(level, table)` word, then a 256-entry digit→port byte table
-/// shared between destinations with the same choice set (`Single` entries
-/// compile to a constant table). This replaces two pointer chases and a
-/// hardware division per forwarded frame with two dependent loads.
-/// `Trees` tables keep the original lookup (full-hash modulo over the tree
-/// count does not digit-compile); they are off the workload hot path.
-///
-/// The compiled tables are immutable and sit behind `Arc`s, so a clone
-/// shares them: the replicas of a sharded run forward through one copy.
-#[derive(Clone, Debug)]
-pub enum CompiledRoutes {
-    /// Digit-compiled per-destination tables.
-    PerDst {
-        /// Per destination: `level << 16 | table index`, or `u32::MAX` for
-        /// unreachable.
-        dst: Arc<[u32]>,
-        /// Digit→port tables, 256 bytes each, deduplicated.
-        tables: Arc<[[u8; 256]]>,
-    },
-    /// Uncompiled fallback (spanning-tree routing).
-    Raw(RoutingTable),
-}
-
-impl CompiledRoutes {
-    /// Compile a routing table. Lookup results are bit-identical to
-    /// [`RoutingTable::egress`] for every `(dst, h)`.
-    pub fn compile(rt: &RoutingTable) -> CompiledRoutes {
-        let RoutingTable::PerDst(entries) = rt else {
-            return CompiledRoutes::Raw(rt.clone());
-        };
-        let mut tables: Vec<[u8; 256]> = Vec::new();
-        let mut dst = Vec::with_capacity(entries.len());
-        let intern = |t: [u8; 256], tables: &mut Vec<[u8; 256]>| -> u32 {
-            match tables.iter().position(|x| x == &t) {
-                Some(ix) => ix as u32,
-                None => {
-                    tables.push(t);
-                    tables.len() as u32 - 1
-                }
+                .copied()
+                .filter(|&p| !is_dead(p))
+                .collect();
+            if live.is_empty() {
+                UNREACHABLE
+            } else {
+                b.intern(live.into_iter())
             }
-        };
-        for e in entries {
-            dst.push(match e {
-                RouteEntry::Unreachable => u32::MAX,
-                RouteEntry::Single(p) => intern([*p; 256], &mut tables),
-                RouteEntry::Ecmp { ports, level } => {
-                    let mut t = [0u8; 256];
-                    for (digit, slot) in t.iter_mut().enumerate() {
-                        *slot = ports[digit % ports.len()];
-                    }
-                    ((*level as u32) << 16) | intern(t, &mut tables)
-                }
-            });
-        }
-        assert!(
-            tables.len() <= 0xFFFF,
-            "too many distinct ECMP tables to digit-compile ({})",
-            tables.len()
-        );
-        CompiledRoutes::PerDst {
-            dst: dst.into(),
-            tables: tables.into(),
-        }
-    }
-
-    /// Like [`CompiledRoutes::egress`], but `None` for unreachable
-    /// destinations (a destination severed by link faults).
-    #[inline]
-    pub fn try_egress(&self, dst: HostId, h: u64) -> Option<u8> {
-        match self {
-            CompiledRoutes::PerDst { dst: d, tables } => {
-                let packed = d[dst.ix()];
-                if packed == u32::MAX {
-                    return None;
-                }
-                let level = packed >> 16;
-                let digit = (h >> (LEVEL_DIGIT_BITS * level)) & 0xFF;
-                Some(tables[(packed & 0xFFFF) as usize][digit as usize])
-            }
-            CompiledRoutes::Raw(rt) => rt.try_egress(dst, h),
-        }
-    }
-
-    /// Select the egress port towards `dst` for a frame with path hash `h`.
-    /// Panics on unreachable destinations, like [`RoutingTable::egress`].
-    #[inline]
-    pub fn egress(&self, dst: HostId, h: u64) -> u8 {
-        self.try_egress(dst, h)
-            .unwrap_or_else(|| panic!("no route to {dst:?}"))
-    }
+        })
+        .collect();
+    let by_dst = (by_dst.iter())
+        .map(|&w| match w {
+            UNREACHABLE => UNREACHABLE,
+            w => match survivors[(w & 0xFFFF) as usize] {
+                UNREACHABLE => UNREACHABLE,
+                ix => (w & !0xFFFF) | ix,
+            },
+        })
+        .collect();
+    b.finish(by_dst)
 }
 
 #[cfg(test)]
@@ -261,15 +300,16 @@ mod tests {
 
     #[test]
     fn single_route_ignores_hash() {
-        let rt = RoutingTable::PerDst(vec![RouteEntry::Single(3)]);
+        let rt = RoutingTable::per_dst([RouteEntry::Single(3)]);
         assert_eq!(rt.egress(HostId(0), 0), 3);
         assert_eq!(rt.egress(HostId(0), u64::MAX), 3);
     }
 
     #[test]
     fn ecmp_uses_level_digit() {
-        let rt = RoutingTable::PerDst(vec![RouteEntry::Ecmp {
-            ports: vec![10, 11, 12, 13],
+        let rt = RoutingTable::per_dst([RouteEntry::Ecmp {
+            first: 10,
+            last: 13,
             level: 1,
         }]);
         // Digit 1 = bits 8..16 of the hash.
@@ -281,8 +321,9 @@ mod tests {
 
     #[test]
     fn ecmp_spreads_over_all_members() {
-        let rt = RoutingTable::PerDst(vec![RouteEntry::Ecmp {
-            ports: vec![0, 1, 2, 3],
+        let rt = RoutingTable::per_dst([RouteEntry::Ecmp {
+            first: 0,
+            last: 3,
             level: 0,
         }]);
         let mut hit = [false; 4];
@@ -299,151 +340,115 @@ mod tests {
     #[test]
     #[should_panic]
     fn unreachable_panics() {
-        let rt = RoutingTable::PerDst(vec![RouteEntry::Unreachable]);
-        rt.egress(HostId(0), 0);
-    }
-
-    #[test]
-    fn compiled_routes_match_interpreted_lookup() {
-        let rt = RoutingTable::PerDst(vec![
-            RouteEntry::Single(3),
-            RouteEntry::Ecmp {
-                ports: vec![10, 11, 12],
-                level: 1,
-            },
-            RouteEntry::Ecmp {
-                ports: vec![4, 5, 6, 7],
-                level: 0,
-            },
-            RouteEntry::Single(3), // dedups with entry 0
-        ]);
-        let c = CompiledRoutes::compile(&rt);
-        for dst in 0..4u32 {
-            for f in 0..500u32 {
-                let h = flow_hash(HostId(dst), HostId(100), FlowId(f));
-                assert_eq!(c.egress(HostId(dst), h), rt.egress(HostId(dst), h));
-            }
-        }
-        if let CompiledRoutes::PerDst { tables, .. } = &c {
-            assert_eq!(tables.len(), 3, "identical entries share one table");
-        } else {
-            panic!("PerDst must digit-compile");
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn compiled_unreachable_panics() {
-        let c = CompiledRoutes::compile(&RoutingTable::PerDst(vec![RouteEntry::Unreachable]));
-        c.egress(HostId(0), 0);
-    }
-
-    #[test]
-    fn compiled_trees_fall_back_to_raw() {
-        let rt = RoutingTable::Trees(vec![vec![1], vec![2], vec![3]]);
-        let c = CompiledRoutes::compile(&rt);
-        for f in 0..100u32 {
-            let h = flow_hash(HostId(0), HostId(0), FlowId(f));
-            assert_eq!(c.egress(HostId(0), h), rt.egress(HostId(0), h));
-        }
+        let rt = RoutingTable::per_dst([RouteEntry::Single(0)]);
+        without_ports(&rt, &[true]).egress(HostId(0), 0);
     }
 
     #[test]
     fn without_ports_shrinks_ecmp_and_severs_singles() {
-        let rt = RoutingTable::PerDst(vec![
+        let ecmp = |first, last, level| RouteEntry::Ecmp { first, last, level };
+        let rt = RoutingTable::per_dst([
             RouteEntry::Single(2),
             RouteEntry::Single(3),
-            RouteEntry::Ecmp {
-                ports: vec![2, 3],
-                level: 0,
-            },
-            RouteEntry::Ecmp {
-                ports: vec![4, 5],
-                level: 1,
-            },
+            ecmp(2, 3, 0),
+            ecmp(4, 5, 1),
         ]);
         let mut dead = vec![false; 6];
         dead[2] = true;
         let f = without_ports(&rt, &dead);
-        let RoutingTable::PerDst(e) = &f else {
-            panic!("PerDst expected")
-        };
-        assert_eq!(e[0], RouteEntry::Unreachable);
-        assert_eq!(e[1], RouteEntry::Single(3));
-        assert_eq!(e[2], RouteEntry::Single(3), "one survivor degenerates");
+        assert_eq!(f.route_to(0), None);
+        assert_eq!(f.route_to(1), Some((&[3][..], 0)));
+        assert_eq!(f.route_to(2).unwrap().0, [3], "one survivor degenerates");
         assert_eq!(
-            e[3],
-            RouteEntry::Ecmp {
-                ports: vec![4, 5],
-                level: 1
-            },
+            f.route_to(3),
+            Some((&[4, 5][..], 1)),
             "untouched sets survive whole"
         );
+        let RoutingTable::PerDst { tables, .. } = &f else {
+            unreachable!()
+        };
+        assert_eq!(tables.len(), 2, "equal survivor lists share one table");
         // No dead ports: identity.
         let id = without_ports(&rt, &[false; 6]);
-        let RoutingTable::PerDst(e) = &id else {
-            panic!("PerDst expected")
+        assert_eq!(id.route_to(2), Some((&[2, 3][..], 0)));
+    }
+
+    /// The failover rule stated per lookup: the hash digit re-indexes the
+    /// destination's canonical member list with the dead ports filtered
+    /// out; a dead single hop or an emptied set severs the destination.
+    /// With no dead port it is the plain modulo lookup over the list.
+    fn rule(pristine: &RoutingTable, dst: usize, h: u64, dead: &[bool]) -> Option<u8> {
+        let (ports, level) = pristine.route_to(dst)?;
+        let live: Vec<u8> = ports
+            .iter()
+            .copied()
+            .filter(|&p| !dead[p as usize])
+            .collect();
+        let digit = (h >> (8 * level)) & 0xFF;
+        (!live.is_empty()).then(|| live[digit as usize % live.len()])
+    }
+
+    /// Every lookup of `without_ports(pristine, dead)` (of `pristine`
+    /// itself when no port is dead) agrees with [`rule`] for every
+    /// destination over many hashes.
+    fn check_rule(pristine: &RoutingTable, n_dst: u32, dead: &[bool], what: &str) {
+        let rt = if dead.contains(&true) {
+            without_ports(pristine, dead)
+        } else {
+            pristine.clone()
         };
-        assert_eq!(
-            e[2],
-            RouteEntry::Ecmp {
-                ports: vec![2, 3],
-                level: 0
+        for dst in 0..n_dst {
+            for f in 0..100u32 {
+                let h = flow_hash(HostId(dst), HostId(n_dst), FlowId(f));
+                assert_eq!(
+                    rt.try_egress(HostId(dst), h),
+                    rule(pristine, dst as usize, h, dead),
+                    "{what}: dst {dst} flow {f}"
+                );
             }
-        );
+        }
     }
 
     #[test]
-    fn egress_avoiding_matches_recompiled_tables() {
-        let rt = RoutingTable::PerDst(vec![
-            RouteEntry::Single(2),
-            RouteEntry::Unreachable,
-            RouteEntry::Ecmp {
-                ports: vec![2, 3, 4, 5],
-                level: 1,
-            },
-            RouteEntry::Ecmp {
-                ports: vec![4, 5],
-                level: 0,
-            },
-        ]);
-        // The failover rule stated per lookup: the hash digit re-indexes
-        // the canonical member list with the dead ports filtered out; a
-        // dead single hop or an emptied set severs the destination.
-        let oracle = |dst: usize, h: u64, dead: &[bool]| -> Option<u8> {
-            let RoutingTable::PerDst(entries) = &rt else {
-                unreachable!()
-            };
-            match &entries[dst] {
-                RouteEntry::Unreachable => None,
-                RouteEntry::Single(p) => (!dead[*p as usize]).then_some(*p),
-                RouteEntry::Ecmp { ports, level } => {
-                    let live: Vec<u8> = ports
-                        .iter()
-                        .copied()
-                        .filter(|&p| !dead[p as usize])
-                        .collect();
-                    let digit = (h >> (8 * *level as u32)) & 0xFF;
-                    (!live.is_empty()).then(|| live[digit as usize % live.len()])
-                }
-            }
-        };
-        // Every dead-set over ports 2..=5, every dst, many hashes: the
-        // rebuilt table must agree with the rule exactly.
+    fn lookups_follow_the_failover_rule() {
+        let ecmp = |first, last, level| RouteEntry::Ecmp { first, last, level };
+        let rt = RoutingTable::per_dst([RouteEntry::Single(2), ecmp(2, 5, 1), ecmp(4, 5, 0)]);
+        // Every dead-set over ports 2..=5.
         for mask in 0u8..16 {
             let mut dead = vec![false; 6];
             for p in 0..4 {
                 dead[p + 2] = mask & (1 << p) != 0;
             }
-            let filtered = without_ports(&rt, &dead);
-            for dst in 0..4u32 {
-                for f in 0..100u32 {
-                    let h = flow_hash(HostId(dst), HostId(50), FlowId(f));
-                    assert_eq!(
-                        filtered.try_egress(HostId(dst), h),
-                        oracle(dst as usize, h, &dead),
-                        "mask {mask:04b} dst {dst} flow {f}"
-                    );
+            check_rule(&rt, 3, &dead, &format!("mask {mask:04b}"));
+        }
+        // Every switch of two built topologies, healthy and under every
+        // single dead port; identical member lists share one table.
+        use crate::topology::Topology;
+        use crate::units::Bandwidth;
+        use fncc_des::time::TimeDelta;
+        let (bw, prop) = (Bandwidth::gbps(100), TimeDelta::from_us(1));
+        for topo in [
+            Topology::fat_tree(4, bw, prop),
+            Topology::leaf_spine(4, 2, 8, bw, prop),
+        ] {
+            for (s, sw) in topo.switches.iter().enumerate() {
+                let RoutingTable::PerDst {
+                    tables, members, ..
+                } = &sw.route
+                else {
+                    panic!("PerDst expected")
+                };
+                let lists: std::collections::HashSet<&[u8]> = (tables.iter().zip(members.iter()))
+                    .map(|(t, &n)| &t[..n as usize])
+                    .collect();
+                assert_eq!(lists.len(), tables.len(), "{:?} switch {s}", topo.kind);
+                let n_ports = sw.ports.len();
+                check_rule(&sw.route, topo.n_hosts, &vec![false; n_ports], "healthy");
+                for p in 0..n_ports {
+                    let mut dead = vec![false; n_ports];
+                    dead[p] = true;
+                    let what = format!("{:?} switch {s} port {p} dead", topo.kind);
+                    check_rule(&sw.route, topo.n_hosts, &dead, &what);
                 }
             }
         }
@@ -451,17 +456,16 @@ mod tests {
 
     #[test]
     fn try_egress_is_none_only_when_unreachable() {
-        let rt = RoutingTable::PerDst(vec![RouteEntry::Unreachable, RouteEntry::Single(7)]);
-        let c = CompiledRoutes::compile(&rt);
-        assert_eq!(rt.try_egress(HostId(0), 0), None);
-        assert_eq!(c.try_egress(HostId(0), 0), None);
-        assert_eq!(rt.try_egress(HostId(1), 0), Some(7));
-        assert_eq!(c.try_egress(HostId(1), 0), Some(7));
+        let rt = RoutingTable::per_dst([RouteEntry::Single(6), RouteEntry::Single(7)]);
+        let cut = without_ports(&rt, &[false, false, false, false, false, false, true]);
+        assert_eq!(cut.try_egress(HostId(0), 0), None);
+        assert_eq!(cut.try_egress(HostId(1), 0), Some(7));
+        assert_eq!(rt.try_egress(HostId(0), 0), Some(6));
     }
 
     #[test]
     fn tree_routing_selects_by_hash() {
-        let rt = RoutingTable::Trees(vec![vec![1], vec![2], vec![3]]);
+        let rt = RoutingTable::Trees(vec![vec![1], vec![2], vec![3]].into());
         let mut seen = std::collections::HashSet::new();
         for f in 0..100u32 {
             let h = flow_hash(HostId(0), HostId(0), FlowId(f));

@@ -7,14 +7,13 @@ use crate::ids::{HostId, NodeRef, SwitchId};
 use crate::packet::{IntRecord, Packet, PacketKind};
 use crate::pool::PacketPool;
 use crate::port::Port;
-use crate::routing::{flow_hash, without_ports, CompiledRoutes, RoutingTable};
+use crate::routing::{flow_hash, without_ports, RoutingTable};
 use crate::telemetry::Telemetry;
 use crate::topology::SwitchSpec;
 use crate::units::PFC_FRAME_BYTES;
 use fncc_des::rng::DetRng;
 use fncc_des::time::SimTime;
 use fncc_obs::TraceEvent;
-use std::sync::Arc;
 
 /// Actions a switch asks the fabric to perform while handling an event
 /// (the fabric owns event scheduling; the switch stays scheduler-agnostic
@@ -65,15 +64,13 @@ pub struct Switch {
     pub id: SwitchId,
     /// Egress ports.
     pub ports: Vec<Port>,
-    /// Forwarding table as constructed, shared with the topology (kept to
-    /// recompile around dead ports and to tell a reroute; forwarding uses
-    /// the compiled copy below, so the field is private to keep the two
-    /// from diverging).
-    route: Arc<RoutingTable>,
-    /// Digit-compiled forwarding table (hot-path lookups; same results).
-    /// A clone shares its tables, so the replicas of a sharded run forward
-    /// through one copy until a link fault recompiles a switch's own.
-    croute: CompiledRoutes,
+    /// The table frames forward through: the topology's own (shared with
+    /// it and with every replica of a sharded run) while no port is dead,
+    /// else [`without_ports`] of `built`, this switch's own.
+    route: RoutingTable,
+    /// Forwarding table as constructed, shared with the topology: kept to
+    /// rebuild `route` around dead ports and to tell a reroute.
+    built: RoutingTable,
     /// Total buffered bytes (shared-buffer occupancy). Per-port PFC
     /// accounting, the `All_INT_Table` and RoCC state live on [`Port`].
     pub buffered: u64,
@@ -98,23 +95,13 @@ pub struct Switch {
 impl Switch {
     /// Instantiate from a topology description.
     pub fn new(id: SwitchId, spec: &SwitchSpec, cfg: &FabricConfig) -> Switch {
-        Switch::with_routes(id, spec, cfg, CompiledRoutes::compile(&spec.route))
-    }
-
-    /// [`Switch::new`] around an already compiled `spec.route`.
-    pub fn with_routes(
-        id: SwitchId,
-        spec: &SwitchSpec,
-        cfg: &FabricConfig,
-        croute: CompiledRoutes,
-    ) -> Switch {
         let ports: Vec<Port> = spec.ports.iter().map(Port::from_spec).collect();
         let n_ports = ports.len();
         Switch {
             id,
             ports,
-            croute,
             route: spec.route.clone(),
+            built: spec.route.clone(),
             buffered: 0,
             ecn_rng: DetRng::new(cfg.seed, 0x0057_17C4 ^ id.0 as u64),
             dead: vec![false; n_ports],
@@ -131,20 +118,26 @@ impl Switch {
         self.dead[port as usize]
     }
 
-    /// Rebuild the compiled forwarding table from the pristine route minus
-    /// the currently-dead ports.
-    fn recompile_routes(&mut self) {
-        self.croute = if self.n_dead == 0 {
-            CompiledRoutes::compile(&self.route)
+    /// The forwarding table in use: the topology's own while no port is
+    /// dead, else the one rebuilt around the dead ports.
+    pub fn route(&self) -> &RoutingTable {
+        &self.route
+    }
+
+    /// Rebuild the forwarding table from the pristine one minus the
+    /// currently-dead ports.
+    fn reroute(&mut self) {
+        self.route = if self.n_dead == 0 {
+            self.built.clone()
         } else {
-            CompiledRoutes::compile(&without_ports(&self.route, &self.dead))
+            without_ports(&self.built, &self.dead)
         };
     }
 
     /// The link on egress `port` fails: destroy every queued frame (the
     /// one mid-serialization is discarded at its `TxDone`), reset the
     /// port's PFC state (the peer is unreachable, so no pause can ever be
-    /// released over this wire again), and recompile routing around the
+    /// released over this wire again), and rebuild routing around the
     /// port. Frames already propagating still arrive at the peer — the
     /// fabric fails both directions of a link, so the peer tears its
     /// reverse port down the same way.
@@ -185,7 +178,7 @@ impl Switch {
             telem.counters.note_pause_episode(now.since(t0));
         }
         p.upstream_paused = false;
-        self.recompile_routes();
+        self.reroute();
         // The purge may have drained other ingress ports below the PFC
         // resume threshold; issue the pending resumes now rather than
         // waiting for an unrelated departure.
@@ -213,7 +206,7 @@ impl Switch {
                 port,
             });
         }
-        self.recompile_routes();
+        self.reroute();
     }
 
     /// Set egress `port`'s random-loss probability (0 clears it). Only
@@ -300,17 +293,17 @@ impl Switch {
         self.ports[in_port as usize].ingress_bytes += pkt.size as u64;
         self.buffered += pkt.size as u64;
 
-        // Ingress pipeline: routing. The healthy path is a single compiled
-        // lookup; with dead links present the lookup may fail (severed
+        // Ingress pipeline: routing. The healthy path is a single lookup;
+        // with dead links present the lookup may fail (severed
         // destination) and a successful one is compared against the
         // pristine route to count rerouted flows.
         let h = flow_hash(pkt.src, pkt.dst, pkt.flow);
         let out_port = if self.n_dead == 0 {
-            self.croute.egress(pkt.dst, h)
+            self.route.egress(pkt.dst, h)
         } else {
-            match self.croute.try_egress(pkt.dst, h) {
+            match self.route.try_egress(pkt.dst, h) {
                 Some(op) => {
-                    if !pkt.kind.is_control() && op != self.route.egress(pkt.dst, h) {
+                    if !pkt.kind.is_control() && op != self.built.egress(pkt.dst, h) {
                         telem.note_rerouted(pkt.flow);
                     }
                     op
@@ -589,7 +582,7 @@ impl Switch {
 
 /// Convenience for tests and analysis: the egress port a switch would pick.
 pub fn egress_for(sw: &Switch, src: HostId, dst: HostId, flow: crate::ids::FlowId) -> u8 {
-    sw.croute.egress(dst, flow_hash(src, dst, flow))
+    sw.route.egress(dst, flow_hash(src, dst, flow))
 }
 
 #[cfg(test)]

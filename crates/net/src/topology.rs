@@ -8,12 +8,11 @@
 //! computation).
 
 use crate::ids::{FlowId, HostId, NodeRef, SwitchId};
-use crate::routing::{flow_hash, CompiledRoutes, RouteEntry, RoutingTable};
+use crate::routing::{flow_hash, RouteEntry, RoutingTable};
 use crate::telemetry::FlowRecord;
 use crate::units::Bandwidth;
 use fncc_des::time::TimeDelta;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// One side of a link: who is at the other end and the link's parameters.
 #[derive(Clone, Debug)]
@@ -33,9 +32,9 @@ pub struct PortSpec {
 pub struct SwitchSpec {
     /// Ports in index order.
     pub ports: Vec<PortSpec>,
-    /// Forwarding state. Shared, not copied, by clones of the topology and
-    /// by the live switches built from it: it is read-only once built.
-    pub route: Arc<RoutingTable>,
+    /// Forwarding state, built once: clones of the topology, the live
+    /// switches built from it and the fluid engine share its tables.
+    pub route: RoutingTable,
 }
 
 /// Which builder produced the topology (used in reports).
@@ -70,15 +69,6 @@ impl Topology {
     /// Number of switches.
     pub fn n_switches(&self) -> usize {
         self.switches.len()
-    }
-
-    /// Every switch's forwarding table compiled for the hot path, by switch
-    /// id (what [`crate::fabric::Fabric::with_routes`] takes).
-    pub fn compile_routes(&self) -> Vec<CompiledRoutes> {
-        self.switches
-            .iter()
-            .map(|s| CompiledRoutes::compile(&s.route))
-            .collect()
     }
 
     /// Check structural invariants: every port's peer points back at it with
@@ -167,7 +157,7 @@ impl Topology {
         dst: HostId,
         flow: FlowId,
     ) -> impl Iterator<Item = (NodeRef, u8)> + '_ {
-        self.walk_path(|s| &*self.switches[s.ix()].route, src, dst, flow)
+        self.walk_path(|s| &self.switches[s.ix()].route, src, dst, flow)
             .map(move |hop| hop.unwrap_or_else(|s| panic!("no route from {s:?} to {dst:?}")))
     }
 
@@ -204,7 +194,7 @@ impl Topology {
 
     /// One-way latency of a single full-size frame of `bytes` along the
     /// request path (store-and-forward: serialize at every hop + propagate).
-    pub fn one_way_latency(&self, src: HostId, dst: HostId, flow: FlowId, bytes: u32) -> TimeDelta {
+    fn one_way_latency(&self, src: HostId, dst: HostId, flow: FlowId, bytes: u32) -> TimeDelta {
         let mut total = TimeDelta::ZERO;
         for (node, port) in self.path_hops(src, dst, flow) {
             let spec = self.port_spec(node, port);
@@ -215,7 +205,7 @@ impl Topology {
 
     /// Base round-trip time for a flow: a full MTU frame out plus an ACK of
     /// `ack_bytes` back, on an idle network.
-    pub fn flow_base_rtt(
+    fn flow_base_rtt(
         &self,
         src: HostId,
         dst: HostId,
@@ -226,7 +216,7 @@ impl Topology {
         self.one_way_latency(src, dst, flow, mtu) + self.one_way_latency(dst, src, flow, ack_bytes)
     }
 
-    /// Network-wide base RTT: the maximum [`Self::flow_base_rtt`] over all
+    /// Network-wide base RTT: the maximum `flow_base_rtt` over all
     /// (or, for big networks, a diameter-covering sample of) host pairs.
     /// HPCC/FNCC use this as the window normalisation constant `T`.
     pub fn base_rtt(&self, mtu: u32, ack_bytes: u32) -> TimeDelta {
@@ -418,7 +408,8 @@ impl Topology {
         let tor_hosts = |s: u32| s * half..(s + 1) * half;
         let pod_aggs = |h| agg_id(pod_of(h), 0).0..agg_id(pod_of(h), half).0;
         let up = |level| RouteEntry::Ecmp {
-            ports: (half as u8..k as u8).collect(),
+            first: half as u8,
+            last: (k - 1) as u8,
             level,
         };
         w.finish(TopologyKind::FatTree(k), |s, h| match s.0 {
@@ -474,7 +465,8 @@ impl Topology {
         w.finish(TopologyKind::LeafSpine(leaves, spines), |s, h| match s.0 {
             l if l < leaves && l == leaf_of(h) => RouteEntry::Single((h.0 % hosts_per_leaf) as u8),
             l if l < leaves => RouteEntry::Ecmp {
-                ports: (hosts_per_leaf as u8..(hosts_per_leaf + spines) as u8).collect(),
+                first: hosts_per_leaf as u8,
+                last: (hosts_per_leaf + spines - 1) as u8,
                 level: 0,
             },
             _ => RouteEntry::Single(leaf_of(h) as u8),
@@ -570,7 +562,7 @@ impl Topology {
             }
         }
         for (s, trees) in trees_per_switch.into_iter().enumerate() {
-            self.switches[s].route = Arc::new(RoutingTable::Trees(trees));
+            self.switches[s].route = RoutingTable::Trees(trees.into());
         }
         self
     }
@@ -648,10 +640,9 @@ impl Wiring {
         let switches = (self.ports.into_iter().enumerate())
             .map(|(s, ports)| {
                 let s = SwitchId(s as u32);
-                let entries = (0..n_hosts).map(|h| route(s, HostId(h))).collect();
                 SwitchSpec {
                     ports,
-                    route: Arc::new(RoutingTable::PerDst(entries)),
+                    route: RoutingTable::per_dst((0..n_hosts).map(|h| route(s, HostId(h)))),
                 }
             })
             .collect();
@@ -702,7 +693,7 @@ mod tests {
         let cut = crate::routing::without_ports(&t.switches[0].route, &[false, false, true]);
         let table = |s: SwitchId| match s {
             SwitchId(0) => &cut,
-            _ => &*t.switches[s.ix()].route,
+            _ => &t.switches[s.ix()].route,
         };
         let hops: Vec<_> = t
             .walk_path(table, HostId(0), HostId(2), FlowId(0))

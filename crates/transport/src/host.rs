@@ -79,11 +79,6 @@ impl DcHost {
         self.pending.insert(spec.id, spec);
     }
 
-    /// Number of in-progress incoming flows (the receiver's `N`).
-    pub fn active_incoming(&self) -> u32 {
-        self.active_incoming
-    }
-
     /// LHCS trigger count of an FNCC flow (ablation diagnostics).
     pub fn lhcs_triggers(&self, id: FlowId) -> Option<u64> {
         match self.send.get(&id) {
@@ -874,9 +869,9 @@ mod tests {
             vec![flow(0, 0, 2, 2_000_000, 0), flow(1, 1, 2, 2_000_000, 0)],
         );
         eng.run_until(SimTime::from_us(100));
-        assert_eq!(eng.model.hosts[2].active_incoming(), 2);
+        assert_eq!(eng.model.hosts[2].active_incoming, 2);
         eng.run_until(SimTime::from_ms(5));
-        assert_eq!(eng.model.hosts[2].active_incoming(), 0);
+        assert_eq!(eng.model.hosts[2].active_incoming, 0);
     }
 
     /// Recovery config for the fault tests.
