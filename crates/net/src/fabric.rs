@@ -240,10 +240,10 @@ pub struct Fabric<H: HostLogic> {
 }
 
 impl<H: HostLogic> Fabric<H> {
-    /// Build a fabric over `topo` with one [`HostLogic`] per host. Panics
-    /// with [`crate::fault::validate`]'s message when `cfg.faults` does not
-    /// fit `topo`.
-    /// Every switch forwards through its topology table, shared, not copied.
+    /// Build a fabric over `topo` with one [`HostLogic`] per host; every
+    /// switch forwards through its topology table, shared, not copied.
+    /// Panics with [`crate::fault::validate`]'s message when `cfg.faults`
+    /// does not fit `topo`.
     pub fn new(topo: &Topology, cfg: FabricConfig, hosts: Vec<H>) -> Self {
         assert_eq!(hosts.len(), topo.n_hosts as usize, "one HostLogic per host");
         if let Err(e) = crate::fault::validate(&cfg.faults, topo) {
