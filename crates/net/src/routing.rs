@@ -409,8 +409,53 @@ mod tests {
         }
     }
 
+    /// Every switch of two built topologies.
+    fn built_switches() -> Vec<(String, crate::topology::SwitchSpec, u32)> {
+        use crate::topology::Topology;
+        use crate::units::Bandwidth;
+        use fncc_des::time::TimeDelta;
+        let (bw, prop) = (Bandwidth::gbps(100), TimeDelta::from_us(1));
+        let mut out = Vec::new();
+        for topo in [
+            Topology::fat_tree(4, bw, prop),
+            Topology::leaf_spine(4, 2, 8, bw, prop),
+        ] {
+            for (s, sw) in topo.switches.iter().enumerate() {
+                out.push((
+                    format!("{:?} switch {s}", topo.kind),
+                    sw.clone(),
+                    topo.n_hosts,
+                ));
+            }
+        }
+        out
+    }
+
+    /// Healthy case: the compiled digit tables of every built switch give
+    /// the plain modulo lookup over each destination's member list, and
+    /// identical member lists share one table.
     #[test]
-    fn lookups_follow_the_failover_rule() {
+    fn compiled_routes_match_interpreted_lookup() {
+        for (what, sw, n_hosts) in built_switches() {
+            let RoutingTable::PerDst {
+                tables, members, ..
+            } = &sw.route
+            else {
+                panic!("PerDst expected")
+            };
+            let lists: std::collections::HashSet<&[u8]> = (tables.iter().zip(members.iter()))
+                .map(|(t, &n)| &t[..n as usize])
+                .collect();
+            assert_eq!(lists.len(), tables.len(), "{what}");
+            check_rule(&sw.route, n_hosts, &vec![false; sw.ports.len()], &what);
+        }
+    }
+
+    /// Failover case: the tables `without_ports` rebuilds follow the rule,
+    /// for a hand-made table under every dead set and for every built
+    /// switch under every single dead port.
+    #[test]
+    fn egress_avoiding_matches_recompiled_tables() {
         let ecmp = |first, last, level| RouteEntry::Ecmp { first, last, level };
         let rt = RoutingTable::per_dst([RouteEntry::Single(2), ecmp(2, 5, 1), ecmp(4, 5, 0)]);
         // Every dead-set over ports 2..=5.
@@ -421,35 +466,12 @@ mod tests {
             }
             check_rule(&rt, 3, &dead, &format!("mask {mask:04b}"));
         }
-        // Every switch of two built topologies, healthy and under every
-        // single dead port; identical member lists share one table.
-        use crate::topology::Topology;
-        use crate::units::Bandwidth;
-        use fncc_des::time::TimeDelta;
-        let (bw, prop) = (Bandwidth::gbps(100), TimeDelta::from_us(1));
-        for topo in [
-            Topology::fat_tree(4, bw, prop),
-            Topology::leaf_spine(4, 2, 8, bw, prop),
-        ] {
-            for (s, sw) in topo.switches.iter().enumerate() {
-                let RoutingTable::PerDst {
-                    tables, members, ..
-                } = &sw.route
-                else {
-                    panic!("PerDst expected")
-                };
-                let lists: std::collections::HashSet<&[u8]> = (tables.iter().zip(members.iter()))
-                    .map(|(t, &n)| &t[..n as usize])
-                    .collect();
-                assert_eq!(lists.len(), tables.len(), "{:?} switch {s}", topo.kind);
-                let n_ports = sw.ports.len();
-                check_rule(&sw.route, topo.n_hosts, &vec![false; n_ports], "healthy");
-                for p in 0..n_ports {
-                    let mut dead = vec![false; n_ports];
-                    dead[p] = true;
-                    let what = format!("{:?} switch {s} port {p} dead", topo.kind);
-                    check_rule(&sw.route, topo.n_hosts, &dead, &what);
-                }
+        for (what, sw, n_hosts) in built_switches() {
+            let n_ports = sw.ports.len();
+            for p in 0..n_ports {
+                let mut dead = vec![false; n_ports];
+                dead[p] = true;
+                check_rule(&sw.route, n_hosts, &dead, &format!("{what} port {p} dead"));
             }
         }
     }
